@@ -50,6 +50,7 @@ __all__ = [
     "SymbolClassing",
     "encoding_passes",
     "reset_encoding_passes",
+    "run_count",
     "runs_of_buffer",
 ]
 
@@ -98,6 +99,39 @@ def runs_of_buffer(buffer) -> tuple[tuple[int, int], ...]:
     )
 
 
+#: Ids compared per step of :func:`run_count`.  Bounding the block keeps its
+#: big integers below the allocator's memory-mapping threshold; unbounded,
+#: every step on a 200k-char buffer maps fresh pages and the count costs
+#: about twice as much per id.
+_RUN_COUNT_BLOCK = 1 << 14
+
+
+def run_count(buffer) -> int:
+    """``len(runs_of_buffer(buffer))``, without building a single run.
+
+    A buffer of ``n`` ids has ``n`` minus its number of equal neighbours
+    runs.  Read as one little-endian integer, a block of ids XOR-ed with
+    itself shifted down by one id has a zero item exactly where two
+    neighbours are equal, so each block is a few C-level passes.
+    Blocks overlap by one id, so every neighbour pair is compared once;
+    ``array('I')`` buffers count their zero items through an array of the
+    same type.
+    """
+    n = len(buffer)
+    wide = not isinstance(buffer, bytes)
+    width = buffer.itemsize if wide else 1
+    equal = 0
+    for start in range(0, n - 1, _RUN_COUNT_BLOCK):
+        piece = buffer[start : start + _RUN_COUNT_BLOCK + 1]
+        raw = piece.tobytes() if wide else piece
+        value = int.from_bytes(raw, "little")
+        # Item i is piece[i] ^ piece[i + 1]; the top item, piece[-1]
+        # itself, is cut off.
+        diff = (value ^ (value >> 8 * width)).to_bytes(len(raw), "little")[:-width]
+        equal += array(buffer.typecode, diff).count(0) if wide else diff.count(0)
+    return n - equal
+
+
 #: Delimiter-probe window: segment statistics are estimated on a prefix so
 #: the probe stays O(1) in the document length.
 _SEGMENT_PROBE_CHARS = 65536
@@ -128,15 +162,20 @@ class EncodedDocument:
     where a document is expected.
 
     Beside the buffer, the run-length view used by the run-length kernels
-    (:meth:`runs`, :meth:`mean_run_length`, :meth:`segment_delimiter`) is
+    (:meth:`runs`, :meth:`run_count`, :meth:`segment_delimiter`) is
     memoized lazily *on this object*: it shares the buffer's lifetime and
     its cache slot on the owning :class:`~repro.core.documents.Document`,
     so evicting the encoding necessarily evicts the RLE view with it — the
     two can never describe different classing signatures.  Pickling drops
     the memo the same way the document-level encoding cache is dropped.
+    :meth:`mean_run_length` reads only the run count, so deciding
+    ``kernel="auto"`` never builds the per-run tuple.
     """
 
-    __slots__ = ("text", "buffer", "length", "signature", "_runs", "_delimiter")
+    __slots__ = (
+        "text", "buffer", "length", "signature", "_runs", "_run_count",
+        "_delimiter",
+    )
 
     def __init__(self, text: str, buffer, signature: tuple) -> None:
         self.text = text
@@ -144,6 +183,7 @@ class EncodedDocument:
         self.length = len(text)
         self.signature = signature
         self._runs = None
+        self._run_count = None
         self._delimiter = _UNPROBED
 
     def __len__(self) -> int:
@@ -165,10 +205,18 @@ class EncodedDocument:
             self._runs = runs
         return runs
 
+    def run_count(self) -> int:
+        """``len(self.runs())``, counted in C without building the runs."""
+        count = self._run_count
+        if count is None:
+            count = run_count(self.buffer)
+            self._run_count = count
+        return count
+
     def mean_run_length(self) -> float:
         """Average run length — the planner's repetitiveness statistic."""
-        runs = self.runs()
-        return self.length / len(runs) if runs else 0.0
+        count = self.run_count()
+        return self.length / count if count else 0.0
 
     def segment_delimiter(self) -> int | None:
         """The class id the count kernel should segment this buffer on.

@@ -205,7 +205,10 @@ def choose_plan(
     evaluation time (``repro.runtime.runlength.prefers_runlength`` keys
     on the measured mean run length of the encoded buffer — automaton
     statistics cannot see it), so the plan records the caller's intent
-    and the engines dispatch.  A streaming plan pins ``kernel="scalar"``
+    and the engines dispatch.  That decision reads a C-level run count
+    (:meth:`~repro.runtime.encoding.EncodedDocument.run_count`) and never
+    builds the run-length view; only a run-length kernel that actually
+    runs does.  A streaming plan pins ``kernel="scalar"``
     because chunk-fed evaluation never sees whole runs.
 
     With ``streaming=True`` the plan evaluates chunk-fed documents

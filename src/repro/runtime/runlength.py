@@ -28,7 +28,8 @@ Per compiled automaton and class ``c`` the kernel precomputes:
 
 Counting runs the whole document as a product of per-run matrices
 applied to the count vector (:func:`count_runlength`,
-:func:`count_subset_runlength`); with numpy importable, long general
+:func:`count_subset_runlength`); with numpy importable (it is imported on
+the first run that can use it, never at module load), long general
 runs use exact ``int64`` matrix powers behind a conservative magnitude
 guard, falling back to arbitrary-precision Python rows whenever the
 guard cannot prove the product stays well inside ``int64``.  Both paths
@@ -70,10 +71,11 @@ from repro.runtime.engine import (
 from repro.runtime.kernel import KERNELS, KernelSpec, build_kernel
 from repro.runtime.subset import CompiledSubsetEVA, count_subset
 
-try:  # pragma: no cover - exercised via both CI matrix flavours
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
+#: numpy, imported by :func:`_load_numpy` on the first run that can use
+#: it (``None`` if that import failed); importing it with this module
+#: would charge every ``import repro``.
+_NOT_LOADED = object()
+_numpy = _NOT_LOADED
 
 __all__ = [
     "KERNELS",
@@ -124,8 +126,27 @@ _PATH_MEMO_CAP = 1 << 12
 
 
 def numpy_available() -> bool:
-    """Whether the exact-int64 numpy run path can be used."""
-    return _numpy is not None
+    """Whether the exact-int64 numpy run path can be used.
+
+    Answers from the import system's module search until the first run
+    has tried the import, so asking does not import numpy.
+    """
+    if _numpy is not _NOT_LOADED:
+        return _numpy is not None
+    from importlib.util import find_spec
+
+    return find_spec("numpy") is not None
+
+
+def _load_numpy():
+    """numpy, imported on first use; ``None`` when the import fails."""
+    global _numpy
+    if _numpy is _NOT_LOADED:
+        try:
+            import numpy as _numpy
+        except ImportError:
+            _numpy = None
+    return _numpy
 
 
 # ---------------------------------------------------------------------- #
@@ -310,7 +331,11 @@ class RunLengthKernel:
             return out
         if kind == "idempotent":
             return _vec_rows(vector, self.step_rows[cls])
-        if _numpy is not None and use_numpy is not False and k >= _NUMPY_MIN_RUN:
+        if (
+            use_numpy is not False
+            and k >= _NUMPY_MIN_RUN
+            and _load_numpy() is not None
+        ):
             out = self._vec_run_numpy(vector, cls, k)
             if out is not None:
                 return out
@@ -628,7 +653,7 @@ def count_runlength(
     final-state counts summed.  ``use_numpy=True`` requires numpy,
     ``False`` forbids it, ``None`` (default) decides per run.
     """
-    if use_numpy and _numpy is None:
+    if use_numpy and _load_numpy() is None:
         raise EvaluationError(
             "use_numpy=True was requested but numpy is not importable"
         )

@@ -17,7 +17,12 @@ characters planted mid-run):
 * **Sharding** — ``count_sharded(kernel="runlength")`` is exact for
   adversarial shard counts whose boundaries split runs, and the
   run-length shard summary composes exactly like the scalar one.
+
+The C-level run count that decides ``kernel="auto"`` is pinned to the
+length of the run-length view on generated buffers of both flavours.
 """
+
+from array import array
 
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +33,7 @@ from harness import (
 )
 
 from repro import Spanner
+from repro.runtime.encoding import run_count, runs_of_buffer
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.runlength import (
     count_runlength,
@@ -69,6 +75,22 @@ run_documents = st.lists(
 ).map(lambda pairs: "".join(char * length for char, length in pairs))
 documents = st.one_of(st.text(alphabet=DOCUMENT_ALPHABET, max_size=24), run_documents)
 patterns = st.sampled_from(PATTERNS)
+
+
+#: Class-id sequences over six ids, half of them as long runs.
+id_sequences = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=1, max_value=12),
+        ),
+        max_size=6,
+    ).map(lambda pairs: [cls for cls, length in pairs for _ in range(length)]),
+)
+#: Wide ids (``array('I')`` buffers exist only above 255 classes) that
+#: pairwise differ in a single byte.
+WIDE_IDS = (0, 1, 256, 257, 65536, 2**32 - 1)
 
 
 def _runtime(pattern: str, text: str):
@@ -140,6 +162,17 @@ def test_runlength_summaries_compose_like_scalar_ones(pattern, text, data):
     assert compose_summaries(first, second) == summary_runlength(
         runtime, buf, length
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=id_sequences, data=st.data())
+def test_run_count_equals_the_run_view_on_both_buffer_flavours(ids, data):
+    lo = data.draw(st.integers(min_value=0, max_value=len(ids)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(ids)))
+    for buffer in (bytes(ids), array("I", [WIDE_IDS[cls] for cls in ids])):
+        # The whole buffer, and a slice as a shard worker receives it.
+        for piece in (buffer, buffer[lo:hi]):
+            assert run_count(piece) == len(runs_of_buffer(piece))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,8 @@ scratch-reuse plumbing of the engines that consume the encoded buffers.
 from __future__ import annotations
 
 import pickle
+import random
+from array import array
 
 import pytest
 
@@ -254,9 +256,64 @@ class TestRunLengthView:
         classing = SymbolClassing(("a", "b"), (0, 1))
         encoded = classing.encode("aabb")
         runs = encoded.runs()
+        encoded.run_count()
         clone = pickle.loads(pickle.dumps(encoded))
         assert clone._runs is None
+        assert clone._run_count is None
         assert clone.runs() == runs
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [],
+            [4],
+            [3] * 50,
+            [0, 1] * 25,
+            [0, 0, 1, 1, 1, 0, 2, 2, 5],
+            [random.Random(11).randrange(6) for _ in range(200)],
+            [random.Random(12).choice((0, 0, 0, 1)) for _ in range(200)],
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 7, encoding._RUN_COUNT_BLOCK])
+    def test_run_count_equals_the_number_of_runs(self, ids, block, monkeypatch):
+        # Both buffer flavours, every slice a shard worker could cut from
+        # them, and blocks small enough to put a block boundary inside and
+        # between runs.  The wide ids differ from each other in a single
+        # byte, so a byte-level comparison could not pass by accident.
+        monkeypatch.setattr(encoding, "_RUN_COUNT_BLOCK", block)
+        wide_ids = (0, 1, 256, 257, 65536, 2**32 - 1)
+        buffers = (bytes(ids), array("I", [wide_ids[i] for i in ids]))
+        cuts = sorted({0, 1, len(ids) // 3, len(ids) // 2, len(ids) - 1, len(ids)})
+        for buffer in buffers:
+            for lo in cuts:
+                for hi in cuts:
+                    piece = buffer[lo:hi]
+                    assert encoding.run_count(piece) == len(
+                        encoding.runs_of_buffer(piece)
+                    )
+
+    def test_run_count_across_real_blocks(self):
+        rng = random.Random(13)
+        ids = [rng.choice((0, 0, 1, 2)) for _ in range(3 * encoding._RUN_COUNT_BLOCK + 5)]
+        for buffer in (bytes(ids), array("I", [i << 16 for i in ids])):
+            assert encoding.run_count(buffer) == len(encoding.runs_of_buffer(buffer))
+
+    @pytest.mark.parametrize(
+        "text", ["", "a", "aaaa", "abab", "aaabbbab" * 3, "aĀa" * 9]
+    )
+    def test_mean_run_length_reads_the_count_not_the_runs(self, text):
+        for classing in (
+            SymbolClassing(("a", "b"), (0, 1)),
+            SymbolClassing(
+                ("a", "b") + tuple(chr(300 + i) for i in range(298)), range(300)
+            ),
+        ):
+            encoded = classing.encode(text)
+            mean = encoded.mean_run_length()
+            assert encoded._runs is None
+            runs = encoded.runs()
+            assert encoded.run_count() == len(runs)
+            assert mean == (encoded.length / len(runs) if runs else 0.0)
 
 
 class TestScratchReuse:

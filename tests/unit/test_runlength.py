@@ -1,10 +1,16 @@
 """Unit tests for the run-length kernels (repro.runtime.runlength)."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.errors import EvaluationError
+from repro.runtime import runlength
 from repro.runtime.plan import KERNEL_CHOICES
 from repro.runtime.runlength import (
     KERNELS,
@@ -28,6 +34,7 @@ from repro.runtime.runlength import (
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.sharding import count_sharded, shard_summary
 from repro.spanners.spanner import Spanner
+from repro.workloads.documents import server_log
 
 
 PATTERN = ".*x{a+}.*"
@@ -209,6 +216,47 @@ class TestCounting:
         with pytest.raises(EvaluationError):
             count_runlength(runtime, DOCUMENT, use_numpy=True)
 
+    def test_failed_numpy_import_falls_back_to_python_rows(
+        self, runtime, monkeypatch
+    ):
+        # A None entry in sys.modules makes `import numpy` raise
+        # ImportError, as on a host without numpy.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(runlength, "_numpy", runlength._NOT_LOADED)
+        document = "a" * 500  # one general run far above _NUMPY_MIN_RUN
+        assert count_runlength(runtime, document) == count_compiled(
+            runtime, document
+        )
+        assert runlength._numpy is None
+        assert not numpy_available()
+        with pytest.raises(EvaluationError):
+            count_runlength(runtime, document, use_numpy=True)
+
+    def test_default_count_does_not_import_numpy(self):
+        # numpy is only for long general runs of the run-length count; a
+        # default count on a short-run document must never load it.
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "assert 'numpy' not in sys.modules\n"
+            "count = repro.Spanner('.*x{a+}.*').count('bbaab' * 400)\n"
+            "assert count > 0, count\n"
+            "repro.runtime.runlength.numpy_available()\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_large_exact_count_beyond_int64(self):
         # ~2^line_count mappings: far past what int64 could hold, so the
         # magnitude guard must route the product to exact Python rows.
@@ -304,6 +352,28 @@ class TestDispatch:
             assert resolve_kernel("runlength", short) == "runlength"
             with pytest.raises(EvaluationError):
                 resolve_kernel("bogus", short)
+        finally:
+            spanner.close()
+
+    def test_auto_decision_never_builds_the_run_view(self):
+        # A sparse log stays scalar under kernel="auto"; deciding that
+        # must read the C-level run count, not build the per-run tuple.
+        document = server_log(
+            80, seed=5, error_rate=0.05, levels=("INFO", "WARN")
+        )
+        assert len(document) >= RUNLENGTH_MIN_CHARS
+        spanner = Spanner(r".*ERROR worker-w{[0-9]} .*")
+        try:
+            count = spanner.count(document)
+            rows = list(spanner.extract(document))
+            assert count == len(rows) > 0
+            classing = spanner.runtime(document).classing
+            encoded = document.cached_encoding(classing.signature)
+            assert encoded is not None
+            assert encoded._runs is None
+            assert encoded._run_count is not None
+            assert resolve_kernel("auto", encoded) == "scalar"
+            assert encoded._runs is None
         finally:
             spanner.close()
 
