@@ -32,9 +32,8 @@ Reported, not gated:
 * ``speedup_runlength_numpy_vs_scalar`` — the auto numpy/python mix
   (equal to the pure-python ratio when numpy is absent).
 
-The dense workload also asserts the generalized-sprint arena is
-bit-identical to the scalar arena (fast path on and off) and that every
-count path yields the same exact integer.
+Both workloads also assert that every count path yields the same exact
+integer.
 
 Usage::
 
@@ -51,29 +50,14 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.runtime.engine import (  # noqa: E402
-    EvaluationScratch,
-    count_compiled,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import EvaluationScratch, count_compiled  # noqa: E402
 from repro.runtime.runlength import (  # noqa: E402
     count_runlength,
-    evaluate_runlength_arena,
     numpy_available,
     runlength_kernel,
 )
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
-
-ARENA_ARRAYS = (
-    "node_markers",
-    "node_positions",
-    "node_starts",
-    "node_ends",
-    "cell_nodes",
-    "cell_nexts",
-    "final_entries",
-)
 
 
 def best_of(repeat: int, run) -> float:
@@ -159,20 +143,6 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
     }
 
 
-def assert_arena_identity(compiled, document) -> None:
-    serial = evaluate_compiled_arena(compiled, document)
-    for fast_path in (True, False):
-        arena = evaluate_runlength_arena(
-            compiled, document, fast_path=fast_path
-        )
-        for name in ARENA_ARRAYS:
-            if list(getattr(arena, name)) != list(getattr(serial, name)):
-                raise AssertionError(
-                    f"run-length arena differs from scalar "
-                    f"(fast_path={fast_path}): {name}"
-                )
-
-
 def print_report(entry) -> None:
     rows = entry["results"]
     print(
@@ -235,7 +205,6 @@ def main(argv=None) -> int:
     dense_doc = ("a" * run_length + "b") * run_pairs + "a" * run_length
     dense_spanner = Spanner.from_regex(".*x{a+}.*")
     dense_compiled = dense_spanner.runtime(dense_doc)
-    assert_arena_identity(dense_compiled, dense_doc)
     workloads.append(
         bench_counting(
             "dense-captures-count", dense_compiled, dense_doc, repeat=repeat

@@ -107,11 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             choices=list(KERNEL_CHOICES),
             default="auto",
-            help="inner-loop kernel of the compiled engine: pick per "
-            "document from run-length statistics (auto, default), the "
-            "character-at-a-time loop (scalar), or O(log k) run "
-            "exponentiation over the run-length encoding (runlength); "
-            "results are identical either way",
+            help="inner-loop kernel for counting and shard summaries: "
+            "pick per document from run-length statistics (auto, "
+            "default), the character-at-a-time loop (scalar), or O(log k) "
+            "run exponentiation over the run-length encoding (runlength); "
+            "extracted arenas always use the scalar loop, and results are "
+            "identical either way",
         )
 
     def add_workers(sub: argparse.ArgumentParser) -> None:

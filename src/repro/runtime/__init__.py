@@ -43,7 +43,6 @@ from repro.runtime.encoding import (
 from repro.runtime.engine import (
     EvaluationScratch,
     count_compiled,
-    evaluate_compiled,
     evaluate_compiled_arena,
 )
 from repro.runtime.operators import (
@@ -86,7 +85,6 @@ __all__ = [
     "count_compiled",
     "count_subset",
     "encoding_passes",
-    "evaluate_compiled",
     "evaluate_compiled_arena",
     "evaluate_streaming",
     "evaluate_subset_arena",

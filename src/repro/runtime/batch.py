@@ -57,9 +57,9 @@ from repro.core.errors import ReproError, ResourceLimitError
 from repro.enumeration.evaluate import ResultDag, evaluate as reference_evaluate
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import CompiledResultDag
-from repro.runtime.engine import EvaluationScratch
+from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
-from repro.runtime.runlength import KERNELS, evaluate_arena_with_kernel
+from repro.runtime.runlength import KERNELS
 from repro.runtime import resilience, sharding
 from repro.runtime.resilience import (
     FailureReport,
@@ -124,7 +124,6 @@ _worker_compiled: CompiledEVA | CompiledSubsetEVA | PhysicalOperator | None = No
 _worker_scratch: EvaluationScratch | None = None
 _worker_engine: str = "compiled"
 _worker_stream_chunk: int = 0  # 0: evaluate documents whole
-_worker_kernel: str = "auto"
 _worker_budget: ResourceBudget | None = None
 
 
@@ -132,19 +131,17 @@ def _init_worker(
     compiled,
     engine: str,
     stream_chunk: int = 0,
-    kernel: str = "auto",
     budget: ResourceBudget | None = None,
     faults: resilience.FaultPlan | None = None,
 ) -> None:
     global _worker_compiled, _worker_scratch, _worker_engine, _worker_stream_chunk
-    global _worker_kernel, _worker_budget
+    global _worker_budget
     _worker_compiled = compiled
     _worker_scratch = (
         EvaluationScratch(compiled) if isinstance(compiled, CompiledEVA) else None
     )
     _worker_engine = engine
     _worker_stream_chunk = stream_chunk
-    _worker_kernel = kernel
     _worker_budget = budget
     resilience.install_fault_plan(faults)
     # Prime the shard-task globals too, so the same pool can serve
@@ -160,7 +157,6 @@ def _evaluate_one(
     engine: str,
     scratch,
     stream_chunk: int = 0,
-    kernel: str = "auto",
 ):
     if resilience._ACTIVE_PLAN is not None:
         resilience.maybe_fault("evaluate")
@@ -169,20 +165,16 @@ def _evaluate_one(
     if engine == "reference":
         return reference_evaluate(compiled.source, document, check_determinism=False)
     if engine == "compiled-otf":
-        # The lazily determinized capture path has no run-length arena;
-        # it runs scalar regardless of the requested kernel.
         return evaluate_subset_arena(compiled, document)
     if stream_chunk:
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.
-        # Streaming never sees the whole run-length encoding, so it is
-        # always scalar (run_batch rejects kernel="runlength" up front).
         return evaluate_streaming(
             compiled, document, chunk_size=stream_chunk, scratch=scratch
         )
-    return evaluate_arena_with_kernel(
-        compiled, document, kernel=kernel, scratch=scratch
-    )
+    # Arenas are always scalar: the kernel axis applies only to counting
+    # and to the shard summaries of outsized documents.
+    return evaluate_compiled_arena(compiled, document, scratch=scratch)
 
 
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
@@ -201,7 +193,6 @@ def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tup
             _worker_engine,
             _worker_scratch,
             _worker_stream_chunk,
-            _worker_kernel,
         )
         if budget is not None:
             budget.check_result(result)
@@ -291,13 +282,14 @@ def run_batch(
         collection order.  ``None`` (default) disables sharding, and
         serial mode ignores it (there is no pool to shard across).
     kernel:
-        Inner-loop kernel for the ``compiled`` engine:
-        ``"auto"`` (default — per document, by run-length statistics),
-        ``"scalar"``, or ``"runlength"``
-        (:mod:`repro.runtime.runlength`).  Results are identical either
-        way.  The other engines run scalar regardless; forcing
-        ``"runlength"`` on them, or on a streaming batch (which never
-        sees a whole run-length encoding), is an error.
+        Inner-loop kernel for the ``compiled`` engine: ``"auto"``
+        (default — per document, by run-length statistics),
+        ``"scalar"``, or ``"runlength"`` (:mod:`repro.runtime.runlength`).
+        It selects how the interior shards of ``shard_min_chars``
+        documents are summarized; every arena itself is built by the
+        scalar engine, so results are identical either way.  Forcing
+        ``"runlength"`` on another engine, or on a streaming batch
+        (which never sees a whole run-length encoding), is an error.
     policy:
         The fault-tolerance policy (:mod:`repro.runtime.resilience`).
         Process mode is *always* supervised — with ``policy=None`` it
@@ -409,7 +401,6 @@ def _serial_supervised(
     pairs: Iterator[tuple[object, object]],
     engine: str,
     stream_chunk: int,
-    kernel: str,
     policy: ResiliencePolicy,
     report: FailureReport | None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -426,7 +417,7 @@ def _serial_supervised(
                 if budget is not None:
                     budget.check_document(document)
                 result = _evaluate_one(
-                    compiled, document, engine, scratch, stream_chunk, kernel
+                    compiled, document, engine, scratch, stream_chunk
                 )
                 if budget is not None:
                     budget.check_result(result)
@@ -491,7 +482,7 @@ def _stream_batch(
     if mode == "serial":
         if policy is not None:
             yield from _serial_supervised(
-                compiled, pairs, engine, stream_chunk, kernel, policy, report
+                compiled, pairs, engine, stream_chunk, policy, report
             )
             return
         scratch = (
@@ -499,7 +490,7 @@ def _stream_batch(
         )
         for doc_id, document in pairs:
             yield doc_id, _evaluate_one(
-                compiled, document, engine, scratch, stream_chunk, kernel
+                compiled, document, engine, scratch, stream_chunk
             )
         return
 
@@ -517,25 +508,23 @@ def _stream_batch(
             _worker_scratch,
             _worker_engine,
             _worker_stream_chunk,
-            _worker_kernel,
             _worker_budget,
             sharding._WORKER_COMPILED,
             sharding._WORKER_FAST_PATH,
         )
         # Same initializer the workers run, minus the fault plan: the
         # inline path is the exactness backstop and must never fault.
-        _init_worker(compiled, engine, stream_chunk, kernel, policy.budget, None)
+        _init_worker(compiled, engine, stream_chunk, policy.budget, None)
         resilience.clear_fault_plan()
 
         def teardown():
             global _worker_compiled, _worker_scratch, _worker_engine
-            global _worker_stream_chunk, _worker_kernel, _worker_budget
+            global _worker_stream_chunk, _worker_budget
             (
                 _worker_compiled,
                 _worker_scratch,
                 _worker_engine,
                 _worker_stream_chunk,
-                _worker_kernel,
                 _worker_budget,
                 sharding._WORKER_COMPILED,
                 sharding._WORKER_FAST_PATH,
@@ -546,7 +535,7 @@ def _stream_batch(
     supervised = SupervisedPool(
         workers,
         initializer=_init_worker,
-        initargs=(compiled, engine, stream_chunk, kernel, policy.budget, policy.faults),
+        initargs=(compiled, engine, stream_chunk, policy.budget, policy.faults),
         inline_setup=inline_setup,
         policy=policy,
         report=report,

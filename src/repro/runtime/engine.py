@@ -1,8 +1,8 @@
 """The integer-only evaluation entry points over a :class:`CompiledEVA`.
 
-This is Algorithm 1 again — the same capturing/reading alternation and the
-same lazy-list DAG construction as the reference engine in
-:mod:`repro.enumeration.evaluate` — but operating purely on ints:
+This is Algorithm 1 again — the same capturing/reading alternation as the
+reference engine in :mod:`repro.enumeration.evaluate`, whose lazy-list
+DAG stays the semantic oracle — but operating purely on ints:
 
 * live states are slots in a flat list indexed by state id (no hashing),
 * the document is translated **once per alphabet classing** into a compact
@@ -12,7 +12,9 @@ same lazy-list DAG construction as the reference engine in
 * symbols with identical letter-table columns share one equivalence class,
   shrinking the dense rows; one extra all-dead *foreign* class absorbs
   out-of-alphabet characters, so the inner loops have no foreign branch,
-* marker sets are referenced by id and only materialized into DAG nodes,
+* marker sets are referenced by id, and DAG nodes are rows of a flat
+  int arena (:class:`~repro.runtime.dag.CompiledResultDag`) instead of
+  objects,
 * the per-document state arrays live in an :class:`EvaluationScratch` that
   batch callers reuse across documents, so steady-state evaluation
   allocates only the DAG it returns,
@@ -30,8 +32,8 @@ guaranteed no-op and is skipped; when additionally exactly one run is live
 deterministic reading phase never forks — the engine *sprints*: the run's
 list/count is parked, and a compiled byte-pattern finds the next position
 whose character class leaves the current state at C speed (for byte
-buffers; a tight Python loop otherwise).  No arena cell, lazy list or
-snapshot is touched while sprinting.
+buffers; a tight Python loop otherwise).  No arena cell or snapshot is
+touched while sprinting.
 
 Since the kernel-spec refactor the loops themselves live in
 :mod:`repro.runtime.kernel`: each entry point here binds one generated
@@ -42,41 +44,34 @@ the scratch back.  The generated loops are statement-for-statement the
 hand-written ones this module used to carry, so arenas stay
 bit-identical and the sprint fast path keeps its benchmarked floors.
 
-The produced :class:`~repro.enumeration.evaluate.ResultDag` is keyed by the
-original automaton states, so enumeration, counting and the delay profiler
-work on it unchanged.
+The produced :class:`~repro.runtime.dag.CompiledResultDag` enumerates,
+counts and converts back to the reference
+:class:`~repro.enumeration.evaluate.ResultDag` (keyed by the original
+automaton states), so the delay profiler works on it unchanged.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import EvaluationError
-from repro.enumeration.evaluate import ResultDag
-from repro.enumeration.lazylist import LazyList
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
-from repro.runtime.kernel import KernelSpec, build_kernel, sprint
+from repro.runtime.kernel import KernelSpec, build_kernel
 
 __all__ = [
     "EvaluationScratch",
     "count_compiled",
-    "evaluate_compiled",
     "evaluate_compiled_arena",
 ]
-
-# Back-compat alias: the sprint helper moved to the kernel module with the
-# kernel-spec refactor; sibling engines historically import it from here.
-_sprint = sprint
 
 
 class EvaluationScratch:
     """Reusable per-document work buffers for the compiled engines.
 
     Holds the state-indexed slot arrays that the engines ping-pong between
-    phases: the legacy loop keeps per-state :class:`LazyList` slots, the
-    arena loop per-state ``(start, end)`` cell-index pairs, and
-    :func:`count_compiled` two per-state partial-run count rows.  A scratch
-    is tied to the state count of the automaton it was created for; the
-    batch engine keeps one per worker and the
+    phases: the arena loop keeps per-state ``(start, end)`` cell-index
+    pairs, and :func:`count_compiled` two per-state partial-run count
+    rows.  A scratch is tied to the state count of the automaton it was
+    created for; the batch engine keeps one per worker and the
     :class:`~repro.spanners.Spanner` facade one per cached alphabet (a
     scratch is single-threaded — share automata across threads, not
     scratches).
@@ -84,8 +79,6 @@ class EvaluationScratch:
 
     __slots__ = (
         "num_states",
-        "current",
-        "pending",
         "cur_start",
         "cur_end",
         "pend_start",
@@ -96,8 +89,6 @@ class EvaluationScratch:
 
     def __init__(self, compiled: CompiledEVA) -> None:
         self.num_states = compiled.num_states
-        self.current: list[LazyList | None] = [None] * self.num_states
-        self.pending: list[LazyList | None] = [None] * self.num_states
         self.cur_start = [NIL] * self.num_states
         self.cur_end = [NIL] * self.num_states
         self.pend_start = [NIL] * self.num_states
@@ -119,24 +110,40 @@ def _checked_scratch(
     return scratch
 
 
-_lazylist_kernel = build_kernel(KernelSpec(capture="lazylist"))
 _arena_kernel = build_kernel(KernelSpec(capture="arena"))
 _count_kernel = build_kernel(KernelSpec(capture="count"))
 
 
-def _collect_arena(
+def evaluate_compiled_arena(
     compiled: CompiledEVA,
-    n: int,
-    scratch: EvaluationScratch,
-    result: tuple,
+    document: object,
+    *,
+    scratch: EvaluationScratch | None = None,
+    fast_path: bool = True,
 ) -> CompiledResultDag:
-    """Turn an arena kernel's raw return into a :class:`CompiledResultDag`.
+    """Algorithm 1 on the dense tables, building the node arena natively.
 
-    Collects the final-state entry pairs, releases the borrowed slot
-    arrays for the next document and writes the (possibly swapped) slot
-    arrays back into the scratch.  Shared by the scalar arena engine and
-    the run-length engine, which return the same tuple shape.
+    The same capturing/reading alternation as
+    :func:`repro.enumeration.evaluate.evaluate`, but no ``DagNode`` or
+    ``LazyList`` object is ever created:
+    DAG nodes are rows appended to parallel int arrays and lists are
+    ``(start, end)`` cell-index pairs held in the scratch's slot arrays.
+    The paper's ``lazycopy`` degenerates to copying two ints, ``add``
+    appends one cell, and ``append`` splices by assigning one next-pointer
+    (asserting the single-assignment discipline, as the object lists do).
+    While a lone silent run sprints, not even the two ints move.
+
+    Returns the flat :class:`CompiledResultDag`, on which enumeration and
+    counting run integer-only (see :mod:`repro.runtime.dag`).  Pass a
+    reused *scratch* when evaluating many documents with the same
+    automaton; ``fast_path=False`` disables the quiescent-run sprint
+    (benchmark and test instrumentation only).
     """
+    encoded = compiled.encode(document)
+    buf = encoded.buffer
+    n = encoded.length
+    scratch = _checked_scratch(compiled, scratch)
+
     (
         active,
         cur_start,
@@ -149,7 +156,7 @@ def _collect_arena(
         node_ends,
         cell_nodes,
         cell_nexts,
-    ) = result
+    ) = _arena_kernel(compiled, buf, n, scratch, fast_path)
 
     is_final = compiled.is_final
     final_entries = []
@@ -157,6 +164,8 @@ def _collect_arena(
         if is_final[state] and cur_start[state] != NIL:
             final_entries.append((state, cur_start[state], cur_end[state]))
 
+    # Release the borrowed slot arrays for the next document and hand the
+    # (possibly swapped) arrays back to the scratch.
     for state in active:
         cur_start[state] = NIL
     scratch.cur_start = cur_start
@@ -175,74 +184,6 @@ def _collect_arena(
         cell_nexts,
         final_entries,
     )
-
-
-def evaluate_compiled(
-    compiled: CompiledEVA,
-    document: object,
-    *,
-    scratch: EvaluationScratch | None = None,
-    fast_path: bool = True,
-) -> ResultDag:
-    """Run the constant-delay preprocessing on the compiled automaton.
-
-    Equivalent to :func:`repro.enumeration.evaluate.evaluate` on
-    ``compiled.source`` (the property suite asserts this), at a fraction of
-    the per-character cost.  Pass a reused *scratch* when evaluating many
-    documents with the same automaton; ``fast_path=False`` disables the
-    quiescent-run sprint (benchmark and test instrumentation only).
-    """
-    encoded = compiled.encode(document)
-    buf = encoded.buffer
-    n = encoded.length
-    scratch = _checked_scratch(compiled, scratch)
-
-    active, current, pending = _lazylist_kernel(compiled, buf, n, scratch, fast_path)
-
-    state_objects = compiled.state_objects
-    final_lists = {}
-    for state in compiled.final_ids:
-        lazy_list = current[state]
-        if lazy_list is not None and not lazy_list.is_empty():
-            final_lists[state_objects[state]] = lazy_list
-
-    # Release the slot arrays for the next document; the lazy lists that
-    # escaped into the ResultDag are unaffected.
-    for state in active:
-        current[state] = None
-    scratch.current = current
-    scratch.pending = pending
-
-    return ResultDag(compiled.source, n, final_lists)
-
-
-def evaluate_compiled_arena(
-    compiled: CompiledEVA,
-    document: object,
-    *,
-    scratch: EvaluationScratch | None = None,
-    fast_path: bool = True,
-) -> CompiledResultDag:
-    """Algorithm 1 on the dense tables, building the node arena natively.
-
-    The same capturing/reading alternation as :func:`evaluate_compiled`,
-    but no :class:`DagNode` or :class:`LazyList` object is ever created:
-    DAG nodes are rows appended to parallel int arrays and lists are
-    ``(start, end)`` cell-index pairs held in the scratch's slot arrays.
-    The paper's ``lazycopy`` degenerates to copying two ints, ``add``
-    appends one cell, and ``append`` splices by assigning one next-pointer
-    (asserting the single-assignment discipline, as the object lists do).
-    While a lone silent run sprints, not even the two ints move.
-
-    Returns the flat :class:`CompiledResultDag`, on which enumeration and
-    counting run integer-only (see :mod:`repro.runtime.dag`).
-    """
-    encoded = compiled.encode(document)
-    buf = encoded.buffer
-    n = encoded.length
-    scratch = _checked_scratch(compiled, scratch)
-    result = _arena_kernel(compiled, buf, n, scratch, fast_path)
-    return _collect_arena(compiled, n, scratch, result)
 
 
 def count_compiled(

@@ -1,13 +1,11 @@
 """The single parameterized Algorithm-1 kernel behind every engine.
 
 The paper's Algorithm 1 is one capturing/reading alternation, but the
-repository grew eight hand-synchronized transcriptions of it: the legacy
-lazy-list engine, the arena engine and the counter
-(:mod:`repro.runtime.engine`), the on-the-fly subset pair
-(:mod:`repro.runtime.subset`), the streaming chunk loop
-(:mod:`repro.runtime.streaming`), the shard summary/replay/count loops
-(:mod:`repro.runtime.sharding`) and the run-length arena evaluator
-(:mod:`repro.runtime.runlength`).  Every invariant — canonical
+repository grew hand-synchronized transcriptions of it: the arena engine
+and the counter (:mod:`repro.runtime.engine`), the on-the-fly subset
+pair (:mod:`repro.runtime.subset`), the streaming chunk loop
+(:mod:`repro.runtime.streaming`) and the shard summary/replay/count
+loops (:mod:`repro.runtime.sharding`).  Every invariant — canonical
 sorted-by-id live order, quiescent-sprint parking, scratch ping-pong,
 the splice single-assignment check — had to be re-applied copy by copy.
 
@@ -18,9 +16,9 @@ that assembles the one canonical loop from shared phase fragments and
 compiles it (:func:`build_kernel`).  The engines are now thin wrappers
 over the generated callables; the phase machinery lives here, once:
 
-* the **capturing step** (:data:`_CAPTURE_ARENA`, :data:`_CAPTURE_LAZYLIST`,
-  :data:`_CAPTURE_COUNT`, :data:`_CAPTURE_FRONTIER`, and the subset
-  flavour) — snapshot before additions, exactly the paper's lazycopy;
+* the **capturing step** (:data:`_CAPTURE_ARENA`, :data:`_CAPTURE_COUNT`,
+  :data:`_CAPTURE_FRONTIER`, and the subset flavour) — snapshot before
+  additions, exactly the paper's lazycopy;
 * the **reading step** (:data:`_READ_ARENA` and friends) — one letter
   transition per live run, the foreign class killing runs uniformly,
   splices guarded by the single-assignment discipline (with the shard
@@ -29,7 +27,7 @@ over the generated callables; the phase machinery lives here, once:
   list — the invariant shard replay depends on for bit-identical arenas;
 * the **quiescent-sprint park/resume** (:func:`sprint`,
   :func:`subset_sprint`, and the per-capture park/resume payloads: a
-  lazy list, a ``(start, end)`` pair, a count, or nothing at all);
+  ``(start, end)`` pair, a count, or nothing at all);
 * the **scratch ping-pong** (current/pending slot swaps, with the
   borrowed arrays handed back through the generated returns).
 
@@ -37,11 +35,17 @@ Composition is *source-level* — each spec's loop is rendered to Python
 text and compiled once, at import time of the engine module that uses
 it — so the generated kernels carry **zero per-position dispatch
 overhead**: the bytecode is the same as the hand-written loops they
-replace, which is what keeps the BENCH floors (sprint >=2x, runlength
->=5x, shard overhead, supervised >=0.9) intact.  Because skipped work
-and write order are reproduced statement for statement, every arena a
-generated kernel builds is **bit-identical** to its pre-refactor engine
-(the differential harness pins this arena-for-arena).
+replace, which is what keeps the BENCH floors (sprint >=2x, shard
+overhead, supervised >=0.9) intact.  Because skipped work and write
+order are reproduced statement for statement, every arena a generated
+kernel builds is **bit-identical** to its pre-refactor engine (the
+differential harness pins this arena-for-arena).
+
+The planner-facing ``kernel`` choice (:data:`KERNELS`: ``auto``,
+``scalar``, ``runlength``) is *not* a spec axis.  It selects between
+these scalar loops and the run-length algebra of
+:mod:`repro.runtime.runlength`, and only counting and shard summaries
+have a run-length path; every arena is built by a loop from this module.
 
 Spec axes
 =========
@@ -49,11 +53,10 @@ Spec axes
 ``capture``
     What a live run carries and what the capturing phase writes:
     ``"arena"`` (flat :class:`~repro.runtime.dag.CompiledResultDag`
-    arrays, ``(start, end)`` cell pairs), ``"lazylist"`` (the legacy
-    :class:`~repro.enumeration.lazylist.LazyList` DAG), ``"count"``
-    (Algorithm 3 partial-run counts), or ``"frontier"`` (the shard
-    summary's capture-free state-set shadow, with its
-    ``(state, position) -> frontier`` memo).
+    arrays, ``(start, end)`` cell pairs), ``"count"`` (Algorithm 3
+    partial-run counts), or ``"frontier"`` (the shard summary's
+    capture-free state-set shadow, with its ``(state, position) ->
+    frontier`` memo).
 
 ``tables``
     Determinization: ``"dense"`` precompiled
@@ -68,17 +71,6 @@ Spec axes
     ``"resumable"`` kernels take the loop state (active set, slot pairs,
     ``quiet``, the arena) as arguments and return it, so the streaming
     evaluator can park a document mid-sprint and resume next chunk.
-
-``emit``
-    ``"on_finish"`` or ``"incremental"``.  Emission is a *driver*
-    concern — settled-sink flushing happens between chunk advances, not
-    inside the position loop — so both values build the same kernel;
-    the axis exists so a spec names the full engine configuration.
-
-``kernel``
-    ``"scalar"`` steps positions; ``"runlength"`` iterates the RLE run
-    list and jumps write-free prefixes via the memoized trajectories of
-    a :class:`~repro.runtime.runlength.RunLengthKernel`.
 
 ``entry``
     ``"initial"`` seeds the compiled initial state (cell 0 holding the
@@ -97,15 +89,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.errors import EvaluationError, NotDeterministicError
-from repro.enumeration.dag import BOTTOM, DagNode
-from repro.enumeration.lazylist import LazyList
 from repro.runtime.compiled import NO_TARGET, CompiledEVA
 from repro.runtime.dag import NIL
 
 __all__ = [
     "CAPTURE_MODES",
     "CHUNK_PROTOCOLS",
-    "EMIT_MODES",
     "ENTRY_MODES",
     "KERNELS",
     "SUMMARY_MEMO_CAP",
@@ -119,15 +108,16 @@ __all__ = [
     "subset_sprint",
 ]
 
-#: The planner-facing kernel axis (``plan.KERNEL_CHOICES`` imports it,
+#: The planner-facing kernel choice (``plan.KERNEL_CHOICES`` imports it,
 #: ``runlength.KERNELS`` re-exports it): ``"auto"`` resolves per document
-#: from its measured run statistics.
+#: from its measured run statistics.  Not a :class:`KernelSpec` axis — it
+#: picks between the scalar count/summary loops built here and the
+#: run-length algebra; arenas are always built by the scalar loops.
 KERNELS: tuple[str, ...] = ("auto", "scalar", "runlength")
 
-CAPTURE_MODES = ("arena", "lazylist", "count", "frontier")
+CAPTURE_MODES = ("arena", "count", "frontier")
 TABLE_MODES = ("dense", "subset")
 CHUNK_PROTOCOLS = ("whole", "resumable")
-EMIT_MODES = ("on_finish", "incremental")
 ENTRY_MODES = ("initial", "states")
 
 #: Cap on the per-shard ``(state, position) -> frontier`` memo of the
@@ -149,8 +139,6 @@ class KernelSpec:
     capture: str = "arena"
     tables: str = "dense"
     chunking: str = "whole"
-    emit: str = "on_finish"
-    kernel: str = "scalar"
     entry: str = "initial"
 
     def validate(self) -> None:
@@ -158,8 +146,6 @@ class KernelSpec:
             (self.capture, CAPTURE_MODES, "capture"),
             (self.tables, TABLE_MODES, "tables"),
             (self.chunking, CHUNK_PROTOCOLS, "chunking"),
-            (self.emit, EMIT_MODES, "emit"),
-            (self.kernel, ("scalar", "runlength"), "kernel"),
             (self.entry, ENTRY_MODES, "entry"),
         ):
             if value not in options:
@@ -176,26 +162,22 @@ class KernelSpec:
     def normalized(self) -> "KernelSpec":
         """The loop-defining projection of the spec.
 
-        ``emit`` never changes the position loop (emission happens
-        between chunk advances), and a resumable kernel always receives
-        its live set from the caller, so both normalize away.
+        A resumable kernel always receives its live set from the caller,
+        so its ``entry`` normalizes to ``"states"``.
         """
-        spec = replace(self, emit="on_finish")
-        if spec.chunking == "resumable":
-            spec = replace(spec, entry="states")
-        return spec
+        if self.chunking == "resumable":
+            return replace(self, entry="states")
+        return self
 
 
 #: Every loop the repository ships, one spec each (normalized form).
 SUPPORTED_SPECS: tuple[KernelSpec, ...] = (
-    KernelSpec(capture="lazylist"),
     KernelSpec(capture="arena"),
     KernelSpec(capture="count"),
     KernelSpec(capture="arena", chunking="resumable", entry="states"),
     KernelSpec(capture="frontier", entry="states"),
     KernelSpec(capture="arena", entry="states"),
     KernelSpec(capture="count", entry="states"),
-    KernelSpec(capture="arena", kernel="runlength"),
     KernelSpec(capture="arena", tables="subset"),
     KernelSpec(capture="count", tables="subset"),
 )
@@ -328,24 +310,6 @@ for state, old_start, old_end in snapshot:
         cur_start[target] = cell
 """
 
-#: Capturing phase, legacy lazy-list flavour (DagNode/LazyList objects).
-_CAPTURE_LAZYLIST = """\
-snapshot = [
-    (state, current[state].lazycopy())
-    for state in active
-    if variable_table[state]
-]
-for state, old_list in snapshot:
-    for set_id, target in variable_table[state]:
-        node = DagNode(marker_sets[set_id], position, old_list)
-        target_list = current[target]
-        if target_list is None:
-            target_list = LazyList()
-            current[target] = target_list
-            active.append(target)
-        target_list.add(node)
-"""
-
 #: Capturing phase, Algorithm-3 flavour: add each state's count to its
 #: variable targets (snapshot first — fresh targets don't fire here).
 _CAPTURE_COUNT = """\
@@ -400,14 +364,14 @@ for subset_id, amount in list(counts.items()):
         counts[target] = counts.get(target, 0) + amount
 """
 
-#: Reading phase, arena flavour, per live state.  ``{symbol}`` is the
-#: class-id expression and ``{splice}`` the append discipline (local
-#: check, or the shard replay's deferred-fixup variant).
+#: Reading phase, arena flavour, per live state.  ``{splice}`` is the
+#: append discipline (local check, or the shard replay's deferred-fixup
+#: variant).
 _READ_ARENA = """\
 old_start = cur_start[state]
 old_end = cur_end[state]
 cur_start[state] = NIL
-target = class_table[state][{symbol}]
+target = class_table[state][symbol]
 if target < 0:
     continue
 target_start = pend_start[target]
@@ -457,23 +421,6 @@ else:
     fixups[end_cell] = old_start
 """
 
-#: Reading phase, legacy lazy-list flavour.
-_READ_LAZYLIST = """\
-old_list = current[state]
-current[state] = None
-target = class_table[state][symbol]
-if target < 0:
-    continue
-target_list = pending[target]
-if target_list is None:
-    target_list = LazyList()
-    pending[target] = target_list
-    next_active.append(target)
-    if quiet and not silent[target]:
-        quiet = False
-target_list.append(old_list)
-"""
-
 #: Reading phase, counting flavour.
 _READ_COUNT = """\
 amount = counts[state]
@@ -520,7 +467,6 @@ if quiet and fast_path:
 
 #: Per-capture park/resume payloads for the dense sprint (indent 2).
 _PARK = {
-    "lazylist": "carried = current[state]\ncurrent[state] = None\n",
     "arena": (
         "start = cur_start[state]\n"
         "end = cur_end[state]\n"
@@ -529,7 +475,6 @@ _PARK = {
     "count": "amount = counts[state]\ncounts[state] = 0\n",
 }
 _RESUME = {
-    "lazylist": "current[state] = carried\n",
     "arena": "cur_start[state] = start\ncur_end[state] = end\n",
     "count": "counts[state] = amount\n",
 }
@@ -573,75 +518,12 @@ if not quiet:
 #: The scratch ping-pong per capture mode (indent 1, after the read
 #: loop): swap current/pending slot arrays for the next phase.
 _SWAP = {
-    "lazylist": "current, pending = pending, current\n",
     "arena": (
         "cur_start, pend_start = pend_start, cur_start\n"
         "cur_end, pend_end = pend_end, cur_end\n"
     ),
     "count": "counts, pending = pending, counts\n",
 }
-
-#: The generalized run-length sprint: a run prefix is jumped wholesale
-#: exactly when the scalar engine would write nothing over it — every
-#: intermediate state silent (no capture cells), no merge (no splice);
-#: deaths write nothing and stay free.  Lone runs follow the memoized
-#: per-class trajectory (state changes and death in O(1)); several runs
-#: jump together as far as the mask path proves the prefix free.
-_SPRINT_RUNLENGTH = """\
-if quiet and fast_path:
-    if len(active) == 1:
-        state = active[0]
-        kind, seq, _cycle = rlk.sprint_path(cls, state)
-        if kind == "dies" and remaining >= len(seq):
-            cur_start[state] = NIL
-            active = []
-            dead = True
-            break
-        if kind == "exits" and remaining > len(seq) - 2:
-            consumed = len(seq) - 1
-            landing = seq[-1]
-            quiet = False
-        else:
-            consumed = remaining
-            landing = rlk.silent_target(cls, state, consumed)
-        start = cur_start[state]
-        end = cur_end[state]
-        cur_start[state] = NIL
-        cur_start[landing] = start
-        cur_end[landing] = end
-        active[0] = landing
-        pos += consumed
-        remaining -= consumed
-        continue
-    mask = 0
-    for state in active:
-        mask |= 1 << state
-    seq_masks, cycle = rlk.mask_path(cls, mask)
-    free = (
-        remaining
-        if cycle is not None
-        else min(remaining, len(seq_masks) - 1)
-    )
-    if free:
-        moved = []
-        for state in active:
-            target = rlk.silent_target(cls, state, free)
-            if target is not None:
-                moved.append(
-                    (target, cur_start[state], cur_end[state])
-                )
-            cur_start[state] = NIL
-        for target, start, end in moved:
-            cur_start[target] = start
-            cur_end[target] = end
-        active = sorted(target for target, _s, _e in moved)
-        pos += free
-        remaining -= free
-        if not active:
-            dead = True
-            break
-        continue
-"""
 
 #: Arena-array allocation (cell 0 is the initial list [⊥] when the
 #: kernel seeds the initial state or replays the first shard).
@@ -696,8 +578,6 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     emit("    variable_table = compiled.variable_table\n")
     emit("    class_table = compiled.class_table\n")
     emit("    silent = compiled.silent\n")
-    if capture == "lazylist":
-        emit("    marker_sets = compiled.marker_sets\n")
     emit("    use_patterns = fast_path and isinstance(buf, bytes)\n")
     if not resumable:
         if replay:
@@ -731,15 +611,6 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
             emit("    counts[entry] = 1\n")
             emit("    active = [entry]\n")
             emit("    quiet = silent[entry]\n")
-        elif capture == "lazylist":
-            emit("    current = scratch.current\n")
-            emit("    pending = scratch.pending\n")
-            emit("    initial_list = LazyList()\n")
-            emit("    initial_list.add(BOTTOM)\n")
-            emit("    initial = compiled.initial\n")
-            emit("    current[initial] = initial_list\n")
-            emit("    active = [initial]\n")
-            emit("    quiet = silent[initial]\n")
         elif capture == "arena":
             emit("    cur_start = scratch.cur_start\n")
             emit("    cur_end = scratch.cur_end\n")
@@ -766,8 +637,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
         capture_args = ""
     else:
         emit("\n    def capturing(position):\n")
-        body = _CAPTURE_ARENA if capture == "arena" else _CAPTURE_LAZYLIST
-        emit(_indent(body, 2))
+        emit(_indent(_CAPTURE_ARENA, 2))
         if resumable:
             capture_args = "offset + pos"
         elif replay:
@@ -795,11 +665,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     emit("        for state in active:\n")
     if capture == "arena":
         splice = _SPLICE_RELOCATABLE if replay else _SPLICE_LOCAL
-        read = _READ_ARENA.format(
-            symbol="symbol", splice=_indent(splice, 1).rstrip("\n")
-        )
-    elif capture == "lazylist":
-        read = _READ_LAZYLIST
+        read = _READ_ARENA.format(splice=_indent(splice, 1).rstrip("\n"))
     else:
         read = _READ_COUNT
     emit(_indent(read, 3))
@@ -843,9 +709,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
         emit(f"        capturing({capture_args})\n")
         emit("        if len(active) > alive:\n")
         emit("            active.sort()\n")
-        if capture == "lazylist":
-            emit("    return (active, current, pending)\n")
-        elif capture == "arena":
+        if capture == "arena":
             emit(
                 "    return (active, cur_start, cur_end, pend_start, "
                 "pend_end, node_markers, node_positions, node_starts, "
@@ -932,73 +796,6 @@ def _frontier_source() -> str:
     emit("        for key in trail:\n")
     emit("            memo[key] = frontier\n")
     emit("    return frontier\n")
-    return "".join(parts)
-
-
-def _runlength_source() -> str:
-    """The arena loop over the RLE run list with the generalized sprint.
-
-    Scalar positions run exactly the arena fragments above (same
-    snapshot order, same splice discipline, same canonical live order);
-    jumped positions write nothing by construction, so the produced
-    arena is bit-identical to the scalar engine's.
-    """
-    parts = ["def __kernel(compiled, rlk, runs, n, scratch, fast_path):\n"]
-    emit = parts.append
-    emit("    cur_start = scratch.cur_start\n")
-    emit("    cur_end = scratch.cur_end\n")
-    emit("    pend_start = scratch.pend_start\n")
-    emit("    pend_end = scratch.pend_end\n")
-    emit("    variable_table = compiled.variable_table\n")
-    emit("    class_table = compiled.class_table\n")
-    emit("    silent = compiled.silent\n")
-    emit(_indent(_ARENA_ALLOC, 1))
-    emit("    initial = compiled.initial\n")
-    emit("    cur_start[initial] = 0\n")
-    emit("    cur_end[initial] = 0\n")
-    emit("    active = [initial]\n")
-    emit("    quiet = silent[initial]\n")
-    emit("\n    def capturing(position):\n")
-    emit(_indent(_CAPTURE_ARENA, 2))
-    emit("\n    pos = 0\n")
-    emit("    dead = False\n")
-    emit("    for cls, length in runs:\n")
-    emit("        remaining = length\n")
-    emit("        while remaining:\n")
-    emit(_indent(_SPRINT_RUNLENGTH, 3))
-    emit(_indent(_CAPTURE_CALL.format(args="pos"), 3))
-    emit("\n            pos += 1\n")
-    emit("            remaining -= 1\n")
-    emit("            next_active = []\n")
-    emit("            quiet = True\n")
-    emit("            for state in active:\n")
-    emit(
-        _indent(
-            _READ_ARENA.format(
-                symbol="cls", splice=_indent(_SPLICE_LOCAL, 1).rstrip("\n")
-            ),
-            4,
-        )
-    )
-    emit(_indent(_SWAP["arena"], 3))
-    emit("            if len(next_active) > 1:\n")
-    emit("                next_active.sort()\n")
-    emit("            active = next_active\n")
-    emit("            if not active:\n")
-    emit("                dead = True\n")
-    emit("                break\n")
-    emit("        if dead:\n")
-    emit("            break\n")
-    emit("\n    if active and not quiet:\n")
-    emit("        alive = len(active)\n")
-    emit("        capturing(n)\n")
-    emit("        if len(active) > alive:\n")
-    emit("            active.sort()\n")
-    emit(
-        "    return (active, cur_start, cur_end, pend_start, pend_end, "
-        "node_markers, node_positions, node_starts, node_ends, "
-        "cell_nodes, cell_nexts)\n"
-    )
     return "".join(parts)
 
 
@@ -1110,8 +907,6 @@ def kernel_source(spec: KernelSpec) -> str:
     spec = spec.normalized()
     if spec.tables == "subset":
         return _subset_source(spec)
-    if spec.kernel == "runlength":
-        return _runlength_source()
     if spec.capture == "frontier":
         return _frontier_source()
     return _dense_scalar_source(spec)
@@ -1121,9 +916,6 @@ _NAMESPACE = {
     "NIL": NIL,
     "NO_TARGET": NO_TARGET,
     "NotDeterministicError": NotDeterministicError,
-    "LazyList": LazyList,
-    "DagNode": DagNode,
-    "BOTTOM": BOTTOM,
     "sprint": sprint,
     "subset_sprint": subset_sprint,
     "_entry_start_ref": _entry_start_ref,
@@ -1155,8 +947,8 @@ def build_kernel(spec: KernelSpec):
     spec = spec.normalized()
     fn = _KERNEL_CACHE.get(spec)
     if fn is None:
-        name = "kernel_{}_{}_{}_{}_{}".format(
-            spec.capture, spec.tables, spec.chunking, spec.kernel, spec.entry
+        name = "kernel_{}_{}_{}_{}".format(
+            spec.capture, spec.tables, spec.chunking, spec.entry
         )
         fn = _compile(kernel_source(spec), name)
         _KERNEL_CACHE[spec] = fn

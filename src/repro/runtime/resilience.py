@@ -654,18 +654,24 @@ def supervised_get(
     raw_pool: multiprocessing.pool.Pool | None = None,
     report: FailureReport | None = None,
     poll: float = POLL_SECONDS,
+    known_pids: frozenset[int] | None = None,
 ) -> Any:
     """``handle.get()`` bounded by *deadline* and watched for worker deaths.
 
     Returns the task's result, re-raises whatever the task raised in the
     worker, and converts the two lost-task shapes into typed errors:
-    :class:`WorkerCrashError` when the pool's worker set changed while
-    waiting (a worker died — if it was ours, the task is lost; if not,
-    resubmission merely duplicates a pure computation), and
+    :class:`WorkerCrashError` when the pool's worker set differs from
+    *known_pids* (a worker died — if it was ours, the task is lost; if
+    not, resubmission merely duplicates a pure computation), and
     :class:`TaskDeadlineError` when *deadline* elapsed.
+
+    *known_pids* should be the worker set :func:`_pids_of` read when the
+    task was **submitted**: a worker that dies and is respawned between
+    submit and this call leaves a same-sized set behind, invisible to a
+    snapshot taken here.  It defaults to exactly that late snapshot.
     """
     end = None if deadline is None else time.monotonic() + deadline
-    known = _pids_of(raw_pool)
+    known = _pids_of(raw_pool) if known_pids is None else known_pids
     while True:
         try:
             return handle.get(poll)
@@ -757,22 +763,29 @@ class SupervisedPool:
         return self._inline
 
     class _Task:
-        __slots__ = ("fn", "payload", "handle", "generation", "attempts")
+        __slots__ = ("fn", "payload", "handle", "generation", "attempts", "pids")
 
-        def __init__(self, fn, payload, handle, generation):
+        def __init__(self, fn, payload, handle, generation, pids=frozenset()):
             self.fn = fn
             self.payload = payload
             self.handle = handle
             self.generation = generation
             self.attempts = 0
+            # The worker set at submit time: collect() compares against it.
+            self.pids = pids
 
     def submit(self, fn: Callable[[Any], Any], payload: Any) -> "SupervisedPool._Task":
         """Dispatch one task; pair with :meth:`collect`."""
         if self._inline or self._pool is None:
             # Demoted (or closed mid-iteration): collect() runs it inline.
             return self._Task(fn, payload, None, -1)
+        pids = _pids_of(self._pool)
         return self._Task(
-            fn, payload, self._pool.apply_async(fn, (payload,)), self._generation
+            fn,
+            payload,
+            self._pool.apply_async(fn, (payload,)),
+            self._generation,
+            pids,
         )
 
     def run_inline(self, fn: Callable[[Any], Any], payload: Any) -> Any:
@@ -803,6 +816,7 @@ class SupervisedPool:
                     deadline=policy.task_deadline,
                     raw_pool=self._pool,
                     report=self._report,
+                    known_pids=task.pids,
                 )
             except WorkerCrashError as crash:
                 self._abandoned += 1  # the old handle will never resolve
@@ -848,6 +862,7 @@ class SupervisedPool:
 
     def _resubmit(self, task: "SupervisedPool._Task") -> None:
         assert self._pool is not None
+        task.pids = _pids_of(self._pool)
         task.handle = self._pool.apply_async(task.fn, (task.payload,))
         task.generation = self._generation
 

@@ -1,6 +1,6 @@
 """Run-length kernels: per-class transfer matrices over the RLE buffer.
 
-The scalar engines in :mod:`repro.runtime.engine` pay one Python-level
+The scalar counter in :mod:`repro.runtime.engine` pays one Python-level
 fold per character unless *every* live state is silent (the quiescent
 sprint).  Real log-like documents are long runs of a handful of symbol
 classes, so this module exploits repetition *structurally*: the class-id
@@ -43,32 +43,20 @@ every repeated segment — on log-like documents with a few dozen
 distinct line shapes this collapses the count pass to a dictionary
 lookup per line.
 
-The full-capture arena engine (:func:`evaluate_runlength_arena`) uses
-the Boolean layer as a *generalized sprint*: a run prefix is skipped
-wholesale exactly when the scalar engine would write **nothing** to the
-arena over it — every intermediate state silent (no capture cells), no
-two live runs merging (no splice), deaths allowed (they write nothing).
-That strictly subsumes the all-silent self-loop condition of the scalar
-sprint: live states may *move* (and die) mid-run and the jump still
-applies.  Because skipped positions write nothing by construction, the
-produced arena is bit-identical to the scalar engine's — the
-differential harness asserts exactly that.
+The Boolean layer drives the shard summary pass
+(:func:`summary_runlength`).  The ``kernel`` choice applies only to
+counting and shard summaries: an arena's cost is its capture writes, not
+its stepping, so every arena is built by the scalar engine whatever
+kernel is requested.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import EvaluationError
 from repro.runtime.compiled import CompiledEVA
-from repro.runtime.dag import CompiledResultDag
 from repro.runtime.encoding import runs_of_buffer
-from repro.runtime.engine import (
-    EvaluationScratch,
-    _checked_scratch,
-    _collect_arena,
-    count_compiled,
-    evaluate_compiled_arena,
-)
-from repro.runtime.kernel import KERNELS, KernelSpec, build_kernel
+from repro.runtime.engine import EvaluationScratch, count_compiled
+from repro.runtime.kernel import KERNELS
 from repro.runtime.subset import CompiledSubsetEVA, count_subset
 
 #: numpy, imported by :func:`_load_numpy` on the first run that can use
@@ -88,8 +76,6 @@ __all__ = [
     "count_subset_with_kernel",
     "count_vectors_runlength",
     "count_with_kernel",
-    "evaluate_arena_with_kernel",
-    "evaluate_runlength_arena",
     "numpy_available",
     "prefers_runlength",
     "resolve_kernel",
@@ -119,10 +105,8 @@ _NUMPY_MIN_RUN = 64
 #: and falls back to arbitrary-precision Python rows.
 _NUMPY_SAFE = 1 << 62
 
-#: Content-keyed segment-row memo bound (entries, FIFO eviction) and the
-#: bound on memoized silent state-set trajectories.
+#: Content-keyed segment-row memo bound (entries, FIFO eviction).
 SEGMENT_MEMO_CAP = 1 << 15
-_PATH_MEMO_CAP = 1 << 12
 
 
 def numpy_available() -> bool:
@@ -180,17 +164,15 @@ class RunLengthKernel:
 
     Built once per automaton (``runlength_kernel`` caches it on the
     compiled instance; pickling drops it like every other derived
-    cache) and shared by the count, summary and arena run paths.  All
+    cache) and shared by the count and summary run paths.  All
     memo tables are keyed by ``(class, ...)`` and grow monotonically —
     the automaton's tables are immutable, so entries never go stale.
     """
 
     def __init__(self, compiled: CompiledEVA) -> None:
-        self.compiled = compiled
         num_states = compiled.num_states
         class_table = compiled.class_table
         variable_table = compiled.variable_table
-        silent = compiled.silent
         num_classes = len(class_table[0]) if num_states else 0
         self.num_states = num_states
         self.num_classes = num_classes
@@ -207,12 +189,10 @@ class RunLengthKernel:
 
         step_rows = []
         bool_rows = []
-        selfloop_silent = []
         count_kind = []
         for cls in range(num_classes):
             rows = []
             masks = []
-            loop_mask = 0
             functional = True
             for state in range(num_states):
                 merged: dict[int, int] = {}
@@ -228,8 +208,6 @@ class RunLengthKernel:
                 masks.append(mask)
                 if len(row) > 1 or (row and row[0][1] != 1):
                     functional = False
-                if silent[state] and class_table[state][cls] == state:
-                    loop_mask |= 1 << state
             rows = tuple(rows)
             if functional:
                 kind = "functional"
@@ -239,20 +217,16 @@ class RunLengthKernel:
                 kind = "general"
             step_rows.append(rows)
             bool_rows.append(tuple(masks))
-            selfloop_silent.append(loop_mask)
             count_kind.append(kind)
         #: per class: ``M_c`` as sparse rows / ``B_c`` as bitmask rows /
-        #: the silent-self-loop mask / the exponentiation shortcut kind.
+        #: the exponentiation shortcut kind.
         self.step_rows = tuple(step_rows)
         self.bool_rows = tuple(bool_rows)
-        self.selfloop_silent = tuple(selfloop_silent)
         self.count_kind = tuple(count_kind)
 
         self._count_powers: dict[tuple[int, int], tuple] = {}
         self._bool_powers: dict[tuple[int, int], tuple] = {}
         self._count_paths: dict[tuple[int, int], tuple] = {}
-        self._sprint_paths: dict[tuple[int, int], tuple] = {}
-        self._mask_paths: dict[tuple[int, int], tuple] = {}
         self._np_powers: dict[tuple[int, int], tuple] = {}
         self._segment_rows: dict[tuple[bytes, int], tuple] = {}
 
@@ -516,114 +490,6 @@ class RunLengthKernel:
             bit += 1
         return mask
 
-    # ------------------------------------------------------------------ #
-    # Generalized-sprint trajectories (the arena jump machinery)
-    # ------------------------------------------------------------------ #
-
-    def sprint_path(self, cls: int, state: int):
-        """The pure-reading trajectory of one silent state under *cls*.
-
-        ``(kind, seq, cycle)`` with ``seq[i]`` the state after ``i``
-        positions: ``"cycle"`` — all silent, re-enters ``seq[cycle]``;
-        ``"dies"`` — all silent, the ``len(seq)``-th position kills it;
-        ``"exits"`` — ``seq[-1]`` is the first non-silent state, reached
-        after ``len(seq) - 1`` positions.
-        """
-        key = (cls, state)
-        cached = self._sprint_paths.get(key)
-        if cached is None:
-            class_table = self.compiled.class_table
-            silent = self.compiled.silent
-            seq = [state]
-            index = {state: 0}
-            cur = state
-            while True:
-                target = class_table[cur][cls]
-                if target < 0:
-                    cached = ("dies", tuple(seq), 0)
-                    break
-                if not silent[target]:
-                    seq.append(target)
-                    cached = ("exits", tuple(seq), 0)
-                    break
-                if target in index:
-                    cached = ("cycle", tuple(seq), index[target])
-                    break
-                index[target] = len(seq)
-                seq.append(target)
-                cur = target
-            self._sprint_paths[key] = cached
-        return cached
-
-    def silent_target(self, cls: int, state: int, k: int):
-        """Where a silent *state* sits after ``k`` all-silent positions
-        (``None`` if it died on the way).  Callers guarantee ``k`` stays
-        inside the silent prefix of the trajectory."""
-        kind, seq, cycle = self.sprint_path(cls, state)
-        if k < len(seq):
-            return seq[k]
-        if kind == "cycle":
-            span = len(seq) - cycle
-            return seq[cycle + (k - cycle) % span]
-        if kind == "dies":
-            return None
-        raise EvaluationError(
-            "run-length jump walked past a non-silent exit; the silent "
-            "prefix accounting is inconsistent"
-        )
-
-    def _mask_step(self, cls: int, mask: int):
-        """One reading step on a silent state-set mask.
-
-        ``(image, free)`` — *free* is True when the position provably
-        writes nothing to an arena: no two live runs merge (no splice)
-        and every surviving target is silent (no capture next).  Deaths
-        write nothing and keep the step free.
-        """
-        class_table = self.compiled.class_table
-        silent = self.compiled.silent
-        image = 0
-        m = mask
-        while m:
-            low = m & -m
-            state = low.bit_length() - 1
-            m &= m - 1
-            target = class_table[state][cls]
-            if target < 0:
-                continue
-            bit = 1 << target
-            if (image & bit) or not silent[target]:
-                return image, False
-            image |= bit
-        return image, True
-
-    def mask_path(self, cls: int, mask: int):
-        """``(seq, cycle)`` of free steps for a silent state-set mask:
-        ``seq[i]`` is the mask after ``i`` free positions; ``cycle`` is
-        the re-entry index (unbounded free steps) or ``None`` when the
-        next position is not free."""
-        key = (cls, mask)
-        cached = self._mask_paths.get(key)
-        if cached is None:
-            seq = [mask]
-            index = {mask: 0}
-            cur = mask
-            cycle = None
-            while True:
-                image, free = self._mask_step(cls, cur)
-                if not free:
-                    break
-                if image in index:
-                    cycle = index[image]
-                    break
-                index[image] = len(seq)
-                seq.append(image)
-                cur = image
-            cached = (tuple(seq), cycle)
-            if len(self._mask_paths) < _PATH_MEMO_CAP:
-                self._mask_paths[key] = cached
-        return cached
-
 
 def runlength_kernel(compiled: CompiledEVA) -> RunLengthKernel:
     """The (cached) run-length kernel of a compiled automaton."""
@@ -679,44 +545,6 @@ def count_runlength(
             if is_final[target]:
                 total += amount * coeff
     return total
-
-
-# ---------------------------------------------------------------------- #
-# Full-capture arena evaluation with the generalized sprint
-# ---------------------------------------------------------------------- #
-
-_runlength_arena_kernel = build_kernel(
-    KernelSpec(capture="arena", kernel="runlength")
-)
-
-
-def evaluate_runlength_arena(
-    compiled: CompiledEVA,
-    document: object,
-    *,
-    scratch: EvaluationScratch | None = None,
-    fast_path: bool = True,
-) -> CompiledResultDag:
-    """Algorithm 1 over the RLE buffer — bit-identical to
-    :func:`~repro.runtime.engine.evaluate_compiled_arena`.
-
-    Scalar positions run exactly the engine's capturing/reading code
-    (same snapshot order, same splice discipline, same sorted-active
-    canonical order).  When every live state is silent, whole run
-    prefixes are jumped via memoized trajectories: a lone run follows
-    :meth:`RunLengthKernel.sprint_path` (state changes and death inside
-    a run cost ``O(1)``), several runs jump together as long as
-    :meth:`RunLengthKernel.mask_path` proves no merge and no non-silent
-    landing.  Jumped positions write nothing by construction, so the
-    arena arrays cannot differ from the scalar engine's.
-    """
-    encoded = compiled.encode(document)
-    n = encoded.length
-    runs = encoded.runs()
-    kernel = runlength_kernel(compiled)
-    scratch = _checked_scratch(compiled, scratch)
-    result = _runlength_arena_kernel(compiled, kernel, runs, n, scratch, fast_path)
-    return _collect_arena(compiled, n, scratch, result)
 
 
 # ---------------------------------------------------------------------- #
@@ -981,29 +809,6 @@ def count_with_kernel(
     if resolved == "runlength":
         return count_runlength(compiled, document)
     return count_compiled(
-        compiled, document, scratch=scratch, fast_path=fast_path
-    )
-
-
-def evaluate_arena_with_kernel(
-    compiled: CompiledEVA,
-    document: object,
-    *,
-    kernel: str = "auto",
-    scratch: EvaluationScratch | None = None,
-    fast_path: bool = True,
-) -> CompiledResultDag:
-    """The arena engine under the plan's kernel axis (bit-identical)."""
-    if kernel == "scalar":
-        return evaluate_compiled_arena(
-            compiled, document, scratch=scratch, fast_path=fast_path
-        )
-    resolved = resolve_kernel(kernel, compiled.encode(document))
-    if resolved == "runlength":
-        return evaluate_runlength_arena(
-            compiled, document, scratch=scratch, fast_path=fast_path
-        )
-    return evaluate_compiled_arena(
         compiled, document, scratch=scratch, fast_path=fast_path
     )
 

@@ -827,6 +827,9 @@ def _run_tasks(
             for task, payload in calls
         ]
     raw_pool = getattr(pool, "raw_pool", None)
+    # Snapshot the worker set before submitting, so a worker that dies
+    # (and is respawned) before its handle is waited on is still noticed.
+    known_pids = resilience._pids_of(raw_pool)
     handles = [pool.submit(task, payload) for task, payload in calls]
     results: list = []
     pool_broken = False
@@ -841,7 +844,10 @@ def _run_tasks(
         try:
             results.append(
                 resilience.supervised_get(
-                    handle, deadline=policy.task_deadline, raw_pool=raw_pool
+                    handle,
+                    deadline=policy.task_deadline,
+                    raw_pool=raw_pool,
+                    known_pids=known_pids,
                 )
             )
         except (WorkerCrashError, TaskDeadlineError):
@@ -880,8 +886,7 @@ def evaluate_sharded(
     ``kernel`` selects how interior shards are *summarized*: the scalar
     frontier walk or the run-length Boolean powers (``"auto"`` resolves
     from the document's measured run statistics).  Replay always runs
-    the scalar arena engine — capture fragments must be bit-identical,
-    and the runlength arena evaluator is a whole-document engine.
+    the scalar arena loop — every arena in the repository does.
 
     Pass a persistent :class:`ShardPool` (or :func:`adapt_pool` wrapper)
     to fan shards out to worker processes; with ``pool=None`` the same

@@ -64,7 +64,7 @@ from repro.regex.parser import parse_regex
 from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.resilience import FailureReport, ResiliencePolicy
-from repro.runtime.engine import EvaluationScratch
+from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
     KERNEL_CHOICES,
@@ -73,11 +73,7 @@ from repro.runtime.plan import (
     PlanCache,
     choose_plan,
 )
-from repro.runtime.runlength import (
-    count_subset_with_kernel,
-    count_with_kernel,
-    evaluate_arena_with_kernel,
-)
+from repro.runtime.runlength import count_subset_with_kernel, count_with_kernel
 from repro.runtime.sharding import (
     DEFAULT_SHARD_MIN_CHARS,
     ShardPool,
@@ -219,11 +215,13 @@ class Spanner:
     def kernel(self) -> str:
         """The default inner-loop kernel (one of ``KERNEL_CHOICES``).
 
-        ``auto`` resolves per document from its measured run-length
-        statistics; ``runlength`` forces the run-length kernels of
-        :mod:`repro.runtime.runlength` on the count and arena paths
-        (engines without a run-length path — ``reference``, ``hybrid``
-        and the ``compiled-otf`` capture path — reject or ignore it).
+        The axis applies to counting and shard summaries: ``auto``
+        resolves per document from its measured run-length statistics;
+        ``runlength`` forces the run-length kernels of
+        :mod:`repro.runtime.runlength` on those paths (engines without a
+        run-length path — ``reference`` and ``hybrid`` — reject it).
+        Arenas (:meth:`preprocess`, :meth:`extract`) are always built by
+        the scalar engine, whatever the kernel.
         """
         return self._kernel
 
@@ -551,12 +549,11 @@ class Spanner:
         ``shard_min_chars`` run serially anyway — the pool is then never
         even started.
 
-        *kernel* overrides the spanner's default inner loop for the
-        ``compiled`` engine: ``"runlength"`` evaluates the run-length
-        encoded buffer with the generalized sprint (the arena stays
-        bit-identical), ``"auto"`` decides per document.  The
-        ``compiled-otf`` capture path has no run-length arena and runs
-        scalar regardless.
+        *kernel* is accepted and validated like everywhere else, but the
+        serial arena is always built by the scalar engine: an arena's
+        cost is its capture writes, which run-length stepping cannot
+        skip.  With ``workers > 1`` it selects how interior shards are
+        summarized (:func:`~repro.runtime.sharding.evaluate_sharded`).
         """
         key = self._alphabet_key(document)
         if workers is not None and workers < 1:
@@ -573,11 +570,8 @@ class Spanner:
                     kernel=plan.kernel,
                     policy=self._resilience,
                 )
-            return evaluate_arena_with_kernel(
-                runtime,
-                document,
-                kernel=plan.kernel,
-                scratch=self._scratch_for_key(key),
+            return evaluate_compiled_arena(
+                runtime, document, scratch=self._scratch_for_key(key)
             )
         plan = self._plan_for_key(key, engine, kernel)
         if plan.engine == "hybrid":
@@ -587,10 +581,9 @@ class Spanner:
             return run_evaluate(automaton, document, check_determinism=False)
         if plan.engine == "compiled-otf":
             return evaluate_subset_arena(self._otf_runtime_for_key(key), document)
-        return evaluate_arena_with_kernel(
+        return evaluate_compiled_arena(
             self._runtime_for_key(key),
             document,
-            kernel=plan.kernel,
             scratch=self._scratch_for_key(key),
         )
 
@@ -769,11 +762,12 @@ class Spanner:
         the same way :meth:`preprocess` shards evaluation — without even
         a replay phase, since counts compose linearly across shards.
 
-        *kernel* overrides the spanner's default inner loop:
-        ``"runlength"`` turns the count pass into a product of per-run
-        matrices (:mod:`repro.runtime.runlength`) on both the dense and
-        the lazily determinized tables; ``"auto"`` decides per document
-        from its measured run statistics.
+        *kernel* overrides the spanner's default inner loop — counting
+        and shard summaries are where the axis applies: ``"runlength"``
+        turns the count pass into a product of per-run matrices
+        (:mod:`repro.runtime.runlength`) on both the dense and the lazily
+        determinized tables; ``"auto"`` decides per document from its
+        measured run statistics.
         """
         key = self._alphabet_key(document)
         if workers is not None and workers < 1:

@@ -14,8 +14,9 @@ from repro.runtime.resilience import RESILIENCE_METRICS
 
 #: Per-test wall-clock bound (seconds).  Generous: the slowest chaos
 #: scenario (retries + a pool rebuild + inline demotion) completes in a
-#: few seconds on a loaded machine.
-CHAOS_DEADLINE = 120
+#: few seconds on a loaded machine, and a dead worker is noticed within
+#: a poll interval rather than after the task deadline.
+CHAOS_DEADLINE = 60
 
 
 @pytest.fixture(autouse=True)

@@ -11,6 +11,8 @@ deterministic: with a single worker the sequence of task arrivals — and
 therefore of injected faults — is a pure function of the plan.
 """
 
+import time
+
 import pytest
 
 from repro.core.documents import DocumentCollection
@@ -131,6 +133,25 @@ class TestWorkerKill:
         assert counters["worker_crashes"] >= 1
         assert counters["documents_quarantined"] == 0
         assert clean_metrics.snapshot()["worker_crashes"] >= 1
+
+    def test_kill_is_detected_without_waiting_out_the_deadline(
+        self, spanner, documents, serial_results
+    ):
+        # The same kill-on-second-arrival scenario under the production
+        # task deadline.  The worker set is recorded when each task is
+        # submitted, so a worker that dies and is respawned before its
+        # task is waited on is still noticed within a poll interval —
+        # the run must not sit out the 300 s deadline.
+        report = FailureReport()
+        plan = FaultPlan([FaultSpec(site="task", action="kill", nth=2, count=1)])
+        started = time.monotonic()
+        results = run_supervised(
+            spanner, documents, policy_with(plan, task_deadline=300.0), report
+        )
+        elapsed = time.monotonic() - started
+        assert results == serial_results
+        assert report.as_dict()["counters"]["worker_crashes"] >= 1
+        assert elapsed < 5.0, f"crash recovery took {elapsed:.1f}s"
 
     def test_kill_storm_rebuilds_once_then_demotes_inline(
         self, spanner, documents, serial_results

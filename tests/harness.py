@@ -17,10 +17,11 @@ of the library against each other on one ``(spanner, document)`` pair:
   that land boundaries inside quiescent sprint runs and between the
   codepoints of multi-byte text;
 * the run-length kernel (:mod:`repro.runtime.runlength`): its count
-  must equal the scalar count and its generalized-sprint arena must be
-  bit-identical to the scalar arena with the fast path both on and off,
-  and the sharded count is re-run with ``kernel="runlength"`` so
-  interior-shard summary passes go through the matrix path too.
+  must equal the scalar count, the sharded count is re-run with
+  ``kernel="runlength"`` so interior-shard summary passes go through the
+  matrix path too, and the facade's arena under every ``kernel=`` value
+  must be bit-identical to the scalar arena (the axis never reaches an
+  arena).
 
 The streaming evaluator is opened over the document's own alphabet —
 exactly the alphabet key the facade derives for whole-document
@@ -38,9 +39,8 @@ Since the kernel-spec refactor every route above executes a loop
 generated by :mod:`repro.runtime.kernel` — one :class:`KernelSpec` point
 per engine entry — so one harness call doubles as the equivalence gate
 over the whole spec lattice: capture modes against each other, dense
-tables against the on-the-fly subset tables, whole-buffer against
-resumable chunking, and the scalar kernel against the run-length one,
-arena-for-arena where the contract is bit-identity.
+tables against the on-the-fly subset tables, and whole-buffer against
+resumable chunking, arena-for-arena where the contract is bit-identity.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ import random
 from repro import Spanner, StreamingError
 from repro.core.documents import as_text
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.runlength import count_runlength, evaluate_runlength_arena
+from repro.runtime.kernel import KERNELS
+from repro.runtime.runlength import count_runlength
 from repro.runtime.sharding import count_sharded, evaluate_sharded
 
 __all__ = [
@@ -218,10 +219,9 @@ def assert_all_engines_agree(
         )
 
     # The run-length kernel is held to the sharding engine's standard:
-    # its count must match the scalar Algorithm 3 exactly and its
-    # generalized-sprint arena must be bit-identical to the scalar
-    # arena — with the fast path both on (runs jumped via the Boolean
-    # reachability matrices) and off (every character stepped).
+    # its count must match the scalar Algorithm 3 exactly.  The arena
+    # must not depend on the kernel axis at all — the facade builds it
+    # with the scalar engine, with the fast path on or off.
     runtime = spanner.runtime(text)
     serial_arena = evaluate_compiled_arena(runtime, text)
     serial_count = count_compiled(runtime, text)
@@ -229,14 +229,16 @@ def assert_all_engines_agree(
         f"count_runlength = {count_runlength(runtime, text)}, "
         f"scalar count = {serial_count}"
     )
-    for fast_path in (True, False):
-        runlength_arena = evaluate_runlength_arena(
-            runtime, text, fast_path=fast_path
-        )
+    assert_arena_identical(
+        evaluate_compiled_arena(runtime, text, fast_path=False),
+        serial_arena,
+        context=" (fast_path=False)",
+    )
+    for kernel in KERNELS:
         assert_arena_identical(
-            runlength_arena,
+            spanner.preprocess(text, engine="compiled", kernel=kernel),
             serial_arena,
-            context=f" (runlength kernel, fast_path={fast_path})",
+            context=f" (facade kernel={kernel!r})",
         )
 
     if sharded:

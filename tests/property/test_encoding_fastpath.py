@@ -33,11 +33,7 @@ from repro.regex.ast import (
 )
 from repro.runtime import encoding
 from repro.runtime.compiled import compile_eva
-from repro.runtime.engine import (
-    count_compiled,
-    evaluate_compiled,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.operators import FusedLeaf, HashJoin
 from repro.runtime.subset import count_subset, evaluate_subset_arena
 from repro.spanners.spanner import Spanner
@@ -84,8 +80,7 @@ def test_dense_engines_equal_reference_on_adversarial_documents(node, text):
         arena = evaluate_compiled_arena(compiled, document, fast_path=fast_path)
         assert set(arena) == expected
         assert arena.count() == expected_count
-        legacy = evaluate_compiled(compiled, document, fast_path=fast_path)
-        assert set(legacy) == expected
+        assert set(arena.to_result_dag()) == expected
         assert count_compiled(compiled, document, fast_path=fast_path) == (
             expected_count
         )

@@ -9,10 +9,10 @@ characters planted mid-run):
   and the numpy ``int64`` run path (when numpy is importable) is
   bit-equal to the arbitrary-precision Python rows.
 
-* **Arenas** — :func:`evaluate_runlength_arena` is array-for-array
-  identical to the scalar arena with the generalized sprint both on and
-  off (through the shared harness helper, which also re-runs the whole
-  cross-engine matrix with the run-length pass wired in).
+* **Arenas** — the ``kernel`` axis never reaches an arena: the facade's
+  arena under every ``kernel=`` value is array-for-array the scalar
+  arena with the sprint both on and off (also through the shared harness
+  helper, which re-runs the whole cross-engine matrix).
 
 * **Sharding** — ``count_sharded(kernel="runlength")`` is exact for
   adversarial shard counts whose boundaries split runs, and the
@@ -35,10 +35,10 @@ from harness import (
 from repro import Spanner
 from repro.runtime.encoding import run_count, runs_of_buffer
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime.kernel import KERNELS
 from repro.runtime.runlength import (
     count_runlength,
     count_subset_runlength,
-    evaluate_runlength_arena,
     numpy_available,
     summary_runlength,
 )
@@ -123,12 +123,19 @@ def test_numpy_path_is_bit_equal_to_python_rows(pattern, text):
 @settings(max_examples=60, deadline=None)
 @given(pattern=patterns, text=documents)
 def test_arena_is_bit_identical_both_fast_paths(pattern, text):
-    runtime = _runtime(pattern, text)
+    spanner = Spanner.from_regex(pattern)
+    runtime = spanner._runtime_for_key(spanner._alphabet_key(text))
     serial = evaluate_compiled_arena(runtime, text)
-    for fast_path in (True, False):
-        arena = evaluate_runlength_arena(runtime, text, fast_path=fast_path)
+    assert_arena_identical(
+        evaluate_compiled_arena(runtime, text, fast_path=False),
+        serial,
+        context=" (fast_path=False)",
+    )
+    for kernel in KERNELS:
         assert_arena_identical(
-            arena, serial, context=f" (runlength fast_path={fast_path})"
+            spanner.preprocess(text, kernel=kernel),
+            serial,
+            context=f" (kernel={kernel!r})",
         )
 
 
@@ -188,7 +195,7 @@ def test_subset_count_matches_dense_count(pattern, text):
 
 def test_adversarial_corpus_through_the_full_harness():
     """Every corpus document through the full cross-engine matrix —
-    the harness's run-length pass pins counts and bit-identical arenas
+    the harness's run-length pass pins counts, and the kernel-free arena,
     against every other engine on the same automaton."""
     for pattern in PATTERNS:
         spanner = Spanner.from_regex(pattern)

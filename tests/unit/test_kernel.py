@@ -13,8 +13,15 @@ Two concerns live here:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.errors import EvaluationError
 from repro.runtime import runlength
 from repro.runtime.kernel import (
@@ -47,14 +54,24 @@ class TestKernelSpec:
         )
         spec.validate()
 
+    def test_spec_has_exactly_the_loop_defining_axes(self):
+        # Emission and the run-length choice never change a loop, so
+        # neither is a spec axis.
+        assert [field.name for field in fields(KernelSpec)] == [
+            "capture",
+            "tables",
+            "chunking",
+            "entry",
+        ]
+        assert CAPTURE_MODES == ("arena", "count", "frontier")
+
     @pytest.mark.parametrize(
         "axis, value",
         [
             ("capture", "holographic"),
+            ("capture", "lazylist"),
             ("tables", "sparse"),
             ("chunking", "mmap"),
-            ("emit", "eager"),
-            ("kernel", "auto"),  # planner-only value, not a loop kernel
             ("entry", "resume"),
         ],
     )
@@ -67,10 +84,6 @@ class TestKernelSpec:
         with pytest.raises(EvaluationError, match="unsupported kernel-spec"):
             KernelSpec(capture="frontier", tables="subset").validate()
 
-    def test_emit_normalizes_away(self):
-        incremental = KernelSpec(capture="arena", emit="incremental")
-        assert incremental.normalized() == KernelSpec(capture="arena")
-
     def test_resumable_normalizes_to_states_entry(self):
         spec = KernelSpec(capture="arena", chunking="resumable")
         assert spec.normalized().entry == "states"
@@ -81,13 +94,40 @@ class TestKernelSpec:
             kernel = build_kernel(spec)
             assert callable(kernel)
 
+    def test_every_supported_spec_has_a_production_caller(self):
+        # Importing repro binds every engine's kernels; a spec point that
+        # no engine builds is dead weight and must leave SUPPORTED_SPECS.
+        # A fresh interpreter, so no test has built a kernel beforehand.
+        script = (
+            "import repro\n"
+            "from repro.runtime.kernel import _KERNEL_CACHE, SUPPORTED_SPECS\n"
+            "assert set(_KERNEL_CACHE) == set(SUPPORTED_SPECS), (\n"
+            "    set(SUPPORTED_SPECS) - set(_KERNEL_CACHE)\n"
+            ")\n"
+            "print(len(SUPPORTED_SPECS))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "8"
+
     def test_build_cache_returns_one_kernel_per_normalized_spec(self):
         base = KernelSpec(capture="arena")
         assert build_kernel(base) is build_kernel(base)
-        # emit is loop-invariant, so both emit modes share one kernel.
-        assert build_kernel(
-            KernelSpec(capture="arena", emit="incremental")
-        ) is build_kernel(base)
+        # A resumable spec normalizes its entry, so both spellings share
+        # one kernel.
+        resumable = KernelSpec(capture="arena", chunking="resumable")
+        assert build_kernel(resumable) is build_kernel(
+            KernelSpec(capture="arena", chunking="resumable", entry="states")
+        )
         # Distinct loop-defining axes get distinct kernels.
         assert build_kernel(KernelSpec(capture="count")) is not build_kernel(base)
 
@@ -95,7 +135,7 @@ class TestKernelSpec:
         for spec in SUPPORTED_SPECS:
             source = kernel_source(spec)
             assert "def " in source
-            if spec.kernel == "scalar" and spec.capture != "frontier":
+            if spec.capture != "frontier":
                 assert "while pos < n" in source
             assert build_kernel(spec).__kernel_source__ == source
 

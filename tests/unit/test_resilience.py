@@ -259,6 +259,31 @@ class TestSupervisedGet:
         assert supervised_get(Eventually(), deadline=None, poll=0.001) == "late"
 
 
+    def test_stale_pid_set_is_a_crash_on_the_first_poll(self):
+        # The worker set recorded at submit no longer matches the pool's:
+        # a worker died and was respawned before the wait began.  That is
+        # reported at the first poll, not after the (long) deadline.
+        class Worker:
+            def __init__(self, pid):
+                self.pid = pid
+
+        class Pool:
+            _pool = [Worker(2)]
+
+        handle = _FakeHandle()
+        report = FailureReport()
+        with pytest.raises(WorkerCrashError, match="worker died"):
+            supervised_get(
+                handle,
+                deadline=300.0,
+                raw_pool=Pool(),
+                report=report,
+                poll=0.01,
+                known_pids=frozenset({1}),
+            )
+        assert report.as_dict()["counters"]["worker_crashes"] == 1
+
+
 class TestMetricsSnapshot:
     def test_snapshot_keys_and_reset(self):
         snapshot = RESILIENCE_METRICS.snapshot()

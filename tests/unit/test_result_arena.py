@@ -12,7 +12,6 @@ from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import (
     EvaluationScratch,
     count_compiled,
-    evaluate_compiled,
     evaluate_compiled_arena,
 )
 from repro.spanners.spanner import Spanner
@@ -91,8 +90,8 @@ class TestConversions:
         assert legacy.count() == arena.count()
         assert legacy.node_count() == arena.node_count()
 
-    def test_from_result_dag_is_lossless(self, fig3_compiled, figure1_doc):
-        legacy = evaluate_compiled(fig3_compiled, figure1_doc)
+    def test_from_result_dag_is_lossless(self, fig3_det, fig3_compiled, figure1_doc):
+        legacy = evaluate(fig3_det, figure1_doc, check_determinism=False)
         arena = CompiledResultDag.from_result_dag(legacy, fig3_compiled)
         assert mappings_of(arena) == mappings_of(legacy)
         assert arena.count() == legacy.count()

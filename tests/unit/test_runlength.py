@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.documents import Document
 from repro.core.errors import EvaluationError
 from repro.runtime import runlength
 from repro.runtime.plan import KERNEL_CHOICES
@@ -20,8 +21,6 @@ from repro.runtime.runlength import (
     count_subset_with_kernel,
     count_vectors_runlength,
     count_with_kernel,
-    evaluate_arena_with_kernel,
-    evaluate_runlength_arena,
     numpy_available,
     prefers_runlength,
     resolve_kernel,
@@ -163,27 +162,6 @@ class TestRunAlgebra:
                         expected = image
                     assert kernel.frontier_run(mask, cls, k) == expected
 
-    def test_sprint_path_matches_the_class_table_walk(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            for state in range(kernel.num_states):
-                if not runtime.silent[state]:
-                    continue
-                kind, seq, cycle = kernel.sprint_path(cls, state)
-                assert seq[0] == state
-                # Walk the table alongside the memoized trajectory.
-                for i in range(1, len(seq)):
-                    assert runtime.class_table[seq[i - 1]][cls] == seq[i]
-                if kind == "dies":
-                    assert runtime.class_table[seq[-1]][cls] < 0
-                elif kind == "exits":
-                    assert not runtime.silent[seq[-1]]
-                    assert all(runtime.silent[s] for s in seq[:-1])
-                else:
-                    assert kind == "cycle"
-                    assert runtime.class_table[seq[-1]][cls] == seq[cycle]
-                    assert all(runtime.silent[s] for s in seq)
-
     def test_segment_rows_are_memoized(self, runtime):
         kernel = runlength_kernel(runtime)
         kernel._segment_rows.clear()
@@ -287,16 +265,23 @@ class TestCounting:
 
 
 class TestArena:
-    def test_arena_bit_identical_to_scalar(self, runtime):
-        for document in ["", "a", DOCUMENT, "ab" * 30, "b" * 50 + "aaa"]:
-            expected = arena_arrays(evaluate_compiled_arena(runtime, document))
-            for fast_path in (True, False):
-                actual = arena_arrays(
-                    evaluate_runlength_arena(
-                        runtime, document, fast_path=fast_path
-                    )
+    def test_arena_bit_identical_to_scalar(self):
+        # The kernel axis never reaches an arena: every value builds
+        # exactly the scalar engine's arrays.
+        spanner = Spanner(PATTERN)
+        try:
+            for document in ["", "a", DOCUMENT, "ab" * 30, "b" * 50 + "aaa"]:
+                runtime = spanner.runtime(document)
+                expected = arena_arrays(
+                    evaluate_compiled_arena(runtime, document)
                 )
-                assert actual == expected, (document, fast_path)
+                for kernel in KERNELS:
+                    actual = arena_arrays(
+                        spanner.preprocess(document, kernel=kernel)
+                    )
+                    assert actual == expected, (document, kernel)
+        finally:
+            spanner.close()
 
 
 class TestShardingComposition:
@@ -356,20 +341,24 @@ class TestDispatch:
             spanner.close()
 
     def test_auto_decision_never_builds_the_run_view(self):
-        # A sparse log stays scalar under kernel="auto"; deciding that
-        # must read the C-level run count, not build the per-run tuple.
+        # A sparse log stays scalar under kernel="auto".  Extraction
+        # resolves no kernel at all, so it reads not even the run count;
+        # counting decides from the C-level run count, never the per-run
+        # tuple.
         document = server_log(
             80, seed=5, error_rate=0.05, levels=("INFO", "WARN")
         )
         assert len(document) >= RUNLENGTH_MIN_CHARS
         spanner = Spanner(r".*ERROR worker-w{[0-9]} .*")
         try:
-            count = spanner.count(document)
             rows = list(spanner.extract(document))
-            assert count == len(rows) > 0
             classing = spanner.runtime(document).classing
             encoded = document.cached_encoding(classing.signature)
             assert encoded is not None
+            assert encoded._run_count is None
+            assert encoded._runs is None
+            count = spanner.count(document)
+            assert count == len(rows) > 0
             assert encoded._runs is None
             assert encoded._run_count is not None
             assert resolve_kernel("auto", encoded) == "scalar"
@@ -377,20 +366,35 @@ class TestDispatch:
         finally:
             spanner.close()
 
+    def test_forced_runlength_extract_is_the_scalar_arena(self):
+        # A long-run document that auto would send to the run-length
+        # kernel: a forced kernel="runlength" still extracts through the
+        # scalar arena (array-identical) and never builds the run view,
+        # while its count keeps the run-length path and stays exact.
+        text = ("b" * 700 + "a" * 900) * 4
+        assert len(text) >= RUNLENGTH_MIN_CHARS
+        pattern = ".*x{ba}.*"  # one mapping per run boundary
+        forced = Spanner(pattern, kernel="runlength")
+        scalar = Spanner(pattern, kernel="scalar")
+        try:
+            document = Document(text)
+            runtime = forced.runtime(document)
+            encoded = runtime.encode(document)
+            assert prefers_runlength(encoded)
+            expected = arena_arrays(evaluate_compiled_arena(runtime, document))
+            assert arena_arrays(forced.preprocess(document)) == expected
+            assert forced.extract(document) == scalar.extract(text)
+            assert encoded._runs is None
+            assert forced.count(document) == scalar.count(text) > 0
+        finally:
+            forced.close()
+            scalar.close()
+
     def test_dispatchers_agree_across_kernels(self, runtime):
         expected = count_compiled(runtime, DOCUMENT)
-        arena = arena_arrays(evaluate_compiled_arena(runtime, DOCUMENT))
         for kernel in KERNELS:
             assert (
                 count_with_kernel(runtime, DOCUMENT, kernel=kernel) == expected
-            )
-            assert (
-                arena_arrays(
-                    evaluate_arena_with_kernel(
-                        runtime, DOCUMENT, kernel=kernel
-                    )
-                )
-                == arena
             )
 
     def test_subset_dispatcher_agrees(self):

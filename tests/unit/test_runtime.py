@@ -11,7 +11,7 @@ from repro.automata.transforms import to_deterministic_sequential_eva
 from repro.enumeration.evaluate import evaluate
 from repro.runtime.batch import freeze_result, thaw_result
 from repro.runtime.compiled import NO_TARGET, CompiledEVA, compile_eva
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled
+from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.spanners.spanner import Spanner
 
 
@@ -94,23 +94,23 @@ class TestEvaluateCompiled:
 
     def test_matches_reference_engine(self, fig3_det, fig3_compiled, figure1_doc):
         reference = evaluate(fig3_det, figure1_doc, check_determinism=False)
-        compiled = evaluate_compiled(fig3_compiled, figure1_doc)
+        compiled = evaluate_compiled_arena(fig3_compiled, figure1_doc)
         assert mappings_of(compiled) == mappings_of(reference)
         assert compiled.count() == reference.count()
 
     def test_empty_document(self, fig3_compiled, fig3_det):
         reference = evaluate(fig3_det, "", check_determinism=False)
-        compiled = evaluate_compiled(fig3_compiled, "")
+        compiled = evaluate_compiled_arena(fig3_compiled, "")
         assert mappings_of(compiled) == mappings_of(reference)
 
     def test_foreign_characters_kill_all_runs(self, fig3_compiled):
-        assert evaluate_compiled(fig3_compiled, "✗✗✗").is_empty()
+        assert evaluate_compiled_arena(fig3_compiled, "✗✗✗").is_empty()
 
     def test_scratch_is_reusable_across_documents(self, fig3_compiled, fig3_det):
         scratch = EvaluationScratch(fig3_compiled)
         for document in (self.DOCUMENT, "", "Ada <a@g.be>", "no match"):
             reference = evaluate(fig3_det, document, check_determinism=False)
-            compiled = evaluate_compiled(fig3_compiled, document, scratch=scratch)
+            compiled = evaluate_compiled_arena(fig3_compiled, document, scratch=scratch)
             assert mappings_of(compiled) == mappings_of(reference)
 
     def test_scratch_for_wrong_automaton_rejected(self, fig3_compiled):
@@ -118,16 +118,16 @@ class TestEvaluateCompiled:
         other = compile_eva(spanner.compiled("a"), check_determinism=False)
         if other.num_states != fig3_compiled.num_states:
             with pytest.raises(EvaluationError):
-                evaluate_compiled(fig3_compiled, "a", scratch=EvaluationScratch(other))
+                evaluate_compiled_arena(fig3_compiled, "a", scratch=EvaluationScratch(other))
 
     def test_result_keyed_by_source_states(self, fig3_compiled, figure1_doc):
-        result = evaluate_compiled(fig3_compiled, figure1_doc)
+        result = evaluate_compiled_arena(fig3_compiled, figure1_doc).to_result_dag()
         assert set(result.final_lists) <= set(fig3_compiled.source.finals)
 
 
 class TestFreezeThaw:
     def test_roundtrip_preserves_mappings_and_count(self, fig3_det, fig3_compiled, figure1_doc):
-        original = evaluate_compiled(fig3_compiled, figure1_doc)
+        original = evaluate_compiled_arena(fig3_compiled, figure1_doc)
         portable = freeze_result(original, fig3_compiled)
         rebuilt = thaw_result(portable, fig3_compiled)
         assert mappings_of(rebuilt) == mappings_of(original)
@@ -136,7 +136,7 @@ class TestFreezeThaw:
 
     def test_portable_form_is_picklable(self, fig3_compiled, figure1_doc):
         portable = freeze_result(
-            evaluate_compiled(fig3_compiled, figure1_doc), fig3_compiled
+            evaluate_compiled_arena(fig3_compiled, figure1_doc), fig3_compiled
         )
         assert pickle.loads(pickle.dumps(portable)) == portable
 
@@ -146,7 +146,7 @@ class TestFreezeThaw:
         spanner = Spanner.from_regex("x{a*}a*")
         document = "a" * 8
         compiled = compile_eva(spanner.compiled(document), check_determinism=False)
-        original = evaluate_compiled(compiled, document)
+        original = evaluate_compiled_arena(compiled, document)
         rebuilt = thaw_result(freeze_result(original, compiled), compiled)
         assert rebuilt.count() == original.count()
         assert rebuilt.node_count() == original.node_count()
