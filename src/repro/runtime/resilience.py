@@ -651,39 +651,38 @@ def supervised_get(
     handle: Any,
     *,
     deadline: float | None,
+    known_pids: frozenset[int],
     raw_pool: multiprocessing.pool.Pool | None = None,
     report: FailureReport | None = None,
     poll: float = POLL_SECONDS,
-    known_pids: frozenset[int] | None = None,
 ) -> Any:
     """``handle.get()`` bounded by *deadline* and watched for worker deaths.
 
     Returns the task's result, re-raises whatever the task raised in the
     worker, and converts the two lost-task shapes into typed errors:
-    :class:`WorkerCrashError` when the pool's worker set differs from
-    *known_pids* (a worker died — if it was ours, the task is lost; if
-    not, resubmission merely duplicates a pure computation), and
+    :class:`WorkerCrashError` when a pid of *known_pids* is no longer in
+    the pool (a worker died — if it was ours, the task is lost; if not,
+    resubmission merely duplicates a pure computation), and
     :class:`TaskDeadlineError` when *deadline* elapsed.
 
-    *known_pids* should be the worker set :func:`_pids_of` read when the
-    task was **submitted**: a worker that dies and is respawned between
-    submit and this call leaves a same-sized set behind, invisible to a
-    snapshot taken here.  It defaults to exactly that late snapshot.
+    *known_pids* is the worker set :func:`_pids_of` read no later than
+    the task's submission, so a worker that dies and is respawned before
+    this call is still noticed at the first poll.  Pids the pool gained
+    since are ignored: a respawn only ever follows a death.
     """
     end = None if deadline is None else time.monotonic() + deadline
-    known = _pids_of(raw_pool) if known_pids is None else known_pids
     while True:
         try:
             return handle.get(poll)
         except multiprocessing.TimeoutError:
             current = _pids_of(raw_pool)
-            if known and current != known:
+            if known_pids - current:
                 RESILIENCE_METRICS.worker_crashed()
                 if report is not None:
                     report.worker_crashed()
                 raise WorkerCrashError(
                     "a pool worker died while the task was pending "
-                    f"(workers now {sorted(current)}, were {sorted(known)})"
+                    f"(workers now {sorted(current)}, were {sorted(known_pids)})"
                 ) from None
             if end is not None and time.monotonic() >= end:
                 RESILIENCE_METRICS.deadline_exceeded()
@@ -743,6 +742,11 @@ class SupervisedPool:
         # falls back to terminate() when any exist.
         self._abandoned = 0
         self._pool: multiprocessing.pool.Pool | None = self._start()
+        # The worker set pending tasks are checked against, and how many
+        # deaths have been reported: each death is counted once, however
+        # many in-flight tasks were submitted before it.
+        self._pids = _pids_of(self._pool)
+        self._deaths = 0
 
     def _start(self) -> multiprocessing.pool.Pool:
         return self._context.Pool(
@@ -763,29 +767,29 @@ class SupervisedPool:
         return self._inline
 
     class _Task:
-        __slots__ = ("fn", "payload", "handle", "generation", "attempts", "pids")
+        __slots__ = ("fn", "payload", "handle", "generation", "attempts", "deaths")
 
-        def __init__(self, fn, payload, handle, generation, pids=frozenset()):
+        def __init__(self, fn, payload, handle, generation, deaths=0):
             self.fn = fn
             self.payload = payload
             self.handle = handle
             self.generation = generation
             self.attempts = 0
-            # The worker set at submit time: collect() compares against it.
-            self.pids = pids
+            # Deaths reported before submission: a later one may have
+            # taken this task with it.
+            self.deaths = deaths
 
     def submit(self, fn: Callable[[Any], Any], payload: Any) -> "SupervisedPool._Task":
         """Dispatch one task; pair with :meth:`collect`."""
         if self._inline or self._pool is None:
             # Demoted (or closed mid-iteration): collect() runs it inline.
             return self._Task(fn, payload, None, -1)
-        pids = _pids_of(self._pool)
         return self._Task(
             fn,
             payload,
             self._pool.apply_async(fn, (payload,)),
             self._generation,
-            pids,
+            self._deaths,
         )
 
     def run_inline(self, fn: Callable[[Any], Any], payload: Any) -> Any:
@@ -810,15 +814,26 @@ class SupervisedPool:
                 return self.run_inline(task.fn, task.payload)
             if task.generation != self._generation or task.handle is None:
                 self._resubmit(task)
+            elif task.deaths != self._deaths and not task.handle.ready():
+                # A death reported while waiting on another task may have
+                # lost this one too: resubmit it, without counting again.
+                self._abandoned += 1
+                self._resubmit(task)
+            current = _pids_of(self._pool)
+            if self._pids <= current:
+                self._pids = current  # adopt workers respawned since
             try:
                 return supervised_get(
                     task.handle,
                     deadline=policy.task_deadline,
+                    known_pids=self._pids,
                     raw_pool=self._pool,
                     report=self._report,
-                    known_pids=task.pids,
                 )
             except WorkerCrashError as crash:
+                if not isinstance(crash, TaskDeadlineError):
+                    self._deaths += 1
+                    self._pids &= _pids_of(self._pool)
                 self._abandoned += 1  # the old handle will never resolve
                 task.attempts += 1
                 if task.attempts < retry.max_attempts:
@@ -862,7 +877,7 @@ class SupervisedPool:
 
     def _resubmit(self, task: "SupervisedPool._Task") -> None:
         assert self._pool is not None
-        task.pids = _pids_of(self._pool)
+        task.deaths = self._deaths
         task.handle = self._pool.apply_async(task.fn, (task.payload,))
         task.generation = self._generation
 
@@ -878,6 +893,7 @@ class SupervisedPool:
             old.join()
         self._abandoned = 0  # the fresh pool's result cache starts clean
         self._pool = self._start()  # OSError here propagates: cannot start
+        self._pids = _pids_of(self._pool)
 
     def _demote(self) -> None:
         RESILIENCE_METRICS.inline_fallback()

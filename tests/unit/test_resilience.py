@@ -9,6 +9,7 @@ fake result handle.
 
 import multiprocessing
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -232,16 +233,29 @@ class _FakeHandle:
         raise multiprocessing.TimeoutError
 
 
+class _FakePool:
+    """Just the worker list :func:`_pids_of` reads from a real pool."""
+
+    def __init__(self, *pids):
+        self._pool = [SimpleNamespace(pid=pid) for pid in pids]
+
+
 class TestSupervisedGet:
     def test_returns_a_ready_result(self):
-        assert supervised_get(_FakeHandle(["ok"]), deadline=None) == "ok"
+        assert supervised_get(
+            _FakeHandle(["ok"]), deadline=None, known_pids=frozenset()
+        ) == "ok"
 
     def test_deadline_miss_is_typed_and_counted(self):
         report = FailureReport()
         before = resilience_metrics_snapshot()["deadlines_exceeded"]
         with pytest.raises(TaskDeadlineError, match="deadline"):
             supervised_get(
-                _FakeHandle(), deadline=0.05, report=report, poll=0.01
+                _FakeHandle(),
+                deadline=0.05,
+                known_pids=frozenset(),
+                report=report,
+                poll=0.01,
             )
         assert resilience_metrics_snapshot()["deadlines_exceeded"] == before + 1
         assert report.as_dict()["counters"]["deadlines_exceeded"] == 1
@@ -256,32 +270,37 @@ class TestSupervisedGet:
                     raise multiprocessing.TimeoutError
                 return "late"
 
-        assert supervised_get(Eventually(), deadline=None, poll=0.001) == "late"
-
+        assert supervised_get(
+            Eventually(), deadline=None, known_pids=frozenset(), poll=0.001
+        ) == "late"
 
     def test_stale_pid_set_is_a_crash_on_the_first_poll(self):
         # The worker set recorded at submit no longer matches the pool's:
         # a worker died and was respawned before the wait began.  That is
         # reported at the first poll, not after the (long) deadline.
-        class Worker:
-            def __init__(self, pid):
-                self.pid = pid
-
-        class Pool:
-            _pool = [Worker(2)]
-
-        handle = _FakeHandle()
         report = FailureReport()
         with pytest.raises(WorkerCrashError, match="worker died"):
             supervised_get(
-                handle,
+                _FakeHandle(),
                 deadline=300.0,
-                raw_pool=Pool(),
+                known_pids=frozenset({1}),
+                raw_pool=_FakePool(2),
                 report=report,
                 poll=0.01,
-                known_pids=frozenset({1}),
             )
         assert report.as_dict()["counters"]["worker_crashes"] == 1
+
+    def test_a_gained_worker_alone_is_not_a_crash(self):
+        # Every known pid is still alive; the extra one is a respawn
+        # whose death was already accounted for.
+        with pytest.raises(TaskDeadlineError):
+            supervised_get(
+                _FakeHandle(),
+                deadline=0.03,
+                known_pids=frozenset({1}),
+                raw_pool=_FakePool(1, 2),
+                poll=0.01,
+            )
 
 
 class TestMetricsSnapshot:
