@@ -49,8 +49,8 @@ from repro.runtime.engine import (  # noqa: E402
 )
 from repro.runtime.sharding import (  # noqa: E402
     ShardMetrics,
-    ShardPool,
     evaluate_sharded,
+    start_shard_pool,
 )
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
@@ -102,7 +102,8 @@ def bench_document(compiled, document, *, workers: int, repeat: int) -> dict:
     )
 
     pool_metrics = ShardMetrics()
-    with ShardPool(compiled, workers) as pool:
+    pool = start_shard_pool(compiled, workers)
+    try:
         pool_arena = evaluate_sharded(
             compiled, document, pool=pool, shards=shards, metrics=pool_metrics
         )
@@ -115,6 +116,8 @@ def bench_document(compiled, document, *, workers: int, repeat: int) -> dict:
                 compiled, document, pool=pool, shards=shards, metrics=pool_metrics
             ),
         )
+    finally:
+        pool.close()
 
     # In-task pass split (summed task durations — core-independent):
     # averaged over every pooled run recorded above.

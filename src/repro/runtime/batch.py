@@ -509,13 +509,11 @@ def _stream_batch(
             _worker_engine,
             _worker_stream_chunk,
             _worker_budget,
-            sharding._WORKER_COMPILED,
-            sharding._WORKER_FAST_PATH,
         )
         # Same initializer the workers run, minus the fault plan: the
         # inline path is the exactness backstop and must never fault.
+        restore_shards = sharding.shard_inline_setup(compiled)
         _init_worker(compiled, engine, stream_chunk, policy.budget, None)
-        resilience.clear_fault_plan()
 
         def teardown():
             global _worker_compiled, _worker_scratch, _worker_engine
@@ -526,9 +524,8 @@ def _stream_batch(
                 _worker_engine,
                 _worker_stream_chunk,
                 _worker_budget,
-                sharding._WORKER_COMPILED,
-                sharding._WORKER_FAST_PATH,
             ) = saved
+            restore_shards()
 
         return teardown
 
@@ -544,6 +541,8 @@ def _stream_batch(
         # Outsized documents first, each sharded across the whole pool
         # (every worker already holds the automaton via the initializer);
         # the per-document fan-out below then only sees the small ones.
+        # Shard tasks run on the same supervised pool, so they share its
+        # escalation ladder, its worker-death accounting and the report.
         sharded: dict[object, CompiledResultDag] = {}
         shard_ids: set[object] = set()
         if shard_min_chars is not None:
@@ -553,7 +552,6 @@ def _stream_batch(
                 if len(document) >= shard_min_chars
             }
             if shard_ids:
-                submitter = sharding.adapt_pool(supervised.raw_pool, workers)
                 for doc_id, document in collection.items():
                     if doc_id in shard_ids:
                         try:
@@ -562,10 +560,9 @@ def _stream_batch(
                             result = sharding.evaluate_sharded(
                                 compiled,
                                 document,
-                                pool=submitter,
+                                pool=supervised,
                                 shards=workers,
                                 kernel=kernel,
-                                policy=policy,
                             )
                             if policy.budget is not None:
                                 policy.budget.check_result(result)

@@ -1,12 +1,12 @@
 """Fault-tolerant execution of process-pool work: supervision, retries,
 resource guards, quarantine, and a deterministic fault-injection harness.
 
-Every process-pool surface of the repository (:func:`~repro.runtime.batch.run_batch`
-in process mode, :func:`~repro.runtime.sharding.evaluate_sharded` /
-:func:`~repro.runtime.sharding.count_sharded` over a
-:class:`~repro.runtime.sharding.ShardPool`) routes its pool interaction
-through this module, which upholds one contract — **exactness or a typed
-error**:
+:class:`SupervisedPool` is the one code path of the repository that
+submits to or waits on a process pool: :func:`~repro.runtime.batch.run_batch`
+in process mode and :func:`~repro.runtime.sharding.evaluate_sharded` /
+:func:`~repro.runtime.sharding.count_sharded` (on the batch pool or on
+one from :func:`~repro.runtime.sharding.start_shard_pool`) all run their
+tasks on it, under one contract — **exactness or a typed error**:
 
 * a run either produces results bit-identical to the serial engine, or
   raises a :class:`~repro.core.errors.ReproError` subclass (or records
@@ -66,6 +66,7 @@ through ``ServerMetrics.snapshot()`` (the ``/metrics`` endpoint) and
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -756,15 +757,18 @@ class SupervisedPool:
         )
 
     @property
-    def raw_pool(self) -> multiprocessing.pool.Pool:
-        """The underlying pool (``sharding.adapt_pool`` wraps this)."""
-        assert self._pool is not None, "pool used after close()"
-        return self._pool
-
-    @property
     def demoted(self) -> bool:
         """Whether the run has degraded to inline serial evaluation."""
         return self._inline
+
+    @property
+    def closed(self) -> bool:
+        """Whether the workers are gone (closed, terminated or demoted).
+
+        A closed pool still accepts tasks — they run inline — but an
+        owner that keeps pools across runs builds a fresh one instead.
+        """
+        return self._pool is None
 
     class _Task:
         __slots__ = ("fn", "payload", "handle", "generation", "attempts", "deaths")
@@ -888,6 +892,9 @@ class SupervisedPool:
         old = self._pool
         self._rebuilt = True
         self._generation += 1
+        # Drop the dead pool first: if the restart fails, the pool reads
+        # as closed and an owner that keeps pools builds a fresh one.
+        self._pool = None
         if old is not None:
             old.terminate()
             old.join()
@@ -928,3 +935,22 @@ class SupervisedPool:
         if pool is not None:
             pool.terminate()
             pool.join()
+
+    def __del__(self) -> None:
+        # Collection can run during interpreter shutdown, when the pool
+        # machinery (or the multiprocessing module itself) is already
+        # half-dismantled: those failures surface as the specific
+        # shutdown exceptions below and are expected.  Anything else is
+        # a real bug worth a log line — but never a raise from __del__.
+        # Nobody is left to read the results of a collected pool, so its
+        # workers are terminated, not drained; a pool its owner already
+        # shut down has nothing left to release.
+        try:
+            if self._pool is not None:
+                self.terminate()
+        except (OSError, ValueError, RuntimeError, AttributeError, TypeError):
+            pass
+        except Exception:
+            logging.getLogger(__name__).exception(
+                "SupervisedPool.__del__: unexpected error while closing the pool"
+            )

@@ -52,25 +52,19 @@ stitched product is the exact output count.
 Worker orchestration ships each worker only its *slice* of the class-id
 buffer (never the document, whose encoding cache would be dropped at the
 pickling boundary and trigger a full re-encode per worker) plus the
-compiled automaton once per pool via the initializer.  A persistent
-:class:`ShardPool` amortizes process start-up across evaluations; the
-batch engine reuses its own worker pool through the same task functions.
+compiled automaton once per pool via the initializer.  Every pool is a
+:class:`~repro.runtime.resilience.SupervisedPool` — the one supervised
+executor of the repository: :func:`start_shard_pool` builds a persistent
+one that amortizes process start-up across evaluations, and the batch
+engine passes its own, so sharded runs follow the batch escalation ladder.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import threading
 from time import perf_counter
 
-from repro.core.errors import (
-    EvaluationError,
-    NotDeterministicError,
-    ReproError,
-    TaskDeadlineError,
-    WorkerCrashError,
-)
+from repro.core.errors import EvaluationError, NotDeterministicError
 from repro.runtime import resilience
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
@@ -92,15 +86,16 @@ __all__ = [
     "SHARD_METRICS",
     "ShardFragment",
     "ShardMetrics",
-    "ShardPool",
     "apply_summary",
     "compose_summaries",
     "count_sharded",
     "evaluate_sharded",
     "plan_shards",
     "replay_shard",
+    "shard_inline_setup",
     "shard_metrics_snapshot",
     "shard_summary",
+    "start_shard_pool",
     "stitch_fragments",
 ]
 
@@ -534,7 +529,6 @@ def _count_run(
     n: int,
     entry: int,
     include_final: bool,
-    fast_path: bool,
 ) -> dict[int, int]:
     """The exit count vector of one partial run entered at *entry*.
 
@@ -545,7 +539,7 @@ def _count_run(
     :func:`count_sharded` exploits exactly that superposition.
     """
     active, counts = _count_entry_kernel(
-        compiled, buf, n, entry, include_final, fast_path
+        compiled, buf, n, entry, include_final, True  # fast path on
     )
     return {state: counts[state] for state in active if counts[state]}
 
@@ -555,17 +549,14 @@ def _count_run(
 # ---------------------------------------------------------------------- #
 
 _WORKER_COMPILED: CompiledEVA | None = None
-_WORKER_FAST_PATH: bool = True
 
 
 def _init_shard_worker(
     compiled: CompiledEVA,
-    fast_path: bool = True,
     faults: "resilience.FaultPlan | None" = None,
 ) -> None:
-    global _WORKER_COMPILED, _WORKER_FAST_PATH
+    global _WORKER_COMPILED
     _WORKER_COMPILED = compiled
-    _WORKER_FAST_PATH = fast_path
     if faults is not None:
         resilience.install_fault_plan(faults)
 
@@ -583,9 +574,7 @@ def _worker_automaton() -> CompiledEVA:
 def _summary_task(payload: tuple) -> tuple:
     index, buf, n = payload
     started = perf_counter()
-    summary = shard_summary(
-        _worker_automaton(), buf, n, fast_path=_WORKER_FAST_PATH
-    )
+    summary = shard_summary(_worker_automaton(), buf, n)
     return index, summary, perf_counter() - started
 
 
@@ -616,7 +605,6 @@ def _replay_task(payload: tuple) -> tuple:
         entries,
         is_first=is_first,
         is_last=is_last,
-        fast_path=_WORKER_FAST_PATH,
     )
     return index, fragment, perf_counter() - started
 
@@ -626,7 +614,7 @@ def _count_task(payload: tuple) -> tuple:
     started = perf_counter()
     compiled = _worker_automaton()
     vectors = {
-        entry: _count_run(compiled, buf, n, entry, include_final, _WORKER_FAST_PATH)
+        entry: _count_run(compiled, buf, n, entry, include_final)
         for entry in entries
     }
     return index, vectors, perf_counter() - started
@@ -647,119 +635,51 @@ def _count_task_rl(payload: tuple) -> tuple:
     return index, vectors, perf_counter() - started
 
 
-class ShardPool:
-    """A persistent worker pool bound to one compiled automaton.
+def shard_inline_setup(compiled: CompiledEVA):
+    """Prime this process's shard-worker globals; return the teardown.
+
+    The inline path runs the very module-level task functions the workers
+    run, so pooled and inline results cannot drift apart.  It clears the
+    fault plan for its duration — the inline path is the exactness
+    backstop — and the teardown restores the globals and the plan.
+    """
+    global _WORKER_COMPILED
+    saved = (_WORKER_COMPILED, resilience._ACTIVE_PLAN)
+    _init_shard_worker(compiled)
+    resilience.clear_fault_plan()
+
+    def teardown() -> None:
+        global _WORKER_COMPILED
+        _WORKER_COMPILED, plan = saved
+        resilience.install_fault_plan(plan)
+
+    return teardown
+
+
+def start_shard_pool(
+    compiled: CompiledEVA,
+    workers: int,
+    *,
+    policy: "resilience.ResiliencePolicy | None" = None,
+) -> "resilience.SupervisedPool":
+    """A supervised worker pool bound to *compiled*, for shard tasks.
 
     The automaton crosses the process boundary once (via the pool
     initializer); every task afterwards ships only its shard's slice of
     the class-id buffer.  Keep one pool alive across evaluations — the
     facade and the benchmarks do — so process start-up is paid once, not
-    per document.
+    per document.  *policy* drives the escalation ladder and its
+    ``faults`` plan is installed in every worker.
     """
-
-    def __init__(
-        self,
-        compiled: CompiledEVA,
-        workers: int,
-        *,
-        fast_path: bool = True,
-        faults: "resilience.FaultPlan | None" = None,
-    ) -> None:
-        if workers < 1:
-            raise EvaluationError(f"worker count must be positive, got {workers}")
-        self.compiled = compiled
-        self.workers = workers
-        self.fast_path = fast_path
-        context = multiprocessing.get_context()
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_init_shard_worker,
-            initargs=(compiled, fast_path, faults),
-        )
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def raw_pool(self):
-        """The underlying ``multiprocessing.Pool`` (crash detection reads it)."""
-        return None if self._closed else self._pool
-
-    def submit(self, task, payload: tuple):
-        """Dispatch one task; returns an async handle with ``.get()``."""
-        return self._pool.apply_async(task, (payload,))
-
-    def mark_broken(self) -> None:
-        """Tear the pool down after a crash; owners rebuild on next use.
-
-        The facade's per-alphabet pool cache checks ``closed`` before
-        reuse, so closing here is exactly what makes the next
-        ``workers > 1`` call start from a fresh pool.
-        """
-        self.close()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._pool.terminate()
-            self._pool.join()
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # Collection can run during interpreter shutdown, when the pool
-        # machinery (or the multiprocessing module itself) is already
-        # half-dismantled: those failures surface as the specific
-        # shutdown exceptions below and are expected.  Anything else is
-        # a real bug worth a log line — but never a raise from __del__.
-        try:
-            self.close()
-        except (OSError, ValueError, RuntimeError, AttributeError, TypeError):
-            pass
-        except Exception:
-            logging.getLogger(__name__).exception(
-                "ShardPool.__del__: unexpected error while closing the pool"
-            )
-
-    def __repr__(self) -> str:
-        status = "closed" if self._closed else "open"
-        return f"ShardPool(workers={self.workers}, {status})"
-
-
-class _PoolAdapter:
-    """Adapt a foreign ``multiprocessing.Pool`` to the submit interface.
-
-    The batch engine reuses its own worker pool for intra-document
-    shard tasks (its initializer also primes the shard worker globals),
-    so one set of processes serves both per-document fan-out and
-    per-shard fan-out.
-    """
-
-    def __init__(self, pool, workers: int) -> None:
-        self.workers = workers
-        self._pool = pool
-
-    @property
-    def raw_pool(self):
-        """The wrapped ``multiprocessing.Pool`` (crash detection reads it)."""
-        return self._pool
-
-    def submit(self, task, payload: tuple):
-        return self._pool.apply_async(task, (payload,))
-
-    def mark_broken(self) -> None:
-        """No-op: the pool's owner (the batch engine) supervises it."""
-
-
-def adapt_pool(pool, workers: int) -> _PoolAdapter:
-    """Wrap a raw multiprocessing pool for :func:`evaluate_sharded`."""
-    return _PoolAdapter(pool, workers)
+    if policy is None:
+        policy = resilience.DEFAULT_POLICY
+    return resilience.SupervisedPool(
+        workers,
+        initializer=_init_shard_worker,
+        initargs=(compiled, policy.faults),
+        inline_setup=lambda: shard_inline_setup(compiled),
+        policy=policy,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -767,105 +687,22 @@ def adapt_pool(pool, workers: int) -> _PoolAdapter:
 # ---------------------------------------------------------------------- #
 
 
-def _run_one_inline(compiled: CompiledEVA, fast_path: bool, task, payload) -> tuple:
-    """Run one task function in this process, exactly as a worker would.
-
-    Primes the worker globals (without a fault plan — the inline path is
-    the exactness backstop) and restores them afterwards.
-    """
-    global _WORKER_COMPILED, _WORKER_FAST_PATH
-    saved = (_WORKER_COMPILED, _WORKER_FAST_PATH)
-    saved_plan = resilience._ACTIVE_PLAN
-    _init_shard_worker(compiled, fast_path)
-    resilience.clear_fault_plan()
-    try:
-        return task(payload)
-    finally:
-        _WORKER_COMPILED, _WORKER_FAST_PATH = saved
-        resilience.install_fault_plan(saved_plan)
-
-
-def _run_tasks(
-    pool,
-    compiled: CompiledEVA,
-    fast_path: bool,
-    calls: list,
-    policy: "resilience.ResiliencePolicy | None" = None,
-) -> list:
+def _run_tasks(pool, compiled: CompiledEVA, calls: list) -> list:
     """Run ``(task, payload)`` calls on *pool*, or inline when it is None.
 
-    The inline path invokes the same module-level task functions the
-    workers run — it temporarily primes the worker globals — so the
-    pooled and inline flavours cannot drift apart.
-
-    Pooled collection is supervised: each handle is waited on under the
-    policy's per-task deadline with dead-worker detection.  A crashed or
-    deadlined task (and, once a crash is seen, every later task of the
-    round) is re-run inline — shard tasks are pure functions of their
-    payload, so the results are exact either way — and the broken pool
-    is closed so its owner rebuilds it on next use.  Deterministic
-    library errors (``ReproError``) propagate untouched; an unexpected
-    worker exception gets one inline re-run, which either succeeds (the
-    failure was transient) or raises the real error.
+    A pool is a :class:`~repro.runtime.resilience.SupervisedPool`: its
+    ``collect`` walks the escalation ladder (retry → rebuild once →
+    demote inline), and shard tasks are pure functions of their payload,
+    so the results are exact whichever rung produced them.
     """
     if pool is None:
-        global _WORKER_COMPILED, _WORKER_FAST_PATH
-        saved = (_WORKER_COMPILED, _WORKER_FAST_PATH)
-        _init_shard_worker(compiled, fast_path)
+        teardown = shard_inline_setup(compiled)
         try:
             return [task(payload) for task, payload in calls]
         finally:
-            _WORKER_COMPILED, _WORKER_FAST_PATH = saved
-
-    if policy is None:
-        policy = resilience.DEFAULT_POLICY
-    if getattr(pool, "closed", False):
-        # An earlier round already marked the pool broken (its owner will
-        # rebuild it on the next call); finish this evaluation inline.
-        return [
-            _run_one_inline(compiled, fast_path, task, payload)
-            for task, payload in calls
-        ]
-    raw_pool = getattr(pool, "raw_pool", None)
-    # Snapshot the worker set before submitting, so a worker that dies
-    # (and is respawned) before its handle is waited on is still noticed.
-    known_pids = resilience._pids_of(raw_pool)
+            teardown()
     handles = [pool.submit(task, payload) for task, payload in calls]
-    results: list = []
-    pool_broken = False
-    for (task, payload), handle in zip(calls, handles):
-        if pool_broken:
-            # One worker death poisons the whole round: sibling handles
-            # may be lost too, and waiting each out to its own deadline
-            # would multiply the stall.  Finish the round inline.
-            resilience.RESILIENCE_METRICS.inline_fallback()
-            results.append(_run_one_inline(compiled, fast_path, task, payload))
-            continue
-        try:
-            results.append(
-                resilience.supervised_get(
-                    handle,
-                    deadline=policy.task_deadline,
-                    raw_pool=raw_pool,
-                    known_pids=known_pids,
-                )
-            )
-        except (WorkerCrashError, TaskDeadlineError):
-            pool_broken = True
-            resilience.RESILIENCE_METRICS.inline_fallback()
-            results.append(_run_one_inline(compiled, fast_path, task, payload))
-        except ReproError:
-            raise
-        except Exception:
-            # Raised inside the worker: transient infrastructure failure
-            # or a real bug — the inline re-run decides which.
-            resilience.RESILIENCE_METRICS.inline_fallback()
-            results.append(_run_one_inline(compiled, fast_path, task, payload))
-    if pool_broken:
-        broken = getattr(pool, "mark_broken", None)
-        if broken is not None:
-            broken()
-    return results
+    return [pool.collect(handle) for handle in handles]
 
 
 def evaluate_sharded(
@@ -875,10 +712,8 @@ def evaluate_sharded(
     workers: int | None = None,
     shards: int | None = None,
     pool=None,
-    fast_path: bool = True,
     metrics: ShardMetrics | None = None,
     kernel: str = "scalar",
-    policy: "resilience.ResiliencePolicy | None" = None,
 ) -> CompiledResultDag:
     """Evaluate *document* shard-parallel; the arena is bit-identical to
     :func:`~repro.runtime.engine.evaluate_compiled_arena`'s.
@@ -888,7 +723,8 @@ def evaluate_sharded(
     from the document's measured run statistics).  Replay always runs
     the scalar arena loop — every arena in the repository does.
 
-    Pass a persistent :class:`ShardPool` (or :func:`adapt_pool` wrapper)
+    Pass a :class:`~repro.runtime.resilience.SupervisedPool` (a
+    persistent one from :func:`start_shard_pool`, or the batch engine's)
     to fan shards out to worker processes; with ``pool=None`` the same
     decomposition runs inline in this process (the differential tests
     exercise exactly that path, so pooled results can never diverge from
@@ -948,7 +784,7 @@ def evaluate_sharded(
     for index in range(1, total - 1):
         begin, end = bounds[index]
         round_one.append((summary_task, (index, buf[begin:end], end - begin)))
-    for result in _run_tasks(pool, compiled, fast_path, round_one, policy):
+    for result in _run_tasks(pool, compiled, round_one):
         index, value, seconds = result
         if index == 0:
             fragments[0] = value
@@ -988,7 +824,7 @@ def evaluate_sharded(
                 ),
             )
         )
-    for result in _run_tasks(pool, compiled, fast_path, round_two, policy):
+    for result in _run_tasks(pool, compiled, round_two):
         index, fragment, seconds = result
         fragments[index] = fragment
         replay_seconds += seconds
@@ -1013,10 +849,8 @@ def count_sharded(
     workers: int | None = None,
     shards: int | None = None,
     pool=None,
-    fast_path: bool = True,
     metrics: ShardMetrics | None = None,
     kernel: str = "scalar",
-    policy: "resilience.ResiliencePolicy | None" = None,
 ) -> int:
     """Algorithm 3 shard-parallel — no replay pass at all.
 
@@ -1075,7 +909,7 @@ def count_sharded(
     for index in range(1, total - 1):
         begin, end = bounds[index]
         round_one.append((summary_task, (index, buf[begin:end], end - begin)))
-    for result in _run_tasks(pool, compiled, fast_path, round_one, policy):
+    for result in _run_tasks(pool, compiled, round_one):
         index, value, seconds = result
         if index == 0:
             first_vectors = value
@@ -1113,7 +947,7 @@ def count_sharded(
             )
         )
     vectors_by_shard: dict[int, dict[int, dict[int, int]]] = {}
-    for result in _run_tasks(pool, compiled, fast_path, round_two, policy):
+    for result in _run_tasks(pool, compiled, round_two):
         index, vectors, seconds = result
         vectors_by_shard[index] = vectors
         replay_seconds += seconds

@@ -63,7 +63,11 @@ from repro.regex.ast import RegexNode
 from repro.regex.parser import parse_regex
 from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
-from repro.runtime.resilience import FailureReport, ResiliencePolicy
+from repro.runtime.resilience import (
+    FailureReport,
+    ResiliencePolicy,
+    SupervisedPool,
+)
 from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
@@ -76,9 +80,9 @@ from repro.runtime.plan import (
 from repro.runtime.runlength import count_subset_with_kernel, count_with_kernel
 from repro.runtime.sharding import (
     DEFAULT_SHARD_MIN_CHARS,
-    ShardPool,
     count_sharded,
     evaluate_sharded,
+    start_shard_pool,
 )
 from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA, evaluate_subset_arena
@@ -115,7 +119,7 @@ class _CompiledState:
         self.plan: ExecutionPlan | None = None
         self.stats: AutomatonStatistics | None = None
         self.optimized = None  # OptimizedPlan, physical tree prepared for the key
-        self.shard_pool: ShardPool | None = None
+        self.shard_pool: SupervisedPool | None = None
 
 
 class Spanner:
@@ -481,21 +485,26 @@ class Spanner:
             kernel=self._kernel if kernel is None else kernel,
         )
 
-    def _shard_pool_for_key(self, key: frozenset[str], workers: int) -> ShardPool:
+    def _shard_pool_for_key(
+        self, key: frozenset[str], workers: int
+    ) -> SupervisedPool:
         """The per-alphabet persistent shard worker pool (lazily built).
 
         Cached in the same LRU entry as the compiled runtime it is bound
         to, so eviction drops both together (the pool's ``__del__``
         terminates its processes).  A request with a different worker
-        count replaces the pool.
+        count replaces the pool, and so does one after a run demoted it
+        to inline evaluation (``closed`` covers both).
         """
         state = self._state_for_key(key)
         pool = state.shard_pool
         if pool is not None and pool.workers == workers and not pool.closed:
             return pool
         if pool is not None:
-            pool.close()
-        pool = ShardPool(self._runtime_for_key(key), workers)
+            pool.terminate()
+        pool = start_shard_pool(
+            self._runtime_for_key(key), workers, policy=self._resilience
+        )
         state.shard_pool = pool
         return pool
 
@@ -509,7 +518,7 @@ class Spanner:
         for key in self._states.keys():
             state = self._states.get(key)
             if state is not None and state.shard_pool is not None:
-                state.shard_pool.close()
+                state.shard_pool.terminate()
                 state.shard_pool = None
 
     def _planner_stats(self, key: frozenset[str]) -> AutomatonStatistics:
@@ -568,7 +577,6 @@ class Spanner:
                     pool=self._shard_pool_for_key(key, plan.shard_workers),
                     shards=plan.shard_workers,
                     kernel=plan.kernel,
-                    policy=self._resilience,
                 )
             return evaluate_compiled_arena(
                 runtime, document, scratch=self._scratch_for_key(key)
@@ -782,7 +790,6 @@ class Spanner:
                     pool=self._shard_pool_for_key(key, shard_plan.shard_workers),
                     shards=shard_plan.shard_workers,
                     kernel=shard_plan.kernel,
-                    policy=self._resilience,
                 )
             return count_with_kernel(
                 runtime,

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.documents import DocumentCollection
 from repro.core.errors import ResourceLimitError
+from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.resilience import (
     FailureReport,
     FaultPlan,
@@ -31,6 +32,7 @@ from repro.runtime.resilience import (
 from repro.spanners.spanner import Spanner
 
 PATTERN = ".*x{a+} .*"
+LOG_PATTERN = r".*ERROR worker-w{[0-9]} .*"
 
 #: Retries back off from 10ms and the pool is given 20s per task — far
 #: past any healthy task here, so a deadline trip is always deliberate.
@@ -187,6 +189,48 @@ class TestWorkerKill:
         assert counters["worker_crashes"] == 1
         assert counters["tasks_retried"] == 1
         assert counters["pool_rebuilds"] == 0
+
+    def test_shard_worker_kill_in_sharded_batch_completes(self):
+        # Outsized documents are sharded across the batch's own pool.  A
+        # shard worker that dies must go through the same ladder as a
+        # small-document task: counted in the run's report, recovered
+        # exactly, and the pool shut down without waiting on lost tasks.
+        spanner = Spanner.from_regex(LOG_PATTERN)
+        log = (
+            "2024-03-09 03:45:14 INFO worker-1 ok\n"
+            "2024-03-09 03:45:15 ERROR worker-5 timeout after 30s\n"
+            "2024-03-09 03:45:16 INFO worker-2 ok\n"
+        )
+        documents = DocumentCollection(
+            {
+                "big0": log * 44,
+                "big1": log.replace("worker-5", "worker-7") * 44,
+                "small": "2024-03-09 03:45:17 ERROR worker-3 reset\n",
+            }
+        )
+        assert len(documents["big0"]) > 5500
+        compiled = spanner._runtime_for_key(documents.alphabet())
+        expected = {
+            doc_id: evaluate_compiled_arena(compiled, document).to_portable()
+            for doc_id, document in documents.items()
+        }
+        report = FailureReport()
+        plan = FaultPlan(
+            [FaultSpec(site="shard-task", action="kill", nth=1, count=1)]
+        )
+        started = time.monotonic()
+        results = run_supervised(
+            spanner,
+            documents,
+            policy_with(plan, task_deadline=300.0),
+            report,
+            max_workers=2,
+            shard_min_chars=1000,
+        )
+        elapsed = time.monotonic() - started
+        assert results == expected
+        assert elapsed < 5.0, f"sharded batch took {elapsed:.1f}s"
+        assert report.as_dict()["counters"]["worker_crashes"] >= 1
 
     def test_kill_storm_rebuilds_once_then_demotes_inline(
         self, spanner, documents, serial_results

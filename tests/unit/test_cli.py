@@ -316,13 +316,12 @@ class TestBatchResilience:
     def test_extract_workers_pool_start_failure_is_one_line(
         self, tmp_path, capsys, monkeypatch
     ):
-        import repro.spanners.spanner as spanner_module
+        from repro.runtime.resilience import SupervisedPool
 
-        class RefusingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("cannot fork: resource temporarily unavailable")
+        def refuse(self):
+            raise OSError("cannot fork: resource temporarily unavailable")
 
-        monkeypatch.setattr(spanner_module, "ShardPool", RefusingPool)
+        monkeypatch.setattr(SupervisedPool, "_start", refuse)
         big = tmp_path / "big.txt"
         big.write_text("a" * 40000, encoding="utf-8")  # over the shard threshold
         code, _output = run_cli(["extract", "x{a+}", str(big), "--workers", "2"])

@@ -28,6 +28,7 @@ from repro.runtime.resilience import (
     InjectedFault,
     ResourceBudget,
     RetryPolicy,
+    SupervisedPool,
     install_fault_plan,
     clear_fault_plan,
     maybe_fault,
@@ -319,3 +320,49 @@ class TestMetricsSnapshot:
         assert RESILIENCE_METRICS.snapshot()["tasks_retried"] >= 1
         RESILIENCE_METRICS.reset()
         assert all(value == 0 for value in RESILIENCE_METRICS.snapshot().values())
+
+
+def _no_setup():
+    return lambda: None
+
+
+class TestSupervisedPoolLifecycle:
+    def test_failed_rebuild_leaves_the_pool_closed(self, monkeypatch):
+        # The old workers are gone before the restart is attempted, so a
+        # restart that cannot fork must not leave a dead pool looking
+        # live: owners that keep pools rebuild the ones that read closed.
+        pool = SupervisedPool(
+            1, initializer=_no_setup, initargs=(), inline_setup=_no_setup
+        )
+        try:
+            assert not pool.closed
+
+            def cannot_fork():
+                raise OSError("cannot fork")
+
+            monkeypatch.setattr(pool, "_start", cannot_fork)
+            with pytest.raises(OSError, match="cannot fork"):
+                pool._rebuild()
+            assert pool.closed and not pool.demoted
+            # Tasks still run, inline, exactly.
+            assert pool.collect(pool.submit(abs, -3)) == 3
+        finally:
+            pool.terminate()
+
+
+class TestOneExecutor:
+    def test_only_the_supervised_pool_touches_a_process_pool(self):
+        # Every pooled path runs on SupervisedPool, so its crash ladder is
+        # the only one: a second pool wrapper would need its own death
+        # accounting and shutdown rules, which is how they drift apart.
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        offenders = [
+            f"{path.relative_to(root).as_posix()}: {needle}"
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).as_posix() != "runtime/resilience.py"
+            for needle in ("apply_async(", ".Pool(")
+            if needle in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []

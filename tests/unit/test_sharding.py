@@ -23,12 +23,12 @@ from repro.runtime.plan import ExecutionPlan, choose_plan
 from repro.runtime.sharding import (
     SHARD_METRICS,
     ShardMetrics,
-    ShardPool,
     count_sharded,
     evaluate_sharded,
     plan_shards,
     replay_shard,
     shard_summary,
+    start_shard_pool,
 )
 from repro.server.metrics import ServerMetrics
 
@@ -191,9 +191,13 @@ def test_shard_tasks_ship_buffer_slices_not_documents():
 def test_shard_pool_end_to_end_bit_identity():
     runtime = _runtime(LOG_PATTERN, LOG_TEXT)
     serial = evaluate_compiled_arena(runtime, LOG_TEXT)
-    with ShardPool(runtime, 2) as pool:
+    pool = start_shard_pool(runtime, 2)
+    try:
         arena = evaluate_sharded(runtime, LOG_TEXT, pool=pool, shards=4)
         total = count_sharded(runtime, LOG_TEXT, pool=pool, shards=4)
+        assert not pool.closed
+    finally:
+        pool.close()
     assert_arena_identical(arena, serial)
     assert total == count_compiled(runtime, LOG_TEXT)
     assert pool.closed
@@ -202,21 +206,25 @@ def test_shard_pool_end_to_end_bit_identity():
 def test_shard_pool_rejects_nonpositive_workers():
     runtime = _runtime("x{a}b", "ab")
     with pytest.raises(EvaluationError):
-        ShardPool(runtime, 0)
+        start_shard_pool(runtime, 0)
 
 
 def test_shard_pool_del_swallows_shutdown_errors_but_logs_real_bugs(caplog):
     import logging
 
-    class ExplodingPool(ShardPool):
+    from repro.runtime.resilience import SupervisedPool
+
+    class ExplodingPool(SupervisedPool):
         def __init__(self, error):
-            # Bypass worker startup; __del__ only ever calls close().
+            # Bypass worker startup; __del__ only ever calls terminate(),
+            # and only while a pool is live.
+            self._pool = object()
             self._error = error
 
-        def close(self):
+        def terminate(self):
             raise self._error
 
-    with caplog.at_level(logging.ERROR, logger="repro.runtime.sharding"):
+    with caplog.at_level(logging.ERROR, logger="repro.runtime.resilience"):
         # The interpreter-shutdown family is expected noise: swallowed.
         for error in (OSError(), ValueError(), RuntimeError(), TypeError()):
             ExplodingPool(error).__del__()
