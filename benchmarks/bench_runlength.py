@@ -88,7 +88,7 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
 
     # The kernel and its memo tables persist on the automaton, so the
     # timed region measures the steady state of repeated counting — the
-    # same state every facade/batch/shard call after the first sees.
+    # same state every facade/batch call after the first sees.
     runlength_kernel(compiled)
 
     nofast_seconds = best_of(

@@ -19,15 +19,6 @@ with ``--min-speedup speedup_arena_vs_reference=1.5``, and the
 quiescent-run fast path's contribution with
 ``--min-speedup speedup_fastpath_vs_nofast=2.0``.
 
-``--soft-min-speedup key=value`` is the same floor applied in *report-only*
-mode: a value below the floor prints ``SOFT-FAIL`` but never fails the
-build.  It exists for metrics whose floor is only meaningful on capable
-hardware — the shard-parallel wall-clock speedup cannot reach 1.5x on a
-one-core CI runner no matter how good the engine is, so ``run_all.py``
-gates it hard on multi-core machines and softly elsewhere.  A soft floor
-whose metric matches no workload still fails loudly: an unmonitored gate
-is a typo, not a pass.
-
 Usage::
 
     python benchmarks/check_regression.py \
@@ -87,16 +78,6 @@ def main(argv=None) -> int:
         help="absolute floor for a ratio metric, e.g. speedup_arena_vs_reference=1.5 "
         "(repeatable; applied to every workload carrying the metric)",
     )
-    parser.add_argument(
-        "--soft-min-speedup",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="like --min-speedup, but a value below the floor only prints "
-        "SOFT-FAIL instead of failing the build (a floor matching no "
-        "workload still fails; for machine-dependent metrics such as the "
-        "shard-parallel wall-clock speedup on low-core runners)",
-    )
     args = parser.parse_args(argv)
 
     def parse_floors(items: list[str], flag: str) -> dict[str, float]:
@@ -110,21 +91,13 @@ def main(argv=None) -> int:
         return parsed
 
     floors = parse_floors(args.min_speedup, "--min-speedup")
-    soft_floors = parse_floors(args.soft_min_speedup, "--soft-min-speedup")
-    overlap = sorted(set(floors) & set(soft_floors))
-    if overlap:
-        parser.error(
-            f"metrics cannot be both hard- and soft-gated: {', '.join(overlap)}"
-        )
 
     baseline = load_workloads(args.baseline)
     current = load_workloads(args.current)
 
     failures: list[str] = []
-    soft_failures: list[str] = []
     checked = 0
     floors_applied = {key: 0 for key in floors}
-    soft_floors_applied = {key: 0 for key in soft_floors}
     for name, base_entry in baseline.items():
         cur_entry = current.get(name)
         if cur_entry is None:
@@ -164,45 +137,19 @@ def main(argv=None) -> int:
                 failures.append(
                     f"{name}.{key}: {cur_value:.2f}x is below the absolute floor {floor:.2f}x"
                 )
-        for key, floor in soft_floors.items():
-            cur_value = cur_entry.get("results", {}).get(key)
-            if not isinstance(cur_value, (int, float)):
-                continue
-            soft_floors_applied[key] += 1
-            checked += 1
-            status = "ok" if cur_value >= floor else "SOFT-FAIL (report only)"
-            print(
-                f"{name}.{key}: current={cur_value:.2f}x "
-                f"(soft floor {floor:.2f}x) {status}"
-            )
-            if cur_value < floor:
-                soft_failures.append(
-                    f"{name}.{key}: {cur_value:.2f}x is below the soft floor "
-                    f"{floor:.2f}x (reported, not failing)"
-                )
 
     # A floor that matched no workload at all is a disabled gate, not a
     # pass: a renamed (or typo'd) metric must fail loudly, or the floor
-    # silently stops protecting the acceptance criterion it pins.  This
-    # applies to soft floors too — soft means "don't fail on the value",
-    # not "fine if the metric vanished".
-    for flag, applied_map in (
-        ("--min-speedup", floors_applied),
-        ("--soft-min-speedup", soft_floors_applied),
-    ):
-        for key, applied in applied_map.items():
-            if applied == 0:
-                failures.append(
-                    f"{flag} {key}: no workload in the report carries this "
-                    "metric — renamed, typo'd, or no longer emitted?"
-                )
+    # silently stops protecting the acceptance criterion it pins.
+    for key, applied in floors_applied.items():
+        if applied == 0:
+            failures.append(
+                f"--min-speedup {key}: no workload in the report carries this "
+                "metric — renamed, typo'd, or no longer emitted?"
+            )
 
     if not checked:
         failures.append("no ratio metrics were compared — wrong report files?")
-    if soft_failures:
-        print("\nsoft floors below target (reported, not failing the build):")
-        for soft in soft_failures:
-            print(f"  - {soft}")
     if failures:
         print("\nbenchmark regression check FAILED:", file=sys.stderr)
         for failure in failures:

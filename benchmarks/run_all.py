@@ -3,24 +3,17 @@
 One entry point for everything CI (and a developer refreshing baselines)
 needs:
 
-1. run the seven report-producing benchmarks (``bench_batch.py``,
+1. run the six report-producing benchmarks (``bench_batch.py``,
    ``bench_enumerate.py``, ``bench_algebra.py``, ``bench_streaming.py``,
-   ``bench_serve.py``, ``bench_shard.py``, ``bench_runlength.py``), in
-   smoke mode by default;
+   ``bench_serve.py``, ``bench_runlength.py``), in smoke mode by default;
 2. gate every report against its committed baseline with
    ``check_regression.py`` (ratio tolerance plus the absolute floors the
    acceptance criteria pin — including the streaming first-result-latency
    and peak-buffer floors, and the serving throughput / p99-budget /
-   plan-cache-hit-ratio floors).  Gates are **core-aware**: the
-   shard-parallel wall-clock floor (>=1.5x with 2+ workers) is enforced
-   hard only on runners with at least four cores; below that the floor is
-   physically unreachable regardless of engine quality, so it runs
-   through ``--soft-min-speedup`` (reported, never failing) while the
-   core-independent shard overhead ratios stay gated hard everywhere;
+   plan-cache-hit-ratio floors);
 3. write a consolidated perf-trajectory snapshot — ``BENCH_10.json`` at the
    repository root — containing only the machine-portable ratio metrics of
-   every workload (plus ``cpu_count``, the effective shard worker count,
-   and whether/which numpy backed the run-length kernel's int64 path, so
+   every workload (plus ``cpu_count`` and whether/which numpy backed the run-length kernel's int64 path, so
    the ratios can be read in context), so the repo history carries one
    comparable perf number set per PR.
 
@@ -128,24 +121,6 @@ SUITE = [
         ],
     ),
     (
-        "bench_shard.py",
-        "shard_report.json",
-        os.path.join("baselines", "shard_smoke.json"),
-        # Core-independent shard floors, gated hard on every runner: the
-        # capture-free summary pass must stay within a constant factor of
-        # one serial scan (measured ~1x; 0.4 leaves jitter headroom), and
-        # the whole inline decomposition — summaries, stitch, replays,
-        # relocation, all on one core — must not fall below a quarter of
-        # serial speed (measured ~0.5x).  The machine-dependent wall-clock
-        # floor is appended per-run in main(), hard or soft by cpu count.
-        [
-            "--min-speedup",
-            "speedup_summary_pass_vs_serial=0.4",
-            "--min-speedup",
-            "speedup_sharded_inline_vs_serial=0.25",
-        ],
-    ),
-    (
         "bench_runlength.py",
         "runlength_report.json",
         os.path.join("baselines", "runlength_smoke.json"),
@@ -162,13 +137,6 @@ SUITE = [
         ["--min-speedup", "speedup_runlength_count_vs_scalar=5.0"],
     ),
 ]
-
-#: The shard-parallel acceptance floor: >=1.5x wall clock with 2+ workers.
-#: Only enforceable where the hardware can express it — a one- or two-core
-#: runner cannot reach 1.5x with the summary pass costing ~1 serial scan —
-#: so below four cores it is soft-gated (reported, not failing).
-SHARD_WALLCLOCK_FLOOR = "speedup_sharded_vs_serial=1.5"
-
 
 def _numpy_snapshot() -> dict:
     """numpy presence/version of the interpreter running the suite."""
@@ -265,14 +233,6 @@ def main(argv=None) -> int:
         snapshot["benchmarks"][script.removeprefix("bench_").removesuffix(".py")] = (
             ratio_summary(report_path)
         )
-        if script == "bench_shard.py":
-            # The wall-clock speedup only means something next to the
-            # worker count that produced it; record both in the snapshot.
-            with open(report_path, "r", encoding="utf-8") as handle:
-                shard_report = json.load(handle)
-            snapshot["shard_workers"] = shard_report.get("workers")
-            gate_flag = "--min-speedup" if cpu_count >= 4 else "--soft-min-speedup"
-            extra = extra + [gate_flag, SHARD_WALLCLOCK_FLOOR]
         if skip_gates:
             continue
         code = run(

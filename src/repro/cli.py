@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             choices=list(KERNEL_CHOICES),
             default="auto",
-            help="inner-loop kernel for counting and shard summaries: "
+            help="inner-loop kernel for counting: "
             "pick per document from run-length statistics (auto, "
             "default), the character-at-a-time loop (scalar), or O(log k) "
             "run exponentiation over the run-length encoding (runlength); "
@@ -115,21 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
             "identical either way",
         )
 
-    def add_workers(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="shard a large document across this many worker processes "
-            "(compiled engine only; documents below the size threshold "
-            "run serially regardless)",
-        )
-
     extract = subparsers.add_parser("extract", help="enumerate the output mappings")
     add_common(extract)
     add_engine(extract)
     add_kernel(extract)
-    add_workers(extract)
     extract.add_argument(
         "--format",
         choices=["text", "json", "spans"],
@@ -144,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(count)
     add_engine(count)
     add_kernel(count)
-    add_workers(count)
 
     inspect = subparsers.add_parser("inspect", help="show the compilation pipeline report")
     add_common(inspect)
@@ -245,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="deterministic fault-injection plan for chaos testing, e.g. "
         '\'[{"site": "task", "action": "kill", "nth": 2}]\' '
-        "(sites: task, evaluate, encode, shard-task; actions: raise, "
+        "(sites: task, evaluate, encode; actions: raise, "
         "kill, delay)",
     )
 
@@ -356,40 +344,31 @@ def _read_document(path: str | None, stdin: Iterable[str] | None = None) -> Docu
 def _run_extract(args: argparse.Namespace, document: Document, out) -> int:
     spanner = Spanner.from_regex(args.pattern)
     try:
-        mappings = spanner.enumerate(
-            document, engine=args.engine, workers=args.workers, kernel=args.kernel
-        )
+        mappings = spanner.enumerate(document, engine=args.engine, kernel=args.kernel)
     except ValueError as error:
         print(f"repro extract: error: {error}", file=sys.stderr)
         return 2
     produced = 0
-    try:
-        for mapping in mappings:
-            if args.format == "json":
-                print(json.dumps(mapping_to_dict(mapping, document), sort_keys=True), file=out)
-            elif args.format == "spans":
-                print(mapping.paper_notation(), file=out)
-            else:
-                print(json.dumps(mapping.contents(document), sort_keys=True), file=out)
-            produced += 1
-            if args.limit is not None and produced >= args.limit:
-                break
-    finally:
-        spanner.close()
+    for mapping in mappings:
+        if args.limit is not None and produced >= args.limit:
+            break
+        if args.format == "json":
+            print(json.dumps(mapping_to_dict(mapping, document), sort_keys=True), file=out)
+        elif args.format == "spans":
+            print(mapping.paper_notation(), file=out)
+        else:
+            print(json.dumps(mapping.contents(document), sort_keys=True), file=out)
+        produced += 1
     return 0
 
 
 def _run_count(args: argparse.Namespace, document: Document, out) -> int:
     spanner = Spanner.from_regex(args.pattern)
     try:
-        total = spanner.count(
-            document, engine=args.engine, workers=args.workers, kernel=args.kernel
-        )
+        total = spanner.count(document, engine=args.engine, kernel=args.kernel)
     except ValueError as error:
         print(f"repro count: error: {error}", file=sys.stderr)
         return 2
-    finally:
-        spanner.close()
     print(total, file=out)
     return 0
 

@@ -161,11 +161,7 @@ class Document:
 
     # The cache never crosses a process boundary: workers rebuild encodings
     # against their own compiled automata, and shipping buffers would bloat
-    # every pickled chunk of the batch engine.  Shard workers
-    # (repro.runtime.sharding) never see a Document at all for the same
-    # reason — pickling one would drop this cache and force each worker to
-    # re-encode the full text, so shard tasks ship only the worker's own
-    # slice of the already-encoded class-id buffer.
+    # every pickled chunk of the batch engine.
 
     def __getstate__(self) -> tuple[str, str | None]:
         return (self._text, self._name)

@@ -53,14 +53,14 @@ from collections import deque
 from typing import Iterable, Iterator
 
 from repro.core.documents import DocumentCollection
-from repro.core.errors import ReproError, ResourceLimitError
+from repro.core.errors import ResourceLimitError
 from repro.enumeration.evaluate import ResultDag, evaluate as reference_evaluate
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
 from repro.runtime.runlength import KERNELS
-from repro.runtime import resilience, sharding
+from repro.runtime import resilience
 from repro.runtime.resilience import (
     FailureReport,
     ResiliencePolicy,
@@ -144,11 +144,6 @@ def _init_worker(
     _worker_stream_chunk = stream_chunk
     _worker_budget = budget
     resilience.install_fault_plan(faults)
-    # Prime the shard-task globals too, so the same pool can serve
-    # intra-document shard tasks (run_batch's shard_min_chars path)
-    # without a second automaton transfer.
-    if isinstance(compiled, CompiledEVA):
-        sharding._init_shard_worker(compiled)
 
 
 def _evaluate_one(
@@ -172,8 +167,7 @@ def _evaluate_one(
         return evaluate_streaming(
             compiled, document, chunk_size=stream_chunk, scratch=scratch
         )
-    # Arenas are always scalar: the kernel axis applies only to counting
-    # and to the shard summaries of outsized documents.
+    # Arenas are always scalar: the kernel axis applies only to counting.
     return evaluate_compiled_arena(compiled, document, scratch=scratch)
 
 
@@ -236,7 +230,6 @@ def run_batch(
     max_workers: int | None = None,
     streaming: bool = False,
     stream_chunk_size: int = 65536,
-    shard_min_chars: int | None = None,
     kernel: str = "auto",
     policy: ResiliencePolicy | None = None,
     report: FailureReport | None = None,
@@ -271,25 +264,15 @@ def run_batch(
         but no whole-document class-id buffer is materialized.
     stream_chunk_size:
         Characters per streaming slice (ignored unless *streaming*).
-    shard_min_chars:
-        Process mode, ``compiled`` engine only: documents at least this
-        long get intra-document shard parallelism
-        (:func:`~repro.runtime.sharding.evaluate_sharded`) across the
-        whole pool instead of occupying one worker — the right call when
-        a collection mixes a few outsized documents into many small
-        ones.  Sharded documents are evaluated (and their results held)
-        before the small-document stream starts; yields stay in
-        collection order.  ``None`` (default) disables sharding, and
-        serial mode ignores it (there is no pool to shard across).
     kernel:
         Inner-loop kernel for the ``compiled`` engine: ``"auto"``
         (default — per document, by run-length statistics),
         ``"scalar"``, or ``"runlength"`` (:mod:`repro.runtime.runlength`).
-        It selects how the interior shards of ``shard_min_chars``
-        documents are summarized; every arena itself is built by the
-        scalar engine, so results are identical either way.  Forcing
-        ``"runlength"`` on another engine, or on a streaming batch
-        (which never sees a whole run-length encoding), is an error.
+        The axis applies only to counting; every arena is built by the
+        scalar engine, so results are identical whatever the value.
+        Forcing ``"runlength"`` on another engine, or on a streaming
+        batch (which never sees a whole run-length encoding), is an
+        error.
     policy:
         The fault-tolerance policy (:mod:`repro.runtime.resilience`).
         Process mode is *always* supervised — with ``policy=None`` it
@@ -362,21 +345,6 @@ def run_batch(
             "a streaming batch cannot force kernel='runlength': chunk-fed "
             "evaluation never sees the whole run-length encoding"
         )
-    if shard_min_chars is not None:
-        if shard_min_chars < 1:
-            raise ValueError(
-                f"shard_min_chars must be positive, got {shard_min_chars}"
-            )
-        if engine != "compiled":
-            raise ValueError(
-                f"engine={engine!r} cannot shard documents across workers; "
-                "shard_min_chars needs the dense-table compiled engine"
-            )
-        if streaming:
-            raise ValueError(
-                "streaming batches cannot shard documents: sharding needs "
-                "the whole class-id buffer up front to split it"
-            )
     if policy is not None and policy.quarantine and report is None:
         report = FailureReport()
     collection = DocumentCollection.coerce(documents)
@@ -389,8 +357,6 @@ def run_batch(
         chunk_size,
         max_workers,
         stream_chunk,
-        shard_min_chars,
-        kernel,
         policy,
         report,
     )
@@ -472,8 +438,6 @@ def _stream_batch(
     chunk_size: int,
     max_workers: int | None,
     stream_chunk: int,
-    shard_min_chars: int | None = None,
-    kernel: str = "auto",
     policy: ResiliencePolicy | None = None,
     report: FailureReport | None = None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -512,7 +476,6 @@ def _stream_batch(
         )
         # Same initializer the workers run, minus the fault plan: the
         # inline path is the exactness backstop and must never fault.
-        restore_shards = sharding.shard_inline_setup(compiled)
         _init_worker(compiled, engine, stream_chunk, policy.budget, None)
 
         def teardown():
@@ -525,7 +488,6 @@ def _stream_batch(
                 _worker_stream_chunk,
                 _worker_budget,
             ) = saved
-            restore_shards()
 
         return teardown
 
@@ -538,48 +500,9 @@ def _stream_batch(
         report=report,
     )
     try:
-        # Outsized documents first, each sharded across the whole pool
-        # (every worker already holds the automaton via the initializer);
-        # the per-document fan-out below then only sees the small ones.
-        # Shard tasks run on the same supervised pool, so they share its
-        # escalation ladder, its worker-death accounting and the report.
-        sharded: dict[object, CompiledResultDag] = {}
-        shard_ids: set[object] = set()
-        if shard_min_chars is not None:
-            shard_ids = {
-                doc_id
-                for doc_id, document in collection.items()
-                if len(document) >= shard_min_chars
-            }
-            if shard_ids:
-                for doc_id, document in collection.items():
-                    if doc_id in shard_ids:
-                        try:
-                            if policy.budget is not None:
-                                policy.budget.check_document(document)
-                            result = sharding.evaluate_sharded(
-                                compiled,
-                                document,
-                                pool=supervised,
-                                shards=workers,
-                                kernel=kernel,
-                            )
-                            if policy.budget is not None:
-                                policy.budget.check_result(result)
-                        except ReproError as error:
-                            if policy.quarantine and report is not None:
-                                stage = (
-                                    "guard" if _is_guard_error(error) else "evaluate"
-                                )
-                                report.quarantine(doc_id, stage, error)
-                                continue
-                            raise
-                        sharded[doc_id] = result
-
-        # Small documents: bounded-window supervised pipeline, collected
-        # in submission order so yields stay in collection order.
-        small = (pair for pair in pairs if pair[0] not in shard_ids)
-        chunks = _chunked(small, chunk_size)
+        # Bounded-window supervised pipeline, collected in submission
+        # order so yields stay in collection order.
+        chunks = _chunked(pairs, chunk_size)
         window: deque = deque()
         capacity = max(2, workers * 2)
 
@@ -608,15 +531,11 @@ def _stream_batch(
             return True
 
         for doc_id, _document in collection.items():
-            if doc_id in shard_ids:
-                if doc_id in sharded:
-                    yield doc_id, sharded[doc_id]
-                continue  # quarantined sharded document: omitted
             while not ready and advance():
                 pass
             if ready and ready[0][0] == doc_id:
-                small_id, portable = ready.popleft()
-                yield small_id, thaw_result(portable, compiled)
+                ready_id, portable = ready.popleft()
+                yield ready_id, thaw_result(portable, compiled)
             # else: no result arrived for doc_id — it was quarantined
             # during chunk isolation; the report carries its record.
     except BaseException:

@@ -82,10 +82,10 @@ def runs_of_buffer(buffer) -> tuple[tuple[int, int], ...]:
 
     Works on both buffer flavours the encoders produce — ``bytes`` (scanned
     with one C-level regex pass) and ``array('I')`` (grouped with
-    :func:`itertools.groupby`).  Shard workers call this directly on buffer
-    *slices*, so a run split across a shard boundary simply shows up as one
-    run per side; every consumer composes per-character, which makes the
-    split exact.
+    :func:`itertools.groupby`).  The run-length segment memo calls this
+    directly on buffer *slices*, so a run cut by a slice boundary simply
+    shows up as one run per side; every consumer composes per-character,
+    which makes the split exact.
     """
     if isinstance(buffer, bytes):
         return tuple(

@@ -21,9 +21,10 @@ DAG stays the semantic oracle — but operating purely on ints:
 * the live-state list is kept **sorted by state id** after every phase
   that could disorder it.  This canonical order makes each engine's arena
   a pure function of ``(entry state set, buffer)`` — the invariant the
-  shard-parallel engine (:mod:`repro.runtime.sharding`) relies on to
-  replay shards independently and concatenate bit-identical fragments —
-  and it costs one ``sort`` of a usually length-≤2 list per phase.
+  chunk-fed engine (:mod:`repro.runtime.streaming`) relies on to resume a
+  document at any chunk boundary and still build the whole-document arena
+  bit for bit — and it costs one ``sort`` of a usually length-≤2 list per
+  phase.
 
 On top of that sits the **quiescent-run fast path**: when every live state
 is *silent* (no extended variable transition), the capturing phase is a

@@ -4,8 +4,7 @@ The paper's Algorithm 1 is one capturing/reading alternation, but the
 repository grew hand-synchronized transcriptions of it: the arena engine
 and the counter (:mod:`repro.runtime.engine`), the on-the-fly subset
 pair (:mod:`repro.runtime.subset`), the streaming chunk loop
-(:mod:`repro.runtime.streaming`) and the shard summary/replay/count
-loops (:mod:`repro.runtime.sharding`).  Every invariant — canonical
+(:mod:`repro.runtime.streaming`).  Every invariant — canonical
 sorted-by-id live order, quiescent-sprint parking, scratch ping-pong,
 the splice single-assignment check — had to be re-applied copy by copy.
 
@@ -16,15 +15,16 @@ that assembles the one canonical loop from shared phase fragments and
 compiles it (:func:`build_kernel`).  The engines are now thin wrappers
 over the generated callables; the phase machinery lives here, once:
 
-* the **capturing step** (:data:`_CAPTURE_ARENA`, :data:`_CAPTURE_COUNT`,
-  :data:`_CAPTURE_FRONTIER`, and the subset flavour) — snapshot before
-  additions, exactly the paper's lazycopy;
+* the **capturing step** (:data:`_CAPTURE_ARENA`, :data:`_CAPTURE_COUNT`
+  and the subset flavour) — snapshot before additions, exactly the
+  paper's lazycopy;
 * the **reading step** (:data:`_READ_ARENA` and friends) — one letter
   transition per live run, the foreign class killing runs uniformly,
-  splices guarded by the single-assignment discipline (with the shard
-  replay's deferred-fixup variant selected by the ``entry`` axis);
+  splices guarded by the single-assignment discipline;
 * **sort-to-canonical-order** after any phase that can disorder the live
-  list — the invariant shard replay depends on for bit-identical arenas;
+  list — the invariant that keeps a chunk-fed (resumable) arena
+  bit-identical to the whole-document one, wherever the chunk boundaries
+  fall;
 * the **quiescent-sprint park/resume** (:func:`sprint`,
   :func:`subset_sprint`, and the per-capture park/resume payloads: a
   ``(start, end)`` pair, a count, or nothing at all);
@@ -35,8 +35,8 @@ Composition is *source-level* — each spec's loop is rendered to Python
 text and compiled once, at import time of the engine module that uses
 it — so the generated kernels carry **zero per-position dispatch
 overhead**: the bytecode is the same as the hand-written loops they
-replace, which is what keeps the BENCH floors (sprint >=2x, shard
-overhead, supervised >=0.9) intact.  Because skipped work and write
+replace, which is what keeps the BENCH floors (sprint >=2x,
+supervised >=0.9) intact.  Because skipped work and write
 order are reproduced statement for statement, every arena a generated
 kernel builds is **bit-identical** to its pre-refactor engine (the
 differential harness pins this arena-for-arena).
@@ -44,8 +44,8 @@ differential harness pins this arena-for-arena).
 The planner-facing ``kernel`` choice (:data:`KERNELS`: ``auto``,
 ``scalar``, ``runlength``) is *not* a spec axis.  It selects between
 these scalar loops and the run-length algebra of
-:mod:`repro.runtime.runlength`, and only counting and shard summaries
-have a run-length path; every arena is built by a loop from this module.
+:mod:`repro.runtime.runlength`, and only counting has a run-length
+path; every arena is built by a loop from this module.
 
 Spec axes
 =========
@@ -53,10 +53,8 @@ Spec axes
 ``capture``
     What a live run carries and what the capturing phase writes:
     ``"arena"`` (flat :class:`~repro.runtime.dag.CompiledResultDag`
-    arrays, ``(start, end)`` cell pairs), ``"count"`` (Algorithm 3
-    partial-run counts), or ``"frontier"`` (the shard summary's
-    capture-free state-set shadow, with its ``(state, position) ->
-    frontier`` memo).
+    arrays, ``(start, end)`` cell pairs) or ``"count"`` (Algorithm 3
+    partial-run counts).
 
 ``tables``
     Determinization: ``"dense"`` precompiled
@@ -67,16 +65,12 @@ Spec axes
     there is no fixed-size scratch and no re-sorting of the live set).
 
 ``chunking``
-    ``"whole"`` buffers run init -> loop -> final capture in one call;
+    ``"whole"`` kernels seed the compiled initial state (cell 0 holding
+    the ``[⊥]`` list) and run a buffer init -> loop -> final capture in
+    one call;
     ``"resumable"`` kernels take the loop state (active set, slot pairs,
     ``quiet``, the arena) as arguments and return it, so the streaming
     evaluator can park a document mid-sprint and resume next chunk.
-
-``entry``
-    ``"initial"`` seeds the compiled initial state (cell 0 holding the
-    ``[⊥]`` list); ``"states"`` starts from a caller-provided entry set
-    — the shard replay flavour, with negative placeholder cell refs and
-    deferred splice ``fixups`` for lists living in earlier shards.
 
 The supported combinations are enumerated in :data:`SUPPORTED_SPECS`;
 :func:`build_kernel` rejects anything else.  ``tools/check_single_kernel.py``
@@ -86,7 +80,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.errors import EvaluationError, NotDeterministicError
 from repro.runtime.compiled import NO_TARGET, CompiledEVA
@@ -95,9 +89,7 @@ from repro.runtime.dag import NIL
 __all__ = [
     "CAPTURE_MODES",
     "CHUNK_PROTOCOLS",
-    "ENTRY_MODES",
     "KERNELS",
-    "SUMMARY_MEMO_CAP",
     "SUPPORTED_SPECS",
     "TABLE_MODES",
     "KernelSpec",
@@ -111,19 +103,13 @@ __all__ = [
 #: The planner-facing kernel choice (``plan.KERNEL_CHOICES`` imports it,
 #: ``runlength.KERNELS`` re-exports it): ``"auto"`` resolves per document
 #: from its measured run statistics.  Not a :class:`KernelSpec` axis — it
-#: picks between the scalar count/summary loops built here and the
+#: picks between the scalar count loops built here and the
 #: run-length algebra; arenas are always built by the scalar loops.
 KERNELS: tuple[str, ...] = ("auto", "scalar", "runlength")
 
-CAPTURE_MODES = ("arena", "count", "frontier")
+CAPTURE_MODES = ("arena", "count")
 TABLE_MODES = ("dense", "subset")
 CHUNK_PROTOCOLS = ("whole", "resumable")
-ENTRY_MODES = ("initial", "states")
-
-#: Cap on the per-shard ``(state, position) -> frontier`` memo of the
-#: summary pass; past it, checkpoints are simply not recorded (the pass
-#: stays correct, later entry states just re-walk more of the shard).
-SUMMARY_MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,53 +117,37 @@ class KernelSpec:
     """One point in the engine configuration space (see the module doc).
 
     Defaults describe the plain arena engine; every other engine names
-    its variation explicitly.  Specs are hashable and normalized
-    (:meth:`normalized`) before building, so two specs differing only in
-    loop-invariant axes share one compiled kernel.
+    its variation explicitly.  Specs are hashable, so each one maps to
+    exactly one compiled kernel.
     """
 
     capture: str = "arena"
     tables: str = "dense"
     chunking: str = "whole"
-    entry: str = "initial"
 
     def validate(self) -> None:
         for value, options, axis in (
             (self.capture, CAPTURE_MODES, "capture"),
             (self.tables, TABLE_MODES, "tables"),
             (self.chunking, CHUNK_PROTOCOLS, "chunking"),
-            (self.entry, ENTRY_MODES, "entry"),
         ):
             if value not in options:
                 raise EvaluationError(
                     f"unknown kernel-spec {axis} {value!r}; "
                     f"expected one of {options}"
                 )
-        if self.normalized() not in SUPPORTED_SPECS:
+        if self not in SUPPORTED_SPECS:
             raise EvaluationError(
                 f"unsupported kernel-spec combination {self!r}; supported "
                 f"specs are {SUPPORTED_SPECS}"
             )
 
-    def normalized(self) -> "KernelSpec":
-        """The loop-defining projection of the spec.
 
-        A resumable kernel always receives its live set from the caller,
-        so its ``entry`` normalizes to ``"states"``.
-        """
-        if self.chunking == "resumable":
-            return replace(self, entry="states")
-        return self
-
-
-#: Every loop the repository ships, one spec each (normalized form).
+#: Every loop the repository ships, one spec each.
 SUPPORTED_SPECS: tuple[KernelSpec, ...] = (
     KernelSpec(capture="arena"),
     KernelSpec(capture="count"),
-    KernelSpec(capture="arena", chunking="resumable", entry="states"),
-    KernelSpec(capture="frontier", entry="states"),
-    KernelSpec(capture="arena", entry="states"),
-    KernelSpec(capture="count", entry="states"),
+    KernelSpec(capture="arena", chunking="resumable"),
     KernelSpec(capture="arena", tables="subset"),
     KernelSpec(capture="count", tables="subset"),
 )
@@ -268,16 +238,6 @@ def subset_sprint(
     return subset_id, pos
 
 
-def _entry_start_ref(index: int) -> int:
-    """The placeholder standing for entry list *index*'s start cell."""
-    return -(2 + 2 * index)
-
-
-def _entry_end_ref(index: int) -> int:
-    """The placeholder standing for entry list *index*'s end cell."""
-    return -(3 + 2 * index)
-
-
 # ---------------------------------------------------------------------- #
 # Phase fragments — each piece of Algorithm-1 machinery, written ONCE.
 # Fragments are source text at logical indent 0; the composer indents
@@ -323,22 +283,6 @@ for state, amount in snapshot:
         counts[target] += amount
 """
 
-#: Capturing phase reduced to its state-set effect (the shard summary's
-#: capture-free shadow): each live state with variable transitions adds
-#: its targets; snapshot semantics via the list comprehension.
-_CAPTURE_FRONTIER = """\
-present = set(active)
-added = False
-for state in [s for s in active if variable_table[s]]:
-    for _set_id, target in variable_table[state]:
-        if target not in present:
-            present.add(target)
-            active.append(target)
-            added = True
-if added:
-    active.sort()
-"""
-
 #: Capturing phase over the lazily determinized subset rows: per-subset
 #: (start, end) pairs live in the `lists` dict (insertion order — the
 #: subset state space grows, so there is no canonical id order to keep).
@@ -364,9 +308,10 @@ for subset_id, amount in list(counts.items()):
         counts[target] = counts.get(target, 0) + amount
 """
 
-#: Reading phase, arena flavour, per live state.  ``{splice}`` is the
-#: append discipline (local check, or the shard replay's deferred-fixup
-#: variant).
+#: Reading phase, arena flavour, per live state.  The ``else`` branch is
+#: append(old_list): splice at the end of the target's pending list; the
+#: end cell's next pointer must still be unset (the lazy-list
+#: single-assignment discipline — violated only by non-determinism).
 _READ_ARENA = """\
 old_start = cur_start[state]
 old_end = cur_end[state]
@@ -382,43 +327,14 @@ if target_start == NIL:
     if quiet and not silent[target]:
         quiet = False
 else:
-{splice}
-    pend_end[target] = old_end
-"""
-
-#: append(old_list): splice at the end of the target's pending list;
-#: the end cell's next pointer must still be unset (the lazy-list
-#: single-assignment discipline — violated only by non-determinism).
-_SPLICE_LOCAL = """\
-end_cell = pend_end[target]
-if cell_nexts[end_cell] != NIL:
-    raise NotDeterministicError(
-        "arena append would overwrite a next pointer; the "
-        "compiled automaton is not deterministic"
-    )
-cell_nexts[end_cell] = old_start
-"""
-
-#: The shard-replay splice: an end cell living in an earlier shard is a
-#: negative placeholder — defer the one-pointer write to the stitcher
-#: (never index the local array with it: Python's negative indexing
-#: would silently wrap into a valid slot).
-_SPLICE_RELOCATABLE = """\
-end_cell = pend_end[target]
-if end_cell >= 0:
+    end_cell = pend_end[target]
     if cell_nexts[end_cell] != NIL:
         raise NotDeterministicError(
-            "arena append would overwrite a next pointer; "
-            "the compiled automaton is not deterministic"
+            "arena append would overwrite a next pointer; the "
+            "compiled automaton is not deterministic"
         )
     cell_nexts[end_cell] = old_start
-else:
-    if end_cell in fixups:
-        raise NotDeterministicError(
-            "arena append would overwrite a next pointer; "
-            "the compiled automaton is not deterministic"
-        )
-    fixups[end_cell] = old_start
+    pend_end[target] = old_end
 """
 
 #: Reading phase, counting flavour.
@@ -506,7 +422,7 @@ if quiet and fast_path:
 
 #: Capturing-phase call with canonical-order restoration: fresh targets
 #: appended by the capture are sorted back into the live list — the
-#: invariant shard replay relies on for bit-identical fragments.
+#: invariant that keeps chunk-fed arenas bit-identical to whole ones.
 _CAPTURE_CALL = """\
 if not quiet:
     alive = len(active)
@@ -525,8 +441,8 @@ _SWAP = {
     "count": "counts, pending = pending, counts\n",
 }
 
-#: Arena-array allocation (cell 0 is the initial list [⊥] when the
-#: kernel seeds the initial state or replays the first shard).
+#: Arena-array allocation (cell 0 is the initial list [⊥] the kernel
+#: seeds the initial state with).
 _ARENA_ALLOC = """\
 node_markers = []
 node_positions = []
@@ -551,11 +467,9 @@ def _indent(fragment: str, level: int) -> str:
 
 
 def _dense_scalar_source(spec: KernelSpec) -> str:
-    """The dense scalar loop: whole/resumable x initial/states x capture."""
+    """The dense scalar loop: whole/resumable x capture."""
     capture = spec.capture
     resumable = spec.chunking == "resumable"
-    replay = spec.entry == "states" and capture == "arena" and not resumable
-    entry_count = spec.entry == "states" and capture == "count"
 
     # --- signature ---------------------------------------------------- #
     if resumable:
@@ -564,10 +478,6 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
             "pend_end, active, quiet, node_markers, node_positions, "
             "node_starts, node_ends, cell_nodes, cell_nexts, fast_path"
         )
-    elif replay:
-        signature = "compiled, buf, n, base, entries, is_first, is_last, fast_path"
-    elif entry_count:
-        signature = "compiled, buf, n, entry, include_final, fast_path"
     else:
         signature = "compiled, buf, n, scratch, fast_path"
 
@@ -580,38 +490,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     emit("    silent = compiled.silent\n")
     emit("    use_patterns = fast_path and isinstance(buf, bytes)\n")
     if not resumable:
-        if replay:
-            emit("    num_states = compiled.num_states\n")
-            emit("    cur_start = [NIL] * num_states\n")
-            emit("    cur_end = [NIL] * num_states\n")
-            emit("    pend_start = [NIL] * num_states\n")
-            emit("    pend_end = [NIL] * num_states\n")
-            emit("    node_markers = []\n")
-            emit("    node_positions = []\n")
-            emit("    node_starts = []\n")
-            emit("    node_ends = []\n")
-            emit("    if is_first:\n")
-            emit("        cell_nodes = [NIL]\n")
-            emit("        cell_nexts = [NIL]\n")
-            emit("        cur_start[compiled.initial] = 0\n")
-            emit("        cur_end[compiled.initial] = 0\n")
-            emit("    else:\n")
-            emit("        cell_nodes = []\n")
-            emit("        cell_nexts = []\n")
-            emit("        for index, state in enumerate(entries):\n")
-            emit("            cur_start[state] = _entry_start_ref(index)\n")
-            emit("            cur_end[state] = _entry_end_ref(index)\n")
-            emit("    active = sorted(entries)\n")
-            emit("    quiet = all(silent[state] for state in active)\n")
-            emit("    fixups = {}\n")
-        elif entry_count:
-            emit("    num_states = compiled.num_states\n")
-            emit("    counts = [0] * num_states\n")
-            emit("    pending = [0] * num_states\n")
-            emit("    counts[entry] = 1\n")
-            emit("    active = [entry]\n")
-            emit("    quiet = silent[entry]\n")
-        elif capture == "arena":
+        if capture == "arena":
             emit("    cur_start = scratch.cur_start\n")
             emit("    cur_end = scratch.cur_end\n")
             emit("    pend_start = scratch.pend_start\n")
@@ -622,7 +501,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
             emit("    cur_end[initial] = 0\n")
             emit("    active = [initial]\n")
             emit("    quiet = silent[initial]\n")
-        else:  # count, whole, initial
+        else:  # count
             emit("    counts = scratch.count_cur\n")
             emit("    pending = scratch.count_pend\n")
             emit("    initial = compiled.initial\n")
@@ -638,12 +517,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     else:
         emit("\n    def capturing(position):\n")
         emit(_indent(_CAPTURE_ARENA, 2))
-        if resumable:
-            capture_args = "offset + pos"
-        elif replay:
-            capture_args = "base + pos"
-        else:
-            capture_args = "pos"
+        capture_args = "offset + pos" if resumable else "pos"
 
     # --- the position loop -------------------------------------------- #
     emit("\n    pos = 0\n")
@@ -663,12 +537,7 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     emit("        next_active = []\n")
     emit("        quiet = True\n")
     emit("        for state in active:\n")
-    if capture == "arena":
-        splice = _SPLICE_RELOCATABLE if replay else _SPLICE_LOCAL
-        read = _READ_ARENA.format(splice=_indent(splice, 1).rstrip("\n"))
-    else:
-        read = _READ_COUNT
-    emit(_indent(read, 3))
+    emit(_indent(_READ_ARENA if capture == "arena" else _READ_COUNT, 3))
     emit(_indent(_SWAP[capture], 2))
     emit("        if len(next_active) > 1:\n")
     emit("            next_active.sort()\n")
@@ -679,30 +548,6 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
     # --- final capturing phase and returns ----------------------------- #
     if resumable:
         emit("\n    return (cur_start, cur_end, pend_start, pend_end, active, quiet)\n")
-    elif replay:
-        emit("\n    final_entries = []\n")
-        emit("    if is_last:\n")
-        emit("        if active and not quiet:\n")
-        emit("            alive = len(active)\n")
-        emit("            capturing(base + n)\n")
-        emit("            if len(active) > alive:\n")
-        emit("                active.sort()\n")
-        emit("        is_final = compiled.is_final\n")
-        emit("        for state in active:\n")
-        emit("            if is_final[state] and cur_start[state] != NIL:\n")
-        emit(
-            "                final_entries.append"
-            "((state, cur_start[state], cur_end[state]))\n"
-        )
-        emit(
-            "    return (active, cur_start, cur_end, node_markers, "
-            "node_positions, node_starts, node_ends, cell_nodes, "
-            "cell_nexts, fixups, final_entries)\n"
-        )
-    elif entry_count:
-        emit("\n    if include_final and active and not quiet:\n")
-        emit("        capturing()\n")
-        emit("    return (active, counts)\n")
     else:
         emit("\n    if active and not quiet:\n")
         emit("        alive = len(active)\n")
@@ -717,85 +562,6 @@ def _dense_scalar_source(spec: KernelSpec) -> str:
             )
         else:
             emit("    return (active, counts, pending)\n")
-    return "".join(parts)
-
-
-def _frontier_source() -> str:
-    """The shard summary's capture-free state-set shadow of the loop.
-
-    Whenever the live set collapses to one state, ``(state, position)``
-    fully determines the rest of the run; the caller-provided *memo*
-    caches those checkpoints across entry states.
-    """
-    parts = ["def __kernel(compiled, buf, n, entry, memo, fast_path):\n"]
-    emit = parts.append
-    emit("    class_table = compiled.class_table\n")
-    emit("    variable_table = compiled.variable_table\n")
-    emit("    silent = compiled.silent\n")
-    emit("    use_patterns = fast_path and isinstance(buf, bytes)\n")
-    emit("\n    active = [entry]\n")
-    emit("    quiet = silent[entry]\n")
-    emit("    trail = []\n")
-    emit("    frontier = None\n")
-    emit("\n    pos = 0\n")
-    emit("    while pos < n:\n")
-    emit("        if len(active) == 1:\n")
-    emit("            key = (active[0], pos)\n")
-    emit("            if memo is not None:\n")
-    emit("                hit = memo.get(key)\n")
-    emit("                if hit is not None:\n")
-    emit("                    frontier = hit\n")
-    emit("                    break\n")
-    emit("                if len(memo) < SUMMARY_MEMO_CAP:\n")
-    emit("                    trail.append(key)\n")
-    emit("        if quiet and fast_path:\n")
-    emit("            if len(active) == 1:\n")
-    emit(
-        "                state, pos = sprint"
-        "(compiled, buf, pos, n, active[0], use_patterns)\n"
-    )
-    emit("                if state < 0:\n")
-    emit("                    active = []\n")
-    emit("                    break\n")
-    emit("                active[0] = state\n")
-    emit("                quiet = silent[state]\n")
-    emit("                if pos >= n:\n")
-    emit("                    break\n")
-    emit("                continue\n")
-    emit("            elif use_patterns:\n")
-    emit(
-        "                match = compiled.sprint_pattern_multi"
-        "(tuple(active)).search(buf, pos)\n"
-    )
-    emit("                if match is None:\n")
-    emit("                    pos = n\n")
-    emit("                    break\n")
-    emit("                pos = match.start()\n")
-    emit("        if not quiet:\n")
-    emit(_indent(_CAPTURE_FRONTIER, 3))
-    emit("\n        symbol = buf[pos]\n")
-    emit("        pos += 1\n")
-    emit("        seen = set()\n")
-    emit("        next_active = []\n")
-    emit("        quiet = True\n")
-    emit("        for state in active:\n")
-    emit("            target = class_table[state][symbol]\n")
-    emit("            if target < 0 or target in seen:\n")
-    emit("                continue\n")
-    emit("            seen.add(target)\n")
-    emit("            next_active.append(target)\n")
-    emit("            if quiet and not silent[target]:\n")
-    emit("                quiet = False\n")
-    emit("        next_active.sort()\n")
-    emit("        active = next_active\n")
-    emit("        if not active:\n")
-    emit("            break\n")
-    emit("\n    if frontier is None:\n")
-    emit("        frontier = tuple(active)\n")
-    emit("    if memo is not None:\n")
-    emit("        for key in trail:\n")
-    emit("            memo[key] = frontier\n")
-    emit("    return frontier\n")
     return "".join(parts)
 
 
@@ -904,11 +670,8 @@ def _subset_source(spec: KernelSpec) -> str:
 def kernel_source(spec: KernelSpec) -> str:
     """Render the Python source of the loop *spec* describes."""
     spec.validate()
-    spec = spec.normalized()
     if spec.tables == "subset":
         return _subset_source(spec)
-    if spec.capture == "frontier":
-        return _frontier_source()
     return _dense_scalar_source(spec)
 
 
@@ -918,9 +681,6 @@ _NAMESPACE = {
     "NotDeterministicError": NotDeterministicError,
     "sprint": sprint,
     "subset_sprint": subset_sprint,
-    "_entry_start_ref": _entry_start_ref,
-    "_entry_end_ref": _entry_end_ref,
-    "SUMMARY_MEMO_CAP": SUMMARY_MEMO_CAP,
 }
 
 _KERNEL_CACHE: dict[KernelSpec, object] = {}
@@ -937,19 +697,16 @@ def _compile(source: str, name: str):
 
 
 def build_kernel(spec: KernelSpec):
-    """The compiled loop for *spec* (cached per normalized spec).
+    """The compiled loop for *spec* (cached per spec).
 
     The returned callable's signature depends on the spec — engines bind
     it at import time and wrap it behind their stable public API.  Its
     generated source is attached as ``__kernel_source__``.
     """
     spec.validate()
-    spec = spec.normalized()
     fn = _KERNEL_CACHE.get(spec)
     if fn is None:
-        name = "kernel_{}_{}_{}_{}".format(
-            spec.capture, spec.tables, spec.chunking, spec.entry
-        )
+        name = f"kernel_{spec.capture}_{spec.tables}_{spec.chunking}"
         fn = _compile(kernel_source(spec), name)
         _KERNEL_CACHE[spec] = fn
     return fn

@@ -126,7 +126,6 @@ class ExecutionPlan:
     reason: str
     operators: object | None = None
     streaming: bool = False
-    shard_workers: int = 1
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -167,21 +166,6 @@ class ExecutionPlan:
                 f"engine {self.engine!r} cannot evaluate chunk-fed documents; "
                 "streaming plans run the dense-table compiled engine"
             )
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be positive, got {self.shard_workers}"
-            )
-        if self.shard_workers > 1 and self.engine != "compiled":
-            raise ValueError(
-                f"engine {self.engine!r} cannot shard a document across "
-                "workers; shard-parallel plans run the dense-table compiled "
-                "engine (its transition summaries need the full class table)"
-            )
-        if self.shard_workers > 1 and self.streaming:
-            raise ValueError(
-                "a plan cannot both stream and shard: sharding needs the "
-                "whole class-id buffer up front to split it"
-            )
 
 
 def choose_plan(
@@ -190,7 +174,6 @@ def choose_plan(
     engine: str = "auto",
     otf_state_threshold: int = DEFAULT_OTF_STATE_THRESHOLD,
     streaming: bool = False,
-    shard_workers: int = 1,
     kernel: str = "auto",
 ) -> ExecutionPlan:
     """Resolve *engine* into an :class:`ExecutionPlan`.
@@ -218,14 +201,6 @@ def choose_plan(
     front, which a lazily determinized runtime discovers only as
     documents drive it.  ``auto`` therefore resolves to ``compiled``
     without consulting *stats*, and any other engine is rejected.
-
-    With ``shard_workers > 1`` the plan splits each sufficiently large
-    document into shards evaluated in parallel
-    (:mod:`repro.runtime.sharding`).  Sharding needs the dense class
-    table to summarize shards from every possible entry state, so only
-    ``compiled`` (or ``auto``, which then resolves to it) qualifies; the
-    size threshold keeping small documents on the serial path is applied
-    per document at evaluation time, not here.
     """
     if engine not in ENGINE_CHOICES:
         raise ValueError(
@@ -234,29 +209,6 @@ def choose_plan(
     if kernel not in KERNEL_CHOICES:
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-        )
-    if shard_workers < 1:
-        raise ValueError(f"shard_workers must be positive, got {shard_workers}")
-    if shard_workers > 1:
-        if streaming:
-            raise ValueError(
-                "a plan cannot both stream and shard: sharding needs the "
-                "whole class-id buffer up front to split it"
-            )
-        if engine not in ("auto", "compiled"):
-            raise ValueError(
-                f"engine {engine!r} cannot shard a document across workers; "
-                "shard-parallel evaluation supports engine='compiled' (or "
-                "'auto')"
-            )
-        return ExecutionPlan(
-            "compiled",
-            True,
-            f"shard-parallel across {shard_workers} workers: transition "
-            "summaries need the dense tables up front (documents below the "
-            "size threshold still run the serial arena engine)",
-            shard_workers=shard_workers,
-            kernel=kernel,
         )
     if streaming:
         if engine not in ("auto", "compiled"):

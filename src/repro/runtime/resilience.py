@@ -3,10 +3,8 @@ resource guards, quarantine, and a deterministic fault-injection harness.
 
 :class:`SupervisedPool` is the one code path of the repository that
 submits to or waits on a process pool: :func:`~repro.runtime.batch.run_batch`
-in process mode and :func:`~repro.runtime.sharding.evaluate_sharded` /
-:func:`~repro.runtime.sharding.count_sharded` (on the batch pool or on
-one from :func:`~repro.runtime.sharding.start_shard_pool`) all run their
-tasks on it, under one contract — **exactness or a typed error**:
+in process mode runs its tasks on it, under one contract — **exactness
+or a typed error**:
 
 * a run either produces results bit-identical to the serial engine, or
   raises a :class:`~repro.core.errors.ReproError` subclass (or records
@@ -50,7 +48,7 @@ The pieces, bottom up:
     The deterministic fault-injection harness.  A plan is a list of
     :class:`FaultSpec` triggers (``kill`` the worker, ``raise``
     :class:`InjectedFault`, ``delay``) fired by arrival count at named
-    sites (``"task"``, ``"evaluate"``, ``"encode"``, ``"shard-task"``).
+    sites (``"task"``, ``"evaluate"``, ``"encode"``).
     Arrival counters are per *process* — a pool worker accumulates
     arrivals across the tasks it handles, and a freshly (re)spawned
     worker starts from zero — which is what makes kill-and-recover
@@ -116,7 +114,7 @@ POLL_SECONDS = 0.1
 # Fault injection
 # ---------------------------------------------------------------------- #
 
-FAULT_SITES = ("task", "evaluate", "encode", "shard-task")
+FAULT_SITES = ("task", "evaluate", "encode")
 FAULT_ACTIONS = ("raise", "kill", "delay")
 
 #: Exit status of a worker killed by a ``kill`` fault — distinctive on
@@ -285,9 +283,8 @@ def maybe_fault(site: str) -> None:
 class ResilienceMetrics:
     """Process-wide fault-tolerance counters.
 
-    Lock-guarded like :class:`~repro.runtime.sharding.ShardMetrics`: the
-    counters are written from supervision call sites on any thread and
-    snapshotted by the server's ``/metrics`` endpoint.
+    Lock-guarded: the counters are written from supervision call sites
+    on any thread and snapshotted by the server's ``/metrics`` endpoint.
     """
 
     def __init__(self) -> None:
@@ -761,15 +758,6 @@ class SupervisedPool:
         """Whether the run has degraded to inline serial evaluation."""
         return self._inline
 
-    @property
-    def closed(self) -> bool:
-        """Whether the workers are gone (closed, terminated or demoted).
-
-        A closed pool still accepts tasks — they run inline — but an
-        owner that keeps pools across runs builds a fresh one instead.
-        """
-        return self._pool is None
-
     class _Task:
         __slots__ = ("fn", "payload", "handle", "generation", "attempts", "deaths")
 
@@ -892,8 +880,8 @@ class SupervisedPool:
         old = self._pool
         self._rebuilt = True
         self._generation += 1
-        # Drop the dead pool first: if the restart fails, the pool reads
-        # as closed and an owner that keeps pools builds a fresh one.
+        # Drop the dead pool first: if the restart fails, later tasks run
+        # inline instead of being submitted to terminated workers.
         self._pool = None
         if old is not None:
             old.terminate()

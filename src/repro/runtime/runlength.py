@@ -15,10 +15,6 @@ Per compiled automaton and class ``c`` the kernel precomputes:
   (``I + V``; silent states have empty variable rows, so applying it
   unconditionally matches the engine's quiet-skip) followed by the
   reading phase ``R_c`` (dead targets drop out),
-* the **Boolean reachability row** ``B_c`` as per-state int bitmasks —
-  the state-set image of one position, exactly the transition the
-  shard summary pass (:func:`repro.runtime.sharding.shard_summary`)
-  applies per character,
 * a **class kind** used to shortcut exponentiation: ``functional``
   (every row has at most one unit entry — permutation, shift and dead
   classes alike; a run is a memoized trajectory walk with cycle
@@ -43,11 +39,9 @@ every repeated segment — on log-like documents with a few dozen
 distinct line shapes this collapses the count pass to a dictionary
 lookup per line.
 
-The Boolean layer drives the shard summary pass
-(:func:`summary_runlength`).  The ``kernel`` choice applies only to
-counting and shard summaries: an arena's cost is its capture writes, not
-its stepping, so every arena is built by the scalar engine whatever
-kernel is requested.
+The ``kernel`` choice applies only to counting: an arena's cost is its
+capture writes, not its stepping, so every arena is built by the scalar
+engine whatever kernel is requested.
 """
 
 from __future__ import annotations
@@ -74,14 +68,12 @@ __all__ = [
     "count_runlength",
     "count_subset_runlength",
     "count_subset_with_kernel",
-    "count_vectors_runlength",
     "count_with_kernel",
     "numpy_available",
     "prefers_runlength",
     "resolve_kernel",
     "runlength_kernel",
     "subset_runlength_kernel",
-    "summary_runlength",
 ]
 
 # KERNELS (the planner-facing kernel axis) is defined once in
@@ -164,7 +156,7 @@ class RunLengthKernel:
 
     Built once per automaton (``runlength_kernel`` caches it on the
     compiled instance; pickling drops it like every other derived
-    cache) and shared by the count and summary run paths.  All
+    cache) and shared by the dense count paths.  All
     memo tables are keyed by ``(class, ...)`` and grow monotonically —
     the automaton's tables are immutable, so entries never go stale.
     """
@@ -188,24 +180,19 @@ class RunLengthKernel:
         self.iv_rows = tuple(iv_rows)
 
         step_rows = []
-        bool_rows = []
         count_kind = []
         for cls in range(num_classes):
             rows = []
-            masks = []
             functional = True
             for state in range(num_states):
                 merged: dict[int, int] = {}
-                mask = 0
                 for source, coeff in iv_rows[state]:
                     target = class_table[source][cls]
                     if target < 0:
                         continue
                     merged[target] = merged.get(target, 0) + coeff
-                    mask |= 1 << target
                 row = tuple(sorted(merged.items()))
                 rows.append(row)
-                masks.append(mask)
                 if len(row) > 1 or (row and row[0][1] != 1):
                     functional = False
             rows = tuple(rows)
@@ -216,16 +203,13 @@ class RunLengthKernel:
             else:
                 kind = "general"
             step_rows.append(rows)
-            bool_rows.append(tuple(masks))
             count_kind.append(kind)
-        #: per class: ``M_c`` as sparse rows / ``B_c`` as bitmask rows /
-        #: the exponentiation shortcut kind.
+        #: per class: ``M_c`` as sparse rows / the exponentiation shortcut
+        #: kind.
         self.step_rows = tuple(step_rows)
-        self.bool_rows = tuple(bool_rows)
         self.count_kind = tuple(count_kind)
 
         self._count_powers: dict[tuple[int, int], tuple] = {}
-        self._bool_powers: dict[tuple[int, int], tuple] = {}
         self._count_paths: dict[tuple[int, int], tuple] = {}
         self._np_powers: dict[tuple[int, int], tuple] = {}
         self._segment_rows: dict[tuple[bytes, int], tuple] = {}
@@ -447,49 +431,6 @@ class RunLengthKernel:
             vector = self.vec_run(vector, cls, length, use_numpy)
         return vector
 
-    # ------------------------------------------------------------------ #
-    # Boolean reachability: the summary-pass algebra
-    # ------------------------------------------------------------------ #
-
-    def bool_power(self, cls: int, bit: int):
-        """``B_cls`` to the power ``2**bit`` as bitmask rows (memoized)."""
-        key = (cls, bit)
-        masks = self._bool_powers.get(key)
-        if masks is None:
-            if bit == 0:
-                masks = self.bool_rows[cls]
-            else:
-                half = self.bool_power(cls, bit - 1)
-                composed = []
-                for mask in half:
-                    image = 0
-                    while mask:
-                        low = mask & -mask
-                        image |= half[low.bit_length() - 1]
-                        mask &= mask - 1
-                    composed.append(image)
-                masks = tuple(composed)
-            self._bool_powers[key] = masks
-        return masks
-
-    def frontier_run(self, mask: int, cls: int, k: int) -> int:
-        """Push a state-set bitmask through a run of length ``k`` —
-        ``O(log k)`` Boolean row applications instead of ``k`` steps."""
-        bit = 0
-        while k and mask:
-            if k & 1:
-                rows = self.bool_power(cls, bit)
-                image = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    image |= rows[low.bit_length() - 1]
-                    m &= m - 1
-                mask = image
-            k >>= 1
-            bit += 1
-        return mask
-
 
 def runlength_kernel(compiled: CompiledEVA) -> RunLengthKernel:
     """The (cached) run-length kernel of a compiled automaton."""
@@ -545,75 +486,6 @@ def count_runlength(
             if is_final[target]:
                 total += amount * coeff
     return total
-
-
-# ---------------------------------------------------------------------- #
-# Sharding composition: per-shard summaries / vectors over runs
-# ---------------------------------------------------------------------- #
-
-
-def summary_runlength(
-    compiled: CompiledEVA,
-    buf,
-    n: int | None = None,
-    *,
-    entry_states=None,
-):
-    """The shard transition summary via Boolean run powers.
-
-    Same shape as :func:`repro.runtime.sharding.shard_summary` — entry
-    state to sorted exit tuple, dead entries empty — but each run costs
-    ``O(log k)`` Boolean row applications instead of ``k`` characters.
-    No trailing capture: boundary work belongs to the successor shard.
-    """
-    kernel = runlength_kernel(compiled)
-    if entry_states is None:
-        entry_states = range(compiled.num_states)
-    if n is not None:
-        buf = buf[:n]
-    runs = runs_of_buffer(buf)
-    summary = {}
-    for entry in entry_states:
-        mask = 1 << entry
-        for cls, length in runs:
-            if not mask:
-                break
-            mask = kernel.frontier_run(mask, cls, length)
-        exits = []
-        while mask:
-            low = mask & -mask
-            exits.append(low.bit_length() - 1)
-            mask &= mask - 1
-        summary[entry] = tuple(exits)
-    return summary
-
-
-def count_vectors_runlength(
-    compiled: CompiledEVA,
-    buf,
-    entries,
-    include_final: bool,
-):
-    """Per-entry exit count vectors of one shard via the run algebra.
-
-    Same contract as the scalar ``_count_run`` task: each entry state
-    seeds a unit count; *include_final* applies the trailing capturing
-    phase (``I + V``) on the last shard only.
-    """
-    kernel = runlength_kernel(compiled)
-    runs = runs_of_buffer(buf)
-    iv_rows = kernel.iv_rows
-    vectors = {}
-    for entry in entries:
-        vector = kernel.count_vector_runs(runs, {entry: 1})
-        if include_final and vector:
-            out: dict[int, int] = {}
-            for state, amount in vector.items():
-                for target, coeff in iv_rows[state]:
-                    out[target] = out.get(target, 0) + amount * coeff
-            vector = out
-        vectors[entry] = vector
-    return vectors
 
 
 # ---------------------------------------------------------------------- #

@@ -94,9 +94,7 @@ COMPACT_FLOOR_CELLS = 64
 # (active set, slot pairs, quiet flag, arena arrays) is passed in and
 # handed back instead of initialized/finalized per call — and the
 # stand-alone final capturing phase run once at finish().
-_advance_kernel = build_kernel(
-    KernelSpec(capture="arena", chunking="resumable", entry="states")
-)
+_advance_kernel = build_kernel(KernelSpec(capture="arena", chunking="resumable"))
 _final_capture = build_final_capture()
 
 

@@ -22,7 +22,6 @@ from typing import Iterable
 
 from repro.runtime.plan import PlanCache
 from repro.runtime.resilience import resilience_metrics_snapshot
-from repro.runtime.sharding import shard_metrics_snapshot
 
 __all__ = ["LatencyRing", "ServerMetrics"]
 
@@ -199,13 +198,7 @@ class ServerMetrics:
             }
         if plan_cache is not None:
             payload["plan_cache"] = plan_cache.stats().as_dict()
-        # Shard-parallel evaluation counters are process-wide (the
-        # sharding module keeps them, whoever drives it — the facade, the
-        # batch engine or a server session), so the snapshot just embeds
-        # them: shards evaluated vs skipped-as-unreachable, and the
-        # summary-pass vs replay-pass time split.
-        payload["sharding"] = shard_metrics_snapshot()
-        # Fault-tolerance counters are likewise process-wide: retries,
+        # Fault-tolerance counters are process-wide: retries,
         # worker crashes, deadline misses, pool rebuilds, inline
         # fallbacks, quarantined documents and resource-budget trips,
         # whichever executor recorded them.

@@ -63,11 +63,7 @@ from repro.regex.ast import RegexNode
 from repro.regex.parser import parse_regex
 from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
-from repro.runtime.resilience import (
-    FailureReport,
-    ResiliencePolicy,
-    SupervisedPool,
-)
+from repro.runtime.resilience import FailureReport, ResiliencePolicy
 from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
@@ -78,12 +74,6 @@ from repro.runtime.plan import (
     choose_plan,
 )
 from repro.runtime.runlength import count_subset_with_kernel, count_with_kernel
-from repro.runtime.sharding import (
-    DEFAULT_SHARD_MIN_CHARS,
-    count_sharded,
-    evaluate_sharded,
-    start_shard_pool,
-)
 from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA, evaluate_subset_arena
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
@@ -105,7 +95,6 @@ class _CompiledState:
         "plan",
         "stats",
         "optimized",
-        "shard_pool",
     )
 
     def __init__(self) -> None:
@@ -119,7 +108,6 @@ class _CompiledState:
         self.plan: ExecutionPlan | None = None
         self.stats: AutomatonStatistics | None = None
         self.optimized = None  # OptimizedPlan, physical tree prepared for the key
-        self.shard_pool: SupervisedPool | None = None
 
 
 class Spanner:
@@ -134,7 +122,6 @@ class Spanner:
         kernel: str = "auto",
         max_cached_alphabets: int = 8,
         unchecked: bool = False,
-        shard_min_chars: int = DEFAULT_SHARD_MIN_CHARS,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
         if engine not in ENGINE_CHOICES:
@@ -145,22 +132,14 @@ class Spanner:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
             )
-        if shard_min_chars < 1:
-            raise ValueError(
-                f"shard_min_chars must be positive, got {shard_min_chars}"
-            )
         if isinstance(source, str):
             source = parse_regex(source)
         self._pipeline = CompilationPipeline(source, alphabet)
         self._engine = engine
         self._kernel = kernel
         self._unchecked = unchecked
-        # Documents shorter than this run serially even when ``workers``
-        # asks for shard parallelism: below the threshold the serial arena
-        # engine beats the cost of shipping shard tasks to a pool.
-        self._shard_min_chars = shard_min_chars
         # Fault-tolerance policy applied to every pooled execution this
-        # spanner starts (sharded evaluate/count, run_batch).  ``None``
+        # spanner starts (process-mode run_batch).  ``None``
         # means the module default: retries plus inline fallback, no
         # quarantine, no resource budget.
         self._resilience = resilience
@@ -219,7 +198,7 @@ class Spanner:
     def kernel(self) -> str:
         """The default inner-loop kernel (one of ``KERNEL_CHOICES``).
 
-        The axis applies to counting and shard summaries: ``auto``
+        The axis applies to counting: ``auto``
         resolves per document from its measured run-length statistics;
         ``runlength`` forces the run-length kernels of
         :mod:`repro.runtime.runlength` on those paths (engines without a
@@ -453,74 +432,6 @@ class Spanner:
             return replace(state.plan, kernel=kernel)
         return state.plan
 
-    def _sharded_plan_for_key(
-        self,
-        key: frozenset[str],
-        engine: str | None,
-        workers: int,
-        kernel: str | None = None,
-    ) -> ExecutionPlan:
-        """Resolve a shard-parallel plan (``workers > 1``) for *key*.
-
-        Sharding runs the dense-table compiled engine; an expression
-        whose optimizer plan is hybrid cannot silently degrade to the
-        monolithic fused automaton (the same soundness argument as for
-        streaming), so it is rejected rather than mis-evaluated.
-        """
-        engine = self._engine if engine is None else engine
-        if engine in ("auto", "hybrid") and isinstance(
-            self._pipeline.source, SpannerExpression
-        ):
-            if self._optimized_for_key(key).is_hybrid:
-                raise ValueError(
-                    "this expression optimizes to a hybrid operator plan, "
-                    "which cannot shard one document across workers; "
-                    "evaluate without workers instead"
-                )
-        if engine == "hybrid":
-            engine = "auto"
-        return choose_plan(
-            engine=engine,
-            shard_workers=workers,
-            kernel=self._kernel if kernel is None else kernel,
-        )
-
-    def _shard_pool_for_key(
-        self, key: frozenset[str], workers: int
-    ) -> SupervisedPool:
-        """The per-alphabet persistent shard worker pool (lazily built).
-
-        Cached in the same LRU entry as the compiled runtime it is bound
-        to, so eviction drops both together (the pool's ``__del__``
-        terminates its processes).  A request with a different worker
-        count replaces the pool, and so does one after a run demoted it
-        to inline evaluation (``closed`` covers both).
-        """
-        state = self._state_for_key(key)
-        pool = state.shard_pool
-        if pool is not None and pool.workers == workers and not pool.closed:
-            return pool
-        if pool is not None:
-            pool.terminate()
-        pool = start_shard_pool(
-            self._runtime_for_key(key), workers, policy=self._resilience
-        )
-        state.shard_pool = pool
-        return pool
-
-    def close(self) -> None:
-        """Release worker pools held by the compilation cache.
-
-        Idempotent; the spanner stays usable (pools are rebuilt on the
-        next ``workers > 1`` call).  Without it, pools are torn down by
-        garbage collection of their cache entries.
-        """
-        for key in self._states.keys():
-            state = self._states.get(key)
-            if state is not None and state.shard_pool is not None:
-                state.shard_pool.terminate()
-                state.shard_pool = None
-
     def _planner_stats(self, key: frozenset[str]) -> AutomatonStatistics:
         state = self._state_for_key(key)
         if state.stats is None:
@@ -539,7 +450,6 @@ class Spanner:
         document: object,
         *,
         engine: str | None = None,
-        workers: int | None = None,
         kernel: str | None = None,
     ):
         """Run only the preprocessing phase (Algorithm 1) on *document*.
@@ -550,37 +460,11 @@ class Spanner:
         returns the legacy object :class:`~repro.enumeration.evaluate.ResultDag`.
         Both support iteration, ``count()`` and ``is_empty()``.
 
-        ``workers > 1`` splits the document into shards evaluated in
-        parallel by a persistent worker pool
-        (:mod:`repro.runtime.sharding`); the arena is bit-identical to
-        the serial one.  Only the ``compiled`` engine (or ``auto``) can
-        shard, and documents shorter than the spanner's
-        ``shard_min_chars`` run serially anyway — the pool is then never
-        even started.
-
         *kernel* is accepted and validated like everywhere else, but the
-        serial arena is always built by the scalar engine: an arena's
-        cost is its capture writes, which run-length stepping cannot
-        skip.  With ``workers > 1`` it selects how interior shards are
-        summarized (:func:`~repro.runtime.sharding.evaluate_sharded`).
+        arena is always built by the scalar engine: an arena's cost is
+        its capture writes, which run-length stepping cannot skip.
         """
         key = self._alphabet_key(document)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if workers is not None and workers > 1:
-            plan = self._sharded_plan_for_key(key, engine, workers, kernel)
-            runtime = self._runtime_for_key(key)
-            if len(as_text(document)) >= self._shard_min_chars:
-                return evaluate_sharded(
-                    runtime,
-                    document,
-                    pool=self._shard_pool_for_key(key, plan.shard_workers),
-                    shards=plan.shard_workers,
-                    kernel=plan.kernel,
-                )
-            return evaluate_compiled_arena(
-                runtime, document, scratch=self._scratch_for_key(key)
-            )
         plan = self._plan_for_key(key, engine, kernel)
         if plan.engine == "hybrid":
             return plan.operators.execute(document)
@@ -600,30 +484,20 @@ class Spanner:
         document: object,
         *,
         engine: str | None = None,
-        workers: int | None = None,
         kernel: str | None = None,
     ) -> Iterator[Mapping]:
         """Enumerate ``⟦γ⟧(d)`` with constant delay after linear preprocessing."""
-        return iter(
-            self.preprocess(
-                document, engine=engine, workers=workers, kernel=kernel
-            )
-        )
+        return iter(self.preprocess(document, engine=engine, kernel=kernel))
 
     def evaluate(
         self,
         document: object,
         *,
         engine: str | None = None,
-        workers: int | None = None,
         kernel: str | None = None,
     ) -> list[Mapping]:
         """Return the full list of output mappings."""
-        return list(
-            self.enumerate(
-                document, engine=engine, workers=workers, kernel=kernel
-            )
-        )
+        return list(self.enumerate(document, engine=engine, kernel=kernel))
 
     def stream(
         self,
@@ -682,7 +556,6 @@ class Spanner:
         max_workers: int | None = None,
         streaming: bool = False,
         stream_chunk_size: int = 65536,
-        shard_min_chars: int | None = None,
         policy: ResiliencePolicy | None = None,
         report: FailureReport | None = None,
     ) -> Iterator[tuple[object, object]]:
@@ -706,12 +579,6 @@ class Spanner:
         to the whole-document one), but no whole-document class-id
         buffer is ever materialized, cutting each worker's peak memory
         to one encoded chunk plus the live arena.
-
-        ``shard_min_chars`` (processes mode, compiled engine only) turns
-        on intra-document parallelism for outsized documents: any
-        document at least that long is split into shards evaluated
-        across the whole pool (:mod:`repro.runtime.sharding`) instead of
-        occupying a single worker while the rest idle.
 
         *policy* overrides the spanner's fault-tolerance policy for this
         batch (``None`` falls back to the spanner's ``resilience``
@@ -749,7 +616,6 @@ class Spanner:
             max_workers=max_workers,
             streaming=plan.streaming,
             stream_chunk_size=stream_chunk_size,
-            shard_min_chars=shard_min_chars,
             policy=self._resilience if policy is None else policy,
             report=report,
         )
@@ -759,44 +625,22 @@ class Spanner:
         document: object,
         *,
         engine: str | None = None,
-        workers: int | None = None,
         kernel: str | None = None,
     ) -> int:
         """Count ``|⟦γ⟧(d)|`` with Algorithm 3 (no enumeration).
 
         The compiled engines run the integer rewrite of Algorithm 3 on
         their dense (or lazily discovered) tables; ``"reference"`` runs the
-        original dict-based loop.  ``workers > 1`` shards the count pass
-        the same way :meth:`preprocess` shards evaluation — without even
-        a replay phase, since counts compose linearly across shards.
+        original dict-based loop.
 
         *kernel* overrides the spanner's default inner loop — counting
-        and shard summaries are where the axis applies: ``"runlength"``
+        is where the axis applies: ``"runlength"``
         turns the count pass into a product of per-run matrices
         (:mod:`repro.runtime.runlength`) on both the dense and the lazily
         determinized tables; ``"auto"`` decides per document from its
         measured run statistics.
         """
         key = self._alphabet_key(document)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if workers is not None and workers > 1:
-            shard_plan = self._sharded_plan_for_key(key, engine, workers, kernel)
-            runtime = self._runtime_for_key(key)
-            if len(as_text(document)) >= self._shard_min_chars:
-                return count_sharded(
-                    runtime,
-                    document,
-                    pool=self._shard_pool_for_key(key, shard_plan.shard_workers),
-                    shards=shard_plan.shard_workers,
-                    kernel=shard_plan.kernel,
-                )
-            return count_with_kernel(
-                runtime,
-                document,
-                kernel=shard_plan.kernel,
-                scratch=self._scratch_for_key(key),
-            )
         plan = self._plan_for_key(key, engine, kernel)
         if plan.engine == "hybrid":
             # Cut-edge operators dedup while materializing, so the count is
@@ -821,7 +665,6 @@ class Spanner:
         document: object,
         *,
         engine: str | None = None,
-        workers: int | None = None,
         kernel: str | None = None,
     ) -> list[dict[str, str]]:
         """Return the extracted text per output mapping.
@@ -832,9 +675,7 @@ class Spanner:
         text = as_text(document)
         return [
             mapping.contents(text)
-            for mapping in self.enumerate(
-                document, engine=engine, workers=workers, kernel=kernel
-            )
+            for mapping in self.enumerate(document, engine=engine, kernel=kernel)
         ]
 
     def __call__(self, document: object) -> list[Mapping]:

@@ -10,18 +10,10 @@ of the library against each other on one ``(spanner, document)`` pair:
   same document: whole-document, one-character chunks, empty chunks
   interspersed, random seeded splits, and UTF-8 byte streams split
   *inside* multi-byte sequences;
-* the shard-parallel engine (:mod:`repro.runtime.sharding`), pinned
-  **arena-for-arena** (bit-identical arrays, not just equal mapping
-  sets) against the serial arena engine over adversarial shard counts:
-  one-character shards, more shards than characters, and seeded counts
-  that land boundaries inside quiescent sprint runs and between the
-  codepoints of multi-byte text;
 * the run-length kernel (:mod:`repro.runtime.runlength`): its count
-  must equal the scalar count, the sharded count is re-run with
-  ``kernel="runlength"`` so interior-shard summary passes go through the
-  matrix path too, and the facade's arena under every ``kernel=`` value
-  must be bit-identical to the scalar arena (the axis never reaches an
-  arena).
+  must equal the scalar count, and the facade's arena under every
+  ``kernel=`` value must be **bit-identical** (arrays, not just mapping
+  sets) to the scalar arena (the axis never reaches an arena).
 
 The streaming evaluator is opened over the document's own alphabet —
 exactly the alphabet key the facade derives for whole-document
@@ -52,13 +44,11 @@ from repro.core.documents import as_text
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.kernel import KERNELS
 from repro.runtime.runlength import count_runlength
-from repro.runtime.sharding import count_sharded, evaluate_sharded
 
 __all__ = [
     "FACADE_ENGINES",
     "adversarial_chunkings",
     "adversarial_documents",
-    "adversarial_shard_counts",
     "assert_all_engines_agree",
     "assert_arena_identical",
     "facade_results",
@@ -128,21 +118,6 @@ def adversarial_documents(seed: int = 0) -> list[str]:
     return corpus
 
 
-def adversarial_shard_counts(length: int, seed: int = 0) -> list[int]:
-    """Shard counts that stress every boundary-placement hazard.
-
-    One-character shards put a boundary at *every* position (so inside
-    every quiescent sprint run and between every pair of codepoints of a
-    multi-byte document); a count above the length exercises the
-    degenerate more-shards-than-characters plan; small counts land
-    boundaries mid-run; a seeded count adds variety across calls.
-    """
-    rng = random.Random(seed)
-    counts = {1, 2, 3, max(1, length // 2), max(1, length), length + 3}
-    counts.add(rng.randint(1, max(1, length + 1)))
-    return sorted(counts)
-
-
 _ARENA_ARRAYS = (
     "node_markers",
     "node_positions",
@@ -159,7 +134,8 @@ def assert_arena_identical(actual, expected, *, context: str = "") -> None:
 
     Stronger than comparing mapping sets: every array must match element
     for element, which pins node sharing, allocation order and list
-    splicing — exactly what shard stitching must reproduce.
+    splicing — exactly what a chunk-fed or fast-path-free run must
+    reproduce.
     """
     for name in _ARENA_ARRAYS:
         left = list(getattr(actual, name))
@@ -187,7 +163,6 @@ def assert_all_engines_agree(
     *,
     seed: int = 0,
     streaming: bool = True,
-    sharded: bool = True,
     spanner: Spanner | None = None,
 ) -> frozenset[str]:
     """Assert every engine and every chunking yields one mapping set.
@@ -218,8 +193,8 @@ def assert_all_engines_agree(
             f"count({engine!r}) = {count}, enumeration found {len(expected)}"
         )
 
-    # The run-length kernel is held to the sharding engine's standard:
-    # its count must match the scalar Algorithm 3 exactly.  The arena
+    # The run-length kernel's count must match the scalar Algorithm 3
+    # exactly.  The arena
     # must not depend on the kernel axis at all — the facade builds it
     # with the scalar engine, with the fast path on or off.
     runtime = spanner.runtime(text)
@@ -240,32 +215,6 @@ def assert_all_engines_agree(
             serial_arena,
             context=f" (facade kernel={kernel!r})",
         )
-
-    if sharded:
-        # The shard-parallel engine is held to a stronger standard than
-        # agreement on mapping sets: its stitched arena must be
-        # bit-identical to the serial one for every shard count, and the
-        # replay-free sharded count must be exact.
-        for shards in adversarial_shard_counts(len(text), seed=seed):
-            arena = evaluate_sharded(runtime, text, shards=shards)
-            assert_arena_identical(
-                arena, serial_arena, context=f" (shards={shards})"
-            )
-            sharded_count = count_sharded(runtime, text, shards=shards)
-            assert sharded_count == serial_count, (
-                f"count_sharded(shards={shards}) = {sharded_count}, "
-                f"serial count = {serial_count}"
-            )
-            runlength_count = count_sharded(
-                runtime, text, shards=shards, kernel="runlength"
-            )
-            assert runlength_count == serial_count, (
-                f"count_sharded(shards={shards}, kernel='runlength') = "
-                f"{runlength_count}, serial count = {serial_count}"
-            )
-            assert _mapping_set(arena) == expected, (
-                f"sharded enumeration (shards={shards}) disagrees"
-            )
 
     if not streaming:
         return expected

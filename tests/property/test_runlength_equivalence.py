@@ -1,6 +1,6 @@
 """Property tests: the run-length kernel is exactly the scalar engine.
 
-Three families of guarantees over generated spanners and adversarial
+Two families of guarantees over generated spanners and adversarial
 documents (run length 1, empty documents, single-class alphabets, foreign
 characters planted mid-run):
 
@@ -13,10 +13,6 @@ characters planted mid-run):
   arena under every ``kernel=`` value is array-for-array the scalar
   arena with the sprint both on and off (also through the shared harness
   helper, which re-runs the whole cross-engine matrix).
-
-* **Sharding** — ``count_sharded(kernel="runlength")`` is exact for
-  adversarial shard counts whose boundaries split runs, and the
-  run-length shard summary composes exactly like the scalar one.
 
 The C-level run count that decides ``kernel="auto"`` is pinned to the
 length of the run-length view on generated buffers of both flavours.
@@ -40,12 +36,6 @@ from repro.runtime.runlength import (
     count_runlength,
     count_subset_runlength,
     numpy_available,
-    summary_runlength,
-)
-from repro.runtime.sharding import (
-    compose_summaries,
-    count_sharded,
-    shard_summary,
 )
 
 #: Run-length-hostile regimes: capture state fanning out inside a run
@@ -139,45 +129,13 @@ def test_arena_is_bit_identical_both_fast_paths(pattern, text):
         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    pattern=patterns,
-    text=documents,
-    shards=st.integers(min_value=1, max_value=30),
-)
-def test_sharded_runlength_count_is_exact(pattern, text, shards):
-    runtime = _runtime(pattern, text)
-    assert count_sharded(
-        runtime, text, shards=shards, kernel="runlength"
-    ) == count_compiled(runtime, text)
-
-
-@settings(max_examples=40, deadline=None)
-@given(pattern=patterns, text=documents, data=st.data())
-def test_runlength_summaries_compose_like_scalar_ones(pattern, text, data):
-    """summary_runlength == shard_summary on every slice, and composing
-    two adjacent run-length summaries equals the whole-buffer one."""
-    runtime = _runtime(pattern, text)
-    encoded = runtime.encode(text)
-    buf, length = encoded.buffer, encoded.length
-    cut = data.draw(st.integers(min_value=0, max_value=length))
-
-    first = summary_runlength(runtime, buf[:cut], cut)
-    second = summary_runlength(runtime, buf[cut:], length - cut)
-    assert first == shard_summary(runtime, buf[:cut], cut)
-    assert second == shard_summary(runtime, buf[cut:], length - cut)
-    assert compose_summaries(first, second) == summary_runlength(
-        runtime, buf, length
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(ids=id_sequences, data=st.data())
 def test_run_count_equals_the_run_view_on_both_buffer_flavours(ids, data):
     lo = data.draw(st.integers(min_value=0, max_value=len(ids)))
     hi = data.draw(st.integers(min_value=lo, max_value=len(ids)))
     for buffer in (bytes(ids), array("I", [WIDE_IDS[cls] for cls in ids])):
-        # The whole buffer, and a slice as a shard worker receives it.
+        # The whole buffer, and a slice as the segment memo cuts one.
         for piece in (buffer, buffer[lo:hi]):
             assert run_count(piece) == len(runs_of_buffer(piece))
 
@@ -203,19 +161,3 @@ def test_adversarial_corpus_through_the_full_harness():
             assert_all_engines_agree(
                 pattern, text, seed=23, streaming=False, spanner=spanner
             )
-
-
-def test_runs_split_across_shard_boundaries_exactly():
-    """A document of few giant runs, sharded so boundaries always land
-    mid-run: the run-product summaries of interior shards must stitch
-    to the exact count."""
-    pattern = ".*x{a+}.*"
-    text = "b" * 7 + "a" * 61 + "b" * 5 + "a" * 38 + "b" * 3
-    runtime = _runtime(pattern, text)
-    expected = count_compiled(runtime, text)
-    assert expected > 0
-    for shards in (2, 3, 5, 7, 11, len(text), len(text) + 3):
-        assert (
-            count_sharded(runtime, text, shards=shards, kernel="runlength")
-            == expected
-        )

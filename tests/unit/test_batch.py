@@ -213,23 +213,6 @@ class TestKernelAxis:
             == expected
         )
 
-    def test_runlength_kernel_with_sharded_documents(self, contact_setup):
-        compiled, collection = contact_setup
-        expected = counts_of(run_batch(compiled, collection))
-        assert (
-            counts_of(
-                run_batch(
-                    compiled,
-                    collection,
-                    mode="processes",
-                    max_workers=2,
-                    shard_min_chars=32,
-                    kernel="runlength",
-                )
-            )
-            == expected
-        )
-
 
 class TestSpannerRunBatch:
     def test_compiles_once_over_the_union_alphabet(self):

@@ -45,11 +45,13 @@ class TestExtract:
         assert "[1, 5⟩" in output
 
     def test_limit(self, document_path):
-        code, output = run_cli(
-            ["extract", contact_pattern(), document_path, "--limit", "1"]
-        )
-        assert code == 0
-        assert len(output.strip().splitlines()) == 1
+        # A limit of 0 prints no mapping, like `repro stream --limit 0`.
+        for limit, lines in (("1", 1), ("0", 0)):
+            code, output = run_cli(
+                ["extract", contact_pattern(), document_path, "--limit", limit]
+            )
+            assert code == 0
+            assert len(output.strip().splitlines()) == lines
 
     def test_reads_stdin_when_no_path(self):
         code, output = run_cli(
@@ -60,45 +62,10 @@ class TestExtract:
 
 
 class TestCountAndInspect:
-    def test_workers_flag_matches_serial_output(self, document_path):
-        # The fixture document sits far below the shard size threshold,
-        # so --workers routes through plan validation and then runs the
-        # serial arena engine — no pool is ever forked.
-        serial_code, serial_output = run_cli(
-            ["extract", contact_pattern(), document_path]
-        )
-        code, output = run_cli(
-            ["extract", contact_pattern(), document_path, "--workers", "2"]
-        )
-        assert (code, output) == (serial_code, serial_output)
-
-    def test_workers_flag_rejects_incompatible_engine(self, document_path, capsys):
-        code, _output = run_cli(
-            [
-                "extract",
-                contact_pattern(),
-                document_path,
-                "--engine",
-                "reference",
-                "--workers",
-                "2",
-            ]
-        )
-        assert code == 2
-        assert "cannot shard" in capsys.readouterr().err
-
     def test_count(self, document_path):
         code, output = run_cli(["count", contact_pattern(), document_path])
         assert code == 0
         assert output.strip() == "2"
-
-    def test_count_workers_flag(self, document_path):
-        _code, serial = run_cli(["count", contact_pattern(), document_path])
-        code, output = run_cli(
-            ["count", contact_pattern(), document_path, "--workers", "2"]
-        )
-        assert code == 0
-        assert output == serial
 
     def test_count_kernel_flag_matches_default(self, document_path):
         _code, default = run_cli(["count", contact_pattern(), document_path])
@@ -311,24 +278,6 @@ class TestBatchResilience:
         assert err.count("\n") == 1
         assert err.startswith("repro batch: error:")
         assert "cannot fork" in err
-        assert "Traceback" not in err
-
-    def test_extract_workers_pool_start_failure_is_one_line(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.runtime.resilience import SupervisedPool
-
-        def refuse(self):
-            raise OSError("cannot fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(SupervisedPool, "_start", refuse)
-        big = tmp_path / "big.txt"
-        big.write_text("a" * 40000, encoding="utf-8")  # over the shard threshold
-        code, _output = run_cli(["extract", "x{a+}", str(big), "--workers", "2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("repro extract: error:")
         assert "Traceback" not in err
 
 

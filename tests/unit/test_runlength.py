@@ -19,19 +19,16 @@ from repro.runtime.runlength import (
     count_runlength,
     count_subset_runlength,
     count_subset_with_kernel,
-    count_vectors_runlength,
     count_with_kernel,
     numpy_available,
     prefers_runlength,
     resolve_kernel,
     runlength_kernel,
     subset_runlength_kernel,
-    summary_runlength,
     _mul_rows,
     _vec_rows,
 )
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.sharding import count_sharded, shard_summary
 from repro.spanners.spanner import Spanner
 from repro.workloads.documents import server_log
 
@@ -42,9 +39,7 @@ DOCUMENT = "bbaaab" + "a" * 40 + "bb"
 
 @pytest.fixture
 def runtime():
-    spanner = Spanner(PATTERN)
-    yield spanner.runtime(DOCUMENT)
-    spanner.close()
+    return Spanner(PATTERN).runtime(DOCUMENT)
 
 
 def arena_arrays(dag):
@@ -84,15 +79,6 @@ class TestKernelConstruction:
         for state in range(kernel.num_states):
             if runtime.silent[state]:
                 assert kernel.iv_rows[state] == ((state, 1),)
-
-    def test_bool_rows_are_step_row_supports(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            for state in range(kernel.num_states):
-                mask = 0
-                for target, _coeff in kernel.step_rows[cls][state]:
-                    mask |= 1 << target
-                assert kernel.bool_rows[cls][state] == mask
 
     def test_count_kind_shortcuts_are_sound(self, runtime):
         kernel = runlength_kernel(runtime)
@@ -142,25 +128,6 @@ class TestRunAlgebra:
                 assert (
                     kernel.vec_run(vector, cls, k, use_numpy=False) == expected
                 )
-
-    def test_frontier_run_matches_stepping(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            for state in range(kernel.num_states):
-                mask = 1 << state
-                for k in range(0, 9):
-                    expected = 1 << state
-                    for _ in range(k):
-                        image = 0
-                        m = expected
-                        while m:
-                            low = m & -m
-                            image |= kernel.bool_rows[cls][
-                                low.bit_length() - 1
-                            ]
-                            m &= m - 1
-                        expected = image
-                    assert kernel.frontier_run(mask, cls, k) == expected
 
     def test_segment_rows_are_memoized(self, runtime):
         kernel = runlength_kernel(runtime)
@@ -241,27 +208,21 @@ class TestCounting:
         spanner = Spanner(".*x{a+}.*")
         document = ("a" * 80 + "b") * 40
         runtime = spanner.runtime(document)
-        try:
-            assert count_runlength(runtime, document) == count_compiled(
-                runtime, document
-            )
-        finally:
-            spanner.close()
+        assert count_runlength(runtime, document) == count_compiled(
+            runtime, document
+        )
 
     def test_subset_count_matches_dense(self):
         spanner = Spanner(PATTERN)
-        try:
-            subset = spanner._otf_runtime_for_key(
-                spanner._alphabet_key(DOCUMENT)
-            )
-            assert count_subset_runlength(subset, DOCUMENT) == count_compiled(
-                spanner.runtime(DOCUMENT), DOCUMENT
-            )
-            assert subset_runlength_kernel(subset) is subset_runlength_kernel(
-                subset
-            )
-        finally:
-            spanner.close()
+        subset = spanner._otf_runtime_for_key(
+            spanner._alphabet_key(DOCUMENT)
+        )
+        assert count_subset_runlength(subset, DOCUMENT) == count_compiled(
+            spanner.runtime(DOCUMENT), DOCUMENT
+        )
+        assert subset_runlength_kernel(subset) is subset_runlength_kernel(
+            subset
+        )
 
 
 class TestArena:
@@ -269,76 +230,34 @@ class TestArena:
         # The kernel axis never reaches an arena: every value builds
         # exactly the scalar engine's arrays.
         spanner = Spanner(PATTERN)
-        try:
-            for document in ["", "a", DOCUMENT, "ab" * 30, "b" * 50 + "aaa"]:
-                runtime = spanner.runtime(document)
-                expected = arena_arrays(
-                    evaluate_compiled_arena(runtime, document)
-                )
-                for kernel in KERNELS:
-                    actual = arena_arrays(
-                        spanner.preprocess(document, kernel=kernel)
-                    )
-                    assert actual == expected, (document, kernel)
-        finally:
-            spanner.close()
-
-
-class TestShardingComposition:
-    def test_summary_matches_scalar_summary(self, runtime):
-        encoded = runtime.encode(DOCUMENT)
-        for n in (0, 1, 7, encoded.length):
-            assert summary_runlength(
-                runtime, encoded.buffer, n
-            ) == shard_summary(runtime, encoded.buffer, n)
-
-    def test_count_vectors_apply_trailing_capture_once(self, runtime):
-        encoded = runtime.encode(DOCUMENT)
-        entries = list(range(runtime.num_states))
-        without = count_vectors_runlength(
-            runtime, encoded.buffer, entries, include_final=False
-        )
-        with_final = count_vectors_runlength(
-            runtime, encoded.buffer, entries, include_final=True
-        )
-        kernel = runlength_kernel(runtime)
-        for entry in entries:
-            expected = {}
-            for state, amount in without[entry].items():
-                for target, coeff in kernel.iv_rows[state]:
-                    expected[target] = expected.get(target, 0) + amount * coeff
-            assert with_final[entry] == expected
-
-    def test_sharded_count_with_runlength_kernel(self, runtime):
-        expected = count_compiled(runtime, DOCUMENT)
-        for shards in (1, 2, 3, 7):
-            assert (
-                count_sharded(
-                    runtime, DOCUMENT, shards=shards, kernel="runlength"
-                )
-                == expected
+        for document in ["", "a", DOCUMENT, "ab" * 30, "b" * 50 + "aaa"]:
+            runtime = spanner.runtime(document)
+            expected = arena_arrays(
+                evaluate_compiled_arena(runtime, document)
             )
+            for kernel in KERNELS:
+                actual = arena_arrays(
+                    spanner.preprocess(document, kernel=kernel)
+                )
+                assert actual == expected, (document, kernel)
 
 
 class TestDispatch:
     def test_prefers_runlength_needs_long_runs_and_a_long_document(self):
         spanner = Spanner(PATTERN)
-        try:
-            runtime = spanner.runtime("ab")
-            short = runtime.encode("ab" * 8)
-            assert not prefers_runlength(short)
-            choppy = runtime.encode("ab" * RUNLENGTH_MIN_CHARS)
-            assert not prefers_runlength(choppy)
-            runny = runtime.encode("a" * 64 * RUNLENGTH_MIN_CHARS)
-            assert prefers_runlength(runny)
-            assert resolve_kernel("auto", short) == "scalar"
-            assert resolve_kernel("auto", runny) == "runlength"
-            assert resolve_kernel("scalar", runny) == "scalar"
-            assert resolve_kernel("runlength", short) == "runlength"
-            with pytest.raises(EvaluationError):
-                resolve_kernel("bogus", short)
-        finally:
-            spanner.close()
+        runtime = spanner.runtime("ab")
+        short = runtime.encode("ab" * 8)
+        assert not prefers_runlength(short)
+        choppy = runtime.encode("ab" * RUNLENGTH_MIN_CHARS)
+        assert not prefers_runlength(choppy)
+        runny = runtime.encode("a" * 64 * RUNLENGTH_MIN_CHARS)
+        assert prefers_runlength(runny)
+        assert resolve_kernel("auto", short) == "scalar"
+        assert resolve_kernel("auto", runny) == "runlength"
+        assert resolve_kernel("scalar", runny) == "scalar"
+        assert resolve_kernel("runlength", short) == "runlength"
+        with pytest.raises(EvaluationError):
+            resolve_kernel("bogus", short)
 
     def test_auto_decision_never_builds_the_run_view(self):
         # A sparse log stays scalar under kernel="auto".  Extraction
@@ -350,21 +269,18 @@ class TestDispatch:
         )
         assert len(document) >= RUNLENGTH_MIN_CHARS
         spanner = Spanner(r".*ERROR worker-w{[0-9]} .*")
-        try:
-            rows = list(spanner.extract(document))
-            classing = spanner.runtime(document).classing
-            encoded = document.cached_encoding(classing.signature)
-            assert encoded is not None
-            assert encoded._run_count is None
-            assert encoded._runs is None
-            count = spanner.count(document)
-            assert count == len(rows) > 0
-            assert encoded._runs is None
-            assert encoded._run_count is not None
-            assert resolve_kernel("auto", encoded) == "scalar"
-            assert encoded._runs is None
-        finally:
-            spanner.close()
+        rows = list(spanner.extract(document))
+        classing = spanner.runtime(document).classing
+        encoded = document.cached_encoding(classing.signature)
+        assert encoded is not None
+        assert encoded._run_count is None
+        assert encoded._runs is None
+        count = spanner.count(document)
+        assert count == len(rows) > 0
+        assert encoded._runs is None
+        assert encoded._run_count is not None
+        assert resolve_kernel("auto", encoded) == "scalar"
+        assert encoded._runs is None
 
     def test_forced_runlength_extract_is_the_scalar_arena(self):
         # A long-run document that auto would send to the run-length
@@ -376,19 +292,15 @@ class TestDispatch:
         pattern = ".*x{ba}.*"  # one mapping per run boundary
         forced = Spanner(pattern, kernel="runlength")
         scalar = Spanner(pattern, kernel="scalar")
-        try:
-            document = Document(text)
-            runtime = forced.runtime(document)
-            encoded = runtime.encode(document)
-            assert prefers_runlength(encoded)
-            expected = arena_arrays(evaluate_compiled_arena(runtime, document))
-            assert arena_arrays(forced.preprocess(document)) == expected
-            assert forced.extract(document) == scalar.extract(text)
-            assert encoded._runs is None
-            assert forced.count(document) == scalar.count(text) > 0
-        finally:
-            forced.close()
-            scalar.close()
+        document = Document(text)
+        runtime = forced.runtime(document)
+        encoded = runtime.encode(document)
+        assert prefers_runlength(encoded)
+        expected = arena_arrays(evaluate_compiled_arena(runtime, document))
+        assert arena_arrays(forced.preprocess(document)) == expected
+        assert forced.extract(document) == scalar.extract(text)
+        assert encoded._runs is None
+        assert forced.count(document) == scalar.count(text) > 0
 
     def test_dispatchers_agree_across_kernels(self, runtime):
         expected = count_compiled(runtime, DOCUMENT)
@@ -399,15 +311,12 @@ class TestDispatch:
 
     def test_subset_dispatcher_agrees(self):
         spanner = Spanner(PATTERN)
-        try:
-            subset = spanner._otf_runtime_for_key(
-                spanner._alphabet_key(DOCUMENT)
+        subset = spanner._otf_runtime_for_key(
+            spanner._alphabet_key(DOCUMENT)
+        )
+        expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
+        for kernel in KERNELS:
+            assert (
+                count_subset_with_kernel(subset, DOCUMENT, kernel=kernel)
+                == expected
             )
-            expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
-            for kernel in KERNELS:
-                assert (
-                    count_subset_with_kernel(subset, DOCUMENT, kernel=kernel)
-                    == expected
-                )
-        finally:
-            spanner.close()
