@@ -142,8 +142,8 @@ async def bench_workload(
 ):
     workload = scenario(name, num_documents=num_documents, scale=scale)
     documents = list(workload.collection)
-    # Declare exactly the characters the documents use: the sessions are
-    # about serving throughput, not alphabet-width compilation.
+    # Declare exactly the characters the documents use (accepted for
+    # compatibility: a pattern compiles once whatever a session declares).
     alphabet = "".join(sorted({char for doc in documents for char in doc.text}))
     jobs = [documents[index % len(documents)] for index in range(concurrency)]
 

@@ -92,6 +92,7 @@ def join_eva(left: ExtendedVA, right: ExtendedVA) -> ExtendedVA:
             if successor not in seen:
                 seen.add(successor)
                 frontier.append(successor)
+    product.declare_letters(left.declared | right.declared)
     return trim(product)
 
 
@@ -129,6 +130,7 @@ def union_eva(left: ExtendedVA, right: ExtendedVA) -> ExtendedVA:
 
     copy(left, "left")
     copy(right, "right")
+    result.declare_letters(left.declared | right.declared)
     return result
 
 
@@ -199,6 +201,7 @@ def union_deterministic_eva(left: ExtendedVA, right: ExtendedVA) -> ExtendedVA:
                 result.add_variable_transition(source, label, successor)
             else:
                 result.add_letter_transition(source, label, successor)
+    result.declare_letters(left.declared | right.declared)
     return trim(result)
 
 
@@ -245,4 +248,5 @@ def project_eva(automaton: ExtendedVA, variables: Iterable[str]) -> ExtendedVA:
                 result.add_final(source)
             for symbol, target in automaton.letter_transitions_from(silent):
                 result.add_letter_transition(source, symbol, target)
+    result.declare_letters(automaton.declared)
     return trim(result)

@@ -225,6 +225,7 @@ def trim(automaton: VariableSetAutomaton | ExtendedVA):
             trimmed.add_variable_transition(source, label, target)
         else:
             trimmed.add_letter_transition(source, label, target)
+    trimmed.declare_letters(automaton.declared)
     return trimmed
 
 

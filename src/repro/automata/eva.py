@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, is_letter, read_as
 from repro.core.errors import CompilationError
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
@@ -70,6 +70,8 @@ class ExtendedVA:
         self._letter: dict[State, dict[str, set[State]]] = {}
         # state -> MarkerSet -> set of targets
         self._variable: dict[State, dict[MarkerSet, set[State]]] = {}
+        #: Letters named without a transition (see declare_letters).
+        self.declared: frozenset[str] = frozenset()
         # Memoized frozenset views handed out by letter_targets /
         # variable_targets, invalidated on mutation, so repeated calls to
         # the accessors don't allocate a fresh frozenset each time.
@@ -97,12 +99,21 @@ class ExtendedVA:
 
     def add_letter_transition(self, source: State, symbol: str, target: State) -> None:
         """Add a letter transition ``(source, symbol, target)``."""
-        if not isinstance(symbol, str) or len(symbol) != 1:
+        if not is_letter(symbol):
             raise CompilationError(f"letter transitions need single-character symbols, got {symbol!r}")
         self.add_state(source)
         self.add_state(target)
         self._letter.setdefault(source, {}).setdefault(symbol, set()).add(target)
         self._letter_targets_cache.pop((source, symbol), None)
+
+    def declare_letters(self, letters: Iterable[str]) -> None:
+        """Name *letters* in the alphabet even if no transition reads them.
+
+        An automaton that reads :data:`~repro.core.documents.OTHER` must
+        know every letter it names: a letter that a negated class excludes
+        has no transition, yet must not read as OTHER.
+        """
+        self.declared |= frozenset(letters)
 
     def add_variable_transition(
         self, source: State, markers: MarkerSet | Iterable[Marker], target: State
@@ -151,8 +162,8 @@ class ExtendedVA:
         return frozenset(found)
 
     def alphabet(self) -> frozenset[str]:
-        """All symbols mentioned by letter transitions."""
-        found: set[str] = set()
+        """All symbols mentioned by letter transitions or declared."""
+        found: set[str] = set(self.declared)
         for per_state in self._letter.values():
             found.update(per_state)
         return frozenset(found)
@@ -290,7 +301,7 @@ class ExtendedVA:
         a variable transition may be skipped (``S = ∅`` keeps the state),
         and a run is valid when markers are used consistently.
         """
-        text = as_text(document)
+        text = read_as(as_text(document), self.alphabet())
         if self._initial is None:
             return
         n = len(text)
@@ -356,6 +367,7 @@ class ExtendedVA:
                 duplicate.add_variable_transition(source, label, target)
             else:
                 duplicate.add_letter_transition(source, label, target)
+        duplicate.declare_letters(self.declared)
         return duplicate
 
     def rename_states(self, naming: dict[State, State] | None = None) -> "ExtendedVA":
@@ -375,6 +387,7 @@ class ExtendedVA:
                 renamed.add_variable_transition(naming[source], label, naming[target])
             else:
                 renamed.add_letter_transition(naming[source], label, naming[target])
+        renamed.declare_letters(self.declared)
         return renamed
 
     def to_dot(self, name: str = "eva") -> str:

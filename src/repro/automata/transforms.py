@@ -76,6 +76,7 @@ def va_to_eva(automaton: VariableSetAutomaton) -> ExtendedVA:
         (s, label, t) for s, label, t in automaton.transitions() if isinstance(label, str)
     ):
         extended.add_letter_transition(source, symbol, target)
+    extended.declare_letters(automaton.declared)
 
     for origin in automaton.states:
         # Depth-first search over variable paths with distinct markers in
@@ -196,6 +197,7 @@ def determinize(automaton: ExtendedVA) -> ExtendedVA:
                 if successor & automaton.finals:
                     result.add_final(successor)
                 frontier.append(successor)
+    result.declare_letters(automaton.declared)
     return result
 
 
@@ -252,6 +254,7 @@ def sequentialize(automaton: VariableSetAutomaton | ExtendedVA) -> ExtendedVA:
                 if target in extended.finals and new_ledger.is_valid_final():
                     result.add_final(successor)
                 frontier.append((target, new_ledger))
+    result.declare_letters(extended.declared)
     return trim(result)
 
 

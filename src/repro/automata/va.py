@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, is_letter, read_as
 from repro.core.errors import CompilationError
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
@@ -69,6 +69,8 @@ class VariableSetAutomaton:
         self._letter: dict[State, dict[str, set[State]]] = {}
         # state -> marker -> set of targets
         self._variable: dict[State, dict[Marker, set[State]]] = {}
+        #: Letters named without a transition (see declare_letters).
+        self.declared: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -91,11 +93,16 @@ class VariableSetAutomaton:
 
     def add_letter_transition(self, source: State, symbol: str, target: State) -> None:
         """Add a letter transition ``(source, symbol, target)``."""
-        if not isinstance(symbol, str) or len(symbol) != 1:
+        if not is_letter(symbol):
             raise CompilationError(f"letter transitions need single-character symbols, got {symbol!r}")
         self.add_state(source)
         self.add_state(target)
         self._letter.setdefault(source, {}).setdefault(symbol, set()).add(target)
+
+    def declare_letters(self, letters: Iterable[str]) -> None:
+        """Name *letters* in the alphabet even if no transition reads them
+        (see :meth:`repro.automata.eva.ExtendedVA.declare_letters`)."""
+        self.declared |= frozenset(letters)
 
     def add_variable_transition(self, source: State, marker: Marker, target: State) -> None:
         """Add a variable transition ``(source, marker, target)``."""
@@ -148,8 +155,8 @@ class VariableSetAutomaton:
         return frozenset(found)
 
     def alphabet(self) -> frozenset[str]:
-        """All symbols mentioned by letter transitions."""
-        found: set[str] = set()
+        """All symbols mentioned by letter transitions or declared."""
+        found: set[str] = set(self.declared)
         for per_state in self._letter.values():
             found.update(per_state)
         return frozenset(found)
@@ -211,7 +218,7 @@ class VariableSetAutomaton:
         pruned eagerly, which also guarantees termination in the presence of
         cycles of variable transitions.
         """
-        text = as_text(document)
+        text = read_as(as_text(document), self.alphabet())
         if self._initial is None:
             return
 
@@ -271,6 +278,7 @@ class VariableSetAutomaton:
                 duplicate.add_variable_transition(source, label, target)
             else:
                 duplicate.add_letter_transition(source, label, target)
+        duplicate.declare_letters(self.declared)
         return duplicate
 
     def rename_states(self, naming: dict[State, State] | None = None) -> "VariableSetAutomaton":
@@ -290,6 +298,7 @@ class VariableSetAutomaton:
                 renamed.add_variable_transition(naming[source], label, naming[target])
             else:
                 renamed.add_letter_transition(naming[source], label, naming[target])
+        renamed.declare_letters(self.declared)
         return renamed
 
     def to_dot(self, name: str = "va") -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, read_as
 from repro.core.errors import NotDeterministicError, NotSequentialError
 from repro.core.mappings import Mapping
 from repro.automata.eva import ExtendedVA
@@ -62,7 +62,7 @@ class EagerCopyEvaluator:
 
     def partial_outputs(self, document: object) -> dict[State, list[PartialOutput]]:
         """Run the eager variant of Algorithm 1 and return the per-state outputs."""
-        text = as_text(document)
+        text = read_as(as_text(document), self._automaton.alphabet())
         outputs: dict[State, list[PartialOutput]] = {self._automaton.initial: [()]}
 
         def capturing(position: int) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, read_as
 from repro.core.errors import NotSequentialError
 from repro.core.mappings import Mapping
 from repro.automata.eva import ExtendedVA
@@ -116,7 +116,7 @@ class PolynomialDelayEnumerator:
 
     def enumerate(self, document: object) -> Iterator[Mapping]:
         """Enumerate ``⟦A⟧(d)`` with polynomial delay and no repetitions."""
-        text = as_text(document)
+        text = read_as(as_text(document), self._automaton.alphabet())
         n = len(text)
         if not self._automaton.has_initial:
             return

@@ -32,8 +32,8 @@ Seven subcommands expose the library's main operations on files (or stdin):
     document in ``--chunk-size`` slices from a file or line-by-line from a
     pipe, and — in the default ``--emit incremental`` mode — print each
     mapping the moment it becomes settled instead of waiting for EOF.
-    Because the document is not known up front, wildcards expand over
-    ``--alphabet`` (printable ASCII plus whitespace by default).
+    The pattern compiles once and its wildcards match every character,
+    so the output equals ``extract`` on the same file.
 
 ``serve``
     The long-lived multi-tenant extraction service
@@ -66,10 +66,9 @@ from repro.spanners.spanner import Spanner
 
 __all__ = ["build_parser", "main"]
 
-#: The default declared alphabet of ``repro stream``: printable ASCII plus
-#: the usual whitespace — what a log pipe realistically carries.  Wildcard
-#: patterns expand over this set because the streamed document's own
-#: characters are not known up front.
+#: The default declared alphabet of ``repro stream`` and ``repro serve``:
+#: printable ASCII plus the usual whitespace.  ``--alphabet`` is accepted
+#: for compatibility; wildcards match every character whatever it says.
 DEFAULT_STREAM_ALPHABET = "".join(chr(point) for point in range(32, 127)) + "\t\n\r"
 
 
@@ -162,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--document",
         default=None,
-        help="path of a document whose alphabet the plan is built for "
-        "(omit for the empty alphabet)",
+        help="path of a document (accepted for compatibility: the plan is "
+        "the same for every document)",
     )
     explain.add_argument(
         "--unchecked",
@@ -262,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--alphabet",
         default=None,
-        help="every character the stream may contain (wildcards expand over "
-        "this set; default: printable ASCII plus whitespace)",
+        help="characters the stream may contain (accepted for compatibility: "
+        "wildcards match every character)",
     )
     stream.add_argument(
         "--format",
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache-size",
         type=int,
         default=32,
-        help="bound of the shared (pattern, alphabet) -> compiled-plan cache",
+        help="bound of the shared pattern -> compiled-plan cache",
     )
     serve.add_argument(
         "--max-session-bytes",
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphabet",
         default=None,
         help="default declared alphabet for sessions that omit one "
-        "(default: printable ASCII plus whitespace)",
+        "(accepted for compatibility: wildcards match every character)",
     )
     serve.add_argument(
         "--warm",

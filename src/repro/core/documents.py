@@ -14,7 +14,29 @@ from typing import Iterable, Iterator
 from repro.core.errors import SpanError
 from repro.core.spans import Span
 
-__all__ = ["Document", "DocumentCollection", "as_text"]
+__all__ = ["OTHER", "Document", "DocumentCollection", "as_text", "is_letter", "read_as"]
+
+#: The one alphabet symbol that is not a single character: it stands for
+#: every character an automaton does not name.  Wildcards and negated
+#: classes include it, so one compilation serves every document, and no
+#: document character can ever equal it.
+OTHER = "<other>"
+
+
+def is_letter(symbol: object) -> bool:
+    """Whether *symbol* may label a letter transition: one character, or OTHER."""
+    return symbol == OTHER or (isinstance(symbol, str) and len(symbol) == 1)
+
+
+def read_as(text: str, alphabet: frozenset[str]) -> str | list[str]:
+    """*text* as an automaton over *alphabet* reads it.
+
+    When the automaton reads :data:`OTHER`, every character outside
+    *alphabet* reads as OTHER; otherwise the text is returned unchanged.
+    """
+    if OTHER not in alphabet:
+        return text
+    return [char if char in alphabet else OTHER for char in text]
 
 
 def as_text(document: object) -> str:

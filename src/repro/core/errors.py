@@ -101,8 +101,6 @@ class StreamingError(EvaluationError):
     """Raised when a chunk-fed evaluation cannot proceed.
 
     Covers protocol misuse (feeding a finished stream, a ``str`` chunk
-    while a partial UTF-8 sequence is pending), byte streams that end
-    inside a multi-byte sequence, and — under ``emit="incremental"`` —
-    characters outside the declared alphabet arriving *after* mappings
-    have been delivered, which such a character would retract.
+    while a partial UTF-8 sequence is pending) and byte streams that end
+    inside a multi-byte sequence.
     """

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, read_as
 from repro.core.errors import NotDeterministicError, NotSequentialError
 from repro.automata.eva import ExtendedVA
 
@@ -51,7 +51,7 @@ def count_mappings(
     if check_sequentiality and not automaton.is_sequential():
         raise NotSequentialError("Algorithm 3 requires a sequential extended VA")
 
-    text = as_text(document)
+    text = read_as(as_text(document), automaton.alphabet())
 
     variable_transitions: dict[State, list[tuple[object, State]]] = {}
     letter_transitions: dict[State, dict[str, State]] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping as MappingView
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, read_as
 from repro.core.errors import NotDeterministicError, NotSequentialError
 from repro.core.mappings import Mapping
 from repro.automata.eva import ExtendedVA
@@ -170,7 +170,7 @@ def evaluate(
             "the constant-delay algorithm requires a sequential extended VA"
         )
 
-    text = as_text(document)
+    text = read_as(as_text(document), automaton.alphabet())
     n = len(text)
 
     # Per-state transition tables, precomputed once so the inner loops only

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.documents import as_text
+from repro.core.documents import as_text, read_as
 from repro.core.errors import NotSequentialError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet
@@ -55,7 +55,7 @@ def evaluate_on_the_fly(
     if check_sequentiality and not automaton.is_sequential():
         raise NotSequentialError("on-the-fly evaluation requires a sequential extended VA")
 
-    text = as_text(document)
+    text = read_as(as_text(document), automaton.alphabet())
     n = len(text)
 
     # Per-state transition tables of the underlying automaton.

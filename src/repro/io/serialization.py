@@ -91,6 +91,7 @@ def va_to_dict(automaton: VariableSetAutomaton) -> dict:
         "finals": sorted((_check_state(s) for s in automaton.finals), key=repr),
         "letter_transitions": letter,
         "variable_transitions": variable,
+        "declared": sorted(automaton.declared),
     }
 
 
@@ -108,6 +109,7 @@ def va_from_dict(payload: TypingMapping) -> VariableSetAutomaton:
         automaton.add_letter_transition(source, symbol, target)
     for source, marker, target in payload.get("variable_transitions", []):
         automaton.add_variable_transition(source, _marker_from_json(marker), target)
+    automaton.declare_letters(payload.get("declared", ()))
     return automaton
 
 
@@ -137,6 +139,7 @@ def eva_to_dict(automaton: ExtendedVA) -> dict:
         "finals": sorted((_check_state(s) for s in automaton.finals), key=repr),
         "letter_transitions": letter,
         "variable_transitions": variable,
+        "declared": sorted(automaton.declared),
     }
 
 
@@ -155,6 +158,7 @@ def eva_from_dict(payload: TypingMapping) -> ExtendedVA:
     for source, markers, target in payload.get("variable_transitions", []):
         marker_set = MarkerSet(_marker_from_json(marker) for marker in markers)
         automaton.add_variable_transition(source, marker_set, target)
+    automaton.declare_letters(payload.get("declared", ()))
     return automaton
 
 

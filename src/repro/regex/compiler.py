@@ -9,13 +9,16 @@ which has no ε-transitions).
 
 Wildcards and negated character classes expand over an explicit alphabet,
 which must therefore be supplied (or be derivable from the formula's
-literals) — see :func:`compile_to_va`.
+literals) — see :func:`compile_to_va`.  An alphabet holding
+:data:`~repro.core.documents.OTHER` makes them match every character the
+alphabet does not name as well, so one automaton serves every document.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.documents import OTHER, is_letter
 from repro.core.errors import CompilationError
 from repro.automata.analysis import trim
 from repro.automata.markers import Marker, close, open_
@@ -189,6 +192,8 @@ def compile_to_va(
         The alphabet over which wildcards (``.``) and negated character
         classes expand.  May be omitted when the formula does not contain
         such constructs, in which case the formula's own literals are used.
+        :data:`~repro.core.documents.OTHER` is its one member that is not a
+        single character; the wildcards then include it.
 
     The translation is linear in the size of the formula, as stated in the
     paper (Section 4, "regex formulas can be translated into VA in linear
@@ -205,8 +210,15 @@ def compile_to_va(
     else:
         alphabet_set = frozenset(alphabet) | frozenset(node.literals())
     for character in alphabet_set:
-        if not isinstance(character, str) or len(character) != 1:
-            raise CompilationError(f"alphabet members must be single characters, got {character!r}")
+        if not is_letter(character):
+            raise CompilationError(
+                f"alphabet members must be single characters or OTHER, got {character!r}"
+            )
     compiler = _Compiler(alphabet_set)
     start, end = compiler.compile(node)
-    return compiler.to_va(start, end)
+    automaton = compiler.to_va(start, end)
+    if OTHER in alphabet_set:
+        # A letter a negated class excludes may have no transition left,
+        # yet it must not read as OTHER.
+        automaton.declare_letters(alphabet_set)
+    return automaton

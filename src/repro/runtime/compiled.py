@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from typing import Hashable
 
+from repro.core.documents import OTHER
 from repro.core.errors import CompilationError, NotDeterministicError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet
@@ -62,11 +63,12 @@ def marker_decode_tables_for(marker_sets) -> tuple[tuple, tuple]:
 
 
 def encode_symbols(symbol_index: dict[str, int], text: str) -> list[int]:
-    """Translate *text* into symbol ids (``NO_TARGET`` for foreign chars).
+    """Translate *text* into symbol ids.
 
-    A character outside the compiled alphabet can never be consumed by any
-    letter transition, so the engines treat ``-1`` as "every live run dies
-    here".
+    A character the alphabet does not name gets the id of
+    :data:`~repro.core.documents.OTHER` when the alphabet has it, and
+    ``NO_TARGET`` otherwise: no letter transition can consume it, so the
+    engines treat ``-1`` as "every live run dies here".
 
     .. deprecated-in-practice:: the engines no longer call this — they
        consume the cached, C-level class-id buffers of
@@ -75,7 +77,8 @@ def encode_symbols(symbol_index: dict[str, int], text: str) -> list[int]:
        CONTRIBUTING).
     """
     get = symbol_index.get
-    return [get(character, NO_TARGET) for character in text]
+    unnamed = get(OTHER, NO_TARGET)
+    return [get(character, unnamed) for character in text]
 
 
 #: Upper bound on cached sprint patterns per runtime — a backstop against
@@ -298,7 +301,7 @@ class CompiledEVA:
         return key
 
     def encode_text(self, text: str) -> list[int]:
-        """Translate *text* into a list of symbol ids (``-1`` for foreign chars).
+        """Translate *text* into a list of symbol ids (see :func:`encode_symbols`).
 
         Introspection only — the engines consume :meth:`encode` (class-id
         buffers, cached per document) instead.

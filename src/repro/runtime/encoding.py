@@ -12,10 +12,13 @@ plan, every benchmark repeat).  This module replaces it with:
   alphabet symbol to the id of its *behavioural class*: two symbols whose
   columns in the dense letter table are identical (every ``[a-z]``-style
   wildcard edge) share one class, so the per-state rows consumed by the
-  engines shrink from ``|Σ|`` to the (often far smaller) class count.  One
-  extra *foreign* class, whose column is all ``NO_TARGET``, absorbs every
-  character outside the compiled alphabet — the engines need no
-  out-of-alphabet branch at all.
+  engines shrink from ``|Σ|`` to the (often far smaller) class count.
+  Every character the automaton does not name reads as
+  :data:`~repro.core.documents.OTHER` when the automaton has an ``OTHER``
+  column (a wildcard or negated class), and as one extra *foreign* class,
+  whose column is all ``NO_TARGET``, otherwise.  The foreign column is
+  kept either way, so every state has a class it stops on and the engines
+  need no out-of-alphabet branch at all.
 
 * **One C-level encoding pass per document** — :meth:`SymbolClassing.encode`
   translates the whole document in bulk (``bytes.translate`` for latin-1
@@ -43,7 +46,7 @@ import re
 import sys
 from array import array
 
-from repro.core.documents import Document, as_text
+from repro.core.documents import OTHER, Document, as_text
 
 __all__ = [
     "EncodedDocument",
@@ -288,13 +291,14 @@ class SymbolClassing:
         "class_of",
         "num_classes",
         "foreign_class",
+        "other_class",
         "num_ids",
         "signature",
         "_hash",
         "_byte_table",
         "_str_table",
         "_cleanup",
-        "_foreign_char",
+        "_other_char",
     )
 
     def __init__(self, symbols: tuple[str, ...], class_of) -> None:
@@ -308,17 +312,21 @@ class SymbolClassing:
         self.num_ids = self.num_classes + 1
         self.signature = (self.symbols, self.class_of)
         self._hash = hash(self.signature)
+        named = dict(zip(self.symbols, self.class_of))
+        #: The class of every character the automaton does not name:
+        #: OTHER's class if the automaton reads OTHER, else the foreign one.
+        self.other_class = named.pop(OTHER, self.foreign_class)
 
         # str.translate table: alphabet symbols map to their class id; the
         # low codepoints that could be confused with class ids map to the
-        # foreign class.  After translation every char with ord <= the
-        # foreign id IS a class id, and everything above is a foreign
+        # other class.  After translation every char with ord <= the
+        # foreign id IS a class id, and everything above is an unnamed
         # character, fixed up by one C-level regex substitution.
-        table = {ord(symbol): cls for symbol, cls in zip(self.symbols, self.class_of)}
+        table = {ord(symbol): cls for symbol, cls in named.items()}
         for codepoint in range(self.num_ids):
-            table.setdefault(codepoint, self.foreign_class)
+            table.setdefault(codepoint, self.other_class)
         self._str_table = table
-        self._foreign_char = chr(self.foreign_class)
+        self._other_char = chr(self.other_class)
         self._cleanup = re.compile(
             "[^\\x00-" + re.escape(chr(self.foreign_class)) + "]"
         )
@@ -326,8 +334,8 @@ class SymbolClassing:
         # bytes.translate table for the fast path: latin-1 documents over a
         # <=256-id classing translate at memcpy speed.
         if self.num_ids <= 256:
-            byte_table = bytearray([self.foreign_class]) * 256
-            for symbol, cls in zip(self.symbols, self.class_of):
+            byte_table = bytearray([self.other_class]) * 256
+            for symbol, cls in named.items():
                 point = ord(symbol)
                 if point < 256:
                     byte_table[point] = cls
@@ -376,7 +384,7 @@ class SymbolClassing:
                 )
 
         translated = text.translate(self._str_table)
-        cleaned = self._cleanup.sub(self._foreign_char, translated)
+        cleaned = self._cleanup.sub(self._other_char, translated)
         if self.num_ids <= 256:
             buffer: object = cleaned.encode("latin-1")
         else:

@@ -10,8 +10,9 @@ DAG stays the semantic oracle — but operating purely on ints:
   so the reading phase is two indexings per live state and character and
   repeated evaluations of one document skip the translation entirely,
 * symbols with identical letter-table columns share one equivalence class,
-  shrinking the dense rows; one extra all-dead *foreign* class absorbs
-  out-of-alphabet characters, so the inner loops have no foreign branch,
+  shrinking the dense rows; characters the automaton does not name read
+  as OTHER's class (or, without an OTHER column, as one extra all-dead
+  *foreign* class), so the inner loops have no out-of-alphabet branch,
 * marker sets are referenced by id, and DAG nodes are rows of a flat
   int arena (:class:`~repro.runtime.dag.CompiledResultDag`) instead of
   objects,

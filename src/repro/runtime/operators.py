@@ -7,8 +7,8 @@ determinization) but instead be evaluated at runtime, the route of
 Propositions 4.5/4.6: evaluate the fused fragments independently and
 combine their mapping sets.  This module is that runtime:
 
-* :class:`FusedLeaf` — a fused subexpression, compiled once per alphabet
-  through the regular :class:`~repro.spanners.pipeline.CompilationPipeline`
+* :class:`FusedLeaf` — a fused subexpression, compiled once for the
+  spanner's alphabet through the regular :class:`~repro.spanners.pipeline.CompilationPipeline`
   and evaluated by the engine its own inner
   :class:`~repro.runtime.plan.ExecutionPlan` picks (``compiled`` or
   ``compiled-otf``); its output is a
@@ -200,7 +200,7 @@ class PhysicalOperator:
 
 
 class FusedLeaf(PhysicalOperator):
-    """A fused subexpression, compiled once per alphabet and run as a unit.
+    """A fused subexpression, compiled once for an alphabet and run as a unit.
 
     The leaf owns a private :class:`CompilationPipeline` over its (already
     rewritten) expression fragment; :meth:`prepare` resolves the inner

@@ -38,14 +38,13 @@ whole document to an engine.  Streaming always runs ``compiled`` — see
 :func:`choose_plan`.
 
 The module also hosts :class:`PlanCache` — the shared, size-bounded,
-thread-safe LRU over compilation artifacts.  It generalizes what used to
-be a private ``OrderedDict`` inside the :class:`~repro.spanners.Spanner`
-facade: the facade keeps one per-instance cache of per-alphabet
-compilation states, while the server front-end
+thread-safe LRU over compilation artifacts.  The server front-end
 (:mod:`repro.server`) keeps one *shared* cache of pattern→compiled-plan
-entries across every connection.  Both report hit/miss/eviction counters
-through :meth:`PlanCache.stats`, which is what the server's ``/metrics``
-endpoint exposes as the plan-cache hit ratio.
+entries across every connection, and the
+:class:`~repro.spanners.Spanner` facade memoizes the reference engine's
+per-document-alphabet automata in a small one.  Both report
+hit/miss/eviction counters through :meth:`PlanCache.stats`, which is what
+the server's ``/metrics`` endpoint exposes as the plan-cache hit ratio.
 
 :func:`choose_plan` implements the ``auto`` policy from an automaton's
 :class:`~repro.automata.analysis.AutomatonStatistics` (measured on the

@@ -38,24 +38,20 @@ Two output modes:
     :meth:`feed` returns the mappings that became *settled* during the
     chunk.  A mapping is settled when its run has reached a **settled
     sink** — a final state with no variable transitions that self-loops
-    on every class of the compiled alphabet.  Runs parked there can never
-    gain markers, never leave the state and never die on in-alphabet
-    input, so their mappings are in the output of *every* continuation of
+    on every class a character can read as, ``OTHER``'s included.  Runs
+    parked there can never gain markers, never leave the state and never
+    die, so their mappings are in the output of *every* continuation of
     the stream — emitting them early is exact, and the constant-delay
     guarantee carries over (each settled mapping is decoded by the same
-    bounded arena walk Algorithm 2 performs).  Flushed list heads are cut
-    from the live structure and the arena is compacted to the cells still
+    bounded arena walk Algorithm 2 performs).  An automaton without an
+    ``OTHER`` column (a pattern with no wildcard) kills every run on a
+    character it does not name, so it has no settled sink and emits at
+    :meth:`~StreamingEvaluator.finish`.  Flushed list heads are cut from
+    the live structure and the arena is compacted to the cells still
     reachable from live runs, so the buffered arena stays bounded by the
     in-flight state instead of growing with the whole output (the
     ``tailing-logs`` property test pins ``peak_arena_cells`` strictly
-    below the whole-document arena).  One guard keeps early emission
-    exact: once a mapping has been delivered, a character outside the
-    compiled alphabet raises a :class:`StreamingError` — it would kill
-    even the settled sinks, retracting what was already handed out.
-    Before the first delivery the engines' kill-the-runs semantics apply
-    unchanged (the whole-document output is empty either way).  Streams
-    that may carry arbitrary bytes should declare a larger alphabet or
-    use ``emit="on_finish"``.
+    below the whole-document arena).
 
 The evaluator works on the dense tables of a
 :class:`~repro.runtime.compiled.CompiledEVA` (the planner's streaming
@@ -103,19 +99,22 @@ def settled_sinks(compiled: CompiledEVA) -> frozenset[int]:
 
     A state qualifies when it is final, has no extended variable
     transition (its list is never snapshotted into new DAG nodes) and
-    self-loops on every non-foreign class (no in-alphabet character can
+    self-loops on every class a character can read as (no character can
     move or kill the run).  Mappings parked in such a state are in the
-    output of every continuation of the stream over the compiled
-    alphabet — the exactness argument behind ``emit="incremental"``.
+    output of every continuation of the stream — the exactness argument
+    behind ``emit="incremental"``.
     """
+    classing = compiled.classing
     sinks = []
     for state in range(compiled.num_states):
         if not (compiled.is_final[state] and compiled.silent[state]):
             continue
         row = compiled.class_table[state]
-        # The trailing column is the all-dead foreign class; a sink only
-        # needs to survive the declared alphabet.
-        if all(target == state for target in row[:-1]):
+        # The named classes, plus the class of every unnamed character:
+        # OTHER's, or else the all-dead foreign one, which no state
+        # survives.
+        reachable = row[: classing.num_classes] + (row[classing.other_class],)
+        if all(target == state for target in reachable):
             sinks.append(state)
     return frozenset(sinks)
 
@@ -206,11 +205,6 @@ class StreamingEvaluator:
         self._classing = compiled.classing
         self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._decoder_pending = False
-
-        # Foreign-class probes for the incremental mode's alphabet guard.
-        foreign = self._classing.foreign_class
-        self._foreign_byte = foreign if foreign <= 0xFF else None
-        self._foreign_id = foreign
 
         # The arena under construction (cell 0 is the initial list [⊥]).
         self._node_markers: list[int] = []
@@ -313,8 +307,6 @@ class StreamingEvaluator:
         if not text:
             return []
         encoded = self._classing.encode_fresh(text)
-        if self._settled_count:
-            self._guard_alphabet(encoded.buffer, len(text))
         if self._active:
             self._advance(encoded.buffer, encoded.length)
         self._offset += encoded.length
@@ -424,34 +416,6 @@ class StreamingEvaluator:
         self._release_scratch()
         self._failed = True
         raise StreamingError(message)
-
-    def _guard_alphabet(self, buf, length: int) -> None:
-        """Reject a foreign character once mappings have been delivered.
-
-        A foreign character kills every run — including the settled
-        sinks whose mappings were already handed to the caller, which
-        could never be retracted.  Until the first delivery the guard is
-        off: a foreign character then simply kills every run, exactly
-        the compiled engines' whole-document semantics (the total output
-        is empty either way).
-        """
-        if isinstance(buf, bytes):
-            if self._foreign_byte is None:
-                return
-            position = buf.find(self._foreign_byte)
-        else:
-            position = -1
-            for index in range(length):
-                if buf[index] == self._foreign_id:
-                    position = index
-                    break
-        if position >= 0:
-            self._fail(
-                "character outside the declared alphabet at position "
-                f"{self._offset + position}; incremental emission cannot "
-                "retract already-delivered mappings — declare a larger "
-                "alphabet or use emit='on_finish'"
-            )
 
     def _advance(self, buf, n: int) -> None:
         """The resumable arena kernel over one chunk.

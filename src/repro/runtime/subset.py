@@ -116,8 +116,8 @@ class CompiledSubsetEVA:
 
         # --- symbol equivalence classes over the base letter columns --- #
         # Two symbols share a class iff every base state maps them to the
-        # same target set; one trailing empty foreign column absorbs
-        # out-of-alphabet characters.
+        # same target set; one trailing empty foreign column absorbs the
+        # characters the automaton does not name unless it reads OTHER.
         columns = (
             tuple(zip(*self.base_letter)) if self.base_letter and self.symbols else ()
         )
@@ -302,7 +302,7 @@ class CompiledSubsetEVA:
         return self.intern_subset(tuple(key))
 
     def encode_text(self, text: str) -> list[int]:
-        """Translate *text* into symbol ids (``-1`` for foreign characters).
+        """Translate *text* into symbol ids (see :func:`encode_symbols`).
 
         Introspection only — the engines consume :meth:`encode` (class-id
         buffers, cached per document) instead.

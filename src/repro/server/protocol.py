@@ -10,9 +10,10 @@ stream of NDJSON events:
     {"chunk": "ba"}
     {"finish": true}
 
-The first line **opens** the session — it names the pattern, the
-declared alphabet (wildcards expand over it, exactly like ``repro
-stream``) and the emit mode.  Every following ``chunk`` event feeds
+The first line **opens** the session — it names the pattern, an optional
+declared alphabet (accepted and validated, but no longer needed: the
+pattern compiles once, and its wildcards match every character, exactly
+like ``repro stream``) and the emit mode.  Every following ``chunk`` event feeds
 document text; ``finish`` (or simply the end of the body) runs the final
 capturing phase.  The response is NDJSON too: a ``ready``
 acknowledgement, one ``mapping`` line per output mapping (spans only —
@@ -68,15 +69,10 @@ class OpenRequest:
     alphabet: str | None
     emit: str
 
-    def cache_key(self, default_alphabet: str) -> tuple[str, str]:
-        """The shared plan-cache key: emit mode is per-session, not per-plan.
-
-        Keys on the *resolved* alphabet, so a session that declares the
-        server default explicitly shares the compiled plan (and the
-        ``--warm`` precompilation) with one that omits the field.
-        """
-        alphabet = self.alphabet if self.alphabet is not None else default_alphabet
-        return (self.pattern, alphabet)
+    def cache_key(self) -> str:
+        """The shared plan-cache key: the pattern, compiled once for every
+        alphabet; the emit mode is per-session, not per-plan."""
+        return self.pattern
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 :class:`SpannerService` owns everything the HTTP front-end
 (:mod:`repro.server.http`) must not: the **shared plan cache** (one
-:class:`~repro.runtime.plan.PlanCache` mapping ``(pattern, alphabet)``
-to a compiled :class:`~repro.spanners.Spanner`, so concurrent sessions
-over the same pattern compile once and every repeat request is a cache
-hit), **admission control** (a hard cap on concurrent sessions plus a
-per-session fed-bytes cap), and the :class:`~repro.server.metrics.ServerMetrics`
-counters.
+:class:`~repro.runtime.plan.PlanCache` mapping each pattern to its one
+compiled :class:`~repro.spanners.Spanner`, so concurrent sessions over
+the same pattern compile once and every repeat request is a cache hit,
+whatever alphabet it declares), **admission control** (a hard cap on
+concurrent sessions plus a per-session fed-bytes cap), and the
+:class:`~repro.server.metrics.ServerMetrics` counters.
 
 A :class:`Session` wraps one per-connection
 :class:`~repro.runtime.streaming.StreamingEvaluator`: ``feed()`` text as
@@ -74,7 +74,7 @@ class ServerConfig:
     port: int = 8765
     #: Hard cap on concurrently open sessions; past it, opens get 429.
     max_sessions: int = 64
-    #: Bound of the shared ``(pattern, alphabet)`` → compiled-plan cache.
+    #: Bound of the shared pattern → compiled-plan cache.
     plan_cache_size: int = 32
     #: Per-session cap on fed document bytes (UTF-8); 0 disables the cap.
     max_session_bytes: int = 64 * 1024 * 1024
@@ -88,7 +88,8 @@ class ServerConfig:
     idle_timeout: float = 30.0
     #: Capacity of the per-request latency ring behind ``/metrics``.
     latency_capacity: int = 1024
-    #: Alphabet used by sessions that do not declare one.
+    #: Alphabet of sessions that do not declare one (accepted for
+    #: compatibility; every alphabet shares the pattern's compilation).
     default_alphabet: str = DEFAULT_SERVE_ALPHABET
 
     def __post_init__(self) -> None:
@@ -116,7 +117,6 @@ class PlanEntry:
     """One shared-cache entry: a compiled spanner plus its metadata."""
 
     pattern: str
-    alphabet: str
     spanner: Spanner
     variables: tuple[str, ...]
     sessions_served: int = 0
@@ -128,9 +128,7 @@ class PlanEntry:
         # Each session gets a private evaluator (and scratch): settled
         # mappings are delivered through feed(), so nothing needs to be
         # retained for a finish()-time replay.
-        return self.spanner.stream(
-            alphabet=self.alphabet, emit=emit, retain_settled=False
-        )
+        return self.spanner.stream(emit=emit, retain_settled=False)
 
 
 class Session:
@@ -170,8 +168,7 @@ class Session:
         Raises :class:`SessionLimitError` past the fed-bytes cap,
         :class:`~repro.core.errors.ResourceLimitError` past the
         arena-cell cap, and whatever the evaluator raises on protocol
-        violations (e.g. a foreign character after a delivery under
-        incremental emission).
+        violations (e.g. a str chunk inside a pending UTF-8 sequence).
         """
         cap = self._service.config.max_session_bytes
         size = len(text.encode("utf-8"))
@@ -246,11 +243,11 @@ class SpannerService:
         self,
         config: ServerConfig | None = None,
         *,
-        plan_cache: PlanCache[tuple[str, str | None], PlanEntry] | None = None,
+        plan_cache: PlanCache[str, PlanEntry] | None = None,
         metrics: ServerMetrics | None = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
-        self.plan_cache: PlanCache[tuple[str, str | None], PlanEntry] = (
+        self.plan_cache: PlanCache[str, PlanEntry] = (
             plan_cache
             if plan_cache is not None
             else PlanCache(self.config.plan_cache_size, name="serve-plans")
@@ -269,27 +266,20 @@ class SpannerService:
     # ------------------------------------------------------------------ #
 
     def _build_entry(self, request: OpenRequest) -> PlanEntry:
-        alphabet = (
-            request.alphabet
-            if request.alphabet is not None
-            else self.config.default_alphabet
-        )
         spanner = Spanner.from_regex(request.pattern)
         # Compile eagerly so malformed patterns fail at open time (a 400)
         # instead of surfacing mid-stream, and so a cache hit really does
         # skip all compilation work.
-        evaluator = spanner.stream(alphabet=alphabet, emit=request.emit)
-        del evaluator  # construction forced the per-alphabet compilation
+        spanner.runtime()
         return PlanEntry(
             pattern=request.pattern,
-            alphabet=alphabet,
             spanner=spanner,
             variables=tuple(sorted(spanner.variables())),
         )
 
     def entry_for(self, request: OpenRequest) -> tuple[PlanEntry, str]:
         """The shared-cache entry for *request*, plus ``"hit"``/``"miss"``."""
-        key = request.cache_key(self.config.default_alphabet)
+        key = request.cache_key()
         outcome = "hit" if key in self.plan_cache else "miss"
         entry = self.plan_cache.get_or_create(key, lambda: self._build_entry(request))
         return entry, outcome

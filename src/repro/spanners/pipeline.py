@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.documents import OTHER
 from repro.core.errors import CompilationError
 from repro.automata.analysis import AutomatonStatistics, is_sequential, statistics, trim
 from repro.automata.eva import ExtendedVA
@@ -115,21 +116,38 @@ class CompilationPipeline:
         """The original spanner specification."""
         return self._source
 
-    @property
-    def base_alphabet(self) -> frozenset[str]:
-        """The user-supplied alphabet, unioned into every compilation."""
-        return self._base_alphabet
-
     def source_needs_alphabet(self) -> bool:
         """Whether compilation output depends on the document alphabet."""
-        if isinstance(self._source, RegexNode):
-            return self._source.needs_alphabet()
-        if isinstance(self._source, SpannerExpression):
-            return any(
-                isinstance(atom.source, RegexNode) and atom.source.needs_alphabet()
-                for atom in self._source.atoms()
+        return any(
+            isinstance(source, RegexNode) and source.needs_alphabet()
+            for source in self._atom_sources()
+        )
+
+    def compile_alphabet(self) -> frozenset[str]:
+        """The one alphabet a :class:`~repro.spanners.Spanner` compiles over.
+
+        A source without wildcards or negated classes compiles over the
+        base alphabet (its own letters are added anyway).  Otherwise the
+        alphabet is the base alphabet, every letter any atom of the source
+        names, and :data:`~repro.core.documents.OTHER`, which stands for
+        every letter it does not name.  All the characters OTHER stands
+        for take the same transitions, so the automaton's semantics over
+        any document equal those of a compilation over that document's
+        own characters.
+        """
+        if not self.source_needs_alphabet():
+            return self._base_alphabet
+        named = set(self._base_alphabet)
+        for source in self._atom_sources():
+            named.update(
+                source.literals() if isinstance(source, RegexNode) else source.alphabet()
             )
-        return False
+        return frozenset(named) | {OTHER}
+
+    def _atom_sources(self) -> list:
+        if isinstance(self._source, SpannerExpression):
+            return [atom.source for atom in self._source.atoms()]
+        return [self._source]
 
     def compile_sequential(
         self, extra_alphabet: Iterable[str] = ()
@@ -163,9 +181,9 @@ class CompilationPipeline:
 
         Appends its stage entry to *report* and returns the deterministic
         seVA.  Callers that cached the :meth:`compile_sequential` output
-        (the :class:`~repro.spanners.Spanner` facade does, so one alphabet
-        key never runs the front of the pipeline twice) pass a *copy* of
-        the sequential report to keep the two records independent.
+        (the :class:`~repro.spanners.Spanner` facade does, so it never runs
+        the front of the pipeline twice) pass a *copy* of the sequential
+        report to keep the two records independent.
         """
         start = time.perf_counter()
         if not extended.is_deterministic():
@@ -203,8 +221,8 @@ class CompilationPipeline:
 
         Returns the :class:`~repro.algebra.optimizer.OptimizedPlan` whose
         physical tree still needs :meth:`PhysicalOperator.prepare` for the
-        alphabet key (the :class:`~repro.spanners.Spanner` facade prepares
-        and caches it per key).  Non-expression sources are wrapped in an
+        alphabet (the :class:`~repro.spanners.Spanner` facade prepares and
+        caches it once).  Non-expression sources are wrapped in an
         :class:`~repro.algebra.expressions.Atom`, so ``repro explain`` can
         render the (trivial) plan of a plain regex or automaton spanner.
         *options* are forwarded to :func:`repro.algebra.optimizer.optimize`

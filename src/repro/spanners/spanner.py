@@ -10,21 +10,25 @@ evaluation operations of the paper:
 * :meth:`Spanner.count` — output counting in ``O(|A| × |d|)`` (Algorithm 3),
 * :meth:`Spanner.extract` — convenience extraction of the captured text.
 
-Compilation into a deterministic sequential eVA happens lazily and is
-cached per alphabet (wildcard patterns expand over the characters of the
-documents they are evaluated on); the cache is a small LRU bounded by the
-``max_cached_alphabets`` knob, and every per-alphabet artifact — the
-sequential eVA, the deterministic eVA, both compiled runtimes and the
-execution plan — lives in **one** entry, so they are evicted together.
+Compilation into a deterministic sequential eVA happens lazily, once per
+pattern: wildcards and negated classes expand over the letters the pattern
+names plus one :data:`~repro.core.documents.OTHER` symbol standing for
+every other character (the alphabet partition of symbolic automata), so
+no request hashes its document's alphabet and no document recompiles.
+The sequential eVA, the deterministic eVA, both compiled runtimes and the
+execution plan are each built once, on first use, and kept on the
+spanner.  Only ``engine="reference"``
+compiles over each document's own characters, in a small private memo, so
+that it stays an oracle independent of ``OTHER``.
 
 Documents flow down to the engines as objects: every compiled engine
 translates them once per alphabet-classing signature into a cached
 class-id buffer (:mod:`repro.runtime.encoding`), so calling
 :meth:`Spanner.enumerate`, :meth:`Spanner.count` and
 :meth:`Spanner.extract` on the same :class:`~repro.core.documents.Document`
-pays a single C-level encoding pass, and the per-alphabet cache entry
-carries one reusable :class:`~repro.runtime.engine.EvaluationScratch` for
-the arena and counting engines.
+pays a single C-level encoding pass, and the spanner carries one reusable
+:class:`~repro.runtime.engine.EvaluationScratch` for the arena and
+counting engines.
 
 Evaluation goes through the :class:`~repro.runtime.plan.ExecutionPlan`
 layer.  ``engine="auto"`` (the default) lets the planner pick between the
@@ -42,16 +46,18 @@ the explicit ``"hybrid"``) the expression tree is rewritten (projection
 pushdown, union/join flattening, join reordering) and each operator either
 fuses into an automaton (Proposition 4.4) or cuts into a runtime operator
 over result arenas (:mod:`repro.runtime.operators`).  The optimized plan
-is cached in the same per-alphabet LRU entry as the other compilation
-artifacts; :meth:`Spanner.explain` renders the logical → physical plan.
+is kept beside the other compilation artifacts; :meth:`Spanner.explain`
+renders the logical → physical plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.core.documents import DocumentCollection, as_text
+from repro.core.errors import CompilationError
 from repro.core.mappings import Mapping
 from repro.automata.analysis import AutomatonStatistics, statistics
 from repro.automata.eva import ExtendedVA
@@ -81,33 +87,8 @@ from repro.spanners.pipeline import CompilationPipeline, CompilationReport
 __all__ = ["Spanner"]
 
 
-class _CompiledState:
-    """Everything compiled for one alphabet key, evicted as a unit."""
-
-    __slots__ = (
-        "sequential",
-        "sequential_report",
-        "automaton",
-        "report",
-        "runtime",
-        "otf_runtime",
-        "scratch",
-        "plan",
-        "stats",
-        "optimized",
-    )
-
-    def __init__(self) -> None:
-        self.sequential: ExtendedVA | None = None
-        self.sequential_report: CompilationReport | None = None
-        self.automaton: ExtendedVA | None = None
-        self.report: CompilationReport | None = None
-        self.runtime: CompiledEVA | None = None
-        self.otf_runtime: CompiledSubsetEVA | None = None
-        self.scratch: EvaluationScratch | None = None
-        self.plan: ExecutionPlan | None = None
-        self.stats: AutomatonStatistics | None = None
-        self.optimized = None  # OptimizedPlan, physical tree prepared for the key
+#: How many per-document-alphabet automata the reference engine keeps.
+_REFERENCE_MEMO = 4
 
 
 class Spanner:
@@ -120,7 +101,6 @@ class Spanner:
         *,
         engine: str = "auto",
         kernel: str = "auto",
-        max_cached_alphabets: int = 8,
         unchecked: bool = False,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
@@ -143,13 +123,9 @@ class Spanner:
         # means the module default: retries plus inline fallback, no
         # quarantine, no resource budget.
         self._resilience = resilience
-        # One LRU entry per alphabet key; the sequential eVA, deterministic
-        # eVA, both compiled runtimes and the plan share the entry so a
-        # single eviction drops them together.  The cache is the shared
-        # PlanCache structure of the plan layer — thread-safe and counted,
-        # so the server front-end can expose per-spanner hit ratios too.
-        self._states: PlanCache[frozenset[str], _CompiledState] = PlanCache(
-            max_cached_alphabets, name="spanner-alphabets"
+        self._alphabet = self._pipeline.compile_alphabet()
+        self._reference: PlanCache[frozenset[str], ExtendedVA] = PlanCache(
+            _REFERENCE_MEMO, name="reference-alphabets"
         )
 
     # ------------------------------------------------------------------ #
@@ -212,25 +188,28 @@ class Spanner:
         """The capture variables of the spanner."""
         return frozenset(self._pipeline.source.variables())
 
+    # The accessors below take a *document* argument for compatibility
+    # and ignore it: every document is evaluated by the same compilation.
+
     def compiled(self, document: object = "") -> ExtendedVA:
-        """The deterministic sequential eVA used to evaluate *document*."""
-        return self._compiled_for(document)[0]
+        """The deterministic sequential eVA every compiled engine runs."""
+        return self._compiled[0]
 
     def compilation_report(self, document: object = "") -> CompilationReport:
-        """The per-stage report of the compilation used for *document*."""
-        return self._compiled_for(document)[1]
+        """The per-stage report of the spanner's compilation."""
+        return self._compiled[1]
 
     def statistics(self, document: object = "") -> AutomatonStatistics:
         """Size statistics of the compiled automaton."""
-        return statistics(self.compiled(document), check_properties=True)
+        return statistics(self.compiled(), check_properties=True)
 
     def runtime(self, document: object = "") -> CompiledEVA:
-        """The interned :class:`CompiledEVA` used to evaluate *document*."""
-        return self._runtime_for_key(self._alphabet_key(document))
+        """The interned :class:`CompiledEVA` of the spanner."""
+        return self._runtime
 
     def otf_runtime(self, document: object = "") -> CompiledSubsetEVA:
         """The lazily determinized runtime used by ``engine="compiled-otf"``."""
-        return self._otf_runtime_for_key(self._alphabet_key(document))
+        return self._otf_runtime
 
     def plan(
         self,
@@ -239,21 +218,21 @@ class Spanner:
         engine: str | None = None,
         kernel: str | None = None,
     ) -> ExecutionPlan:
-        """The :class:`ExecutionPlan` that would evaluate *document*."""
-        return self._plan_for_key(self._alphabet_key(document), engine, kernel)
-
-    @property
-    def max_cached_alphabets(self) -> int:
-        """The bound of the per-alphabet compilation cache."""
-        return self._states.max_entries
-
-    def cached_alphabets(self) -> int:
-        """How many alphabet keys currently sit in the compilation cache."""
-        return len(self._states)
+        """The :class:`ExecutionPlan` that evaluates documents."""
+        return self._plan(engine, kernel)
 
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the per-alphabet compilation cache."""
-        return self._states.stats()
+        """Counters of the spanner's one compilation.
+
+        ``misses`` is 1 once the spanner has compiled and 0 before; there
+        is nothing to hit, evict or bound, since every request reuses
+        that compilation.  The reference engine's per-document memo is
+        not counted.
+        """
+        built = int("_sequential" in vars(self) or "_optimized" in vars(self))
+        return CacheStats(
+            hits=0, misses=built, evictions=0, entries=built, max_entries=1
+        )
 
     def explain(self, document: object = "", *, engine: str | None = None) -> str:
         """Render the logical and physical plan that evaluates *document*.
@@ -265,13 +244,12 @@ class Spanner:
         resolved :class:`ExecutionPlan`.  This is what the ``repro
         explain`` CLI subcommand prints.
         """
-        key = self._alphabet_key(document)
-        plan = self._plan_for_key(key, engine)
-        # Hybrid plans were prepared by _plan_for_key; a fully-fused plan
-        # is rendered unprepared — its single leaf would recompile the
+        plan = self._plan(engine)
+        # Hybrid plans were prepared by _auto_plan; a fully-fused plan is
+        # rendered unprepared — its single leaf would recompile the
         # monolithic automaton that the "execution plan" line already
         # describes.
-        optimized = self._optimized_for_key(key)
+        optimized = self._optimized
         source = repr(self._pipeline.source)
         if len(source) > 120:
             source = source[:117] + "..."
@@ -281,86 +259,92 @@ class Spanner:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
-    # Per-alphabet compilation cache (bounded LRU)
+    # The one compilation, built lazily, artifact by artifact
     # ------------------------------------------------------------------ #
 
-    def _alphabet_key(self, document: object) -> frozenset[str]:
-        if self._pipeline.source_needs_alphabet():
-            return frozenset(as_text(document))
-        return frozenset()
+    @cached_property
+    def _sequential(self) -> tuple[ExtendedVA, CompilationReport]:
+        return self._pipeline.compile_sequential(self._alphabet)
 
-    def _state_for_key(self, key: frozenset[str]) -> _CompiledState:
-        return self._states.get_or_create(key, _CompiledState)
+    @cached_property
+    def _compiled(self) -> tuple[ExtendedVA, CompilationReport]:
+        sequential, report = self._sequential
+        return self._pipeline.determinize_stage(sequential, report.copy())
 
-    def _sequential_for_key(
-        self, key: frozenset[str]
-    ) -> tuple[ExtendedVA, CompilationReport]:
-        state = self._state_for_key(key)
-        if state.sequential is None:
-            state.sequential, state.sequential_report = (
-                self._pipeline.compile_sequential(key)
-            )
-        return state.sequential, state.sequential_report
+    @cached_property
+    def _runtime(self) -> CompiledEVA:
+        return self._pipeline.intern(*self._compiled)
 
-    def _compiled_for(self, document: object) -> tuple[ExtendedVA, CompilationReport]:
-        return self._compiled_for_key(self._alphabet_key(document))
-
-    def _compiled_for_key(self, key: frozenset[str]) -> tuple[ExtendedVA, CompilationReport]:
-        state = self._state_for_key(key)
-        if state.automaton is None:
-            sequential, report = self._sequential_for_key(key)
-            state.automaton, state.report = self._pipeline.determinize_stage(
-                sequential, report.copy()
-            )
-        return state.automaton, state.report
-
-    def _runtime_for_key(self, key: frozenset[str]) -> CompiledEVA:
-        state = self._state_for_key(key)
-        if state.runtime is None:
-            automaton, report = self._compiled_for_key(key)
-            state.runtime = self._pipeline.intern(automaton, report)
-        return state.runtime
-
-    def _scratch_for_key(self, key: frozenset[str]) -> EvaluationScratch:
-        """The per-alphabet reusable :class:`EvaluationScratch`.
+    @cached_property
+    def _scratch(self) -> EvaluationScratch:
+        """The reusable :class:`EvaluationScratch` of the compiled runtime.
 
         Shared by the arena engine and :func:`count_compiled`, so repeated
         ``enumerate``/``count`` calls through the facade allocate no slot
-        arrays.  A scratch is single-threaded, like the compilation cache
-        it lives in.
+        arrays.  A scratch is single-threaded, like the spanner.
         """
-        state = self._state_for_key(key)
-        if state.scratch is None:
-            state.scratch = EvaluationScratch(self._runtime_for_key(key))
-        return state.scratch
+        return EvaluationScratch(self._runtime)
 
-    def _otf_runtime_for_key(self, key: frozenset[str]) -> CompiledSubsetEVA:
-        state = self._state_for_key(key)
-        if state.otf_runtime is None:
-            sequential, _report = self._sequential_for_key(key)
-            state.otf_runtime = CompiledSubsetEVA(sequential)
-        return state.otf_runtime
+    @cached_property
+    def _otf_runtime(self) -> CompiledSubsetEVA:
+        return CompiledSubsetEVA(self._sequential[0])
 
-    def _optimized_for_key(self, key: frozenset[str], *, prepare: bool = False):
-        """The cached :class:`OptimizedPlan` for *key*.
+    @cached_property
+    def _optimized(self):
+        """The :class:`OptimizedPlan` of the source, its leaves unprepared.
 
-        The physical tree's fused leaves are only compiled when *prepare*
-        is true — hybrid plans need them, but a fully-fused plan executes
-        through the regular monolithic cache instead, so preparing its
-        single leaf would compile the expression twice for nothing.
+        Only a hybrid plan prepares (compiles) the fused leaves; a
+        fully-fused plan executes through the monolithic compilation, so
+        preparing its single leaf would compile the expression twice.
         """
-        state = self._state_for_key(key)
-        if state.optimized is None:
-            state.optimized = self._pipeline.optimize_expression(
-                key, unchecked=self._unchecked
-            )
-        if prepare:
-            # Leaves compile over base ∪ key, exactly like the monolithic
-            # pipeline (and the optimizer's own atom profiling) do.
-            state.optimized.physical.prepare(self._pipeline.base_alphabet | key)
-        return state.optimized
+        return self._pipeline.optimize_expression(
+            self._alphabet, unchecked=self._unchecked
+        )
 
-    def _reject_hybrid_streaming(self, key: frozenset[str]) -> None:
+    @cached_property
+    def _auto_plan(self) -> ExecutionPlan:
+        """The plan ``engine="auto"`` (and ``"hybrid"``) resolves to.
+
+        Expression sources consult the cost-based optimizer: when it cuts
+        the tree, the plan runs the physical operator tree, its leaves
+        compiled over the spanner's alphabet.  Otherwise the statistics
+        of the sequential eVA decide, and ``"hybrid"`` degrades to
+        ``"auto"`` over the monolithic compilation.
+        """
+        if isinstance(self._pipeline.source, SpannerExpression):
+            optimized = self._optimized
+            if optimized.is_hybrid:
+                rules = ", ".join(optimized.applied_rules) or "none"
+                return ExecutionPlan(
+                    "hybrid",
+                    False,
+                    f"optimizer cut the expression tree: rewrites=[{rules}]",
+                    operators=optimized.physical.prepare(self._alphabet),
+                )
+        sequential = self._sequential[0]
+        stats = replace(
+            statistics(sequential), deterministic=sequential.is_deterministic()
+        )
+        return choose_plan(stats, engine="auto")
+
+    def _reference_automaton(self, document: object) -> ExtendedVA:
+        """The deterministic eVA ``engine="reference"`` runs on *document*.
+
+        Wildcards expand over the document's own characters
+        (:func:`~repro.regex.compiler.required_alphabet`), not over
+        ``OTHER``, so the reference engine stays an independent oracle
+        for the compiled ones.  A few alphabets are memoized.
+        """
+        key = (
+            frozenset(as_text(document))
+            if self._pipeline.source_needs_alphabet()
+            else frozenset()
+        )
+        return self._reference.get_or_create(
+            key, lambda: self._pipeline.compile(key)[0]
+        )
+
+    def _reject_hybrid_streaming(self) -> None:
         """Refuse to stream an expression whose plan must be hybrid.
 
         When the optimizer cuts the expression tree, the monolithic
@@ -371,19 +355,14 @@ class Spanner:
         """
         if not isinstance(self._pipeline.source, SpannerExpression):
             return
-        if self._optimized_for_key(key).is_hybrid:
+        if self._optimized.is_hybrid:
             raise ValueError(
                 "this expression optimizes to a hybrid operator plan, which "
                 "cannot evaluate chunk-fed documents; evaluate whole "
                 "documents (engine='hybrid'/'auto') instead"
             )
 
-    def _plan_for_key(
-        self,
-        key: frozenset[str],
-        engine: str | None,
-        kernel: str | None = None,
-    ) -> ExecutionPlan:
+    def _plan(self, engine: str | None, kernel: str | None = None) -> ExecutionPlan:
         engine = self._engine if engine is None else engine
         kernel = self._kernel if kernel is None else kernel
         if engine not in ENGINE_CHOICES:
@@ -394,52 +373,12 @@ class Spanner:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
             )
-        # Expression sources consult the cost-based optimizer: when it cuts
-        # the tree, both "auto" and the explicit "hybrid" run the physical
-        # operator plan.  When it fuses everything (or the source is not an
-        # expression at all), "hybrid" degrades to "auto" and the regular
-        # automaton-statistics planner decides over the original monolithic
-        # compilation (already cached alongside, and byte-identical to what
-        # pre-optimizer versions produced).
-        if engine in ("auto", "hybrid") and isinstance(
-            self._pipeline.source, SpannerExpression
-        ):
-            optimized = self._optimized_for_key(key)
-            if optimized.is_hybrid:
-                self._optimized_for_key(key, prepare=True)
-                state = self._state_for_key(key)
-                if state.plan is None or state.plan.engine != "hybrid":
-                    state.plan = ExecutionPlan(
-                        "hybrid",
-                        False,
-                        "optimizer cut the expression tree: "
-                        f"rewrites=[{', '.join(optimized.applied_rules) or 'none'}]",
-                        operators=optimized.physical,
-                    )
-                # An explicit runlength kernel cannot ride a hybrid plan;
-                # replace() re-validates and raises the plan-layer error.
-                if state.plan.kernel != kernel:
-                    return replace(state.plan, kernel=kernel)
-                return state.plan
-        if engine == "hybrid":
-            engine = "auto"
-        if engine != "auto":
+        if engine not in ("auto", "hybrid"):
             return choose_plan(engine=engine, kernel=kernel)
-        state = self._state_for_key(key)
-        if state.plan is None or state.plan.engine == "hybrid":
-            state.plan = choose_plan(self._planner_stats(key), engine="auto")
-        if state.plan.kernel != kernel:
-            return replace(state.plan, kernel=kernel)
-        return state.plan
-
-    def _planner_stats(self, key: frozenset[str]) -> AutomatonStatistics:
-        state = self._state_for_key(key)
-        if state.stats is None:
-            sequential, _report = self._sequential_for_key(key)
-            state.stats = replace(
-                statistics(sequential), deterministic=sequential.is_deterministic()
-            )
-        return state.stats
+        plan = self._auto_plan
+        # An explicit runlength kernel cannot ride a hybrid plan; replace()
+        # re-validates and raises the plan-layer error.
+        return plan if plan.kernel == kernel else replace(plan, kernel=kernel)
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -464,19 +403,17 @@ class Spanner:
         arena is always built by the scalar engine: an arena's cost is
         its capture writes, which run-length stepping cannot skip.
         """
-        key = self._alphabet_key(document)
-        plan = self._plan_for_key(key, engine, kernel)
+        plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             return plan.operators.execute(document)
         if plan.engine == "reference":
-            automaton, _report = self._compiled_for_key(key)
-            return run_evaluate(automaton, document, check_determinism=False)
+            return run_evaluate(
+                self._reference_automaton(document), document, check_determinism=False
+            )
         if plan.engine == "compiled-otf":
-            return evaluate_subset_arena(self._otf_runtime_for_key(key), document)
+            return evaluate_subset_arena(self._otf_runtime, document)
         return evaluate_compiled_arena(
-            self._runtime_for_key(key),
-            document,
-            scratch=self._scratch_for_key(key),
+            self._runtime, document, scratch=self._scratch
         )
 
     def enumerate(
@@ -512,34 +449,29 @@ class Spanner:
 
         Returns a :class:`~repro.runtime.streaming.StreamingEvaluator`:
         ``feed()`` it ``str`` or ``bytes`` chunks as they arrive and
-        ``finish()`` it at end of stream.  Because the document is not
-        known up front, wildcard patterns compile over *alphabet* (plus
-        the spanner's base alphabet) instead of the document's own
-        characters — declare every character the stream may carry.
-        Characters outside it kill every run (the compiled engines'
-        semantics); under ``emit="incremental"`` they raise once
-        mappings have been delivered, since delivery cannot be
-        retracted.  The plan layer resolves the engine with
-        ``streaming=True`` — only ``"compiled"`` (or ``"auto"``) can
-        stream.
+        ``finish()`` it at end of stream.  The stream runs the spanner's
+        one compilation, whose ``OTHER`` symbol covers every character
+        the pattern does not name, so any character may arrive and the
+        result equals whole-document evaluation.  *alphabet* is accepted
+        and validated (an iterable of characters) but no longer needed.
+        The plan layer resolves the engine with ``streaming=True`` —
+        only ``"compiled"`` (or ``"auto"``) can stream.
         """
         plan = choose_plan(
             engine=self._engine if engine is None else engine, streaming=True
         )
         assert plan.streaming and plan.engine == "compiled"
-        if self._pipeline.source_needs_alphabet():
-            key = frozenset(alphabet)
-        else:
-            key = frozenset()
-        self._reject_hybrid_streaming(key)
+        if any(not isinstance(char, str) or len(char) != 1 for char in alphabet):
+            raise CompilationError("alphabet members must be single characters")
+        self._reject_hybrid_streaming()
         # A stream holds its evaluator state across feeds, so it gets a
-        # private scratch: the per-alphabet cached scratch may be
-        # borrowed by interleaved enumerate/count calls meanwhile.
+        # private scratch: the spanner's cached scratch may be borrowed
+        # by interleaved enumerate/count calls meanwhile.
         # ``retain_settled=False`` keeps an unbounded tail's memory at
         # the in-flight state: feed() still returns settled mappings,
         # finish() just doesn't replay them.
         return StreamingEvaluator(
-            self._runtime_for_key(key),
+            self._runtime,
             emit=emit,
             fast_path=fast_path,
             retain_settled=retain_settled,
@@ -561,11 +493,10 @@ class Spanner:
     ) -> Iterator[tuple[object, object]]:
         """Evaluate the spanner over many documents, compiling exactly once.
 
-        The spanner is compiled over the *union* alphabet of the batch (a
-        wildcard expands to every character any document contains, which is
-        semantically transparent: transitions on characters a document does
-        not contain can never fire).  Results stream as ``(doc_id,
-        result)`` pairs in collection order; ``mode="processes"`` fans
+        Every document runs the spanner's one compilation (its ``OTHER``
+        symbol covers the characters the pattern does not name), so the
+        batch neither scans its documents' alphabets nor recompiles.
+        Results stream as ``(doc_id, result)`` pairs in collection order; ``mode="processes"`` fans
         chunks of documents out to a multiprocessing pool, pickling the
         compiled automaton once per worker.  The engine is resolved through
         the planner exactly as for single documents; ``"compiled-otf"``
@@ -587,25 +518,21 @@ class Spanner:
         retry/rebuild/fallback counters for the run.
         """
         documents = DocumentCollection.coerce(documents)
-        if self._pipeline.source_needs_alphabet():
-            key = documents.alphabet()
-        else:
-            key = frozenset()
         if streaming:
             plan = choose_plan(
                 engine=self._engine if engine is None else engine,
                 streaming=True,
                 kernel=self._kernel if kernel is None else kernel,
             )
-            self._reject_hybrid_streaming(key)
+            self._reject_hybrid_streaming()
         else:
-            plan = self._plan_for_key(key, engine, kernel)
+            plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             compiled: object = plan.operators
         elif plan.engine == "compiled-otf":
-            compiled = self._otf_runtime_for_key(key)
+            compiled = self._otf_runtime
         else:
-            compiled = self._runtime_for_key(key)
+            compiled = self._runtime
         return run_batch_compiled(
             compiled,
             documents,
@@ -640,24 +567,21 @@ class Spanner:
         determinized tables; ``"auto"`` decides per document from its
         measured run statistics.
         """
-        key = self._alphabet_key(document)
-        plan = self._plan_for_key(key, engine, kernel)
+        plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             # Cut-edge operators dedup while materializing, so the count is
             # the size of the (already deduplicated) result set.
             return plan.operators.execute(document).count()
         if plan.engine == "reference":
-            automaton, _report = self._compiled_for_key(key)
-            return count_mappings(automaton, document, check_determinism=False)
+            return count_mappings(
+                self._reference_automaton(document), document, check_determinism=False
+            )
         if plan.engine == "compiled-otf":
             return count_subset_with_kernel(
-                self._otf_runtime_for_key(key), document, kernel=plan.kernel
+                self._otf_runtime, document, kernel=plan.kernel
             )
         return count_with_kernel(
-            self._runtime_for_key(key),
-            document,
-            kernel=plan.kernel,
-            scratch=self._scratch_for_key(key),
+            self._runtime, document, kernel=plan.kernel, scratch=self._scratch
         )
 
     def extract(
@@ -683,3 +607,4 @@ class Spanner:
 
     def __repr__(self) -> str:
         return f"Spanner({self._pipeline.source!r})"
+

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro import Spanner, StreamingError
+from repro import Spanner
 from repro.server import ReproServer, ServerConfig, SpannerService, StreamClient
 from repro.server.client import fetch_json
 from repro.server.service import AdmissionError
@@ -60,17 +60,14 @@ def span_set(events):
 
 
 def direct_outcome(pattern: str, alphabet: str, chunks):
-    """What Spanner.stream does on the same feed: a mapping set or an error."""
+    """What Spanner.stream does on the same feed: the mapping set."""
     spanner = Spanner.from_regex(pattern)
     evaluator = spanner.stream(alphabet=alphabet, emit="incremental")
     collected = []
-    try:
-        for chunk in chunks:
-            collected.extend(evaluator.feed(chunk))
-    except StreamingError:
-        return "streaming-error", None
+    for chunk in chunks:
+        collected.extend(evaluator.feed(chunk))
     collected.extend(evaluator.finish().residual)
-    return "ok", frozenset(
+    return frozenset(
         json.dumps(
             {var: [span.begin, span.end] for var, span in mapping.items()},
             sort_keys=True,
@@ -91,9 +88,7 @@ class TestEquivalence:
                 for label, chunks in adversarial_chunkings(text, seed=7):
                     if label.startswith("bytes-"):
                         continue  # the JSON protocol carries decoded text
-                    expected_kind, expected = direct_outcome(
-                        PATTERN, alphabet, chunks
-                    )
+                    expected = direct_outcome(PATTERN, alphabet, chunks)
                     client = await StreamClient.open(
                         server.config.host, server.port, PATTERN, alphabet=alphabet
                     )
@@ -103,12 +98,6 @@ class TestEquivalence:
                     events = await client.finish()
                     await client.close()
                     errors = [e for e in events if "error" in e]
-                    if expected_kind == "streaming-error":
-                        assert errors and errors[0]["code"] == "streaming", (
-                            f"doc={text!r} chunking={label!r}: direct run "
-                            f"raised but the server answered {events!r}"
-                        )
-                        continue
                     assert not errors, f"doc={text!r} chunking={label!r}: {errors}"
                     assert events[-1]["done"] is True
                     got = span_set(events)
@@ -133,7 +122,7 @@ class TestEquivalence:
             mapping_events = [e for e in events if "mapping" in e]
             assert mapping_events, events
             assert all(e["settled"] is False for e in mapping_events)
-            incremental = direct_outcome(PATTERN, "ab", ["aa", "ba"])[1]
+            incremental = direct_outcome(PATTERN, "ab", ["aa", "ba"])
             assert span_set(events) == incremental
 
 
@@ -168,7 +157,7 @@ class TestSharedCacheEviction:
                 events = await client.finish()
                 await client.close()
                 assert events[-1]["done"] is True, (pattern, events)
-                expected = direct_outcome(pattern, "ab", [text])[1]
+                expected = direct_outcome(pattern, "ab", [text])
                 assert span_set(events) == expected, pattern
 
             # Reopening the evicted pattern simply recompiles: a miss,
@@ -432,6 +421,6 @@ class TestConcurrency:
                 *(run_job(pattern, text) for pattern, text in jobs)
             )
             for (pattern, text), got in zip(jobs, results):
-                expected = direct_outcome(pattern, "ab", [text])[1]
+                expected = direct_outcome(pattern, "ab", [text])
                 assert got == expected, (pattern, text)
             assert service.metrics.snapshot()["sessions"]["peak_active"] >= 2

@@ -140,8 +140,10 @@ def test_zero_silent_automaton(text):
 @settings(max_examples=20, deadline=None)
 @given(text=st.text(alphabet="a", min_size=0, max_size=12))
 def test_single_class_alphabet(text):
-    spanner = Spanner.from_regex(".*x{a+}.*")
-    automaton = spanner.compiled("a")
+    # No wildcard: the automaton reads no OTHER column, so "a" is its one
+    # class.
+    spanner = Spanner.from_regex("a*x{a+}a*")
+    automaton = spanner.compiled()
     compiled = compile_eva(automaton, check_determinism=False)
     assert compiled.num_classes == 1
     reference = reference_evaluate(automaton, text, check_determinism=False)

@@ -85,7 +85,7 @@ WIDE_IDS = (0, 1, 256, 257, 65536, 2**32 - 1)
 
 def _runtime(pattern: str, text: str):
     spanner = Spanner.from_regex(pattern)
-    return spanner._runtime_for_key(spanner._alphabet_key(text))
+    return spanner.runtime(text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,7 +114,7 @@ def test_numpy_path_is_bit_equal_to_python_rows(pattern, text):
 @given(pattern=patterns, text=documents)
 def test_arena_is_bit_identical_both_fast_paths(pattern, text):
     spanner = Spanner.from_regex(pattern)
-    runtime = spanner._runtime_for_key(spanner._alphabet_key(text))
+    runtime = spanner.runtime(text)
     serial = evaluate_compiled_arena(runtime, text)
     assert_arena_identical(
         evaluate_compiled_arena(runtime, text, fast_path=False),
@@ -144,8 +144,8 @@ def test_run_count_equals_the_run_view_on_both_buffer_flavours(ids, data):
 @given(pattern=patterns, text=documents)
 def test_subset_count_matches_dense_count(pattern, text):
     spanner = Spanner.from_regex(pattern)
-    subset = spanner._otf_runtime_for_key(spanner._alphabet_key(text))
-    runtime = spanner._runtime_for_key(spanner._alphabet_key(text))
+    subset = spanner.otf_runtime(text)
+    runtime = spanner.runtime(text)
     assert count_subset_runlength(subset, text) == count_compiled(
         runtime, text
     )

@@ -34,8 +34,8 @@ from repro.runtime.engine import evaluate_compiled_arena
 from repro.workloads.collections import chunked_document, scenario
 
 #: Documents deliberately range beyond the pattern alphabet ``ab``: the
-#: extra characters are foreign to every pattern and exercise wildcard
-#: expansion plus multi-byte chunk splits.
+#: extra characters are never named by any pattern and exercise the
+#: ``OTHER`` class plus multi-byte chunk splits.
 DOCUMENT_ALPHABET = "abé\x00"
 
 
@@ -76,13 +76,22 @@ def test_adversarial_corpus_all_patterns_all_chunkings():
         "x{.*}",
         ".*x{a}b?y{.?}.*",
         "(a|b)*x{ab}(a|b)*",
+        "x{[^é]+}",
+        "[^é]*x{.}[^é]*",
+        ".",
     ]
+    # A str chunk can carry a lone surrogate, which no UTF-8 byte chunk
+    # can; it reads as OTHER like any other unnamed character.
+    documents = adversarial_documents(seed=7) + ["a\ud800b", "\udfffé"]
     for pattern in patterns:
         spanner = Spanner.from_regex(pattern)
-        for index, document in enumerate(adversarial_documents(seed=7)):
-            assert_all_engines_agree(
+        for index, document in enumerate(documents):
+            agreed = assert_all_engines_agree(
                 pattern, document, seed=index, spanner=spanner
             )
+            assert agreed == {
+                str(m) for m in evaluate_regex(spanner.source, document)
+            }
 
 
 def test_tailing_logs_incremental_buffer_strictly_below_full_arena():
@@ -95,7 +104,7 @@ def test_tailing_logs_incremental_buffer_strictly_below_full_arena():
         expected = {str(m) for m in full}
         assert expected, "the scenario must actually produce matches"
 
-        evaluator = spanner.stream(alphabet=document.alphabet(), emit="incremental")
+        evaluator = spanner.stream(emit="incremental")
         settled = []
         for chunk in chunked_document(document, 2048):
             settled.extend(evaluator.feed(chunk))
@@ -118,7 +127,7 @@ def test_single_char_chunks_preserve_sprint_resume_on_tailing_logs():
     spanner = Spanner.from_regex(workload.pattern)
     expected = {str(m) for m in spanner.evaluate(document)}
 
-    evaluator = spanner.stream(alphabet=document.alphabet(), emit="on_finish")
+    evaluator = spanner.stream(emit="on_finish")
     for char in document.text:
         evaluator.feed(char)
     assert {str(m) for m in evaluator.finish()} == expected

@@ -215,12 +215,13 @@ class TestKernelAxis:
 
 
 class TestSpannerRunBatch:
-    def test_compiles_once_over_the_union_alphabet(self):
+    def test_compiles_once_for_every_alphabet(self):
         spanner = Spanner.from_regex(".* name{[A-Z][a-z]+} .*")
         collection = DocumentCollection.from_texts(["hi Ada !", "yo Bob ?"])
         counts = counts_of(spanner.run_batch(collection))
         assert counts == {"doc-0": 1, "doc-1": 1}
-        assert spanner.cached_alphabets() == 1
+        assert counts_of(spanner.run_batch(["¡olé Zoe €!"])) == {0: 1}
+        assert spanner.cache_stats().misses == 1
 
     def test_accepts_iterables_and_keeps_names(self):
         spanner = Spanner.from_regex("x{ab}")

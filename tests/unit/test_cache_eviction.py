@@ -1,11 +1,10 @@
-"""Eviction-order tests for the two runtime caches.
+"""Bound tests for the two runtime caches.
 
 The happy paths (hits, sharing across engines) are pinned in
 ``test_encoding.py`` and ``test_spanner_facade.py``; these tests pin the
 *bounds*: the per-document encoding cache under interleaved signatures,
-and the Spanner per-alphabet LRU under interleaved alphabets — eviction
-order, scratch reuse, and the absence of stale entries after a
-classing-signature change.
+and the Spanner's single compilation under interleaved alphabets — no
+recompile, one scratch, and no result that depends on earlier alphabets.
 """
 
 import pickle
@@ -87,52 +86,45 @@ class TestDocumentEncodingCacheBound:
         assert clone.text == document.text
 
 
-class TestSpannerAlphabetLRU:
-    def test_interleaved_alphabets_evict_in_lru_order(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
-        runtime_a = spanner.runtime("ab")
-        runtime_c = spanner.runtime("ac")
-        assert spanner.cached_alphabets() == 2
-        # Touch the first alphabet so the second becomes the LRU victim.
-        assert spanner.runtime("ab") is runtime_a
-        spanner.runtime("ad")
-        assert spanner.cached_alphabets() == 2
-        assert spanner.runtime("ab") is runtime_a  # survived: recently used
-        assert spanner.runtime("ac") is not runtime_c  # evicted: recompiled
-        # ... and evaluation through the recompiled entry is still right.
+class TestSpannerCompilesOnce:
+    def test_interleaved_alphabets_share_one_runtime(self):
+        spanner = Spanner.from_regex(".*x{a}.*")
+        runtime = spanner.runtime("ab")
+        for text in ("ac", "ab", "ad", "a€", ""):
+            assert spanner.runtime(text) is runtime
+        assert spanner.cache_stats().misses == 1
         assert {m["x"].content("ac") for m in spanner.evaluate("ac")} == {"a"}
 
-    def test_all_artifacts_evicted_together(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=1)
-        key_ab = spanner._alphabet_key("ab")
+    def test_all_artifacts_built_once(self):
+        spanner = Spanner.from_regex(".*x{a}.*")
         runtime = spanner.runtime("ab")
-        scratch = spanner._scratch_for_key(key_ab)
+        scratch = spanner._scratch
         plan = spanner.plan("ab")
-        spanner.runtime("ac")  # evicts the "ab" entry wholesale
-        assert spanner.runtime("ab") is not runtime
-        assert spanner._scratch_for_key(key_ab) is not scratch
-        assert spanner.plan("ab") is not plan
+        spanner.count("ac")
+        assert spanner.runtime("ab") is runtime
+        assert spanner._scratch is scratch
+        assert spanner.plan("ab") is plan
 
-    def test_scratch_reused_across_calls_on_one_alphabet(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
-        key = spanner._alphabet_key("ab")
+    def test_scratch_reused_across_calls_and_alphabets(self):
+        spanner = Spanner.from_regex(".*x{a}.*")
         spanner.evaluate("ab")
-        scratch = spanner._scratch_for_key(key)
+        scratch = spanner._scratch
         spanner.count("ab")
-        spanner.evaluate("ab")
-        assert spanner._scratch_for_key(key) is scratch
+        spanner.evaluate("zé")
+        assert spanner._scratch is scratch
 
-    def test_interleaving_within_capacity_never_recompiles(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=3)
-        runtimes = {text: spanner.runtime(text) for text in ("ab", "ac", "ad")}
+    def test_interleaving_alphabets_never_recompiles(self):
+        spanner = Spanner.from_regex(".*x{a}.*")
+        texts = ("ab", "ac", "ad", "aé", "a😀")
+        runtime = spanner.runtime()
         for _round in range(3):
-            for text, runtime in runtimes.items():
+            for text in texts:
                 assert spanner.runtime(text) is runtime
                 assert spanner.count(text) == 1
-        assert spanner.cached_alphabets() == 3
+        assert spanner.cache_stats().misses == 1
 
-    def test_no_stale_plan_after_eviction_and_recompilation(self):
-        spanner = Spanner.from_regex(".*x{a}b*.*", max_cached_alphabets=1)
+    def test_results_do_not_depend_on_earlier_alphabets(self):
+        spanner = Spanner.from_regex(".*x{a}b*.*")
         before = {str(m) for m in spanner.evaluate("ab")}
         spanner.evaluate("ac")
         after = {str(m) for m in spanner.evaluate("ab")}

@@ -300,6 +300,20 @@ class TestStream:
         assert sorted(streamed.splitlines()) == sorted(extracted.splitlines())
         assert {json.loads(line)["w"] for line in streamed.splitlines()} == {"3", "7"}
 
+    def test_stream_foreign_char_after_delivery_matches_extract(self, tmp_path):
+        # 'é' is outside the default printable-ASCII --alphabet and
+        # arrives after the first match settled; the wildcards match it,
+        # so the stream goes on and prints what extract prints.
+        path = tmp_path / "doc.txt"
+        path.write_text("ERROR worker-1 x\né\nERROR worker-2 é\n", encoding="utf-8")
+        pattern = r".*ERROR worker-w{[0-9]} .*"
+        code, streamed = run_cli(["stream", pattern, str(path), "--chunk-size", "17"])
+        assert code == 0
+        extract_code, extracted = run_cli(["extract", pattern, str(path)])
+        assert extract_code == 0
+        assert sorted(streamed.splitlines()) == sorted(extracted.splitlines())
+        assert len(streamed.splitlines()) == 2
+
     def test_on_finish_mode(self, log_path):
         pattern = r".*ERROR worker-w{[0-9]} .*"
         code, output = run_cli(
@@ -366,17 +380,6 @@ class TestOneLineErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
-
-    def test_stream_foreign_char_after_delivery_is_one_line(self, tmp_path, capsys):
-        # 'é' is outside the default printable-ASCII stream alphabet; it
-        # arrives after the first match settled, so incremental mode must
-        # refuse — as a clean CLI error, not a traceback.
-        path = tmp_path / "doc.txt"
-        path.write_text("ERROR worker-1 x\né\n", encoding="utf-8")
-        code, _output = run_cli(
-            ["stream", r".*ERROR worker-w{[0-9]} .*", str(path), "--chunk-size", "17"]
-        )
-        self.assert_one_line_error(capsys, code, "stream")
 
 
 class TestExplain:

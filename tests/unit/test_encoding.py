@@ -14,7 +14,7 @@ from array import array
 
 import pytest
 
-from repro.core.documents import Document, DocumentCollection
+from repro.core.documents import OTHER, Document, DocumentCollection
 from repro.core.errors import EvaluationError
 from repro.counting.census import CensusInstance
 from repro.runtime import encoding
@@ -31,17 +31,18 @@ from repro.workloads.spanners import random_census_nfa
 
 
 def compiled_for(pattern: str, alphabet: str):
-    spanner = Spanner.from_regex(pattern)
-    automaton = spanner.compiled(alphabet)
+    spanner = Spanner.from_regex(pattern, alphabet)
+    automaton = spanner.compiled()
     return compile_eva(automaton, check_determinism=False)
 
 
 class TestSymbolClasses:
     def test_identical_columns_collapse(self):
-        # In ".*x{a+b}.*" over a 12-symbol alphabet, every symbol except the
-        # two the automaton distinguishes behaves identically.
+        # In ".*x{a+b}.*" over a 12-letter alphabet plus OTHER, every
+        # symbol except the two the automaton distinguishes behaves
+        # identically.
         compiled = compiled_for(".*x{a+b}.*", "abcdefghijkl")
-        assert compiled.num_symbols == 12
+        assert compiled.num_symbols == 13
         assert compiled.num_classes < compiled.num_symbols
 
     def test_class_table_matches_letter_table(self):
@@ -75,7 +76,7 @@ class TestSymbolClasses:
         assert isinstance(subset_eva, CompiledSubsetEVA)
         assert subset_eva.num_classes <= len(subset_eva.symbols)
         encoded = subset_eva.encode("abcd✗")
-        assert encoded.buffer[-1] == subset_eva.classing.foreign_class
+        assert encoded.buffer[-1] == subset_eva.classing.other_class
 
 
 class TestEncoding:
@@ -93,6 +94,25 @@ class TestEncoding:
         # ids, and latin-1 bytes outside the alphabet all land on foreign.
         encoded = classing.encode_fresh("a✗\x00\x01zb")
         assert list(encoded.buffer) == [0, foreign, foreign, foreign, foreign, 1]
+
+    def test_unnamed_characters_map_to_other_class(self):
+        classing = SymbolClassing(("a", OTHER, "b"), (0, 2, 1))
+        other = classing.other_class
+        assert other == 2 != classing.foreign_class
+        # The latin-1 byte path, then the str.translate path (a character
+        # >= U+0100 in the text), both with low codepoints that collide
+        # with class ids.
+        for text in ("a\x00\x01\x02zb", "a\x00\x01\x02zb✗😀\ud800"):
+            encoded = classing.encode_fresh(text)
+            assert list(encoded.buffer)[:6] == [0, other, other, other, other, 1]
+            assert set(list(encoded.buffer)[6:]) <= {other}
+
+    def test_wide_classing_maps_unnamed_characters_to_other_class(self):
+        symbols = tuple(chr(0x100 + i) for i in range(300)) + (OTHER,)
+        classing = SymbolClassing(symbols, tuple(range(301)))
+        encoded = classing.encode_fresh(symbols[0] + "z\x00€")
+        assert not isinstance(encoded.buffer, bytes)
+        assert list(encoded.buffer) == [0, 300, 300, 300]
 
     def test_non_latin1_text_falls_back_to_str_translate(self):
         classing = SymbolClassing(("a", "✗"), (0, 1))

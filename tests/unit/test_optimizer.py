@@ -162,12 +162,13 @@ class TestPlanIntegration:
         relaxed = Spanner.from_expression(expression, unchecked=True)
         assert relaxed.evaluate("aab") is not None
 
-    def test_optimized_plan_cached_per_alphabet(self):
+    def test_optimized_plan_cached_once(self):
         spanner = Spanner.from_expression(join_heavy_expression((3, 5)))
         spanner.evaluate("ab")
-        first = spanner._optimized_for_key(frozenset("ab"))
-        spanner.evaluate("ba")
-        assert spanner._optimized_for_key(frozenset("ab")) is first
+        first = spanner._optimized
+        spanner.evaluate("bz")
+        assert spanner._optimized is first
+        assert spanner.cache_stats().misses == 1
 
     def test_run_batch_hybrid_across_processes(self):
         expression = join_heavy_expression((3, 5))

@@ -214,9 +214,7 @@ class TestCounting:
 
     def test_subset_count_matches_dense(self):
         spanner = Spanner(PATTERN)
-        subset = spanner._otf_runtime_for_key(
-            spanner._alphabet_key(DOCUMENT)
-        )
+        subset = spanner.otf_runtime(DOCUMENT)
         assert count_subset_runlength(subset, DOCUMENT) == count_compiled(
             spanner.runtime(DOCUMENT), DOCUMENT
         )
@@ -311,9 +309,7 @@ class TestDispatch:
 
     def test_subset_dispatcher_agrees(self):
         spanner = Spanner(PATTERN)
-        subset = spanner._otf_runtime_for_key(
-            spanner._alphabet_key(DOCUMENT)
-        )
+        subset = spanner.otf_runtime(DOCUMENT)
         expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
         for kernel in KERNELS:
             assert (

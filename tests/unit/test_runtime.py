@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.documents import OTHER
 from repro.core.errors import CompilationError, EvaluationError, NotDeterministicError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet, open_
@@ -65,6 +66,12 @@ class TestCompileEVA:
         encoded = fig3_compiled.encode_text("a✗")
         assert encoded[1] == NO_TARGET
         assert encoded[0] == fig3_compiled.symbol_index["a"]
+
+    def test_encode_text_reads_unnamed_characters_as_other(self):
+        spanner = Spanner("x{[^é]}.*")
+        for runtime in (spanner.runtime(), spanner.otf_runtime()):
+            index = runtime.symbol_index
+            assert runtime.encode_text("aé✗") == [index[OTHER], index["é"], index[OTHER]]
 
     def test_rejects_missing_initial(self):
         automaton = ExtendedVA()

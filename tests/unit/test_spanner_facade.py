@@ -4,11 +4,16 @@ import pytest
 
 from repro import Document, Mapping, Span, Spanner
 from repro.core.errors import CompilationError
+from repro.algebra.compile import evaluate_expression_setwise
 from repro.algebra.expressions import Atom
 from repro.automata.transforms import to_deterministic_sequential_eva
 from repro.regex.parser import parse_regex
+from repro.runtime import encoding
+from repro.runtime.engine import evaluate_compiled_arena
 from repro.spanners.pipeline import CompilationPipeline
-from repro.workloads.spanners import figure2_va, figure3_eva
+from repro.workloads.spanners import figure2_va, figure3_eva, join_heavy_expression
+
+from harness import adversarial_documents
 
 
 class TestConstruction:
@@ -105,11 +110,12 @@ class TestCompilationAndCaching:
         second = spanner.compiled("aab")
         assert first is second
 
-    def test_cache_extends_for_new_alphabet(self):
+    def test_new_alphabet_reuses_the_compilation(self):
         spanner = Spanner.from_regex(".*x{a}.*")
         first = spanner.compiled("aa")
         second = spanner.compiled("az")
-        assert first is not second
+        assert first is second
+        assert spanner.cache_stats().misses == 1
 
     def test_alphabet_independent_source_compiled_once(self):
         spanner = Spanner.from_regex("x{a}b")
@@ -173,3 +179,72 @@ class TestPipeline:
 
         with pytest.raises(CompilationError):
             CompilationReport().final_stage
+
+
+class TestCompileOnce:
+    """One compilation per spanner, whatever the documents' alphabets."""
+
+    PATTERNS = (".*x{a}.*", "x{.}b", "[^a]*x{a+}[^é]*", ".*x{a}b?y{.?}.*")
+
+    def test_runtime_and_plan_without_document_keep_every_match(self):
+        # Compiled with no document, "." must still match the letters the
+        # pattern does not name.
+        for pattern in self.PATTERNS:
+            spanner = Spanner(pattern)
+            for text in adversarial_documents():
+                expected = {str(m) for m in spanner.evaluate(text, engine="reference")}
+                assert {str(m) for m in spanner.evaluate(text)} == expected
+                for runtime in (spanner.runtime(), spanner.runtime(text)):
+                    arena = evaluate_compiled_arena(runtime, text)
+                    assert {str(m) for m in arena} == expected
+        hybrid = Spanner.from_expression(join_heavy_expression((3, 5)))
+        for text in adversarial_documents():
+            expected = {str(m) for m in hybrid.evaluate(text, engine="reference")}
+            result = hybrid.plan().operators.execute(text)
+            assert {str(m) for m in result} == expected
+
+    def test_adversarial_corpus_compiles_once(self):
+        for pattern in self.PATTERNS:
+            spanner = Spanner(pattern)
+            for text in adversarial_documents():
+                before = encoding.encoding_passes()
+                spanner.evaluate(Document(text))
+                assert encoding.encoding_passes() == before + 1
+            assert spanner.cache_stats().misses == 1
+
+    def test_run_batch_compiles_once(self):
+        spanner = Spanner(".*x{a}.*")
+        spanner.count("a")
+        documents = [Document(text) for text in adversarial_documents()]
+        before = encoding.encoding_passes()
+        list(spanner.run_batch(documents))
+        assert encoding.encoding_passes() == before + len(documents)
+        assert spanner.cache_stats().misses == 1
+
+    def test_hybrid_join_compiles_once(self):
+        spanner = Spanner.from_expression(join_heavy_expression((3, 5)))
+        assert spanner.plan().engine == "hybrid"
+        for text in adversarial_documents():
+            before = encoding.encoding_passes()
+            spanner.count(Document(text))
+            assert encoding.encoding_passes() == before + 1
+        assert spanner.cache_stats().misses == 1
+
+    def test_excluded_letters_never_read_as_other(self):
+        # "é" is named only to be excluded: it has no transition, yet it
+        # must not read as OTHER, in a regex or an expression.
+        expressions = [
+            Atom("x{[^é]+}.*").join(Atom(".*x{[^b]+}.*")),
+            Atom("x{[^é]}.*").union(Atom("y{é}.*")),
+            Atom(".*x{a}[^é]*").project(["x"]),
+        ]
+        for expression in expressions:
+            spanner = Spanner.from_expression(expression)
+            for text in adversarial_documents():
+                expected = {
+                    str(m) for m in evaluate_expression_setwise(expression, text)
+                }
+                for engine in ("auto", "compiled", "compiled-otf", "reference"):
+                    got = {str(m) for m in spanner.evaluate(text, engine=engine)}
+                    assert got == expected, (expression, text, engine)
+        assert Spanner("x{[^é]}").evaluate("é") == []

@@ -178,24 +178,37 @@ class TestIncrementalEmission:
         assert {str(m) for m in result} == {str(m) for m in whole}
         assert evaluator.peak_arena_cells < len(whole.cell_nodes)
 
-    def test_foreign_char_before_delivery_kills_like_the_engines(self):
-        spanner = Spanner.from_regex(".*x{a+}.*")
-        runtime = spanner.runtime("ab")  # 'Z' is foreign to this automaton
-        evaluator = StreamingEvaluator(runtime, emit="incremental")
-        delivered = evaluator.feed("Zaa")
-        assert delivered == []
-        result = evaluator.finish()
-        assert result.is_empty()
-        assert {str(m) for m in evaluate_compiled_arena(runtime, "Zaa")} == set()
+    @staticmethod
+    def assert_streams_like_evaluate(pattern, chunks):
+        spanner = Spanner.from_regex(pattern)
+        expected = {str(m) for m in spanner.evaluate("".join(chunks))}
+        for emit in ("on_finish", "incremental"):
+            evaluator = spanner.stream(emit=emit)
+            delivered = []
+            for chunk in chunks:
+                delivered.extend(evaluator.feed(chunk))
+            result = evaluator.finish()
+            assert {str(m) for m in result} == expected
+            assert result.count() == len(expected)
+            assert {str(m) for m in delivered} <= expected
+        return delivered
 
-    def test_foreign_char_after_delivery_raises(self):
-        spanner = Spanner.from_regex(".*x{a+} .*")
-        runtime = spanner.runtime("a b")
-        evaluator = StreamingEvaluator(runtime, emit="incremental")
-        delivered = evaluator.feed("aa b")
-        assert delivered, "the match should settle in the trailing wildcard"
-        with pytest.raises(StreamingError):
-            evaluator.feed("Z")
+    def test_unnamed_char_before_delivery_streams_like_evaluate(self):
+        for char in ("é", "€", "😀", "\x00"):
+            delivered = self.assert_streams_like_evaluate(
+                ".*x{a+} .*", [char, "aa", " b", char]
+            )
+            assert delivered
+
+    def test_unnamed_char_after_delivery_streams_like_evaluate(self):
+        for char in ("é", "€", "😀", "\x00"):
+            delivered = self.assert_streams_like_evaluate(
+                ".*x{a+} .*", ["aa b", char, " a ", char + "a"]
+            )
+            assert delivered, "the match settles in the trailing wildcard"
+            # Without a wildcard the unnamed character kills every run,
+            # exactly as in whole-document evaluation.
+            self.assert_streams_like_evaluate("x{a+} b", ["aa b", char])
 
     def test_retain_settled_false_delivers_without_replaying(self):
         runtime, document = tail_runtime(scale=300)
@@ -214,22 +227,27 @@ class TestIncrementalEmission:
         assert result.count() == len(expected)
         assert not result.is_empty()
         assert evaluator.settled_count() == len(delivered)
-        # The retraction guard still counts deliveries.
+        # A delivered mapping survives any later character.
         evaluator2 = StreamingEvaluator(
             runtime, emit="incremental", retain_settled=False
         )
         assert evaluator2.feed("r ERROR worker-1 r\n")
-        with pytest.raises(StreamingError):
-            evaluator2.feed("\x01")
+        assert evaluator2.feed("\x01é") == []
+        assert evaluator2.finish().count() == 1
 
     def test_empty_mapping_settles_immediately_for_plain_star(self):
-        spanner = Spanner.from_regex("a*")
-        runtime = spanner.runtime("a")
+        spanner = Spanner.from_regex(".*")
+        runtime = spanner.runtime()
         evaluator = StreamingEvaluator(runtime, emit="incremental")
         delivered = evaluator.feed("aaa")
         assert [dict(m.items()) for m in delivered] == [{}]
         result = evaluator.finish()
         assert result.count() == 1
+        # "a*" names every letter it reads and has no OTHER column: an
+        # unnamed character could still kill it, so it emits at finish.
+        evaluator = StreamingEvaluator(Spanner("a*").runtime(), emit="incremental")
+        assert evaluator.feed("aaa") == []
+        assert evaluator.finish().count() == 1
 
 
 class TestPlanLayer:
