@@ -16,10 +16,10 @@ it, so it pays to *compile* the automaton once:
 
 The resulting :class:`CompiledEVA` is immutable, cheap to pickle (plain
 tuples and lists of ints plus the interned marker sets), and is the input
-format of every generated Algorithm-1 inner loop in
-:mod:`repro.runtime.kernel` (the engine entry points in
-:mod:`repro.runtime.engine` and its siblings bind one kernel each) and of
-the multiprocessing batch engine in :mod:`repro.runtime.batch`.
+format of the dense Algorithm-1 loops in :mod:`repro.runtime.kernel`
+(which the engine entry points in :mod:`repro.runtime.engine` and its
+siblings call) and of the multiprocessing batch engine in
+:mod:`repro.runtime.batch`.
 """
 
 from __future__ import annotations

@@ -37,14 +37,13 @@ whose character class leaves the current state at C speed (for byte
 buffers; a tight Python loop otherwise).  No arena cell or snapshot is
 touched while sprinting.
 
-Since the kernel-spec refactor the loops themselves live in
-:mod:`repro.runtime.kernel`: each entry point here binds one generated
-kernel (one :class:`~repro.runtime.kernel.KernelSpec` point) at import
-time and wraps it behind the stable public signature — encode the
-document, borrow the scratch, run the kernel, collect the result, hand
-the scratch back.  The generated loops are statement-for-statement the
-hand-written ones this module used to carry, so arenas stay
-bit-identical and the sprint fast path keeps its benchmarked floors.
+The loops themselves live in :mod:`repro.runtime.kernel`; each entry
+point here wraps one behind the stable public signature — encode the
+document, borrow the scratch, run the loop, collect the result, hand the
+scratch back.  The arena engine seeds the initial state, runs the same
+resumable :func:`~repro.runtime.kernel.arena_loop` the chunk-fed
+evaluator runs once per chunk (here once, at offset 0), then the final
+capturing phase: one loop, so the two arenas cannot drift apart.
 
 The produced :class:`~repro.runtime.dag.CompiledResultDag` enumerates,
 counts and converts back to the reference
@@ -57,7 +56,7 @@ from __future__ import annotations
 from repro.core.errors import EvaluationError
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
-from repro.runtime.kernel import KernelSpec, build_kernel
+from repro.runtime.kernel import arena_loop, count_loop, final_capture
 
 __all__ = [
     "EvaluationScratch",
@@ -74,7 +73,7 @@ class EvaluationScratch:
     pairs, and :func:`count_compiled` two per-state partial-run count
     rows.  A scratch is tied to the state count of the automaton it was
     created for; the batch engine keeps one per worker and the
-    :class:`~repro.spanners.Spanner` facade one per cached alphabet (a
+    :class:`~repro.spanners.Spanner` facade one per compiled pattern (a
     scratch is single-threaded — share automata across threads, not
     scratches).
     """
@@ -112,8 +111,36 @@ def _checked_scratch(
     return scratch
 
 
-_arena_kernel = build_kernel(KernelSpec(capture="arena"))
-_count_kernel = build_kernel(KernelSpec(capture="count"))
+def _release_slots(scratch, active, cur_start, cur_end, pend_start, pend_end) -> None:
+    """Clear the live states' slots and hand the (possibly swapped)
+    arrays back to the scratch, ready for the next document."""
+    for state in active:
+        cur_start[state] = NIL
+    scratch.cur_start = cur_start
+    scratch.cur_end = cur_end
+    scratch.pend_start = pend_start
+    scratch.pend_end = pend_end
+
+
+def _finish_arena(
+    compiled, scratch, n, active, quiet, cur_start, cur_end, pend_start, pend_end, arena
+) -> CompiledResultDag:
+    """Run the final capturing phase at position *n*, collect the final
+    lists and release the scratch.
+
+    *arena* is the six arena arrays in :func:`~repro.runtime.kernel.arena_loop`
+    order.  Shared by the whole-document engine and the chunk-fed
+    evaluator's ``finish()``.
+    """
+    final_capture(compiled, cur_start, cur_end, active, quiet, *arena, n)
+    is_final = compiled.is_final
+    final_entries = [
+        (state, cur_start[state], cur_end[state])
+        for state in active
+        if is_final[state] and cur_start[state] != NIL
+    ]
+    _release_slots(scratch, active, cur_start, cur_end, pend_start, pend_end)
+    return CompiledResultDag(compiled, n, *arena, final_entries)
 
 
 def evaluate_compiled_arena(
@@ -146,45 +173,27 @@ def evaluate_compiled_arena(
     n = encoded.length
     scratch = _checked_scratch(compiled, scratch)
 
-    (
-        active,
-        cur_start,
-        cur_end,
-        pend_start,
-        pend_end,
-        node_markers,
-        node_positions,
-        node_starts,
-        node_ends,
-        cell_nodes,
-        cell_nexts,
-    ) = _arena_kernel(compiled, buf, n, scratch, fast_path)
-
-    is_final = compiled.is_final
-    final_entries = []
-    for state in active:
-        if is_final[state] and cur_start[state] != NIL:
-            final_entries.append((state, cur_start[state], cur_end[state]))
-
-    # Release the borrowed slot arrays for the next document and hand the
-    # (possibly swapped) arrays back to the scratch.
-    for state in active:
-        cur_start[state] = NIL
-    scratch.cur_start = cur_start
-    scratch.cur_end = cur_end
-    scratch.pend_start = pend_start
-    scratch.pend_end = pend_end
-
-    return CompiledResultDag(
+    # Cell 0 is the initial list [⊥], held by the initial state.
+    initial = compiled.initial
+    scratch.cur_start[initial] = 0
+    scratch.cur_end[initial] = 0
+    arena = ([], [], [], [], [NIL], [NIL])
+    cur_start, cur_end, pend_start, pend_end, active, quiet = arena_loop(
         compiled,
+        buf,
         n,
-        node_markers,
-        node_positions,
-        node_starts,
-        node_ends,
-        cell_nodes,
-        cell_nexts,
-        final_entries,
+        0,
+        scratch.cur_start,
+        scratch.cur_end,
+        scratch.pend_start,
+        scratch.pend_end,
+        [initial],
+        compiled.silent[initial],
+        *arena,
+        fast_path,
+    )
+    return _finish_arena(
+        compiled, scratch, n, active, quiet, cur_start, cur_end, pend_start, pend_end, arena
     )
 
 
@@ -210,7 +219,7 @@ def count_compiled(
     n = encoded.length
     scratch = _checked_scratch(compiled, scratch)
 
-    active, counts, pending = _count_kernel(compiled, buf, n, scratch, fast_path)
+    active, counts, pending = count_loop(compiled, buf, n, scratch, fast_path)
 
     is_final = compiled.is_final
     total = sum(counts[state] for state in active if is_final[state])

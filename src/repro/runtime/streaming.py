@@ -14,14 +14,13 @@ memory before emitting anything.  This module closes the gap with a
   C-level ``bytes.translate`` pass the whole-document engines use, just
   per chunk), so the evaluator never materializes a whole-document
   class-id buffer;
-* the per-position loop is the arena kernel of
-  :mod:`repro.runtime.kernel` in its *resumable* flavour (the
-  ``chunking="resumable"`` spec point) — the same generated phases as
-  :func:`~repro.runtime.engine.evaluate_compiled_arena`, quiescent-run
-  sprint included, but with the live state (active set, ``(start, end)``
-  slot pairs, the ``quiet`` flag and the arena arrays) passed in and
-  handed back across chunk boundaries: a sprint interrupted by a chunk
-  boundary resumes at C speed in the next chunk;
+* the per-position loop is :func:`~repro.runtime.kernel.arena_loop`,
+  the very loop :func:`~repro.runtime.engine.evaluate_compiled_arena`
+  runs over a whole document, quiescent-run sprint included: the live
+  state (active set, ``(start, end)`` slot pairs, the ``quiet`` flag and
+  the arena arrays) is passed in and handed back across chunk
+  boundaries, so a sprint interrupted by a chunk boundary resumes at C
+  speed in the next chunk;
 * ``bytes`` chunks are decoded by an incremental UTF-8 decoder, so a
   multi-byte character split across two chunks is reassembled before it
   reaches the automaton.
@@ -68,8 +67,13 @@ from repro.core.errors import EvaluationError, StreamingError
 from repro.core.mappings import Mapping
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
-from repro.runtime.engine import EvaluationScratch, _checked_scratch
-from repro.runtime.kernel import KernelSpec, build_final_capture, build_kernel
+from repro.runtime.engine import (
+    EvaluationScratch,
+    _checked_scratch,
+    _finish_arena,
+    _release_slots,
+)
+from repro.runtime.kernel import arena_loop
 
 __all__ = [
     "EMIT_MODES",
@@ -85,13 +89,6 @@ EMIT_MODES = ("on_finish", "incremental")
 #: streams never pay the rebuild and long streams amortize it to O(1)
 #: per retained cell.
 COMPACT_FLOOR_CELLS = 64
-
-# The chunk loop: the arena kernel in its resumable flavour — loop state
-# (active set, slot pairs, quiet flag, arena arrays) is passed in and
-# handed back instead of initialized/finalized per call — and the
-# stand-alone final capturing phase run once at finish().
-_advance_kernel = build_kernel(KernelSpec(capture="arena", chunking="resumable"))
-_final_capture = build_final_capture()
 
 
 def settled_sinks(compiled: CompiledEVA) -> frozenset[int]:
@@ -338,47 +335,22 @@ class StreamingEvaluator:
                 self._fail(f"stream ended inside a UTF-8 sequence: {error}")
         self._finished = True
 
-        compiled = self._compiled
-        cur_start = self._cur_start
-        cur_end = self._cur_end
-        # The final capturing phase at the stream's end position — the
-        # same generated arena-capture fragment every whole-buffer kernel
-        # inlines, run stand-alone because a resumable kernel never
-        # finalizes (mutates the active list and arena in place).
-        _final_capture(
-            compiled,
-            cur_start,
-            cur_end,
+        # The final capturing phase at the stream's end position, exactly
+        # as the whole-document engine runs it after its one loop call.
+        residual = _finish_arena(
+            self._compiled,
+            self._scratch,
+            self._offset,
             self._active,
             self._quiet,
-            self._node_markers,
-            self._node_positions,
-            self._node_starts,
-            self._node_ends,
-            self._cell_nodes,
-            self._cell_nexts,
-            self._offset,
+            self._cur_start,
+            self._cur_end,
+            self._pend_start,
+            self._pend_end,
+            self._arena(),
         )
-        is_final = compiled.is_final
-        final_entries = [
-            (state, cur_start[state], cur_end[state])
-            for state in self._active
-            if is_final[state] and cur_start[state] != NIL
-        ]
+        self._active = []
         self._peak_cells = max(self._peak_cells, len(self._cell_nodes))
-        self._release_scratch()
-
-        residual = CompiledResultDag(
-            compiled,
-            self._offset,
-            self._node_markers,
-            self._node_positions,
-            self._node_starts,
-            self._node_ends,
-            self._cell_nodes,
-            self._cell_nexts,
-            final_entries,
-        )
         if self._emit == "on_finish":
             return residual
         return StreamedResult(self._settled, residual, self._settled_count)
@@ -396,33 +368,41 @@ class StreamingEvaluator:
                 "no consistent state"
             )
 
-    def _release_scratch(self) -> None:
-        """Deactivate every run and hand the slot arrays back clean.
-
-        The one place the scratch-handoff invariant lives: both the
-        normal :meth:`finish` path and the failure path go through it,
-        so a borrowed :class:`EvaluationScratch` is always safe to reuse
-        for the next document.
-        """
-        for state in self._active:
-            self._cur_start[state] = NIL
-        self._active = []
-        self._scratch.cur_start = self._cur_start
-        self._scratch.cur_end = self._cur_end
-        self._scratch.pend_start = self._pend_start
-        self._scratch.pend_end = self._pend_end
-
     def _fail(self, message: str) -> None:
-        self._release_scratch()
+        """Mark the stream failed and hand the slot arrays back clean.
+
+        ``finish()`` releases through the same helper, so a borrowed
+        :class:`EvaluationScratch` is safe to reuse on either path.
+        """
+        _release_slots(
+            self._scratch,
+            self._active,
+            self._cur_start,
+            self._cur_end,
+            self._pend_start,
+            self._pend_end,
+        )
+        self._active = []
         self._failed = True
         raise StreamingError(message)
 
+    def _arena(self) -> tuple[list[int], ...]:
+        """The six arena arrays, in :func:`arena_loop` order."""
+        return (
+            self._node_markers,
+            self._node_positions,
+            self._node_starts,
+            self._node_ends,
+            self._cell_nodes,
+            self._cell_nexts,
+        )
+
     def _advance(self, buf, n: int) -> None:
-        """The resumable arena kernel over one chunk.
+        """:func:`arena_loop` over one chunk.
 
         ``pos`` is chunk-local; node positions add ``self._offset``.  All
         loop state (active set, slot pairs, ``quiet``) is threaded
-        through the kernel call so the next chunk resumes exactly where
+        through the loop call so the next chunk resumes exactly where
         this one stopped — including mid-sprint; the arena arrays are
         mutated in place.
         """
@@ -433,7 +413,7 @@ class StreamingEvaluator:
             self._pend_end,
             self._active,
             self._quiet,
-        ) = _advance_kernel(
+        ) = arena_loop(
             self._compiled,
             buf,
             n,
@@ -444,12 +424,7 @@ class StreamingEvaluator:
             self._pend_end,
             self._active,
             self._quiet,
-            self._node_markers,
-            self._node_positions,
-            self._node_starts,
-            self._node_ends,
-            self._cell_nodes,
-            self._cell_nexts,
+            *self._arena(),
             self._fast_path,
         )
 
@@ -472,12 +447,7 @@ class StreamingEvaluator:
             view = CompiledResultDag(
                 self._compiled,
                 self._offset,
-                self._node_markers,
-                self._node_positions,
-                self._node_starts,
-                self._node_ends,
-                self._cell_nodes,
-                self._cell_nexts,
+                *self._arena(),
                 [(state, cur_start[state], self._cur_end[state])],
             )
             flushed.extend(view.mappings())

@@ -51,7 +51,7 @@ from repro.runtime.compiled import (
 )
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.encoding import SymbolClassing
-from repro.runtime.kernel import KernelSpec, build_kernel, subset_sprint
+from repro.runtime.kernel import subset_arena_loop, subset_count_loop
 
 __all__ = ["CompiledSubsetEVA", "count_subset", "evaluate_subset_arena"]
 
@@ -322,16 +322,6 @@ class CompiledSubsetEVA:
         )
 
 
-# Back-compat alias: the subset sprint moved to the kernel module with
-# the kernel-spec refactor.
-_sprint_subset = subset_sprint
-
-# The two subset-table kernels (dict-keyed slots in discovery order —
-# the ``tables="subset"`` spec points).
-_subset_arena_kernel = build_kernel(KernelSpec(capture="arena", tables="subset"))
-_subset_count_kernel = build_kernel(KernelSpec(capture="count", tables="subset"))
-
-
 def evaluate_subset_arena(
     subset_eva: CompiledSubsetEVA,
     document: object,
@@ -340,11 +330,10 @@ def evaluate_subset_arena(
 ) -> CompiledResultDag:
     """Algorithm 1 over the lazily determinized automaton, arena output.
 
-    The same loop as :func:`repro.runtime.engine.evaluate_compiled_arena`
-    (the ``tables="subset"`` point of the kernel spec in
-    :mod:`repro.runtime.kernel`) — cached class-id buffer, skipped
-    capturing phases while every live subset is silent, single-run
-    sprint — with per-subset ``(start, end)``
+    The same phases as :func:`repro.runtime.engine.evaluate_compiled_arena`
+    (:func:`~repro.runtime.kernel.subset_arena_loop`) — cached class-id
+    buffer, skipped capturing phases while every live subset is silent,
+    single-run sprint — with per-subset ``(start, end)``
     list pairs held in dicts keyed by subset id (the state space grows
     during evaluation, so there is no fixed-size scratch).  The subset
     automaton is deterministic by construction, so the lazy-list append
@@ -354,15 +343,7 @@ def evaluate_subset_arena(
     encoded = subset_eva.encode(document)
     buf = encoded.buffer
     n = encoded.length
-    (
-        lists,
-        node_markers,
-        node_positions,
-        node_starts,
-        node_ends,
-        cell_nodes,
-        cell_nexts,
-    ) = _subset_arena_kernel(subset_eva, buf, n, fast_path)
+    lists, *arena = subset_arena_loop(subset_eva, buf, n, fast_path)
 
     is_final = subset_eva.subset_is_final
     final_entries = [
@@ -370,17 +351,7 @@ def evaluate_subset_arena(
         for subset_id, (start, end) in lists.items()
         if is_final[subset_id]
     ]
-    return CompiledResultDag(
-        subset_eva,
-        n,
-        node_markers,
-        node_positions,
-        node_starts,
-        node_ends,
-        cell_nodes,
-        cell_nexts,
-        final_entries,
-    )
+    return CompiledResultDag(subset_eva, n, *arena, final_entries)
 
 
 def count_subset(
@@ -401,7 +372,7 @@ def count_subset(
     encoded = subset_eva.encode(document)
     buf = encoded.buffer
     n = encoded.length
-    counts = _subset_count_kernel(subset_eva, buf, n, fast_path)
+    counts = subset_count_loop(subset_eva, buf, n, fast_path)
 
     is_final = subset_eva.subset_is_final
     return sum(amount for subset_id, amount in counts.items() if is_final[subset_id])

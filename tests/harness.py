@@ -26,12 +26,12 @@ deterministic streaming tests: multi-byte runs around chunk boundaries,
 characters outside the pattern alphabet, empty documents and single
 characters.
 
-Since the kernel-spec refactor every route above executes a loop
-generated by :mod:`repro.runtime.kernel` — one :class:`KernelSpec` point
-per engine entry — so one harness call doubles as the equivalence gate
-over the whole spec lattice: capture modes against each other, dense
-tables against the on-the-fly subset tables, and whole-buffer against
-resumable chunking, arena-for-arena where the contract is bit-identity.
+Every route above runs one of the plain loops of
+:mod:`repro.runtime.kernel`, so one harness call doubles as the
+equivalence gate over all of them: the arena loop against the count
+loop, dense tables against the on-the-fly subset tables, and one
+``arena_loop`` call over the whole document against one call per chunk,
+arena-for-arena where the contract is bit-identity.
 """
 
 from __future__ import annotations

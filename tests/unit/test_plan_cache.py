@@ -1,7 +1,7 @@
 """Unit tests for the shared bounded plan cache (repro.runtime.plan.PlanCache).
 
-The Spanner facade's per-alphabet LRU semantics are pinned separately in
-test_plan.py / test_cache_eviction.py; these tests pin the generalized
+The Spanner facade's single compilation per pattern is pinned separately
+in test_plan.py / test_cache_eviction.py; these tests pin the generalized
 cache itself — LRU order, the hit/miss/eviction counters the server's
 ``/metrics`` reports, build-at-most-once, and thread safety.
 """

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Lint: the Algorithm-1 position loop must live only in the kernel module.
 
-The kernel-spec refactor folded every engine's hand-written inner loop
-into the generated kernels of :mod:`repro.runtime.kernel`.  History shows
+Every engine runs the capturing/reading alternation through the plain
+loop functions of :mod:`repro.runtime.kernel`.  History shows
 the loops re-grow: an engine gains a "temporary" specialized copy of the
 capturing/reading alternation, the copies drift, and the bit-identity
 contract between engines quietly breaks.  This check fails CI the moment
@@ -17,9 +17,8 @@ Algorithm-1 loop —
 * a dense-table read (``class_table`` or ``letter_successor``).
 
 Any one of them alone is fine (helpers sprint, planners mention tables);
-together they only ever occur in an inlined inner loop.  Generated kernel
-*source* lives in string fragments inside the kernel module itself, which
-is exempt.
+together they only ever occur in an inlined inner loop.  The kernel
+module, which holds every such loop, is exempt.
 
 Usage::
 
@@ -62,7 +61,7 @@ def main(argv: list[str]) -> int:
     if flagged:
         print(
             "Algorithm-1 position loop found outside repro/runtime/kernel.py "
-            "(engines must bind a KernelSpec instead of inlining the loop):"
+            "(engines must call a loop from that module instead of inlining one):"
         )
         for relative in flagged:
             print(f"  {relative}")
