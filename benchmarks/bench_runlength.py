@@ -1,25 +1,25 @@
-"""B11 — run-length kernels vs the scalar engine on counting.
+"""B11 — the run-length kernel vs the scalar engine on counting.
 
 Algorithm 3's scalar loop pays one Python-level fold per character (or
 per sprint segment on quiescent stretches); the run-length kernel
 (:mod:`repro.runtime.runlength`) replaces a run of ``k`` equal classes
-with one matrix power — ``O(log k)`` sparse-row products, ``O(1)`` for
-functional classes — plus a content-keyed memo over delimiter-bounded
-segments.  Two workloads pin the claim from both ends:
+with one matrix power — ``O(log k)`` sparse-row products over lazily
+built rows — plus a content-keyed memo over delimiter-bounded segments.
+Two workloads pin the claim from both ends:
 
 * ``sparse-logs-count`` — the standard log scenario (mean run length
   ~1.4): runs are short, so the win comes from the **segment memo** (a
   few dozen distinct line shapes, counted once each) rather than from
   exponentiation;
 * ``dense-captures-count`` — one capture pattern over a document of
-  giant uniform runs: the ``general``-kind matrix powers and (when
-  importable) the exact int64 numpy path carry the run.
+  giant uniform runs, whose capture class fans out: exact matrix powers
+  carry the run.
 
 Gated ratio (core-independent, both workloads):
 
-* ``speedup_runlength_count_vs_scalar`` — the pure-python run-length
-  count vs the scalar fold with the sprint disabled, the apples-to-
-  apples chars-actually-folded comparison (floor 5x in ``run_all.py``).
+* ``speedup_runlength_count_vs_scalar`` — the run-length count vs the
+  scalar fold with the sprint disabled, the apples-to-apples
+  chars-actually-folded comparison (floor 5x in ``run_all.py``).
 
 Reported, not gated:
 
@@ -28,9 +28,7 @@ Reported, not gated:
   already skips most characters at C speed, so this sits below 1x
   there (which is exactly why ``kernel="auto"`` keeps short-run
   documents on the scalar path), while run-heavy documents clear it
-  comfortably;
-* ``speedup_runlength_numpy_vs_scalar`` — the auto numpy/python mix
-  (equal to the pure-python ratio when numpy is absent).
+  comfortably.
 
 Both workloads also assert that every count path yields the same exact
 integer.
@@ -51,11 +49,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.runtime.engine import EvaluationScratch, count_compiled  # noqa: E402
-from repro.runtime.runlength import (  # noqa: E402
-    count_runlength,
-    numpy_available,
-    runlength_kernel,
-)
+from repro.runtime.runlength import count_runlength, runlength_kernel  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
 
@@ -78,8 +72,7 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
     mappings = count_compiled(compiled, document, scratch=scratch)
     for label, value in (
         ("scalar-nofast", count_compiled(compiled, document, fast_path=False)),
-        ("runlength", count_runlength(compiled, document, use_numpy=False)),
-        ("runlength-auto", count_runlength(compiled, document)),
+        ("runlength", count_runlength(compiled, document)),
     ):
         if value != mappings:
             raise AssertionError(
@@ -103,10 +96,6 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
     )
     runlength_seconds = best_of(
         repeat,
-        lambda: count_runlength(compiled, document, use_numpy=False),
-    )
-    numpy_seconds = best_of(
-        repeat,
         lambda: count_runlength(compiled, document),
     )
 
@@ -123,22 +112,16 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
             "seconds": runlength_seconds,
             "chars_per_second": total_chars / runlength_seconds,
         },
-        "runlength-auto-numpy": {
-            "seconds": numpy_seconds,
-            "chars_per_second": total_chars / numpy_seconds,
-        },
         "speedup_runlength_count_vs_scalar": nofast_seconds / runlength_seconds,
         "speedup_runlength_count_vs_fastpath": (
             fastpath_seconds / runlength_seconds
         ),
-        "speedup_runlength_numpy_vs_scalar": nofast_seconds / numpy_seconds,
     }
     return {
         "workload": workload,
         "documents": 1,
         "total_chars": total_chars,
         "mappings": mappings,
-        "numpy": numpy_available(),
         "results": rows,
     }
 
@@ -147,15 +130,10 @@ def print_report(entry) -> None:
     rows = entry["results"]
     print(
         f"\n### {entry['workload']}: {entry['total_chars']} chars, "
-        f"{entry['mappings']} mappings, numpy={entry['numpy']}"
+        f"{entry['mappings']} mappings"
     )
     print(f"{'strategy':<22} {'seconds':>10} {'chars/s':>14}")
-    for label in (
-        "scalar-nofast",
-        "scalar-fastpath",
-        "runlength",
-        "runlength-auto-numpy",
-    ):
+    for label in ("scalar-nofast", "scalar-fastpath", "runlength"):
         row = rows[label]
         print(
             f"{label:<22} {row['seconds']:>10.4f} "
@@ -163,8 +141,7 @@ def print_report(entry) -> None:
         )
     print(
         f"runlength vs scalar: {rows['speedup_runlength_count_vs_scalar']:.2f}x   "
-        f"vs fastpath: {rows['speedup_runlength_count_vs_fastpath']:.2f}x   "
-        f"numpy-auto vs scalar: {rows['speedup_runlength_numpy_vs_scalar']:.2f}x"
+        f"vs fastpath: {rows['speedup_runlength_count_vs_fastpath']:.2f}x"
     )
 
 
@@ -200,8 +177,8 @@ def main(argv=None) -> int:
     )
     print_report(workloads[-1])
 
-    # Giant uniform runs with the capture class fanning out: the
-    # `general` count kind, matrix powers, and the numpy int64 path.
+    # Giant uniform runs with the capture class fanning out: exact
+    # matrix powers carry each run.
     dense_doc = ("a" * run_length + "b") * run_pairs + "a" * run_length
     dense_spanner = Spanner.from_regex(".*x{a+}.*")
     dense_compiled = dense_spanner.runtime(dense_doc)
@@ -215,7 +192,6 @@ def main(argv=None) -> int:
     report = {
         "smoke": args.smoke,
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_available(),
         "workloads": workloads,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -13,9 +13,9 @@ needs:
    plan-cache-hit-ratio floors);
 3. write a consolidated perf-trajectory snapshot — ``BENCH_10.json`` at the
    repository root — containing only the machine-portable ratio metrics of
-   every workload (plus ``cpu_count`` and whether/which numpy backed the run-length kernel's int64 path, so
-   the ratios can be read in context), so the repo history carries one
-   comparable perf number set per PR.
+   every workload (plus ``cpu_count``, so the ratios can be read in
+   context), so the repo history carries one comparable perf number set
+   per PR.
 
 Usage::
 
@@ -125,27 +125,16 @@ SUITE = [
         "runlength_report.json",
         os.path.join("baselines", "runlength_smoke.json"),
         # The run-length acceptance criterion: counting through the run
-        # kernels (pure-python rows) must hold a >=5x edge over the
-        # scalar per-character fold on both the sparse-logs and the
-        # dense-run workload (measured ~14x and ~50x; the floor leaves
-        # shared-runner jitter headroom).  The vs-fastpath and numpy
-        # ratios are reported in the snapshot but deliberately ungated:
-        # the first is sub-1x on sparse logs by design (the scalar
-        # sprint skips at C speed there — which is why kernel="auto"
-        # keeps short-run documents scalar), the second depends on
-        # whether the runner installed numpy.
+        # kernel must hold a >=5x edge over the scalar per-character
+        # fold on both the sparse-logs and the dense-run workload
+        # (measured ~14x and ~50x; the floor leaves shared-runner jitter
+        # headroom).  The vs-fastpath ratio is reported in the snapshot
+        # but deliberately ungated: it is sub-1x on sparse logs by design
+        # (the scalar sprint skips at C speed there — which is why
+        # kernel="auto" keeps short-run documents scalar).
         ["--min-speedup", "speedup_runlength_count_vs_scalar=5.0"],
     ),
 ]
-
-def _numpy_snapshot() -> dict:
-    """numpy presence/version of the interpreter running the suite."""
-    try:
-        import numpy
-    except ImportError:
-        return {"available": False, "version": None}
-    return {"available": True, "version": numpy.__version__}
-
 
 def run(command: list[str]) -> int:
     print("+", " ".join(command), flush=True)
@@ -212,11 +201,6 @@ def main(argv=None) -> int:
         "pr": 10,
         "smoke": not args.full,
         "cpu_count": cpu_count,
-        # The run-length count ratios depend on whether the exact-int64
-        # numpy path backed long general runs; record presence and
-        # version so a trajectory diff can tell engine changes from
-        # environment changes.
-        "numpy": _numpy_snapshot(),
         "benchmarks": {},
     }
 

@@ -59,7 +59,6 @@ from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
-from repro.runtime.runlength import KERNELS
 from repro.runtime import resilience
 from repro.runtime.resilience import (
     FailureReport,
@@ -230,7 +229,6 @@ def run_batch(
     max_workers: int | None = None,
     streaming: bool = False,
     stream_chunk_size: int = 65536,
-    kernel: str = "auto",
     policy: ResiliencePolicy | None = None,
     report: FailureReport | None = None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -264,15 +262,6 @@ def run_batch(
         but no whole-document class-id buffer is materialized.
     stream_chunk_size:
         Characters per streaming slice (ignored unless *streaming*).
-    kernel:
-        Inner-loop kernel for the ``compiled`` engine: ``"auto"``
-        (default — per document, by run-length statistics),
-        ``"scalar"``, or ``"runlength"`` (:mod:`repro.runtime.runlength`).
-        The axis applies only to counting; every arena is built by the
-        scalar engine, so results are identical whatever the value.
-        Forcing ``"runlength"`` on another engine, or on a streaming
-        batch (which never sees a whole run-length encoding), is an
-        error.
     policy:
         The fault-tolerance policy (:mod:`repro.runtime.resilience`).
         Process mode is *always* supervised — with ``policy=None`` it
@@ -332,18 +321,6 @@ def run_batch(
     if streaming and stream_chunk_size < 1:
         raise ValueError(
             f"stream_chunk_size must be positive, got {stream_chunk_size}"
-        )
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if kernel == "runlength" and engine != "compiled":
-        raise ValueError(
-            f"engine {engine!r} has no run-length kernel; "
-            "kernel='runlength' needs the dense-table compiled engine"
-        )
-    if kernel == "runlength" and streaming:
-        raise ValueError(
-            "a streaming batch cannot force kernel='runlength': chunk-fed "
-            "evaluation never sees the whole run-length encoding"
         )
     if policy is not None and policy.quarantine and report is None:
         report = FailureReport()

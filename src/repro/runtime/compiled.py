@@ -202,7 +202,7 @@ class CompiledEVA:
         self.silent = tuple(not row for row in variable_table)
         self._sprint_patterns: dict[int, re.Pattern] = {}
         # The run-length kernel (repro.runtime.runlength) caches its
-        # per-class matrices here; like the sprint patterns it is derived
+        # lazily built rows here; like the sprint patterns it is derived
         # and never pickled (__setstate__ re-runs __init__).
         self._runlength = None
 

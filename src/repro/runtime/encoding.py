@@ -164,7 +164,7 @@ class EncodedDocument:
     ``as_text``) keep working when an :class:`EncodedDocument` is passed
     where a document is expected.
 
-    Beside the buffer, the run-length view used by the run-length kernels
+    Beside the buffer, the run-length view used by the run-length kernel
     (:meth:`runs`, :meth:`run_count`, :meth:`segment_delimiter`) is
     memoized lazily *on this object*: it shares the buffer's lifetime and
     its cache slot on the owning :class:`~repro.core.documents.Document`,

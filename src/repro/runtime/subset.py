@@ -147,8 +147,14 @@ class CompiledSubsetEVA:
         self._state_objects: list[frozenset] = []
         self._marker_decode: tuple[tuple, tuple] | None = None
         self._sprint_patterns: dict[int, re.Pattern] = {}
+        #: the run-length kernel (repro.runtime.runlength), built on demand
+        #: and never pickled: its lookups are bound to this instance
+        self._runlength = None
 
         self.initial = self.intern_subset((0,))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_runlength": None}
 
     # ------------------------------------------------------------------ #
     # Subset interning and lazy row discovery

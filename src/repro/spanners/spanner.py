@@ -79,7 +79,7 @@ from repro.runtime.plan import (
     PlanCache,
     choose_plan,
 )
-from repro.runtime.runlength import count_subset_with_kernel, count_with_kernel
+from repro.runtime.runlength import count_with_kernel
 from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA, evaluate_subset_arena
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
@@ -176,7 +176,7 @@ class Spanner:
 
         The axis applies to counting: ``auto``
         resolves per document from its measured run-length statistics;
-        ``runlength`` forces the run-length kernels of
+        ``runlength`` forces the run-length kernel of
         :mod:`repro.runtime.runlength` on those paths (engines without a
         run-length path — ``reference`` and ``hybrid`` — reject it).
         Arenas (:meth:`preprocess`, :meth:`extract`) are always built by
@@ -538,7 +538,6 @@ class Spanner:
             documents,
             mode=mode,
             engine=plan.engine,
-            kernel=plan.kernel,
             chunk_size=chunk_size,
             max_workers=max_workers,
             streaming=plan.streaming,
@@ -577,7 +576,7 @@ class Spanner:
                 self._reference_automaton(document), document, check_determinism=False
             )
         if plan.engine == "compiled-otf":
-            return count_subset_with_kernel(
+            return count_with_kernel(
                 self._otf_runtime, document, kernel=plan.kernel
             )
         return count_with_kernel(

@@ -6,8 +6,7 @@ characters planted mid-run):
 
 * **Counting** — :func:`count_runlength` equals the scalar
   :func:`count_compiled` equals the reference enumeration's cardinality,
-  and the numpy ``int64`` run path (when numpy is importable) is
-  bit-equal to the arbitrary-precision Python rows.
+  on the dense and on the lazily determinized automaton alike.
 
 * **Arenas** — the ``kernel`` axis never reaches an arena: the facade's
   arena under every ``kernel=`` value is array-for-array the scalar
@@ -32,16 +31,13 @@ from repro import Spanner
 from repro.runtime.encoding import run_count, runs_of_buffer
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.kernel import KERNELS
-from repro.runtime.runlength import (
-    count_runlength,
-    count_subset_runlength,
-    numpy_available,
-)
+from repro.runtime.runlength import count_runlength
 
 #: Run-length-hostile regimes: capture state fanning out inside a run
-#: (the `general` count kind), captures opened and closed by run
-#: boundaries, run death on foreign characters, and single-letter
-#: patterns whose every document is one or two giant runs.
+#: (a count matrix that is neither a function nor idempotent), captures
+#: opened and closed by run boundaries, run death on foreign characters,
+#: and single-letter patterns whose every document is one or two giant
+#: runs.
 PATTERNS = [
     ".*x{a+}.*",
     "x{a*}b*",
@@ -95,19 +91,7 @@ def test_count_equals_scalar_and_reference(pattern, text):
     spanner = Spanner.from_regex(pattern)
     expected = count_compiled(runtime, text)
     assert count_runlength(runtime, text) == expected
-    assert count_runlength(runtime, text, use_numpy=False) == expected
     assert len(list(spanner.evaluate(text, engine="reference"))) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(pattern=patterns, text=documents)
-def test_numpy_path_is_bit_equal_to_python_rows(pattern, text):
-    if not numpy_available():
-        return
-    runtime = _runtime(pattern, text)
-    assert count_runlength(runtime, text, use_numpy=True) == count_runlength(
-        runtime, text, use_numpy=False
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +130,7 @@ def test_subset_count_matches_dense_count(pattern, text):
     spanner = Spanner.from_regex(pattern)
     subset = spanner.otf_runtime(text)
     runtime = spanner.runtime(text)
-    assert count_subset_runlength(subset, text) == count_compiled(
+    assert count_runlength(subset, text) == count_compiled(
         runtime, text
     )
 

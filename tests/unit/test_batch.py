@@ -163,26 +163,32 @@ class TestValidation:
         with pytest.raises(TypeError):
             next(run_batch(compiled, "not a collection"))
 
+    # The kernel axis is validated by the plan: Spanner.run_batch takes
+    # kernel=, the plan-free run_batch has no kernel at all.
+
     def test_unknown_kernel_rejected(self, contact_setup):
-        compiled, collection = contact_setup
+        _compiled, collection = contact_setup
+        spanner = Spanner.from_regex(contact_pattern())
         with pytest.raises(ValueError, match="kernel"):
-            next(run_batch(compiled, collection, kernel="warp"))
+            next(spanner.run_batch(collection, kernel="warp"))
 
     def test_runlength_kernel_needs_the_compiled_engine(self, contact_setup):
-        compiled, collection = contact_setup
+        _compiled, collection = contact_setup
+        spanner = Spanner.from_regex(contact_pattern())
         with pytest.raises(ValueError, match="run-length"):
             next(
-                run_batch(
-                    compiled, collection, engine="reference", kernel="runlength"
+                spanner.run_batch(
+                    collection, engine="reference", kernel="runlength"
                 )
             )
 
     def test_streaming_batches_cannot_force_runlength(self, contact_setup):
-        compiled, collection = contact_setup
+        _compiled, collection = contact_setup
+        spanner = Spanner.from_regex(contact_pattern())
         with pytest.raises(ValueError, match="streaming"):
             next(
-                run_batch(
-                    compiled, collection, streaming=True, kernel="runlength"
+                spanner.run_batch(
+                    collection, streaming=True, kernel="runlength"
                 )
             )
 
@@ -190,20 +196,21 @@ class TestValidation:
 class TestKernelAxis:
     def test_kernels_agree_serially(self, contact_setup):
         compiled, collection = contact_setup
-        expected = counts_of(run_batch(compiled, collection, kernel="scalar"))
-        for kernel in ("auto", "runlength"):
+        spanner = Spanner.from_regex(contact_pattern())
+        expected = counts_of(run_batch(compiled, collection))
+        for kernel in ("auto", "scalar", "runlength"):
             assert (
-                counts_of(run_batch(compiled, collection, kernel=kernel))
+                counts_of(spanner.run_batch(collection, kernel=kernel))
                 == expected
             )
 
     def test_runlength_kernel_across_processes(self, contact_setup):
         compiled, collection = contact_setup
+        spanner = Spanner.from_regex(contact_pattern())
         expected = counts_of(run_batch(compiled, collection))
         assert (
             counts_of(
-                run_batch(
-                    compiled,
+                spanner.run_batch(
                     collection,
                     mode="processes",
                     max_workers=2,
@@ -212,6 +219,21 @@ class TestKernelAxis:
             )
             == expected
         )
+
+    def test_otf_batch_accepts_the_runlength_kernel(self):
+        # A forced run-length kernel is a valid compiled-otf plan (count
+        # takes it); the batch must run it, not reject it.
+        spanner = Spanner(".*x{a+}.*", engine="compiled-otf")
+
+        def results(kernel):
+            return {
+                doc_id: (result.count(), sorted(map(str, result)))
+                for doc_id, result in spanner.run_batch(["aab"], kernel=kernel)
+            }
+
+        expected = results("auto")
+        assert expected[0][0] == 3
+        assert results("runlength") == expected
 
 
 class TestSpannerRunBatch:

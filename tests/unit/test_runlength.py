@@ -1,4 +1,4 @@
-"""Unit tests for the run-length kernels (repro.runtime.runlength)."""
+"""Unit tests for the run-length kernel (repro.runtime.runlength)."""
 
 import os
 import pickle
@@ -17,18 +17,13 @@ from repro.runtime.runlength import (
     KERNELS,
     RUNLENGTH_MIN_CHARS,
     count_runlength,
-    count_subset_runlength,
-    count_subset_with_kernel,
     count_with_kernel,
-    numpy_available,
     prefers_runlength,
     resolve_kernel,
     runlength_kernel,
-    subset_runlength_kernel,
-    _mul_rows,
-    _vec_rows,
 )
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime.subset import CompiledSubsetEVA, count_subset
 from repro.spanners.spanner import Spanner
 from repro.workloads.documents import server_log
 
@@ -40,6 +35,46 @@ DOCUMENT = "bbaaab" + "a" * 40 + "bb"
 @pytest.fixture
 def runtime():
     return Spanner(PATTERN).runtime(DOCUMENT)
+
+
+def both_forms():
+    """The dense and the lazily determinized automaton of PATTERN, with
+    every subset DOCUMENT reaches already discovered."""
+    spanner = Spanner(PATTERN)
+    otf = spanner.otf_runtime(DOCUMENT)
+    count_subset(otf, DOCUMENT)
+    return [spanner.runtime(DOCUMENT), otf]
+
+
+def lookups(automaton):
+    """``(states, variable_row, letter_successor)`` read straight off the
+    automaton's own tables — the brute-force side of the kernel tests."""
+    if isinstance(automaton, CompiledSubsetEVA):
+        return (
+            range(automaton.num_subset_states),
+            automaton.variable_row,
+            automaton.letter_successor,
+        )
+    return (
+        range(automaton.num_states),
+        automaton.variable_table.__getitem__,
+        lambda state, cls: automaton.class_table[state][cls],
+    )
+
+
+def brute_step(automaton, vector, cls):
+    """One position of Algorithm 3: capture phase, then read class *cls*."""
+    _states, variable_row, letter_successor = lookups(automaton)
+    captured = dict(vector)
+    for state, amount in vector.items():
+        for _set_id, target in variable_row(state):
+            captured[target] = captured.get(target, 0) + amount
+    out = {}
+    for state, amount in captured.items():
+        target = letter_successor(state, cls)
+        if target >= 0:
+            out[target] = out.get(target, 0) + amount
+    return out
 
 
 def arena_arrays(dag):
@@ -61,50 +96,29 @@ class TestKernelConstruction:
         # two from drifting.
         assert KERNELS == KERNEL_CHOICES
 
-    def test_step_rows_match_brute_force(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            for state in range(kernel.num_states):
-                merged = {}
-                for source, coeff in kernel.iv_rows[state]:
-                    target = runtime.class_table[source][cls]
-                    if target >= 0:
-                        merged[target] = merged.get(target, 0) + coeff
-                assert kernel.step_rows[cls][state] == tuple(
-                    sorted(merged.items())
-                )
+    def test_step_rows_match_brute_force(self):
+        # Both automaton forms: the one-step rows M_c = (I + V) · R_c the
+        # kernel builds lazily equal one brute-force Algorithm-3 step.
+        for automaton in both_forms():
+            kernel = runlength_kernel(automaton)
+            states, _variable_row, _successor = lookups(automaton)
+            for cls in range(automaton.classing.num_ids):
+                for state in states:
+                    assert dict(kernel.power_rows(cls, 0)[state]) == (
+                        brute_step(automaton, {state: 1}, cls)
+                    ), (type(automaton).__name__, cls, state)
 
     def test_iv_rows_are_identity_on_silent_states(self, runtime):
         kernel = runlength_kernel(runtime)
-        for state in range(kernel.num_states):
+        for state in range(runtime.num_states):
             if runtime.silent[state]:
                 assert kernel.iv_rows[state] == ((state, 1),)
 
-    def test_count_kind_shortcuts_are_sound(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            rows = kernel.step_rows[cls]
-            kind = kernel.count_kind[cls]
-            functional = all(
-                len(row) <= 1 and all(c == 1 for _t, c in row) for row in rows
-            )
-            if kind == "functional":
-                assert functional
-            elif kind == "idempotent":
-                assert _mul_rows(rows, rows) == rows
-            else:
-                assert kind == "general"
-                assert not functional
-                assert _mul_rows(rows, rows) != rows
-
-    def test_capture_pattern_has_a_general_class(self, runtime):
-        # The `a` class both opens and extends x{a+}: its count matrix
-        # genuinely fans out, so exponentiation cannot be shortcut.
-        kernel = runlength_kernel(runtime)
-        assert "general" in kernel.count_kind
-
-    def test_kernel_is_cached_on_the_automaton(self, runtime):
-        assert runlength_kernel(runtime) is runlength_kernel(runtime)
+    def test_kernel_is_cached_on_the_automaton(self):
+        for automaton in both_forms():
+            kernel = runlength_kernel(automaton)
+            assert runlength_kernel(automaton) is kernel
+            assert automaton._runlength is kernel
 
     def test_pickling_drops_the_kernel(self, runtime):
         runlength_kernel(runtime)
@@ -115,28 +129,71 @@ class TestKernelConstruction:
             runtime, DOCUMENT
         )
 
+    def test_pickling_the_otf_runtime_drops_the_kernel(self):
+        # The kernel's rows are built through lookups bound to the
+        # automaton, and its segment memo can hold SEGMENT_MEMO_CAP rows:
+        # neither may ride along into a worker process.
+        spanner = Spanner(PATTERN, engine="compiled-otf")
+        document = Document(("bbaaab" + "a" * 40 + "bb\n") * 120)
+        expected = spanner.count(document, kernel="scalar")
+        assert spanner.count(document, kernel="runlength") == expected
+        runtime = spanner.otf_runtime(document)
+        assert runtime._runlength is not None
+        payload = pickle.dumps(runtime)
+        assert b"RunLengthKernel" not in payload
+        clone = pickle.loads(payload)
+        assert clone._runlength is None
+        assert runtime._runlength is not None
+        assert count_runlength(clone, document.text) == expected
+
 
 class TestRunAlgebra:
-    def test_vec_run_matches_repeated_application(self, runtime):
-        kernel = runlength_kernel(runtime)
-        for cls in range(kernel.num_classes):
-            vector = {runtime.initial: 1}
-            for k in range(0, 9):
-                expected = {runtime.initial: 1}
-                for _ in range(k):
-                    expected = _vec_rows(expected, kernel.step_rows[cls])
-                assert (
-                    kernel.vec_run(vector, cls, k, use_numpy=False) == expected
-                )
+    def test_vec_run_matches_repeated_application(self):
+        for automaton in both_forms():
+            kernel = runlength_kernel(automaton)
+            for cls in range(automaton.classing.num_ids):
+                expected = {automaton.initial: 1}
+                for k in range(0, 9):
+                    actual = kernel.vec_run({automaton.initial: 1}, cls, k)
+                    assert actual == expected, (
+                        type(automaton).__name__, cls, k
+                    )
+                    expected = brute_step(automaton, expected, cls)
 
     def test_segment_rows_are_memoized(self, runtime):
         kernel = runlength_kernel(runtime)
         kernel._segment_rows.clear()
-        encoded = runtime.encode("bbb")
-        segment = bytes(encoded.buffer)
-        first = kernel.segment_row(segment, runtime.initial)
-        assert kernel.segment_row(segment, runtime.initial) == first
+        buffer = bytes(runtime.encode("bbba").buffer)
+        segment, delimiter = buffer[:3], buffer[3]
+        first = kernel.segment_row(segment, delimiter, runtime.initial)
+        assert kernel.segment_row(segment, delimiter, runtime.initial) == first
         assert len(kernel._segment_rows) == 1
+        # The row is the segment's runs followed by one delimiter step.
+        vector = kernel.vec_run({runtime.initial: 1}, segment[0], 3)
+        assert dict(first) == kernel.vec_run(vector, delimiter, 1)
+
+    def test_segment_memo_evicts_at_its_cap(self, monkeypatch):
+        # A log with dozens of distinct line shapes through a memo capped
+        # at four rows: the memo never grows past the cap, and evicted
+        # rows are recomputed exactly.
+        monkeypatch.setattr(runlength, "SEGMENT_MEMO_CAP", 4)
+        text = server_log(
+            80, seed=5, error_rate=0.05, levels=("INFO", "WARN")
+        ).text
+        spanner = Spanner(r".*ERROR worker-w{[0-9]} .*")
+        for engine in ("compiled", "compiled-otf"):
+            document = Document(text)
+            automaton = (
+                spanner.otf_runtime(document)
+                if engine == "compiled-otf"
+                else spanner.runtime(document)
+            )
+            assert automaton.encode(document).segment_delimiter() is not None
+            expected = spanner.count(document, engine=engine, kernel="scalar")
+            assert expected > 0
+            for _ in range(2):
+                assert count_runlength(automaton, document) == expected
+                assert len(runlength_kernel(automaton)._segment_rows) == 4
 
 
 class TestCounting:
@@ -146,47 +203,21 @@ class TestCounting:
                 runtime, document
             )
 
-    def test_numpy_and_fallback_agree(self, runtime):
-        for document in [DOCUMENT, "a" * 500]:
-            plain = count_runlength(runtime, document, use_numpy=False)
-            auto = count_runlength(runtime, document)
-            assert plain == auto
-            if numpy_available():
-                assert (
-                    count_runlength(runtime, document, use_numpy=True) == plain
-                )
-
-    @pytest.mark.skipif(numpy_available(), reason="numpy is importable")
-    def test_forcing_numpy_without_numpy_raises(self, runtime):
-        with pytest.raises(EvaluationError):
-            count_runlength(runtime, DOCUMENT, use_numpy=True)
-
-    def test_failed_numpy_import_falls_back_to_python_rows(
-        self, runtime, monkeypatch
-    ):
-        # A None entry in sys.modules makes `import numpy` raise
-        # ImportError, as on a host without numpy.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setattr(runlength, "_numpy", runlength._NOT_LOADED)
-        document = "a" * 500  # one general run far above _NUMPY_MIN_RUN
-        assert count_runlength(runtime, document) == count_compiled(
-            runtime, document
-        )
-        assert runlength._numpy is None
-        assert not numpy_available()
-        with pytest.raises(EvaluationError):
-            count_runlength(runtime, document, use_numpy=True)
-
     def test_default_count_does_not_import_numpy(self):
-        # numpy is only for long general runs of the run-length count; a
-        # default count on a short-run document must never load it.
+        # Nothing in repro imports numpy: neither a default count nor a
+        # forced run-length count on either automaton form loads it.
         script = (
             "import sys\n"
             "import repro\n"
             "assert 'numpy' not in sys.modules\n"
-            "count = repro.Spanner('.*x{a+}.*').count('bbaab' * 400)\n"
+            "spanner = repro.Spanner('.*x{a+}.*')\n"
+            "count = spanner.count('bbaab' * 400)\n"
             "assert count > 0, count\n"
-            "repro.runtime.runlength.numpy_available()\n"
+            "for engine in ('compiled', 'compiled-otf'):\n"
+            "    forced = spanner.count(\n"
+            "        'bbaab' * 400, engine=engine, kernel='runlength'\n"
+            "    )\n"
+            "    assert forced == count, (engine, forced, count)\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
@@ -203,23 +234,22 @@ class TestCounting:
         assert result.stdout.strip() == "False"
 
     def test_large_exact_count_beyond_int64(self):
-        # ~2^line_count mappings: far past what int64 could hold, so the
-        # magnitude guard must route the product to exact Python rows.
-        spanner = Spanner(".*x{a+}.*")
-        document = ("a" * 80 + "b") * 40
-        runtime = spanner.runtime(document)
-        assert count_runlength(runtime, document) == count_compiled(
-            runtime, document
-        )
+        # Three captures over 20k characters: about 2^70 mappings, far
+        # past what int64 could hold; the run product stays exact.
+        spanner = Spanner(".*x{a+}.*y{a+}.*z{a+}.*")
+        document = ("a" * 4000 + "b") * 5
+        expected = count_compiled(spanner.runtime(document), document)
+        assert expected > 2**63
+        for automaton in (
+            spanner.runtime(document), spanner.otf_runtime(document)
+        ):
+            assert count_runlength(automaton, document) == expected
 
     def test_subset_count_matches_dense(self):
         spanner = Spanner(PATTERN)
         subset = spanner.otf_runtime(DOCUMENT)
-        assert count_subset_runlength(subset, DOCUMENT) == count_compiled(
+        assert count_runlength(subset, DOCUMENT) == count_compiled(
             spanner.runtime(DOCUMENT), DOCUMENT
-        )
-        assert subset_runlength_kernel(subset) is subset_runlength_kernel(
-            subset
         )
 
 
@@ -313,6 +343,5 @@ class TestDispatch:
         expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
         for kernel in KERNELS:
             assert (
-                count_subset_with_kernel(subset, DOCUMENT, kernel=kernel)
-                == expected
+                count_with_kernel(subset, DOCUMENT, kernel=kernel) == expected
             )
