@@ -9,11 +9,11 @@ distinct partial mapping, and sequentiality guarantees every accepting run
 contributes a (valid) output.
 
 The dict-based loop below is the paper-faithful reference; the compiled
-runtime provides integer rewrites of the same algorithm
-(:func:`repro.runtime.engine.count_compiled` on dense tables,
-:func:`repro.runtime.subset.count_subset` on the lazily determinized
-subset automaton) which the :class:`~repro.spanners.Spanner` facade
-selects through its execution plan.
+runtime provides the integer rewrite of the same algorithm
+(:func:`repro.runtime.engine.count_compiled`, on the dense tables or on
+the lazily determinized subset automaton) which the
+:class:`~repro.spanners.Spanner` facade selects through its execution
+plan.
 """
 
 from __future__ import annotations

@@ -6,14 +6,15 @@ reference implementation, organised around the
 
 * :func:`compile_eva` interns a deterministic sequential eVA into a
   :class:`CompiledEVA`;
-* :func:`evaluate_compiled_arena` runs Algorithm 1 on the dense tables and
-  builds the flat :class:`CompiledResultDag` node arena natively (no
-  ``DagNode`` objects), on which enumeration and counting are integer-only;
-* :class:`CompiledSubsetEVA` / :func:`evaluate_subset_arena` implement
-  on-the-fly subset construction, so non-deterministic sequential eVAs
-  evaluate without an up-front determinization;
-* :func:`count_compiled` / :func:`count_subset` are the integer rewrites of
-  Algorithm 3;
+* :class:`CompiledSubsetEVA` implements on-the-fly subset construction:
+  it exposes the same tables, filled on first read, so non-deterministic
+  sequential eVAs evaluate without an up-front determinization;
+* :func:`evaluate_compiled_arena` runs Algorithm 1 on either automaton
+  form and builds the flat :class:`CompiledResultDag` node arena natively
+  (no ``DagNode`` objects), on which enumeration and counting are
+  integer-only; :func:`count_compiled` is the integer rewrite of
+  Algorithm 3.  Both run the one set of loops in
+  :mod:`repro.runtime.kernel`;
 * :mod:`repro.runtime.encoding` translates documents once per
   alphabet-classing signature into cached class-id buffers
   (:class:`SymbolClassing` / :class:`EncodedDocument`) consumed by every
@@ -61,7 +62,7 @@ from repro.runtime.streaming import (
     evaluate_streaming,
     settled_sinks,
 )
-from repro.runtime.subset import CompiledSubsetEVA, count_subset, evaluate_subset_arena
+from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
     "ArenaProject",
@@ -83,11 +84,9 @@ __all__ = [
     "choose_plan",
     "compile_eva",
     "count_compiled",
-    "count_subset",
     "encoding_passes",
     "evaluate_compiled_arena",
     "evaluate_streaming",
-    "evaluate_subset_arena",
     "freeze_result",
     "settled_sinks",
     "render_physical",

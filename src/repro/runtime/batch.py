@@ -67,11 +67,19 @@ from repro.runtime.resilience import (
     SupervisedPool,
 )
 from repro.runtime.streaming import evaluate_streaming
-from repro.runtime.subset import CompiledSubsetEVA, evaluate_subset_arena
+from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = ["run_batch", "freeze_result", "thaw_result"]
 
 ENGINES = ("compiled", "compiled-otf", "reference", "hybrid")
+#: What each engine evaluates: the reference engine reads the source
+#: automaton of a CompiledEVA, ``hybrid`` a prepared operator tree.
+_RUNTIME_TYPES = {
+    "compiled": CompiledEVA,
+    "compiled-otf": CompiledSubsetEVA,
+    "reference": CompiledEVA,
+    "hybrid": PhysicalOperator,
+}
 MODES = ("serial", "processes")
 
 #: Tag discriminating an :class:`OperatorResult` portable form from the
@@ -158,8 +166,6 @@ def _evaluate_one(
         return compiled.execute(document)
     if engine == "reference":
         return reference_evaluate(compiled.source, document, check_determinism=False)
-    if engine == "compiled-otf":
-        return evaluate_subset_arena(compiled, document)
     if stream_chunk:
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.
@@ -167,6 +173,8 @@ def _evaluate_one(
             compiled, document, chunk_size=stream_chunk, scratch=scratch
         )
     # Arenas are always scalar: the kernel axis applies only to counting.
+    # A lazily determinized automaton (scratch None) evaluates with the
+    # scratch it owns.
     return evaluate_compiled_arena(compiled, document, scratch=scratch)
 
 
@@ -295,23 +303,11 @@ def run_batch(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if engine == "compiled-otf" and not isinstance(compiled, CompiledSubsetEVA):
+    runtime_type = _RUNTIME_TYPES[engine]
+    if not isinstance(compiled, runtime_type):
         raise ValueError(
-            "engine='compiled-otf' needs a CompiledSubsetEVA "
+            f"engine={engine!r} needs a {runtime_type.__name__} "
             f"(got {type(compiled).__name__})"
-        )
-    if engine != "compiled-otf" and isinstance(compiled, CompiledSubsetEVA):
-        raise ValueError(
-            f"engine={engine!r} needs a CompiledEVA, not a CompiledSubsetEVA"
-        )
-    if engine == "hybrid" and not isinstance(compiled, PhysicalOperator):
-        raise ValueError(
-            "engine='hybrid' needs a prepared physical operator tree "
-            f"(got {type(compiled).__name__})"
-        )
-    if engine != "hybrid" and isinstance(compiled, PhysicalOperator):
-        raise ValueError(
-            f"engine={engine!r} cannot run a physical operator tree"
         )
     if streaming and engine != "compiled":
         raise ValueError(

@@ -157,6 +157,10 @@ class CompiledEVA:
         "_runlength",
     )
 
+    #: A dense automaton owns no scratch: callers pass their own, or each
+    #: evaluation gets a fresh one (see :func:`repro.runtime.engine.scratch_for`).
+    scratch = None
+
     def __init__(
         self,
         *,

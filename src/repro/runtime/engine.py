@@ -1,4 +1,4 @@
-"""The integer-only evaluation entry points over a :class:`CompiledEVA`.
+"""The integer-only evaluation entry points over either compiled automaton.
 
 This is Algorithm 1 again — the same capturing/reading alternation as the
 reference engine in :mod:`repro.enumeration.evaluate`, whose lazy-list
@@ -45,6 +45,13 @@ resumable :func:`~repro.runtime.kernel.arena_loop` the chunk-fed
 evaluator runs once per chunk (here once, at offset 0), then the final
 capturing phase: one loop, so the two arenas cannot drift apart.
 
+Both entry points take either automaton form: a dense
+:class:`~repro.runtime.compiled.CompiledEVA`, or the lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA` of the ``compiled-otf``
+engine, which exposes the same tables filled on first read.  The latter
+owns the scratch its loops run on (:func:`scratch_for`), because it
+grows a slot per subset it interns mid-document.
+
 The produced :class:`~repro.runtime.dag.CompiledResultDag` enumerates,
 counts and converts back to the reference
 :class:`~repro.enumeration.evaluate.ResultDag` (keyed by the original
@@ -53,15 +60,21 @@ automaton states), so the delay profiler works on it unchanged.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.errors import EvaluationError
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.kernel import arena_loop, count_loop, final_capture
 
+if TYPE_CHECKING:
+    from repro.runtime.subset import CompiledSubsetEVA
+
 __all__ = [
     "EvaluationScratch",
     "count_compiled",
     "evaluate_compiled_arena",
+    "scratch_for",
 ]
 
 
@@ -75,7 +88,8 @@ class EvaluationScratch:
     created for; the batch engine keeps one per worker and the
     :class:`~repro.spanners.Spanner` facade one per compiled pattern (a
     scratch is single-threaded — share automata across threads, not
-    scratches).
+    scratches).  A lazily determinized automaton owns its one scratch
+    and grows it (:meth:`add_state`); it accepts no other.
     """
 
     __slots__ = (
@@ -88,7 +102,7 @@ class EvaluationScratch:
         "count_pend",
     )
 
-    def __init__(self, compiled: CompiledEVA) -> None:
+    def __init__(self, compiled: CompiledEVA | CompiledSubsetEVA) -> None:
         self.num_states = compiled.num_states
         self.cur_start = [NIL] * self.num_states
         self.cur_end = [NIL] * self.num_states
@@ -97,13 +111,38 @@ class EvaluationScratch:
         self.count_cur = [0] * self.num_states
         self.count_pend = [0] * self.num_states
 
+    def add_state(self) -> None:
+        """Give one more state id a clear slot in every array.
+
+        A :class:`~repro.runtime.subset.CompiledSubsetEVA` calls this on
+        its own scratch as it interns a subset, possibly mid-document: the
+        arrays are grown in place, so a loop holding them (under either
+        ping-pong name) sees the new slot.
+        """
+        self.num_states += 1
+        self.cur_start.append(NIL)
+        self.cur_end.append(NIL)
+        self.pend_start.append(NIL)
+        self.pend_end.append(NIL)
+        self.count_cur.append(0)
+        self.count_pend.append(0)
+
+
+def scratch_for(compiled: CompiledEVA | CompiledSubsetEVA) -> EvaluationScratch:
+    """The scratch to evaluate *compiled* with: the automaton's own growing
+    one for the lazily determinized form, a fresh one otherwise."""
+    return compiled.scratch or EvaluationScratch(compiled)
+
 
 def _checked_scratch(
-    compiled: CompiledEVA, scratch: EvaluationScratch | None
+    compiled: CompiledEVA | CompiledSubsetEVA, scratch: EvaluationScratch | None
 ) -> EvaluationScratch:
     if scratch is None:
-        return EvaluationScratch(compiled)
-    if scratch.num_states != compiled.num_states:
+        return scratch_for(compiled)
+    owned = compiled.scratch
+    if scratch.num_states != compiled.num_states or (
+        owned is not None and scratch is not owned
+    ):
         raise EvaluationError(
             "the evaluation scratch was created for a different automaton "
             f"({scratch.num_states} states, expected {compiled.num_states})"
@@ -144,13 +183,13 @@ def _finish_arena(
 
 
 def evaluate_compiled_arena(
-    compiled: CompiledEVA,
+    compiled: CompiledEVA | CompiledSubsetEVA,
     document: object,
     *,
     scratch: EvaluationScratch | None = None,
     fast_path: bool = True,
 ) -> CompiledResultDag:
-    """Algorithm 1 on the dense tables, building the node arena natively.
+    """Algorithm 1 on the integer tables, building the node arena natively.
 
     The same capturing/reading alternation as
     :func:`repro.enumeration.evaluate.evaluate`, but no ``DagNode`` or
@@ -198,17 +237,17 @@ def evaluate_compiled_arena(
 
 
 def count_compiled(
-    compiled: CompiledEVA,
+    compiled: CompiledEVA | CompiledSubsetEVA,
     document: object,
     *,
     scratch: EvaluationScratch | None = None,
     fast_path: bool = True,
 ) -> int:
-    """Algorithm 3 (Theorem 5.1) on the dense integer tables.
+    """Algorithm 3 (Theorem 5.1) on the integer tables.
 
     Keeps one partial-run count per state id in a flat list — the integer
-    rewrite of :func:`repro.counting.count.count_mappings`.  No DAG, no
-    dictionaries, ``O(|A| × |d|)`` time and ``O(|A|)`` space.  Like the
+    rewrite of :func:`repro.counting.count.count_mappings`.  No DAG,
+    ``O(|A| × |d|)`` time and ``O(|A|)`` space.  Like the
     evaluate engines, it accepts a reusable *scratch* (the same
     :class:`EvaluationScratch`; its two count rows are borrowed and
     returned zeroed) so batch and census callers allocate nothing per

@@ -2,11 +2,20 @@
 
 The paper's Algorithm 1 is one capturing/reading alternation.  Every
 engine runs it through the plain functions of this module; the engines
-themselves (:mod:`repro.runtime.engine`, :mod:`repro.runtime.streaming`,
-:mod:`repro.runtime.subset`) only encode the document, borrow the
-scratch, call a loop and collect the result.  There are five functions:
+themselves (:mod:`repro.runtime.engine`, :mod:`repro.runtime.streaming`)
+only encode the document, borrow the scratch, call a loop and collect
+the result.  The loops and those entry points read five things off an
+automaton:
+``class_table[s][c]``, ``variable_table[s]``, ``silent[s]``,
+``is_final[s]`` and ``initial`` (plus the sprint patterns).  The dense
+:class:`~repro.runtime.compiled.CompiledEVA` holds them as tuples; the
+lazily determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`
+fills them on first read and grows its scratch as it interns subsets —
+the paper's Section 4 remark that its translations "can be fed to
+Algorithm 1 on-the-fly", with the one Algorithm 1.  There are four
+functions:
 
-* :func:`arena_loop` — the dense arena loop.  It is *resumable*: the
+* :func:`arena_loop` — the arena loop.  It is *resumable*: the
   caller holds the live state (active list, ``(start, end)`` slot
   arrays, the ``quiet`` flag, the arena arrays and the position
   ``offset`` of the buffer's first character) and gets it handed back,
@@ -14,14 +23,10 @@ scratch, call a loop and collect the result.  There are five functions:
   call per chunk;
 * :func:`final_capture` — the capturing phase at the end of the
   document, run once after the last :func:`arena_loop` call;
-* :func:`count_loop` — Algorithm 3 on the dense tables;
-* :func:`subset_arena_loop` and :func:`subset_count_loop` — the same
-  two loops over the on-the-fly subset rows of a
-  :class:`~repro.runtime.subset.CompiledSubsetEVA` (dict-keyed slots in
-  discovery order: the state space grows while evaluating, so there is
-  no fixed-size scratch and no re-sorting of the live set).
+* :func:`count_loop` — Algorithm 3;
+* :func:`sprint` — the quiescent chase both loops call.
 
-The invariants every dense loop keeps:
+The invariants every loop keeps:
 
 * the **capturing step** snapshots the live lists before any addition —
   exactly the paper's lazycopy;
@@ -34,10 +39,10 @@ The invariants every dense loop keeps:
   ``(entry state set, buffer)``, which is why a chunk-fed arena is
   bit-identical to the whole-document one wherever the chunk boundaries
   fall;
-* the **quiescent sprint** (:func:`sprint`, :func:`subset_sprint`): a
-  lone silent run parks its payload (a ``(start, end)`` pair or a
-  count) and chases letter transitions at C speed; no arena cell or
-  snapshot is touched while sprinting;
+* the **quiescent sprint** (:func:`sprint`): a lone silent run parks its
+  payload (a ``(start, end)`` pair or a count) and chases letter
+  transitions at C speed; no arena cell or snapshot is touched while
+  sprinting;
 * the **scratch ping-pong**: current/pending slot arrays swap after each
   reading phase, and the loops return the arrays so callers can hand
   them back to the scratch.
@@ -62,9 +67,6 @@ __all__ = [
     "count_loop",
     "final_capture",
     "sprint",
-    "subset_arena_loop",
-    "subset_count_loop",
-    "subset_sprint",
 ]
 
 #: The planner-facing kernel choice (``plan.KERNEL_CHOICES`` imports it,
@@ -76,7 +78,7 @@ KERNELS: tuple[str, ...] = ("auto", "scalar", "runlength")
 
 
 # ---------------------------------------------------------------------- #
-# The sprint helpers (the C-speed quiescent chase, dense and subset)
+# The sprint helper (the C-speed quiescent chase)
 # ---------------------------------------------------------------------- #
 
 
@@ -124,44 +126,8 @@ def sprint(
     return state, pos
 
 
-def subset_sprint(
-    subset_eva, buf, pos: int, n: int, subset_id: int, use_patterns: bool
-) -> tuple[int, int]:
-    """Advance a lone silent subset-run; mirrors the dense sprint.
-
-    Returns ``(subset_id, pos)``; ``subset_id == NO_TARGET`` means the run
-    died at ``pos``, otherwise either the document is exhausted or the
-    subset is non-silent and a capturing phase is due.
-    """
-    silent = subset_eva.subset_silent
-    letter_successor = subset_eva.letter_successor
-    if use_patterns:
-        while True:
-            match = subset_eva.sprint_pattern(subset_id).search(buf, pos)
-            if match is None:
-                return subset_id, n
-            pos = match.start()
-            target = letter_successor(subset_id, buf[pos])
-            pos += 1
-            if target < 0:
-                return NO_TARGET, pos
-            subset_id = target
-            if pos >= n or not silent[subset_id]:
-                return subset_id, pos
-    while pos < n:
-        target = letter_successor(subset_id, buf[pos])
-        pos += 1
-        if target < 0:
-            return NO_TARGET, pos
-        if target != subset_id:
-            if not silent[target]:
-                return target, pos
-            subset_id = target
-    return subset_id, pos
-
-
 # ---------------------------------------------------------------------- #
-# The dense loops
+# The loops
 # ---------------------------------------------------------------------- #
 
 
@@ -403,164 +369,3 @@ def count_loop(compiled, buf, n, scratch, fast_path):
         if len(active) > alive:
             active.sort()
     return (active, counts, pending)
-
-
-# ---------------------------------------------------------------------- #
-# The subset loops (dict-keyed slots in discovery order)
-# ---------------------------------------------------------------------- #
-
-
-def subset_arena_loop(subset_eva, buf, n, fast_path):
-    """Algorithm 1 over the subset rows, whole document, arena output.
-
-    Returns ``(lists, node_markers, node_positions, node_starts,
-    node_ends, cell_nodes, cell_nexts)``, where ``lists`` maps each live
-    subset id to its ``(start, end)`` list after the final capturing
-    phase.
-    """
-    use_patterns = fast_path and isinstance(buf, bytes)
-    node_markers = []
-    node_positions = []
-    node_starts = []
-    node_ends = []
-    cell_nodes = [NIL]
-    cell_nexts = [NIL]
-    variable_row = subset_eva.variable_row
-    letter_successor = subset_eva.letter_successor
-    silent = subset_eva.subset_silent
-    lists = {subset_eva.initial: (0, 0)}
-    quiet = silent[subset_eva.initial]
-
-    def capturing(position):
-        for subset_id, (old_start, old_end) in list(lists.items()):
-            for set_id, target in variable_row(subset_id):
-                node = len(node_markers)
-                node_markers.append(set_id)
-                node_positions.append(position)
-                node_starts.append(old_start)
-                node_ends.append(old_end)
-                cell = len(cell_nodes)
-                cell_nodes.append(node)
-                current = lists.get(target)
-                cell_nexts.append(NIL if current is None else current[0])
-                lists[target] = (cell, cell if current is None else current[1])
-
-    pos = 0
-    while pos < n:
-        if quiet and fast_path:
-            if len(lists) == 1:
-                ((subset_id, pair),) = lists.items()
-                subset_id, pos = subset_sprint(
-                    subset_eva, buf, pos, n, subset_id, use_patterns
-                )
-                if subset_id < 0:
-                    lists = {}
-                    break
-                lists = {subset_id: pair}
-                quiet = silent[subset_id]
-                if pos >= n:
-                    break
-            elif use_patterns:
-                match = subset_eva.sprint_pattern_multi(
-                    tuple(sorted(lists))
-                ).search(buf, pos)
-                if match is None:
-                    pos = n
-                    break
-                pos = match.start()
-        if not quiet:
-            capturing(pos)
-
-        symbol = buf[pos]
-        pos += 1
-        old_lists = lists
-        lists = {}
-        quiet = True
-        for subset_id, (old_start, old_end) in old_lists.items():
-            target = letter_successor(subset_id, symbol)
-            if target < 0:
-                continue
-            current = lists.get(target)
-            if current is None:
-                lists[target] = (old_start, old_end)
-                if quiet and not silent[target]:
-                    quiet = False
-            else:
-                end_cell = current[1]
-                if cell_nexts[end_cell] != NIL:
-                    raise NotDeterministicError(
-                        "arena append would overwrite a next pointer; the "
-                        "subset construction produced a non-deterministic row"
-                    )
-                cell_nexts[end_cell] = old_start
-                lists[target] = (current[0], old_end)
-        if not lists:
-            break
-
-    if lists and not quiet:
-        capturing(pos)
-    return (
-        lists, node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts
-    )
-
-
-def subset_count_loop(subset_eva, buf, n, fast_path):
-    """Algorithm 3 over the subset rows: ``{subset id: count}`` at the end."""
-    use_patterns = fast_path and isinstance(buf, bytes)
-    variable_row = subset_eva.variable_row
-    letter_successor = subset_eva.letter_successor
-    silent = subset_eva.subset_silent
-    counts = {subset_eva.initial: 1}
-    quiet = silent[subset_eva.initial]
-
-    def capturing():
-        for subset_id, amount in list(counts.items()):
-            for _set_id, target in variable_row(subset_id):
-                counts[target] = counts.get(target, 0) + amount
-
-    pos = 0
-    while pos < n:
-        if quiet and fast_path:
-            if len(counts) == 1:
-                ((subset_id, amount),) = counts.items()
-                subset_id, pos = subset_sprint(
-                    subset_eva, buf, pos, n, subset_id, use_patterns
-                )
-                if subset_id < 0:
-                    return {}
-                counts = {subset_id: amount}
-                quiet = silent[subset_id]
-                if pos >= n:
-                    break
-            elif use_patterns:
-                match = subset_eva.sprint_pattern_multi(
-                    tuple(sorted(counts))
-                ).search(buf, pos)
-                if match is None:
-                    pos = n
-                    break
-                pos = match.start()
-        if not quiet:
-            capturing()
-
-        symbol = buf[pos]
-        pos += 1
-        previous = counts
-        counts = {}
-        quiet = True
-        for subset_id, amount in previous.items():
-            target = letter_successor(subset_id, symbol)
-            if target < 0:
-                continue
-            if target not in counts:
-                counts[target] = amount
-                if quiet and not silent[target]:
-                    quiet = False
-            else:
-                counts[target] += amount
-        if not counts:
-            return {}
-
-    if counts and not quiet:
-        capturing()
-    return counts

@@ -248,22 +248,15 @@ class FusedLeaf(PhysicalOperator):
     def execute(self, document: object) -> CompiledResultDag:
         if self.runtime is None:
             raise EvaluationError("a FusedLeaf must be prepared before execution")
-        from repro.runtime.compiled import CompiledEVA
-        from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
-        from repro.runtime.subset import evaluate_subset_arena
+        from repro.runtime.engine import evaluate_compiled_arena, scratch_for
 
-        if isinstance(self.runtime, CompiledEVA):
-            if self._scratch is None:
-                self._scratch = EvaluationScratch(self.runtime)
-            return evaluate_compiled_arena(self.runtime, document, scratch=self._scratch)
-        return evaluate_subset_arena(self.runtime, document)
+        if self._scratch is None:
+            self._scratch = scratch_for(self.runtime)
+        return evaluate_compiled_arena(self.runtime, document, scratch=self._scratch)
 
     def label(self) -> str:
         engine = self.plan.engine if self.plan is not None else "not compiled yet"
-        states = getattr(self.runtime, "num_states", None)
-        if states is None:
-            states = getattr(self.runtime, "num_subset_states", None)
-        size = f", {states} states" if states is not None else ""
+        size = f", {self.runtime.num_states} states" if self.runtime is not None else ""
         text = repr(self.expression)
         if len(text) > 60:
             text = text[:57] + "..."

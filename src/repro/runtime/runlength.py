@@ -19,11 +19,11 @@ products, with exact Python integers throughout.
 One :class:`RunLengthKernel` serves both automaton forms — the dense
 :class:`~repro.runtime.compiled.CompiledEVA` and the lazily determinized
 :class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
-remark: the same algorithm over the on-the-fly automaton).  Every row
-table is built lazily, per reached state, from two lookups bound once at
-construction: the variable row of a state and its letter successor.  The
-tables are ``dict`` subclasses whose ``__missing__`` builds the row, so
-the hot loops index them in C.
+remark: the same algorithm over the on-the-fly automaton) — through the
+table interface the scalar loops read: ``variable_table[s]`` and
+``class_table[s][c]``.  Every row table is built lazily, per reached
+state.  The tables are ``dict`` subclasses whose ``__missing__`` builds
+the row, so the hot loops index them in C.
 
 On top of the per-run algebra sits a **content-keyed segment memo**:
 byte buffers are split on a probed high-frequency delimiter class
@@ -40,12 +40,16 @@ engine whatever kernel is requested.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.errors import EvaluationError
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.encoding import runs_of_buffer
 from repro.runtime.engine import EvaluationScratch, count_compiled
 from repro.runtime.kernel import KERNELS
-from repro.runtime.subset import CompiledSubsetEVA, count_subset
+
+if TYPE_CHECKING:
+    from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
     "KERNELS",
@@ -94,32 +98,24 @@ class RunLengthKernel:
     """The run algebra of one automaton, dense or lazily determinized.
 
     Built once per automaton (``runlength_kernel`` caches it on the
-    instance; pickling drops it, as the bound lookups cannot cross a
-    process boundary).  Every table grows monotonically: the automaton's
-    rows never change once discovered, so entries never go stale.
+    instance; pickling drops it, as its row builders are closures over
+    the automaton's tables).  Every table grows monotonically: the
+    automaton's rows never change once discovered, so entries never go
+    stale.
     """
 
     def __init__(self, automaton: CompiledEVA | CompiledSubsetEVA) -> None:
-        if isinstance(automaton, CompiledSubsetEVA):
-            variable_row = automaton.variable_row
-            letter_successor = automaton.letter_successor
-            #: grows in place as subsets are interned
-            self.is_final = automaton.subset_is_final
-        else:
-            variable_row = automaton.variable_table.__getitem__
-            class_table = automaton.class_table
-
-            def letter_successor(state: int, cls: int) -> int:
-                return class_table[state][cls]
-
-            self.is_final = automaton.is_final
-        self._letter_successor = letter_successor
+        variable_table = automaton.variable_table
+        #: the automaton's letter rows and final flags (the subset form
+        #: grows both in place as it interns subsets)
+        self._class_table = automaton.class_table
+        self.is_final = automaton.is_final
 
         def iv_row(state: int):
             # The capturing phase: identity plus one entry per variable
             # transition (silent states keep the identity row).
             merged = {state: 1}
-            for _set_id, target in variable_row(state):
+            for _set_id, target in variable_table[state]:
                 merged[target] = merged.get(target, 0) + 1
             return tuple(sorted(merged.items()))
 
@@ -134,12 +130,12 @@ class RunLengthKernel:
         if rows is None:
             if bit == 0:
                 iv_rows = self.iv_rows
-                letter_successor = self._letter_successor
+                class_table = self._class_table
 
                 def build(state: int):
                     merged: dict[int, int] = {}
                     for source, coeff in iv_rows[state]:
-                        target = letter_successor(source, cls)
+                        target = class_table[source][cls]
                         if target >= 0:
                             merged[target] = merged.get(target, 0) + coeff
                     return tuple(sorted(merged.items()))
@@ -216,9 +212,8 @@ def count_runlength(
     The count vector is pushed through one matrix power per run (with
     the segment memo collapsing repeated delimiter-bounded stretches to
     lookups), then the trailing capturing phase ``I + V`` is applied and
-    final-state counts summed.  Equal to :func:`count_compiled` on a
-    :class:`CompiledEVA` and to :func:`count_subset` on a
-    :class:`CompiledSubsetEVA`.
+    final-state counts summed.  Equal to :func:`count_compiled` on
+    either automaton form.
     """
     encoded = automaton.encode(document)
     kernel = runlength_kernel(automaton)
@@ -296,19 +291,13 @@ def count_with_kernel(
     scratch: EvaluationScratch | None = None,
     fast_path: bool = True,
 ) -> int:
-    """The scalar count or :func:`count_runlength`, by plan axis.
-
-    The scalar count is :func:`count_compiled` for a :class:`CompiledEVA`
-    and :func:`count_subset` for a :class:`CompiledSubsetEVA` (*scratch*
-    applies to the dense form only).
-    """
+    """The scalar :func:`count_compiled` or :func:`count_runlength`, by
+    plan axis."""
     if (
         kernel != "scalar"
         and resolve_kernel(kernel, automaton.encode(document)) == "runlength"
     ):
         return count_runlength(automaton, document)
-    if isinstance(automaton, CompiledSubsetEVA):
-        return count_subset(automaton, document, fast_path=fast_path)
     return count_compiled(
         automaton, document, scratch=scratch, fast_path=fast_path
     )

@@ -17,22 +17,29 @@ compiled counterpart:
 * reachable subset-states are interned to integers **on demand** — a
   subset is hashed exactly once, when first discovered, and from then on
   it is just an int;
-* discovered subset rows (variable successors and per-class letter
-  successors) are cached on the :class:`CompiledSubsetEVA` itself, so they
-  are reused across positions *and across every document* evaluated with
-  the same instance — the batch engine evaluates a whole collection
-  without ever re-deriving a row, and without the up-front (potentially
-  exponential) :func:`~repro.automata.transforms.determinize` call.
+* a :class:`CompiledSubsetEVA` exposes the very tables the dense
+  Algorithm-1 loops read from a :class:`~repro.runtime.compiled.CompiledEVA`
+  — ``class_table[s][c]``, ``variable_table[s]``, ``silent[s]``,
+  ``is_final[s]`` and ``initial`` — but fills them on first read: each
+  letter row is a ``dict`` whose ``__missing__`` discovers the successor
+  of one (subset, class) pair, and the variable table a ``dict`` whose
+  ``__missing__`` discovers one subset's variable row.  Discovered
+  entries stay cached on the instance, so they are reused across
+  positions *and across every document* evaluated with it, without the
+  up-front (potentially exponential)
+  :func:`~repro.automata.transforms.determinize` call;
+* the state space grows mid-document, so the instance owns its
+  :class:`~repro.runtime.engine.EvaluationScratch` and gives every newly
+  interned subset a clear slot in each of its arrays.
 
-:func:`evaluate_subset_arena` runs the same arena-building Algorithm 1 loop
-as :func:`repro.runtime.engine.evaluate_compiled_arena` over the lazily
-determinized automaton — including the quiescent-run fast path: a subset
-whose members all lack variable transitions is *silent*, capturing phases
-are skipped while every live subset is silent, and a lone silent subset
-sprints through byte buffers via a per-subset compiled stop pattern.
-:func:`count_subset` is the matching integer Algorithm 3.  Both keep
-per-subset slots in dictionaries keyed by subset id, because the state
-space grows while evaluating.
+So :func:`~repro.runtime.engine.evaluate_compiled_arena` and
+:func:`~repro.runtime.engine.count_compiled` run the one set of loops in
+:mod:`repro.runtime.kernel` over this automaton unchanged — quiescent
+sprint included: a subset whose members all lack variable transitions is
+*silent*, and a lone silent subset sprints through byte buffers via a
+per-subset compiled stop pattern.  The subset automaton is deterministic
+by construction, so the loops' lazy-list append discipline holds and
+every path of the resulting arena yields a distinct mapping.
 """
 
 from __future__ import annotations
@@ -49,14 +56,63 @@ from repro.runtime.compiled import (
     marker_decode_tables_for,
     store_stop_pattern,
 )
-from repro.runtime.dag import CompiledResultDag
 from repro.runtime.encoding import SymbolClassing
-from repro.runtime.kernel import subset_arena_loop, subset_count_loop
+from repro.runtime.engine import EvaluationScratch
 
-__all__ = ["CompiledSubsetEVA", "count_subset", "evaluate_subset_arena"]
+__all__ = ["CompiledSubsetEVA"]
 
-#: Sentinel in a lazily filled letter row: "successor not discovered yet".
-UNKNOWN = -2
+
+class _LetterRow(dict):
+    """One subset's letter row: ``row[c]`` discovers a missing successor.
+
+    The successor on class ``c`` is the union of the member states'
+    targets, interned as a subset, or ``NO_TARGET`` when every member run
+    dies (always so on the foreign class, whose base columns are empty).
+    """
+
+    __slots__ = ("owner", "members")
+
+    def __init__(self, owner: "CompiledSubsetEVA", members, successors=()) -> None:
+        super().__init__(successors)
+        self.owner = owner
+        self.members = members
+
+    def __missing__(self, symbol_class: int) -> int:
+        base_letter = self.owner.base_letter_by_class
+        targets: set[int] = set()
+        for state in self.members:
+            targets.update(base_letter[state][symbol_class])
+        successor = self[symbol_class] = (
+            self.owner.intern_subset(tuple(sorted(targets))) if targets else NO_TARGET
+        )
+        return successor
+
+
+class _VariableTable(dict):
+    """The variable rows by subset id: ``table[s]`` discovers a missing row.
+
+    Targets of the member states are grouped by marker-set id, and each
+    group's union is interned as a subset.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner: "CompiledSubsetEVA", rows=()) -> None:
+        super().__init__(rows)
+        self.owner = owner
+
+    def __missing__(self, subset_id: int) -> tuple[tuple[int, int], ...]:
+        owner = self.owner
+        grouped: dict[int, set[int]] = {}
+        base_variable = owner.base_variable
+        for state in owner.subset_members[subset_id]:
+            for set_id, target in base_variable[state]:
+                grouped.setdefault(set_id, set()).add(target)
+        row = self[subset_id] = tuple(
+            (set_id, owner.intern_subset(tuple(sorted(targets))))
+            for set_id, targets in sorted(grouped.items())
+        )
+        return row
 
 
 class CompiledSubsetEVA:
@@ -129,94 +185,69 @@ class CompiledSubsetEVA:
             )
         else:
             self.base_letter_by_class = tuple(((),) for _ in base_states)
-        #: states without any extended variable transition, by base id
-        self._base_silent = tuple(not row for row in self.base_variable)
+        #: base ids with an extended variable transition (a subset holding
+        #: none of them is silent)
+        self._base_loud = frozenset(
+            state for state, row in enumerate(self.base_variable) if row
+        )
 
-        # --- lazily grown subset tables --- #
+        # --- lazily grown subset tables, read by the kernel loops --- #
         #: member tuple (sorted base ids) per subset id
         self.subset_members: list[tuple[int, ...]] = []
         self._subset_index: dict[tuple[int, ...], int] = {}
-        #: per-subset (marker_set_id, target_subset_id) rows, None = unknown
-        self.subset_variable: list[tuple[tuple[int, int], ...] | None] = []
-        #: per-subset per-class successor, UNKNOWN until discovered
-        self.subset_letter: list[list[int]] = []
-        self.subset_is_final: list[bool] = []
+        #: per-subset letter rows, filled per class on first read
+        self.class_table: list[_LetterRow] = []
+        #: per-subset (marker_set_id, target_subset_id) rows, on first read
+        self.variable_table = _VariableTable(self)
+        self.is_final: list[bool] = []
         #: per-subset "all members silent" flag (quiescent fast path)
-        self.subset_silent: list[bool] = []
+        self.silent: list[bool] = []
         #: frozensets of base state objects, for ResultDag conversion
         self._state_objects: list[frozenset] = []
         self._marker_decode: tuple[tuple, tuple] | None = None
         self._sprint_patterns: dict[int, re.Pattern] = {}
         #: the run-length kernel (repro.runtime.runlength), built on demand
-        #: and never pickled: its lookups are bound to this instance
+        #: and never pickled: its row builders close over this instance's tables
         self._runlength = None
+        #: the slot arrays the kernel loops borrow, one slot per subset
+        self.scratch = EvaluationScratch(self)
 
         self.initial = self.intern_subset((0,))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_runlength": None}
+        # Only plain data crosses a process boundary: the discovered rows
+        # as dicts; the lazy tables and the scratch are rebuilt on load.
+        return {
+            **self.__dict__,
+            "class_table": [dict(row) for row in self.class_table],
+            "variable_table": dict(self.variable_table),
+            "scratch": None,
+            "_runlength": None,
+        }
 
-    # ------------------------------------------------------------------ #
-    # Subset interning and lazy row discovery
-    # ------------------------------------------------------------------ #
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.class_table = [
+            _LetterRow(self, members, row)
+            for members, row in zip(self.subset_members, state["class_table"])
+        ]
+        self.variable_table = _VariableTable(self, state["variable_table"])
+        self.scratch = EvaluationScratch(self)
 
     def intern_subset(self, members: tuple[int, ...]) -> int:
         """The id of the subset-state *members* (a sorted tuple of base ids)."""
         subset_id = self._subset_index.get(members)
         if subset_id is None:
-            subset_id = len(self.subset_members)
-            self._subset_index[members] = subset_id
+            subset_id = self._subset_index[members] = len(self.subset_members)
             self.subset_members.append(members)
-            self.subset_variable.append(None)
-            self.subset_letter.append([UNKNOWN] * self.classing.num_ids)
-            self.subset_is_final.append(
-                any(state in self.base_finals for state in members)
-            )
-            base_silent = self._base_silent
-            self.subset_silent.append(all(base_silent[state] for state in members))
+            self.class_table.append(_LetterRow(self, members))
+            self.is_final.append(not self.base_finals.isdisjoint(members))
+            self.silent.append(self._base_loud.isdisjoint(members))
             self._state_objects.append(
                 frozenset(self.base_state_objects[state] for state in members)
             )
+            self.scratch.add_state()
         return subset_id
-
-    def variable_row(self, subset_id: int) -> tuple[tuple[int, int], ...]:
-        """The subset-automaton variable transitions from *subset_id*.
-
-        Discovered on first use: targets of the member states are grouped
-        by marker-set id, each group's union interned as a subset.
-        """
-        row = self.subset_variable[subset_id]
-        if row is None:
-            grouped: dict[int, set[int]] = {}
-            base_variable = self.base_variable
-            for state in self.subset_members[subset_id]:
-                for set_id, target in base_variable[state]:
-                    grouped.setdefault(set_id, set()).add(target)
-            row = tuple(
-                (set_id, self.intern_subset(tuple(sorted(targets))))
-                for set_id, targets in sorted(grouped.items())
-            )
-            self.subset_variable[subset_id] = row
-        return row
-
-    def letter_successor(self, subset_id: int, symbol_class: int) -> int:
-        """``δ(subset, class)`` — ``NO_TARGET`` if every member run dies.
-
-        *symbol_class* is an equivalence-class id of :attr:`classing` (the
-        foreign class yields ``NO_TARGET``: its base columns are empty).
-        """
-        row = self.subset_letter[subset_id]
-        successor = row[symbol_class]
-        if successor == UNKNOWN:
-            targets: set[int] = set()
-            base_letter = self.base_letter_by_class
-            for state in self.subset_members[subset_id]:
-                targets.update(base_letter[state][symbol_class])
-            successor = (
-                self.intern_subset(tuple(sorted(targets))) if targets else NO_TARGET
-            )
-            row[symbol_class] = successor
-        return successor
 
     def sprint_pattern(self, subset_id: int) -> re.Pattern:
         """A compiled byte-pattern matching every class id leaving *subset_id*.
@@ -228,17 +259,7 @@ class CompiledSubsetEVA:
         """
         pattern = self._sprint_patterns.get(subset_id)
         if pattern is None:
-            # The foreign class never self-loops, so the stop set is
-            # non-empty.
-            pattern = store_stop_pattern(
-                self._sprint_patterns,
-                subset_id,
-                (
-                    class_id
-                    for class_id in range(self.classing.num_ids)
-                    if self.letter_successor(subset_id, class_id) != subset_id
-                ),
-            )
+            pattern = self._stop_pattern(subset_id, (subset_id,))
         return pattern
 
     def sprint_pattern_multi(self, subset_ids: tuple[int, ...]) -> re.Pattern:
@@ -246,22 +267,26 @@ class CompiledSubsetEVA:
 
         Matches every class id on which at least one of *subset_ids* does
         not self-loop — see :meth:`CompiledEVA.sprint_pattern_multi` for
-        how the engines use it to skip multi-run quiescent stretches.
+        how the kernel loops use it to skip multi-run quiescent stretches.
         """
         pattern = self._sprint_patterns.get(subset_ids)
         if pattern is None:
-            letter_successor = self.letter_successor
-            pattern = store_stop_pattern(
-                self._sprint_patterns,
-                subset_ids,
-                (
-                    class_id
-                    for subset_id in subset_ids
-                    for class_id in range(self.classing.num_ids)
-                    if letter_successor(subset_id, class_id) != subset_id
-                ),
-            )
+            pattern = self._stop_pattern(subset_ids, subset_ids)
         return pattern
+
+    def _stop_pattern(self, key, subset_ids: tuple[int, ...]) -> re.Pattern:
+        # The foreign class never self-loops, so the stop set is non-empty.
+        class_table = self.class_table
+        return store_stop_pattern(
+            self._sprint_patterns,
+            key,
+            (
+                class_id
+                for subset_id in subset_ids
+                for class_id in range(self.classing.num_ids)
+                if class_table[subset_id][class_id] != subset_id
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection and the CompiledResultDag provider protocol
@@ -273,9 +298,11 @@ class CompiledSubsetEVA:
         return len(self.base_state_objects)
 
     @property
-    def num_subset_states(self) -> int:
+    def num_states(self) -> int:
         """The number of subset-states discovered so far."""
         return len(self.subset_members)
+
+    num_subset_states = num_states
 
     @property
     def num_classes(self) -> int:
@@ -326,59 +353,3 @@ class CompiledSubsetEVA:
             f"subsets={self.num_subset_states}, symbols={len(self.symbols)}, "
             f"classes={self.num_classes})"
         )
-
-
-def evaluate_subset_arena(
-    subset_eva: CompiledSubsetEVA,
-    document: object,
-    *,
-    fast_path: bool = True,
-) -> CompiledResultDag:
-    """Algorithm 1 over the lazily determinized automaton, arena output.
-
-    The same phases as :func:`repro.runtime.engine.evaluate_compiled_arena`
-    (:func:`~repro.runtime.kernel.subset_arena_loop`) — cached class-id
-    buffer, skipped capturing phases while every live subset is silent,
-    single-run sprint — with per-subset ``(start, end)``
-    list pairs held in dicts keyed by subset id (the state space grows
-    during evaluation, so there is no fixed-size scratch).  The subset
-    automaton is deterministic by construction, so the lazy-list append
-    discipline holds and every path of the resulting DAG yields a distinct
-    mapping.
-    """
-    encoded = subset_eva.encode(document)
-    buf = encoded.buffer
-    n = encoded.length
-    lists, *arena = subset_arena_loop(subset_eva, buf, n, fast_path)
-
-    is_final = subset_eva.subset_is_final
-    final_entries = [
-        (subset_id, start, end)
-        for subset_id, (start, end) in lists.items()
-        if is_final[subset_id]
-    ]
-    return CompiledResultDag(subset_eva, n, *arena, final_entries)
-
-
-def count_subset(
-    subset_eva: CompiledSubsetEVA,
-    document: object,
-    *,
-    fast_path: bool = True,
-) -> int:
-    """Algorithm 3 over the lazily determinized automaton.
-
-    Counts without determinizing up front and without building any DAG;
-    the per-subset partial-run counts live in a dict keyed by subset id.
-    Row discovery — and the cached document encoding — is shared with (and
-    cached for) every other evaluation through the same
-    :class:`CompiledSubsetEVA`, and quiescent stretches sprint exactly as
-    in :func:`evaluate_subset_arena`.
-    """
-    encoded = subset_eva.encode(document)
-    buf = encoded.buffer
-    n = encoded.length
-    counts = subset_count_loop(subset_eva, buf, n, fast_path)
-
-    is_final = subset_eva.subset_is_final
-    return sum(amount for subset_id, amount in counts.items() if is_final[subset_id])

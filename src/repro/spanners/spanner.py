@@ -81,7 +81,7 @@ from repro.runtime.plan import (
 )
 from repro.runtime.runlength import count_with_kernel
 from repro.runtime.streaming import StreamingEvaluator
-from repro.runtime.subset import CompiledSubsetEVA, evaluate_subset_arena
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
 
 __all__ = ["Spanner"]
@@ -289,6 +289,16 @@ class Spanner:
     def _otf_runtime(self) -> CompiledSubsetEVA:
         return CompiledSubsetEVA(self._sequential[0])
 
+    def _engine_runtime(
+        self, engine: str
+    ) -> tuple[CompiledEVA | CompiledSubsetEVA, EvaluationScratch]:
+        """The automaton and scratch a compiled engine runs on: the dense
+        runtime with the spanner's scratch, or the lazily determinized
+        runtime with the scratch it owns and grows."""
+        if engine == "compiled-otf":
+            return self._otf_runtime, self._otf_runtime.scratch
+        return self._runtime, self._scratch
+
     @cached_property
     def _optimized(self):
         """The :class:`OptimizedPlan` of the source, its leaves unprepared.
@@ -410,11 +420,8 @@ class Spanner:
             return run_evaluate(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        if plan.engine == "compiled-otf":
-            return evaluate_subset_arena(self._otf_runtime, document)
-        return evaluate_compiled_arena(
-            self._runtime, document, scratch=self._scratch
-        )
+        runtime, scratch = self._engine_runtime(plan.engine)
+        return evaluate_compiled_arena(runtime, document, scratch=scratch)
 
     def enumerate(
         self,
@@ -529,10 +536,8 @@ class Spanner:
             plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             compiled: object = plan.operators
-        elif plan.engine == "compiled-otf":
-            compiled = self._otf_runtime
         else:
-            compiled = self._runtime
+            compiled = self._engine_runtime(plan.engine)[0]
         return run_batch_compiled(
             compiled,
             documents,
@@ -575,12 +580,9 @@ class Spanner:
             return count_mappings(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        if plan.engine == "compiled-otf":
-            return count_with_kernel(
-                self._otf_runtime, document, kernel=plan.kernel
-            )
+        runtime, scratch = self._engine_runtime(plan.engine)
         return count_with_kernel(
-            self._runtime, document, kernel=plan.kernel, scratch=self._scratch
+            runtime, document, kernel=plan.kernel, scratch=scratch
         )
 
     def extract(

@@ -35,7 +35,6 @@ from repro.runtime import encoding
 from repro.runtime.compiled import compile_eva
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.operators import FusedLeaf, HashJoin
-from repro.runtime.subset import count_subset, evaluate_subset_arena
 from repro.spanners.spanner import Spanner
 
 ALPHABET = "ab"
@@ -97,10 +96,10 @@ def test_subset_engines_equal_reference_on_adversarial_documents(node, text):
     subset_eva = spanner.otf_runtime(ALPHABET)
     for fast_path in (True, False):
         document = Document(text)
-        dag = evaluate_subset_arena(subset_eva, document, fast_path=fast_path)
+        dag = evaluate_compiled_arena(subset_eva, document, fast_path=fast_path)
         assert set(dag) == expected
         assert dag.count() == expected_count
-        assert count_subset(subset_eva, document, fast_path=fast_path) == (
+        assert count_compiled(subset_eva, document, fast_path=fast_path) == (
             expected_count
         )
 

@@ -35,7 +35,8 @@ from repro.regex.ast import (
     Union,
 )
 from repro.regex.compiler import compile_to_va
-from repro.runtime.subset import CompiledSubsetEVA, count_subset, evaluate_subset_arena
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime.subset import CompiledSubsetEVA
 
 ALPHABET = "ab"
 
@@ -85,9 +86,9 @@ def test_all_plans_agree_on_random_sequential_evas(node, texts):
         assert otf_set == reference_set
         assert spanner.count(text, engine="compiled-otf") == reference.count()
 
-        shared = evaluate_subset_arena(subset, text)
+        shared = evaluate_compiled_arena(subset, text)
         assert {str(m) for m in shared} == reference_set
-        assert count_subset(subset, text) == reference.count()
+        assert count_compiled(subset, text) == reference.count()
 
 
 @settings(max_examples=40, deadline=None)

@@ -352,6 +352,20 @@ class TestScratchReuse:
         other = compiled_for(".*", "ab")
         with pytest.raises(EvaluationError):
             count_compiled(compiled, "ab", scratch=EvaluationScratch(other))
+        # The lazily determinized form counts only on its own scratch.
+        subset = Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab")
+        foreign = (
+            EvaluationScratch(subset),
+            EvaluationScratch(compiled),
+            Spanner.from_regex(".*").otf_runtime("ab").scratch,
+        )
+        for scratch in foreign:
+            with pytest.raises(EvaluationError):
+                count_compiled(subset, "abaab", scratch=scratch)
+        assert count_compiled(subset, "abaab", scratch=subset.scratch) == 3
+        # Rejections touch nothing: the owned scratch is still all clear.
+        assert not any(subset.scratch.count_cur)
+        assert not any(subset.scratch.count_pend)
 
     def test_one_scratch_serves_count_and_arena(self):
         compiled = compiled_for(".*x{a+b}.*", "ab")

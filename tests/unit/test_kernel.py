@@ -79,8 +79,6 @@ class TestKernelModule:
                 "arena_loop",
                 "count_loop",
                 "final_capture",
-                "subset_arena_loop",
-                "subset_count_loop",
             ]
         )
 

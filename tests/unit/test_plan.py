@@ -8,13 +8,14 @@ from repro.automata.transforms import va_to_eva
 from repro.core.documents import DocumentCollection
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
     KERNEL_CHOICES,
     ExecutionPlan,
     choose_plan,
 )
-from repro.runtime.subset import CompiledSubsetEVA, count_subset, evaluate_subset_arena
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.spanner import Spanner
 from repro.workloads.spanners import figure3_eva
 
@@ -135,32 +136,32 @@ class TestSubsetRuntime:
 
         monkeypatch.setattr(transforms, "determinize", forbidden)
         subset = CompiledSubsetEVA(automaton)
-        result = evaluate_subset_arena(subset, "aab")
+        result = evaluate_compiled_arena(subset, "aab")
         assert {str(m) for m in result} == {
             str(m) for m in automaton.evaluate("aab")
         }
-        assert count_subset(subset, "aab") == result.count()
+        assert count_compiled(subset, "aab") == result.count()
 
     def test_rows_cached_across_documents(self):
         subset = CompiledSubsetEVA(sequential_eva("(aa|a)*x{b}"))
-        count_subset(subset, "ababab")
+        count_compiled(subset, "ababab")
         discovered = subset.num_subset_states
-        count_subset(subset, "bababa")
+        count_compiled(subset, "bababa")
         # Same alphabet and shape: the second document reuses every row.
         assert subset.num_subset_states == discovered
 
     def test_only_reachable_subsets_are_interned(self):
         automaton = sequential_eva("x{a+}y{b+}")
         subset = CompiledSubsetEVA(automaton)
-        evaluate_subset_arena(subset, "ab")
+        evaluate_compiled_arena(subset, "ab")
         assert subset.num_subset_states <= 2 ** automaton.num_states
 
     def test_portable_keys_survive_different_interning_orders(self):
         automaton = sequential_eva("x{a*}a*")
         first = CompiledSubsetEVA(automaton)
-        arena = evaluate_subset_arena(first, "aaa")
+        arena = evaluate_compiled_arena(first, "aaa")
         second = CompiledSubsetEVA(automaton)
-        count_subset(second, "a")  # warm with a different discovery order
+        count_compiled(second, "a")  # warm with a different discovery order
         rebuilt = arena.from_portable(arena.to_portable(), second)
         assert {str(m) for m in rebuilt} == {str(m) for m in arena}
         assert rebuilt.count() == arena.count()

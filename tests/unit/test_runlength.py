@@ -23,7 +23,6 @@ from repro.runtime.runlength import (
     runlength_kernel,
 )
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.subset import CompiledSubsetEVA, count_subset
 from repro.spanners.spanner import Spanner
 from repro.workloads.documents import server_log
 
@@ -42,19 +41,13 @@ def both_forms():
     every subset DOCUMENT reaches already discovered."""
     spanner = Spanner(PATTERN)
     otf = spanner.otf_runtime(DOCUMENT)
-    count_subset(otf, DOCUMENT)
+    count_compiled(otf, DOCUMENT)
     return [spanner.runtime(DOCUMENT), otf]
 
 
 def lookups(automaton):
     """``(states, variable_row, letter_successor)`` read straight off the
     automaton's own tables — the brute-force side of the kernel tests."""
-    if isinstance(automaton, CompiledSubsetEVA):
-        return (
-            range(automaton.num_subset_states),
-            automaton.variable_row,
-            automaton.letter_successor,
-        )
     return (
         range(automaton.num_states),
         automaton.variable_table.__getitem__,

@@ -126,6 +126,19 @@ class TestEvaluateCompiled:
         if other.num_states != fig3_compiled.num_states:
             with pytest.raises(EvaluationError):
                 evaluate_compiled_arena(fig3_compiled, "a", scratch=EvaluationScratch(other))
+        # The lazily determinized form runs only on the scratch it owns
+        # and grows: a dense scratch, even one of its current size, and
+        # another subset automaton's scratch are rejected alike.
+        subset = Spanner.from_regex(".*x{a+}.*").otf_runtime("a")
+        foreign = (
+            EvaluationScratch(subset),
+            EvaluationScratch(fig3_compiled),
+            spanner.otf_runtime("a").scratch,
+        )
+        for scratch in foreign:
+            with pytest.raises(EvaluationError):
+                evaluate_compiled_arena(subset, "aa", scratch=scratch)
+        assert evaluate_compiled_arena(subset, "aa", scratch=subset.scratch).count() == 3
 
     def test_result_keyed_by_source_states(self, fig3_compiled, figure1_doc):
         result = evaluate_compiled_arena(fig3_compiled, figure1_doc).to_result_dag()
