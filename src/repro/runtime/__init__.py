@@ -20,7 +20,7 @@ reference implementation, organised around the
   (:class:`SymbolClassing` / :class:`EncodedDocument`) consumed by every
   engine above — together with the quiescent-run fast path, the layer that
   drives the per-character constant toward C speed;
-* :func:`choose_plan` picks the engine from automaton statistics, and
+* :func:`choose_plan` resolves forced engines and streaming plans, and
   :func:`run_batch` streams many documents through one compiled automaton,
   serially or across processes;
 * :class:`StreamingEvaluator` (:mod:`repro.runtime.streaming`) feeds the

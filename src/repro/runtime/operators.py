@@ -43,7 +43,7 @@ from repro.core.mappings import Mapping
 from repro.core.spans import Span
 from repro.algebra.operators import hash_join_mappings
 from repro.runtime.dag import CompiledResultDag
-from repro.runtime.plan import ExecutionPlan, choose_plan
+from repro.runtime.plan import ExecutionPlan
 
 __all__ = [
     "ArenaProject",
@@ -204,10 +204,10 @@ class FusedLeaf(PhysicalOperator):
 
     The leaf owns a private :class:`CompilationPipeline` over its (already
     rewritten) expression fragment; :meth:`prepare` resolves the inner
-    :class:`ExecutionPlan` from the sequential automaton's statistics
-    exactly like the facade does for monolithic sources, so a small
-    deterministic fragment gets dense tables while a large
-    non-deterministic one is determinized on the fly.
+    :class:`ExecutionPlan` through the bounded subset construction
+    exactly like the facade does for monolithic sources, so a fragment
+    that determinizes within the budget gets dense tables while one that
+    blows up is determinized on the fly.
     """
 
     def __init__(self, expression, reason: str = "") -> None:
@@ -224,23 +224,16 @@ class FusedLeaf(PhysicalOperator):
             return self
         # Imported here: the pipeline imports the algebra package, which
         # must be importable before this runtime module's class bodies run.
-        from dataclasses import replace
-
-        from repro.automata.analysis import statistics
         from repro.runtime.subset import CompiledSubsetEVA
         from repro.spanners.pipeline import CompilationPipeline
 
         pipeline = CompilationPipeline(self.expression, alphabet)
         sequential, report = pipeline.compile_sequential()
-        stats = replace(
-            statistics(sequential), deterministic=sequential.is_deterministic()
-        )
-        self.plan = choose_plan(stats, engine="auto")
-        if self.plan.engine == "compiled-otf":
+        self.plan, compiled = pipeline.determinize_or_defer(sequential, report)
+        if compiled is None:
             self.runtime = CompiledSubsetEVA(sequential)
         else:
-            automaton, report = pipeline.determinize_stage(sequential, report)
-            self.runtime = pipeline.intern(automaton, report)
+            self.runtime = pipeline.intern(*compiled)
         self._alphabet = alphabet
         self._scratch = None
         return self

@@ -8,16 +8,17 @@ run:
 ``compiled``
     Determinize up front, intern into a
     :class:`~repro.runtime.compiled.CompiledEVA` and run the dense-table
-    arena engine.  Best when the deterministic automaton is small or reused
-    across many documents: the (possibly exponential) determinization is
-    paid once and the per-character cost is the lowest of all engines.
+    arena engine.  ``auto`` picks it whenever the subset construction
+    finishes within its budget: the determinization is paid once and the
+    per-character cost is the lowest of all engines.
 
 ``compiled-otf``
     Skip determinization; evaluate through the lazily determinized
     :class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
-    closing remark).  Best when up-front subset construction threatens to
-    blow up: only subsets actually reached by some document are ever built,
-    at the price of a higher per-character constant.
+    closing remark).  ``auto`` picks it once the up-front subset
+    construction passes its budget: only subsets actually reached by some
+    document are ever built, at the price of a higher per-character
+    constant.
 
 ``reference``
     The original dict-and-object Algorithm 1 — kept as the paper-faithful
@@ -46,12 +47,11 @@ per-document-alphabet automata in a small one.  Both report
 hit/miss/eviction counters through :meth:`PlanCache.stats`, which is what
 the server's ``/metrics`` endpoint exposes as the plan-cache hit ratio.
 
-:func:`choose_plan` implements the ``auto`` policy from an automaton's
-:class:`~repro.automata.analysis.AutomatonStatistics` (measured on the
-*sequential*, pre-determinization automaton): already-deterministic inputs
-compile directly; small non-deterministic ones determinize up front because
-the subset construction is provably bounded by ``2^states`` and cheap to
-amortize; large non-deterministic ones switch to on-the-fly evaluation.
+The ``auto`` policy for a monolithic automaton is the subset construction
+itself (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`):
+within :data:`~repro.automata.transforms.SUBSET_BUDGET` subsets it plans
+``compiled``, past it ``compiled-otf``, so an abandoned attempt costs bounded
+time.  :func:`choose_plan` resolves forced engines and streaming.
 
 Whatever engine a plan names, the document reaches it as an *object*, not
 a pre-translated id list: every compiled engine (and every fused leaf of a
@@ -68,7 +68,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
 
-from repro.automata.analysis import AutomatonStatistics
 from repro.runtime.kernel import KERNELS
 
 __all__ = [
@@ -99,12 +98,6 @@ ENGINE_CHOICES = ("auto", "compiled", "compiled-otf", "reference", "hybrid")
 #: ``repro.runtime.runlength.KERNELS`` — the three names can no longer
 #: drift, and a unit test still pins them equal.
 KERNEL_CHOICES = KERNELS
-
-#: Above this many sequential-automaton states, ``auto`` refuses to
-#: determinize a non-deterministic automaton up front: the subset
-#: construction may build up to ``2^states`` subsets, while on-the-fly
-#: evaluation only ever interns the reachable ones.
-DEFAULT_OTF_STATE_THRESHOLD = 24
 
 
 @dataclass(frozen=True)
@@ -168,38 +161,28 @@ class ExecutionPlan:
 
 
 def choose_plan(
-    stats: AutomatonStatistics | None = None,
     *,
     engine: str = "auto",
-    otf_state_threshold: int = DEFAULT_OTF_STATE_THRESHOLD,
     streaming: bool = False,
     kernel: str = "auto",
 ) -> ExecutionPlan:
-    """Resolve *engine* into an :class:`ExecutionPlan`.
+    """Resolve a forced *engine*, or a streaming plan, into an :class:`ExecutionPlan`.
 
-    *stats* must describe the **sequential** (pre-determinization)
-    automaton and carry its ``deterministic`` flag; it is only consulted
-    (and only required) when *engine* is ``"auto"``.  A concrete *engine*
-    is honoured as-is.
+    A concrete *engine* is honoured as-is.  Whole-document ``"auto"`` is
+    not resolved here: the bounded subset construction decides it
+    (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`).
 
-    *kernel* rides along unresolved unless it is invalid for the engine
-    the plan lands on: the ``auto`` kernel is resolved per document at
-    evaluation time (``repro.runtime.runlength.prefers_runlength`` keys
-    on the measured mean run length of the encoded buffer — automaton
-    statistics cannot see it), so the plan records the caller's intent
-    and the engines dispatch.  That decision reads a C-level run count
-    (:meth:`~repro.runtime.encoding.EncodedDocument.run_count`) and never
-    builds the run-length view; only a run-length kernel that actually
-    runs does.  A streaming plan pins ``kernel="scalar"``
-    because chunk-fed evaluation never sees whole runs.
+    *kernel* rides along unresolved: the ``auto`` kernel is resolved per
+    document at evaluation time from the encoded buffer's C-level run
+    count (``repro.runtime.runlength.prefers_runlength``).
 
-    With ``streaming=True`` the plan evaluates chunk-fed documents
-    through :class:`~repro.runtime.streaming.StreamingEvaluator`.  Only
-    the dense-table ``compiled`` engine can stream: the settled-sink
-    analysis behind incremental emission needs the full class table up
-    front, which a lazily determinized runtime discovers only as
-    documents drive it.  ``auto`` therefore resolves to ``compiled``
-    without consulting *stats*, and any other engine is rejected.
+    With ``streaming=True`` the plan feeds chunks through
+    :class:`~repro.runtime.streaming.StreamingEvaluator`, which needs the
+    dense tables' settled-sink analysis up front: ``auto`` resolves to
+    ``compiled``, any other engine is rejected, and the kernel is pinned
+    to ``scalar`` because chunks never show whole runs.  A pattern whose
+    dense tables pass the subset budget raises
+    :class:`~repro.core.errors.ResourceLimitError` when the stream opens.
     """
     if engine not in ENGINE_CHOICES:
         raise ValueError(
@@ -228,45 +211,13 @@ def choose_plan(
             streaming=True,
             kernel="scalar",
         )
-    if engine == "hybrid":
+    if engine in ("auto", "hybrid"):
         raise ValueError(
-            "hybrid plans are produced by the expression optimizer "
-            "(repro.algebra.optimizer.optimize), not by choose_plan"
+            f"engine={engine!r} is decided per source, by the bounded subset "
+            "construction (CompilationPipeline.determinize_or_defer) or the "
+            "expression optimizer (repro.algebra.optimizer.optimize)"
         )
-    if engine == "reference":
-        return ExecutionPlan("reference", True, "forced by caller", kernel=kernel)
-    if engine == "compiled":
-        return ExecutionPlan("compiled", True, "forced by caller", kernel=kernel)
-    if engine == "compiled-otf":
-        return ExecutionPlan(
-            "compiled-otf", False, "forced by caller", kernel=kernel
-        )
-
-    if stats is None:
-        raise ValueError("engine='auto' needs the sequential automaton's statistics")
-    if stats.deterministic:
-        return ExecutionPlan(
-            "compiled",
-            True,
-            "already deterministic: dense tables at no extra cost",
-            kernel=kernel,
-        )
-    if stats.num_states > otf_state_threshold:
-        return ExecutionPlan(
-            "compiled-otf",
-            False,
-            f"non-deterministic with {stats.num_states} states "
-            f"(> {otf_state_threshold}): up-front subset construction may "
-            "be exponential, determinize on the fly",
-            kernel=kernel,
-        )
-    return ExecutionPlan(
-        "compiled",
-        True,
-        f"non-deterministic but small ({stats.num_states} states "
-        f"<= {otf_state_threshold}): determinize once, reuse dense tables",
-        kernel=kernel,
-    )
+    return ExecutionPlan(engine, engine != "compiled-otf", "forced by caller", kernel=kernel)
 
 
 # ---------------------------------------------------------------------- #

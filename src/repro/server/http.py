@@ -13,7 +13,10 @@ Routes:
     or ``Transfer-Encoding: chunked`` — is consumed **as it arrives**,
     one NDJSON event at a time, with an ``await``-point between chunks;
     the response streams back with chunked transfer encoding, one NDJSON
-    line per mapping the moment it settles.  Admission control answers
+    line per mapping the moment it settles.  The pattern compiles on a
+    worker thread, so a slow compile stalls only its own session; one
+    whose dense tables pass the subset budget gets ``400`` with
+    ``"code": "resource_limit"``.  Admission control answers
     ``429`` (with ``Retry-After``) past the session cap; a session idle
     longer than the configured timeout is closed with an in-band error
     event; per-session fed-bytes caps likewise surface as in-band
@@ -332,7 +335,8 @@ class ReproServer:
         except ProtocolError as error:
             return await self._respond_json(writer, 400, {"error": str(error)})
         try:
-            session = self.service.open_session(request)
+            # Off the event loop: a compile stalls only its own session.
+            session = await asyncio.to_thread(self.service.open_session, request)
         except AdmissionError as error:
             return await self._respond_json(
                 writer,
@@ -345,6 +349,10 @@ class ReproServer:
                 extra_headers={
                     "Retry-After": str(max(1, math.ceil(error.retry_after)))
                 },
+            )
+        except ResourceLimitError as error:
+            return await self._respond_json(
+                writer, 400, {"error": str(error), "code": "resource_limit"}
             )
         except ReproError as error:
             return await self._respond_json(writer, 400, {"error": str(error)})

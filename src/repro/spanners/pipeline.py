@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.documents import OTHER
-from repro.core.errors import CompilationError
+from repro.core.errors import CompilationError, ResourceLimitError
 from repro.automata.analysis import AutomatonStatistics, is_sequential, statistics, trim
 from repro.automata.eva import ExtendedVA
 from repro.automata.transforms import (
+    SUBSET_BUDGET,
     determinize,
     relabel_states,
     sequentialize,
@@ -31,6 +32,7 @@ from repro.algebra.expressions import SpannerExpression
 from repro.regex.ast import RegexNode
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
+from repro.runtime.plan import ExecutionPlan
 
 __all__ = ["CompilationPipeline", "CompilationReport", "StageReport"]
 
@@ -155,9 +157,8 @@ class CompilationPipeline:
         """Run the pipeline up to (and including) sequentialization.
 
         The result is a *sequential but possibly non-deterministic* eVA —
-        the input format of the on-the-fly subset runtime and of the
-        planner (which inspects it to decide whether determinizing up
-        front is affordable).  :meth:`compile` continues from here.
+        the input format of the on-the-fly subset runtime and of
+        :meth:`determinize_or_defer`.  :meth:`compile` continues from here.
         """
         alphabet = self._base_alphabet | frozenset(extra_alphabet)
         report = CompilationReport()
@@ -175,7 +176,10 @@ class CompilationPipeline:
         return extended, report
 
     def determinize_stage(
-        self, extended: ExtendedVA, report: CompilationReport
+        self,
+        extended: ExtendedVA,
+        report: CompilationReport,
+        budget: int | None = SUBSET_BUDGET,
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Determinize (if needed) and relabel a sequential eVA.
 
@@ -183,11 +187,14 @@ class CompilationPipeline:
         seVA.  Callers that cached the :meth:`compile_sequential` output
         (the :class:`~repro.spanners.Spanner` facade does, so it never runs
         the front of the pipeline twice) pass a *copy* of the sequential
-        report to keep the two records independent.
+        report to keep the two records independent.  The subset
+        construction stops with
+        :class:`~repro.core.errors.ResourceLimitError` past *budget*
+        subsets; only the reference engine passes ``None``.
         """
         start = time.perf_counter()
         if not extended.is_deterministic():
-            extended = determinize(extended)
+            extended = determinize(extended, budget)
             extended = relabel_states(extended)
             report.record("determinize", extended, time.perf_counter() - start)
         else:
@@ -195,12 +202,35 @@ class CompilationPipeline:
             report.record("relabel", extended, time.perf_counter() - start)
         return extended, report
 
+    def determinize_or_defer(
+        self, extended: ExtendedVA, report: CompilationReport
+    ) -> tuple[ExecutionPlan, tuple[ExtendedVA, CompilationReport] | None]:
+        """The ``auto`` plan of a sequential eVA, with its dense form if any.
+
+        The subset construction decides: within
+        :data:`~repro.automata.transforms.SUBSET_BUDGET` the plan is
+        ``compiled`` and carries the deterministic seVA; past it the plan
+        is ``compiled-otf`` (the paper's Section 4 closing remark).  The
+        facade and every fused leaf of a hybrid plan call this one method.
+        """
+        try:
+            compiled = self.determinize_stage(extended, report)
+        except ResourceLimitError as error:
+            return ExecutionPlan("compiled-otf", False, f"{error}: determinize on the fly"), None
+        stage = report.final_stage
+        reason = (
+            "already deterministic: dense tables at no extra cost"
+            if stage.name == "relabel"
+            else f"subset construction built {stage.num_states} states: dense tables"
+        )
+        return ExecutionPlan("compiled", True, reason), compiled
+
     def compile(
-        self, extra_alphabet: Iterable[str] = ()
+        self, extra_alphabet: Iterable[str] = (), budget: int | None = SUBSET_BUDGET
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Run the full pipeline and return the deterministic seVA plus a report."""
         extended, report = self.compile_sequential(extra_alphabet)
-        return self.determinize_stage(extended, report)
+        return self.determinize_stage(extended, report, budget)
 
     def intern(self, extended: ExtendedVA, report: CompilationReport):
         """Intern a pipeline-produced deterministic seVA into dense tables.

@@ -57,7 +57,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.core.documents import DocumentCollection, as_text
-from repro.core.errors import CompilationError
+from repro.core.errors import CompilationError, ResourceLimitError
 from repro.core.mappings import Mapping
 from repro.automata.analysis import AutomatonStatistics, statistics
 from repro.automata.eva import ExtendedVA
@@ -267,9 +267,21 @@ class Spanner:
         return self._pipeline.compile_sequential(self._alphabet)
 
     @cached_property
-    def _compiled(self) -> tuple[ExtendedVA, CompilationReport]:
+    def _determinized(self) -> tuple[ExecutionPlan, tuple[ExtendedVA, CompilationReport] | None]:
+        """The ``auto`` plan and, within the subset budget, the deterministic eVA."""
         sequential, report = self._sequential
-        return self._pipeline.determinize_stage(sequential, report.copy())
+        return self._pipeline.determinize_or_defer(sequential, report.copy())
+
+    @cached_property
+    def _compiled(self) -> tuple[ExtendedVA, CompilationReport]:
+        plan, compiled = self._determinized
+        if compiled is None:
+            raise ResourceLimitError(
+                f"no dense tables within the subset budget ({plan.reason}); "
+                "streaming and engine='compiled' need them, whole documents "
+                "can use engine='auto' or 'compiled-otf'"
+            )
+        return compiled
 
     @cached_property
     def _runtime(self) -> CompiledEVA:
@@ -317,8 +329,8 @@ class Spanner:
 
         Expression sources consult the cost-based optimizer: when it cuts
         the tree, the plan runs the physical operator tree, its leaves
-        compiled over the spanner's alphabet.  Otherwise the statistics
-        of the sequential eVA decide, and ``"hybrid"`` degrades to
+        compiled over the spanner's alphabet.  Otherwise the bounded
+        subset construction decides, and ``"hybrid"`` degrades to
         ``"auto"`` over the monolithic compilation.
         """
         if isinstance(self._pipeline.source, SpannerExpression):
@@ -331,11 +343,7 @@ class Spanner:
                     f"optimizer cut the expression tree: rewrites=[{rules}]",
                     operators=optimized.physical.prepare(self._alphabet),
                 )
-        sequential = self._sequential[0]
-        stats = replace(
-            statistics(sequential), deterministic=sequential.is_deterministic()
-        )
-        return choose_plan(stats, engine="auto")
+        return self._determinized[0]
 
     def _reference_automaton(self, document: object) -> ExtendedVA:
         """The deterministic eVA ``engine="reference"`` runs on *document*.
@@ -343,7 +351,8 @@ class Spanner:
         Wildcards expand over the document's own characters
         (:func:`~repro.regex.compiler.required_alphabet`), not over
         ``OTHER``, so the reference engine stays an independent oracle
-        for the compiled ones.  A few alphabets are memoized.
+        for the compiled ones.  Its subset construction is unbounded, as
+        an oracle's must be.  A few alphabets are memoized.
         """
         key = (
             frozenset(as_text(document))
@@ -351,7 +360,7 @@ class Spanner:
             else frozenset()
         )
         return self._reference.get_or_create(
-            key, lambda: self._pipeline.compile(key)[0]
+            key, lambda: self._pipeline.compile(key, budget=None)[0]
         )
 
     def _reject_hybrid_streaming(self) -> None:
@@ -462,7 +471,9 @@ class Spanner:
         result equals whole-document evaluation.  *alphabet* is accepted
         and validated (an iterable of characters) but no longer needed.
         The plan layer resolves the engine with ``streaming=True`` —
-        only ``"compiled"`` (or ``"auto"``) can stream.
+        only ``"compiled"`` (or ``"auto"``) can stream, so a pattern whose
+        subset construction passes the budget raises
+        :class:`~repro.core.errors.ResourceLimitError` here.
         """
         plan = choose_plan(
             engine=self._engine if engine is None else engine, streaming=True

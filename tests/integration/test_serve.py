@@ -14,13 +14,18 @@ drives it with the reference :class:`~repro.server.client.StreamClient`:
 * **admission control** — opens past the session cap get 429 +
   ``Retry-After`` and the slot frees on session close;
 * **/metrics** — the plan-cache hit ratio is visible after the second
-  identical request, gauges return to zero, idle sessions expire.
+  identical request, gauges return to zero, idle sessions expire;
+* **off-loop compilation** — a slow compile stalls only its own open,
+  and a pattern past the subset budget is refused with a typed 400
+  within a second.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
+import time
 
 from repro import Spanner
 from repro.server import ReproServer, ServerConfig, SpannerService, StreamClient
@@ -30,6 +35,8 @@ from repro.server.service import AdmissionError
 from harness import adversarial_chunkings, adversarial_documents
 
 PATTERN = ".*x{a+b}.*"
+#: 19 sequential states, 131,077 subsets: past the subset budget.
+BLOWUP_PATTERN = ".*a" + "." * 16 + "x{b}.*"
 
 
 def serve(config: ServerConfig):
@@ -424,3 +431,62 @@ class TestConcurrency:
                 expected = direct_outcome(pattern, "ab", [text])
                 assert got == expected, (pattern, text)
             assert service.metrics.snapshot()["sessions"]["peak_active"] >= 2
+
+
+class TestOffLoopCompilation:
+    def test_slow_open_does_not_stall_an_open_session(self, monkeypatch):
+        slow_pattern = ".*y{ab}.*"
+        building = threading.Event()
+        build_entry = SpannerService._build_entry
+
+        def slow_build_entry(self, request):
+            if request.pattern == slow_pattern:
+                building.set()
+                time.sleep(1.0)
+            return build_entry(self, request)
+
+        monkeypatch.setattr(SpannerService, "_build_entry", slow_build_entry)
+        config = ServerConfig(port=0)
+
+        @serve(config)
+        async def _(server, service):
+            host = server.config.host
+            fast = await StreamClient.open(host, server.port, PATTERN, alphabet="ab")
+            assert fast.status == 200
+            slow_open = asyncio.create_task(
+                StreamClient.open(host, server.port, slow_pattern, alphabet="ab")
+            )
+            assert await asyncio.to_thread(building.wait, 5.0)
+            started = time.perf_counter()
+            await fast.feed("aaba")  # settles x=[1,3] and x=[0,3]
+            event = await fast.read_event()
+            elapsed = time.perf_counter() - started
+            assert event["mapping"] == {"x": [1, 3]}
+            assert not slow_open.done()
+            assert elapsed < 0.5, f"feed round-trip took {elapsed:.3f}s"
+            await fast.finish()
+            await fast.close()
+            slow = await slow_open
+            assert slow.status == 200
+            await slow.finish()
+            await slow.close()
+
+    def test_over_budget_pattern_is_a_typed_400_within_a_second(self):
+        config = ServerConfig(port=0)
+
+        @serve(config)
+        async def _(server, service):
+            host = server.config.host
+            started = time.perf_counter()
+            client = await StreamClient.open(
+                host, server.port, BLOWUP_PATTERN, alphabet="ab"
+            )
+            elapsed = time.perf_counter() - started
+            assert client.status == 400
+            assert client.error_body["code"] == "resource_limit"
+            assert "subset construction passed" in client.error_body["error"]
+            assert elapsed < 1.0, f"refusal took {elapsed:.3f}s"
+            status, metrics = await fetch_json(host, server.port, "/metrics")
+            assert status == 200
+            assert metrics["plan_cache"]["build_failures"] == 1
+            assert metrics["sessions"]["active"] == 0

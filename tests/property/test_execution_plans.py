@@ -13,14 +13,23 @@ identical counts:
   automaton's documents to also exercise the cross-document row cache.
 
 This pins down the tentpole invariant of the ExecutionPlan layer: whatever
-the planner picks, the answer is the same.
+the planner picks, the answer is the same.  The blow-up family
+``.*a`` + k dots + ``x{b}.*`` checks it on both sides of the subset
+budget, where past the budget the dense engine and streaming refuse with
+a typed error instead of running for seconds.
 """
 
+import random
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from harness import assert_all_engines_agree
 
 from repro import Spanner
+from repro.cli import main
+from repro.core.errors import ResourceLimitError
 from repro.automata.transforms import va_to_eva
 from repro.enumeration.onthefly import evaluate_on_the_fly
 from repro.regex.ast import (
@@ -102,3 +111,75 @@ def test_auto_plan_agrees_with_forced_engines(node, text, seed):
     # (including counts) and the chunk-fed streaming evaluator in both
     # emit modes over adversarial chunkings of the same document.
     assert_all_engines_agree(node, text, seed=seed)
+
+
+def blowup_pattern(k: int) -> str:
+    """k+5 sequential states, 2^(k+1)+5 subsets."""
+    return ".*a" + "." * k + "x{b}.*"
+
+
+def blowup_texts(seed: int = 5) -> list[str]:
+    rng = random.Random(seed)
+    texts = ["", "ab" * 10, "a" + "b" * 30]
+    texts += ["".join(rng.choice("ab") for _ in range(40)) for _ in range(3)]
+    texts.append("a" * 20 + "éb" * 10)
+    return texts
+
+
+def test_within_budget_family_agrees_on_every_route():
+    # k=6: 133 subsets, so auto compiles dense tables and streaming works.
+    spanner = Spanner(blowup_pattern(6))
+    assert spanner.plan().engine == "compiled"
+    for seed, text in enumerate(blowup_texts()):
+        assert_all_engines_agree(None, text, seed=seed, spanner=spanner)
+
+
+def test_over_budget_family_agrees_without_dense_tables():
+    # k=12: 8,197 subsets, so auto evaluates on the fly.
+    spanner = Spanner(blowup_pattern(12))
+    assert spanner.plan().engine == "compiled-otf"
+    for text in blowup_texts():
+        expected = {str(m) for m in spanner.evaluate(text, engine="reference")}
+        assert expected or len(text) < 14
+        for engine in (None, "compiled-otf"):
+            assert {str(m) for m in spanner.evaluate(text, engine=engine)} == expected
+        for engine in (None, "compiled-otf", "reference"):
+            assert spanner.count(text, engine=engine) == len(expected)
+
+
+class TestOverBudgetRefusals:
+    """k=16 has 131,077 subsets; an unbounded dense compile takes seconds."""
+
+    PATTERN = blowup_pattern(16)
+
+    def refuses_fast(self, action) -> None:
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="subset construction passed"):
+            action()
+        assert time.perf_counter() - started < 2.0
+
+    def test_forced_compiled_engine_raises(self):
+        spanner = Spanner(self.PATTERN)
+        self.refuses_fast(lambda: spanner.count("ab" * 20, engine="compiled"))
+        self.refuses_fast(lambda: Spanner(self.PATTERN, engine="compiled").evaluate("ab"))
+
+    def test_stream_raises(self):
+        self.refuses_fast(lambda: Spanner(self.PATTERN).stream())
+
+    def test_cli_count_with_compiled_engine_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "doc.txt"
+        path.write_text("ab" * 20)
+        started = time.perf_counter()
+        code = main(["count", self.PATTERN, str(path), "--engine", "compiled"])
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro count: error: ")
+        assert "subset construction passed" in lines[0]
+        assert main(["count", self.PATTERN, str(path)]) == 0
+        assert capsys.readouterr().out.strip() == str(
+            Spanner(self.PATTERN).count("ab" * 20, engine="compiled-otf")
+        )

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.automata import transforms
-from repro.automata.analysis import statistics
-from repro.automata.transforms import va_to_eva
+from repro.automata.eva import ExtendedVA
+from repro.automata.transforms import SUBSET_BUDGET, va_to_eva
 from repro.core.documents import DocumentCollection
+from repro.core.errors import ResourceLimitError
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
@@ -24,27 +25,69 @@ def sequential_eva(pattern: str, alphabet: str = "ab"):
     return va_to_eva(compile_to_va(parse_regex(pattern), alphabet))
 
 
-def stats_of(automaton):
-    from dataclasses import replace
-
-    return replace(statistics(automaton), deterministic=automaton.is_deterministic())
+def blowup_pattern(k: int) -> str:
+    """``.*a`` + k dots + ``x{b}.*``: k+5 sequential states, 2^(k+1)+5 subsets."""
+    return ".*a" + "." * k + "x{b}.*"
 
 
 class TestChoosePlan:
     def test_deterministic_input_compiles_upfront(self):
-        plan = choose_plan(stats_of(figure3_eva()))
+        plan = Spanner.from_eva(figure3_eva()).plan()
         assert plan.engine == "compiled"
         assert plan.determinize_upfront
+        assert plan.reason.startswith("already deterministic")
 
     def test_small_nondeterministic_input_determinizes_upfront(self):
-        plan = choose_plan(stats_of(sequential_eva("x{a*}a*")))
+        plan = Spanner.from_eva(sequential_eva("x{a*}a*")).plan()
         assert plan.engine == "compiled"
 
-    def test_large_nondeterministic_input_goes_on_the_fly(self):
-        automaton = sequential_eva("(aa|a)*x{b}")
-        plan = choose_plan(stats_of(automaton), otf_state_threshold=1)
+    def test_within_budget_blowup_family_compiles(self):
+        # k=6: 133 subsets, far inside the budget.
+        plan = Spanner(blowup_pattern(6)).plan()
+        assert plan.engine == "compiled"
+        assert plan.determinize_upfront
+        assert "built 133 states" in plan.reason
+
+    def test_over_budget_blowup_family_goes_on_the_fly(self):
+        # k=16: 19 sequential states, which the old state-count proxy
+        # waved through, but 131,077 subsets.
+        plan = Spanner(blowup_pattern(16)).plan()
         assert plan.engine == "compiled-otf"
         assert not plan.determinize_upfront
+        assert f"subset construction passed {SUBSET_BUDGET} states" in plan.reason
+
+    def test_budgeted_determinize_stops_after_budget_plus_one_subsets(
+        self, monkeypatch
+    ):
+        built = set()
+
+        class CountingEVA(ExtendedVA):
+            # Every subset the construction builds is a transition
+            # endpoint of the result before the budget check sees it.
+            def add_letter_transition(self, source, symbol, target):
+                built.update((source, target))
+                super().add_letter_transition(source, symbol, target)
+
+            def add_variable_transition(self, source, markers, target):
+                built.update((source, target))
+                super().add_variable_transition(source, markers, target)
+
+        monkeypatch.setattr(transforms, "ExtendedVA", CountingEVA)
+        automaton = sequential_eva(blowup_pattern(8))  # 2^9+5 = 517 subsets
+        for budget in (1, 10, 100):
+            built.clear()
+            with pytest.raises(ResourceLimitError, match=f"passed {budget} states"):
+                transforms.determinize(automaton, budget)
+            assert len(built) <= budget + 1
+        built.clear()
+        assert transforms.determinize(automaton).num_states == len(built) == 517
+
+    def test_reference_path_determinizes_past_the_budget(self):
+        spanner = Spanner(blowup_pattern(11))
+        text = "ab" * 20 + "b"
+        assert spanner.plan().engine == "compiled-otf"
+        assert spanner._reference_automaton(text).num_states > SUBSET_BUDGET
+        assert spanner.count(text, engine="reference") == spanner.count(text)
 
     def test_forced_engines_skip_statistics(self):
         for engine in ("compiled", "compiled-otf", "reference"):
@@ -52,8 +95,8 @@ class TestChoosePlan:
             assert plan.engine == engine
             assert plan.reason == "forced by caller"
 
-    def test_auto_requires_statistics(self):
-        with pytest.raises(ValueError):
+    def test_choose_plan_leaves_auto_to_the_subset_construction(self):
+        with pytest.raises(ValueError, match="subset construction"):
             choose_plan(engine="auto")
 
     def test_unknown_engine_rejected(self):
@@ -73,7 +116,7 @@ class TestKernelAxis:
         for kernel in KERNEL_CHOICES:
             plan = choose_plan(engine="compiled", kernel=kernel)
             assert plan.kernel == kernel
-        plan = choose_plan(stats_of(figure3_eva()), kernel="runlength")
+        plan = Spanner.from_eva(figure3_eva()).plan(kernel="runlength")
         assert plan.kernel == "runlength"
 
     def test_unknown_kernel_rejected(self):
@@ -93,14 +136,10 @@ class TestKernelAxis:
         )
 
     def test_streaming_plans_pin_the_scalar_kernel(self):
-        plan = choose_plan(
-            stats_of(figure3_eva()), streaming=True, kernel="auto"
-        )
+        plan = choose_plan(streaming=True, kernel="auto")
         assert plan.kernel == "scalar"
         with pytest.raises(ValueError):
-            choose_plan(
-                stats_of(figure3_eva()), streaming=True, kernel="runlength"
-            )
+            choose_plan(streaming=True, kernel="runlength")
 
     def test_facade_kernel_choices_agree(self):
         spanner = Spanner.from_regex("x{a+}b")
