@@ -151,12 +151,13 @@ def eva_to_va(automaton: ExtendedVA) -> VariableSetAutomaton:
 
 
 #: How many subsets a bounded :func:`determinize` builds before giving up.
-#: Measured on a 2-core Intel Xeon, CPython 3.11, with ``.*a`` + k × ``.``
-#: + ``x{b}.*`` (2^(k+1)+5 subsets): 2,053 subsets take 24 ms, 8,197 take
-#: 115 ms.  For k=16 a spanner plus one count of 20k ``ab`` characters
-#: takes 232 ms on the fly; abandoning the attempt at 2,048 subsets makes
-#: ``auto`` 256 ms (1.10x), at 4,096 284 ms (1.22x).  Shipped workload
-#: patterns determinize to a few dozen states.
+#: Measured (2-core Xeon, CPython 3.11) on ``.*a`` + k × ``.`` + ``x{b}.*``
+#: (2^(k+1)+5 subsets): a k=16 spanner plus one count of 20k ``ab`` chars
+#: takes 232 ms on the fly, 256 ms under ``auto`` (1.10x; 284 ms at 4,096).
+#: It bounds subsets, not work, which grows with the source: abandoned
+#: attempts took 23/67/224/389 ms at k=16/64/256/512 (23 to 519 states),
+#: 65-103 ms for ``.*[a-z0-9]`` + k × ``.`` + ``x{b}.*`` (k <= 256), and
+#: 0.2/0.5/1.8 s at k=16/64/256 with the alphabet widened to 37 letters.
 SUBSET_BUDGET = 2048
 
 
@@ -170,7 +171,7 @@ def determinize(automaton: ExtendedVA, budget: int | None = None) -> ExtendedVA:
 
     With a *budget* (such as :data:`SUBSET_BUDGET`) it raises
     :class:`~repro.core.errors.ResourceLimitError` on building subset
-    ``budget + 1``, so a blow-up costs bounded time.
+    ``budget + 1``, so a blow-up stops after *budget* subsets.
     """
     if not automaton.has_initial:
         raise CompilationError("cannot determinize an automaton without an initial state")

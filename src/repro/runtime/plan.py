@@ -50,8 +50,8 @@ the server's ``/metrics`` endpoint exposes as the plan-cache hit ratio.
 The ``auto`` policy for a monolithic automaton is the subset construction
 itself (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`):
 within :data:`~repro.automata.transforms.SUBSET_BUDGET` subsets it plans
-``compiled``, past it ``compiled-otf``, so an abandoned attempt costs bounded
-time.  :func:`choose_plan` resolves forced engines and streaming.
+``compiled``, past it ``compiled-otf``, so an abandoned attempt stops after
+that many subsets.  :func:`choose_plan` resolves forced engines and streaming.
 
 Whatever engine a plan names, the document reaches it as an *object*, not
 a pre-translated id list: every compiled engine (and every fused leaf of a

@@ -179,7 +179,7 @@ class CompilationPipeline:
         self,
         extended: ExtendedVA,
         report: CompilationReport,
-        budget: int | None = SUBSET_BUDGET,
+        budget: int | None,
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Determinize (if needed) and relabel a sequential eVA.
 
@@ -190,7 +190,7 @@ class CompilationPipeline:
         report to keep the two records independent.  The subset
         construction stops with
         :class:`~repro.core.errors.ResourceLimitError` past *budget*
-        subsets; only the reference engine passes ``None``.
+        subsets (``None``: unbounded, as :meth:`compile` runs it).
         """
         start = time.perf_counter()
         if not extended.is_deterministic():
@@ -214,7 +214,7 @@ class CompilationPipeline:
         facade and every fused leaf of a hybrid plan call this one method.
         """
         try:
-            compiled = self.determinize_stage(extended, report)
+            compiled = self.determinize_stage(extended, report, SUBSET_BUDGET)
         except ResourceLimitError as error:
             return ExecutionPlan("compiled-otf", False, f"{error}: determinize on the fly"), None
         stage = report.final_stage
@@ -226,11 +226,11 @@ class CompilationPipeline:
         return ExecutionPlan("compiled", True, reason), compiled
 
     def compile(
-        self, extra_alphabet: Iterable[str] = (), budget: int | None = SUBSET_BUDGET
+        self, extra_alphabet: Iterable[str] = ()
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Run the full pipeline and return the deterministic seVA plus a report."""
         extended, report = self.compile_sequential(extra_alphabet)
-        return self.determinize_stage(extended, report, budget)
+        return self.determinize_stage(extended, report, None)
 
     def intern(self, extended: ExtendedVA, report: CompilationReport):
         """Intern a pipeline-produced deterministic seVA into dense tables.

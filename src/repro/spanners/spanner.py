@@ -360,7 +360,7 @@ class Spanner:
             else frozenset()
         )
         return self._reference.get_or_create(
-            key, lambda: self._pipeline.compile(key, budget=None)[0]
+            key, lambda: self._pipeline.compile(key)[0]
         )
 
     def _reject_hybrid_streaming(self) -> None:

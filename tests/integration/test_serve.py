@@ -35,7 +35,7 @@ from repro.server.service import AdmissionError
 from harness import adversarial_chunkings, adversarial_documents
 
 PATTERN = ".*x{a+b}.*"
-#: 19 sequential states, 131,077 subsets: past the subset budget.
+#: 23 sequential states, 131,077 subsets: past the subset budget.
 BLOWUP_PATTERN = ".*a" + "." * 16 + "x{b}.*"
 
 

@@ -114,7 +114,7 @@ def test_auto_plan_agrees_with_forced_engines(node, text, seed):
 
 
 def blowup_pattern(k: int) -> str:
-    """k+5 sequential states, 2^(k+1)+5 subsets."""
+    """k+7 sequential states, 2^(k+1)+5 subsets."""
     return ".*a" + "." * k + "x{b}.*"
 
 

@@ -26,7 +26,7 @@ def sequential_eva(pattern: str, alphabet: str = "ab"):
 
 
 def blowup_pattern(k: int) -> str:
-    """``.*a`` + k dots + ``x{b}.*``: k+5 sequential states, 2^(k+1)+5 subsets."""
+    """``.*a`` + k dots + ``x{b}.*``: k+7 sequential states, 2^(k+1)+5 subsets."""
     return ".*a" + "." * k + "x{b}.*"
 
 
@@ -49,7 +49,7 @@ class TestChoosePlan:
         assert "built 133 states" in plan.reason
 
     def test_over_budget_blowup_family_goes_on_the_fly(self):
-        # k=16: 19 sequential states, which the old state-count proxy
+        # k=16: 23 sequential states, which the old state-count proxy
         # waved through, but 131,077 subsets.
         plan = Spanner(blowup_pattern(16)).plan()
         assert plan.engine == "compiled-otf"
