@@ -5,7 +5,7 @@ documents:
 
 * ``reference``  — the legacy dict-based Algorithm 1, one document at a time;
 * ``compiled``   — the integer-indexed runtime (compile once, reuse dense
-  tables and scratch buffers across documents);
+  tables and set plans across documents);
 * ``processes``  — the compiled runtime fanned out over a multiprocessing
   pool (the automaton is pickled once per worker).
 
@@ -41,10 +41,7 @@ from repro.core.documents import DocumentCollection  # noqa: E402
 from repro.counting.census import CensusInstance  # noqa: E402
 from repro.runtime.batch import run_batch  # noqa: E402
 from repro.runtime.compiled import compile_eva  # noqa: E402
-from repro.runtime.engine import (  # noqa: E402
-    EvaluationScratch,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import evaluate_compiled_arena  # noqa: E402
 from repro.runtime.resilience import ResiliencePolicy  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
@@ -77,23 +74,18 @@ def timed_nofast(compiled, collection, *, repeat: int = 1) -> tuple[float, int]:
     """Best seconds of the arena engine with the quiescent fast path off.
 
     The pre-PR-shaped control for the sparse-logs workload: same dense
-    tables, same shared encoded buffers and scratch, but every character
-    walks the Python inner loop.
+    tables, same shared encoded buffers and set plans, but every
+    character walks the Python inner loop.
     """
-    scratch = EvaluationScratch(compiled)
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
         for _doc_id, document in collection.items():
-            evaluate_compiled_arena(
-                compiled, document, scratch=scratch, fast_path=False
-            )
+            evaluate_compiled_arena(compiled, document, fast_path=False)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     total = sum(
-        evaluate_compiled_arena(
-            compiled, document, scratch=scratch, fast_path=False
-        ).count()
+        evaluate_compiled_arena(compiled, document, fast_path=False).count()
         for _doc_id, document in collection.items()
     )
     return best, total

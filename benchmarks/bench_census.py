@@ -50,7 +50,7 @@ def test_census_via_spanner_reduction(benchmark, length):
 @pytest.mark.parametrize("length", [4, 6])
 def test_census_via_compiled_spanner_reduction(benchmark, length):
     # The compiled integer Algorithm 3 on class-indexed tables, counting
-    # several passes through one reusable EvaluationScratch — the
+    # several passes on one compiled automaton and its set plans — the
     # steady-state batch-counting shape.
     instance = make_instance(5, length)
     count = benchmark(lambda: instance.solve_via_compiled_spanner(repeat=4))

@@ -22,7 +22,12 @@ extraction (few mappings over long documents).  A third entry
 (``sparse-logs-preprocessing``) times the *preprocessing* phase itself on
 the sparse-match log workload — the regime the quiescent-run fast path
 targets — comparing the reference engine, the arena engine, and the arena
-engine with the fast path disabled.
+engine with the fast path disabled.  A fourth entry
+(``set-explosion-preprocessing``) times *cold* preprocessing where the
+active sets explode: random ``ab`` text under ``.*x{a[ab]{10}}.*``
+meets a new set of live states at most positions, so the arena engine
+builds its per-set plans for nearly one use each.  Every timed arena
+call runs on a fresh spanner, compiled outside the timer.
 
 Usage::
 
@@ -49,10 +54,7 @@ from repro.core.documents import Document  # noqa: E402
 from repro.enumeration.enumerate import delay_profile  # noqa: E402
 from repro.enumeration.evaluate import evaluate as reference_evaluate  # noqa: E402
 from repro.runtime.compiled import compile_eva  # noqa: E402
-from repro.runtime.engine import (  # noqa: E402
-    EvaluationScratch,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import evaluate_compiled_arena  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import NESTED_PATTERN  # noqa: E402
 from repro.workloads.documents import (  # noqa: E402
@@ -143,7 +145,6 @@ def bench_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> d
     spanner = Spanner.from_regex(pattern)
     automaton = spanner.compiled(text)
     compiled = compile_eva(automaton, check_determinism=False)
-    scratch = EvaluationScratch(compiled)
     document = Document(text)
 
     def best_seconds(run) -> float:
@@ -159,9 +160,9 @@ def bench_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> d
         "reference": reference_evaluate(
             automaton, text, check_determinism=False
         ).count(),
-        "arena": evaluate_compiled_arena(compiled, document, scratch=scratch).count(),
+        "arena": evaluate_compiled_arena(compiled, document).count(),
         "arena-nofast": evaluate_compiled_arena(
-            compiled, document, scratch=scratch, fast_path=False
+            compiled, document, fast_path=False
         ).count(),
     }
     if len(set(counts.values())) != 1:
@@ -175,14 +176,12 @@ def bench_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> d
         },
         "arena": {
             "seconds": best_seconds(
-                lambda: evaluate_compiled_arena(compiled, document, scratch=scratch)
+                lambda: evaluate_compiled_arena(compiled, document)
             )
         },
         "arena-nofast": {
             "seconds": best_seconds(
-                lambda: evaluate_compiled_arena(
-                    compiled, document, scratch=scratch, fast_path=False
-                )
+                lambda: evaluate_compiled_arena(compiled, document, fast_path=False)
             )
         },
     }
@@ -204,6 +203,53 @@ def bench_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> d
     }
 
 
+def bench_cold_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> dict:
+    """Time cold preprocessing (Algorithm 1) on one (pattern, document).
+
+    Each timed arena call gets a fresh :class:`Spanner` whose compilation
+    runs before the timer starts, so the call pays for everything the
+    engine builds per automaton while it runs (its per-set plans) but
+    not for compiling.  The reference engine builds nothing per
+    automaton, so its timing is warm by construction.
+    """
+    automaton = Spanner(pattern).compiled(text)
+
+    def arena_run():
+        spanner = Spanner(pattern, engine="compiled")
+        document = Document(text)
+        spanner.runtime(document)
+        start = time.perf_counter()
+        result = spanner.preprocess(document)
+        return time.perf_counter() - start, result
+
+    def best_seconds(run) -> float:
+        return min(run()[0] for _ in range(repeat))
+
+    def reference_run():
+        start = time.perf_counter()
+        result = reference_evaluate(automaton, text, check_determinism=False)
+        return time.perf_counter() - start, result
+
+    counts = {"reference": reference_run()[1].count(), "arena": arena_run()[1].count()}
+    if len(set(counts.values())) != 1:
+        raise AssertionError(f"{name}: paths disagree — {counts}")
+    rows = {
+        "reference": {"seconds": best_seconds(reference_run)},
+        "arena": {"seconds": best_seconds(arena_run)},
+    }
+    arena_seconds = rows["arena"]["seconds"]
+    rows["speedup_arena_vs_reference"] = (
+        rows["reference"]["seconds"] / arena_seconds if arena_seconds else float("inf")
+    )
+    return {
+        "workload": name,
+        "documents": 1,
+        "total_chars": len(text),
+        "mappings": counts["arena"],
+        "results": rows,
+    }
+
+
 def print_preprocessing_report(entry: dict) -> None:
     rows = entry["results"]
     print(
@@ -212,13 +258,14 @@ def print_preprocessing_report(entry: dict) -> None:
     )
     print(f"{'path':<14} {'seconds':>10} {'chars/s':>14}")
     for label in ("reference", "arena", "arena-nofast"):
+        if label not in rows:
+            continue
         seconds = rows[label]["seconds"]
         rate = entry["total_chars"] / seconds if seconds else float("inf")
         print(f"{label:<14} {seconds:>10.4f} {rate:>14.0f}")
-    print(
-        f"arena vs reference: {rows['speedup_arena_vs_reference']:.2f}x   "
-        f"fast path vs nofast: {rows['speedup_fastpath_vs_nofast']:.2f}x"
-    )
+    print(f"arena vs reference: {rows['speedup_arena_vs_reference']:.2f}x")
+    if "speedup_fastpath_vs_nofast" in rows:
+        print(f"fast path vs nofast: {rows['speedup_fastpath_vs_nofast']:.2f}x")
 
 
 def print_report(entry: dict) -> None:
@@ -252,10 +299,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         nested_length, contact_records, limit, repeat = 30, 40, 4000, 3
-        sparse_lines = 2500
+        sparse_lines, explosion_chars = 2500, 5000
     else:
         nested_length, contact_records, limit, repeat = 60, 150, 20000, 5
-        sparse_lines = 4000
+        sparse_lines, explosion_chars = 4000, 20000
 
     report = {"smoke": args.smoke, "cpu_count": os.cpu_count(), "workloads": []}
 
@@ -285,6 +332,15 @@ def main(argv=None) -> int:
         server_log(
             sparse_lines, seed=17, error_rate=0.005, levels=("INFO", "WARN")
         ).text,
+        repeat=repeat,
+    )
+    report["workloads"].append(entry)
+    print_preprocessing_report(entry)
+
+    entry = bench_cold_preprocessing(
+        "set-explosion-preprocessing",
+        ".*x{a" + "[ab]" * 10 + "}.*",
+        random_document(explosion_chars, alphabet="ab", seed=13).text,
         repeat=repeat,
     )
     report["workloads"].append(entry)

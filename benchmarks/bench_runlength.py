@@ -48,7 +48,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.runtime.engine import EvaluationScratch, count_compiled  # noqa: E402
+from repro.runtime.engine import count_compiled  # noqa: E402
 from repro.runtime.runlength import count_runlength, runlength_kernel  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
@@ -66,10 +66,9 @@ def best_of(repeat: int, run) -> float:
 
 def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
     total_chars = len(document)
-    scratch = EvaluationScratch(compiled)
 
     # Correctness first: every path must produce the same exact integer.
-    mappings = count_compiled(compiled, document, scratch=scratch)
+    mappings = count_compiled(compiled, document)
     for label, value in (
         ("scalar-nofast", count_compiled(compiled, document, fast_path=False)),
         ("runlength", count_runlength(compiled, document)),
@@ -86,13 +85,11 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
 
     nofast_seconds = best_of(
         repeat,
-        lambda: count_compiled(
-            compiled, document, scratch=scratch, fast_path=False
-        ),
+        lambda: count_compiled(compiled, document, fast_path=False),
     )
     fastpath_seconds = best_of(
         repeat,
-        lambda: count_compiled(compiled, document, scratch=scratch),
+        lambda: count_compiled(compiled, document),
     )
     runlength_seconds = best_of(
         repeat,

@@ -36,7 +36,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena  # noqa: E402
+from repro.runtime.engine import evaluate_compiled_arena  # noqa: E402
 from repro.runtime.streaming import StreamingEvaluator  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import chunked_document, scenario  # noqa: E402
@@ -44,12 +44,11 @@ from repro.workloads.collections import chunked_document, scenario  # noqa: E402
 
 def time_arena(runtime, document, *, repeat: int):
     """Whole-document run: (first-result seconds, total seconds, cells)."""
-    scratch = EvaluationScratch(runtime)
     best_first = best_total = None
     cells = mappings = 0
     for _ in range(repeat):
         start = time.perf_counter()
-        result = evaluate_compiled_arena(runtime, document, scratch=scratch)
+        result = evaluate_compiled_arena(runtime, document)
         count = 0
         first = None
         for _mapping in result:

@@ -17,7 +17,9 @@ are not gated): a current ratio may not fall below
 stays at least 1.5x faster per mapping than the reference walker is pinned
 with ``--min-speedup speedup_arena_vs_reference=1.5``, and the
 quiescent-run fast path's contribution with
-``--min-speedup speedup_fastpath_vs_nofast=2.0``.
+``--min-speedup speedup_fastpath_vs_nofast=2.0``.  A key qualified by a
+workload name (``--min-speedup set-explosion-preprocessing.speedup_arena_vs_reference=2.2``)
+applies to that workload only.
 
 Usage::
 
@@ -76,7 +78,8 @@ def main(argv=None) -> int:
         default=[],
         metavar="KEY=VALUE",
         help="absolute floor for a ratio metric, e.g. speedup_arena_vs_reference=1.5 "
-        "(repeatable; applied to every workload carrying the metric)",
+        "(repeatable; applied to every workload carrying the metric, or to one "
+        "workload as WORKLOAD.KEY=VALUE)",
     )
     args = parser.parse_args(argv)
 
@@ -126,16 +129,19 @@ def main(argv=None) -> int:
             # Floors apply to any numeric ratio in the results, including
             # in-run controls like speedup_fastpath_vs_nofast that the
             # tolerance gate deliberately ignores.
-            cur_value = cur_entry.get("results", {}).get(key)
+            workload, _, metric = key.rpartition(".")
+            if workload and workload != name:
+                continue
+            cur_value = cur_entry.get("results", {}).get(metric)
             if not isinstance(cur_value, (int, float)):
                 continue
             floors_applied[key] += 1
             checked += 1
             status = "ok" if cur_value >= floor else "FAIL"
-            print(f"{name}.{key}: current={cur_value:.2f}x (floor {floor:.2f}x) {status}")
+            print(f"{name}.{metric}: current={cur_value:.2f}x (floor {floor:.2f}x) {status}")
             if cur_value < floor:
                 failures.append(
-                    f"{name}.{key}: {cur_value:.2f}x is below the absolute floor {floor:.2f}x"
+                    f"{name}.{metric}: {cur_value:.2f}x is below the absolute floor {floor:.2f}x"
                 )
 
     # A floor that matched no workload at all is a disabled gate, not a

@@ -175,20 +175,18 @@ class CensusInstance:
 
         The same reduction as :meth:`solve_via_spanner`, but counted by
         :func:`repro.runtime.engine.count_compiled` on the dense
-        class-indexed tables, with one reusable
-        :class:`~repro.runtime.engine.EvaluationScratch` across *repeat*
-        counting passes — the steady-state shape of the census benchmark
-        (compile once, count many times, allocate nothing per pass).
+        class-indexed tables, *repeat* times on one compiled automaton —
+        the steady-state shape of the census benchmark (compile once,
+        count many times on the set plans the first pass built).
         """
         from repro.automata.transforms import to_deterministic_sequential_eva
         from repro.runtime.compiled import compile_eva
-        from repro.runtime.engine import EvaluationScratch, count_compiled
+        from repro.runtime.engine import count_compiled
 
         automaton, document = self.to_spanner()
         deterministic = to_deterministic_sequential_eva(automaton, assume_sequential=True)
         compiled = compile_eva(deterministic, check_determinism=False)
-        scratch = EvaluationScratch(compiled)
         total = 0
         for _ in range(max(1, repeat)):
-            total = count_compiled(compiled, document, scratch=scratch)
+            total = count_compiled(compiled, document)
         return total

@@ -41,11 +41,7 @@ from repro.runtime.encoding import (
     encoding_passes,
     reset_encoding_passes,
 )
-from repro.runtime.engine import (
-    EvaluationScratch,
-    count_compiled,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.operators import (
     ArenaProject,
     FusedLeaf,
@@ -71,7 +67,6 @@ __all__ = [
     "CompiledSubsetEVA",
     "ENGINE_CHOICES",
     "EncodedDocument",
-    "EvaluationScratch",
     "ExecutionPlan",
     "FusedLeaf",
     "HashJoin",

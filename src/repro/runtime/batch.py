@@ -2,8 +2,8 @@
 
 :func:`run_batch` streams ``(doc_id, result)`` pairs for every document of
 a collection, compiling nothing per document: the caller compiles once
-(typically via :meth:`repro.spanners.Spanner.run_batch`) and the engine
-reuses one :class:`~repro.runtime.engine.EvaluationScratch` per worker.
+(typically via :meth:`repro.spanners.Spanner.run_batch`) and every
+document runs on the one automaton's tables and set plans.
 
 Two execution modes are supported:
 
@@ -57,7 +57,7 @@ from repro.core.errors import ResourceLimitError
 from repro.enumeration.evaluate import ResultDag, evaluate as reference_evaluate
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import CompiledResultDag
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
+from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
 from repro.runtime import resilience
 from repro.runtime.resilience import (
@@ -128,7 +128,6 @@ def thaw_result(portable: tuple, compiled) -> CompiledResultDag | OperatorResult
 # ---------------------------------------------------------------------- #
 
 _worker_compiled: CompiledEVA | CompiledSubsetEVA | PhysicalOperator | None = None
-_worker_scratch: EvaluationScratch | None = None
 _worker_engine: str = "compiled"
 _worker_stream_chunk: int = 0  # 0: evaluate documents whole
 _worker_budget: ResourceBudget | None = None
@@ -141,12 +140,8 @@ def _init_worker(
     budget: ResourceBudget | None = None,
     faults: resilience.FaultPlan | None = None,
 ) -> None:
-    global _worker_compiled, _worker_scratch, _worker_engine, _worker_stream_chunk
-    global _worker_budget
+    global _worker_compiled, _worker_engine, _worker_stream_chunk, _worker_budget
     _worker_compiled = compiled
-    _worker_scratch = (
-        EvaluationScratch(compiled) if isinstance(compiled, CompiledEVA) else None
-    )
     _worker_engine = engine
     _worker_stream_chunk = stream_chunk
     _worker_budget = budget
@@ -157,7 +152,6 @@ def _evaluate_one(
     compiled,
     document: object,
     engine: str,
-    scratch,
     stream_chunk: int = 0,
 ):
     if resilience._ACTIVE_PLAN is not None:
@@ -169,13 +163,9 @@ def _evaluate_one(
     if stream_chunk:
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.
-        return evaluate_streaming(
-            compiled, document, chunk_size=stream_chunk, scratch=scratch
-        )
+        return evaluate_streaming(compiled, document, chunk_size=stream_chunk)
     # Arenas are always scalar: the kernel axis applies only to counting.
-    # A lazily determinized automaton (scratch None) evaluates with the
-    # scratch it owns.
-    return evaluate_compiled_arena(compiled, document, scratch=scratch)
+    return evaluate_compiled_arena(compiled, document)
 
 
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
@@ -192,7 +182,6 @@ def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tup
             compiled,
             document,
             _worker_engine,
-            _worker_scratch,
             _worker_stream_chunk,
         )
         if budget is not None:
@@ -344,9 +333,6 @@ def _serial_supervised(
     report: FailureReport | None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
     """The serial loop with guards, fault hooks and quarantine engaged."""
-    scratch = (
-        EvaluationScratch(compiled) if isinstance(compiled, CompiledEVA) else None
-    )
     budget = policy.budget
     if policy.faults is not None:
         resilience.install_fault_plan(policy.faults)
@@ -355,9 +341,7 @@ def _serial_supervised(
             try:
                 if budget is not None:
                     budget.check_document(document)
-                result = _evaluate_one(
-                    compiled, document, engine, scratch, stream_chunk
-                )
+                result = _evaluate_one(compiled, document, engine, stream_chunk)
                 if budget is not None:
                     budget.check_result(result)
             except Exception as error:
@@ -422,13 +406,8 @@ def _stream_batch(
                 compiled, pairs, engine, stream_chunk, policy, report
             )
             return
-        scratch = (
-            EvaluationScratch(compiled) if isinstance(compiled, CompiledEVA) else None
-        )
         for doc_id, document in pairs:
-            yield doc_id, _evaluate_one(
-                compiled, document, engine, scratch, stream_chunk
-            )
+            yield doc_id, _evaluate_one(compiled, document, engine, stream_chunk)
         return
 
     # Process mode is always supervised: with no explicit policy the
@@ -442,7 +421,6 @@ def _stream_batch(
     def inline_setup():
         saved = (
             _worker_compiled,
-            _worker_scratch,
             _worker_engine,
             _worker_stream_chunk,
             _worker_budget,
@@ -452,11 +430,10 @@ def _stream_batch(
         _init_worker(compiled, engine, stream_chunk, policy.budget, None)
 
         def teardown():
-            global _worker_compiled, _worker_scratch, _worker_engine
+            global _worker_compiled, _worker_engine
             global _worker_stream_chunk, _worker_budget
             (
                 _worker_compiled,
-                _worker_scratch,
                 _worker_engine,
                 _worker_stream_chunk,
                 _worker_budget,

@@ -24,7 +24,6 @@ siblings call) and of the multiprocessing batch engine in
 
 from __future__ import annotations
 
-import re
 from typing import Hashable
 
 from repro.core.documents import OTHER
@@ -40,7 +39,6 @@ __all__ = [
     "classify_columns",
     "encode_symbols",
     "marker_decode_tables_for",
-    "store_stop_pattern",
 ]
 
 State = Hashable
@@ -79,31 +77,6 @@ def encode_symbols(symbol_index: dict[str, int], text: str) -> list[int]:
     get = symbol_index.get
     unnamed = get(OTHER, NO_TARGET)
     return [get(character, unnamed) for character in text]
-
-
-#: Upper bound on cached sprint patterns per runtime — a backstop against
-#: pathological automata whose evaluations visit unboundedly many distinct
-#: quiescent state sets; past the cap, patterns are compiled per use.
-SPRINT_PATTERN_CACHE_CAP = 4096
-
-
-def store_stop_pattern(cache: dict, key, stop_ids) -> "re.Pattern":
-    """Compile the byte-class pattern matching any of *stop_ids*, caching it.
-
-    Shared by every compiled runtime's ``sprint_pattern`` variants: the
-    caller enumerates the class ids on which its live state (or state set)
-    stops self-looping, and receives a compiled ``bytes`` character-class
-    pattern whose ``search`` is the C-level quiescent skip.  The pattern is
-    stored in *cache* under *key* unless the cache has reached
-    :data:`SPRINT_PATTERN_CACHE_CAP`.
-    """
-    stops = b"".join(
-        re.escape(bytes((class_id,))) for class_id in sorted(set(stop_ids))
-    )
-    pattern = re.compile(b"[" + stops + b"]")
-    if len(cache) < SPRINT_PATTERN_CACHE_CAP:
-        cache[key] = pattern
-    return pattern
 
 
 def classify_columns(columns) -> tuple[list[int], list]:
@@ -153,13 +126,9 @@ class CompiledEVA:
         "class_table",
         "silent",
         "_marker_decode",
-        "_sprint_patterns",
         "_runlength",
+        "_set_table",
     )
-
-    #: A dense automaton owns no scratch: callers pass their own, or each
-    #: evaluation gets a fresh one (see :func:`repro.runtime.engine.scratch_for`).
-    scratch = None
 
     def __init__(
         self,
@@ -192,8 +161,8 @@ class CompiledEVA:
 
         # Derived (never pickled): symbol equivalence classes, the
         # class-indexed dense rows with a trailing all-dead foreign column,
-        # the per-state "no variable transition" flags driving the
-        # quiescent-run fast path, and the lazily built sprint patterns.
+        # and the per-state "no variable transition" flags driving the
+        # quiescent-run fast path.
         columns = tuple(zip(*letter_table)) if letter_table and symbols else ()
         class_of, representatives = classify_columns(columns)
         self.classing = SymbolClassing(symbols, class_of)
@@ -204,11 +173,12 @@ class CompiledEVA:
         else:
             self.class_table = tuple((NO_TARGET,) for _ in state_objects)
         self.silent = tuple(not row for row in variable_table)
-        self._sprint_patterns: dict[int, re.Pattern] = {}
-        # The run-length kernel (repro.runtime.runlength) caches its
-        # lazily built rows here; like the sprint patterns it is derived
-        # and never pickled (__setstate__ re-runs __init__).
+        # The run-length kernel (repro.runtime.runlength) and the kernel
+        # loops' interned active sets with their plans and sprint patterns
+        # (repro.runtime.kernel.set_table) are built on first use here;
+        # both are derived and never pickled (__setstate__ re-runs __init__).
         self._runlength = None
+        self._set_table = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -233,57 +203,6 @@ class CompiledEVA:
     def num_classes(self) -> int:
         """Distinct symbol equivalence classes (excluding the foreign class)."""
         return self.classing.num_classes
-
-    def sprint_pattern(self, state: int) -> re.Pattern:
-        """A compiled byte-pattern matching every class id that *leaves* *state*.
-
-        The quiescent-run fast path uses it to skip, at C speed, over the
-        (usually long) stretches of a ``bytes`` class buffer on which
-        *state* only self-loops: ``pattern.search(buffer, pos)`` finds the
-        next position whose class either moves to another state or kills
-        the run (the foreign column guarantees the stop set is never
-        empty).  Only meaningful for byte buffers, i.e. classings with at
-        most 256 ids.
-        """
-        pattern = self._sprint_patterns.get(state)
-        if pattern is None:
-            row = self.class_table[state]
-            pattern = store_stop_pattern(
-                self._sprint_patterns,
-                state,
-                (
-                    class_id
-                    for class_id, target in enumerate(row)
-                    if target != state
-                ),
-            )
-        return pattern
-
-    def sprint_pattern_multi(self, states: tuple[int, ...]) -> re.Pattern:
-        """The union stop pattern of several live states.
-
-        Matches every class id on which at least one of *states* does not
-        self-loop: positions before the next match are guaranteed to leave
-        the whole active set (and its parked lists) untouched, so the
-        engines skip them in one C-level scan even when more than one
-        silent run is live — the steady state of sparse-match scanning,
-        where a finished-match run and the scanning run coexist to the end
-        of the document.  *states* must be a sorted tuple (the cache key).
-        """
-        pattern = self._sprint_patterns.get(states)
-        if pattern is None:
-            class_table = self.class_table
-            pattern = store_stop_pattern(
-                self._sprint_patterns,
-                states,
-                (
-                    class_id
-                    for state in states
-                    for class_id, target in enumerate(class_table[state])
-                    if target != state
-                ),
-            )
-        return pattern
 
     def marker_decode_tables(self) -> tuple[tuple, tuple]:
         """Per-marker-set-id ``(opened, closed)`` variable-name tuples.

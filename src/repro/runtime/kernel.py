@@ -1,71 +1,79 @@
 """The Algorithm-1 loops behind every engine, written once each.
 
 The paper's Algorithm 1 is one capturing/reading alternation.  Every
-engine runs it through the plain functions of this module; the engines
-themselves (:mod:`repro.runtime.engine`, :mod:`repro.runtime.streaming`)
-only encode the document, borrow the scratch, call a loop and collect
-the result.  The loops and those entry points read five things off an
-automaton:
-``class_table[s][c]``, ``variable_table[s]``, ``silent[s]``,
-``is_final[s]`` and ``initial`` (plus the sprint patterns).  The dense
-:class:`~repro.runtime.compiled.CompiledEVA` holds them as tuples; the
-lazily determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`
-fills them on first read and grows its scratch as it interns subsets —
-the paper's Section 4 remark that its translations "can be fed to
-Algorithm 1 on-the-fly", with the one Algorithm 1.  There are four
-functions:
+engine runs it through the loops of this module and only encodes the
+document, calls a loop and collects the result.
 
-* :func:`arena_loop` — the arena loop.  It is *resumable*: the
-  caller holds the live state (active list, ``(start, end)`` slot
-  arrays, the ``quiet`` flag, the arena arrays and the position
-  ``offset`` of the buffer's first character) and gets it handed back,
-  so a whole document is one call with ``offset=0`` and a stream is one
-  call per chunk;
-* :func:`final_capture` — the capturing phase at the end of the
-  document, run once after the last :func:`arena_loop` call;
-* :func:`count_loop` — Algorithm 3;
-* :func:`sprint` — the quiescent chase both loops call.
+The loops step **interned active sets**.  The live states form a sorted
+tuple, which :class:`SetTable` interns as a :class:`SetRecord` holding
+its ``quiet`` flag (no member has a variable transition, so capturing
+is a no-op), its sprint pattern and, built on first use, its plans: the
+**capture plan** (per variable transition its source slot, marker set
+and target, compiled into gathers that append the new nodes and cells
+and rebuild the grown set's slots) and one **step plan** per symbol
+class (the target set, a gather handing each target its first
+arrival's start and last arrival's end, and the append chain splicing
+the other arrivals in).  Each plan carries the count transfer too.
 
-The invariants every loop keeps:
+A loop carries ``(record, slots)``: the live set's record and a tuple
+holding each member's list as two cell indices ``(start, end)``, or its
+partial-run count, in member order.  A position is one plan lookup and
+one C-level gather.  Plans read the automaton only while they are
+built, through ``class_table[s][c]`` and ``variable_table[s]``, so the
+loops run unchanged over the dense
+:class:`~repro.runtime.compiled.CompiledEVA` and the lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA`, which fills those
+tables on first read — the paper's Section 4 remark that its
+translations "can be fed to Algorithm 1 on-the-fly".  The table lives
+on the automaton: derived, never pickled, cleared at
+:data:`SET_TABLE_CAP` records.  Active sets are a subset construction,
+so some patterns meet a new set at nearly every position; a call that
+builds plans faster than :data:`PLAN_CREDIT` and :data:`PLAN_SHARE`
+allow finishes in a loop over per-call state-indexed arrays instead.
 
-* the **capturing step** snapshots the live lists before any addition —
-  exactly the paper's lazycopy;
-* the **reading step** takes one letter transition per live run, the
-  foreign class killing runs uniformly, and splices guarded by the
-  lazy-list single-assignment discipline (a second write to a next
-  pointer raises :class:`NotDeterministicError`);
-* the live list is **sorted back to canonical id order** after any phase
-  that can disorder it.  This makes the arena a pure function of
-  ``(entry state set, buffer)``, which is why a chunk-fed arena is
-  bit-identical to the whole-document one wherever the chunk boundaries
-  fall;
-* the **quiescent sprint** (:func:`sprint`): a lone silent run parks its
-  payload (a ``(start, end)`` pair or a count) and chases letter
-  transitions at C speed; no arena cell or snapshot is touched while
-  sprinting;
-* the **scratch ping-pong**: current/pending slot arrays swap after each
-  reading phase, and the loops return the arrays so callers can hand
-  them back to the scratch.
+* :func:`arena_loop` — the arena loop.  It is *resumable*: the caller
+  holds ``(record, slots)``, the arena arrays and the position
+  ``offset`` of the buffer's first character, so a whole document is
+  one ``final`` call and a stream is one call per chunk plus a
+  ``final`` one on an empty buffer, which runs the capturing phase at
+  the document's end;
+* :func:`count_loop` — Algorithm 3, on the same records;
+* :func:`sprint` — the quiescent chase of a lone silent run.
 
-The planner-facing ``kernel`` choice (:data:`KERNELS`: ``auto``,
-``scalar``, ``runlength``) selects between these scalar loops and the
-run-length algebra of :mod:`repro.runtime.runlength`; only counting has
-a run-length path, and every arena is built by a loop from this module.
+Every loop keeps the paper's invariants: the **capturing step** reads
+the live lists before any addition (lazycopy); the **reading step**
+takes one letter transition per run, the foreign class killing runs
+uniformly, and its splices keep the lazy-list single-assignment
+discipline (a second write to a next pointer raises
+:class:`NotDeterministicError`); live states stay in **canonical id
+order**, so the arena is a pure function of ``(entry state set,
+buffer)`` — bit-identical wherever chunk boundaries fall and whichever
+loop form ran; and the **quiescent sprint** parks a lone silent run's
+payload and chases its letter transitions at C speed.
+
+The planner-facing ``kernel`` choice (:data:`KERNELS`) picks between
+these loops and the run-length algebra of
+:mod:`repro.runtime.runlength` for counting; every arena is built here.
 ``tools/check_single_kernel.py`` fails when a raw Algorithm-1 position
 loop appears anywhere else.
 """
 
 from __future__ import annotations
 
+import re
+from operator import itemgetter
+
 from repro.core.errors import NotDeterministicError
-from repro.runtime.compiled import NO_TARGET, CompiledEVA
+from repro.runtime.compiled import NO_TARGET
 from repro.runtime.dag import NIL
 
 __all__ = [
     "KERNELS",
+    "SET_TABLE_CAP",
+    "SetTable",
     "arena_loop",
     "count_loop",
-    "final_capture",
+    "set_table",
     "sprint",
 ]
 
@@ -76,15 +84,223 @@ __all__ = [
 #: scalar loops.
 KERNELS: tuple[str, ...] = ("auto", "scalar", "runlength")
 
+#: Upper bound on the set records one automaton keeps; past it the
+#: table is cleared (a loop keeps the record it holds).
+SET_TABLE_CAP = 1 << 12
+
+#: A loop call may build this many plans, plus one per ``PLAN_SHARE``
+#: positions, before it finishes in :func:`_state_loop`.  A plan costs
+#: a few plain steps to build and saves about half a step per reuse, so
+#: a call building plans faster than that is meeting sets it will not
+#: revisit (random ``ab`` text under ``.*x{a[ab]{10}}.*`` meets 3,700
+#: sets in 5k characters; contacts-dense meets 22 in 15k).
+PLAN_CREDIT = 64
+PLAN_SHARE = 4
+
+
+# ---------------------------------------------------------------------- #
+# Set records and their plans
+# ---------------------------------------------------------------------- #
+
+
+class SetRecord:
+    """One interned active set and the plans of the positions it meets.
+
+    ``members`` is the sorted tuple of live state ids; ``capture``,
+    ``steps[c]`` and the sprint ``pattern`` are ``None`` until built.  A
+    plan is a plain tuple stored in one assignment, so threads sharing
+    an automaton only ever see a complete one.
+    """
+
+    __slots__ = ("members", "quiet", "capture", "steps", "pattern")
+
+    def __init__(self, members: tuple[int, ...], quiet: bool, num_ids: int) -> None:
+        self.members = members
+        self.quiet = quiet
+        self.capture = self.pattern = None
+        self.steps: list = [None] * num_ids
+
+
+def _count_transfer(groups) -> tuple:
+    """``(gather, adds)`` for a count transfer whose output ``o`` sums the
+    counts at ``groups[o]``: a C-level gather of each group's first
+    index, and the ``(output, index)`` pairs of the rest, which
+    :func:`_added` folds in; on most steps ``adds`` is empty.
+    """
+    if len(groups) == 1:
+        gather = itemgetter(slice(groups[0][0], groups[0][0] + 1))
+    else:
+        gather = itemgetter(*[group[0] for group in groups])
+    adds = tuple((out, index) for out, group in enumerate(groups) for index in group[1:])
+    return gather, adds
+
+
+def _added(gathered: tuple, counts: tuple, adds: tuple) -> tuple:
+    total = list(gathered)
+    for out, index in adds:
+        total[out] += counts[index]
+    return tuple(total)
+
+
+def _splice(cell_nexts: list, end_cell: int, start_cell: int) -> None:
+    # append(list): the end cell's next pointer must still be unset, or
+    # the automaton is not deterministic.
+    if cell_nexts[end_cell] != NIL:
+        raise NotDeterministicError(
+            "arena append would overwrite a next pointer; the "
+            "compiled automaton is not deterministic"
+        )
+    cell_nexts[end_cell] = start_cell
+
+
+class SetTable:
+    """The interned active sets of one automaton, with their plans.
+
+    A plan is built by running its phase on slot *indices*: member
+    ``i``'s list is at ``2*i`` (start) and ``2*i + 1`` (end), and a
+    capture gathers from the *extended* tuple ``slots + (NIL, cell,
+    cell + 1, ...)``, whose tail holds the cells it appends.  Count
+    plans group the member indices each output adds up.
+    """
+
+    __slots__ = ("compiled", "records", "num_ids")
+
+    def __init__(self, compiled) -> None:
+        self.compiled = compiled
+        self.records: dict[tuple[int, ...], SetRecord] = {}
+        self.num_ids = compiled.classing.num_ids
+
+    def record(self, members: tuple[int, ...]) -> SetRecord:
+        """The record of the sorted state tuple *members*."""
+        record = self.records.get(members)
+        if record is None:
+            if len(self.records) >= SET_TABLE_CAP:
+                self.records.clear()
+            silent = self.compiled.silent
+            record = self.records[members] = SetRecord(
+                members, all([silent[state] for state in members]), self.num_ids
+            )
+        return record
+
+    def capture_plan(self, record: SetRecord) -> tuple:
+        """Build *record*'s capture plan.
+
+        ``(grown, k, markers, starts, ends, nexts, gather, count_gather,
+        count_adds)``: the grown set's record, the number ``k`` of new
+        cells (one per variable transition, in member-then-row order),
+        their marker sets, their sources' starts and ends (slot gathers),
+        their next pointers (an extended-tuple gather: the target's list
+        so far, or ``NIL``), the gather of the grown set's slots, and the
+        count transfer to its counts.  With ``k == 1`` the four per-cell
+        entries are a marker set and three indices.
+        """
+        members = record.members
+        width = 2 * len(members)
+        heads = dict(zip(members, range(0, width, 2)))
+        tails = dict(zip(members, range(1, width, 2)))
+        groups = {state: [index] for index, state in enumerate(members)}
+        markers, starts, nexts = [], [], []
+        cell = width + 1
+        for index, state in enumerate(members):
+            for set_id, target in self.compiled.variable_table[state]:
+                markers.append(set_id)
+                starts.append(2 * index)
+                nexts.append(heads.get(target, width))
+                tails.setdefault(target, cell)
+                heads[target] = cell
+                groups.setdefault(target, []).append(index)
+                cell += 1
+        grown = sorted(heads)
+        if len(markers) == 1:
+            cells = (markers[0], starts[0], starts[0] + 1, nexts[0])
+        else:
+            cells = (
+                tuple(markers),
+                itemgetter(*starts),
+                itemgetter(*[start + 1 for start in starts]),
+                itemgetter(*nexts),
+            )
+        plan = record.capture = (
+            self.record(tuple(grown)),
+            len(markers),
+            *cells,
+            itemgetter(*[i for state in grown for i in (heads[state], tails[state])]),
+            *_count_transfer([groups[state] for state in grown]),
+        )
+        return plan
+
+    def step_plan(self, record: SetRecord, symbol: int) -> tuple:
+        """Build *record*'s reading plan on class *symbol*.
+
+        ``(target, gather, chain, count_gather, count_adds)``: the target
+        set's record (``None`` when every run dies), the slot gather (each
+        target's first arrival's start and last arrival's end), the
+        splices as ``(end slot, start slot)`` pairs in member order, and
+        the count transfer.
+        """
+        groups: dict[int, list[int]] = {}
+        chain = []
+        for index, state in enumerate(record.members):
+            target = self.compiled.class_table[state][symbol]
+            if target < 0:
+                continue
+            group = groups.setdefault(target, [])
+            if group:
+                chain.append((2 * group[-1] + 1, 2 * index))
+            group.append(index)
+        targets = sorted(groups)
+        plan = record.steps[symbol] = (
+            (
+                self.record(tuple(targets)),
+                itemgetter(
+                    *[i for state in targets for i in (2 * groups[state][0], 2 * groups[state][-1] + 1)]
+                ),
+                tuple(chain),
+                *_count_transfer([groups[state] for state in targets]),
+            )
+            if targets
+            else (None, None, (), None, ())
+        )
+        return plan
+
+    def sprint_pattern(self, record: SetRecord):
+        """The stop pattern of the quiet set *record*.
+
+        A compiled byte class of every class id on which some member does
+        not self-loop (the foreign class never does, so it is never
+        empty): ``pattern.search(buf, pos)`` skips, at C speed, the
+        stretch that leaves the whole set and its parked lists untouched.
+        Only meaningful for byte buffers (at most 256 class ids).
+        """
+        pattern = record.pattern
+        if pattern is None:
+            class_table = self.compiled.class_table
+            stops = {
+                class_id
+                for state in record.members
+                for class_id in range(self.num_ids)
+                if class_table[state][class_id] != state
+            }
+            pattern = record.pattern = re.compile(
+                b"[" + b"".join(re.escape(bytes((stop,))) for stop in sorted(stops)) + b"]"
+            )
+        return pattern
+
+
+def set_table(compiled) -> SetTable:
+    """The :class:`SetTable` cached on *compiled* (built on first use)."""
+    table = compiled._set_table
+    if table is None:
+        table = compiled._set_table = SetTable(compiled)
+    return table
+
 
 # ---------------------------------------------------------------------- #
 # The sprint helper (the C-speed quiescent chase)
 # ---------------------------------------------------------------------- #
 
 
-def sprint(
-    compiled: CompiledEVA, buf, pos: int, n: int, state: int, use_patterns: bool
-) -> tuple[int, int]:
+def sprint(table: SetTable, buf, pos: int, n: int, state: int, use_patterns: bool) -> tuple[int, int]:
     """Advance a lone silent run until it stops being boring.
 
     Returns ``(state, pos)``.  ``state == NO_TARGET`` means the run died at
@@ -93,15 +309,16 @@ def sprint(
     ``pos``).  Precondition: *state* is silent and ``pos < n``.
 
     With a ``bytes`` buffer, stretches where *state* self-loops are skipped
-    by :meth:`CompiledEVA.sprint_pattern` — a C-level scan for the next
-    class id that leaves the state — so the Python-level cost is one
-    iteration per state *change*, not per character.
+    by its singleton set's :meth:`SetTable.sprint_pattern`, so the
+    Python-level cost is one iteration per state *change*, not per
+    character.
     """
-    class_table = compiled.class_table
-    silent = compiled.silent
+    class_table = table.compiled.class_table
+    silent = table.compiled.silent
     if use_patterns:
         while True:
-            match = compiled.sprint_pattern(state).search(buf, pos)
+            record = table.record((state,))
+            match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
             if match is None:
                 return state, n
             pos = match.start()
@@ -132,240 +349,317 @@ def sprint(
 
 
 def arena_loop(
-    compiled, buf, n, offset, cur_start, cur_end, pend_start, pend_end, active, quiet,
-    node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts, fast_path,
+    compiled, buf, n, offset, record, slots,
+    node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts,
+    fast_path, final,
 ):
     """Algorithm 1 over ``buf[:n]``, building the arena in place.
 
-    ``active`` lists the live states in id order; ``cur_start[s]`` and
-    ``cur_end[s]`` hold state ``s``'s list as first/last cell indices,
-    and the ``pend_*`` arrays are the all-``NIL`` slots the reading phase
-    fills.  Node positions are ``offset + pos``.  The arena arrays are
+    ``record`` is the live set's :class:`SetRecord` and ``slots`` its
+    members' lists as ``(start, end)`` cell pairs, flattened in member
+    order.  Node positions are ``offset + pos``.  The arena arrays are
     appended to in place; the loop state comes back as
-    ``(cur_start, cur_end, pend_start, pend_end, active, quiet)`` for the
-    next call or for :func:`final_capture`.  The loop never runs the
-    capturing phase at position ``offset + n``.
+    ``(record, slots)`` — ``record`` is ``None`` once every run has died
+    — for the next call.  The capturing phase at position ``offset + n``
+    runs only when *final* (the document ends there; a stream's last
+    call passes an empty buffer).
     """
-    variable_table = compiled.variable_table
-    class_table = compiled.class_table
-    silent = compiled.silent
+    table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
-
-    def capturing(position):
-        snapshot = [
-            (state, cur_start[state], cur_end[state])
-            for state in active
-            if variable_table[state]
-        ]
-        for state, old_start, old_end in snapshot:
-            for set_id, target in variable_table[state]:
-                node = len(node_markers)
-                node_markers.append(set_id)
-                node_positions.append(position)
-                node_starts.append(old_start)
-                node_ends.append(old_end)
-                cell = len(cell_nodes)
-                cell_nodes.append(node)
-                target_start = cur_start[target]
-                cell_nexts.append(target_start)
-                if target_start == NIL:
-                    cur_end[target] = cell
-                    active.append(target)
-                cur_start[target] = cell
+    built = -PLAN_CREDIT
 
     pos = 0
-    while pos < n:
-        if quiet and fast_path:
+    while True:
+        if built > pos // PLAN_SHARE:
+            return _state_loop(
+                compiled, buf, pos, n, offset, record, slots,
+                node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts,
+                fast_path, final,
+            )
+        if record.quiet and fast_path and pos < n:
+            if len(record.members) == 1:
+                state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
+                if state < 0:
+                    return None, ()
+                record = table.record((state,))
+            elif use_patterns:
+                match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
+                pos = n if match is None else match.start()
+        if pos >= n and not final:
+            return record, slots
+        if not record.quiet:
+            plan = record.capture
+            if plan is None:
+                plan = table.capture_plan(record)
+                built += 1
+            record, k, markers, starts, ends, nexts, gather, _, _ = plan
+            node = len(node_markers)
+            cell = len(cell_nodes)
+            if k == 1:
+                extended = slots + (NIL, cell)
+                node_markers.append(markers)
+                node_positions.append(offset + pos)
+                node_starts.append(slots[starts])
+                node_ends.append(slots[ends])
+                cell_nodes.append(node)
+                cell_nexts.append(extended[nexts])
+            else:
+                extended = slots + (NIL, *range(cell, cell + k))
+                node_markers.extend(markers)
+                node_positions.extend([offset + pos] * k)
+                node_starts.extend(starts(slots))
+                node_ends.extend(ends(slots))
+                cell_nodes.extend(range(node, node + k))
+                cell_nexts.extend(nexts(extended))
+            slots = gather(extended)
+        if pos >= n:
+            return record, slots
+
+        symbol = buf[pos]
+        pos += 1
+        step = record.steps[symbol]
+        if step is None:
+            step = table.step_plan(record, symbol)
+            built += 1
+        record, gather, chain, _, _ = step
+        for end_at, start_at in chain:
+            _splice(cell_nexts, slots[end_at], slots[start_at])
+        if record is None:
+            return None, ()
+        slots = gather(slots)
+
+
+def _state_loop(
+    compiled, buf, pos, n, offset, record, slots,
+    node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts,
+    fast_path, final,
+):
+    """:func:`arena_loop` from *pos* on, without plans.
+
+    Each live state's list sits in per-call arrays indexed by state id
+    (grown as the lazily determinized form interns subsets), one
+    current and one pending pair swapped after each reading phase.
+    The same phases in the same order build the same arena.
+    """
+    table = set_table(compiled)
+    class_table = compiled.class_table
+    variable_table = compiled.variable_table
+    silent = compiled.silent
+    use_patterns = fast_path and isinstance(buf, bytes)
+    arrays = [[NIL] * compiled.num_states for _ in range(4)]
+    cur_start, cur_end, pend_start, pend_end = arrays
+    active = list(record.members)
+    for index, state in enumerate(active):
+        cur_start[state] = slots[2 * index]
+        cur_end[state] = slots[2 * index + 1]
+    quiet = record.quiet
+
+    def fit(state):  # the new length, once the arrays hold *state*
+        for array in arrays:
+            array.extend([NIL] * (state + 1 - len(array)))
+        return state + 1
+
+    size = len(cur_start)
+
+    while True:
+        if quiet and fast_path and pos < n:
             if len(active) == 1:
                 state = active[0]
-                start = cur_start[state]
-                end = cur_end[state]
+                start, end = cur_start[state], cur_end[state]
                 cur_start[state] = NIL
-                state, pos = sprint(compiled, buf, pos, n, state, use_patterns)
+                state, pos = sprint(table, buf, pos, n, state, use_patterns)
                 if state < 0:
-                    active = []
-                    break
-                cur_start[state] = start
-                cur_end[state] = end
+                    return None, ()
+                if state >= size:
+                    size = fit(state)
+                cur_start[state], cur_end[state] = start, end
                 active[0] = state
                 quiet = silent[state]
-                if pos >= n:
-                    break
             elif use_patterns:
-                match = compiled.sprint_pattern_multi(
-                    tuple(sorted(active))
-                ).search(buf, pos)
-                if match is None:
-                    pos = n
-                    break
-                pos = match.start()
+                match = table.sprint_pattern(table.record(tuple(active))).search(buf, pos)
+                pos = n if match is None else match.start()
+        if pos >= n and not final:
+            break
         if not quiet:
             alive = len(active)
-            capturing(offset + pos)
+            for state, old_start, old_end in [
+                (state, cur_start[state], cur_end[state])
+                for state in active
+                if variable_table[state]
+            ]:
+                for set_id, target in variable_table[state]:
+                    if target >= size:
+                        size = fit(target)
+                    node = len(node_markers)
+                    node_markers.append(set_id)
+                    node_positions.append(offset + pos)
+                    node_starts.append(old_start)
+                    node_ends.append(old_end)
+                    cell = len(cell_nodes)
+                    cell_nodes.append(node)
+                    cell_nexts.append(cur_start[target])
+                    if cur_start[target] == NIL:
+                        cur_end[target] = cell
+                        active.append(target)
+                    cur_start[target] = cell
             if len(active) > alive:
                 active.sort()
+        if pos >= n:
+            break
 
         symbol = buf[pos]
         pos += 1
         next_active = []
         quiet = True
         for state in active:
-            old_start = cur_start[state]
-            old_end = cur_end[state]
+            old_start, old_end = cur_start[state], cur_end[state]
             cur_start[state] = NIL
             target = class_table[state][symbol]
             if target < 0:
                 continue
-            target_start = pend_start[target]
-            if target_start == NIL:
+            if target >= size:
+                size = fit(target)
+            if pend_start[target] == NIL:
                 pend_start[target] = old_start
-                pend_end[target] = old_end
                 next_active.append(target)
-                if quiet and not silent[target]:
-                    quiet = False
+                quiet = quiet and silent[target]
             else:
-                # append(old_list): the end cell's next pointer must
-                # still be unset, or the automaton is not deterministic.
-                end_cell = pend_end[target]
-                if cell_nexts[end_cell] != NIL:
-                    raise NotDeterministicError(
-                        "arena append would overwrite a next pointer; the "
-                        "compiled automaton is not deterministic"
-                    )
-                cell_nexts[end_cell] = old_start
-                pend_end[target] = old_end
+                _splice(cell_nexts, pend_end[target], old_start)
+            pend_end[target] = old_end
         cur_start, pend_start = pend_start, cur_start
         cur_end, pend_end = pend_end, cur_end
-        if len(next_active) > 1:
-            next_active.sort()
+        next_active.sort()
         active = next_active
         if not active:
-            break
+            return None, ()
 
-    return (cur_start, cur_end, pend_start, pend_end, active, quiet)
+    slots = tuple([cell for state in active for cell in (cur_start[state], cur_end[state])])
+    return table.record(tuple(active)), slots
 
 
-def final_capture(
-    compiled, cur_start, cur_end, active, quiet,
-    node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts, position,
-):
-    """The capturing phase at the document's end *position*.
+def count_loop(compiled, buf, n, fast_path):
+    """Algorithm 3 over ``buf[:n]``: one partial-run count per live state.
 
-    Run once after the last :func:`arena_loop` call, on the state it
-    returned.  Mutates ``active`` and the arrays in place.
+    Returns ``(record, counts)`` after the final capturing phase: the
+    live set's record (``None`` once every run has died) and its
+    members' counts, in member order.  Like :func:`arena_loop`, it
+    finishes in :func:`_count_state_loop` once plans stop paying.
     """
-    variable_table = compiled.variable_table
-    if active and not quiet:
-        alive = len(active)
-        snapshot = [
-            (state, cur_start[state], cur_end[state])
-            for state in active
-            if variable_table[state]
-        ]
-        for state, old_start, old_end in snapshot:
-            for set_id, target in variable_table[state]:
-                node = len(node_markers)
-                node_markers.append(set_id)
-                node_positions.append(position)
-                node_starts.append(old_start)
-                node_ends.append(old_end)
-                cell = len(cell_nodes)
-                cell_nodes.append(node)
-                target_start = cur_start[target]
-                cell_nexts.append(target_start)
-                if target_start == NIL:
-                    cur_end[target] = cell
-                    active.append(target)
-                cur_start[target] = cell
-        if len(active) > alive:
-            active.sort()
-
-
-def count_loop(compiled, buf, n, scratch, fast_path):
-    """Algorithm 3 over ``buf[:n]``: one partial-run count per state id.
-
-    Borrows the scratch's two count rows (all zero on entry) and returns
-    ``(active, counts, pending)``: the live states after the final
-    capturing phase, their counts, and the other row (all zero).
-    """
-    variable_table = compiled.variable_table
-    class_table = compiled.class_table
-    silent = compiled.silent
+    table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
-    counts = scratch.count_cur
-    pending = scratch.count_pend
-    initial = compiled.initial
-    counts[initial] = 1
-    active = [initial]
-    quiet = silent[initial]
-
-    def capturing():
-        snapshot = [
-            (state, counts[state]) for state in active if variable_table[state]
-        ]
-        for state, amount in snapshot:
-            for _set_id, target in variable_table[state]:
-                if counts[target] == 0:
-                    active.append(target)
-                counts[target] += amount
+    record = table.record((compiled.initial,))
+    counts = (1,)
+    built = -PLAN_CREDIT
 
     pos = 0
-    while pos < n:
-        if quiet and fast_path:
+    while True:
+        if built > pos // PLAN_SHARE:
+            return _count_state_loop(compiled, buf, pos, n, record, counts, fast_path)
+        if record.quiet and fast_path and pos < n:
+            if len(record.members) == 1:
+                state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
+                if state < 0:
+                    return None, ()
+                record = table.record((state,))
+            elif use_patterns:
+                match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
+                pos = n if match is None else match.start()
+        if not record.quiet:
+            plan = record.capture
+            if plan is None:
+                plan = table.capture_plan(record)
+                built += 1
+            record, gather, adds = plan[0], plan[7], plan[8]
+            counts = _added(gather(counts), counts, adds) if adds else gather(counts)
+        if pos >= n:
+            return record, counts
+
+        symbol = buf[pos]
+        pos += 1
+        step = record.steps[symbol]
+        if step is None:
+            step = table.step_plan(record, symbol)
+            built += 1
+        record, _, _, gather, adds = step
+        if record is None:
+            return None, ()
+        counts = _added(gather(counts), counts, adds) if adds else gather(counts)
+
+
+def _count_state_loop(compiled, buf, pos, n, record, counts, fast_path):
+    """:func:`count_loop` from *pos* on, without plans: the counts sit in
+    two per-call rows indexed by state id, like :func:`_state_loop`'s
+    lists."""
+    table = set_table(compiled)
+    class_table = compiled.class_table
+    variable_table = compiled.variable_table
+    silent = compiled.silent
+    use_patterns = fast_path and isinstance(buf, bytes)
+    rows = [[0] * compiled.num_states for _ in range(2)]
+    current, pending = rows
+    active = list(record.members)
+    for state, amount in zip(active, counts):
+        current[state] = amount
+    quiet = record.quiet
+
+    def fit(state):  # the new length, once the rows hold *state*
+        for row in rows:
+            row.extend([0] * (state + 1 - len(row)))
+        return state + 1
+
+    size = len(current)
+
+    while True:
+        if quiet and fast_path and pos < n:
             if len(active) == 1:
                 state = active[0]
-                amount = counts[state]
-                counts[state] = 0
-                state, pos = sprint(compiled, buf, pos, n, state, use_patterns)
+                amount, current[state] = current[state], 0
+                state, pos = sprint(table, buf, pos, n, state, use_patterns)
                 if state < 0:
-                    active = []
-                    break
-                counts[state] = amount
+                    return None, ()
+                if state >= size:
+                    size = fit(state)
+                current[state] = amount
                 active[0] = state
                 quiet = silent[state]
-                if pos >= n:
-                    break
             elif use_patterns:
-                match = compiled.sprint_pattern_multi(
-                    tuple(sorted(active))
-                ).search(buf, pos)
-                if match is None:
-                    pos = n
-                    break
-                pos = match.start()
+                match = table.sprint_pattern(table.record(tuple(active))).search(buf, pos)
+                pos = n if match is None else match.start()
         if not quiet:
             alive = len(active)
-            capturing()
+            for state, amount in [
+                (state, current[state]) for state in active if variable_table[state]
+            ]:
+                for _set_id, target in variable_table[state]:
+                    if target >= size:
+                        size = fit(target)
+                    if current[target] == 0:
+                        active.append(target)
+                    current[target] += amount
             if len(active) > alive:
                 active.sort()
+        if pos >= n:
+            break
 
         symbol = buf[pos]
         pos += 1
         next_active = []
         quiet = True
         for state in active:
-            amount = counts[state]
-            counts[state] = 0
-            if not amount:
-                continue
+            amount, current[state] = current[state], 0
             target = class_table[state][symbol]
             if target < 0:
                 continue
+            if target >= size:
+                size = fit(target)
             if pending[target] == 0:
                 next_active.append(target)
-                if quiet and not silent[target]:
-                    quiet = False
+                quiet = quiet and silent[target]
             pending[target] += amount
-        counts, pending = pending, counts
-        if len(next_active) > 1:
-            next_active.sort()
+        current, pending = pending, current
+        next_active.sort()
         active = next_active
         if not active:
-            break
+            return None, ()
 
-    if active and not quiet:
-        alive = len(active)
-        capturing()
-        if len(active) > alive:
-            active.sort()
-    return (active, counts, pending)
+    return table.record(tuple(active)), tuple([current[s] for s in active])

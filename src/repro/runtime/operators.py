@@ -216,7 +216,6 @@ class FusedLeaf(PhysicalOperator):
         self.plan: ExecutionPlan | None = None
         self.runtime = None
         self._alphabet: frozenset[str] | None = None
-        self._scratch = None
 
     def prepare(self, alphabet: frozenset[str]) -> "FusedLeaf":
         alphabet = frozenset(alphabet)
@@ -235,17 +234,14 @@ class FusedLeaf(PhysicalOperator):
         else:
             self.runtime = pipeline.intern(*compiled)
         self._alphabet = alphabet
-        self._scratch = None
         return self
 
     def execute(self, document: object) -> CompiledResultDag:
         if self.runtime is None:
             raise EvaluationError("a FusedLeaf must be prepared before execution")
-        from repro.runtime.engine import evaluate_compiled_arena, scratch_for
+        from repro.runtime.engine import evaluate_compiled_arena
 
-        if self._scratch is None:
-            self._scratch = scratch_for(self.runtime)
-        return evaluate_compiled_arena(self.runtime, document, scratch=self._scratch)
+        return evaluate_compiled_arena(self.runtime, document)
 
     def label(self) -> str:
         engine = self.plan.engine if self.plan is not None else "not compiled yet"
@@ -273,7 +269,6 @@ class FusedLeaf(PhysicalOperator):
         self.plan = state["plan"]
         self.runtime = state["runtime"]
         self._alphabet = state["_alphabet"]
-        self._scratch = None
 
 
 class HashJoin(PhysicalOperator):

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
 
@@ -271,13 +272,13 @@ class PlanCache(Generic[K, V]):
     """A size-bounded, thread-safe LRU over compilation artifacts.
 
     Values are built at most once per resident key through
-    :meth:`get_or_create` (the factory runs under the cache lock, so two
-    racing callers never compile the same entry twice), refreshed on
+    :meth:`get_or_create` (racing callers of one key wait for its one
+    build, while the factory runs outside the cache lock), refreshed on
     every hit, and dropped — oldest first — once the bound is exceeded.
     Eviction only severs the cache's reference: callers that already
-    hold an entry (an in-flight server session feeding its evaluator, a
-    borrowed scratch) keep a perfectly valid object; the next lookup for
-    that key simply rebuilds a fresh one.  That invariant is what lets
+    hold an entry (an in-flight server session feeding its evaluator)
+    keep a perfectly valid object; the next lookup for that key simply
+    rebuilds a fresh one.  That invariant is what lets
     the multi-tenant server evict under pressure without corrupting
     open sessions, and it is pinned by the integration tests.
     """
@@ -288,6 +289,8 @@ class PlanCache(Generic[K, V]):
         self.name = name
         self._max_entries = max_entries
         self._entries: OrderedDict[K, V] = OrderedDict()
+        #: the builds in flight, one future per key
+        self._building: dict[K, Future[V]] = {}
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
@@ -325,10 +328,11 @@ class PlanCache(Generic[K, V]):
     def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
         """Return the entry for *key*, building it via *factory* on a miss.
 
-        The factory runs under the cache lock: a compilation is never
-        duplicated, at the price of serializing concurrent misses —
-        the right trade for compilation artifacts, which are expensive
-        to build and cheap to share.
+        The factory runs outside the cache lock, so hits on other keys
+        and :meth:`stats` never wait for a compilation.  A compilation is
+        still never duplicated: a caller that misses while *key* is being
+        built waits on that build's future (and counts as a hit), and
+        gets its value — or its exception.
         """
         with self._lock:
             value = self._entries.get(key)
@@ -336,19 +340,33 @@ class PlanCache(Generic[K, V]):
                 self._hits += 1
                 self._entries.move_to_end(key)
                 return value
-            self._misses += 1
-            try:
-                value = factory()
-            except BaseException:
-                # A failed build leaves no entry behind; count it so the
-                # server's /metrics can surface repeated bad patterns.
+            build = self._building.get(key)
+            owner = build is None
+            if owner:
+                self._misses += 1
+                build = self._building[key] = Future()
+            else:
+                self._hits += 1
+        if not owner:
+            return build.result()
+        try:
+            value = factory()
+        except BaseException as error:
+            # A failed build leaves no entry behind; count it so the
+            # server's /metrics can surface repeated bad patterns.
+            with self._lock:
                 self._build_failures += 1
-                raise
+                del self._building[key]
+            build.set_exception(error)
+            raise
+        with self._lock:
             self._entries[key] = value
+            del self._building[key]
             while len(self._entries) > self._max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-            return value
+        build.set_result(value)
+        return value
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`reset_stats`)."""

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 from repro.core.errors import EvaluationError
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.encoding import runs_of_buffer
-from repro.runtime.engine import EvaluationScratch, count_compiled
+from repro.runtime.engine import count_compiled
 from repro.runtime.kernel import KERNELS
 
 if TYPE_CHECKING:
@@ -288,7 +288,6 @@ def count_with_kernel(
     document: object,
     *,
     kernel: str = "auto",
-    scratch: EvaluationScratch | None = None,
     fast_path: bool = True,
 ) -> int:
     """The scalar :func:`count_compiled` or :func:`count_runlength`, by
@@ -298,6 +297,4 @@ def count_with_kernel(
         and resolve_kernel(kernel, automaton.encode(document)) == "runlength"
     ):
         return count_runlength(automaton, document)
-    return count_compiled(
-        automaton, document, scratch=scratch, fast_path=fast_path
-    )
+    return count_compiled(automaton, document, fast_path=fast_path)

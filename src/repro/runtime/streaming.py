@@ -17,10 +17,11 @@ memory before emitting anything.  This module closes the gap with a
 * the per-position loop is :func:`~repro.runtime.kernel.arena_loop`,
   the very loop :func:`~repro.runtime.engine.evaluate_compiled_arena`
   runs over a whole document, quiescent-run sprint included: the live
-  state (active set, ``(start, end)`` slot pairs, the ``quiet`` flag and
-  the arena arrays) is passed in and handed back across chunk
-  boundaries, so a sprint interrupted by a chunk boundary resumes at C
-  speed in the next chunk;
+  state (the active set's record and its tuple of ``(start, end)``
+  slot pairs, plus the arena arrays) is passed in and handed back
+  across chunk boundaries, so a sprint interrupted by a chunk boundary
+  resumes at C speed in the next chunk, and the set plans the loop
+  built in one chunk serve every later one;
 * ``bytes`` chunks are decoded by an incremental UTF-8 decoder, so a
   multi-byte character split across two chunks is reassembled before it
   reaches the automaton.
@@ -67,13 +68,8 @@ from repro.core.errors import EvaluationError, StreamingError
 from repro.core.mappings import Mapping
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
-from repro.runtime.engine import (
-    EvaluationScratch,
-    _checked_scratch,
-    _finish_arena,
-    _release_slots,
-)
-from repro.runtime.kernel import arena_loop
+from repro.runtime.engine import _collect_arena
+from repro.runtime.kernel import arena_loop, set_table
 
 __all__ = [
     "EMIT_MODES",
@@ -170,10 +166,9 @@ class StreamingEvaluator:
 
     Create one evaluator per document stream, :meth:`feed` it ``str`` or
     ``bytes`` chunks (in any mix — partial UTF-8 sequences are carried
-    between byte chunks), then :meth:`finish` it exactly once.  Pass a
-    reused :class:`~repro.runtime.engine.EvaluationScratch` when
-    streaming many documents through the same automaton (the batch
-    engine does); the slot arrays are returned cleared.
+    between byte chunks), then :meth:`finish` it exactly once.  The
+    evaluator holds all of its stream's state, so any number of
+    evaluators may share one automaton.
     """
 
     def __init__(
@@ -182,7 +177,6 @@ class StreamingEvaluator:
         *,
         emit: str = "on_finish",
         fast_path: bool = True,
-        scratch: EvaluationScratch | None = None,
         retain_settled: bool = True,
     ) -> None:
         if not isinstance(compiled, CompiledEVA):
@@ -198,7 +192,6 @@ class StreamingEvaluator:
         self._compiled = compiled
         self._emit = emit
         self._fast_path = fast_path
-        self._scratch = _checked_scratch(compiled, scratch)
         self._classing = compiled.classing
         self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._decoder_pending = False
@@ -211,16 +204,10 @@ class StreamingEvaluator:
         self._cell_nodes: list[int] = [NIL]
         self._cell_nexts: list[int] = [NIL]
 
-        self._cur_start = self._scratch.cur_start
-        self._cur_end = self._scratch.cur_end
-        self._pend_start = self._scratch.pend_start
-        self._pend_end = self._scratch.pend_end
-
-        initial = compiled.initial
-        self._cur_start[initial] = 0
-        self._cur_end[initial] = 0
-        self._active: list[int] = [initial]
-        self._quiet = compiled.silent[initial]
+        # The live set's record (None once every run is gone) and its
+        # members' lists as flattened (start, end) pairs.
+        self._record = set_table(compiled).record((compiled.initial,))
+        self._slots: tuple[int, ...] = (0, 0)
 
         self._offset = 0
         self._finished = False
@@ -272,7 +259,7 @@ class StreamingEvaluator:
 
     def is_live(self) -> bool:
         """Whether any run (including a flushed settled sink) is still alive."""
-        return bool(self._active) or bool(self._settled_count)
+        return self._record is not None or bool(self._settled_count)
 
     # ------------------------------------------------------------------ #
     # Feeding
@@ -304,7 +291,7 @@ class StreamingEvaluator:
         if not text:
             return []
         encoded = self._classing.encode_fresh(text)
-        if self._active:
+        if self._record is not None:
             self._advance(encoded.buffer, encoded.length)
         self._offset += encoded.length
         if self._emit != "incremental":
@@ -324,8 +311,7 @@ class StreamingEvaluator:
         returns a :class:`StreamedResult` pairing the already-flushed
         mappings with the residual arena (with ``retain_settled=False``
         the ``settled`` list is empty — those mappings were delivered
-        through :meth:`feed` only, see :meth:`settled_count`).  The
-        borrowed scratch arrays are cleared for the next document.
+        through :meth:`feed` only, see :meth:`settled_count`).
         """
         self._check_open("finish")
         if self._decoder_pending:
@@ -335,21 +321,14 @@ class StreamingEvaluator:
                 self._fail(f"stream ended inside a UTF-8 sequence: {error}")
         self._finished = True
 
-        # The final capturing phase at the stream's end position, exactly
-        # as the whole-document engine runs it after its one loop call.
-        residual = _finish_arena(
-            self._compiled,
-            self._scratch,
-            self._offset,
-            self._active,
-            self._quiet,
-            self._cur_start,
-            self._cur_end,
-            self._pend_start,
-            self._pend_end,
-            self._arena(),
+        # The final capturing phase at the stream's end position: one more
+        # loop call, on no characters.
+        if self._record is not None:
+            self._advance(b"", 0, final=True)
+        residual = _collect_arena(
+            self._compiled, self._offset, self._record, self._slots, self._arena()
         )
-        self._active = []
+        self._record = None
         self._peak_cells = max(self._peak_cells, len(self._cell_nodes))
         if self._emit == "on_finish":
             return residual
@@ -369,20 +348,8 @@ class StreamingEvaluator:
             )
 
     def _fail(self, message: str) -> None:
-        """Mark the stream failed and hand the slot arrays back clean.
-
-        ``finish()`` releases through the same helper, so a borrowed
-        :class:`EvaluationScratch` is safe to reuse on either path.
-        """
-        _release_slots(
-            self._scratch,
-            self._active,
-            self._cur_start,
-            self._cur_end,
-            self._pend_start,
-            self._pend_end,
-        )
-        self._active = []
+        """Mark the stream failed; it holds no usable state afterwards."""
+        self._record = None
         self._failed = True
         raise StreamingError(message)
 
@@ -397,35 +364,25 @@ class StreamingEvaluator:
             self._cell_nexts,
         )
 
-    def _advance(self, buf, n: int) -> None:
+    def _advance(self, buf, n: int, final: bool = False) -> None:
         """:func:`arena_loop` over one chunk.
 
         ``pos`` is chunk-local; node positions add ``self._offset``.  All
-        loop state (active set, slot pairs, ``quiet``) is threaded
+        loop state (the set record and its slot pairs) is threaded
         through the loop call so the next chunk resumes exactly where
         this one stopped — including mid-sprint; the arena arrays are
         mutated in place.
         """
-        (
-            self._cur_start,
-            self._cur_end,
-            self._pend_start,
-            self._pend_end,
-            self._active,
-            self._quiet,
-        ) = arena_loop(
+        self._record, self._slots = arena_loop(
             self._compiled,
             buf,
             n,
             self._offset,
-            self._cur_start,
-            self._cur_end,
-            self._pend_start,
-            self._pend_end,
-            self._active,
-            self._quiet,
+            self._record,
+            self._slots,
             *self._arena(),
             self._fast_path,
+            final,
         )
 
     def _flush_settled(self) -> list[Mapping]:
@@ -438,21 +395,27 @@ class StreamingEvaluator:
         reading phase re-activates it with a fresh list.
         """
         flushed: list[Mapping] = []
-        cur_start = self._cur_start
         sinks = self._sinks
-        hit = [state for state in self._active if state in sinks]
-        if not hit:
+        members = self._record.members if self._record is not None else ()
+        if sinks.isdisjoint(members):
             return flushed
-        for state in hit:
+        slots = self._slots
+        kept = []
+        for index, state in enumerate(members):
+            pair = slots[2 * index : 2 * index + 2]
+            if state not in sinks:
+                kept.append((state, pair))
+                continue
             view = CompiledResultDag(
-                self._compiled,
-                self._offset,
-                *self._arena(),
-                [(state, cur_start[state], self._cur_end[state])],
+                self._compiled, self._offset, *self._arena(), [(state, *pair)]
             )
             flushed.extend(view.mappings())
-            cur_start[state] = NIL
-        self._active = [state for state in self._active if state not in sinks]
+        self._record = (
+            set_table(self._compiled).record(tuple(state for state, _ in kept))
+            if kept
+            else None
+        )
+        self._slots = tuple(cell for _, pair in kept for cell in pair)
         self._settled_count += len(flushed)
         if self._retain_settled:
             self._settled.extend(flushed)
@@ -461,7 +424,7 @@ class StreamingEvaluator:
     def _compact(self) -> None:
         """Rebuild the arena keeping only cells/nodes live runs can reach.
 
-        Roots are the ``(start, end)`` lists of the active states.  Node
+        Roots are the ``(start, end)`` lists of the live set.  Node
         ids are reassigned in ascending old order, preserving the
         children-before-parents invariant that the arena counting loop
         relies on.  Next pointers leaving the kept set are reset to
@@ -472,8 +435,7 @@ class StreamingEvaluator:
         cell_nexts = self._cell_nexts
         node_starts = self._node_starts
         node_ends = self._node_ends
-        cur_start = self._cur_start
-        cur_end = self._cur_end
+        slots = self._slots
 
         kept_cells: set[int] = set()
         kept_nodes: set[int] = set()
@@ -492,8 +454,8 @@ class StreamingEvaluator:
                     break
                 cell = cell_nexts[cell]
 
-        for state in self._active:
-            mark_list(cur_start[state], cur_end[state])
+        for index in range(0, len(slots), 2):
+            mark_list(slots[index], slots[index + 1])
         while node_stack:
             node = node_stack.pop()
             mark_list(node_starts[node], node_ends[node])
@@ -519,9 +481,7 @@ class StreamingEvaluator:
         self._cell_nodes = new_cell_nodes
         self._cell_nexts = new_cell_nexts
 
-        for state in self._active:
-            cur_start[state] = remap_cell(cur_start[state])
-            cur_end[state] = remap_cell(cur_end[state])
+        self._slots = tuple(map(remap_cell, slots))
         self._cells_after_compact = max(1, len(new_cell_nodes))
 
     def __repr__(self) -> str:
@@ -538,7 +498,6 @@ def evaluate_streaming(
     *,
     chunk_size: int = 65536,
     emit: str = "on_finish",
-    scratch: EvaluationScratch | None = None,
     fast_path: bool = True,
 ) -> CompiledResultDag | StreamedResult:
     """Evaluate *document* by feeding it through a :class:`StreamingEvaluator`.
@@ -550,9 +509,7 @@ def evaluate_streaming(
     """
     if chunk_size < 1:
         raise EvaluationError(f"chunk_size must be positive, got {chunk_size}")
-    evaluator = StreamingEvaluator(
-        compiled, emit=emit, scratch=scratch, fast_path=fast_path
-    )
+    evaluator = StreamingEvaluator(compiled, emit=emit, fast_path=fast_path)
     chunks = getattr(document, "iter_chunks", None)
     if chunks is not None:
         for chunk in chunks(chunk_size):

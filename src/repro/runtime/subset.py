@@ -27,24 +27,24 @@ compiled counterpart:
   entries stay cached on the instance, so they are reused across
   positions *and across every document* evaluated with it, without the
   up-front (potentially exponential)
-  :func:`~repro.automata.transforms.determinize` call;
-* the state space grows mid-document, so the instance owns its
-  :class:`~repro.runtime.engine.EvaluationScratch` and gives every newly
-  interned subset a clear slot in each of its arrays.
+  :func:`~repro.automata.transforms.determinize` call.
 
 So :func:`~repro.runtime.engine.evaluate_compiled_arena` and
 :func:`~repro.runtime.engine.count_compiled` run the one set of loops in
-:mod:`repro.runtime.kernel` over this automaton unchanged — quiescent
-sprint included: a subset whose members all lack variable transitions is
-*silent*, and a lone silent subset sprints through byte buffers via a
-per-subset compiled stop pattern.  The subset automaton is deterministic
+:mod:`repro.runtime.kernel` over this automaton unchanged: the loops'
+active-set plans read these tables only while a plan is built, so a
+subset discovered mid-document is just one more state id.  The quiescent
+sprint applies too: a subset whose members all lack variable transitions
+is *silent*, and a lone silent subset sprints through byte buffers via
+its set's compiled stop pattern.  The subset automaton is deterministic
 by construction, so the loops' lazy-list append discipline holds and
-every path of the resulting arena yields a distinct mapping.
+every path of the resulting arena yields a distinct mapping.  Interning
+takes a lock, so threads may share one instance.
 """
 
 from __future__ import annotations
 
-import re
+import threading
 
 from repro.core.errors import CompilationError
 from repro.automata.eva import ExtendedVA
@@ -54,10 +54,8 @@ from repro.runtime.compiled import (
     classify_columns,
     encode_symbols,
     marker_decode_tables_for,
-    store_stop_pattern,
 )
 from repro.runtime.encoding import SymbolClassing
-from repro.runtime.engine import EvaluationScratch
 
 __all__ = ["CompiledSubsetEVA"]
 
@@ -205,25 +203,28 @@ class CompiledSubsetEVA:
         #: frozensets of base state objects, for ResultDag conversion
         self._state_objects: list[frozenset] = []
         self._marker_decode: tuple[tuple, tuple] | None = None
-        self._sprint_patterns: dict[int, re.Pattern] = {}
         #: the run-length kernel (repro.runtime.runlength), built on demand
         #: and never pickled: its row builders close over this instance's tables
         self._runlength = None
-        #: the slot arrays the kernel loops borrow, one slot per subset
-        self.scratch = EvaluationScratch(self)
+        #: the kernel loops' interned active sets (repro.runtime.kernel),
+        #: built on demand and never pickled, like the run-length kernel
+        self._set_table = None
+        self._intern_lock = threading.Lock()
 
         self.initial = self.intern_subset((0,))
 
     def __getstate__(self) -> dict:
         # Only plain data crosses a process boundary: the discovered rows
-        # as dicts; the lazy tables and the scratch are rebuilt on load.
-        return {
+        # as dicts; the lazy tables and the lock are rebuilt on load.
+        state = {
             **self.__dict__,
             "class_table": [dict(row) for row in self.class_table],
             "variable_table": dict(self.variable_table),
-            "scratch": None,
             "_runlength": None,
+            "_set_table": None,
         }
+        del state["_intern_lock"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -232,61 +233,28 @@ class CompiledSubsetEVA:
             for members, row in zip(self.subset_members, state["class_table"])
         ]
         self.variable_table = _VariableTable(self, state["variable_table"])
-        self.scratch = EvaluationScratch(self)
+        self._intern_lock = threading.Lock()
 
     def intern_subset(self, members: tuple[int, ...]) -> int:
         """The id of the subset-state *members* (a sorted tuple of base ids)."""
         subset_id = self._subset_index.get(members)
-        if subset_id is None:
-            subset_id = self._subset_index[members] = len(self.subset_members)
-            self.subset_members.append(members)
-            self.class_table.append(_LetterRow(self, members))
-            self.is_final.append(not self.base_finals.isdisjoint(members))
-            self.silent.append(self._base_loud.isdisjoint(members))
-            self._state_objects.append(
-                frozenset(self.base_state_objects[state] for state in members)
-            )
-            self.scratch.add_state()
+        if subset_id is not None:
+            return subset_id
+        with self._intern_lock:
+            subset_id = self._subset_index.get(members)
+            if subset_id is None:
+                # Every per-subset table gets its entry before the index
+                # does, so an id another thread can read has its rows.
+                subset_id = len(self.subset_members)
+                self.class_table.append(_LetterRow(self, members))
+                self.is_final.append(not self.base_finals.isdisjoint(members))
+                self.silent.append(self._base_loud.isdisjoint(members))
+                self._state_objects.append(
+                    frozenset(self.base_state_objects[state] for state in members)
+                )
+                self.subset_members.append(members)
+                self._subset_index[members] = subset_id
         return subset_id
-
-    def sprint_pattern(self, subset_id: int) -> re.Pattern:
-        """A compiled byte-pattern matching every class id leaving *subset_id*.
-
-        Forces discovery of the subset's full letter row on first use, then
-        caches the pattern; rows are immutable once discovered, so the
-        pattern stays valid for the instance's lifetime.  Only meaningful
-        for byte buffers (classings with at most 256 ids).
-        """
-        pattern = self._sprint_patterns.get(subset_id)
-        if pattern is None:
-            pattern = self._stop_pattern(subset_id, (subset_id,))
-        return pattern
-
-    def sprint_pattern_multi(self, subset_ids: tuple[int, ...]) -> re.Pattern:
-        """The union stop pattern of several live subsets (sorted tuple key).
-
-        Matches every class id on which at least one of *subset_ids* does
-        not self-loop — see :meth:`CompiledEVA.sprint_pattern_multi` for
-        how the kernel loops use it to skip multi-run quiescent stretches.
-        """
-        pattern = self._sprint_patterns.get(subset_ids)
-        if pattern is None:
-            pattern = self._stop_pattern(subset_ids, subset_ids)
-        return pattern
-
-    def _stop_pattern(self, key, subset_ids: tuple[int, ...]) -> re.Pattern:
-        # The foreign class never self-loops, so the stop set is non-empty.
-        class_table = self.class_table
-        return store_stop_pattern(
-            self._sprint_patterns,
-            key,
-            (
-                class_id
-                for subset_id in subset_ids
-                for class_id in range(self.classing.num_ids)
-                if class_table[subset_id][class_id] != subset_id
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection and the CompiledResultDag provider protocol

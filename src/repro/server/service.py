@@ -125,7 +125,7 @@ class PlanEntry:
     def open_evaluator(self, emit: str) -> StreamingEvaluator:
         with self._lock:
             self.sessions_served += 1
-        # Each session gets a private evaluator (and scratch): settled
+        # Each session gets a private evaluator: settled
         # mappings are delivered through feed(), so nothing needs to be
         # retained for a finish()-time replay.
         return self.spanner.stream(emit=emit, retain_settled=False)

@@ -26,9 +26,9 @@ translates them once per alphabet-classing signature into a cached
 class-id buffer (:mod:`repro.runtime.encoding`), so calling
 :meth:`Spanner.enumerate`, :meth:`Spanner.count` and
 :meth:`Spanner.extract` on the same :class:`~repro.core.documents.Document`
-pays a single C-level encoding pass, and the spanner carries one reusable
-:class:`~repro.runtime.engine.EvaluationScratch` for the arena and
-counting engines.
+pays a single C-level encoding pass.  An evaluation keeps its loop state
+to itself and the compiled tables only grow interned active sets and
+their plans, so one spanner may serve many threads at once.
 
 Evaluation goes through the :class:`~repro.runtime.plan.ExecutionPlan`
 layer.  ``engine="auto"`` (the default) lets the planner pick between the
@@ -70,7 +70,7 @@ from repro.regex.parser import parse_regex
 from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.resilience import FailureReport, ResiliencePolicy
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
+from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
     KERNEL_CHOICES,
@@ -288,28 +288,15 @@ class Spanner:
         return self._pipeline.intern(*self._compiled)
 
     @cached_property
-    def _scratch(self) -> EvaluationScratch:
-        """The reusable :class:`EvaluationScratch` of the compiled runtime.
-
-        Shared by the arena engine and :func:`count_compiled`, so repeated
-        ``enumerate``/``count`` calls through the facade allocate no slot
-        arrays.  A scratch is single-threaded, like the spanner.
-        """
-        return EvaluationScratch(self._runtime)
-
-    @cached_property
     def _otf_runtime(self) -> CompiledSubsetEVA:
         return CompiledSubsetEVA(self._sequential[0])
 
-    def _engine_runtime(
-        self, engine: str
-    ) -> tuple[CompiledEVA | CompiledSubsetEVA, EvaluationScratch]:
-        """The automaton and scratch a compiled engine runs on: the dense
-        runtime with the spanner's scratch, or the lazily determinized
-        runtime with the scratch it owns and grows."""
+    def _engine_runtime(self, engine: str) -> CompiledEVA | CompiledSubsetEVA:
+        """The automaton a compiled engine runs on: the dense runtime, or
+        the lazily determinized one for ``compiled-otf``."""
         if engine == "compiled-otf":
-            return self._otf_runtime, self._otf_runtime.scratch
-        return self._runtime, self._scratch
+            return self._otf_runtime
+        return self._runtime
 
     @cached_property
     def _optimized(self):
@@ -429,8 +416,7 @@ class Spanner:
             return run_evaluate(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        runtime, scratch = self._engine_runtime(plan.engine)
-        return evaluate_compiled_arena(runtime, document, scratch=scratch)
+        return evaluate_compiled_arena(self._engine_runtime(plan.engine), document)
 
     def enumerate(
         self,
@@ -482,9 +468,6 @@ class Spanner:
         if any(not isinstance(char, str) or len(char) != 1 for char in alphabet):
             raise CompilationError("alphabet members must be single characters")
         self._reject_hybrid_streaming()
-        # A stream holds its evaluator state across feeds, so it gets a
-        # private scratch: the spanner's cached scratch may be borrowed
-        # by interleaved enumerate/count calls meanwhile.
         # ``retain_settled=False`` keeps an unbounded tail's memory at
         # the in-flight state: feed() still returns settled mappings,
         # finish() just doesn't replay them.
@@ -548,7 +531,7 @@ class Spanner:
         if plan.engine == "hybrid":
             compiled: object = plan.operators
         else:
-            compiled = self._engine_runtime(plan.engine)[0]
+            compiled = self._engine_runtime(plan.engine)
         return run_batch_compiled(
             compiled,
             documents,
@@ -591,9 +574,8 @@ class Spanner:
             return count_mappings(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        runtime, scratch = self._engine_runtime(plan.engine)
         return count_with_kernel(
-            runtime, document, kernel=plan.kernel, scratch=scratch
+            self._engine_runtime(plan.engine), document, kernel=plan.kernel
         )
 
     def extract(

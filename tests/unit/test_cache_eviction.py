@@ -4,13 +4,14 @@ The happy paths (hits, sharing across engines) are pinned in
 ``test_encoding.py`` and ``test_spanner_facade.py``; these tests pin the
 *bounds*: the per-document encoding cache under interleaved signatures,
 and the Spanner's single compilation under interleaved alphabets — no
-recompile, one scratch, and no result that depends on earlier alphabets.
+recompile, one set of plans, and no result that depends on earlier alphabets.
 """
 
 import pickle
 
 from repro import Document, Spanner
 from repro.runtime.encoding import SymbolClassing
+from repro.runtime.kernel import set_table
 
 
 def classing_for(symbols: str, class_of=None) -> SymbolClassing:
@@ -98,20 +99,23 @@ class TestSpannerCompilesOnce:
     def test_all_artifacts_built_once(self):
         spanner = Spanner.from_regex(".*x{a}.*")
         runtime = spanner.runtime("ab")
-        scratch = spanner._scratch
         plan = spanner.plan("ab")
         spanner.count("ac")
+        table = set_table(runtime)
+        spanner.count("ab")
         assert spanner.runtime("ab") is runtime
-        assert spanner._scratch is scratch
+        assert set_table(runtime) is table
         assert spanner.plan("ab") is plan
 
-    def test_scratch_reused_across_calls_and_alphabets(self):
+    def test_set_plans_reused_across_calls_and_alphabets(self):
         spanner = Spanner.from_regex(".*x{a}.*")
         spanner.evaluate("ab")
-        scratch = spanner._scratch
+        table = set_table(spanner.runtime())
+        records = dict(table.records)
         spanner.count("ab")
         spanner.evaluate("zé")
-        assert spanner._scratch is scratch
+        assert set_table(spanner.runtime()) is table
+        assert records.items() <= table.records.items()
 
     def test_interleaving_alphabets_never_recompiles(self):
         spanner = Spanner.from_regex(".*x{a}.*")

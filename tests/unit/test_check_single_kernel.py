@@ -1,7 +1,12 @@
 """Unit tests for ``tools/check_single_kernel.py`` on the real and synthetic trees."""
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
+
+from repro.runtime import kernel
 
 ROOT = Path(__file__).resolve().parents[2]
 TOOL = ROOT / "tools" / "check_single_kernel.py"
@@ -37,6 +42,16 @@ def test_loop_outside_the_kernel_module_is_flagged(tmp_path, capsys):
     assert check_single_kernel.violations(tmp_path) == ["src/repro/runtime/engine.py"]
     assert check_single_kernel.main(["check_single_kernel", str(tmp_path)]) == 1
     assert "src/repro/runtime/engine.py" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("loop", ["arena_loop", "_state_loop", "count_loop"])
+def test_a_copy_of_a_kernel_loop_is_flagged(tmp_path, loop):
+    # Each loop shape the kernel holds — set plans (arena_loop,
+    # count_loop) or state-indexed arrays (_state_loop) — is caught when
+    # pasted into an engine module.
+    source = inspect.getsource(getattr(kernel, loop))
+    write_tree(tmp_path, {"runtime/engine.py": source})
+    assert check_single_kernel.violations(tmp_path) == ["src/repro/runtime/engine.py"]
 
 
 def test_one_signature_alone_is_not_flagged(tmp_path):

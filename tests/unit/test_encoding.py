@@ -2,8 +2,8 @@
 
 Covers the symbol-equivalence-class construction, the C-level translation
 (byte table, str.translate fallback, wide-classing array path), the
-per-document cache with its signature sharing and FIFO bound, and the
-scratch-reuse plumbing of the engines that consume the encoded buffers.
+per-document cache with its signature sharing and FIFO bound, and
+repeated evaluation by the engines that consume the encoded buffers.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from array import array
 import pytest
 
 from repro.core.documents import OTHER, Document, DocumentCollection
-from repro.core.errors import EvaluationError
 from repro.counting.census import CensusInstance
 from repro.runtime import encoding
 from repro.runtime.compiled import NO_TARGET, compile_eva
 from repro.runtime.encoding import EncodedDocument, SymbolClassing
-from repro.runtime.engine import (
-    EvaluationScratch,
-    count_compiled,
-    evaluate_compiled_arena,
-)
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime.kernel import set_table
 from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.spanner import Spanner
 from repro.workloads.spanners import random_census_nfa
@@ -337,41 +333,22 @@ class TestRunLengthView:
 
 
 class TestScratchReuse:
-    def test_count_compiled_accepts_and_reuses_scratch(self):
-        compiled = compiled_for(".*x{a+b}.*", "ab")
-        scratch = EvaluationScratch(compiled)
-        baseline = count_compiled(compiled, "abaab")
-        for _ in range(3):
-            assert count_compiled(compiled, "abaab", scratch=scratch) == baseline
-        # The borrowed count rows come back zeroed.
-        assert not any(scratch.count_cur)
-        assert not any(scratch.count_pend)
+    """Repeated evaluation on one compiled automaton reuses its set plans."""
 
-    def test_count_compiled_rejects_foreign_scratch(self):
-        compiled = compiled_for(".*x{a+b}.*", "ab")
-        other = compiled_for(".*", "ab")
-        with pytest.raises(EvaluationError):
-            count_compiled(compiled, "ab", scratch=EvaluationScratch(other))
-        # The lazily determinized form counts only on its own scratch.
-        subset = Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab")
-        foreign = (
-            EvaluationScratch(subset),
-            EvaluationScratch(compiled),
-            Spanner.from_regex(".*").otf_runtime("ab").scratch,
-        )
-        for scratch in foreign:
-            with pytest.raises(EvaluationError):
-                count_compiled(subset, "abaab", scratch=scratch)
-        assert count_compiled(subset, "abaab", scratch=subset.scratch) == 3
-        # Rejections touch nothing: the owned scratch is still all clear.
-        assert not any(subset.scratch.count_cur)
-        assert not any(subset.scratch.count_pend)
-
-    def test_one_scratch_serves_count_and_arena(self):
-        compiled = compiled_for(".*x{a+b}.*", "ab")
-        scratch = EvaluationScratch(compiled)
-        dag = evaluate_compiled_arena(compiled, "abaab", scratch=scratch)
-        assert count_compiled(compiled, "abaab", scratch=scratch) == dag.count()
+    def test_count_and_arena_share_plans(self):
+        for compiled in (
+            compiled_for(".*x{a+b}.*", "ab"),
+            Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab"),
+        ):
+            dag = evaluate_compiled_arena(compiled, "abaab")
+            table = set_table(compiled)
+            records = dict(table.records)
+            for _ in range(3):
+                assert count_compiled(compiled, "abaab") == dag.count() == 3
+            # Counting met only sets the arena loop had planned, and
+            # every later call runs on the same records.
+            assert table.records == records
+            assert set_table(compiled) is table
 
     def test_census_compiled_solver_matches_direct(self):
         instance = CensusInstance(random_census_nfa(4, "ab", density=0.4, seed=5), 4)
@@ -383,8 +360,9 @@ class TestScratchReuse:
 class TestSprintPatterns:
     def test_stop_pattern_excludes_self_loops(self):
         compiled = compiled_for(".*x{a+b}.*", "ab")
+        table = set_table(compiled)
         for state in range(compiled.num_states):
-            pattern = compiled.sprint_pattern(state)
+            pattern = table.sprint_pattern(table.record((state,)))
             row = compiled.class_table[state]
             buffer = bytes(range(compiled.classing.num_ids))
             stops = {match.start() for match in pattern.finditer(buffer)}
@@ -398,7 +376,8 @@ class TestSprintPatterns:
     def test_multi_pattern_is_union_of_stops(self):
         compiled = compiled_for(".*x{a+b}.*", "ab")
         states = tuple(sorted(range(min(2, compiled.num_states))))
-        pattern = compiled.sprint_pattern_multi(states)
+        table = set_table(compiled)
+        pattern = table.sprint_pattern(table.record(states))
         buffer = bytes(range(compiled.classing.num_ids))
         stops = {match.start() for match in pattern.finditer(buffer)}
         expected = {

@@ -3,7 +3,8 @@
 Two concerns live here:
 
 * the module's shape — every loop it exports has a production caller,
-  and the planner-facing kernel axis is defined once; and
+  and the planner-facing kernel axis is defined once;
+* the set table's bound: clearing it mid-document changes nothing; and
 * degenerate documents (empty, single character) driven through
   :func:`harness.assert_all_engines_agree`, which routes every engine ×
   kernel × chunking combination through these loops — exactly the
@@ -14,6 +15,7 @@ Two concerns live here:
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,11 +23,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.runtime import runlength
-from repro.runtime.kernel import KERNELS
+from repro import Spanner
+from repro.runtime import kernel, runlength
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime.kernel import KERNELS, set_table
 from repro.runtime.plan import KERNEL_CHOICES
 
-from harness import assert_all_engines_agree
+from harness import assert_all_engines_agree, assert_arena_identical
 
 PATTERNS = [
     "x{a*b}",
@@ -78,7 +82,7 @@ class TestKernelModule:
             [
                 "arena_loop",
                 "count_loop",
-                "final_capture",
+                "set_table",
             ]
         )
 
@@ -101,3 +105,29 @@ class TestDegenerateDocuments:
     @pytest.mark.parametrize("char", ["a", "b", "z", "é"])
     def test_single_character(self, pattern, char):
         assert_all_engines_agree(pattern, char)
+
+
+class TestSetTable:
+    """The interned active sets, cleared at their cap mid-document."""
+
+    PATTERN = ".*x{a" + "[ab]" * 6 + "}.*"
+
+    def test_table_past_its_cap_mid_document_matches_the_reference(self, monkeypatch):
+        text = "".join(random.Random(4).choice("ab") for _ in range(400))
+        expected = Spanner(self.PATTERN).preprocess(text, engine="reference")
+        uncapped = Spanner(self.PATTERN).runtime(text)
+        whole = evaluate_compiled_arena(uncapped, text)
+        assert len(set_table(uncapped).records) > 8
+        # Plans for every set (no state-loop fallback), in a table that
+        # holds at most 8 records: it is cleared over and over while the
+        # loops hold records from before the clear.
+        monkeypatch.setattr(kernel, "SET_TABLE_CAP", 8)
+        monkeypatch.setattr(kernel, "PLAN_CREDIT", len(text) * 4)
+        for form in ("runtime", "otf_runtime"):
+            runtime = getattr(Spanner(self.PATTERN), form)(text)
+            arena = evaluate_compiled_arena(runtime, text)
+            assert len(set_table(runtime).records) <= 8
+            assert {str(m) for m in arena} == {str(m) for m in expected}
+            assert count_compiled(runtime, text) == expected.count()
+            if form == "runtime":
+                assert_arena_identical(arena, whole)

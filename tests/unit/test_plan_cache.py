@@ -7,6 +7,7 @@ cache itself — LRU order, the hit/miss/eviction counters the server's
 """
 
 import threading
+import time
 
 import pytest
 
@@ -183,3 +184,51 @@ class TestThreadSafety:
         assert len(cache) <= 4
         assert stats.entries <= 4
         assert stats.evictions >= stats.misses - 4
+
+    def test_a_slow_build_blocks_neither_hits_nor_stats(self):
+        cache = PlanCache(4)
+        cache.get_or_create("b", lambda: "B")
+        started = threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(1.0)
+            return "A"
+
+        def failing():
+            started.set()
+            time.sleep(1.0)
+            raise RuntimeError("boom")
+
+        for key, factory, outcome in (("a", slow, "A"), ("c", failing, RuntimeError)):
+            started.clear()
+            results: list = []
+
+            def build(key=key, factory=factory):
+                try:
+                    results.append(cache.get_or_create(key, factory))
+                except RuntimeError as error:
+                    results.append(error)
+
+            builders = [threading.Thread(target=build) for _ in range(2)]
+            builders[0].start()
+            assert started.wait(5)
+            builders[1].start()  # waits on the build in flight
+            begin = time.perf_counter()
+            assert cache.get_or_create("b", object) == "B"
+            assert time.perf_counter() - begin < 0.1
+            begin = time.perf_counter()
+            cache.stats()
+            assert time.perf_counter() - begin < 0.1
+            for builder in builders:
+                builder.join()
+            if outcome is RuntimeError:
+                # Both callers see the one build's exception.
+                assert [type(result) for result in results] == [RuntimeError] * 2
+            else:
+                assert results == ["A", "A"]
+        stats = cache.stats()
+        assert stats.build_failures == 1
+        # "b", "a" and "c" built once each ("c" failing); the waiters hit.
+        assert stats.misses == 3
+

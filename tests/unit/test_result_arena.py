@@ -10,7 +10,6 @@ from repro.enumeration.evaluate import evaluate
 from repro.runtime.compiled import compile_eva
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import (
-    EvaluationScratch,
     count_compiled,
     evaluate_compiled_arena,
 )
@@ -38,11 +37,10 @@ class TestArenaEngine:
         assert mappings_of(evaluate_compiled_arena(fig3_compiled, "")) == set()
         assert evaluate_compiled_arena(fig3_compiled, "✗✗✗").is_empty()
 
-    def test_scratch_reuse_across_documents(self, fig3_compiled, fig3_det):
-        scratch = EvaluationScratch(fig3_compiled)
-        for document in ("John <j@g.be>", "", "a", "Jane <555-12>"):
+    def test_plans_reused_across_documents(self, fig3_compiled, fig3_det):
+        for document in ("John <j@g.be>", "", "a", "Jane <555-12>", "John <j@g.be>"):
             reference = evaluate(fig3_det, document, check_determinism=False)
-            arena = evaluate_compiled_arena(fig3_compiled, document, scratch=scratch)
+            arena = evaluate_compiled_arena(fig3_compiled, document)
             assert mappings_of(arena) == mappings_of(reference)
             assert arena.count() == reference.count()
 

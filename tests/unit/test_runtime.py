@@ -5,14 +5,15 @@ import pickle
 import pytest
 
 from repro.core.documents import OTHER
-from repro.core.errors import CompilationError, EvaluationError, NotDeterministicError
+from repro.core.errors import CompilationError, NotDeterministicError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet, open_
 from repro.automata.transforms import to_deterministic_sequential_eva
 from repro.enumeration.evaluate import evaluate
 from repro.runtime.batch import freeze_result, thaw_result
 from repro.runtime.compiled import NO_TARGET, CompiledEVA, compile_eva
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
+from repro.runtime.engine import evaluate_compiled_arena
+from repro.runtime.kernel import set_table
 from repro.spanners.spanner import Spanner
 
 
@@ -113,32 +114,15 @@ class TestEvaluateCompiled:
     def test_foreign_characters_kill_all_runs(self, fig3_compiled):
         assert evaluate_compiled_arena(fig3_compiled, "✗✗✗").is_empty()
 
-    def test_scratch_is_reusable_across_documents(self, fig3_compiled, fig3_det):
-        scratch = EvaluationScratch(fig3_compiled)
-        for document in (self.DOCUMENT, "", "Ada <a@g.be>", "no match"):
-            reference = evaluate(fig3_det, document, check_determinism=False)
-            compiled = evaluate_compiled_arena(fig3_compiled, document, scratch=scratch)
-            assert mappings_of(compiled) == mappings_of(reference)
-
-    def test_scratch_for_wrong_automaton_rejected(self, fig3_compiled):
-        spanner = Spanner.from_regex("x{a}")
-        other = compile_eva(spanner.compiled("a"), check_determinism=False)
-        if other.num_states != fig3_compiled.num_states:
-            with pytest.raises(EvaluationError):
-                evaluate_compiled_arena(fig3_compiled, "a", scratch=EvaluationScratch(other))
-        # The lazily determinized form runs only on the scratch it owns
-        # and grows: a dense scratch, even one of its current size, and
-        # another subset automaton's scratch are rejected alike.
-        subset = Spanner.from_regex(".*x{a+}.*").otf_runtime("a")
-        foreign = (
-            EvaluationScratch(subset),
-            EvaluationScratch(fig3_compiled),
-            spanner.otf_runtime("a").scratch,
-        )
-        for scratch in foreign:
-            with pytest.raises(EvaluationError):
-                evaluate_compiled_arena(subset, "aa", scratch=scratch)
-        assert evaluate_compiled_arena(subset, "aa", scratch=subset.scratch).count() == 3
+    def test_one_automaton_serves_many_documents(self, fig3_compiled, fig3_det):
+        for _round in range(2):
+            for document in (self.DOCUMENT, "", "Ada <a@g.be>", "no match"):
+                reference = evaluate(fig3_det, document, check_determinism=False)
+                compiled = evaluate_compiled_arena(fig3_compiled, document)
+                assert mappings_of(compiled) == mappings_of(reference)
+        # The set plans live on the automaton and are never pickled.
+        assert set_table(fig3_compiled).records
+        assert pickle.loads(pickle.dumps(fig3_compiled))._set_table is None
 
     def test_result_keyed_by_source_states(self, fig3_compiled, figure1_doc):
         result = evaluate_compiled_arena(fig3_compiled, figure1_doc).to_result_dag()

@@ -4,13 +4,9 @@ import pytest
 
 from repro import Spanner, StreamingError
 from repro.core.documents import Document
-from repro.runtime.engine import EvaluationScratch, evaluate_compiled_arena
+from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.plan import ExecutionPlan, choose_plan
-from repro.runtime.streaming import (
-    StreamingEvaluator,
-    evaluate_streaming,
-    settled_sinks,
-)
+from repro.runtime.streaming import StreamingEvaluator, settled_sinks
 from repro.runtime.subset import CompiledSubsetEVA
 from repro.workloads.collections import chunked_document, scenario
 
@@ -124,16 +120,18 @@ class TestProtocol:
         with pytest.raises(StreamingError):
             StreamingEvaluator(runtime, emit="eager")
 
-    def test_scratch_reused_and_returned_clean(self):
+    def test_interleaved_streams_share_one_automaton(self):
         runtime, document = tail_runtime(scale=80)
-        scratch = EvaluationScratch(runtime)
-        first = evaluate_streaming(runtime, document, chunk_size=64, scratch=scratch)
-        second = evaluate_streaming(runtime, document, chunk_size=64, scratch=scratch)
-        assert {str(m) for m in first} == {str(m) for m in second}
-        # The scratch comes back with every slot cleared, so the plain
-        # arena engine can borrow it right after.
-        direct = evaluate_compiled_arena(runtime, document, scratch=scratch)
-        assert {str(m) for m in direct} == {str(m) for m in first}
+        text = document.text
+        direct = evaluate_compiled_arena(runtime, document)
+        # Two streams fed in lockstep on one automaton, then a whole
+        # document: each evaluation holds its own loop state.
+        streams = [StreamingEvaluator(runtime), StreamingEvaluator(runtime)]
+        for begin in range(0, len(text), 64):
+            for stream in streams:
+                stream.feed(text[begin : begin + 64])
+        for stream in streams:
+            assert {str(m) for m in stream.finish()} == {str(m) for m in direct}
 
 
 class TestIncrementalEmission:

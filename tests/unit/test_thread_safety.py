@@ -1,0 +1,123 @@
+"""Threads sharing one :class:`~repro.Spanner`.
+
+An evaluation keeps its loop state to itself; what threads share is the
+compiled automaton, its lazily filled tables and its set plans, which
+only ever grow by complete entries.  Four threads alternate ``count``
+and ``evaluate`` on one contacts spanner while the plans (and, for
+``compiled-otf``, the subsets) are still being built, and every result
+must equal the serial one: arenas array for array where state ids are
+fixed, counts and mapping multisets everywhere.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+from repro import Document, Spanner
+from repro.runtime.kernel import set_table
+from repro.workloads.collections import scenario
+
+THREADS = 4
+CALLS = 20
+ARENA_ARRAYS = (
+    "node_markers",
+    "node_positions",
+    "node_starts",
+    "node_ends",
+    "cell_nodes",
+    "cell_nexts",
+    "final_entries",
+)
+
+
+def contacts_texts() -> tuple[str, list[str]]:
+    built = scenario("contacts", num_documents=THREADS, scale=30, seed=5)
+    return built.pattern, [document.text for document in built.collection]
+
+
+def arena_of(spanner: Spanner, text: str) -> tuple:
+    dag = spanner.preprocess(Document(text))
+    return tuple(tuple(getattr(dag, name)) for name in ARENA_ARRAYS)
+
+
+def outcome(spanner: Spanner, text: str, call: int, arenas: bool):
+    if call % 2:
+        return spanner.count(Document(text))
+    if arenas:
+        return arena_of(spanner, text)
+    return sorted(str(mapping) for mapping in spanner.evaluate(Document(text)))
+
+
+def run_threads(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
+    """Each thread alternates count/evaluate over all texts, starting at
+    its own text; returns each thread's outcomes in call order."""
+    results: list[list] = [[] for _ in range(THREADS)]
+    errors: list[Exception] = []
+    start = threading.Barrier(THREADS)
+
+    def work(thread: int) -> None:
+        try:
+            start.wait()
+            for call in range(CALLS):
+                text = texts[(thread + call) % len(texts)]
+                results[thread].append(outcome(spanner, text, call, arenas))
+        except Exception as error:  # surfaced below, with its type
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(THREADS)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors, errors
+    return results
+
+
+def serial_outcomes(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
+    return [
+        [
+            outcome(spanner, texts[(thread + call) % len(texts)], call, arenas)
+            for call in range(CALLS)
+        ]
+        for thread in range(THREADS)
+    ]
+
+
+def test_compiled_threads_match_serial_calls():
+    pattern, texts = contacts_texts()
+    expected = serial_outcomes(Spanner(pattern, engine="compiled"), texts, arenas=True)
+    # A fresh spanner: the set plans are built while the threads run.
+    assert run_threads(Spanner(pattern, engine="compiled"), texts, arenas=True) == expected
+
+
+def test_otf_threads_match_serial_calls():
+    pattern, texts = contacts_texts()
+    expected = serial_outcomes(Spanner(pattern, engine="compiled-otf"), texts, arenas=False)
+    # Cold: subsets are discovered concurrently, so their ids (and with
+    # them the arena layout) follow the interleaving; the outputs do not.
+    cold = Spanner(pattern, engine="compiled-otf")
+    assert run_threads(cold, texts, arenas=False) == expected
+    # Warm subsets, cold plans: with the ids fixed, arenas are identical.
+    runtime = cold.otf_runtime()
+    serial = serial_outcomes(cold, texts, arenas=True)
+    runtime._set_table = None
+    assert run_threads(cold, texts, arenas=True) == serial
+    assert set_table(runtime).records
+
+
+def test_concurrent_discovery_interns_each_subset_once():
+    pattern, texts = contacts_texts()
+    spanner = Spanner(pattern, engine="compiled-otf")
+    run_threads(spanner, texts, arenas=False)
+    runtime = spanner.otf_runtime()
+    members = runtime.subset_members
+    # One id per subset, and every per-subset table has its entry.
+    assert len(set(members)) == len(members) == runtime.num_states
+    assert len(runtime.class_table) == len(runtime.silent) == runtime.num_states

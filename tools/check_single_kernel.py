@@ -10,11 +10,17 @@ a raw position loop reappears outside the kernel module.
 
 Heuristic: a file under ``src/repro/`` (other than ``runtime/kernel.py``)
 is flagged when it contains all three signatures of a hand-written
-Algorithm-1 loop —
+Algorithm-1 loop, in either of the shapes the kernel's loops take —
+stepping interned active sets by their plans, or stepping states
+through state-indexed arrays:
 
-* a position loop header (``while pos < n``),
-* a capturing-phase call (``capturing(``), and
-* a dense-table read (``class_table`` or ``letter_successor``).
+* a position loop: its header (``while pos < n``) or its read of the
+  class-id buffer (``buf[pos]``),
+* a capturing phase: a capture plan (``.capture_plan(`` or
+  ``record.capture``), a variable-table read (``variable_table[``) or a
+  ``capturing(`` call, and
+* a reading step: a step plan (``.steps[`` or ``.step_plan(``) or a
+  dense-table read (``class_table`` or ``letter_successor``).
 
 Any one of them alone is fine (helpers sprint, planners mention tables);
 together they only ever occur in an inlined inner loop.  The kernel
@@ -34,9 +40,9 @@ from pathlib import Path
 
 EXEMPT = ("runtime/kernel.py",)
 
-LOOP_HEADER = "while pos < n"
-CAPTURE_CALL = "capturing("
-TABLE_READS = ("class_table", "letter_successor")
+LOOP_SIGNATURES = ("while pos < n", "buf[pos]")
+CAPTURE_SIGNATURES = ("capturing(", "variable_table[", ".capture_plan(", "record.capture")
+STEP_SIGNATURES = ("class_table", "letter_successor", ".steps[", ".step_plan(")
 
 
 def violations(root: Path) -> list[str]:
@@ -47,9 +53,9 @@ def violations(root: Path) -> list[str]:
             continue
         text = path.read_text(encoding="utf-8")
         if (
-            LOOP_HEADER in text
-            and CAPTURE_CALL in text
-            and any(read in text for read in TABLE_READS)
+            any(signature in text for signature in LOOP_SIGNATURES)
+            and any(signature in text for signature in CAPTURE_SIGNATURES)
+            and any(signature in text for signature in STEP_SIGNATURES)
         ):
             flagged.append(relative)
     return flagged
