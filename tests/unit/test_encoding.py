@@ -333,9 +333,29 @@ class TestRunLengthView:
 
 
 class TestScratchReuse:
-    """Repeated evaluation on one compiled automaton reuses its set plans."""
+    """Repeated evaluation on one compiled automaton reuses its set plans.
 
-    def test_count_and_arena_share_plans(self):
+    The reusable scratch of an automaton is its :class:`SetTable`: every
+    call borrows the interned active sets and their plans from it instead
+    of allocating state-indexed rows of its own.
+    """
+
+    def test_count_compiled_accepts_and_reuses_scratch(self):
+        for compiled in (
+            compiled_for(".*x{a+b}.*", "ab"),
+            Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab"),
+        ):
+            baseline = count_compiled(compiled, "abaab")
+            table = set_table(compiled)
+            records = dict(table.records)
+            assert records
+            for _ in range(3):
+                assert count_compiled(compiled, "abaab") == baseline == 3
+            # Later calls run on the same table and plan no new sets.
+            assert set_table(compiled) is table
+            assert table.records == records
+
+    def test_one_scratch_serves_count_and_arena(self):
         for compiled in (
             compiled_for(".*x{a+b}.*", "ab"),
             Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab"),
@@ -343,12 +363,10 @@ class TestScratchReuse:
             dag = evaluate_compiled_arena(compiled, "abaab")
             table = set_table(compiled)
             records = dict(table.records)
-            for _ in range(3):
-                assert count_compiled(compiled, "abaab") == dag.count() == 3
-            # Counting met only sets the arena loop had planned, and
-            # every later call runs on the same records.
-            assert table.records == records
+            assert count_compiled(compiled, "abaab") == dag.count() == 3
+            # Counting met only sets the arena loop had planned.
             assert set_table(compiled) is table
+            assert table.records == records
 
     def test_census_compiled_solver_matches_direct(self):
         instance = CensusInstance(random_census_nfa(4, "ab", density=0.4, seed=5), 4)
