@@ -1,37 +1,27 @@
-"""B11 — the run-length kernel vs the scalar engine on counting.
+"""B11 — the production count vs stepping every character.
 
-Algorithm 3's scalar loop pays one Python-level fold per character (or
-per sprint segment on quiescent stretches); the run-length kernel
-(:mod:`repro.runtime.runlength`) replaces a run of ``k`` equal classes
-with one matrix power — ``O(log k)`` sparse-row products over lazily
-built rows — plus a content-keyed memo over delimiter-bounded segments.
-Two workloads pin the claim from both ends:
+Algorithm 3's count loop (:func:`repro.runtime.kernel.count_loop`)
+steps one character at a time only where it must: a lone silent run
+sprints at C speed, and a run of ``k`` repeated classes into a fixed
+point of the set plans costs ``POWER_MIN`` repeats plus ``O(log k)``
+memoized binary powers.  Two workloads pin the claim from both ends:
 
 * ``sparse-logs-count`` — the standard log scenario (mean run length
-  ~1.4): runs are short, so the win comes from the **segment memo** (a
-  few dozen distinct line shapes, counted once each) rather than from
-  exponentiation;
+  ~1.4): the sprint carries it;
 * ``dense-captures-count`` — one capture pattern over a document of
-  giant uniform runs, whose capture class fans out: exact matrix powers
-  carry the run.
+  giant uniform runs, whose capture class fans out: the powers carry
+  each run.
 
 Gated ratio (core-independent, both workloads):
 
-* ``speedup_runlength_count_vs_scalar`` — the run-length count vs the
-  scalar fold with the sprint disabled, the apples-to-apples
-  chars-actually-folded comparison (floor 5x in ``run_all.py``).
-
-Reported, not gated:
-
-* ``speedup_runlength_count_vs_fastpath`` — vs the scalar count *with*
-  its quiescent sprint.  Honest disclosure: on sparse logs the sprint
-  already skips most characters at C speed, so this sits below 1x
-  there (which is exactly why ``kernel="auto"`` keeps short-run
-  documents on the scalar path), while run-heavy documents clear it
-  comfortably.
+* ``speedup_runlength_count_vs_scalar`` — the production count
+  (``count_compiled`` with its fast path on, as ``Spanner.count`` runs
+  it) vs the same loop with ``fast_path=False``, which steps every
+  character (floor 5x in ``run_all.py``).
 
 Both workloads also assert that every count path yields the same exact
-integer.
+integer, and the dense-captures document is counted by the reference
+engine too.
 
 Usage::
 
@@ -49,7 +39,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.runtime.engine import count_compiled  # noqa: E402
-from repro.runtime.runlength import count_runlength, runlength_kernel  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import scenario  # noqa: E402
 
@@ -64,36 +53,32 @@ def best_of(repeat: int, run) -> float:
     return best
 
 
-def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
+def bench_counting(
+    workload: str, compiled, document, *, repeat: int, reference=None
+) -> dict:
     total_chars = len(document)
 
     # Correctness first: every path must produce the same exact integer.
     mappings = count_compiled(compiled, document)
-    for label, value in (
-        ("scalar-nofast", count_compiled(compiled, document, fast_path=False)),
-        ("runlength", count_runlength(compiled, document)),
-    ):
+    checks = [("scalar-nofast", count_compiled(compiled, document, fast_path=False))]
+    if reference is not None:
+        checks.append(("reference", reference(document)))
+    for label, value in checks:
         if value != mappings:
             raise AssertionError(
-                f"{workload}: {label} counted {value}, scalar {mappings}"
+                f"{workload}: {label} counted {value}, default {mappings}"
             )
 
-    # The kernel and its memo tables persist on the automaton, so the
+    # The set plans and run powers persist on the automaton, so the
     # timed region measures the steady state of repeated counting — the
     # same state every facade/batch call after the first sees.
-    runlength_kernel(compiled)
-
     nofast_seconds = best_of(
         repeat,
         lambda: count_compiled(compiled, document, fast_path=False),
     )
-    fastpath_seconds = best_of(
+    default_seconds = best_of(
         repeat,
         lambda: count_compiled(compiled, document),
-    )
-    runlength_seconds = best_of(
-        repeat,
-        lambda: count_runlength(compiled, document),
     )
 
     rows = {
@@ -101,18 +86,11 @@ def bench_counting(workload: str, compiled, document, *, repeat: int) -> dict:
             "seconds": nofast_seconds,
             "chars_per_second": total_chars / nofast_seconds,
         },
-        "scalar-fastpath": {
-            "seconds": fastpath_seconds,
-            "chars_per_second": total_chars / fastpath_seconds,
+        "default": {
+            "seconds": default_seconds,
+            "chars_per_second": total_chars / default_seconds,
         },
-        "runlength": {
-            "seconds": runlength_seconds,
-            "chars_per_second": total_chars / runlength_seconds,
-        },
-        "speedup_runlength_count_vs_scalar": nofast_seconds / runlength_seconds,
-        "speedup_runlength_count_vs_fastpath": (
-            fastpath_seconds / runlength_seconds
-        ),
+        "speedup_runlength_count_vs_scalar": nofast_seconds / default_seconds,
     }
     return {
         "workload": workload,
@@ -130,16 +108,13 @@ def print_report(entry) -> None:
         f"{entry['mappings']} mappings"
     )
     print(f"{'strategy':<22} {'seconds':>10} {'chars/s':>14}")
-    for label in ("scalar-nofast", "scalar-fastpath", "runlength"):
+    for label in ("scalar-nofast", "default"):
         row = rows[label]
         print(
             f"{label:<22} {row['seconds']:>10.4f} "
             f"{row['chars_per_second']:>14.0f}"
         )
-    print(
-        f"runlength vs scalar: {rows['speedup_runlength_count_vs_scalar']:.2f}x   "
-        f"vs fastpath: {rows['speedup_runlength_count_vs_fastpath']:.2f}x"
-    )
+    print(f"default vs scalar: {rows['speedup_runlength_count_vs_scalar']:.2f}x")
 
 
 def main(argv=None) -> int:
@@ -175,13 +150,17 @@ def main(argv=None) -> int:
     print_report(workloads[-1])
 
     # Giant uniform runs with the capture class fanning out: exact
-    # matrix powers carry each run.
+    # binary powers carry each run.
     dense_doc = ("a" * run_length + "b") * run_pairs + "a" * run_length
     dense_spanner = Spanner.from_regex(".*x{a+}.*")
     dense_compiled = dense_spanner.runtime(dense_doc)
     workloads.append(
         bench_counting(
-            "dense-captures-count", dense_compiled, dense_doc, repeat=repeat
+            "dense-captures-count",
+            dense_compiled,
+            dense_doc,
+            repeat=repeat,
+            reference=lambda text: dense_spanner.count(text, engine="reference"),
         )
     )
     print_report(workloads[-1])

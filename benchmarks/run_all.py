@@ -131,14 +131,12 @@ SUITE = [
         "bench_runlength.py",
         "runlength_report.json",
         os.path.join("baselines", "runlength_smoke.json"),
-        # The run-length acceptance criterion: counting through the run
-        # kernel must hold a >=5x edge over the scalar per-character
-        # fold on both the sparse-logs and the dense-run workload
-        # (measured ~14x and ~50x; the floor leaves shared-runner jitter
-        # headroom).  The vs-fastpath ratio is reported in the snapshot
-        # but deliberately ungated: it is sub-1x on sparse logs by design
-        # (the scalar sprint skips at C speed there — which is why
-        # kernel="auto" keeps short-run documents scalar).
+        # The production count (count_compiled with its fast path: the
+        # sprint and the count loop's run powers) must hold a >=5x edge
+        # over the same loop with fast_path=False, which steps every
+        # character, on both the sparse-logs and the dense-run workload
+        # (measured ~27x and ~69x; the floor leaves shared-runner jitter
+        # headroom).
         ["--min-speedup", "speedup_runlength_count_vs_scalar=5.0"],
     ),
 ]

@@ -61,7 +61,7 @@ from repro.core.documents import Document, DocumentCollection
 from repro.core.errors import ReproError
 from repro.io.serialization import mapping_to_dict
 from repro.runtime.batch import MODES
-from repro.runtime.plan import ENGINE_CHOICES, KERNEL_CHOICES
+from repro.runtime.plan import ENGINE_CHOICES
 from repro.spanners.spanner import Spanner
 
 __all__ = ["build_parser", "main"]
@@ -101,23 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
             "or the legacy dict-based loop (reference)",
         )
 
-    def add_kernel(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--kernel",
-            choices=list(KERNEL_CHOICES),
-            default="auto",
-            help="inner-loop kernel for counting: "
-            "pick per document from run-length statistics (auto, "
-            "default), the character-at-a-time loop (scalar), or O(log k) "
-            "run exponentiation over the run-length encoding (runlength); "
-            "extracted arenas always use the scalar loop, and results are "
-            "identical either way",
-        )
-
     extract = subparsers.add_parser("extract", help="enumerate the output mappings")
     add_common(extract)
     add_engine(extract)
-    add_kernel(extract)
     extract.add_argument(
         "--format",
         choices=["text", "json", "spans"],
@@ -131,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     count = subparsers.add_parser("count", help="count the output mappings (Algorithm 3)")
     add_common(count)
     add_engine(count)
-    add_kernel(count)
 
     inspect = subparsers.add_parser("inspect", help="show the compilation pipeline report")
     add_common(inspect)
@@ -187,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate in-process (serial) or fan out to worker processes",
     )
     add_engine(batch)
-    add_kernel(batch)
     batch.add_argument(
         "--chunk-size", type=int, default=16, help="documents per worker task"
     )
@@ -343,7 +327,7 @@ def _read_document(path: str | None, stdin: Iterable[str] | None = None) -> Docu
 def _run_extract(args: argparse.Namespace, document: Document, out) -> int:
     spanner = Spanner.from_regex(args.pattern)
     try:
-        mappings = spanner.enumerate(document, engine=args.engine, kernel=args.kernel)
+        mappings = spanner.enumerate(document, engine=args.engine)
     except ValueError as error:
         print(f"repro extract: error: {error}", file=sys.stderr)
         return 2
@@ -361,10 +345,10 @@ def _run_extract(args: argparse.Namespace, document: Document, out) -> int:
     return 0
 
 
-def _run_count(args: argparse.Namespace, document: Document, out) -> int:
+def _count_command(args: argparse.Namespace, document: Document, out) -> int:
     spanner = Spanner.from_regex(args.pattern)
     try:
-        total = spanner.count(document, engine=args.engine, kernel=args.kernel)
+        total = spanner.count(document, engine=args.engine)
     except ValueError as error:
         print(f"repro count: error: {error}", file=sys.stderr)
         return 2
@@ -490,7 +474,6 @@ def _run_batch(args: argparse.Namespace, out) -> int:
             engine=args.engine,
             chunk_size=args.chunk_size,
             max_workers=args.max_workers,
-            kernel=args.kernel,
             policy=policy,
             report=report,
         )
@@ -713,7 +696,7 @@ def _dispatch(args, stdin, out, parser) -> int:
     if args.command == "extract":
         return _run_extract(args, document, out)
     if args.command == "count":
-        return _run_count(args, document, out)
+        return _count_command(args, document, out)
     if args.command == "inspect":
         return _run_inspect(args, document, out)
     parser.error(f"unknown command {args.command!r}")

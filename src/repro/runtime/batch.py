@@ -164,7 +164,6 @@ def _evaluate_one(
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.
         return evaluate_streaming(compiled, document, chunk_size=stream_chunk)
-    # Arenas are always scalar: the kernel axis applies only to counting.
     return evaluate_compiled_arena(compiled, document)
 
 

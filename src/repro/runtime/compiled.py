@@ -126,7 +126,6 @@ class CompiledEVA:
         "class_table",
         "silent",
         "_marker_decode",
-        "_runlength",
         "_set_table",
     )
 
@@ -173,11 +172,10 @@ class CompiledEVA:
         else:
             self.class_table = tuple((NO_TARGET,) for _ in state_objects)
         self.silent = tuple(not row for row in variable_table)
-        # The run-length kernel (repro.runtime.runlength) and the kernel
-        # loops' interned active sets with their plans and sprint patterns
-        # (repro.runtime.kernel.set_table) are built on first use here;
-        # both are derived and never pickled (__setstate__ re-runs __init__).
-        self._runlength = None
+        # The kernel loops' interned active sets with their plans, sprint
+        # patterns and run powers (repro.runtime.kernel.set_table) are built
+        # on first use here; derived, never pickled (__setstate__ re-runs
+        # __init__).
         self._set_table = None
 
     # ------------------------------------------------------------------ #

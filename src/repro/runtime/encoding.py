@@ -35,6 +35,10 @@ plan, every benchmark repeat).  This module replaces it with:
   exists so tests can pin the "encoded at most once per signature"
   invariant.
 
+An encoded document is its buffer and nothing derived from it: the count
+loop finds the runs it takes by powers itself
+(:func:`repro.runtime.kernel.count_loop`).
+
 Engine authors: consume :meth:`SymbolClassing.encode` (or accept an
 :class:`EncodedDocument` directly) — do **not** call the legacy
 ``encode_symbols``; see CONTRIBUTING.
@@ -53,8 +57,6 @@ __all__ = [
     "SymbolClassing",
     "encoding_passes",
     "reset_encoding_passes",
-    "run_count",
-    "runs_of_buffer",
 ]
 
 #: How many fresh (non-cached) encoding passes have run since import (or the
@@ -75,85 +77,6 @@ def reset_encoding_passes() -> None:
     _fresh_passes = 0
 
 
-#: Maximal same-byte runs of a ``bytes`` class-id buffer, in one C-level
-#: regex pass (the backreference keeps the whole scan inside the engine).
-_RUN_PATTERN = re.compile(rb"(.)\1*", re.DOTALL)
-
-
-def runs_of_buffer(buffer) -> tuple[tuple[int, int], ...]:
-    """The run-length encoding of a class-id buffer: ``(class_id, length)``.
-
-    Works on both buffer flavours the encoders produce — ``bytes`` (scanned
-    with one C-level regex pass) and ``array('I')`` (grouped with
-    :func:`itertools.groupby`).  The run-length segment memo calls this
-    directly on buffer *slices*, so a run cut by a slice boundary simply
-    shows up as one run per side; every consumer composes per-character,
-    which makes the split exact.
-    """
-    if isinstance(buffer, bytes):
-        return tuple(
-            (match.group()[0], match.end() - match.start())
-            for match in _RUN_PATTERN.finditer(buffer)
-        )
-    from itertools import groupby
-
-    return tuple(
-        (class_id, sum(1 for _ in group)) for class_id, group in groupby(buffer)
-    )
-
-
-#: Ids compared per step of :func:`run_count`.  Bounding the block keeps its
-#: big integers below the allocator's memory-mapping threshold; unbounded,
-#: every step on a 200k-char buffer maps fresh pages and the count costs
-#: about twice as much per id.
-_RUN_COUNT_BLOCK = 1 << 14
-
-
-def run_count(buffer) -> int:
-    """``len(runs_of_buffer(buffer))``, without building a single run.
-
-    A buffer of ``n`` ids has ``n`` minus its number of equal neighbours
-    runs.  Read as one little-endian integer, a block of ids XOR-ed with
-    itself shifted down by one id has a zero item exactly where two
-    neighbours are equal, so each block is a few C-level passes.
-    Blocks overlap by one id, so every neighbour pair is compared once;
-    ``array('I')`` buffers count their zero items through an array of the
-    same type.
-    """
-    n = len(buffer)
-    wide = not isinstance(buffer, bytes)
-    width = buffer.itemsize if wide else 1
-    equal = 0
-    for start in range(0, n - 1, _RUN_COUNT_BLOCK):
-        piece = buffer[start : start + _RUN_COUNT_BLOCK + 1]
-        raw = piece.tobytes() if wide else piece
-        value = int.from_bytes(raw, "little")
-        # Item i is piece[i] ^ piece[i + 1]; the top item, piece[-1]
-        # itself, is cut off.
-        diff = (value ^ (value >> 8 * width)).to_bytes(len(raw), "little")[:-width]
-        equal += array(buffer.typecode, diff).count(0) if wide else diff.count(0)
-    return n - equal
-
-
-#: Delimiter-probe window: segment statistics are estimated on a prefix so
-#: the probe stays O(1) in the document length.
-_SEGMENT_PROBE_CHARS = 65536
-#: A usable delimiter must cut the probe window into at least this many
-#: segments (fewer means the memo would amortize nothing) ...
-_SEGMENT_MIN_COUNT = 8
-#: ... of a bounded mean length (huge segments are effectively unique, so
-#: memoizing them would just cache the document) ...
-_SEGMENT_MAX_MEAN = 512
-#: ... and of a non-trivial mean length (a delimiter making up most of the
-#: buffer produces more segments than characters saved).
-_SEGMENT_MIN_MEAN = 4.0
-#: Segments between delimiter occurrences must actually repeat: at most
-#: this fraction of the probe window's segments may be distinct.
-_SEGMENT_MAX_DISTINCT_RATIO = 0.25
-
-_UNPROBED = object()
-
-
 class EncodedDocument:
     """A document translated once into a flat class-id buffer.
 
@@ -163,31 +86,15 @@ class EncodedDocument:
     original ``text`` is kept so that downstream consumers (span slicing,
     ``as_text``) keep working when an :class:`EncodedDocument` is passed
     where a document is expected.
-
-    Beside the buffer, the run-length view used by the run-length kernel
-    (:meth:`runs`, :meth:`run_count`, :meth:`segment_delimiter`) is
-    memoized lazily *on this object*: it shares the buffer's lifetime and
-    its cache slot on the owning :class:`~repro.core.documents.Document`,
-    so evicting the encoding necessarily evicts the RLE view with it — the
-    two can never describe different classing signatures.  Pickling drops
-    the memo the same way the document-level encoding cache is dropped.
-    :meth:`mean_run_length` reads only the run count, so deciding
-    ``kernel="auto"`` never builds the per-run tuple.
     """
 
-    __slots__ = (
-        "text", "buffer", "length", "signature", "_runs", "_run_count",
-        "_delimiter",
-    )
+    __slots__ = ("text", "buffer", "length", "signature")
 
     def __init__(self, text: str, buffer, signature: tuple) -> None:
         self.text = text
         self.buffer = buffer
         self.length = len(text)
         self.signature = signature
-        self._runs = None
-        self._run_count = None
-        self._delimiter = _UNPROBED
 
     def __len__(self) -> int:
         return self.length
@@ -195,85 +102,6 @@ class EncodedDocument:
     def __repr__(self) -> str:
         kind = "bytes" if isinstance(self.buffer, bytes) else "array"
         return f"EncodedDocument({self.length} chars, {kind} buffer)"
-
-    # ------------------------------------------------------------------ #
-    # Run-length view (lazy, evicted with the encoding, never pickled)
-    # ------------------------------------------------------------------ #
-
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        """The RLE of the class-id buffer: maximal ``(class_id, length)`` runs."""
-        runs = self._runs
-        if runs is None:
-            runs = runs_of_buffer(self.buffer)
-            self._runs = runs
-        return runs
-
-    def run_count(self) -> int:
-        """``len(self.runs())``, counted in C without building the runs."""
-        count = self._run_count
-        if count is None:
-            count = run_count(self.buffer)
-            self._run_count = count
-        return count
-
-    def mean_run_length(self) -> float:
-        """Average run length — the planner's repetitiveness statistic."""
-        count = self.run_count()
-        return self.length / count if count else 0.0
-
-    def segment_delimiter(self) -> int | None:
-        """The class id the count kernel should segment this buffer on.
-
-        Probes a bounded prefix of the buffer for a byte value that cuts it
-        into many short *repeating* segments (for machine-generated text,
-        typically the record separator: segments between newlines are drawn
-        from a small set of class-id shapes even when the raw characters
-        differ).  Returns ``None`` when no byte qualifies — non-``bytes``
-        buffers, short documents, or genuinely non-repetitive content —
-        and memoizes either answer beside the buffer.
-        """
-        delimiter = self._delimiter
-        if delimiter is _UNPROBED:
-            delimiter = self._probe_delimiter()
-            self._delimiter = delimiter
-        return delimiter
-
-    def _probe_delimiter(self) -> int | None:
-        buffer = self.buffer
-        if not isinstance(buffer, bytes):
-            return None
-        prefix = buffer[:_SEGMENT_PROBE_CHARS]
-        best: tuple[int, int] | None = None
-        for value in set(prefix):
-            segments = prefix.split(bytes((value,)))
-            count = len(segments)
-            mean = len(prefix) / count
-            if (
-                count < _SEGMENT_MIN_COUNT
-                or mean > _SEGMENT_MAX_MEAN
-                or mean < _SEGMENT_MIN_MEAN
-            ):
-                continue
-            if len(set(segments)) > count * _SEGMENT_MAX_DISTINCT_RATIO:
-                continue
-            # The steady-state cost of the segmented count pass is one memo
-            # lookup per segment, so among qualifying delimiters the one
-            # producing the fewest segments wins.
-            if best is None or count < best[0]:
-                best = (count, value)
-        return None if best is None else best[1]
-
-    # ------------------------------------------------------------------ #
-    # Pickling drops the lazy run-length memo, mirroring the encoding
-    # cache dropped by Document.__getstate__.
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        return (self.text, self.buffer, self.signature)
-
-    def __setstate__(self, state) -> None:
-        text, buffer, signature = state
-        self.__init__(text, buffer, signature)
 
 
 class SymbolClassing:

@@ -29,7 +29,9 @@ guaranteed no-op and is skipped; when additionally exactly one run is live
 — the overwhelmingly common case on sparse-match workloads — the engine
 *sprints*: the run's list/count is parked, and a compiled byte-pattern
 finds the next position whose character class leaves the current state at
-C speed.
+C speed.  Counting has a second one: where a step lands on a set that
+captures back to the set it left, a run of that class is a power of one
+small count transfer, applied in ``O(log k)`` products per run of ``k``.
 
 Each entry point here encodes the document, runs one loop and collects
 the result.  The arena engine runs the same resumable
@@ -131,7 +133,9 @@ def count_compiled(
     Keeps one partial-run count per live state — the integer rewrite of
     :func:`repro.counting.count.count_mappings`, stepped by the same set
     plans as the arena loop.  No DAG, ``O(|A| × |d|)`` time and
-    ``O(|A|)`` space, and it sprints through quiescent stretches.
+    ``O(|A|)`` space; it sprints through quiescent stretches and takes
+    long runs of one class by binary powers.  ``fast_path=False`` turns
+    both off.
     """
     encoded = compiled.encode(document)
     record, counts = count_loop(compiled, encoded.buffer, encoded.length, fast_path)

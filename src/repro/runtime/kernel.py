@@ -37,7 +37,13 @@ allow finishes in a loop over per-call state-indexed arrays instead.
   one ``final`` call and a stream is one call per chunk plus a
   ``final`` one on an empty buffer, which runs the capturing phase at
   the document's end;
-* :func:`count_loop` — Algorithm 3, on the same records;
+* :func:`count_loop` — Algorithm 3, on the same records.  A step plan
+  also records whether its target's capture plan leads back to the set
+  it steps: the target is then a *fixed point* on that class, and while
+  the class repeats the loop applies the composed capture+step count
+  transfer.  After :data:`POWER_MIN` repeats it finds the run's end at
+  C speed (``bytes`` buffers) and applies memoized binary powers of that
+  transfer, so a run of ``k`` costs ``O(log k)`` small products;
 * :func:`sprint` — the quiescent chase of a lone silent run.
 
 Every loop keeps the paper's invariants: the **capturing step** reads
@@ -51,9 +57,7 @@ buffer)`` — bit-identical wherever chunk boundaries fall and whichever
 loop form ran; and the **quiescent sprint** parks a lone silent run's
 payload and chases its letter transitions at C speed.
 
-The planner-facing ``kernel`` choice (:data:`KERNELS`) picks between
-these loops and the run-length algebra of
-:mod:`repro.runtime.runlength` for counting; every arena is built here.
+Every arena and every count is built here: there is no kernel choice.
 ``tools/check_single_kernel.py`` fails when a raw Algorithm-1 position
 loop appears anywhere else.
 """
@@ -68,7 +72,7 @@ from repro.runtime.compiled import NO_TARGET
 from repro.runtime.dag import NIL
 
 __all__ = [
-    "KERNELS",
+    "POWER_MIN",
     "SET_TABLE_CAP",
     "SetTable",
     "arena_loop",
@@ -76,13 +80,6 @@ __all__ = [
     "set_table",
     "sprint",
 ]
-
-#: The planner-facing kernel choice (``plan.KERNEL_CHOICES`` imports it,
-#: ``runlength.KERNELS`` re-exports it): ``"auto"`` resolves per document
-#: from its measured run statistics.  It picks between the scalar count
-#: loop here and the run-length algebra; arenas are always built by the
-#: scalar loops.
-KERNELS: tuple[str, ...] = ("auto", "scalar", "runlength")
 
 #: Upper bound on the set records one automaton keeps; past it the
 #: table is cleared (a loop keeps the record it holds).
@@ -97,6 +94,16 @@ SET_TABLE_CAP = 1 << 12
 PLAN_CREDIT = 64
 PLAN_SHARE = 4
 
+#: :func:`count_loop` repeats a fixed point's transfer this many times
+#: before it finds the run's end and applies binary powers instead.
+#: Measured on 20k-char texts of ``a``-runs of length L split by ``b``,
+#: under ``.*x{a+}.*`` and ``.*x{a+}.*y{a+}.*z{a+}.*`` (warm, best of 7,
+#: 2-core Xeon, Python 3.11), against repeats alone: 8 cost 1.1-1.4x at
+#: L = 8-16; 16 stays within 1.05x at every L and is 1.6x faster at
+#: L = 64, 2.5-3x at L = 128 and 14x at L = 1024; 32 and 64 give up
+#: most of that (32 reads 1.0x at L = 64).
+POWER_MIN = 16
+
 
 # ---------------------------------------------------------------------- #
 # Set records and their plans
@@ -107,17 +114,19 @@ class SetRecord:
     """One interned active set and the plans of the positions it meets.
 
     ``members`` is the sorted tuple of live state ids; ``capture``,
-    ``steps[c]`` and the sprint ``pattern`` are ``None`` until built.  A
-    plan is a plain tuple stored in one assignment, so threads sharing
-    an automaton only ever see a complete one.
+    ``steps[c]`` and the sprint ``pattern`` are ``None`` until built, and
+    ``powers`` maps a class on which the set is a fixed point to the
+    squares of its repeat transfer built so far.  A plan or a tuple of
+    squares is stored in one assignment, so threads sharing an automaton
+    only ever see a complete one.
     """
 
-    __slots__ = ("members", "quiet", "capture", "steps", "pattern")
+    __slots__ = ("members", "quiet", "capture", "steps", "pattern", "powers")
 
     def __init__(self, members: tuple[int, ...], quiet: bool, num_ids: int) -> None:
         self.members = members
         self.quiet = quiet
-        self.capture = self.pattern = None
+        self.capture = self.pattern = self.powers = None
         self.steps: list = [None] * num_ids
 
 
@@ -142,6 +151,48 @@ def _added(gathered: tuple, counts: tuple, adds: tuple) -> tuple:
     return tuple(total)
 
 
+def _groups(gather, adds: tuple, width: int) -> list[list[int]]:
+    """The index groups of a count transfer over *width* inputs (the
+    inverse of :func:`_count_transfer`)."""
+    groups = [[index] for index in gather(tuple(range(width)))]
+    for out, index in adds:
+        groups[out].append(index)
+    return groups
+
+
+def _squared(matrix: tuple) -> tuple:
+    """The square of a count transfer held as rows of ``(index, coeff)``."""
+    rows = []
+    for row in matrix:
+        merged: dict[int, int] = {}
+        for middle, coeff in row:
+            for index, amount in matrix[middle]:
+                merged[index] = merged.get(index, 0) + coeff * amount
+        rows.append(tuple(merged.items()))
+    return tuple(rows)
+
+
+def _power(record: SetRecord, symbol: int, repeat: tuple, k: int, counts: tuple) -> tuple:
+    """*counts* after *k* more *symbol* positions from the fixed point
+    *record*: the binary powers of its repeat transfer, squared on first
+    use and kept on the record, at most ``k.bit_length()`` of them."""
+    powers = record.powers
+    if powers is None:
+        powers = record.powers = {}
+    squares = powers.get(symbol, ())
+    if len(squares) < k.bit_length():
+        squares = list(squares) or [
+            tuple([tuple([(index, 1) for index in group]) for group in _groups(*repeat, len(counts))])
+        ]
+        while len(squares) < k.bit_length():
+            squares.append(_squared(squares[-1]))
+        squares = powers[symbol] = tuple(squares)
+    for bit in range(k.bit_length()):
+        if k >> bit & 1:
+            counts = tuple([sum([coeff * counts[index] for index, coeff in row]) for row in squares[bit]])
+    return counts
+
+
 def _splice(cell_nexts: list, end_cell: int, start_cell: int) -> None:
     # append(list): the end cell's next pointer must still be unset, or
     # the automaton is not deterministic.
@@ -163,12 +214,13 @@ class SetTable:
     plans group the member indices each output adds up.
     """
 
-    __slots__ = ("compiled", "records", "num_ids")
+    __slots__ = ("compiled", "records", "num_ids", "run_ends")
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
         self.records: dict[tuple[int, ...], SetRecord] = {}
         self.num_ids = compiled.classing.num_ids
+        self.run_ends: list = [None] * self.num_ids
 
     def record(self, members: tuple[int, ...]) -> SetRecord:
         """The record of the sorted state tuple *members*."""
@@ -229,14 +281,19 @@ class SetTable:
         )
         return plan
 
-    def step_plan(self, record: SetRecord, symbol: int) -> tuple:
+    def step_plan(self, record: SetRecord, symbol: int) -> tuple[tuple, int]:
         """Build *record*'s reading plan on class *symbol*.
 
-        ``(target, gather, chain, count_gather, count_adds)``: the target
-        set's record (``None`` when every run dies), the slot gather (each
-        target's first arrival's start and last arrival's end), the
-        splices as ``(end slot, start slot)`` pairs in member order, and
-        the count transfer.
+        ``(target, gather, chain, count_gather, count_adds, repeat)``: the
+        target set's record (``None`` when every run dies), the slot
+        gather (each target's first arrival's start and last arrival's
+        end), the splices as ``(end slot, start slot)`` pairs in member
+        order, the count transfer, and ``repeat``.  The target's capture
+        plan is built here too, since the next position needs it; when it
+        leads back to *record*, the target is a fixed point on *symbol*
+        and ``repeat`` is the count transfer of one more *symbol*
+        position from it (its capture, then this step), else ``None``.
+        Returns the plan and the number of plans built.
         """
         groups: dict[int, list[int]] = {}
         chain = []
@@ -249,19 +306,32 @@ class SetTable:
                 chain.append((2 * group[-1] + 1, 2 * index))
             group.append(index)
         targets = sorted(groups)
+        if not targets:
+            plan = record.steps[symbol] = (None, None, (), None, (), None)
+            return plan, 1
+        target = self.record(tuple(targets))
+        built = 1
+        repeat = None
+        if not target.quiet:
+            capture = target.capture
+            if capture is None:
+                capture = self.capture_plan(target)
+                built += 1
+            if capture[0].members == record.members:
+                captured = _groups(capture[7], capture[8], len(targets))
+                repeat = _count_transfer(
+                    [[i for j in groups[state] for i in captured[j]] for state in targets]
+                )
         plan = record.steps[symbol] = (
-            (
-                self.record(tuple(targets)),
-                itemgetter(
-                    *[i for state in targets for i in (2 * groups[state][0], 2 * groups[state][-1] + 1)]
-                ),
-                tuple(chain),
-                *_count_transfer([groups[state] for state in targets]),
-            )
-            if targets
-            else (None, None, (), None, ())
+            target,
+            itemgetter(
+                *[i for state in targets for i in (2 * groups[state][0], 2 * groups[state][-1] + 1)]
+            ),
+            tuple(chain),
+            *_count_transfer([groups[state] for state in targets]),
+            repeat,
         )
-        return plan
+        return plan, built
 
     def sprint_pattern(self, record: SetRecord):
         """The stop pattern of the quiet set *record*.
@@ -283,6 +353,18 @@ class SetTable:
             }
             pattern = record.pattern = re.compile(
                 b"[" + b"".join(re.escape(bytes((stop,))) for stop in sorted(stops)) + b"]"
+            )
+        return pattern
+
+
+    def run_end(self, symbol: int):
+        """The pattern that finds the end of a run of class *symbol* in a
+        ``bytes`` buffer: ``pattern.search(buf, pos)`` stops at the first
+        other class id.  Built on first use, one per class."""
+        pattern = self.run_ends[symbol]
+        if pattern is None:
+            pattern = self.run_ends[symbol] = re.compile(
+                b"[^" + re.escape(bytes((symbol,))) + b"]"
             )
         return pattern
 
@@ -419,9 +501,9 @@ def arena_loop(
         pos += 1
         step = record.steps[symbol]
         if step is None:
-            step = table.step_plan(record, symbol)
-            built += 1
-        record, gather, chain, _, _ = step
+            step, fresh = table.step_plan(record, symbol)
+            built += fresh
+        record, gather, chain, _, _, _ = step
         for end_at, start_at in chain:
             _splice(cell_nexts, slots[end_at], slots[start_at])
         if record is None:
@@ -543,7 +625,10 @@ def count_loop(compiled, buf, n, fast_path):
     Returns ``(record, counts)`` after the final capturing phase: the
     live set's record (``None`` once every run has died) and its
     members' counts, in member order.  Like :func:`arena_loop`, it
-    finishes in :func:`_count_state_loop` once plans stop paying.
+    finishes in :func:`_count_state_loop` once plans stop paying.  After
+    a step into a fixed point it stays there while the class repeats:
+    :data:`POWER_MIN` plain repeats, then powers up to the run's end.
+    ``fast_path=False`` turns off the sprint, the repeats and the powers.
     """
     table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
@@ -578,12 +663,23 @@ def count_loop(compiled, buf, n, fast_path):
         pos += 1
         step = record.steps[symbol]
         if step is None:
-            step = table.step_plan(record, symbol)
-            built += 1
-        record, _, _, gather, adds = step
+            step, fresh = table.step_plan(record, symbol)
+            built += fresh
+        record, _, _, gather, adds, repeat = step
         if record is None:
             return None, ()
         counts = _added(gather(counts), counts, adds) if adds else gather(counts)
+        if repeat is not None and fast_path:
+            gather, adds = repeat
+            stop = min(n, pos + POWER_MIN)
+            while pos < stop and buf[pos] == symbol:
+                counts = _added(gather(counts), counts, adds) if adds else gather(counts)
+                pos += 1
+            if pos == stop < n and use_patterns and buf[pos] == symbol:
+                match = table.run_end(symbol).search(buf, pos)
+                end = n if match is None else match.start()
+                counts = _power(record, symbol, repeat, end - pos, counts)
+                pos = end
 
 
 def _count_state_loop(compiled, buf, pos, n, record, counts, fast_path):

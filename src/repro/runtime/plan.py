@@ -38,6 +38,10 @@ documents chunk by chunk through
 whole document to an engine.  Streaming always runs ``compiled`` — see
 :func:`choose_plan`.
 
+A plan chooses no inner loop: every compiled engine counts with
+:func:`~repro.runtime.kernel.count_loop`, which picks run powers per run
+as it goes, so the facade's ``kernel=`` argument is checked and ignored.
+
 The module also hosts :class:`PlanCache` — the shared, size-bounded,
 thread-safe LRU over compilation artifacts.  The server front-end
 (:mod:`repro.server`) keeps one *shared* cache of pattern→compiled-plan
@@ -69,11 +73,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
 
-from repro.runtime.kernel import KERNELS
-
 __all__ = [
     "ENGINE_CHOICES",
-    "KERNEL_CHOICES",
     "CacheStats",
     "ExecutionPlan",
     "PlanCache",
@@ -85,21 +86,6 @@ __all__ = [
 #: meaningful for spanner-algebra expression sources (elsewhere the facade
 #: treats it as ``auto``).
 ENGINE_CHOICES = ("auto", "compiled", "compiled-otf", "reference", "hybrid")
-
-#: Inner-loop kernel names accepted by the facade and the CLI.  The axis
-#: is orthogonal to the engine choice: ``scalar`` is the per-character
-#: fold with the quiescent sprint, ``runlength`` evaluates the run-length
-#: encoded class buffer with per-class matrix powers
-#: (:mod:`repro.runtime.runlength`), and ``auto`` picks per document from
-#: its measured run-length statistics.  Unlike ``engine``, a plan may
-#: carry ``kernel="auto"``: the decision is inherently per-document
-#: (mean run length is a document property, not an automaton property).
-#: The tuple is defined once, in :mod:`repro.runtime.kernel` (the module
-#: that owns the kernel axis of the spec), and re-exported here and as
-#: ``repro.runtime.runlength.KERNELS`` — the three names can no longer
-#: drift, and a unit test still pins them equal.
-KERNEL_CHOICES = KERNELS
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -119,31 +105,11 @@ class ExecutionPlan:
     reason: str
     operators: object | None = None
     streaming: bool = False
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_CHOICES or self.engine == "auto":
             raise ValueError(
                 f"an ExecutionPlan needs a concrete engine, got {self.engine!r}"
-            )
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{KERNEL_CHOICES}"
-            )
-        if self.kernel == "runlength" and self.engine not in (
-            "compiled",
-            "compiled-otf",
-        ):
-            raise ValueError(
-                f"engine {self.engine!r} has no run-length kernel; "
-                "kernel='runlength' needs the dense or lazily determinized "
-                "class tables (engine='compiled' or 'compiled-otf')"
-            )
-        if self.kernel == "runlength" and self.streaming:
-            raise ValueError(
-                "a streaming plan cannot force kernel='runlength': chunk-fed "
-                "evaluation never sees the whole run-length encoding"
             )
         if self.engine == "hybrid" and self.operators is None:
             raise ValueError(
@@ -165,7 +131,6 @@ def choose_plan(
     *,
     engine: str = "auto",
     streaming: bool = False,
-    kernel: str = "auto",
 ) -> ExecutionPlan:
     """Resolve a forced *engine*, or a streaming plan, into an :class:`ExecutionPlan`.
 
@@ -173,15 +138,10 @@ def choose_plan(
     not resolved here: the bounded subset construction decides it
     (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`).
 
-    *kernel* rides along unresolved: the ``auto`` kernel is resolved per
-    document at evaluation time from the encoded buffer's C-level run
-    count (``repro.runtime.runlength.prefers_runlength``).
-
     With ``streaming=True`` the plan feeds chunks through
     :class:`~repro.runtime.streaming.StreamingEvaluator`, which needs the
     dense tables' settled-sink analysis up front: ``auto`` resolves to
-    ``compiled``, any other engine is rejected, and the kernel is pinned
-    to ``scalar`` because chunks never show whole runs.  A pattern whose
+    ``compiled`` and any other engine is rejected.  A pattern whose
     dense tables pass the subset budget raises
     :class:`~repro.core.errors.ResourceLimitError` when the stream opens.
     """
@@ -189,20 +149,11 @@ def choose_plan(
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
         )
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-        )
     if streaming:
         if engine not in ("auto", "compiled"):
             raise ValueError(
                 f"engine {engine!r} cannot evaluate chunk-fed documents; "
                 "streaming supports engine='compiled' (or 'auto')"
-            )
-        if kernel == "runlength":
-            raise ValueError(
-                "streaming cannot force kernel='runlength': chunk-fed "
-                "evaluation never sees the whole run-length encoding"
             )
         return ExecutionPlan(
             "compiled",
@@ -210,7 +161,6 @@ def choose_plan(
             "streaming: chunk-fed evaluation needs the dense tables "
             "(and their settled-sink analysis) up front",
             streaming=True,
-            kernel="scalar",
         )
     if engine in ("auto", "hybrid"):
         raise ValueError(
@@ -218,7 +168,7 @@ def choose_plan(
             "construction (CompilationPipeline.determinize_or_defer) or the "
             "expression optimizer (repro.algebra.optimizer.optimize)"
         )
-    return ExecutionPlan(engine, engine != "compiled-otf", "forced by caller", kernel=kernel)
+    return ExecutionPlan(engine, engine != "compiled-otf", "forced by caller")
 
 
 # ---------------------------------------------------------------------- #

@@ -203,11 +203,8 @@ class CompiledSubsetEVA:
         #: frozensets of base state objects, for ResultDag conversion
         self._state_objects: list[frozenset] = []
         self._marker_decode: tuple[tuple, tuple] | None = None
-        #: the run-length kernel (repro.runtime.runlength), built on demand
-        #: and never pickled: its row builders close over this instance's tables
-        self._runlength = None
         #: the kernel loops' interned active sets (repro.runtime.kernel),
-        #: built on demand and never pickled, like the run-length kernel
+        #: built on demand and never pickled
         self._set_table = None
         self._intern_lock = threading.Lock()
 
@@ -220,7 +217,6 @@ class CompiledSubsetEVA:
             **self.__dict__,
             "class_table": [dict(row) for row in self.class_table],
             "variable_table": dict(self.variable_table),
-            "_runlength": None,
             "_set_table": None,
         }
         del state["_intern_lock"]

@@ -52,7 +52,6 @@ renders the logical → physical plan.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -70,16 +69,15 @@ from repro.regex.parser import parse_regex
 from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
 from repro.runtime.resilience import FailureReport, ResiliencePolicy
-from repro.runtime.engine import evaluate_compiled_arena
+from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
-    KERNEL_CHOICES,
     CacheStats,
     ExecutionPlan,
     PlanCache,
     choose_plan,
 )
-from repro.runtime.runlength import count_with_kernel
+from repro.runtime.runlength import resolve_kernel
 from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
@@ -108,10 +106,7 @@ class Spanner:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
             )
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
+        resolve_kernel(kernel)
         if isinstance(source, str):
             source = parse_regex(source)
         self._pipeline = CompilationPipeline(source, alphabet)
@@ -172,15 +167,12 @@ class Spanner:
 
     @property
     def kernel(self) -> str:
-        """The default inner-loop kernel (one of ``KERNEL_CHOICES``).
+        """The ``kernel=`` name the spanner was built with.
 
-        The axis applies to counting: ``auto``
-        resolves per document from its measured run-length statistics;
-        ``runlength`` forces the run-length kernel of
-        :mod:`repro.runtime.runlength` on those paths (engines without a
-        run-length path — ``reference`` and ``hybrid`` — reject it).
-        Arenas (:meth:`preprocess`, :meth:`extract`) are always built by
-        the scalar engine, whatever the kernel.
+        ``"auto"``, ``"scalar"`` and ``"runlength"`` are accepted for
+        compatibility and select nothing: every compiled engine counts
+        with one loop that picks run powers per run
+        (:func:`repro.runtime.kernel.count_loop`).
         """
         return self._kernel
 
@@ -370,21 +362,15 @@ class Spanner:
 
     def _plan(self, engine: str | None, kernel: str | None = None) -> ExecutionPlan:
         engine = self._engine if engine is None else engine
-        kernel = self._kernel if kernel is None else kernel
+        if kernel is not None:
+            resolve_kernel(kernel)
         if engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
             )
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
         if engine not in ("auto", "hybrid"):
-            return choose_plan(engine=engine, kernel=kernel)
-        plan = self._auto_plan
-        # An explicit runlength kernel cannot ride a hybrid plan; replace()
-        # re-validates and raises the plan-layer error.
-        return plan if plan.kernel == kernel else replace(plan, kernel=kernel)
+            return choose_plan(engine=engine)
+        return self._auto_plan
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -404,10 +390,7 @@ class Spanner:
         arena (no ``DagNode`` objects are materialized); ``"reference"``
         returns the legacy object :class:`~repro.enumeration.evaluate.ResultDag`.
         Both support iteration, ``count()`` and ``is_empty()``.
-
-        *kernel* is accepted and validated like everywhere else, but the
-        arena is always built by the scalar engine: an arena's cost is
-        its capture writes, which run-length stepping cannot skip.
+        *kernel* is checked and ignored.
         """
         plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
@@ -520,10 +503,10 @@ class Spanner:
         """
         documents = DocumentCollection.coerce(documents)
         if streaming:
+            if kernel is not None:
+                resolve_kernel(kernel)
             plan = choose_plan(
-                engine=self._engine if engine is None else engine,
-                streaming=True,
-                kernel=self._kernel if kernel is None else kernel,
+                engine=self._engine if engine is None else engine, streaming=True
             )
             self._reject_hybrid_streaming()
         else:
@@ -556,14 +539,9 @@ class Spanner:
 
         The compiled engines run the integer rewrite of Algorithm 3 on
         their dense (or lazily discovered) tables; ``"reference"`` runs the
-        original dict-based loop.
-
-        *kernel* overrides the spanner's default inner loop — counting
-        is where the axis applies: ``"runlength"``
-        turns the count pass into a product of per-run matrices
-        (:mod:`repro.runtime.runlength`) on both the dense and the lazily
-        determinized tables; ``"auto"`` decides per document from its
-        measured run statistics.
+        original dict-based loop.  Long runs of one character class cost
+        ``O(log k)`` inside the compiled loop; *kernel* is checked and
+        ignored.
         """
         plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
@@ -574,9 +552,7 @@ class Spanner:
             return count_mappings(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        return count_with_kernel(
-            self._engine_runtime(plan.engine), document, kernel=plan.kernel
-        )
+        return count_compiled(self._engine_runtime(plan.engine), document)
 
     def extract(
         self,

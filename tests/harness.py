@@ -10,10 +10,11 @@ of the library against each other on one ``(spanner, document)`` pair:
   same document: whole-document, one-character chunks, empty chunks
   interspersed, random seeded splits, and UTF-8 byte streams split
   *inside* multi-byte sequences;
-* the run-length kernel (:mod:`repro.runtime.runlength`): its count
-  must equal the scalar count, and the facade's arena under every
-  ``kernel=`` value must be **bit-identical** (arrays, not just mapping
-  sets) to the scalar arena (the axis never reaches an arena).
+* the count loop's run powers: the document with every character
+  stretched into a run of ``2 * POWER_MIN`` is counted with the fast
+  path, without it and by the reference engine, on both automaton
+  forms; and the arena with the fast path off must be **bit-identical**
+  (arrays, not just mapping sets) to the arena with it on.
 
 The streaming evaluator runs the same single compilation as the
 whole-document engines, opened with no declared alphabet and with one
@@ -23,8 +24,8 @@ plants them at chunk boundaries) read as ``OTHER``, in every emit mode.
 
 :func:`adversarial_documents` is the seeded document corpus used by the
 deterministic streaming tests: multi-byte runs around chunk boundaries,
-characters outside the pattern alphabet, empty documents and single
-characters.
+characters outside the pattern alphabet, empty documents, single
+characters, and uniform runs long enough for the count loop's powers.
 
 Every route above runs one of the plain loops of
 :mod:`repro.runtime.kernel`, so one harness call doubles as the
@@ -41,8 +42,7 @@ import random
 from repro import Spanner
 from repro.core.documents import as_text
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.kernel import KERNELS
-from repro.runtime.runlength import count_runlength
+from repro.runtime.kernel import POWER_MIN
 
 __all__ = [
     "FACADE_ENGINES",
@@ -99,7 +99,8 @@ def adversarial_documents(seed: int = 0) -> list[str]:
     Mixes the two-letter pattern alphabet with characters the patterns
     never mention (an accented letter, a low codepoint, an astral-plane
     emoji) so that the ``OTHER`` class, the foreign class and multi-byte
-    chunk splits are all on the table.
+    chunk splits are all on the table, plus uniform runs of at least
+    ``2 * POWER_MIN`` characters, which the count loop takes by powers.
     """
     rng = random.Random(seed)
     corpus = [
@@ -111,6 +112,7 @@ def adversarial_documents(seed: int = 0) -> list[str]:
         "a\x00b",
         "ab\U0001f600ba",
         "éé" + "ab" * 2 + "é",
+        "b" + "a" * (2 * POWER_MIN) + "é",
     ]
     alphabet = "abé\x00"
     for _ in range(4):
@@ -195,28 +197,26 @@ def assert_all_engines_agree(
             f"count({engine!r}) = {count}, enumeration found {len(expected)}"
         )
 
-    # The run-length kernel's count must match the scalar Algorithm 3
-    # exactly.  The arena
-    # must not depend on the kernel axis at all — the facade builds it
-    # with the scalar engine, with the fast path on or off.
+    # The arena must not depend on the fast path.
     runtime = spanner.runtime(text)
-    serial_arena = evaluate_compiled_arena(runtime, text)
-    serial_count = count_compiled(runtime, text)
-    assert count_runlength(runtime, text) == serial_count, (
-        f"count_runlength = {count_runlength(runtime, text)}, "
-        f"scalar count = {serial_count}"
-    )
     assert_arena_identical(
         evaluate_compiled_arena(runtime, text, fast_path=False),
-        serial_arena,
+        evaluate_compiled_arena(runtime, text),
         context=" (fast_path=False)",
     )
-    for kernel in KERNELS:
-        assert_arena_identical(
-            spanner.preprocess(text, engine="compiled", kernel=kernel),
-            serial_arena,
-            context=f" (facade kernel={kernel!r})",
-        )
+
+    # Every character stretched into a run long enough for the count
+    # loop's powers: the fast count (repeats and powers), the plain
+    # count and the reference count must agree on both forms.
+    stretched = "".join(char * (2 * POWER_MIN) for char in text[:8])
+    reference_count = spanner.count(stretched, engine="reference")
+    for form in (runtime, spanner.otf_runtime(text)):
+        for fast_path in (True, False):
+            count = count_compiled(form, stretched, fast_path=fast_path)
+            assert count == reference_count, (
+                f"{type(form).__name__} count(fast_path={fast_path}) of the "
+                f"stretched text = {count}, reference = {reference_count}"
+            )
 
     if not streaming:
         return expected

@@ -163,34 +163,16 @@ class TestValidation:
         with pytest.raises(TypeError):
             next(run_batch(compiled, "not a collection"))
 
-    # The kernel axis is validated by the plan: Spanner.run_batch takes
-    # kernel=, the plan-free run_batch has no kernel at all.
+    # Spanner.run_batch checks kernel= (and ignores it); the plan-free
+    # run_batch has no kernel at all.
 
     def test_unknown_kernel_rejected(self, contact_setup):
         _compiled, collection = contact_setup
         spanner = Spanner.from_regex(contact_pattern())
         with pytest.raises(ValueError, match="kernel"):
             next(spanner.run_batch(collection, kernel="warp"))
-
-    def test_runlength_kernel_needs_the_compiled_engine(self, contact_setup):
-        _compiled, collection = contact_setup
-        spanner = Spanner.from_regex(contact_pattern())
-        with pytest.raises(ValueError, match="run-length"):
-            next(
-                spanner.run_batch(
-                    collection, engine="reference", kernel="runlength"
-                )
-            )
-
-    def test_streaming_batches_cannot_force_runlength(self, contact_setup):
-        _compiled, collection = contact_setup
-        spanner = Spanner.from_regex(contact_pattern())
-        with pytest.raises(ValueError, match="streaming"):
-            next(
-                spanner.run_batch(
-                    collection, streaming=True, kernel="runlength"
-                )
-            )
+        with pytest.raises(ValueError, match="kernel"):
+            next(spanner.run_batch(collection, streaming=True, kernel="warp"))
 
 
 class TestKernelAxis:
@@ -221,8 +203,8 @@ class TestKernelAxis:
         )
 
     def test_otf_batch_accepts_the_runlength_kernel(self):
-        # A forced run-length kernel is a valid compiled-otf plan (count
-        # takes it); the batch must run it, not reject it.
+        # Every kernel name is accepted on a compiled-otf batch and
+        # changes nothing.
         spanner = Spanner(".*x{a+}.*", engine="compiled-otf")
 
         def results(kernel):

@@ -67,31 +67,6 @@ class TestCountAndInspect:
         assert code == 0
         assert output.strip() == "2"
 
-    def test_count_kernel_flag_matches_default(self, document_path):
-        _code, default = run_cli(["count", contact_pattern(), document_path])
-        for kernel in ("auto", "scalar", "runlength"):
-            code, output = run_cli(
-                ["count", contact_pattern(), document_path, "--kernel", kernel]
-            )
-            assert code == 0
-            assert output == default
-
-    def test_extract_kernel_flag_matches_default(self, document_path):
-        _code, default = run_cli(["extract", contact_pattern(), document_path])
-        code, output = run_cli(
-            ["extract", contact_pattern(), document_path, "--kernel", "runlength"]
-        )
-        assert code == 0
-        assert output == default
-
-    def test_kernel_flag_rejects_incompatible_engine(self, document_path, capsys):
-        code, _output = run_cli(
-            ["count", contact_pattern(), document_path,
-             "--engine", "reference", "--kernel", "runlength"]
-        )
-        assert code == 2
-        assert "run-length" in capsys.readouterr().err
-
     def test_inspect(self, document_path):
         code, output = run_cli(["inspect", contact_pattern(), document_path])
         assert code == 0
@@ -153,25 +128,6 @@ class TestBatch:
         assert code == 0
         rows = [json.loads(line) for line in output.strip().splitlines()]
         assert [row["count"] for row in rows] == [2, 1]
-
-    def test_kernel_flag(self, batch_paths):
-        _code, default = run_cli(
-            ["batch", contact_pattern(), *batch_paths, "--count-only"]
-        )
-        code, output = run_cli(
-            ["batch", contact_pattern(), *batch_paths, "--count-only",
-             "--kernel", "runlength"]
-        )
-        assert code == 0
-        assert output == default
-
-    def test_kernel_flag_rejects_incompatible_engine(self, batch_paths, capsys):
-        code, _output = run_cli(
-            ["batch", contact_pattern(), *batch_paths, "--engine", "reference",
-             "--kernel", "runlength"]
-        )
-        assert code == 2
-        assert "run-length" in capsys.readouterr().err
 
     def test_batch_in_parser_help(self):
         assert "batch" in build_parser().format_help()

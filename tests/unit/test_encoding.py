@@ -9,8 +9,6 @@ repeated evaluation by the engines that consume the encoded buffers.
 from __future__ import annotations
 
 import pickle
-import random
-from array import array
 
 import pytest
 
@@ -223,113 +221,6 @@ class TestDocumentCache:
         assert collection.alphabet() == frozenset("ab")
         collection.add("cd")
         assert collection.alphabet() == frozenset("abcd")
-
-
-class TestRunLengthView:
-    def test_runs_concatenate_back_to_the_buffer(self):
-        classing = SymbolClassing(("a", "b"), (0, 1))
-        encoded = classing.encode("aaabbbab" * 3)
-        rebuilt = b"".join(
-            bytes((cls,)) * length for cls, length in encoded.runs()
-        )
-        assert rebuilt == bytes(encoded.buffer)
-        assert encoded.mean_run_length() == encoded.length / len(encoded.runs())
-
-    def test_runs_are_cached_on_the_encoding(self):
-        classing = SymbolClassing(("a", "b"), (0, 1))
-        encoded = classing.encode("aabb")
-        assert encoded.runs() is encoded.runs()
-
-    def test_rle_cache_rides_the_encoding_cache(self):
-        # The RLE view lives on the EncodedDocument, which the Document
-        # caches per classing signature — so the run view can never
-        # outlive (or be served for) a different signature's buffer.
-        document = Document("aabbaa")
-        wide = SymbolClassing(("a", "b"), (0, 1))
-        collapsed = SymbolClassing(("a", "b"), (0, 0))
-        runs_wide = wide.encode(document).runs()
-        runs_collapsed = collapsed.encode(document).runs()
-        assert runs_wide == ((0, 2), (1, 2), (0, 2))
-        assert runs_collapsed == ((0, 6),)
-        # Re-encoding under the first signature still serves its own runs.
-        assert wide.encode(document).runs() == runs_wide
-
-    def test_stale_signature_regression_after_eviction(self):
-        # Fill the document's encoding cache past its bound so the first
-        # signature is evicted, then re-encode it: the fresh encoding
-        # must carry a fresh (correct) run view, never a stale one.
-        document = Document("aabb")
-        first = SymbolClassing(("a", "b"), (0, 1))
-        assert first.encode(document).runs() == ((0, 2), (1, 2))
-        for index in range(Document.MAX_CACHED_ENCODINGS + 1):
-            SymbolClassing((chr(ord("c") + index),), (0,)).encode(document)
-        assert document.cached_encoding(first.signature) is None
-        encoded = first.encode(document)
-        assert encoded.runs() == ((0, 2), (1, 2))
-        assert bytes(encoded.buffer) == b"\x00\x00\x01\x01"
-
-    def test_pickling_drops_the_run_view(self):
-        classing = SymbolClassing(("a", "b"), (0, 1))
-        encoded = classing.encode("aabb")
-        runs = encoded.runs()
-        encoded.run_count()
-        clone = pickle.loads(pickle.dumps(encoded))
-        assert clone._runs is None
-        assert clone._run_count is None
-        assert clone.runs() == runs
-
-    @pytest.mark.parametrize(
-        "ids",
-        [
-            [],
-            [4],
-            [3] * 50,
-            [0, 1] * 25,
-            [0, 0, 1, 1, 1, 0, 2, 2, 5],
-            [random.Random(11).randrange(6) for _ in range(200)],
-            [random.Random(12).choice((0, 0, 0, 1)) for _ in range(200)],
-        ],
-    )
-    @pytest.mark.parametrize("block", [1, 2, 7, encoding._RUN_COUNT_BLOCK])
-    def test_run_count_equals_the_number_of_runs(self, ids, block, monkeypatch):
-        # Both buffer flavours, slices cut at arbitrary positions (as the
-        # run-length segment memo cuts them), and blocks small enough to put a block boundary inside and
-        # between runs.  The wide ids differ from each other in a single
-        # byte, so a byte-level comparison could not pass by accident.
-        monkeypatch.setattr(encoding, "_RUN_COUNT_BLOCK", block)
-        wide_ids = (0, 1, 256, 257, 65536, 2**32 - 1)
-        buffers = (bytes(ids), array("I", [wide_ids[i] for i in ids]))
-        cuts = sorted({0, 1, len(ids) // 3, len(ids) // 2, len(ids) - 1, len(ids)})
-        for buffer in buffers:
-            for lo in cuts:
-                for hi in cuts:
-                    piece = buffer[lo:hi]
-                    assert encoding.run_count(piece) == len(
-                        encoding.runs_of_buffer(piece)
-                    )
-
-    def test_run_count_across_real_blocks(self):
-        rng = random.Random(13)
-        ids = [rng.choice((0, 0, 1, 2)) for _ in range(3 * encoding._RUN_COUNT_BLOCK + 5)]
-        for buffer in (bytes(ids), array("I", [i << 16 for i in ids])):
-            assert encoding.run_count(buffer) == len(encoding.runs_of_buffer(buffer))
-
-    @pytest.mark.parametrize(
-        "text", ["", "a", "aaaa", "abab", "aaabbbab" * 3, "aĀa" * 9]
-    )
-    def test_mean_run_length_reads_the_count_not_the_runs(self, text):
-        for classing in (
-            SymbolClassing(("a", "b"), (0, 1)),
-            SymbolClassing(
-                ("a", "b") + tuple(chr(300 + i) for i in range(298)), range(300)
-            ),
-        ):
-            encoded = classing.encode(text)
-            mean = encoded.mean_run_length()
-            assert encoded._runs is None
-            runs = encoded.runs()
-            assert encoded.run_count() == len(runs)
-            assert mean == (encoded.length / len(runs) if runs else 0.0)
 
 
 class TestScratchReuse:

@@ -1,15 +1,18 @@
 """Unit tests for the Algorithm-1 loops (:mod:`repro.runtime.kernel`).
 
-Two concerns live here:
+What lives here:
 
 * the module's shape — every loop it exports has a production caller,
-  and the planner-facing kernel axis is defined once;
-* the set table's bound: clearing it mid-document changes nothing; and
+  and the ``kernel=`` names are checked in one place;
+* the set table's bound: clearing it mid-document changes nothing;
+* the count loop's run powers: exact past 2^64 on both automaton forms,
+  off with the fast path, at most ``⌊log2 k⌋ + 1`` squares for a run of
+  ``k``, and exact while the table clears mid-run; and
 * degenerate documents (empty, single character) driven through
   :func:`harness.assert_all_engines_agree`, which routes every engine ×
-  kernel × chunking combination through these loops — exactly the
-  inputs where a loop's entry and final capture edges are most likely
-  to drift between the whole-document and chunk-fed routes.
+  chunking combination through these loops — exactly the inputs where
+  a loop's entry and final capture edges are most likely to drift
+  between the whole-document and chunk-fed routes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import repro
 from repro import Spanner
 from repro.runtime import kernel, runlength
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.kernel import KERNELS, set_table
-from repro.runtime.plan import KERNEL_CHOICES
+from repro.runtime.kernel import POWER_MIN, set_table
 
 from harness import assert_all_engines_agree, assert_arena_identical
 
@@ -87,11 +89,20 @@ class TestKernelModule:
         )
 
     def test_kernel_axis_is_defined_once(self):
-        # plan.KERNEL_CHOICES and runlength.KERNELS are the same object
-        # as kernel.KERNELS — the axis can no longer drift.
-        assert KERNEL_CHOICES is KERNELS
-        assert runlength.KERNELS is KERNELS
-        assert KERNELS == ("auto", "scalar", "runlength")
+        # The accepted kernel= names are checked by resolve_kernel alone,
+        # the only thing left in runlength.py, and every name runs the
+        # one count loop.
+        assert runlength.__all__ == ["resolve_kernel"]
+        for name in ("auto", "scalar", "runlength"):
+            assert runlength.resolve_kernel(name) == "scalar"
+            assert Spanner("x{a}", kernel=name).kernel == name
+        for check in (
+            lambda: runlength.resolve_kernel("warp"),
+            lambda: Spanner("x{a}", kernel="warp"),
+            lambda: Spanner("x{a}").count("a", kernel="warp"),
+        ):
+            with pytest.raises(ValueError, match="kernel"):
+                check()
 
 
 class TestDegenerateDocuments:
@@ -131,3 +142,96 @@ class TestSetTable:
             assert count_compiled(runtime, text) == expected.count()
             if form == "runtime":
                 assert_arena_identical(arena, whole)
+
+
+def power_calls(monkeypatch) -> list[int]:
+    """Record the run length ``k`` of every power application."""
+    lengths: list[int] = []
+    power = kernel._power
+
+    def spy(record, symbol, repeat, k, counts):
+        lengths.append(k)
+        return power(record, symbol, repeat, k, counts)
+
+    monkeypatch.setattr(kernel, "_power", spy)
+    return lengths
+
+
+def power_tables(runtime) -> list[tuple]:
+    """Every ``(record, class, squares)`` in *runtime*'s set table."""
+    return [
+        (record, symbol, squares)
+        for record in set_table(runtime).records.values()
+        for symbol, squares in (record.powers or {}).items()
+    ]
+
+
+class TestRunPowers:
+    """The count loop's repeats and binary powers over long runs."""
+
+    def test_large_exact_count_beyond_int64(self, monkeypatch):
+        # Three captures over 20k characters: about 2^70 mappings, far
+        # past what int64 could hold; the powers stay exact on both
+        # automaton forms.
+        lengths = power_calls(monkeypatch)
+        spanner = Spanner(".*x{a+}.*y{a+}.*z{a+}.*")
+        document = ("a" * 4000 + "b") * 5
+        expected = count_compiled(spanner.runtime(document), document, fast_path=False)
+        assert expected > 2**64
+        for runtime in (spanner.runtime(document), spanner.otf_runtime(document)):
+            lengths.clear()
+            assert count_compiled(runtime, document) == expected
+            assert lengths and max(lengths) > 3000
+
+    def test_powers_equal_stepping_every_run_length(self):
+        # Runs from 0 to past 3 * POWER_MIN, cold and warm: repeats alone,
+        # repeats plus one power, and several powers all count exactly.
+        spanner = Spanner(".*x{a+}.*y{b}.*")
+        for k in range(3 * POWER_MIN + 3):
+            text = "b" + "a" * k + "b" + "a" * (k // 2)
+            expected = spanner.count(text, engine="reference")
+            for runtime in (spanner.runtime(text), spanner.otf_runtime(text)):
+                assert count_compiled(runtime, text, fast_path=False) == expected
+                assert count_compiled(runtime, text) == expected, (k, runtime)
+
+    def test_fast_path_off_builds_no_powers(self, monkeypatch):
+        lengths = power_calls(monkeypatch)
+        spanner = Spanner(".*x{a+}.*")
+        document = "b" + "a" * 5000 + "b"
+        for runtime in (spanner.runtime(document), spanner.otf_runtime(document)):
+            lengths.clear()
+            count = count_compiled(runtime, document, fast_path=False)
+            assert power_tables(runtime) == [] and lengths == []
+            assert count_compiled(runtime, document) == count
+            assert power_tables(runtime) and lengths
+
+    @pytest.mark.parametrize("k", [2 * POWER_MIN, 100, 1 << 10, 5000])
+    def test_a_run_of_k_builds_at_most_log2_k_plus_one_powers(self, k):
+        spanner = Spanner(".*x{a+}.*y{a+}.*")
+        document = "b" + "a" * k + "b"
+        for runtime in (spanner.runtime(document), spanner.otf_runtime(document)):
+            count_compiled(runtime, document)
+            tables = power_tables(runtime)
+            assert tables
+            for _record, _symbol, squares in tables:
+                assert 1 <= len(squares) <= k.bit_length()
+
+    def test_counts_stay_exact_when_the_table_clears_during_a_run(self, monkeypatch):
+        # A table of 2 records is cleared at nearly every new set, also
+        # between a fixed point's step and its powers; plans are kept
+        # (no state-loop fallback), so the power path runs on records
+        # the table has already dropped.
+        spanner = Spanner(".*x{a+}.*y{a+}.*z{a+}.*")
+        document = ("a" * 300 + "b" + "ab" * 3) * 4
+        expected = spanner.count(document, engine="reference")
+        monkeypatch.setattr(kernel, "SET_TABLE_CAP", 2)
+        monkeypatch.setattr(kernel, "PLAN_CREDIT", len(document) * 4)
+        lengths = power_calls(monkeypatch)
+        for form in ("runtime", "otf_runtime"):
+            runtime = getattr(Spanner(spanner.source), form)(document)
+            for _ in range(2):
+                lengths.clear()
+                assert count_compiled(runtime, document) == expected
+                assert count_compiled(runtime, document, fast_path=False) == expected
+                assert len(set_table(runtime).records) <= 2
+                assert len(lengths) >= 4

@@ -12,7 +12,6 @@ from repro.regex.parser import parse_regex
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
-    KERNEL_CHOICES,
     ExecutionPlan,
     choose_plan,
 )
@@ -109,52 +108,30 @@ class TestChoosePlan:
 
 
 class TestKernelAxis:
-    def test_plans_default_to_auto_kernel(self):
-        assert choose_plan(engine="compiled").kernel == "auto"
+    """``kernel=`` is accepted and checked, and selects nothing."""
 
-    def test_kernel_is_carried_through_choose_plan(self):
-        for kernel in KERNEL_CHOICES:
-            plan = choose_plan(engine="compiled", kernel=kernel)
-            assert plan.kernel == kernel
-        plan = Spanner.from_eva(figure3_eva()).plan(kernel="runlength")
-        assert plan.kernel == "runlength"
+    KERNELS = ("auto", "scalar", "runlength")
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            choose_plan(engine="compiled", kernel="warp")
-        with pytest.raises(ValueError):
-            ExecutionPlan("compiled", True, "forced", kernel="warp")
-
-    def test_runlength_kernel_needs_a_class_table_engine(self):
-        with pytest.raises(ValueError):
-            choose_plan(engine="reference", kernel="runlength")
-        with pytest.raises(ValueError):
-            ExecutionPlan("reference", False, "forced", kernel="runlength")
-        assert (
-            choose_plan(engine="compiled-otf", kernel="runlength").kernel
-            == "runlength"
-        )
-
-    def test_streaming_plans_pin_the_scalar_kernel(self):
-        plan = choose_plan(streaming=True, kernel="auto")
-        assert plan.kernel == "scalar"
-        with pytest.raises(ValueError):
-            choose_plan(streaming=True, kernel="runlength")
+        spanner = Spanner.from_eva(figure3_eva())
+        with pytest.raises(ValueError, match="kernel"):
+            spanner.plan(kernel="warp")
+        assert spanner.plan(kernel="runlength") == spanner.plan()
 
     def test_facade_kernel_choices_agree(self):
         spanner = Spanner.from_regex("x{a+}b")
         expected = spanner.count("aab", kernel="scalar")
-        for kernel in KERNEL_CHOICES:
+        for kernel in self.KERNELS:
             assert spanner.count("aab", kernel=kernel) == expected
             assert (
                 len(list(spanner.enumerate("aab", kernel=kernel))) == expected
             )
-            assert spanner.plan("aab", kernel=kernel).kernel == kernel
+            assert spanner.plan("aab", kernel=kernel) == spanner.plan("aab")
 
     def test_facade_constructor_kernel_is_the_default(self):
         spanner = Spanner.from_regex("x{a+}b", kernel="runlength")
         assert spanner.kernel == "runlength"
-        assert spanner.plan("aab", engine="compiled").kernel == "runlength"
+        assert spanner.plan("aab", engine="compiled") == choose_plan(engine="compiled")
         assert spanner.count("aab") == spanner.count("aab", kernel="scalar")
 
     def test_facade_rejects_unknown_kernel(self):

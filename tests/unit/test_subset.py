@@ -59,7 +59,7 @@ def test_slots_grow_mid_call_across_calls_and_a_pickle(fast_path):
     assert runtime.num_states == grown  # warm: nothing left to discover
     assert_plans_known(runtime)
 
-    # Only plain data crosses: no lazy table, set plan, kernel or bound
+    # Only plain data crosses: no lazy table, set plan or bound
     # lookup rides along (closures would not pickle at all).
     payload = pickle.dumps(runtime)
     for name in (
@@ -67,7 +67,6 @@ def test_slots_grow_mid_call_across_calls_and_a_pickle(fast_path):
         b"_VariableTable",
         b"SetTable",
         b"SetRecord",
-        b"RunLengthKernel",
         b"getattr",
     ):
         assert name not in payload

@@ -6,7 +6,8 @@ only ever grow by complete entries.  Four threads alternate ``count``
 and ``evaluate`` on one contacts spanner while the plans (and, for
 ``compiled-otf``, the subsets) are still being built, and every result
 must equal the serial one: arenas array for array where state ids are
-fixed, counts and mapping multisets everywhere.
+fixed, counts and mapping multisets everywhere.  Four more count
+long-run documents, which share the count loop's run powers.
 """
 
 from __future__ import annotations
@@ -41,17 +42,20 @@ def arena_of(spanner: Spanner, text: str) -> tuple:
     return tuple(tuple(getattr(dag, name)) for name in ARENA_ARRAYS)
 
 
-def outcome(spanner: Spanner, text: str, call: int, arenas: bool):
-    if call % 2:
+def outcome(spanner: Spanner, text: str, call: int, arenas: bool, count_only: bool = False):
+    if count_only or call % 2:
         return spanner.count(Document(text))
     if arenas:
         return arena_of(spanner, text)
     return sorted(str(mapping) for mapping in spanner.evaluate(Document(text)))
 
 
-def run_threads(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
-    """Each thread alternates count/evaluate over all texts, starting at
-    its own text; returns each thread's outcomes in call order."""
+def run_threads(
+    spanner: Spanner, texts: list[str], arenas: bool, count_only: bool = False
+) -> list[list]:
+    """Each thread alternates count/evaluate (or only counts) over all
+    texts, starting at its own text; returns each thread's outcomes in
+    call order."""
     results: list[list] = [[] for _ in range(THREADS)]
     errors: list[Exception] = []
     start = threading.Barrier(THREADS)
@@ -61,7 +65,7 @@ def run_threads(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
             start.wait()
             for call in range(CALLS):
                 text = texts[(thread + call) % len(texts)]
-                results[thread].append(outcome(spanner, text, call, arenas))
+                results[thread].append(outcome(spanner, text, call, arenas, count_only))
         except Exception as error:  # surfaced below, with its type
             errors.append(error)
 
@@ -80,10 +84,12 @@ def run_threads(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
     return results
 
 
-def serial_outcomes(spanner: Spanner, texts: list[str], arenas: bool) -> list[list]:
+def serial_outcomes(
+    spanner: Spanner, texts: list[str], arenas: bool, count_only: bool = False
+) -> list[list]:
     return [
         [
-            outcome(spanner, texts[(thread + call) % len(texts)], call, arenas)
+            outcome(spanner, texts[(thread + call) % len(texts)], call, arenas, count_only)
             for call in range(CALLS)
         ]
         for thread in range(THREADS)
@@ -121,3 +127,16 @@ def test_concurrent_discovery_interns_each_subset_once():
     # One id per subset, and every per-subset table has its entry.
     assert len(set(members)) == len(members) == runtime.num_states
     assert len(runtime.class_table) == len(runtime.silent) == runtime.num_states
+
+
+def test_counts_over_long_runs_match_serial_calls():
+    # Long runs take the count loop's powers: the threads build one
+    # record's squares concurrently, and every count stays exact.
+    pattern = ".*x{a+}.*y{a+}.*z{a+}.*"
+    texts = [("a" * (400 * (index + 1)) + "b") * 3 + "a" * 77 for index in range(THREADS)]
+    for engine in ("compiled", "compiled-otf"):
+        expected = serial_outcomes(
+            Spanner(pattern, engine=engine), texts, arenas=False, count_only=True
+        )
+        cold = Spanner(pattern, engine=engine)
+        assert run_threads(cold, texts, arenas=False, count_only=True) == expected
