@@ -406,27 +406,13 @@ def _batch_policy(args: argparse.Namespace) -> "ResiliencePolicy":
     Quarantine is always on: a poison document becomes a line in the
     failure report and a non-zero exit, never a traceback.  Raises
     ``ValueError`` on a malformed ``--inject-faults`` plan or a
-    non-positive guard value.
+    non-positive deadline or guard value (the policy constructors check
+    them).
     """
-    from repro.runtime.resilience import (
-        FaultPlan,
-        ResiliencePolicy,
-        ResourceBudget,
-        RetryPolicy,
-    )
+    from repro.runtime.resilience import FaultPlan, ResiliencePolicy, ResourceBudget
 
-    if args.task_deadline <= 0:
-        raise ValueError(
-            f"--task-deadline must be positive, got {args.task_deadline:g}"
-        )
     budget = None
     if args.max_document_chars is not None or args.max_arena_cells is not None:
-        for name, value in (
-            ("--max-document-chars", args.max_document_chars),
-            ("--max-arena-cells", args.max_arena_cells),
-        ):
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
         budget = ResourceBudget(
             max_document_chars=args.max_document_chars,
             max_arena_cells=args.max_arena_cells,
@@ -435,7 +421,6 @@ def _batch_policy(args: argparse.Namespace) -> "ResiliencePolicy":
     if args.inject_faults is not None:
         faults = FaultPlan.from_json(args.inject_faults)
     return ResiliencePolicy(
-        retry=RetryPolicy(seed=0),
         task_deadline=args.task_deadline,
         quarantine=True,
         budget=budget,

@@ -127,10 +127,10 @@ def thaw_result(portable: tuple, compiled) -> CompiledResultDag | OperatorResult
 # Worker-process plumbing (module level so it pickles under any context)
 # ---------------------------------------------------------------------- #
 
-_worker_compiled: CompiledEVA | CompiledSubsetEVA | PhysicalOperator | None = None
-_worker_engine: str = "compiled"
-_worker_stream_chunk: int = 0  # 0: evaluate documents whole
-_worker_budget: ResourceBudget | None = None
+#: What this process evaluates, set by :func:`_init_worker`: the
+#: ``(compiled, engine, stream_chunk, budget)`` of the run, where a zero
+#: ``stream_chunk`` evaluates documents whole.
+_worker: tuple | None = None
 
 
 def _init_worker(
@@ -140,11 +140,8 @@ def _init_worker(
     budget: ResourceBudget | None = None,
     faults: resilience.FaultPlan | None = None,
 ) -> None:
-    global _worker_compiled, _worker_engine, _worker_stream_chunk, _worker_budget
-    _worker_compiled = compiled
-    _worker_engine = engine
-    _worker_stream_chunk = stream_chunk
-    _worker_budget = budget
+    global _worker
+    _worker = (compiled, engine, stream_chunk, budget)
     resilience.install_fault_plan(faults)
 
 
@@ -168,21 +165,15 @@ def _evaluate_one(
 
 
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
-    compiled = _worker_compiled
-    assert compiled is not None, "worker pool used before initialization"
+    assert _worker is not None, "worker pool used before initialization"
+    compiled, engine, stream_chunk, budget = _worker
     if resilience._ACTIVE_PLAN is not None:
         resilience.maybe_fault("task")
-    budget = _worker_budget
     out = []
     for doc_id, document in chunk:
         if budget is not None:
             budget.check_document(document)
-        result = _evaluate_one(
-            compiled,
-            document,
-            _worker_engine,
-            _worker_stream_chunk,
-        )
+        result = _evaluate_one(compiled, document, engine, stream_chunk)
         if budget is not None:
             budget.check_result(result)
         out.append((doc_id, freeze_result(result, compiled)))
@@ -418,25 +409,14 @@ def _stream_batch(
     workers = max_workers or os.cpu_count() or 1
 
     def inline_setup():
-        saved = (
-            _worker_compiled,
-            _worker_engine,
-            _worker_stream_chunk,
-            _worker_budget,
-        )
+        saved = _worker
         # Same initializer the workers run, minus the fault plan: the
         # inline path is the exactness backstop and must never fault.
         _init_worker(compiled, engine, stream_chunk, policy.budget, None)
 
         def teardown():
-            global _worker_compiled, _worker_engine
-            global _worker_stream_chunk, _worker_budget
-            (
-                _worker_compiled,
-                _worker_engine,
-                _worker_stream_chunk,
-                _worker_budget,
-            ) = saved
+            global _worker
+            _worker = saved
 
         return teardown
 

@@ -30,7 +30,6 @@ from repro.core.documents import OTHER
 from repro.core.errors import CompilationError, NotDeterministicError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet
-from repro.runtime import resilience
 from repro.runtime.encoding import SymbolClassing
 
 __all__ = [
@@ -232,8 +231,6 @@ class CompiledEVA:
     def encode(self, document: object):
         """The cached class-id :class:`~repro.runtime.encoding.EncodedDocument`
         of *document* under this automaton's classing."""
-        if resilience._ACTIVE_PLAN is not None:
-            resilience.maybe_fault("encode")
         return self.classing.encode(document)
 
     # ------------------------------------------------------------------ #

@@ -51,6 +51,7 @@ import sys
 from array import array
 
 from repro.core.documents import OTHER, Document, as_text
+from repro.runtime import resilience
 
 __all__ = [
     "EncodedDocument",
@@ -194,9 +195,16 @@ class SymbolClassing:
     # ------------------------------------------------------------------ #
 
     def encode_fresh(self, text: str) -> EncodedDocument:
-        """Translate *text* into a class-id buffer (no cache consulted)."""
+        """Translate *text* into a class-id buffer (no cache consulted).
+
+        Every encoding runs this pass (whole documents, subset runtimes
+        and streamed chunks alike), so it hosts the ``"encode"`` fault
+        site.
+        """
         global _fresh_passes
         _fresh_passes += 1
+        if resilience._ACTIVE_PLAN is not None:
+            resilience.maybe_fault("encode")
 
         if self._byte_table is not None:
             # Fast path: latin-1 text over a byte-sized classing translates

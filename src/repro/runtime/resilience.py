@@ -21,10 +21,14 @@ The pieces, bottom up:
     :class:`~repro.core.errors.TaskDeadlineError` /
     :class:`~repro.core.errors.WorkerCrashError`.
 
-:class:`RetryPolicy`
-    Capped exponential backoff with deterministic, seedable jitter.
-    Every task function in the repository is a pure function of its
-    payload, so at-least-once resubmission is always safe.
+:func:`retry_delay`
+    Capped exponential backoff (:data:`RETRY_ATTEMPTS` tries per task,
+    delays doubling from :data:`RETRY_BASE_DELAY` up to
+    :data:`RETRY_MAX_DELAY`), with no jitter: the one retrier is the
+    thread collecting a pool's tasks, so there is no crowd of clients to
+    spread out, and a run's delays are reproducible.  Every task
+    function in the repository is a pure function of its payload, so
+    at-least-once resubmission is always safe.
 
 :class:`ResourceBudget`
     Per-document guards: a character budget checked *before* evaluation
@@ -34,9 +38,9 @@ The pieces, bottom up:
     worker be OOM-killed (which would surface as an opaque crash).
 
 :class:`ResiliencePolicy` / :class:`FailureReport`
-    The caller-facing knobs (deadline, retries, rebuild/fallback,
-    quarantine, budget, fault plan) and the structured per-run record of
-    everything that went wrong (quarantined documents plus counters).
+    The caller-facing knobs (deadline, quarantine, budget, fault plan)
+    and the structured per-run record of everything that went wrong
+    (quarantined documents plus counters).
 
 :class:`SupervisedPool`
     A ``multiprocessing.Pool`` wrapper implementing the escalation
@@ -56,9 +60,10 @@ The pieces, bottom up:
     call sites guard on ``resilience._ACTIVE_PLAN is not None`` (one
     module-attribute load and an identity test per document).
 
-Process-wide counters land in :data:`RESILIENCE_METRICS` and surface
-through ``ServerMetrics.snapshot()`` (the ``/metrics`` endpoint) and
-``repro batch --report``.
+Every ladder event is recorded by one call, :func:`_note`, into both
+the process-wide :data:`RESILIENCE_METRICS` (the ``resilience`` block of
+``ServerMetrics.snapshot()``, i.e. ``/metrics``) and the run's
+:class:`FailureReport` (``repro batch --report``).
 """
 
 from __future__ import annotations
@@ -68,10 +73,9 @@ import logging
 import multiprocessing
 import multiprocessing.pool
 import os
-import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.errors import (
@@ -83,6 +87,8 @@ from repro.core.errors import (
 )
 
 __all__ = [
+    "COUNTER_NAMES",
+    "Counters",
     "DEFAULT_POLICY",
     "FAULT_ACTIONS",
     "FAULT_SITES",
@@ -92,15 +98,16 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "RESILIENCE_METRICS",
-    "ResilienceMetrics",
+    "RETRY_ATTEMPTS",
+    "RETRY_BASE_DELAY",
+    "RETRY_MAX_DELAY",
     "ResiliencePolicy",
     "ResourceBudget",
-    "RetryPolicy",
     "SupervisedPool",
     "clear_fault_plan",
     "install_fault_plan",
     "maybe_fault",
-    "resilience_metrics_snapshot",
+    "retry_delay",
     "supervised_get",
 ]
 
@@ -173,15 +180,11 @@ class FaultPlan:
     The plan crosses the process boundary through pool initializer
     arguments; each process owns its arrival counters, so a given worker
     sees a reproducible fault sequence as a function of the tasks it
-    handled.  *seed* does not drive any randomness inside the plan
-    (triggers are pure arrival counts — determinism is the point); it is
-    carried so harness code can derive, say, jittered retry delays from
-    the same number.
+    handled.
     """
 
-    def __init__(self, specs: Sequence[FaultSpec], *, seed: int = 0) -> None:
+    def __init__(self, specs: Sequence[FaultSpec]) -> None:
         self.specs = tuple(specs)
-        self.seed = seed
         self._arrivals: dict[str, int] = {}
 
     @classmethod
@@ -244,7 +247,7 @@ class FaultPlan:
             os._exit(KILL_EXIT_STATUS)
 
     def __repr__(self) -> str:
-        return f"FaultPlan({len(self.specs)} specs, seed={self.seed})"
+        return f"FaultPlan({len(self.specs)} specs)"
 
 
 #: The process-local active plan.  ``None`` (the overwhelmingly common
@@ -280,82 +283,52 @@ def maybe_fault(site: str) -> None:
 # ---------------------------------------------------------------------- #
 
 
-class ResilienceMetrics:
-    """Process-wide fault-tolerance counters.
+#: Every fault-tolerance counter, in snapshot order.  A run's
+#: :class:`FailureReport` keeps all but the last: a resource-limit trip
+#: is counted where it happens (possibly in a worker), not per run.
+COUNTER_NAMES = (
+    "tasks_retried",
+    "worker_crashes",
+    "deadlines_exceeded",
+    "pool_rebuilds",
+    "inline_fallbacks",
+    "documents_quarantined",
+    "resource_limit_trips",
+)
 
-    Lock-guarded: the counters are written from supervision call sites
-    on any thread and snapshotted by the server's ``/metrics`` endpoint.
+
+class Counters:
+    """Lock-guarded integer counters over a fixed set of names.
+
+    Written from supervision call sites on any thread and snapshotted by
+    the server's ``/metrics`` endpoint and ``repro batch --report``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, names: Sequence[str]) -> None:
         self._lock = threading.Lock()
-        self._tasks_retried = 0
-        self._worker_crashes = 0
-        self._deadlines_exceeded = 0
-        self._pool_rebuilds = 0
-        self._inline_fallbacks = 0
-        self._documents_quarantined = 0
-        self._resource_limit_trips = 0
+        self._values = dict.fromkeys(names, 0)
 
-    def task_retried(self) -> None:
+    def add(self, name: str) -> None:
+        """Count one *name* event; an unknown name raises ``ValueError``."""
         with self._lock:
-            self._tasks_retried += 1
+            if name not in self._values:
+                raise ValueError(
+                    f"unknown counter {name!r}; expected one of {tuple(self._values)}"
+                )
+            self._values[name] += 1
 
-    def worker_crashed(self) -> None:
+    def snapshot(self) -> dict[str, int]:
+        """The JSON-ready counter block, in declaration order."""
         with self._lock:
-            self._worker_crashes += 1
-
-    def deadline_exceeded(self) -> None:
-        with self._lock:
-            self._deadlines_exceeded += 1
-
-    def pool_rebuilt(self) -> None:
-        with self._lock:
-            self._pool_rebuilds += 1
-
-    def inline_fallback(self) -> None:
-        with self._lock:
-            self._inline_fallbacks += 1
-
-    def document_quarantined(self) -> None:
-        with self._lock:
-            self._documents_quarantined += 1
-
-    def resource_limit_tripped(self) -> None:
-        with self._lock:
-            self._resource_limit_trips += 1
+            return dict(self._values)
 
     def reset(self) -> None:
         with self._lock:
-            self._tasks_retried = 0
-            self._worker_crashes = 0
-            self._deadlines_exceeded = 0
-            self._pool_rebuilds = 0
-            self._inline_fallbacks = 0
-            self._documents_quarantined = 0
-            self._resource_limit_trips = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """The JSON-ready counter block exposed under ``/metrics``."""
-        with self._lock:
-            return {
-                "tasks_retried": self._tasks_retried,
-                "worker_crashes": self._worker_crashes,
-                "deadlines_exceeded": self._deadlines_exceeded,
-                "pool_rebuilds": self._pool_rebuilds,
-                "inline_fallbacks": self._inline_fallbacks,
-                "documents_quarantined": self._documents_quarantined,
-                "resource_limit_trips": self._resource_limit_trips,
-            }
+            self._values = dict.fromkeys(self._values, 0)
 
 
-#: The process-wide metrics instance every supervised execution records to.
-RESILIENCE_METRICS = ResilienceMetrics()
-
-
-def resilience_metrics_snapshot() -> dict[str, int]:
-    """The process-wide resilience counters (the server's ``/metrics`` block)."""
-    return RESILIENCE_METRICS.snapshot()
+#: The process-wide counters every supervised execution records to.
+RESILIENCE_METRICS = Counters(COUNTER_NAMES)
 
 
 # ---------------------------------------------------------------------- #
@@ -390,7 +363,7 @@ class ResourceBudget:
         if cap is not None:
             length = len(document)  # type: ignore[arg-type]
             if length > cap:
-                RESILIENCE_METRICS.resource_limit_tripped()
+                RESILIENCE_METRICS.add("resource_limit_trips")
                 raise ResourceLimitError(
                     f"document of {length} characters exceeds the "
                     f"per-document budget of {cap}"
@@ -407,7 +380,7 @@ class ResourceBudget:
         if cap is not None:
             cells = len(getattr(result, "cell_nodes", ()))
             if cells > cap:
-                RESILIENCE_METRICS.resource_limit_tripped()
+                RESILIENCE_METRICS.add("resource_limit_trips")
                 raise ResourceLimitError(
                     f"result arena of {cells} list cells exceeds the "
                     f"per-document budget of {cap}"
@@ -415,49 +388,21 @@ class ResourceBudget:
 
 
 # ---------------------------------------------------------------------- #
-# Retry policy and the caller-facing policy bundle
+# Retry schedule and the caller-facing policy bundle
 # ---------------------------------------------------------------------- #
 
+#: Tries per task before the ladder escalates (one pool rebuild, then
+#: inline evaluation).
+RETRY_ATTEMPTS = 3
+#: Seconds slept after a task's first failed try; doubles per try.
+RETRY_BASE_DELAY = 0.05
+#: The cap on one retry's sleep.
+RETRY_MAX_DELAY = 2.0
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic, seedable jitter.
 
-    Attempt ``k`` (1-based) sleeps ``min(base_delay * 2**(k-1),
-    max_delay)`` plus a jitter fraction of that, drawn from the
-    caller-held RNG — pass ``seed`` so a run's delay sequence is
-    reproducible (the chaos suite pins it).
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.max_delay < self.base_delay:
-            raise ValueError(
-                f"max_delay ({self.max_delay}) must be >= base_delay "
-                f"({self.base_delay})"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def rng(self) -> random.Random:
-        """A fresh RNG for one run's jitter draws (seeded when *seed* is)."""
-        return random.Random(self.seed)
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Seconds to sleep before re-submitting after failed *attempt*."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        base = min(self.base_delay * (2 ** (attempt - 1)), self.max_delay)
-        return base + base * self.jitter * rng.random()
+def retry_delay(attempt: int) -> float:
+    """Seconds to sleep before resubmitting after failed *attempt* (1-based)."""
+    return min(RETRY_BASE_DELAY * 2 ** (attempt - 1), RETRY_MAX_DELAY)
 
 
 @dataclass(frozen=True)
@@ -465,22 +410,16 @@ class ResiliencePolicy:
     """Everything a supervised execution needs to know about failure.
 
     The defaults supervise without changing healthy-run semantics: a
-    generous deadline bounds hangs, crashes are retried and ultimately
-    degraded to exact inline evaluation, and failures *raise* (typed)
-    rather than quarantine.  Callers that prefer partial results over
-    fail-fast (the CLI batch command) set ``quarantine=True`` and read
-    the :class:`FailureReport`.
+    generous deadline bounds hangs, crashes are retried, the pool is
+    rebuilt once and the run ultimately degraded to exact inline
+    evaluation, and failures *raise* (typed) rather than quarantine.
+    Callers that prefer partial results over fail-fast (the CLI batch
+    command) set ``quarantine=True`` and read the :class:`FailureReport`.
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Seconds one pooled task may run before it is presumed lost;
     #: ``None`` disables the deadline (crash detection still applies).
     task_deadline: float | None = 300.0
-    #: Rebuild a broken pool once before giving up on pooled execution.
-    rebuild_pool: bool = True
-    #: After the rebuild is spent, demote to inline serial evaluation
-    #: (exact, just slower) instead of raising.
-    fallback_inline: bool = True
     #: Record failing documents in the report and keep going, instead of
     #: raising on the first poison document.
     quarantine: bool = False
@@ -539,13 +478,8 @@ class FailureReport:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[FailureRecord] = []
-        self._tasks_retried = 0
-        self._worker_crashes = 0
-        self._deadlines_exceeded = 0
-        self._pool_rebuilds = 0
-        self._inline_fallbacks = 0
-
-    # -- recording (mirrored into the process-wide metrics by callers) --
+        #: This run's ladder events, recorded through :func:`_note`.
+        self.counters = Counters(COUNTER_NAMES[:-1])
 
     def quarantine(
         self, doc_id: object, stage: str, error: BaseException, *, attempts: int = 1
@@ -559,69 +493,32 @@ class FailureReport:
         )
         with self._lock:
             self._records.append(record)
-        RESILIENCE_METRICS.document_quarantined()
+            _note("documents_quarantined", self)
         return record
-
-    def task_retried(self) -> None:
-        with self._lock:
-            self._tasks_retried += 1
-
-    def worker_crashed(self) -> None:
-        with self._lock:
-            self._worker_crashes += 1
-
-    def deadline_exceeded(self) -> None:
-        with self._lock:
-            self._deadlines_exceeded += 1
-
-    def pool_rebuilt(self) -> None:
-        with self._lock:
-            self._pool_rebuilds += 1
-
-    def inline_fallback(self) -> None:
-        with self._lock:
-            self._inline_fallbacks += 1
-
-    # -- reading --
 
     @property
     def quarantined(self) -> tuple[FailureRecord, ...]:
         with self._lock:
             return tuple(self._records)
 
-    @property
-    def tasks_retried(self) -> int:
-        with self._lock:
-            return self._tasks_retried
-
-    @property
-    def pool_rebuilds(self) -> int:
-        with self._lock:
-            return self._pool_rebuilds
-
-    @property
-    def inline_fallbacks(self) -> int:
-        with self._lock:
-            return self._inline_fallbacks
-
     def as_dict(self) -> dict[str, object]:
         """The JSON-ready report (``repro batch --report`` prints this)."""
         with self._lock:
             return {
                 "quarantined": [record.as_dict() for record in self._records],
-                "counters": {
-                    "tasks_retried": self._tasks_retried,
-                    "worker_crashes": self._worker_crashes,
-                    "deadlines_exceeded": self._deadlines_exceeded,
-                    "pool_rebuilds": self._pool_rebuilds,
-                    "inline_fallbacks": self._inline_fallbacks,
-                    "documents_quarantined": len(self._records),
-                },
+                "counters": self.counters.snapshot(),
             }
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
+
+
+def _note(event: str, report: FailureReport | None) -> None:
+    """Record one ladder *event* process-wide and in the run's *report*."""
+    RESILIENCE_METRICS.add(event)
+    if report is not None:
+        report.counters.add(event)
 
 
 # ---------------------------------------------------------------------- #
@@ -675,17 +572,13 @@ def supervised_get(
         except multiprocessing.TimeoutError:
             current = _pids_of(raw_pool)
             if known_pids - current:
-                RESILIENCE_METRICS.worker_crashed()
-                if report is not None:
-                    report.worker_crashed()
+                _note("worker_crashes", report)
                 raise WorkerCrashError(
                     "a pool worker died while the task was pending "
                     f"(workers now {sorted(current)}, were {sorted(known_pids)})"
                 ) from None
             if end is not None and time.monotonic() >= end:
-                RESILIENCE_METRICS.deadline_exceeded()
-                if report is not None:
-                    report.deadline_exceeded()
+                _note("deadlines_exceeded", report)
                 raise TaskDeadlineError(
                     f"pooled task missed its {deadline:g}s deadline"
                 ) from None
@@ -718,7 +611,6 @@ class SupervisedPool:
         inline_setup: Callable[[], Callable[[], None]],
         policy: ResiliencePolicy | None = None,
         report: FailureReport | None = None,
-        context: multiprocessing.context.BaseContext | None = None,
     ) -> None:
         if workers < 1:
             raise EvaluationError(f"worker count must be positive, got {workers}")
@@ -728,8 +620,6 @@ class SupervisedPool:
         self._inline_setup = inline_setup
         self._policy = policy if policy is not None else DEFAULT_POLICY
         self._report = report
-        self._context = context if context is not None else multiprocessing.get_context()
-        self._rng = self._policy.retry.rng()
         self._generation = 0
         self._rebuilt = False
         self._inline = False
@@ -747,7 +637,7 @@ class SupervisedPool:
         self._deaths = 0
 
     def _start(self) -> multiprocessing.pool.Pool:
-        return self._context.Pool(
+        return multiprocessing.Pool(
             processes=self.workers,
             initializer=self._initializer,
             initargs=self._initargs,
@@ -795,12 +685,9 @@ class SupervisedPool:
     def collect(self, task: "SupervisedPool._Task") -> Any:
         """Wait for *task*, escalating through retry → rebuild → inline.
 
-        Raises what the task deterministically raises (``ReproError``),
-        or — with the fallback disabled — the final
-        :class:`WorkerCrashError` / :class:`TaskDeadlineError`.
+        Raises what the task deterministically raises (``ReproError``);
+        a crash or deadline ends, at worst, in exact inline evaluation.
         """
-        policy = self._policy
-        retry = policy.retry
         while True:
             if self._inline or self._pool is None:
                 return self.run_inline(task.fn, task.payload)
@@ -817,7 +704,7 @@ class SupervisedPool:
             try:
                 return supervised_get(
                     task.handle,
-                    deadline=policy.task_deadline,
+                    deadline=self._policy.task_deadline,
                     known_pids=self._pids,
                     raw_pool=self._pool,
                     report=self._report,
@@ -828,43 +715,31 @@ class SupervisedPool:
                     self._pids &= _pids_of(self._pool)
                 self._abandoned += 1  # the old handle will never resolve
                 task.attempts += 1
-                if task.attempts < retry.max_attempts:
+                if task.attempts < RETRY_ATTEMPTS:
                     self._note_retry(task)
-                    continue
-                if policy.rebuild_pool and not self._rebuilt:
+                elif not self._rebuilt:
                     self._rebuild()
                     task.attempts = 0
-                    continue
-                if policy.fallback_inline:
+                else:
                     self._demote()
-                    continue
-                raise crash
             except ReproError:
                 raise  # deterministic: a retry cannot change the outcome
             except Exception:
                 # Raised *inside* the worker — unexpected, presumed
                 # transient (the injected-fault harness lands here too).
                 task.attempts += 1
-                if task.attempts < retry.max_attempts:
+                if task.attempts < RETRY_ATTEMPTS:
                     self._note_retry(task)
                     continue
-                if policy.fallback_inline:
-                    # The pool itself is healthy (the worker answered);
-                    # isolate this task inline and let a genuinely
-                    # deterministic error propagate from there.
-                    RESILIENCE_METRICS.inline_fallback()
-                    if self._report is not None:
-                        self._report.inline_fallback()
-                    return self.run_inline(task.fn, task.payload)
-                raise
+                # The pool itself is healthy (the worker answered);
+                # isolate this task inline and let a genuinely
+                # deterministic error propagate from there.
+                _note("inline_fallbacks", self._report)
+                return self.run_inline(task.fn, task.payload)
 
     def _note_retry(self, task: "SupervisedPool._Task") -> None:
-        RESILIENCE_METRICS.task_retried()
-        if self._report is not None:
-            self._report.task_retried()
-        delay = self._policy.retry.delay(task.attempts, self._rng)
-        if delay > 0:
-            time.sleep(delay)
+        _note("tasks_retried", self._report)
+        time.sleep(retry_delay(task.attempts))
         self._resubmit(task)
 
     def _resubmit(self, task: "SupervisedPool._Task") -> None:
@@ -874,9 +749,7 @@ class SupervisedPool:
         task.generation = self._generation
 
     def _rebuild(self) -> None:
-        RESILIENCE_METRICS.pool_rebuilt()
-        if self._report is not None:
-            self._report.pool_rebuilt()
+        _note("pool_rebuilds", self._report)
         old = self._pool
         self._rebuilt = True
         self._generation += 1
@@ -891,9 +764,7 @@ class SupervisedPool:
         self._pids = _pids_of(self._pool)
 
     def _demote(self) -> None:
-        RESILIENCE_METRICS.inline_fallback()
-        if self._report is not None:
-            self._report.inline_fallback()
+        _note("inline_fallbacks", self._report)
         self._inline = True
         old = self._pool
         self._pool = None

@@ -21,7 +21,7 @@ import threading
 from typing import Iterable
 
 from repro.runtime.plan import PlanCache
-from repro.runtime.resilience import resilience_metrics_snapshot
+from repro.runtime.resilience import RESILIENCE_METRICS
 
 __all__ = ["LatencyRing", "ServerMetrics"]
 
@@ -202,5 +202,5 @@ class ServerMetrics:
         # worker crashes, deadline misses, pool rebuilds, inline
         # fallbacks, quarantined documents and resource-budget trips,
         # whichever executor recorded them.
-        payload["resilience"] = resilience_metrics_snapshot()
+        payload["resilience"] = RESILIENCE_METRICS.snapshot()
         return payload

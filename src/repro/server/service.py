@@ -184,7 +184,7 @@ class Session:
         if cell_cap:
             cells = self._evaluator.arena_cells()
             if cells > cell_cap:
-                RESILIENCE_METRICS.resource_limit_tripped()
+                RESILIENCE_METRICS.add("resource_limit_trips")
                 raise ResourceLimitError(
                     f"session {self.session_id} exceeded the per-session cap "
                     f"of {cell_cap} arena cells ({cells} live after this "

@@ -18,23 +18,32 @@ import pytest
 
 from repro.core.documents import DocumentCollection
 from repro.core.errors import ResourceLimitError
+from repro.runtime import resilience
 from repro.runtime.resilience import (
+    RESILIENCE_METRICS,
     FailureReport,
     FaultPlan,
     FaultSpec,
     ResiliencePolicy,
     KILL_EXIT_STATUS,
     ResourceBudget,
-    RetryPolicy,
     SupervisedPool,
 )
 from repro.spanners.spanner import Spanner
 
 PATTERN = ".*x{a+} .*"
 
-#: Retries back off from 10ms and the pool is given 20s per task — far
-#: past any healthy task here, so a deadline trip is always deliberate.
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05, seed=7)
+
+@pytest.fixture(autouse=True)
+def fast_retry(monkeypatch):
+    """Two tries per task, backing off from 10ms.
+
+    The pool is given 20s per task — far past any healthy task here, so
+    a deadline trip is always deliberate.
+    """
+    monkeypatch.setattr(resilience, "RETRY_ATTEMPTS", 2)
+    monkeypatch.setattr(resilience, "RETRY_BASE_DELAY", 0.01)
+    monkeypatch.setattr(resilience, "RETRY_MAX_DELAY", 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +64,26 @@ def serial_results(spanner, documents):
 
 
 def run_supervised(spanner, documents, policy, report, **kwargs):
+    """Run a supervised batch; every ladder event must land in both stores.
+
+    The process-wide counters are reset first, so afterwards they must
+    equal the run's report — one recording call feeds both.  Resource
+    limit trips are counted where they happen and the report has none.
+    """
     kwargs.setdefault("mode", "processes")
     kwargs.setdefault("max_workers", 1)
     kwargs.setdefault("chunk_size", 2)
-    return {
+    RESILIENCE_METRICS.reset()
+    results = {
         doc_id: result.to_portable()
         for doc_id, result in spanner.run_batch(
             documents, policy=policy, report=report, **kwargs
         )
     }
+    process_wide = RESILIENCE_METRICS.snapshot()
+    del process_wide["resource_limit_trips"]
+    assert process_wide == report.as_dict()["counters"]
+    return results
 
 
 def _no_setup(*_args):
@@ -81,7 +101,6 @@ def _die_once(args):
 
 
 def policy_with(faults, **overrides):
-    overrides.setdefault("retry", FAST_RETRY)
     overrides.setdefault("task_deadline", 20.0)
     return ResiliencePolicy(faults=faults, **overrides)
 
@@ -105,7 +124,7 @@ class TestInjectedRaise:
         plan = FaultPlan([FaultSpec(site="evaluate", action="raise", nth=1)])
         results = run_supervised(spanner, documents, policy_with(plan), report)
         assert results == serial_results
-        assert report.tasks_retried >= 1
+        assert report.as_dict()["counters"]["tasks_retried"] >= 1
 
     def test_encode_site_raise_is_retried_to_exact_results(
         self, spanner, documents, serial_results
@@ -114,7 +133,7 @@ class TestInjectedRaise:
         plan = FaultPlan([FaultSpec(site="encode", action="raise", nth=1)])
         results = run_supervised(spanner, documents, policy_with(plan), report)
         assert results == serial_results
-        assert report.tasks_retried >= 1
+        assert report.as_dict()["counters"]["tasks_retried"] >= 1
 
     def test_persistent_raise_isolates_inline_and_stays_exact(
         self, spanner, documents, serial_results
@@ -128,7 +147,7 @@ class TestInjectedRaise:
         )
         results = run_supervised(spanner, documents, policy_with(plan), report)
         assert results == serial_results
-        assert report.inline_fallbacks >= 1
+        assert report.as_dict()["counters"]["inline_fallbacks"] >= 1
         assert len(report) == 0
 
 
@@ -172,7 +191,7 @@ class TestWorkerKill:
             initializer=_no_setup,
             initargs=(),
             inline_setup=lambda: _no_setup,
-            policy=ResiliencePolicy(retry=FAST_RETRY, task_deadline=300.0),
+            policy=ResiliencePolicy(task_deadline=300.0),
             report=report,
         )
         marker = str(tmp_path / "died")
@@ -208,18 +227,16 @@ class TestWorkerKill:
 
 class TestDeadline:
     def test_delay_past_deadline_falls_back_exactly(
-        self, spanner, documents, serial_results
+        self, spanner, documents, serial_results, monkeypatch
     ):
         # Every task dawdles past the deadline; the supervisor treats the
         # misses as crashes, spends the rebuild, then demotes inline.
+        monkeypatch.setattr(resilience, "RETRY_ATTEMPTS", 1)
         report = FailureReport()
         plan = FaultPlan(
             [FaultSpec(site="task", action="delay", nth=1, count=10**6, seconds=1.0)]
         )
-        policy = policy_with(
-            plan, retry=RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0),
-            task_deadline=0.2,
-        )
+        policy = policy_with(plan, task_deadline=0.2)
         results = run_supervised(spanner, documents, policy, report)
         assert results == serial_results
         counters = report.as_dict()["counters"]
@@ -239,7 +256,6 @@ class TestQuarantine:
     def test_oversized_document_is_quarantined_not_fatal(self, spanner, mixed, mode):
         report = FailureReport()
         policy = ResiliencePolicy(
-            retry=FAST_RETRY,
             task_deadline=20.0,
             quarantine=True,
             budget=ResourceBudget(max_document_chars=400),
@@ -266,7 +282,6 @@ class TestQuarantine:
         self, spanner, mixed
     ):
         policy = ResiliencePolicy(
-            retry=FAST_RETRY,
             task_deadline=20.0,
             budget=ResourceBudget(max_document_chars=400),
         )
@@ -276,6 +291,42 @@ class TestQuarantine:
                     mixed, mode="processes", max_workers=1, policy=policy
                 )
             )
+
+
+class TestEncodeSite:
+    @pytest.mark.parametrize(
+        "engine, streaming",
+        [("compiled", False), ("compiled", True), ("compiled-otf", False)],
+        ids=["compiled", "compiled-streaming", "compiled-otf"],
+    )
+    def test_encode_fault_fires_on_every_run(self, spanner, engine, streaming):
+        # The "encode" site sits in the one pass every encoding runs, so
+        # a persistent raise there quarantines every document whichever
+        # engine (or chunk-fed evaluation) encodes it.  Fresh documents:
+        # a cached encoding would never reach the site.
+        documents = DocumentCollection(
+            {f"doc{index}": "aa bb aaa cc " * (index + 1) for index in range(4)}
+        )
+        report = FailureReport()
+        plan = FaultPlan(
+            [FaultSpec(site="encode", action="raise", nth=1, count=10**6)]
+        )
+        results = run_supervised(
+            spanner,
+            documents,
+            ResiliencePolicy(quarantine=True, faults=plan),
+            report,
+            mode="serial",
+            engine=engine,
+            streaming=streaming,
+        )
+        assert results == {}
+        assert [record.doc_id for record in report.quarantined] == list(
+            documents.ids()
+        )
+        assert {record.error_type for record in report.quarantined} == {
+            "InjectedFault"
+        }
 
 
 class TestFaultPlanDeterminism:

@@ -2,13 +2,12 @@
 
 The process-level behaviour (real worker kills, pool rebuilds, inline
 demotion) lives in tests/chaos/; these tests pin the pure pieces — the
-retry schedule, the resource guards, the failure report schema, the
-fault-plan parser and arrival counters, and deadline supervision over a
-fake result handle.
+retry schedule, the counters, the resource guards, the failure report
+schema, the fault-plan parser and arrival counters, and deadline
+supervision over a fake result handle.
 """
 
 import multiprocessing
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -20,19 +19,20 @@ from repro.core.errors import (
     TaskDeadlineError,
     WorkerCrashError,
 )
+from repro.runtime import resilience
 from repro.runtime.resilience import (
     RESILIENCE_METRICS,
+    Counters,
     FailureReport,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     ResourceBudget,
-    RetryPolicy,
     SupervisedPool,
     install_fault_plan,
     clear_fault_plan,
     maybe_fault,
-    resilience_metrics_snapshot,
+    retry_delay,
     supervised_get,
 )
 
@@ -53,33 +53,11 @@ class TestErrorTaxonomy:
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="base_delay"):
-            RetryPolicy(base_delay=-1)
-        with pytest.raises(ValueError, match="max_delay"):
-            RetryPolicy(base_delay=1.0, max_delay=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-
-    def test_delay_doubles_then_caps(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.4, jitter=0.0)
-        rng = policy.rng()
-        delays = [policy.delay(attempt, rng) for attempt in (1, 2, 3, 4, 5)]
+    def test_delay_doubles_then_caps(self, monkeypatch):
+        monkeypatch.setattr(resilience, "RETRY_BASE_DELAY", 0.1)
+        monkeypatch.setattr(resilience, "RETRY_MAX_DELAY", 0.4)
+        delays = [retry_delay(attempt) for attempt in (1, 2, 3, 4, 5)]
         assert delays == pytest.approx([0.1, 0.2, 0.4, 0.4, 0.4])
-
-    def test_seeded_jitter_is_reproducible(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.5, seed=42)
-        first = [policy.delay(k, policy.rng()) for k in (1, 2, 3)]
-        second = [policy.delay(k, policy.rng()) for k in (1, 2, 3)]
-        assert first == second
-        base = RetryPolicy(base_delay=0.1, jitter=0.0).delay(1, random.Random())
-        assert first[0] >= base
-
-    def test_rejects_non_positive_attempt(self):
-        with pytest.raises(ValueError, match="attempt"):
-            RetryPolicy().delay(0, random.Random())
 
 
 class TestResourceBudget:
@@ -107,10 +85,10 @@ class TestResourceBudget:
         ResourceBudget(max_arena_cells=1).check_result(object())
 
     def test_trips_are_counted(self):
-        before = resilience_metrics_snapshot()["resource_limit_trips"]
+        before = RESILIENCE_METRICS.snapshot()["resource_limit_trips"]
         with pytest.raises(ResourceLimitError):
             ResourceBudget(max_document_chars=1).check_document("xx")
-        after = resilience_metrics_snapshot()["resource_limit_trips"]
+        after = RESILIENCE_METRICS.snapshot()["resource_limit_trips"]
         assert after == before + 1
 
 
@@ -119,9 +97,9 @@ class TestFailureReport:
         report = FailureReport()
         assert len(report) == 0
         report.quarantine("doc-7", "guard", ResourceLimitError("too big"))
-        report.task_retried()
-        report.pool_rebuilt()
-        report.inline_fallback()
+        report.counters.add("tasks_retried")
+        report.counters.add("pool_rebuilds")
+        report.counters.add("inline_fallbacks")
         payload = report.as_dict()
         assert payload["quarantined"] == [
             {
@@ -144,9 +122,9 @@ class TestFailureReport:
         assert report.quarantined[0].doc_id == "doc-7"
 
     def test_quarantine_mirrors_into_process_metrics(self):
-        before = resilience_metrics_snapshot()["documents_quarantined"]
+        before = RESILIENCE_METRICS.snapshot()["documents_quarantined"]
         FailureReport().quarantine("d", "evaluate", RuntimeError("x"))
-        after = resilience_metrics_snapshot()["documents_quarantined"]
+        after = RESILIENCE_METRICS.snapshot()["documents_quarantined"]
         assert after == before + 1
 
 
@@ -249,7 +227,7 @@ class TestSupervisedGet:
 
     def test_deadline_miss_is_typed_and_counted(self):
         report = FailureReport()
-        before = resilience_metrics_snapshot()["deadlines_exceeded"]
+        before = RESILIENCE_METRICS.snapshot()["deadlines_exceeded"]
         with pytest.raises(TaskDeadlineError, match="deadline"):
             supervised_get(
                 _FakeHandle(),
@@ -258,7 +236,7 @@ class TestSupervisedGet:
                 report=report,
                 poll=0.01,
             )
-        assert resilience_metrics_snapshot()["deadlines_exceeded"] == before + 1
+        assert RESILIENCE_METRICS.snapshot()["deadlines_exceeded"] == before + 1
         assert report.as_dict()["counters"]["deadlines_exceeded"] == 1
 
     def test_no_deadline_keeps_polling(self):
@@ -316,10 +294,19 @@ class TestMetricsSnapshot:
             "documents_quarantined",
             "resource_limit_trips",
         }
-        RESILIENCE_METRICS.task_retried()
+        RESILIENCE_METRICS.add("tasks_retried")
         assert RESILIENCE_METRICS.snapshot()["tasks_retried"] >= 1
         RESILIENCE_METRICS.reset()
         assert all(value == 0 for value in RESILIENCE_METRICS.snapshot().values())
+
+    def test_unknown_counter_name_is_rejected(self):
+        counters = Counters(("tasks_retried",))
+        with pytest.raises(ValueError, match="unknown counter 'task_retried'"):
+            counters.add("task_retried")
+        # A report has no resource-limit counter: trips are process-wide.
+        with pytest.raises(ValueError, match="unknown counter"):
+            FailureReport().counters.add("resource_limit_trips")
+        assert counters.snapshot() == {"tasks_retried": 0}
 
 
 def _no_setup():

@@ -110,7 +110,7 @@ class TestServerMetrics:
             "documents_quarantined": 0,
             "resource_limit_trips": 0,
         }
-        RESILIENCE_METRICS.resource_limit_tripped()
+        RESILIENCE_METRICS.add("resource_limit_trips")
         try:
             assert (
                 ServerMetrics().snapshot()["resilience"]["resource_limit_trips"] == 1
