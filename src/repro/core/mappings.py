@@ -23,6 +23,14 @@ __all__ = ["Mapping"]
 class Mapping:
     """An immutable partial function from variable names to :class:`Span`.
 
+    The public constructor validates every key and value.  The arena walk
+    of :mod:`repro.runtime.dag` builds its mappings with the trusted
+    form instead — ``Mapping.__new__(Mapping)`` plus stores to
+    ``_assignment`` (a fresh ``dict`` of variable name to :class:`Span`)
+    and ``_hash = None`` — because the arena already guarantees what the
+    checks test.  ``tools/check_trusted_constructors.py`` keeps that form
+    out of every other module.
+
     >>> m = Mapping({"name": Span(0, 4), "email": Span(6, 12)})
     >>> m["name"]
     Span(0, 4)
@@ -35,12 +43,19 @@ class Mapping:
     EMPTY: "Mapping"
 
     def __init__(self, assignment: TypingMapping[str, Span] | Iterable[tuple[str, Span]] = ()) -> None:
-        items = dict(assignment)
-        for variable, span in items.items():
-            if not isinstance(variable, str):
-                raise SpanError(f"variable names must be strings, got {variable!r}")
-            if not isinstance(span, Span):
-                raise SpanError(f"values must be Span instances, got {span!r} for {variable!r}")
+        if isinstance(assignment, Mapping):
+            # Already validated, and ``dict(mapping)`` would fail: a
+            # Mapping iterates its variables but has no ``keys()``.
+            items = dict(assignment._assignment)
+        else:
+            items = dict(assignment)
+            for variable, span in items.items():
+                if not isinstance(variable, str):
+                    raise SpanError(f"variable names must be strings, got {variable!r}")
+                if not isinstance(span, Span):
+                    raise SpanError(
+                        f"values must be Span instances, got {span!r} for {variable!r}"
+                    )
         self._assignment: dict[str, Span] = items
         self._hash: int | None = None
 
@@ -91,11 +106,24 @@ class Mapping:
         return all(variable in self._assignment for variable in variables)
 
     def contents(self, document: object) -> dict[str, str]:
-        """Return ``{variable: extracted text}`` for *document*."""
-        return {
-            variable: span.content(document)
-            for variable, span in self._assignment.items()
-        }
+        """Return ``{variable: extracted text}`` for *document*.
+
+        Resolves the text once, then checks and slices each span inline;
+        a span past the end raises the :class:`SpanError` that
+        :meth:`Span.content` raises.
+        """
+        if not self._assignment:
+            # Nothing to extract, so *document* is never read.
+            return {}
+        text = document if isinstance(document, str) else getattr(document, "text")
+        size = len(text)
+        extracted = {}
+        for variable, span in self._assignment.items():
+            end = span._end
+            if end > size:
+                raise SpanError(f"span {span} does not fit document of length {size}")
+            extracted[variable] = text[span._begin:end]
+        return extracted
 
     # ------------------------------------------------------------------ #
     # Algebra on mappings (paper, Section 2)

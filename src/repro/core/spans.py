@@ -25,6 +25,14 @@ class Span:
     ``(begin, end)``), so they can be used as dictionary keys, stored in
     sets, and sorted to produce deterministic output orders.
 
+    The public constructor validates its endpoints (``bool`` is rejected
+    although it is an ``int`` subclass).  The arena walk of
+    :mod:`repro.runtime.dag` builds spans with the trusted form instead —
+    ``Span.__new__(Span)`` plus stores to ``_begin`` and ``_end`` —
+    because the arena already guarantees integer endpoints with
+    ``0 ≤ begin ≤ end ≤ |d|``.  ``tools/check_trusted_constructors.py``
+    keeps that form out of every other module.
+
     >>> s = Span(0, 4)
     >>> s.content("John and Jane")
     'John'
@@ -35,7 +43,12 @@ class Span:
     __slots__ = ("_begin", "_end")
 
     def __init__(self, begin: int, end: int) -> None:
-        if not isinstance(begin, int) or not isinstance(end, int):
+        if (
+            not isinstance(begin, int)
+            or not isinstance(end, int)
+            or isinstance(begin, bool)
+            or isinstance(end, bool)
+        ):
             raise SpanError(f"span endpoints must be integers, got ({begin!r}, {end!r})")
         if begin < 0:
             raise SpanError(f"span begin must be non-negative, got {begin}")

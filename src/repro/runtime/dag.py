@@ -20,11 +20,17 @@ reference nodes created before them, so children always have smaller ids
 than their parents and counting is a single forward loop — no recursion, no
 memo dictionary.
 
-Enumeration walks the arena with an explicit stack of integers and only
-materializes a :class:`~repro.core.mappings.Mapping` at yield time; the
-per-mapping delay is still bounded by the path length (``2·ℓ + 1`` steps
-for ``ℓ`` variables), just with a far smaller constant than the reference
-walker.
+Enumeration walks the arena with an explicit stack of ``(cell, stop,
+path)`` frames, where ``path`` is a parent-pointer chain of ``(marker set,
+position, parent)`` labels, so a push never copies the path.  It only
+materializes a :class:`~repro.core.mappings.Mapping` at yield time, with
+the trusted constructors (``Span.__new__`` / ``Mapping.__new__`` plus slot
+stores): the arena guarantees integer endpoints with ``0 ≤ begin ≤ end ≤
+|d|``, so re-running the public constructors' checks would only add delay.
+This module and :mod:`repro.core` are the only places that form may
+appear (``tools/check_trusted_constructors.py``).  The per-mapping delay
+is still bounded by the path length (``2·ℓ + 1`` steps for ``ℓ``
+variables), just with a far smaller constant than the reference walker.
 
 Lossless conversions to and from the legacy
 :class:`~repro.enumeration.evaluate.ResultDag` are provided for
@@ -130,16 +136,26 @@ class CompiledResultDag:
         """Enumerate the output mappings (Algorithm 2) on integer arrays.
 
         A depth-first walk over the arena with an explicit stack; each
-        frame is ``(cell, end, steps)`` where ``steps`` is the tuple of
-        ``(marker_set_id, position)`` labels accumulated so far, in
-        increasing position order.  A ⊥ payload completes one path, which
-        is decoded into a :class:`Mapping` only then.
+        frame is ``(cell, stop, path)``.  ``path`` is a parent-pointer
+        chain of ``(marker_set_id, position, parent)`` labels, so a push
+        is one tuple, not a copy of the path.  The walk runs from the end
+        of the document backwards, so following the parents of a ⊥ leaf's
+        path visits positions in increasing order.  A ⊥ payload completes
+        one path, which is decoded into a :class:`Mapping` only then.
+
+        Decoding uses the trusted constructors: ``Span.__new__`` and
+        ``Mapping.__new__`` plus slot stores.  The arena guarantees what
+        the public constructors would check — integer endpoints with
+        ``0 ≤ begin ≤ end ≤ |d|`` and variable-name keys — so the output
+        equals, in order and in each mapping's variable order, what
+        ``Mapping({x: Span(i, j), ...})`` would build.
 
         When *keep* is given, only those variables are decoded — the
         arena-level projection of :mod:`repro.runtime.operators`: markers
         of projected-away variables never allocate a
         :class:`~repro.core.spans.Span` (the resulting mappings are not
-        deduplicated; projection callers do that).
+        deduplicated; projection callers do that).  The per-marker-set
+        decode tables are filtered once per call, not per step.
         """
         cell_nodes = self.cell_nodes
         cell_nexts = self.cell_nexts
@@ -148,33 +164,48 @@ class CompiledResultDag:
         node_starts = self.node_starts
         node_ends = self.node_ends
         opens_by_set, closes_by_set = self.tables.marker_decode_tables()
+        if keep is not None:
+            opens_by_set = tuple(
+                tuple(variable for variable in opened if variable in keep)
+                for opened in opens_by_set
+            )
+            closes_by_set = tuple(
+                tuple(variable for variable in closed if variable in keep)
+                for closed in closes_by_set
+            )
+        new_span = Span.__new__
+        new_mapping = Mapping.__new__
 
         for _state_id, start, end in self.final_entries:
-            stack = [(start, end, ())]
+            stack = [(start, end, None)]
             while stack:
-                cell, stop, steps = stack.pop()
+                cell, stop, path = stack.pop()
                 while cell != NIL:
                     node = cell_nodes[cell]
                     following = NIL if cell == stop else cell_nexts[cell]
                     if node == NIL:
-                        # ⊥ reached: `steps` is a complete run, decode it.
+                        # ⊥ reached: `path` is a complete run, decode it.
                         opens: dict[str, int] = {}
                         assignment: dict[str, Span] = {}
-                        for set_id, position in steps:
+                        frame = path
+                        while frame is not None:
+                            set_id, position, frame = frame
                             for variable in opens_by_set[set_id]:
-                                if keep is None or variable in keep:
-                                    opens[variable] = position
+                                opens[variable] = position
                             for variable in closes_by_set[set_id]:
-                                if keep is None or variable in keep:
-                                    assignment[variable] = Span(
-                                        opens.pop(variable), position
-                                    )
-                        yield Mapping(assignment)
+                                span = new_span(Span)
+                                span._begin = opens.pop(variable)
+                                span._end = position
+                                assignment[variable] = span
+                        mapping = new_mapping(Mapping)
+                        mapping._assignment = assignment
+                        mapping._hash = None
+                        yield mapping
                         cell = following
                         continue
                     if following != NIL:
-                        stack.append((following, stop, steps))
-                    steps = ((node_markers[node], node_positions[node]),) + steps
+                        stack.append((following, stop, path))
+                    path = (node_markers[node], node_positions[node], path)
                     cell = node_starts[node]
                     stop = node_ends[node]
 

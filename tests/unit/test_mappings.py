@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.documents import Document
 from repro.core.errors import SpanError
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
@@ -28,6 +29,16 @@ class TestConstruction:
     def test_from_pairs(self):
         mapping = Mapping([("a", Span(0, 1))])
         assert mapping["a"] == Span(0, 1)
+
+    def test_from_mapping(self):
+        # Mapping has no keys(), so dict(Mapping(...)) used to raise
+        # "dictionary update sequence element #0 has length 1".
+        original = Mapping({"x": Span(0, 1), "y": Span(1, 3)})
+        copy = Mapping(original)
+        assert copy == original
+        assert hash(copy) == hash(original)
+        assert list(copy) == ["x", "y"]
+        assert copy._assignment is not original._assignment
 
     def test_invalid_variable_name(self):
         with pytest.raises(SpanError):
@@ -64,6 +75,11 @@ class TestAccessors:
     def test_contents(self):
         mapping = Mapping({"name": Span(0, 4)})
         assert mapping.contents("John Doe") == {"name": "John"}
+
+    def test_contents_of_document_and_empty_mapping(self):
+        mapping = Mapping({"name": Span(0, 4), "rest": Span(5, 8)})
+        assert mapping.contents(Document("John Doe")) == {"name": "John", "rest": "Doe"}
+        assert Mapping().contents("John Doe") == {}
 
 
 class TestCompatibilityAndUnion:

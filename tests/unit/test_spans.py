@@ -30,6 +30,13 @@ class TestConstruction:
         with pytest.raises(SpanError):
             Span(0.5, 2)
 
+    def test_bool_endpoints_rejected(self):
+        # bool is an int subclass; Span(True, 2) used to construct and
+        # print as "Span(True, 2)" while comparing equal to Span(1, 2).
+        for begin, end in ((True, 2), (0, True), (False, False)):
+            with pytest.raises(SpanError, match="span endpoints must be integers"):
+                Span(begin, end)
+
     def test_zero_length_at_origin(self):
         assert Span(0, 0).is_empty
 
