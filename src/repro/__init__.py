@@ -43,12 +43,8 @@ from repro.core.errors import (
 )
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
+from repro.runtime.plan import CacheStats, PlanCache
 from repro.spanners.spanner import Spanner
-
-# After the facade import the runtime package is fully initialized, so
-# this is a plain attribute lookup (importing it first would enter the
-# runtime ↔ algebra import cycle through the wrong door).
-from repro.runtime.plan import CacheStats, PlanCache  # noqa: E402
 
 __all__ = [
     "CacheStats",

@@ -10,25 +10,34 @@ operators.
 """
 
 from repro.algebra.expressions import Atom, Join, Projection, SpannerExpression, UnionExpr
-from repro.algebra.operators import join_mapping_sets, project_mapping_set, union_mapping_sets
-from repro.algebra.automaton_ops import (
-    join_eva,
-    project_eva,
-    union_deterministic_eva,
-    union_eva,
+from repro._lazy import lazy_exports
+
+# The expression trees are what a Spanner source can be; the evaluation
+# routes, the plan layer and the optimizer load on first use.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "automaton_ops": (
+            "join_eva",
+            "project_eva",
+            "union_deterministic_eva",
+            "union_eva",
+        ),
+        "compile": ("compile_expression", "evaluate_expression_setwise"),
+        "logical": (
+            "LogicalAtom",
+            "LogicalJoin",
+            "LogicalNode",
+            "LogicalProject",
+            "LogicalUnion",
+            "expression_from_logical",
+            "logical_from_expression",
+            "render_logical",
+        ),
+        "operators": ("join_mapping_sets", "project_mapping_set", "union_mapping_sets"),
+        "optimizer": ("OptimizedPlan", "optimize"),
+    },
 )
-from repro.algebra.compile import compile_expression, evaluate_expression_setwise
-from repro.algebra.logical import (
-    LogicalAtom,
-    LogicalJoin,
-    LogicalNode,
-    LogicalProject,
-    LogicalUnion,
-    expression_from_logical,
-    logical_from_expression,
-    render_logical,
-)
-from repro.algebra.optimizer import OptimizedPlan, optimize
 
 __all__ = [
     "Atom",

@@ -2,9 +2,11 @@
 
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import Marker, MarkerSet, close, open_
-from repro.automata.nfa import NFA
-from repro.automata.dfa import DFA
 from repro.automata.va import VariableSetAutomaton
+from repro._lazy import lazy_exports
+
+# The word automata serve the Census reduction and the workloads only.
+__getattr__, __dir__ = lazy_exports(globals(), {"dfa": ("DFA",), "nfa": ("NFA",)})
 
 __all__ = [
     "DFA",

@@ -60,8 +60,7 @@ from typing import Iterable
 from repro.core.documents import Document, DocumentCollection
 from repro.core.errors import ReproError
 from repro.io.serialization import mapping_to_dict
-from repro.runtime.batch import MODES
-from repro.runtime.plan import ENGINE_CHOICES
+from repro.runtime.plan import ENGINE_CHOICES, MODES
 from repro.spanners.spanner import Spanner
 
 __all__ = ["build_parser", "main"]

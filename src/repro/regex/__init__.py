@@ -15,7 +15,10 @@ from repro.regex.ast import (
 )
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
-from repro.regex.semantics import evaluate_regex
+from repro._lazy import lazy_exports
+
+# The reference semantics is an oracle for tests, not a request path.
+__getattr__, __dir__ = lazy_exports(globals(), {"semantics": ("evaluate_regex",)})
 
 __all__ = [
     "AnyChar",

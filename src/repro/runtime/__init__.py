@@ -30,35 +30,47 @@ reference implementation, organised around the
 * :mod:`repro.runtime.operators` holds the physical operators of hybrid
   plans — fused leaves plus hash join, merge union and arena projection
   executing the cut edges of an optimized algebra expression.
+
+Every name below is exported lazily (PEP 562): ``from repro.runtime
+import run_batch`` loads :mod:`repro.runtime.batch` then, not when the
+package is imported, so a default request never loads the process pool,
+the streaming evaluator or the hybrid operators.
 """
 
-from repro.runtime.batch import freeze_result, run_batch, thaw_result
-from repro.runtime.compiled import CompiledEVA, compile_eva
-from repro.runtime.dag import CompiledResultDag
-from repro.runtime.encoding import (
-    EncodedDocument,
-    SymbolClassing,
-    encoding_passes,
-    reset_encoding_passes,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "batch": ("freeze_result", "run_batch", "thaw_result"),
+        "compiled": ("CompiledEVA", "compile_eva"),
+        "dag": ("CompiledResultDag",),
+        "encoding": (
+            "EncodedDocument",
+            "SymbolClassing",
+            "encoding_passes",
+            "reset_encoding_passes",
+        ),
+        "engine": ("count_compiled", "evaluate_compiled_arena"),
+        "operators": (
+            "ArenaProject",
+            "FusedLeaf",
+            "HashJoin",
+            "MergeUnion",
+            "OperatorResult",
+            "PhysicalOperator",
+            "render_physical",
+        ),
+        "plan": ("ENGINE_CHOICES", "ExecutionPlan", "choose_plan"),
+        "streaming": (
+            "StreamedResult",
+            "StreamingEvaluator",
+            "evaluate_streaming",
+            "settled_sinks",
+        ),
+        "subset": ("CompiledSubsetEVA",),
+    },
 )
-from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.operators import (
-    ArenaProject,
-    FusedLeaf,
-    HashJoin,
-    MergeUnion,
-    OperatorResult,
-    PhysicalOperator,
-    render_physical,
-)
-from repro.runtime.plan import ENGINE_CHOICES, ExecutionPlan, choose_plan
-from repro.runtime.streaming import (
-    StreamedResult,
-    StreamingEvaluator,
-    evaluate_streaming,
-    settled_sinks,
-)
-from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
     "ArenaProject",

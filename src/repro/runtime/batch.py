@@ -59,7 +59,8 @@ from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
-from repro.runtime import resilience
+from repro.runtime import faults, resilience
+from repro.runtime.plan import MODES
 from repro.runtime.resilience import (
     FailureReport,
     ResiliencePolicy,
@@ -80,7 +81,6 @@ _RUNTIME_TYPES = {
     "reference": CompiledEVA,
     "hybrid": PhysicalOperator,
 }
-MODES = ("serial", "processes")
 
 #: Tag discriminating an :class:`OperatorResult` portable form from the
 #: arena's (whose first element is the integer document length).
@@ -138,11 +138,11 @@ def _init_worker(
     engine: str,
     stream_chunk: int = 0,
     budget: ResourceBudget | None = None,
-    faults: resilience.FaultPlan | None = None,
+    fault_plan: resilience.FaultPlan | None = None,
 ) -> None:
     global _worker
     _worker = (compiled, engine, stream_chunk, budget)
-    resilience.install_fault_plan(faults)
+    faults.install_fault_plan(fault_plan)
 
 
 def _evaluate_one(
@@ -151,8 +151,8 @@ def _evaluate_one(
     engine: str,
     stream_chunk: int = 0,
 ):
-    if resilience._ACTIVE_PLAN is not None:
-        resilience.maybe_fault("evaluate")
+    if faults._ACTIVE_PLAN is not None:
+        faults.maybe_fault("evaluate")
     if engine == "hybrid":
         return compiled.execute(document)
     if engine == "reference":
@@ -167,8 +167,8 @@ def _evaluate_one(
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
     assert _worker is not None, "worker pool used before initialization"
     compiled, engine, stream_chunk, budget = _worker
-    if resilience._ACTIVE_PLAN is not None:
-        resilience.maybe_fault("task")
+    if faults._ACTIVE_PLAN is not None:
+        faults.maybe_fault("task")
     out = []
     for doc_id, document in chunk:
         if budget is not None:
@@ -325,7 +325,7 @@ def _serial_supervised(
     """The serial loop with guards, fault hooks and quarantine engaged."""
     budget = policy.budget
     if policy.faults is not None:
-        resilience.install_fault_plan(policy.faults)
+        faults.install_fault_plan(policy.faults)
     try:
         for doc_id, document in pairs:
             try:
@@ -343,7 +343,7 @@ def _serial_supervised(
             yield doc_id, result
     finally:
         if policy.faults is not None:
-            resilience.clear_fault_plan()
+            faults.clear_fault_plan()
 
 
 def _is_guard_error(error: BaseException) -> bool:

@@ -41,13 +41,13 @@ process-parallel batch mode ships between workers.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
-from repro.enumeration.dag import BOTTOM, DagNode
-from repro.enumeration.evaluate import ResultDag
-from repro.enumeration.lazylist import LazyList
+
+if TYPE_CHECKING:
+    from repro.enumeration.evaluate import ResultDag
 
 __all__ = ["CompiledResultDag", "NIL"]
 
@@ -274,6 +274,10 @@ class CompiledResultDag:
         rebuilt :class:`DagNode`, so path counts and enumeration output are
         identical.  Only reachable nodes are rebuilt.
         """
+        from repro.enumeration.dag import BOTTOM, DagNode
+        from repro.enumeration.evaluate import ResultDag
+        from repro.enumeration.lazylist import LazyList
+
         marker_sets = self.tables.marker_sets
         state_objects = self.tables.state_objects
         built: dict[int, DagNode] = {}
@@ -336,6 +340,9 @@ class CompiledResultDag:
         ``tables`` must be the compiled automaton whose ``marker_set_index``
         and ``state_index`` cover the DAG's labels and final states.
         """
+        from repro.enumeration.dag import BOTTOM, DagNode
+        from repro.enumeration.lazylist import LazyList
+
         marker_index = tables.marker_set_index
         state_index = tables.state_index
         node_ids: dict[int, int] = {}

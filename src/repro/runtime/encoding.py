@@ -51,7 +51,7 @@ import sys
 from array import array
 
 from repro.core.documents import OTHER, Document, as_text
-from repro.runtime import resilience
+from repro.runtime import faults
 
 __all__ = [
     "EncodedDocument",
@@ -203,8 +203,8 @@ class SymbolClassing:
         """
         global _fresh_passes
         _fresh_passes += 1
-        if resilience._ACTIVE_PLAN is not None:
-            resilience.maybe_fault("encode")
+        if faults._ACTIVE_PLAN is not None:
+            faults.maybe_fault("encode")
 
         if self._byte_table is not None:
             # Fast path: latin-1 text over a byte-sized classing translates

@@ -75,6 +75,7 @@ from typing import Callable, Generic, Hashable, TypeVar
 
 __all__ = [
     "ENGINE_CHOICES",
+    "MODES",
     "CacheStats",
     "ExecutionPlan",
     "PlanCache",
@@ -86,6 +87,11 @@ __all__ = [
 #: meaningful for spanner-algebra expression sources (elsewhere the facade
 #: treats it as ``auto``).
 ENGINE_CHOICES = ("auto", "compiled", "compiled-otf", "reference", "hybrid")
+
+#: Batch execution modes (:func:`~repro.runtime.batch.run_batch`).  They
+#: live here, beside the engine names, so the CLI can offer both as
+#: choices without loading the process-pool machinery.
+MODES = ("serial", "processes")
 
 @dataclass(frozen=True)
 class ExecutionPlan:

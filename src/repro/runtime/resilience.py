@@ -56,9 +56,12 @@ The pieces, bottom up:
     Arrival counters are per *process* — a pool worker accumulates
     arrivals across the tasks it handles, and a freshly (re)spawned
     worker starts from zero — which is what makes kill-and-recover
-    scenarios expressible.  The hook is zero-overhead when disabled:
-    call sites guard on ``resilience._ACTIVE_PLAN is not None`` (one
-    module-attribute load and an identity test per document).
+    scenarios expressible.  The active plan is held by
+    :mod:`repro.runtime.faults` (re-exported here), which imports nothing,
+    so the ``"encode"`` site on every request's path does not load this
+    module.  The hook is zero-overhead when disabled: call sites guard on
+    ``faults._ACTIVE_PLAN is not None`` (one module-attribute load and an
+    identity test per document).
 
 Every ladder event is recorded by one call, :func:`_note`, into both
 the process-wide :data:`RESILIENCE_METRICS` (the ``resilience`` block of
@@ -85,6 +88,7 @@ from repro.core.errors import (
     TaskDeadlineError,
     WorkerCrashError,
 )
+from repro.runtime.faults import clear_fault_plan, install_fault_plan, maybe_fault
 
 __all__ = [
     "COUNTER_NAMES",
@@ -248,34 +252,6 @@ class FaultPlan:
 
     def __repr__(self) -> str:
         return f"FaultPlan({len(self.specs)} specs)"
-
-
-#: The process-local active plan.  ``None`` (the overwhelmingly common
-#: case) short-circuits every hook to one attribute load + identity test.
-_ACTIVE_PLAN: FaultPlan | None = None
-
-
-def install_fault_plan(plan: FaultPlan | None) -> None:
-    """Activate *plan* in this process (workers do this in their initializer)."""
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-
-
-def clear_fault_plan() -> None:
-    """Deactivate fault injection in this process."""
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = None
-
-
-def maybe_fault(site: str) -> None:
-    """Fire the active plan at *site*, if any.
-
-    Hot call sites should guard with ``if resilience._ACTIVE_PLAN is not
-    None`` first so the disabled case costs no function call at all.
-    """
-    plan = _ACTIVE_PLAN
-    if plan is not None:
-        plan.fire(site)
 
 
 # ---------------------------------------------------------------------- #

@@ -27,7 +27,6 @@ from repro.automata.transforms import (
     va_to_eva,
 )
 from repro.automata.va import VariableSetAutomaton
-from repro.algebra.compile import compile_expression
 from repro.algebra.expressions import SpannerExpression
 from repro.regex.ast import RegexNode
 from repro.regex.compiler import compile_to_va
@@ -300,6 +299,8 @@ class CompilationPipeline:
             report.record("eVA", source, 0.0)
             return source, False
         if isinstance(source, SpannerExpression):
+            from repro.algebra.compile import compile_expression
+
             start = time.perf_counter()
             extended = compile_expression(
                 source, alphabet, check_functional_joins=self._check_functional_joins

@@ -53,7 +53,7 @@ renders the logical → physical plan.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.documents import DocumentCollection, as_text
 from repro.core.errors import CompilationError, ResourceLimitError
@@ -62,13 +62,9 @@ from repro.automata.analysis import AutomatonStatistics, statistics
 from repro.automata.eva import ExtendedVA
 from repro.automata.va import VariableSetAutomaton
 from repro.algebra.expressions import SpannerExpression
-from repro.counting.count import count_mappings
-from repro.enumeration.evaluate import evaluate as run_evaluate
 from repro.regex.ast import RegexNode
 from repro.regex.parser import parse_regex
-from repro.runtime.batch import run_batch as run_batch_compiled
 from repro.runtime.compiled import CompiledEVA
-from repro.runtime.resilience import FailureReport, ResiliencePolicy
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
@@ -78,9 +74,12 @@ from repro.runtime.plan import (
     choose_plan,
 )
 from repro.runtime.runlength import resolve_kernel
-from repro.runtime.streaming import StreamingEvaluator
-from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
+
+if TYPE_CHECKING:
+    from repro.runtime.resilience import FailureReport, ResiliencePolicy
+    from repro.runtime.streaming import StreamingEvaluator
+    from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = ["Spanner"]
 
@@ -281,6 +280,10 @@ class Spanner:
 
     @cached_property
     def _otf_runtime(self) -> CompiledSubsetEVA:
+        # Only patterns whose subset construction passes the budget (or a
+        # forced "compiled-otf") run here, so the module loads on first use.
+        from repro.runtime.subset import CompiledSubsetEVA
+
         return CompiledSubsetEVA(self._sequential[0])
 
     def _engine_runtime(self, engine: str) -> CompiledEVA | CompiledSubsetEVA:
@@ -396,6 +399,8 @@ class Spanner:
         if plan.engine == "hybrid":
             return plan.operators.execute(document)
         if plan.engine == "reference":
+            from repro.enumeration.evaluate import evaluate as run_evaluate
+
             return run_evaluate(
                 self._reference_automaton(document), document, check_determinism=False
             )
@@ -454,6 +459,8 @@ class Spanner:
         # ``retain_settled=False`` keeps an unbounded tail's memory at
         # the in-flight state: feed() still returns settled mappings,
         # finish() just doesn't replay them.
+        from repro.runtime.streaming import StreamingEvaluator
+
         return StreamingEvaluator(
             self._runtime,
             emit=emit,
@@ -515,7 +522,9 @@ class Spanner:
             compiled: object = plan.operators
         else:
             compiled = self._engine_runtime(plan.engine)
-        return run_batch_compiled(
+        from repro.runtime.batch import run_batch
+
+        return run_batch(
             compiled,
             documents,
             mode=mode,
@@ -549,6 +558,8 @@ class Spanner:
             # the size of the (already deduplicated) result set.
             return plan.operators.execute(document).count()
         if plan.engine == "reference":
+            from repro.counting.count import count_mappings
+
             return count_mappings(
                 self._reference_automaton(document), document, check_determinism=False
             )

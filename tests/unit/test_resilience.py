@@ -8,6 +8,10 @@ supervision over a fake result handle.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +23,7 @@ from repro.core.errors import (
     TaskDeadlineError,
     WorkerCrashError,
 )
-from repro.runtime import resilience
+from repro.runtime import faults, resilience
 from repro.runtime.resilience import (
     RESILIENCE_METRICS,
     Counters,
@@ -198,6 +202,48 @@ class TestFaultPlan:
         finally:
             clear_fault_plan()
         maybe_fault("task")
+
+    def test_the_hook_state_has_one_home(self):
+        # resilience re-exports the hook; the active plan lives only in
+        # the import-free faults module the encoder reads.
+        assert resilience.install_fault_plan is faults.install_fault_plan
+        assert resilience.clear_fault_plan is faults.clear_fault_plan
+        assert resilience.maybe_fault is faults.maybe_fault
+        assert not hasattr(resilience, "_ACTIVE_PLAN")
+
+    def test_encode_site_fires_when_the_encoder_was_imported_first(self):
+        # The encoder binds the faults module before resilience is ever
+        # loaded; a plan installed through resilience afterwards must
+        # still reach it, and clearing it must stop it.
+        code = (
+            "import repro.runtime.encoding\n"
+            "import sys\n"
+            "assert 'repro.runtime.resilience' not in sys.modules\n"
+            "from repro import Spanner\n"
+            "from repro.runtime import resilience\n"
+            "spanner = Spanner('.*x{a}.*')\n"
+            "spanner.count('ba')\n"
+            "resilience.install_fault_plan(resilience.FaultPlan(\n"
+            "    [resilience.FaultSpec(site='encode', action='raise', count=10**6)]\n"
+            "))\n"
+            "try:\n"
+            "    spanner.count('ab')\n"
+            "    print('not raised')\n"
+            "except resilience.InjectedFault:\n"
+            "    print('raised')\n"
+            "resilience.clear_fault_plan()\n"
+            "print(spanner.count('aba'))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        process = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.split() == ["raised", "2"]
 
 
 class _FakeHandle:
