@@ -4,10 +4,12 @@ This is Algorithm 1 again — the same capturing/reading alternation as the
 reference engine in :mod:`repro.enumeration.evaluate`, whose lazy-list
 DAG stays the semantic oracle — but operating purely on ints:
 
-* the live states form an interned *active set* whose per-class step
-  plans and capture plan are built once and reused at every position
-  that meets the set (:mod:`repro.runtime.kernel`); the runs' lists
-  travel in one flat tuple of ``(start, end)`` cell indices;
+* the live states form an interned *active set* with one plan per
+  symbol class, built once and reused at every position that meets the
+  set (:mod:`repro.runtime.kernel`): the capturing phase there and the
+  read of the next letter in one lookup, leaving out the captures that
+  letter kills (they could never be reached); the runs' lists travel in
+  one flat tuple of ``(start, end)`` cell indices;
 * the document is translated **once per alphabet classing** into a compact
   class-id buffer (:mod:`repro.runtime.encoding`) cached on the document,
   with symbols of identical letter-table columns sharing one class and
@@ -29,8 +31,8 @@ guaranteed no-op and is skipped; when additionally exactly one run is live
 — the overwhelmingly common case on sparse-match workloads — the engine
 *sprints*: the run's list/count is parked, and a compiled byte-pattern
 finds the next position whose character class leaves the current state at
-C speed.  Counting has a second one: where a step lands on a set that
-captures back to the set it left, a run of that class is a power of one
+C speed.  Counting has a second one: where a set's plan on a class
+leads back to the set, a run of that class is a power of the plan's
 small count transfer, applied in ``O(log k)`` products per run of ``k``.
 
 Each entry point here encodes the document, runs one loop and collects

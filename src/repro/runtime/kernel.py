@@ -7,20 +7,25 @@ document, calls a loop and collects the result.
 The loops step **interned active sets**.  The live states form a sorted
 tuple, which :class:`SetTable` interns as a :class:`SetRecord` holding
 its ``quiet`` flag (no member has a variable transition, so capturing
-is a no-op), its sprint pattern and, built on first use, its plans: the
-**capture plan** (per variable transition its source slot, marker set
-and target, compiled into gathers that append the new nodes and cells
-and rebuild the grown set's slots) and one **step plan** per symbol
-class (the target set, a gather handing each target its first
-arrival's start and last arrival's end, and the append chain splicing
-the other arrivals in).  Each plan carries the count transfer too.
+is a no-op), its sprint pattern and, built on first use, one **plan**
+per symbol class: the capturing phase at a position and the read of the
+class after it, fused (per capture its source slot, marker set and
+target, compiled into gathers that append the new nodes and cells; the
+target set; the splices of the read; one gather handing each target its
+first arrival's start and last arrival's end; and the count transfer of
+the whole position).  One more plan, with no letter, is the capturing
+phase at the document's end.
 
 A loop carries ``(record, slots)``: the live set's record and a tuple
 holding each member's list as two cell indices ``(start, end)``, or its
 partial-run count, in member order.  A position is one plan lookup and
-one C-level gather.  Plans read the automaton only while they are
-built, through ``class_table[s][c]`` and ``variable_table[s]``, so the
-loops run unchanged over the dense
+one C-level gather.  Because a plan knows the letter it reads, it leaves
+out every capture whose target dies on that letter: such a cell would be
+held only by its target's list, which the read drops, so the arena
+keeps the same reachable nodes and enumerates the same mappings in the
+same order (the **lookahead**).  Plans read the automaton only while
+they are built, through ``class_table[s][c]`` and ``variable_table[s]``,
+so the loops run unchanged over the dense
 :class:`~repro.runtime.compiled.CompiledEVA` and the lazily determinized
 :class:`~repro.runtime.subset.CompiledSubsetEVA`, which fills those
 tables on first read — the paper's Section 4 remark that its
@@ -29,26 +34,29 @@ on the automaton: derived, never pickled, cleared at
 :data:`SET_TABLE_CAP` records.  Active sets are a subset construction,
 so some patterns meet a new set at nearly every position; a call that
 builds plans faster than :data:`PLAN_CREDIT` and :data:`PLAN_SHARE`
-allow finishes in a loop over per-call state-indexed arrays instead.
+allow finishes in a loop over per-call state-indexed arrays instead,
+which applies the same lookahead.
 
 * :func:`arena_loop` — the arena loop.  It is *resumable*: the caller
   holds ``(record, slots)``, the arena arrays and the position
   ``offset`` of the buffer's first character, so a whole document is
   one ``final`` call and a stream is one call per chunk plus a
   ``final`` one on an empty buffer, which runs the capturing phase at
-  the document's end;
-* :func:`count_loop` — Algorithm 3, on the same records.  A step plan
-  also records whether its target's capture plan leads back to the set
-  it steps: the target is then a *fixed point* on that class, and while
-  the class repeats the loop applies the composed capture+step count
-  transfer.  After :data:`POWER_MIN` repeats it finds the run's end at
+  the document's end.  A chunk returns its state before the capturing
+  phase at its end, which the next chunk's first plan runs with the
+  same lookahead;
+* :func:`count_loop` — Algorithm 3, on the same plans.  A set whose plan
+  on a class leads back to it is a *fixed point* on that class, and
+  while the class repeats the loop applies that plan's count transfer
+  unchanged.  After :data:`POWER_MIN` repeats it finds the run's end at
   C speed (``bytes`` buffers) and applies memoized binary powers of that
   transfer, so a run of ``k`` costs ``O(log k)`` small products;
 * :func:`sprint` — the quiescent chase of a lone silent run.
 
 Every loop keeps the paper's invariants: the **capturing step** reads
-the live lists before any addition (lazycopy); the **reading step**
-takes one letter transition per run, the foreign class killing runs
+the live lists before any addition (lazycopy) and writes every capture
+whose target survives the next letter; the **reading step** takes one
+letter transition per run, the foreign class killing runs
 uniformly, and its splices keep the lazy-list single-assignment
 discipline (a second write to a next pointer raises
 :class:`NotDeterministicError`); live states stay in **canonical id
@@ -113,21 +121,24 @@ POWER_MIN = 16
 class SetRecord:
     """One interned active set and the plans of the positions it meets.
 
-    ``members`` is the sorted tuple of live state ids; ``capture``,
-    ``steps[c]`` and the sprint ``pattern`` are ``None`` until built, and
-    ``powers`` maps a class on which the set is a fixed point to the
-    squares of its repeat transfer built so far.  A plan or a tuple of
-    squares is stored in one assignment, so threads sharing an automaton
-    only ever see a complete one.
+    ``members`` is the sorted tuple of live state ids; ``captures`` (its
+    variable transitions as ``(member index, marker set, target)``, in
+    member-then-row order), ``plans[c]``, the document-end plan
+    ``plans[-1]`` and the sprint ``pattern`` are ``None`` until built,
+    and ``powers`` maps a class on which the set is a fixed point to the
+    squares of its plan's count transfer built so far.  A plan or a
+    tuple of squares is stored in one assignment, so threads sharing an
+    automaton only ever see a complete one.
     """
 
-    __slots__ = ("members", "quiet", "capture", "steps", "pattern", "powers")
+    __slots__ = ("members", "quiet", "captures", "plans", "pattern", "powers")
 
     def __init__(self, members: tuple[int, ...], quiet: bool, num_ids: int) -> None:
         self.members = members
         self.quiet = quiet
-        self.capture = self.pattern = self.powers = None
-        self.steps: list = [None] * num_ids
+        self.captures = () if quiet else None
+        self.pattern = self.powers = None
+        self.plans: list = [None] * (num_ids + 1)
 
 
 def _count_transfer(groups) -> tuple:
@@ -172,17 +183,18 @@ def _squared(matrix: tuple) -> tuple:
     return tuple(rows)
 
 
-def _power(record: SetRecord, symbol: int, repeat: tuple, k: int, counts: tuple) -> tuple:
+def _power(record: SetRecord, symbol: int, transfer: tuple, k: int, counts: tuple) -> tuple:
     """*counts* after *k* more *symbol* positions from the fixed point
-    *record*: the binary powers of its repeat transfer, squared on first
-    use and kept on the record, at most ``k.bit_length()`` of them."""
+    *record*: the binary powers of its plan's count *transfer*, squared
+    on first use and kept on the record, at most ``k.bit_length()`` of
+    them."""
     powers = record.powers
     if powers is None:
         powers = record.powers = {}
     squares = powers.get(symbol, ())
     if len(squares) < k.bit_length():
         squares = list(squares) or [
-            tuple([tuple([(index, 1) for index in group]) for group in _groups(*repeat, len(counts))])
+            tuple([tuple([(index, 1) for index in group]) for group in _groups(*transfer, len(counts))])
         ]
         while len(squares) < k.bit_length():
             squares.append(_squared(squares[-1]))
@@ -207,10 +219,10 @@ def _splice(cell_nexts: list, end_cell: int, start_cell: int) -> None:
 class SetTable:
     """The interned active sets of one automaton, with their plans.
 
-    A plan is built by running its phase on slot *indices*: member
-    ``i``'s list is at ``2*i`` (start) and ``2*i + 1`` (end), and a
-    capture gathers from the *extended* tuple ``slots + (NIL, cell,
-    cell + 1, ...)``, whose tail holds the cells it appends.  Count
+    A plan is built by running its position on slot *indices*: member
+    ``i``'s list is at ``2*i`` (start) and ``2*i + 1`` (end), and the
+    capturing phase gathers from the *extended* tuple ``slots + (NIL,
+    cell, cell + 1, ...)``, whose tail holds the cells it appends.  Count
     plans group the member indices each output adds up.
     """
 
@@ -234,104 +246,90 @@ class SetTable:
             )
         return record
 
-    def capture_plan(self, record: SetRecord) -> tuple:
-        """Build *record*'s capture plan.
+    def plan(self, record: SetRecord, symbol: int | None) -> tuple:
+        """Build *record*'s plan for one position read on class *symbol*
+        (``None``: the document's end, which captures but reads nothing).
 
-        ``(grown, k, markers, starts, ends, nexts, gather, count_gather,
-        count_adds)``: the grown set's record, the number ``k`` of new
-        cells (one per variable transition, in member-then-row order),
-        their marker sets, their sources' starts and ends (slot gathers),
-        their next pointers (an extended-tuple gather: the target's list
-        so far, or ``NIL``), the gather of the grown set's slots, and the
-        count transfer to its counts.  With ``k == 1`` the four per-cell
-        entries are a marker set and three indices.
+        ``(target, gather, chain, count_gather, count_adds, cells)``: the
+        target set's record (*record* itself when the set is a fixed
+        point on *symbol*, ``None`` when every run dies), the gather of
+        its slots from the extended tuple (each target's first arrival's
+        start and last arrival's end), the read's splices as ``(end
+        slot, start slot)`` pairs in grown-set order, the count transfer
+        of the whole position, and ``cells``.  That is ``None`` when the
+        position captures nothing, else ``(k, markers, starts, ends,
+        nexts)``: the ``k`` new cells' marker sets, their sources' starts
+        and ends (slot gathers) and their next pointers (an
+        extended-tuple gather: the target's list so far, or ``NIL``);
+        with ``k == 1`` the last four are a marker set and three indices.
+
+        The lookahead: a capture whose target has no transition on
+        *symbol* is left out.  Its cell would be held only by the
+        target's list, which the read drops, so the arena loses only
+        unreachable nodes.  The document-end plan keeps every capture.
         """
+        compiled = self.compiled
         members = record.members
+        captures = record.captures
+        if captures is None:
+            variable_table = compiled.variable_table
+            captures = record.captures = tuple(
+                (index, set_id, target)
+                for index, state in enumerate(members)
+                for set_id, target in variable_table[state]
+            )
+        class_table = compiled.class_table
+        if symbol is not None:
+            captures = [capture for capture in captures if class_table[capture[2]][symbol] >= 0]
         width = 2 * len(members)
         heads = dict(zip(members, range(0, width, 2)))
         tails = dict(zip(members, range(1, width, 2)))
         groups = {state: [index] for index, state in enumerate(members)}
         markers, starts, nexts = [], [], []
-        cell = width + 1
-        for index, state in enumerate(members):
-            for set_id, target in self.compiled.variable_table[state]:
-                markers.append(set_id)
-                starts.append(2 * index)
-                nexts.append(heads.get(target, width))
-                tails.setdefault(target, cell)
-                heads[target] = cell
-                groups.setdefault(target, []).append(index)
-                cell += 1
-        grown = sorted(heads)
+        for cell, (index, set_id, target) in enumerate(captures, width + 1):
+            markers.append(set_id)
+            starts.append(2 * index)
+            nexts.append(heads.get(target, width))
+            tails.setdefault(target, cell)
+            heads[target] = cell
+            groups.setdefault(target, []).append(index)
+        arrivals: dict[int, list[int]] = {}
+        chain = []
+        for state in sorted(heads):
+            target = state if symbol is None else class_table[state][symbol]
+            if target < 0:
+                continue
+            arrived = arrivals.setdefault(target, [])
+            if arrived:
+                chain.append((tails[arrived[-1]], heads[state]))
+            arrived.append(state)
+        targets = tuple(sorted(arrivals))
+        cells = None
         if len(markers) == 1:
-            cells = (markers[0], starts[0], starts[0] + 1, nexts[0])
-        else:
+            cells = (1, markers[0], starts[0], starts[0] + 1, nexts[0])
+        elif markers:
             cells = (
+                len(markers),
                 tuple(markers),
                 itemgetter(*starts),
                 itemgetter(*[start + 1 for start in starts]),
                 itemgetter(*nexts),
             )
-        plan = record.capture = (
-            self.record(tuple(grown)),
-            len(markers),
-            *cells,
-            itemgetter(*[i for state in grown for i in (heads[state], tails[state])]),
-            *_count_transfer([groups[state] for state in grown]),
-        )
+        plan = (None, None, (), None, (), None)
+        if targets:
+            plan = (
+                record if targets == members else self.record(targets),
+                itemgetter(
+                    *[i for state in targets for i in (heads[arrivals[state][0]], tails[arrivals[state][-1]])]
+                ),
+                tuple(chain),
+                *_count_transfer(
+                    [[i for arrival in arrivals[state] for i in groups[arrival]] for state in targets]
+                ),
+                cells,
+            )
+        record.plans[-1 if symbol is None else symbol] = plan
         return plan
-
-    def step_plan(self, record: SetRecord, symbol: int) -> tuple[tuple, int]:
-        """Build *record*'s reading plan on class *symbol*.
-
-        ``(target, gather, chain, count_gather, count_adds, repeat)``: the
-        target set's record (``None`` when every run dies), the slot
-        gather (each target's first arrival's start and last arrival's
-        end), the splices as ``(end slot, start slot)`` pairs in member
-        order, the count transfer, and ``repeat``.  The target's capture
-        plan is built here too, since the next position needs it; when it
-        leads back to *record*, the target is a fixed point on *symbol*
-        and ``repeat`` is the count transfer of one more *symbol*
-        position from it (its capture, then this step), else ``None``.
-        Returns the plan and the number of plans built.
-        """
-        groups: dict[int, list[int]] = {}
-        chain = []
-        for index, state in enumerate(record.members):
-            target = self.compiled.class_table[state][symbol]
-            if target < 0:
-                continue
-            group = groups.setdefault(target, [])
-            if group:
-                chain.append((2 * group[-1] + 1, 2 * index))
-            group.append(index)
-        targets = sorted(groups)
-        if not targets:
-            plan = record.steps[symbol] = (None, None, (), None, (), None)
-            return plan, 1
-        target = self.record(tuple(targets))
-        built = 1
-        repeat = None
-        if not target.quiet:
-            capture = target.capture
-            if capture is None:
-                capture = self.capture_plan(target)
-                built += 1
-            if capture[0].members == record.members:
-                captured = _groups(capture[7], capture[8], len(targets))
-                repeat = _count_transfer(
-                    [[i for j in groups[state] for i in captured[j]] for state in targets]
-                )
-        plan = record.steps[symbol] = (
-            target,
-            itemgetter(
-                *[i for state in targets for i in (2 * groups[state][0], 2 * groups[state][-1] + 1)]
-            ),
-            tuple(chain),
-            *_count_transfer([groups[state] for state in targets]),
-            repeat,
-        )
-        return plan, built
 
     def sprint_pattern(self, record: SetRecord):
         """The stop pattern of the quiet set *record*.
@@ -355,7 +353,6 @@ class SetTable:
                 b"[" + b"".join(re.escape(bytes((stop,))) for stop in sorted(stops)) + b"]"
             )
         return pattern
-
 
     def run_end(self, symbol: int):
         """The pattern that finds the end of a run of class *symbol* in a
@@ -442,9 +439,10 @@ def arena_loop(
     order.  Node positions are ``offset + pos``.  The arena arrays are
     appended to in place; the loop state comes back as
     ``(record, slots)`` — ``record`` is ``None`` once every run has died
-    — for the next call.  The capturing phase at position ``offset + n``
-    runs only when *final* (the document ends there; a stream's last
-    call passes an empty buffer).
+    — for the next call.  A position runs its set's plan on the next
+    class; the capturing phase at position ``offset + n`` runs only when
+    *final* (the document ends there; a stream's last call passes an
+    empty buffer), by the set's no-letter plan.
     """
     table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
@@ -452,12 +450,6 @@ def arena_loop(
 
     pos = 0
     while True:
-        if built > pos // PLAN_SHARE:
-            return _state_loop(
-                compiled, buf, pos, n, offset, record, slots,
-                node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts,
-                fast_path, final,
-            )
         if record.quiet and fast_path and pos < n:
             if len(record.members) == 1:
                 state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
@@ -467,48 +459,50 @@ def arena_loop(
             elif use_patterns:
                 match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
                 pos = n if match is None else match.start()
-        if pos >= n and not final:
+        if pos < n:
+            symbol = buf[pos]
+            plan = record.plans[symbol]
+        elif pos == n and final and not record.quiet:  # once: it leaves pos at n + 1
+            symbol = None
+            plan = record.plans[-1]
+        else:
             return record, slots
-        if not record.quiet:
-            plan = record.capture
-            if plan is None:
-                plan = table.capture_plan(record)
-                built += 1
-            record, k, markers, starts, ends, nexts, gather, _, _ = plan
+        if plan is None:
+            built += 1
+            if built > pos // PLAN_SHARE:
+                return _state_loop(
+                    compiled, buf, pos, n, offset, record, slots,
+                    node_markers, node_positions, node_starts, node_ends, cell_nodes, cell_nexts,
+                    fast_path, final,
+                )
+            plan = table.plan(record, symbol)
+        record, gather, chain, _, _, cells = plan
+        if cells is not None:
+            k, markers, starts, ends, nexts = cells
             node = len(node_markers)
             cell = len(cell_nodes)
             if k == 1:
-                extended = slots + (NIL, cell)
+                slots += (NIL, cell)
                 node_markers.append(markers)
                 node_positions.append(offset + pos)
                 node_starts.append(slots[starts])
                 node_ends.append(slots[ends])
                 cell_nodes.append(node)
-                cell_nexts.append(extended[nexts])
+                cell_nexts.append(slots[nexts])
             else:
-                extended = slots + (NIL, *range(cell, cell + k))
+                slots += (NIL, *range(cell, cell + k))
                 node_markers.extend(markers)
                 node_positions.extend([offset + pos] * k)
                 node_starts.extend(starts(slots))
                 node_ends.extend(ends(slots))
                 cell_nodes.extend(range(node, node + k))
-                cell_nexts.extend(nexts(extended))
-            slots = gather(extended)
-        if pos >= n:
-            return record, slots
-
-        symbol = buf[pos]
-        pos += 1
-        step = record.steps[symbol]
-        if step is None:
-            step, fresh = table.step_plan(record, symbol)
-            built += fresh
-        record, gather, chain, _, _, _ = step
+                cell_nexts.extend(nexts(slots))
         for end_at, start_at in chain:
             _splice(cell_nexts, slots[end_at], slots[start_at])
         if record is None:
             return None, ()
         slots = gather(slots)
+        pos += 1
 
 
 def _state_loop(
@@ -562,6 +556,7 @@ def _state_loop(
                 pos = n if match is None else match.start()
         if pos >= n and not final:
             break
+        symbol = buf[pos] if pos < n else None
         if not quiet:
             alive = len(active)
             for state, old_start, old_end in [
@@ -570,6 +565,8 @@ def _state_loop(
                 if variable_table[state]
             ]:
                 for set_id, target in variable_table[state]:
+                    if symbol is not None and class_table[target][symbol] < 0:
+                        continue  # the lookahead of SetTable.plan
                     if target >= size:
                         size = fit(target)
                     node = len(node_markers)
@@ -586,10 +583,9 @@ def _state_loop(
                     cur_start[target] = cell
             if len(active) > alive:
                 active.sort()
-        if pos >= n:
+        if symbol is None:
             break
 
-        symbol = buf[pos]
         pos += 1
         next_active = []
         quiet = True
@@ -625,9 +621,9 @@ def count_loop(compiled, buf, n, fast_path):
     Returns ``(record, counts)`` after the final capturing phase: the
     live set's record (``None`` once every run has died) and its
     members' counts, in member order.  Like :func:`arena_loop`, it
-    finishes in :func:`_count_state_loop` once plans stop paying.  After
-    a step into a fixed point it stays there while the class repeats:
-    :data:`POWER_MIN` plain repeats, then powers up to the run's end.
+    finishes in :func:`_count_state_loop` once plans stop paying.  At a
+    fixed point it stays there while the class repeats: :data:`POWER_MIN`
+    plain repeats of its plan's transfer, then powers up to the run's end.
     ``fast_path=False`` turns off the sprint, the repeats and the powers.
     """
     table = set_table(compiled)
@@ -638,8 +634,6 @@ def count_loop(compiled, buf, n, fast_path):
 
     pos = 0
     while True:
-        if built > pos // PLAN_SHARE:
-            return _count_state_loop(compiled, buf, pos, n, record, counts, fast_path)
         if record.quiet and fast_path and pos < n:
             if len(record.members) == 1:
                 state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
@@ -649,28 +643,25 @@ def count_loop(compiled, buf, n, fast_path):
             elif use_patterns:
                 match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
                 pos = n if match is None else match.start()
-        if not record.quiet:
-            plan = record.capture
-            if plan is None:
-                plan = table.capture_plan(record)
-                built += 1
-            record, gather, adds = plan[0], plan[7], plan[8]
-            counts = _added(gather(counts), counts, adds) if adds else gather(counts)
-        if pos >= n:
+        if pos < n:
+            symbol = buf[pos]
+            plan = record.plans[symbol]
+        elif pos == n and not record.quiet:
+            symbol = None
+            plan = record.plans[-1]
+        else:
             return record, counts
-
-        symbol = buf[pos]
-        pos += 1
-        step = record.steps[symbol]
-        if step is None:
-            step, fresh = table.step_plan(record, symbol)
-            built += fresh
-        record, _, _, gather, adds, repeat = step
-        if record is None:
+        if plan is None:
+            built += 1
+            if built > pos // PLAN_SHARE:
+                return _count_state_loop(compiled, buf, pos, n, record, counts, fast_path)
+            plan = table.plan(record, symbol)
+        target, _, _, gather, adds, _ = plan
+        if target is None:
             return None, ()
         counts = _added(gather(counts), counts, adds) if adds else gather(counts)
-        if repeat is not None and fast_path:
-            gather, adds = repeat
+        pos += 1
+        if target is record and fast_path:
             stop = min(n, pos + POWER_MIN)
             while pos < stop and buf[pos] == symbol:
                 counts = _added(gather(counts), counts, adds) if adds else gather(counts)
@@ -678,8 +669,9 @@ def count_loop(compiled, buf, n, fast_path):
             if pos == stop < n and use_patterns and buf[pos] == symbol:
                 match = table.run_end(symbol).search(buf, pos)
                 end = n if match is None else match.start()
-                counts = _power(record, symbol, repeat, end - pos, counts)
+                counts = _power(record, symbol, (gather, adds), end - pos, counts)
                 pos = end
+        record = target
 
 
 def _count_state_loop(compiled, buf, pos, n, record, counts, fast_path):

@@ -38,10 +38,13 @@ arena-for-arena where the contract is bit-identity.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 from repro import Spanner
 from repro.core.documents import as_text
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
+from repro.runtime import kernel
 from repro.runtime.kernel import POWER_MIN
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "assert_all_engines_agree",
     "assert_arena_identical",
     "facade_results",
+    "plans_forbidden",
 ]
 
 #: The monolithic engines reachable through the facade's ``engine=`` knob.
@@ -147,6 +151,19 @@ def assert_arena_identical(actual, expected, *, context: str = "") -> None:
         assert left == right, (
             f"arena array {name!r} differs{context}: {left} != {right}"
         )
+
+
+@contextmanager
+def plans_forbidden(runtime, length: int):
+    """Run *runtime*'s loops on documents of up to *length* characters in
+    their state-indexed form from the first position.
+
+    The set table is dropped, so no plan is left to reuse, and the plan
+    credit is spent before the first plan is built.
+    """
+    runtime._set_table = None
+    with mock.patch.object(kernel, "PLAN_CREDIT", -length - 1):
+        yield
 
 
 def _mapping_set(mappings) -> frozenset[str]:

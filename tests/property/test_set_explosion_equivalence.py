@@ -1,4 +1,5 @@
-"""Property-based tests: patterns whose active sets explode.
+"""Property-based tests: patterns whose active sets explode, and
+patterns that capture at most positions.
 
 Under ``.*x{a[ab]{k}}.*`` every ``a`` of the last ``k + 1`` characters
 opens a live capture, so random ``ab`` text meets a new set of live
@@ -9,19 +10,23 @@ the same array for array — whole document, with plans forbidden, and fed
 in random chunks — and mappings and counts must equal the reference
 engine.  The ``.*a.{12}x{b}.*`` family passes the subset budget, so it
 runs lazily determinized (``compiled-otf``).
+
+The contact pattern and ``.*n{[a-z]+} <.*`` open and close captures
+that the next letter mostly kills.  Both loop forms leave those
+captures out by looking one letter ahead, so the same three routes pin
+that lookahead in plans, in the state loop and at chunk boundaries.
 """
 
 from functools import lru_cache
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro import Spanner
-from repro.runtime import kernel
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.streaming import StreamingEvaluator
+from repro.workloads.spanners import contact_pattern
 
-from harness import assert_arena_identical
+from harness import assert_arena_identical, plans_forbidden
 
 texts = st.text(alphabet="ab", min_size=0, max_size=160)
 
@@ -54,7 +59,7 @@ def test_exploding_sets_match_the_reference(k, text, cuts):
     whole = evaluate_compiled_arena(runtime, text)
     assert {str(mapping) for mapping in whole} == mappings
     assert whole.count() == count_compiled(runtime, text) == count
-    with mock.patch.object(kernel, "PLAN_CREDIT", -len(text) - 1):
+    with plans_forbidden(runtime, len(text)):
         assert_arena_identical(evaluate_compiled_arena(runtime, text), whole)
         assert count_compiled(runtime, text) == count
     stream = StreamingEvaluator(runtime)
@@ -75,6 +80,35 @@ def test_subset_budget_family_matches_the_reference(text):
     assert spanner.count(text, engine="compiled-otf") == count
     runtime = spanner.otf_runtime(text)
     whole = evaluate_compiled_arena(runtime, text)
-    with mock.patch.object(kernel, "PLAN_CREDIT", -len(text) - 1):
+    with plans_forbidden(runtime, len(text)):
         assert_arena_identical(evaluate_compiled_arena(runtime, text), whole)
         assert count_compiled(runtime, text) == count
+
+
+#: Contact-record pieces, so random joins open and close many captures.
+contact_texts = st.lists(
+    st.sampled_from(["Jan", "e", "x", " <", ">", ", ", "j@g.be", "55-12", "@", "-", " "]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pattern=st.sampled_from([contact_pattern(), ".*n{[a-z]+} <.*"]),
+    text=contact_texts,
+    cuts=st.lists(st.integers(min_value=0, max_value=160), max_size=6),
+)
+def test_capture_heavy_arenas_agree_in_every_loop_form(pattern, text, cuts):
+    spanner = spanner_for(pattern)
+    mappings, count = reference(spanner, text)
+    runtime = spanner.runtime(text)
+    whole = evaluate_compiled_arena(runtime, text)
+    assert {str(mapping) for mapping in whole} == mappings
+    assert whole.count() == count_compiled(runtime, text) == count
+    with plans_forbidden(runtime, len(text)):
+        assert_arena_identical(evaluate_compiled_arena(runtime, text), whole)
+        assert count_compiled(runtime, text) == count
+    stream = StreamingEvaluator(runtime)
+    for chunk in chunks_of(text, cuts):
+        stream.feed(chunk)
+    assert_arena_identical(stream.finish(), whole, context=f" (chunks at {cuts})")

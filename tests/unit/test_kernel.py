@@ -7,7 +7,11 @@ What lives here:
 * the set table's bound: clearing it mid-document changes nothing;
 * the count loop's run powers: exact past 2^64 on both automaton forms,
   off with the fast path, at most ``⌊log2 k⌋ + 1`` squares for a run of
-  ``k``, and exact while the table clears mid-run; and
+  ``k``, and exact while the table clears mid-run;
+* the plans' one-letter lookahead: on the contact workload every built
+  node is reachable, the perfbench workloads' mappings come out in the
+  same order as before it, a capture at the document's end is kept, and
+  one-character chunks build the whole-document arena; and
 * degenerate documents (empty, single character) driven through
   :func:`harness.assert_all_engines_agree`, which routes every engine ×
   chunking combination through these loops — exactly the inputs where
@@ -17,6 +21,7 @@ What lives here:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -30,6 +35,8 @@ from repro import Spanner
 from repro.runtime import kernel, runlength
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.kernel import POWER_MIN, set_table
+from repro.runtime.streaming import StreamingEvaluator
+from repro.workloads.collections import scenario
 
 from harness import assert_all_engines_agree, assert_arena_identical
 
@@ -235,3 +242,96 @@ class TestRunPowers:
                 assert count_compiled(runtime, document, fast_path=False) == expected
                 assert len(set_table(runtime).records) <= 2
                 assert len(lengths) >= 4
+
+
+def mapping_digest(spanner: Spanner, texts) -> str:
+    """sha256 of the mappings of *texts*, one line per text, each mapping
+    as its sorted ``(variable, begin, end)`` triples, in enumeration
+    order."""
+    digest = hashlib.sha256()
+    for text in texts:
+        for mapping in spanner.enumerate(text):
+            triples = sorted((name, span.begin, span.end) for name, span in mapping.items())
+            digest.update(repr(triples).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def first_round(name: str, sizes, matches=None) -> list[str]:
+    """The first round of texts of a perfbench run with seed 1: one text
+    per size, drawn like ``perfbench/library.py`` draws them (redrawn
+    until ``marker`` occurs ``max(1, round(rate * size))`` times when
+    *matches* is ``(marker, rate)``)."""
+    texts = []
+    for index, size in enumerate(sizes):
+        for attempt in range(1000):
+            seed = 100_003 + index + attempt * 10**12
+            text = next(iter(scenario(name, num_documents=1, scale=size, seed=seed).collection)).text
+            if matches is None or text.count(matches[0]) == max(1, round(matches[1] * size)):
+                break
+        texts.append(text)
+    return texts
+
+
+class TestLookahead:
+    """A plan leaves out the captures its next letter kills."""
+
+    #: Per perfbench workload: its scenario, the scale that fixes the
+    #: pattern, the first round's sizes, the redraw rule, and the sha256
+    #: :func:`mapping_digest` of those texts' mappings, computed with the
+    #: engine as it stood before plans looked a letter ahead.
+    WORKLOADS = {
+        "logs-sparse": (
+            "sparse-logs", 250, (62, 125, 250, 500, 1000), (" ERROR worker-", 0.005),
+            "00301cb366dcdc9a354f1ed54fd987e6434655cf93b7a9ceadc9d29291e40560",
+        ),
+        "contacts-dense": (
+            "contacts", 100, (50, 100, 200, 400, 800), None,
+            "47a0ee3b04d4e1f889dbcf5bf13bbdf8f02d570d7d3453a12d35e5e631a8352d",
+        ),
+        "nested-output": (
+            "nested", 8, (10, 12, 14, 16, 20), None,
+            "a161812405c0366ebe95a9f0cd420a9a4b2bda28b39e15200360e0ad68ee3d0e",
+        ),
+    }
+
+    @pytest.mark.parametrize("scale", [50, 800])
+    def test_every_built_node_is_reachable_on_contacts(self, scale):
+        # Four nodes per record: the name and the email or phone, each
+        # opened and closed; every other capture dies on its next letter.
+        built = scenario("contacts", num_documents=1, scale=scale)
+        text = next(iter(built.collection)).text
+        for form in ("runtime", "otf_runtime"):
+            dag = evaluate_compiled_arena(getattr(Spanner(built.pattern), form)(text), text)
+            assert dag.num_nodes() == dag.node_count() == 4 * scale
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_mappings_and_their_order_are_unchanged(self, workload):
+        name, scale, sizes, matches, expected = self.WORKLOADS[workload]
+        spanner = Spanner(scenario(name, num_documents=1, scale=scale).pattern)
+        assert mapping_digest(spanner, first_round(name, sizes, matches)) == expected
+
+    @pytest.mark.parametrize("text", ["a", "abc"])
+    def test_a_capture_at_the_document_end_survives(self, text):
+        # The name closes at the end, where no letter follows to look at.
+        spanner = Spanner("name{[a-z]+}")
+        expected = [f"Mapping({{'name': Span(0, {len(text)})}})"]
+        assert [str(mapping) for mapping in spanner.enumerate(text)] == expected
+        assert_all_engines_agree(spanner.source, text)
+        tail = Spanner(".*name{[a-z]+}")
+        arena = evaluate_compiled_arena(tail.runtime(text), text)
+        assert {str(m) for m in arena} == {str(m) for m in tail.evaluate(text, engine="reference")}
+        # Mid-document closes die on the next letter and are left out;
+        # the one unreachable node is the name opened at the very end,
+        # kept because no letter follows to rule it out.
+        assert arena.num_nodes() == arena.node_count() + 1
+
+    def test_one_character_chunks_build_the_whole_document_arena(self):
+        built = scenario("contacts", num_documents=1, scale=50)
+        text = next(iter(built.collection)).text
+        runtime = Spanner(built.pattern).runtime(text)
+        whole = evaluate_compiled_arena(runtime, text)
+        stream = StreamingEvaluator(runtime)
+        for char in text:
+            stream.feed(char)
+        assert_arena_identical(stream.finish(), whole)

@@ -16,11 +16,14 @@ through state-indexed arrays:
 
 * a position loop: its header (``while pos < n``) or its read of the
   class-id buffer (``buf[pos]``),
-* a capturing phase: a capture plan (``.capture_plan(`` or
-  ``record.capture``), a variable-table read (``variable_table[``) or a
-  ``capturing(`` call, and
-* a reading step: a step plan (``.steps[`` or ``.step_plan(``) or a
-  dense-table read (``class_table`` or ``letter_successor``).
+* a capturing phase: a position plan (``.plans[`` or ``.plan(``), a
+  capture plan (``.capture_plan(`` or ``record.capture``), a
+  variable-table read (``variable_table[``) or a ``capturing(`` call, and
+* a reading step: a position plan (``.plans[`` or ``.plan(``), a step
+  plan (``.steps[`` or ``.step_plan(``) or a dense-table read
+  (``class_table`` or ``letter_successor``).
+
+A position plan does both phases in one lookup, so it counts as both.
 
 Any one of them alone is fine (helpers sprint, planners mention tables);
 together they only ever occur in an inlined inner loop.  The kernel
@@ -41,8 +44,11 @@ from pathlib import Path
 EXEMPT = ("runtime/kernel.py",)
 
 LOOP_SIGNATURES = ("while pos < n", "buf[pos]")
-CAPTURE_SIGNATURES = ("capturing(", "variable_table[", ".capture_plan(", "record.capture")
-STEP_SIGNATURES = ("class_table", "letter_successor", ".steps[", ".step_plan(")
+PLAN_SIGNATURES = (".plans[", ".plan(")
+CAPTURE_SIGNATURES = (
+    "capturing(", "variable_table[", ".capture_plan(", "record.capture", *PLAN_SIGNATURES
+)
+STEP_SIGNATURES = ("class_table", "letter_successor", ".steps[", ".step_plan(", *PLAN_SIGNATURES)
 
 
 def violations(root: Path) -> list[str]:
