@@ -31,7 +31,10 @@ guaranteed no-op and is skipped; when additionally exactly one run is live
 — the overwhelmingly common case on sparse-match workloads — the engine
 *sprints*: the run's list/count is parked, and a compiled byte-pattern
 finds the next position whose character class leaves the current state at
-C speed.  Counting has a second one: where a set's plan on a class
+C speed.  Any other set skips its *idle* stretches the same way: where
+every live state self-loops and every capture dies on the next letter,
+the position moves nothing, and one search of the set's stop pattern
+finds the next one that does.  Counting has a third one: where a set's plan on a class
 leads back to the set, a run of that class is a power of the plan's
 small count transfer, applied in ``O(log k)`` products per run of ``k``.
 
@@ -99,12 +102,15 @@ def evaluate_compiled_arena(
     The paper's ``lazycopy`` degenerates to copying two ints, ``add``
     appends one cell, and ``append`` splices by assigning one next-pointer
     (asserting the single-assignment discipline, as the object lists do).
-    While a lone silent run sprints, not even the two ints move.
+    While a lone silent run sprints, or any set skips an idle stretch
+    (every member self-loops, every capture dies on the next letter),
+    not even the two ints move.
 
     Returns the flat :class:`CompiledResultDag`, on which enumeration and
     counting run integer-only (see :mod:`repro.runtime.dag`).
-    ``fast_path=False`` disables the quiescent-run sprint (benchmark and
-    test instrumentation only).
+    ``fast_path=False`` disables the quiescent-run sprint and the
+    stop-pattern search after an idle position, which then steps one
+    character at a time (benchmark and test instrumentation only).
     """
     encoded = compiled.encode(document)
     n = encoded.length
@@ -135,9 +141,9 @@ def count_compiled(
     Keeps one partial-run count per live state — the integer rewrite of
     :func:`repro.counting.count.count_mappings`, stepped by the same set
     plans as the arena loop.  No DAG, ``O(|A| × |d|)`` time and
-    ``O(|A|)`` space; it sprints through quiescent stretches and takes
-    long runs of one class by binary powers.  ``fast_path=False`` turns
-    both off.
+    ``O(|A|)`` space; it sprints through quiescent stretches, skips
+    idle ones with one search each and takes long runs of one class by
+    binary powers.  ``fast_path=False`` turns all three off.
     """
     encoded = compiled.encode(document)
     record, counts = count_loop(compiled, encoded.buffer, encoded.length, fast_path)

@@ -7,7 +7,7 @@ document, calls a loop and collects the result.
 The loops step **interned active sets**.  The live states form a sorted
 tuple, which :class:`SetTable` interns as a :class:`SetRecord` holding
 its ``quiet`` flag (no member has a variable transition, so capturing
-is a no-op), its sprint pattern and, built on first use, one **plan**
+is a no-op), its stop pattern and, built on first use, one **plan**
 per symbol class: the capturing phase at a position and the read of the
 class after it, fused (per capture its source slot, marker set and
 target, compiled into gathers that append the new nodes and cells; the
@@ -23,9 +23,14 @@ one C-level gather.  Because a plan knows the letter it reads, it leaves
 out every capture whose target dies on that letter: such a cell would be
 held only by its target's list, which the read drops, so the arena
 keeps the same reachable nodes and enumerates the same mappings in the
-same order (the **lookahead**).  Plans read the automaton only while
-they are built, through ``class_table[s][c]`` and ``variable_table[s]``,
-so the loops run unchanged over the dense
+same order (the **lookahead**).  A plan whose class every member
+self-loops on, and on which the lookahead drops every capture, is
+:data:`IDLE`: it moves no list and builds no node, so the loops step
+past it without a gather and, on a ``bytes`` buffer, jump with one
+search of the set's **stop pattern** (the byte class of its non-idle
+classes) to the end of the idle stretch.  Plans read the automaton only
+while they are built, through ``class_table[s][c]`` and
+``variable_table[s]``, so the loops run unchanged over the dense
 :class:`~repro.runtime.compiled.CompiledEVA` and the lazily determinized
 :class:`~repro.runtime.subset.CompiledSubsetEVA`, which fills those
 tables on first read — the paper's Section 4 remark that its
@@ -46,11 +51,11 @@ which applies the same lookahead.
   phase at its end, which the next chunk's first plan runs with the
   same lookahead;
 * :func:`count_loop` — Algorithm 3, on the same plans.  A set whose plan
-  on a class leads back to it is a *fixed point* on that class, and
-  while the class repeats the loop applies that plan's count transfer
-  unchanged.  After :data:`POWER_MIN` repeats it finds the run's end at
-  C speed (``bytes`` buffers) and applies memoized binary powers of that
-  transfer, so a run of ``k`` costs ``O(log k)`` small products;
+  on a class leads back to it is a *fixed point* on that class; unless
+  the plan is idle, the loop applies its count transfer unchanged while
+  the class repeats.  After :data:`POWER_MIN` repeats it finds the run's
+  end at C speed (``bytes`` buffers) and applies memoized binary powers
+  of that transfer, so a run of ``k`` costs ``O(log k)`` small products;
 * :func:`sprint` — the quiescent chase of a lone silent run.
 
 Every loop keeps the paper's invariants: the **capturing step** reads
@@ -62,8 +67,10 @@ discipline (a second write to a next pointer raises
 :class:`NotDeterministicError`); live states stay in **canonical id
 order**, so the arena is a pure function of ``(entry state set,
 buffer)`` — bit-identical wherever chunk boundaries fall and whichever
-loop form ran; and the **quiescent sprint** parks a lone silent run's
-payload and chases its letter transitions at C speed.
+loop form ran; the **quiescent sprint** parks a lone silent run's
+payload and chases its letter transitions at C speed; and an **idle
+skip** passes over only positions that would build no node and move no
+list.
 
 Every arena and every count is built here: there is no kernel choice.
 ``tools/check_single_kernel.py`` fails when a raw Algorithm-1 position
@@ -112,6 +119,11 @@ PLAN_SHARE = 4
 #: most of that (32 reads 1.0x at L = 64).
 POWER_MIN = 16
 
+#: The plan of a class on which a set is *idle*: every member self-loops
+#: and the lookahead drops every capture, so the position leaves the
+#: slots and the counts as they are.  Unpacking it as a plan fails.
+IDLE = ()
+
 
 # ---------------------------------------------------------------------- #
 # Set records and their plans
@@ -123,8 +135,9 @@ class SetRecord:
 
     ``members`` is the sorted tuple of live state ids; ``captures`` (its
     variable transitions as ``(member index, marker set, target)``, in
-    member-then-row order), ``plans[c]``, the document-end plan
-    ``plans[-1]`` and the sprint ``pattern`` are ``None`` until built,
+    member-then-row order), ``plans[c]`` (:data:`IDLE` where the set is
+    idle on ``c``), the document-end plan ``plans[-1]`` and the stop
+    ``pattern`` are ``None`` until built,
     and ``powers`` maps a class on which the set is a fixed point to the
     squares of its plan's count transfer built so far.  A plan or a
     tuple of squares is stored in one assignment, so threads sharing an
@@ -267,20 +280,22 @@ class SetTable:
         *symbol* is left out.  Its cell would be held only by the
         target's list, which the read drops, so the arena loses only
         unreachable nodes.  The document-end plan keeps every capture.
+
+        When the lookahead leaves no capture and every member self-loops
+        on *symbol*, the plan is :data:`IDLE`: a fixed point with no
+        cells, no splices and an identity gather.  The loops step past
+        such a position without a gather and, on a ``bytes`` buffer,
+        search for the next class of the :meth:`stop_pattern`.  The
+        document-end plan is never idle.
         """
-        compiled = self.compiled
         members = record.members
-        captures = record.captures
-        if captures is None:
-            variable_table = compiled.variable_table
-            captures = record.captures = tuple(
-                (index, set_id, target)
-                for index, state in enumerate(members)
-                for set_id, target in variable_table[state]
-            )
-        class_table = compiled.class_table
+        class_table = self.compiled.class_table
+        captures = self._captures(record)
         if symbol is not None:
             captures = [capture for capture in captures if class_table[capture[2]][symbol] >= 0]
+            if not captures and all([class_table[state][symbol] == state for state in members]):
+                record.plans[symbol] = IDLE
+                return IDLE
         width = 2 * len(members)
         heads = dict(zip(members, range(0, width, 2)))
         tails = dict(zip(members, range(1, width, 2)))
@@ -331,28 +346,63 @@ class SetTable:
         record.plans[-1 if symbol is None else symbol] = plan
         return plan
 
-    def sprint_pattern(self, record: SetRecord):
-        """The stop pattern of the quiet set *record*.
+    def _captures(self, record: SetRecord) -> tuple:
+        """*record*'s variable transitions as ``(member index, marker set,
+        target)``, in member-then-row order (built on first use)."""
+        captures = record.captures
+        if captures is None:
+            variable_table = self.compiled.variable_table
+            captures = record.captures = tuple(
+                (index, set_id, target)
+                for index, state in enumerate(record.members)
+                for set_id, target in variable_table[state]
+            )
+        return captures
 
-        A compiled byte class of every class id on which some member does
-        not self-loop (the foreign class never does, so it is never
-        empty): ``pattern.search(buf, pos)`` skips, at C speed, the
-        stretch that leaves the whole set and its parked lists untouched.
-        Only meaningful for byte buffers (at most 256 class ids).
+    def _moves(self, members: tuple[int, ...]) -> set[int]:
+        """Every class id on which some state of *members* does not
+        self-loop (the foreign class is one of them)."""
+        class_table = self.compiled.class_table
+        return {
+            class_id
+            for state in members
+            for class_id in range(self.num_ids)
+            if class_table[state][class_id] != state
+        }
+
+    def stop_pattern(self, record: SetRecord):
+        """The stop pattern of *record*: where its idle stretches end.
+
+        A compiled byte class of every class id on which *record*'s plan
+        is not :data:`IDLE`: some member does not self-loop (the foreign
+        class is always one), or some capture's target survives the
+        letter.  ``pattern.search(buf, pos)`` skips, at C speed, a
+        stretch that moves no list and builds no node.  For a quiet set
+        it is the :meth:`sprint_pattern`.  Built on first use: it reads
+        every class of the members and capture targets, one step past
+        the live set, so the lazy form interns their successors.  Only
+        meaningful for byte buffers (at most 256 class ids).
         """
         pattern = record.pattern
         if pattern is None:
             class_table = self.compiled.class_table
-            stops = {
-                class_id
-                for state in record.members
-                for class_id in range(self.num_ids)
-                if class_table[state][class_id] != state
-            }
-            pattern = record.pattern = re.compile(
-                b"[" + b"".join(re.escape(bytes((stop,))) for stop in sorted(stops)) + b"]"
-            )
+            stops = self._moves(record.members)
+            for _index, _set_id, target in self._captures(record):
+                stops.update([c for c in range(self.num_ids) if class_table[target][c] >= 0])
+            pattern = record.pattern = _byte_class(stops)
         return pattern
+
+    def sprint_pattern(self, record: SetRecord):
+        """The byte class of every class id on which some member of
+        *record* does not self-loop.
+
+        For a quiet set this is its :meth:`stop_pattern`, which the lone
+        silent :func:`sprint` and :func:`_state_loop`'s quiet sets chase;
+        for any other set it is the members' half of the stop pattern.
+        """
+        if record.quiet:
+            return self.stop_pattern(record)
+        return _byte_class(self._moves(record.members))
 
     def run_end(self, symbol: int):
         """The pattern that finds the end of a run of class *symbol* in a
@@ -364,6 +414,10 @@ class SetTable:
                 b"[^" + re.escape(bytes((symbol,))) + b"]"
             )
         return pattern
+
+
+def _byte_class(class_ids) -> re.Pattern:
+    return re.compile(b"[" + b"".join(re.escape(bytes((c,))) for c in sorted(class_ids)) + b"]")
 
 
 def set_table(compiled) -> SetTable:
@@ -397,7 +451,7 @@ def sprint(table: SetTable, buf, pos: int, n: int, state: int, use_patterns: boo
     if use_patterns:
         while True:
             record = table.record((state,))
-            match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
+            match = (record.pattern or table.stop_pattern(record)).search(buf, pos)
             if match is None:
                 return state, n
             pos = match.start()
@@ -442,7 +496,9 @@ def arena_loop(
     — for the next call.  A position runs its set's plan on the next
     class; the capturing phase at position ``offset + n`` runs only when
     *final* (the document ends there; a stream's last call passes an
-    empty buffer), by the set's no-letter plan.
+    empty buffer), by the set's no-letter plan.  An idle plan moves
+    nothing: the loop steps past it and, with *fast_path* on a ``bytes``
+    buffer, searches the set's stop pattern for the stretch's end.
     """
     table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
@@ -450,15 +506,11 @@ def arena_loop(
 
     pos = 0
     while True:
-        if record.quiet and fast_path and pos < n:
-            if len(record.members) == 1:
-                state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
-                if state < 0:
-                    return None, ()
-                record = table.record((state,))
-            elif use_patterns:
-                match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
-                pos = n if match is None else match.start()
+        if record.quiet and fast_path and pos < n and len(record.members) == 1:
+            state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
+            if state < 0:
+                return None, ()
+            record = table.record((state,))
         if pos < n:
             symbol = buf[pos]
             plan = record.plans[symbol]
@@ -476,6 +528,12 @@ def arena_loop(
                     fast_path, final,
                 )
             plan = table.plan(record, symbol)
+        if plan is IDLE:
+            pos += 1
+            if use_patterns:
+                match = (record.pattern or table.stop_pattern(record)).search(buf, pos)
+                pos = n if match is None else match.start()
+            continue
         record, gather, chain, _, _, cells = plan
         if cells is not None:
             k, markers, starts, ends, nexts = cells
@@ -621,10 +679,12 @@ def count_loop(compiled, buf, n, fast_path):
     Returns ``(record, counts)`` after the final capturing phase: the
     live set's record (``None`` once every run has died) and its
     members' counts, in member order.  Like :func:`arena_loop`, it
-    finishes in :func:`_count_state_loop` once plans stop paying.  At a
+    finishes in :func:`_count_state_loop` once plans stop paying, and
+    steps past an idle plan with one stop-pattern search.  At any other
     fixed point it stays there while the class repeats: :data:`POWER_MIN`
     plain repeats of its plan's transfer, then powers up to the run's end.
-    ``fast_path=False`` turns off the sprint, the repeats and the powers.
+    ``fast_path=False`` turns off the sprint, the searches, the repeats
+    and the powers.
     """
     table = set_table(compiled)
     use_patterns = fast_path and isinstance(buf, bytes)
@@ -634,15 +694,11 @@ def count_loop(compiled, buf, n, fast_path):
 
     pos = 0
     while True:
-        if record.quiet and fast_path and pos < n:
-            if len(record.members) == 1:
-                state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
-                if state < 0:
-                    return None, ()
-                record = table.record((state,))
-            elif use_patterns:
-                match = (record.pattern or table.sprint_pattern(record)).search(buf, pos)
-                pos = n if match is None else match.start()
+        if record.quiet and fast_path and pos < n and len(record.members) == 1:
+            state, pos = sprint(table, buf, pos, n, record.members[0], use_patterns)
+            if state < 0:
+                return None, ()
+            record = table.record((state,))
         if pos < n:
             symbol = buf[pos]
             plan = record.plans[symbol]
@@ -656,6 +712,12 @@ def count_loop(compiled, buf, n, fast_path):
             if built > pos // PLAN_SHARE:
                 return _count_state_loop(compiled, buf, pos, n, record, counts, fast_path)
             plan = table.plan(record, symbol)
+        if plan is IDLE:
+            pos += 1
+            if use_patterns:
+                match = (record.pattern or table.stop_pattern(record)).search(buf, pos)
+                pos = n if match is None else match.start()
+            continue
         target, _, _, gather, adds, _ = plan
         if target is None:
             return None, ()

@@ -69,9 +69,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Hashable, TypeVar
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "ENGINE_CHOICES",
@@ -299,6 +301,10 @@ class PlanCache(Generic[K, V]):
             build = self._building.get(key)
             owner = build is None
             if owner:
+                # Imported here: only a build needs it, and with its
+                # logging it costs every ``import repro`` several ms.
+                from concurrent.futures import Future
+
                 self._misses += 1
                 build = self._building[key] = Future()
             else:

@@ -41,6 +41,16 @@ def test_an_eager_pool_import_on_the_request_path_is_flagged(tmp_path, capsys):
     assert "repro.runtime.resilience" in capsys.readouterr().out
 
 
+def test_an_eager_future_import_in_the_plan_cache_is_flagged(tmp_path):
+    # Only a PlanCache build needs a Future; importing it at module level
+    # loads concurrent.futures (and logging) on every ``import repro``.
+    package = copy_tree(tmp_path)
+    plant(package / "runtime" / "plan.py", "from concurrent.futures import Future")
+    assert check_cold_imports.violations(tmp_path) == [
+        "import repro + default requests: concurrent.futures"
+    ]
+
+
 def test_an_eager_batch_import_in_the_cli_is_flagged(tmp_path):
     package = copy_tree(tmp_path)
     plant(package / "cli.py", "from repro.runtime.batch import MODES")

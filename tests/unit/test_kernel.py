@@ -11,7 +11,13 @@ What lives here:
 * the plans' one-letter lookahead: on the contact workload every built
   node is reachable, the perfbench workloads' mappings come out in the
   same order as before it, a capture at the document's end is kept, and
-  one-character chunks build the whole-document arena; and
+  one-character chunks build the whole-document arena;
+* idle stretches: on the contact workload the skip changes no arena and
+  no count, chunk cuts inside a stretch change nothing, and the loops
+  make one stop-pattern search per maximal stretch; a class on which a
+  capture survives ends a stretch; past 256 classes
+  (an ``array`` buffer) idle plans step one character and never search;
+  and
 * degenerate documents (empty, single character) driven through
   :func:`harness.assert_all_engines_agree`, which routes every engine ×
   chunking combination through these loops — exactly the inputs where
@@ -33,12 +39,19 @@ import pytest
 import repro
 from repro import Spanner
 from repro.runtime import kernel, runlength
-from repro.runtime.engine import count_compiled, evaluate_compiled_arena
-from repro.runtime.kernel import POWER_MIN, set_table
+from repro.runtime.compiled import NO_TARGET
+from repro.runtime.dag import NIL
+from repro.runtime.engine import _collect_arena, count_compiled, evaluate_compiled_arena
+from repro.runtime.kernel import IDLE, POWER_MIN, set_table
 from repro.runtime.streaming import StreamingEvaluator
 from repro.workloads.collections import scenario
 
-from harness import assert_all_engines_agree, assert_arena_identical
+from harness import (
+    adversarial_chunkings,
+    assert_all_engines_agree,
+    assert_arena_identical,
+    plans_forbidden,
+)
 
 PATTERNS = [
     "x{a*b}",
@@ -335,3 +348,176 @@ class TestLookahead:
         for char in text:
             stream.feed(char)
         assert_arena_identical(stream.finish(), whole)
+
+
+def idle_stretches(compiled, buf, n: int) -> int:
+    """The number of maximal idle stretches in ``buf[:n]``, read off the
+    automaton's tables position by position rather than off the plans.
+
+    A position is idle when every live state self-loops on its class and
+    every capture's target dies on it; a lone silent run is the sprint's,
+    not a stretch.
+    """
+    class_table = compiled.class_table
+    variable_table = compiled.variable_table
+    live = (compiled.initial,)
+    stretches = 0
+    was_idle = False
+    for pos in range(n):
+        symbol = buf[pos]
+        targets = [target for state in live for _set_id, target in variable_table[state]]
+        idle = (
+            not (len(live) == 1 and compiled.silent[live[0]])
+            and all(class_table[state][symbol] == state for state in live)
+            and all(class_table[target][symbol] < 0 for target in targets)
+        )
+        stretches += idle and not was_idle
+        was_idle = idle
+        if not idle:
+            moved = {class_table[state][symbol] for state in (*live, *targets)}
+            live = tuple(sorted(moved - {NO_TARGET}))
+            if not live:
+                break
+    return stretches
+
+
+class SearchCounter:
+    """A stop pattern that counts its ``search`` calls."""
+
+    def __init__(self, pattern) -> None:
+        self.pattern = pattern
+        self.calls = 0
+
+    def search(self, buf, pos):
+        self.calls += 1
+        return self.pattern.search(buf, pos)
+
+
+def count_searches(runtime) -> list[SearchCounter]:
+    """Wrap the stop pattern of every set in *runtime*'s table that is
+    not a lone silent run (the sprint's)."""
+    counters = []
+    for record in set_table(runtime).records.values():
+        lone_silent = record.quiet and len(record.members) == 1
+        if record.pattern is not None and not lone_silent:
+            record.pattern = SearchCounter(record.pattern)
+            counters.append(record.pattern)
+    return counters
+
+
+def chunked_arena(runtime, text: str, lengths):
+    """*text*'s arena from one :func:`kernel.arena_loop` call per chunk of
+    the given *lengths* and a final call on an empty buffer, as a stream
+    runs it (on either automaton form)."""
+    buf = runtime.encode(text).buffer
+    arena = ([], [], [], [], [NIL], [NIL])
+    record, slots = set_table(runtime).record((runtime.initial,)), (0, 0)
+    offset = 0
+    for length in [*lengths, 0]:
+        piece = buf[offset : offset + length]
+        record, slots = kernel.arena_loop(
+            runtime, piece, length, offset, record, slots, *arena, True, length == 0
+        )
+        offset += length
+        if record is None:
+            break
+    return _collect_arena(runtime, len(text), record, slots, arena)
+
+
+def contacts(scale: int) -> tuple[str, str]:
+    built = scenario("contacts", num_documents=1, scale=scale)
+    return built.pattern, next(iter(built.collection)).text
+
+
+class TestIdleStretches:
+    """Idle plans step past a position and search for the next stop."""
+
+    @pytest.mark.parametrize("scale", [50, 800])
+    @pytest.mark.parametrize("form", ["runtime", "otf_runtime"])
+    def test_the_skip_changes_no_arena_and_no_count(self, scale, form):
+        pattern, text = contacts(scale)
+        spanner = Spanner(pattern)
+        runtime = getattr(spanner, form)(text)
+        whole = evaluate_compiled_arena(runtime, text)
+        assert_arena_identical(evaluate_compiled_arena(runtime, text, fast_path=False), whole)
+        expected = spanner.preprocess(text, engine="reference")
+        assert {str(m) for m in whole} == {str(m) for m in expected}
+        assert count_compiled(runtime, text) == expected.count() == scale
+        records = set_table(runtime).records.values()
+        assert any(plan is IDLE for record in records for plan in record.plans)
+        # The state loops skip a quiet set's stretches by their own search.
+        with plans_forbidden(runtime, len(text)):
+            assert_arena_identical(evaluate_compiled_arena(runtime, text), whole)
+            assert count_compiled(runtime, text) == scale
+
+    @pytest.mark.parametrize("scale", [50, 800])
+    @pytest.mark.parametrize("form", ["runtime", "otf_runtime"])
+    def test_chunk_cuts_inside_stretches_build_the_whole_arena(self, scale, form):
+        pattern, text = contacts(scale)
+        runtime = getattr(Spanner(pattern), form)(text)
+        whole = evaluate_compiled_arena(runtime, text)
+        chunkings = dict(adversarial_chunkings(text, seed=scale))
+        for label in ("single-chars", "random-0", "random-1"):
+            chunked = chunked_arena(runtime, text, [len(chunk) for chunk in chunkings[label]])
+            assert_arena_identical(chunked, whole, context=f" ({label})")
+
+    @pytest.mark.parametrize("scale", [50, 800])
+    @pytest.mark.parametrize("form", ["runtime", "otf_runtime"])
+    def test_one_search_per_maximal_idle_stretch(self, scale, form):
+        pattern, text = contacts(scale)
+        runtime = getattr(Spanner(pattern), form)(text)
+        evaluate_compiled_arena(runtime, text)  # builds the plans and patterns
+        encoded = runtime.encode(text)
+        stretches = idle_stretches(runtime, encoded.buffer, encoded.length)
+        assert stretches > scale
+        for loop in (count_compiled, evaluate_compiled_arena):
+            counters = count_searches(runtime)
+            loop(runtime, text)
+            assert sum(counter.calls for counter in counters) == stretches, loop
+
+    @pytest.mark.parametrize("form", ["runtime", "otf_runtime"])
+    def test_a_class_a_capture_survives_ends_the_stretch(self, form):
+        # The initial set of ".*x{a+b}.*" self-loops on every letter, and
+        # is idle on "c", but its capture survives "a": the skip must stop
+        # there although no member moves on it.
+        spanner = Spanner(".*x{a+b}.*")
+        text = "c" * 20 + "aab" + "c" * 20 + "ab"
+        runtime = getattr(spanner, form)(text)
+        whole = evaluate_compiled_arena(runtime, text)
+        assert_arena_identical(evaluate_compiled_arena(runtime, text, fast_path=False), whole)
+        expected = spanner.evaluate(text, engine="reference")
+        assert {str(m) for m in whole} == {str(m) for m in expected}
+        assert count_compiled(runtime, text) == 3
+
+    def test_more_than_256_classes_step_idle_plans_without_a_search(self, monkeypatch):
+        # 300 letters, each its own class: the buffer is an array, so the
+        # initial set's idle plans step one character each, no stop
+        # pattern is built, and the lone silent runs are chased row by
+        # row: into a capturing state, to the end of the text, and dead.
+        wide = [chr(0x400 + i) for i in range(300)]
+        pattern = f"[{''.join(wide)}]*x{{a}}({'|'.join(c * 3 for c in wide)})y{{b}}.*"
+        head = "".join(wide[7 * i % 300] for i in range(40)) + "a" + wide[5]
+        text = head + wide[5] * 2 + "b" + "".join(wide[3 * i % 300] for i in range(30))
+        dying = head + wide[6] + "b"
+        spanner = Spanner(pattern)
+        runtime = spanner.runtime(text)
+        assert runtime.classing.num_ids > 256
+        assert not isinstance(runtime.encode(text).buffer, bytes)
+        sprints = []
+        sprint = kernel.sprint
+
+        def spy(table, buf, pos, n, state, use_patterns):
+            result = sprint(table, buf, pos, n, state, use_patterns)
+            sprints.append((use_patterns, result))
+            return result
+
+        monkeypatch.setattr(kernel, "sprint", spy)
+        assert count_compiled(runtime, text) == 1
+        assert count_compiled(runtime, dying) == spanner.count(dying, engine="reference") == 0
+        assert [use_patterns for use_patterns, _result in sprints] == [False] * 3
+        assert [result[1] for _use_patterns, result in sprints] == [44, len(text), 43]
+        assert sprints[-1][1][0] < 0
+        records = set_table(runtime).records.values()
+        assert any(plan is IDLE for record in records for plan in record.plans)
+        assert all(record.pattern is None for record in records)
+        assert_all_engines_agree(pattern, text, spanner=spanner)

@@ -3,12 +3,13 @@
 
 A default ``count``, ``enumerate`` or ``extract`` compiles a regex and
 runs Algorithms 1–3; nothing else.  The process pool, the streaming
-evaluator, the hybrid operators, the optimizer and the reference engines
-are cold paths: each is imported at its call site (or through a lazy
-package export), so a fresh process does not pay to load them.  History
-shows eager imports creep back one convenient top-level line at a time,
-and every one of them is start-up latency for every user.  This check
-fails CI the moment one does.
+evaluator, the hybrid operators, the optimizer, the reference engines
+and the futures a plan-cache build hands its waiters are cold paths:
+each is imported at its call site (or through a lazy package export),
+so a fresh process does not pay to load them.  History shows eager
+imports creep back one convenient top-level line at a time, and every
+one of them is start-up latency for every user.  This check fails CI
+the moment one does.
 
 It starts a fresh interpreter with ``src`` on ``PYTHONPATH``, runs
 ``import repro`` plus a default ``count``, ``enumerate`` and ``extract``
@@ -34,6 +35,7 @@ from pathlib import Path
 #: Modules a default request must not load.
 COLD = (
     "multiprocessing",
+    "concurrent.futures",
     "repro.runtime.resilience",
     "repro.runtime.batch",
     "repro.runtime.streaming",
