@@ -33,6 +33,7 @@ import json
 import os
 import sys
 import time
+from statistics import median
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -48,26 +49,37 @@ from repro.workloads.collections import scenario  # noqa: E402
 from repro.workloads.spanners import random_census_nfa  # noqa: E402
 
 
+def batch_drain(compiled, collection, **kwargs):
+    """A callable draining one full batch run (the engine, and in process
+    mode the freeze/ship/thaw round trip)."""
+
+    def drain() -> None:
+        for _pair in run_batch(compiled, collection, **kwargs):
+            pass
+
+    return drain
+
+
+def batch_count(compiled, collection, **kwargs) -> int:
+    """The mapping count of one untimed batch run, for cross-checking."""
+    return sum(result.count() for _doc_id, result in run_batch(compiled, collection, **kwargs))
+
+
 def timed_batch(compiled, collection, *, repeat: int = 1, **kwargs) -> tuple[float, int]:
     """Best wall-clock seconds of draining a full batch run, plus the count.
 
-    The timed region drains the stream (i.e. runs the evaluation engine —
-    and, in process mode, the freeze/ship/thaw round trip); the mapping
-    count used for cross-engine verification is computed on one extra
-    untimed run so that the shared DAG-counting cost does not dilute the
-    engine comparison.
+    The mapping count used for cross-engine verification is computed on
+    one extra untimed run so that the shared DAG-counting cost does not
+    dilute the engine comparison.
     """
+    drain = batch_drain(compiled, collection, **kwargs)
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        for _doc_id, _result in run_batch(compiled, collection, **kwargs):
-            pass
+        drain()
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    total = sum(
-        result.count() for _doc_id, result in run_batch(compiled, collection, **kwargs)
-    )
-    return best, total
+    return best, batch_count(compiled, collection, **kwargs)
 
 
 def timed_nofast(compiled, collection, *, repeat: int = 1) -> tuple[float, int]:
@@ -91,35 +103,42 @@ def timed_nofast(compiled, collection, *, repeat: int = 1) -> tuple[float, int]:
     return best, total
 
 
-def timed_supervised_pair(compiled, collection, *, repeat, passes=10):
-    """Best paired seconds of plain vs supervised serial drains.
+#: Every sample of a gated ratio repeats its drain until it has run this
+#: long: a smoke-sized drain (0.2 ms for census, 2.5 ms for contacts) is
+#: far shorter than the jitter a 10% floor has to tolerate.
+MIN_SAMPLE_SECONDS = 0.05
 
-    The supervised-overhead floor (<=2%) is far below the jitter of a
-    single smoke-sized drain, so this measurement is built differently
-    from the cross-engine rows: each sample drains the collection
-    *passes* times (longer timed regions drown per-drain noise) and the
-    plain/supervised samples are interleaved so slow machine drift hits
-    both sides equally.  Returns ``(plain_best, supervised_best)``
-    normalized to per-drain seconds.
+
+def drain_seconds(drain) -> float:
+    """Per-drain seconds of one sample: *drain* repeated for at least
+    :data:`MIN_SAMPLE_SECONDS`."""
+    drains = 0
+    start = time.perf_counter()
+    while True:
+        drain()
+        drains += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SAMPLE_SECONDS:
+            return elapsed / drains
+
+
+def paired_speedup(baseline, candidate, *, pairs: int) -> tuple[float, float, float]:
+    """How much faster *candidate* drains than *baseline*, from paired samples.
+
+    The two sides' samples are interleaved, so slow machine drift hits
+    both equally, and the ratio is the median of the per-pair
+    ``baseline / candidate`` ratios, so one disturbed pair cannot move
+    it.  Returns ``(baseline_seconds, candidate_seconds, speedup)``, the
+    seconds being per-drain medians.
     """
-    policy = ResiliencePolicy()
-
-    def sample(**kwargs) -> float:
-        start = time.perf_counter()
-        for _ in range(passes):
-            for _pair in run_batch(compiled, collection, engine="compiled", **kwargs):
-                pass
-        return time.perf_counter() - start
-
-    plain_best = supervised_best = None
-    for _ in range(repeat):
-        plain = sample()
-        supervised = sample(policy=policy)
-        plain_best = plain if plain_best is None else min(plain_best, plain)
-        supervised_best = (
-            supervised if supervised_best is None else min(supervised_best, supervised)
-        )
-    return plain_best / passes, supervised_best / passes
+    baseline_samples, candidate_samples, ratios = [], [], []
+    for _ in range(pairs):
+        before = drain_seconds(baseline)
+        after = drain_seconds(candidate)
+        baseline_samples.append(before)
+        candidate_samples.append(after)
+        ratios.append(before / after)
+    return median(baseline_samples), median(candidate_samples), median(ratios)
 
 
 def census_collection(num_documents: int, num_states: int, length: int):
@@ -150,16 +169,24 @@ def bench_workload(
     ``speedup_supervised_vs_plain`` ratio, gating the resilience layer's
     no-fault overhead (the acceptance criterion is <=2%, i.e. a floor of
     0.98 on the ratio).
+
+    The two gated ratios, ``speedup_compiled_vs_reference`` and
+    ``speedup_supervised_vs_plain``, come from :func:`paired_speedup`
+    (``2 * repeat + 1`` interleaved pairs of samples at least
+    :data:`MIN_SAMPLE_SECONDS` long); their rows' seconds are the
+    per-drain medians of those samples.
     """
     total_chars = collection.total_length()
     rows = {}
+    pairs = 2 * repeat + 1
 
-    reference_seconds, reference_count = timed_batch(
-        compiled, collection, engine="reference", repeat=repeat
+    reference_seconds, compiled_seconds, compiled_speedup = paired_speedup(
+        batch_drain(compiled, collection, engine="reference"),
+        batch_drain(compiled, collection, engine="compiled"),
+        pairs=pairs,
     )
-    compiled_seconds, compiled_count = timed_batch(
-        compiled, collection, engine="compiled", repeat=repeat
-    )
+    reference_count = batch_count(compiled, collection, engine="reference")
+    compiled_count = batch_count(compiled, collection, engine="compiled")
     process_seconds, process_count = timed_batch(
         compiled,
         collection,
@@ -191,16 +218,13 @@ def bench_workload(
             )
         timed_rows.append(("compiled-nofast", nofast_seconds))
     if supervised:
-        plain_seconds, supervised_seconds = timed_supervised_pair(
-            compiled, collection, repeat=max(5, repeat * 2)
+        policy = ResiliencePolicy()
+        _plain_seconds, supervised_seconds, supervised_speedup = paired_speedup(
+            batch_drain(compiled, collection, engine="compiled"),
+            batch_drain(compiled, collection, engine="compiled", policy=policy),
+            pairs=pairs,
         )
-        _, supervised_count = timed_batch(
-            compiled,
-            collection,
-            engine="compiled",
-            policy=ResiliencePolicy(),
-            repeat=1,
-        )
+        supervised_count = batch_count(compiled, collection, engine="compiled", policy=policy)
         if supervised_count != compiled_count:
             raise AssertionError(
                 f"{name}: supervision changed the result — "
@@ -213,12 +237,12 @@ def bench_workload(
             "seconds": seconds,
             "chars_per_second": total_chars / seconds if seconds else float("inf"),
         }
-    rows["speedup_compiled_vs_reference"] = reference_seconds / compiled_seconds
+    rows["speedup_compiled_vs_reference"] = compiled_speedup
     rows["speedup_processes_vs_serial"] = compiled_seconds / process_seconds
     if nofast:
         rows["speedup_fastpath_vs_nofast"] = nofast_seconds / compiled_seconds
     if supervised:
-        rows["speedup_supervised_vs_plain"] = plain_seconds / supervised_seconds
+        rows["speedup_supervised_vs_plain"] = supervised_speedup
     return {
         "workload": name,
         "documents": len(collection),

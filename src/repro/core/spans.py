@@ -26,12 +26,16 @@ class Span:
     sets, and sorted to produce deterministic output orders.
 
     The public constructor validates its endpoints (``bool`` is rejected
-    although it is an ``int`` subclass).  The arena walk of
-    :mod:`repro.runtime.dag` builds spans with the trusted form instead —
-    ``Span.__new__(Span)`` plus stores to ``_begin`` and ``_end`` —
-    because the arena already guarantees integer endpoints with
-    ``0 ≤ begin ≤ end ≤ |d|``.  ``tools/check_trusted_constructors.py``
-    keeps that form out of every other module.
+    although it is an ``int`` subclass).  An undecoded mapping from the
+    arena walk of :mod:`repro.runtime.dag` builds its spans with the
+    trusted form instead — ``Span.__new__(Span)`` plus stores to
+    ``_begin`` and ``_end`` — when a reader first decodes it
+    (:class:`~repro.core.mappings.Mapping`), because the arena already
+    guarantees integer endpoints with ``0 ≤ begin ≤ end ≤ |d|``.
+    :meth:`Mapping.contents <repro.core.mappings.Mapping.contents>`
+    builds no span at all: it slices the text from the walk's path.
+    ``tools/check_trusted_constructors.py`` keeps the trusted form out of
+    every other module.
 
     >>> s = Span(0, 4)
     >>> s.content("John and Jane")

@@ -22,15 +22,21 @@ memo dictionary.
 
 Enumeration walks the arena with an explicit stack of ``(cell, stop,
 path)`` frames, where ``path`` is a parent-pointer chain of ``(marker set,
-position, parent)`` labels, so a push never copies the path.  It only
-materializes a :class:`~repro.core.mappings.Mapping` at yield time, with
-the trusted constructors (``Span.__new__`` / ``Mapping.__new__`` plus slot
-stores): the arena guarantees integer endpoints with ``0 ≤ begin ≤ end ≤
-|d|``, so re-running the public constructors' checks would only add delay.
-This module and :mod:`repro.core` are the only places that form may
-appear (``tools/check_trusted_constructors.py``).  The per-mapping delay
-is still bounded by the path length (``2·ℓ + 1`` steps for ``ℓ``
-variables), just with a far smaller constant than the reference walker.
+position, parent)`` labels, so a push never copies the path.  At each ⊥
+leaf it yields an *undecoded* :class:`~repro.core.mappings.Mapping` built
+with the trusted constructor (``Mapping.__new__`` plus slot stores) that
+holds that path and the call's decode tables; nothing is decoded during
+the walk.  The mapping decodes itself only when it is read:
+:meth:`~repro.core.mappings.Mapping.contents` slices the text straight
+from the path and never builds a :class:`~repro.core.spans.Span`, and
+every other reader decodes the path once into the ``{variable: Span}``
+dict.  The arena guarantees integer endpoints with ``0 ≤ begin ≤ end ≤
+|d|``, so re-running the public constructors' checks would only add
+delay.  This module and :mod:`repro.core` are the only places the trusted
+form may appear (``tools/check_trusted_constructors.py``).  The
+per-mapping delay is bounded by the path length (``2·ℓ + 1`` steps for
+``ℓ`` variables), just with a far smaller constant than the reference
+walker.
 
 Lossless conversions to and from the legacy
 :class:`~repro.enumeration.evaluate.ResultDag` are provided for
@@ -44,7 +50,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.mappings import Mapping
-from repro.core.spans import Span
 
 if TYPE_CHECKING:
     from repro.enumeration.evaluate import ResultDag
@@ -138,23 +143,27 @@ class CompiledResultDag:
         A depth-first walk over the arena with an explicit stack; each
         frame is ``(cell, stop, path)``.  ``path`` is a parent-pointer
         chain of ``(marker_set_id, position, parent)`` labels, so a push
-        is one tuple, not a copy of the path.  The walk runs from the end
-        of the document backwards, so following the parents of a ⊥ leaf's
-        path visits positions in increasing order.  A ⊥ payload completes
-        one path, which is decoded into a :class:`Mapping` only then.
+        is one tuple, not a copy of the path; the chain ends in ``()``.
+        The walk runs from the end of the document backwards, so following
+        the parents of a ⊥ leaf's path visits positions in increasing
+        order.
 
-        Decoding uses the trusted constructors: ``Span.__new__`` and
-        ``Mapping.__new__`` plus slot stores.  The arena guarantees what
-        the public constructors would check — integer endpoints with
-        ``0 ≤ begin ≤ end ≤ |d|`` and variable-name keys — so the output
-        equals, in order and in each mapping's variable order, what
-        ``Mapping({x: Span(i, j), ...})`` would build.
+        A ⊥ payload completes one path, and the walk yields it undecoded:
+        a :class:`Mapping` built with the trusted ``Mapping.__new__`` plus
+        slot stores, holding the path and the call's ``(opens_by_set,
+        closes_by_set, document_length)`` decode tables.  Nothing is
+        decoded here: ``contents`` slices the text from the path without
+        building a :class:`~repro.core.spans.Span`, and any other reader
+        decodes the path once (:class:`~repro.core.mappings.Mapping`).
+        The arena guarantees what the public constructors would check, so
+        the output equals, in order and in each mapping's variable order,
+        what ``Mapping({x: Span(i, j), ...})`` would build.
 
         When *keep* is given, only those variables are decoded — the
         arena-level projection of :mod:`repro.runtime.operators`: markers
         of projected-away variables never allocate a
-        :class:`~repro.core.spans.Span` (the resulting mappings are not
-        deduplicated; projection callers do that).  The per-marker-set
+        :class:`~repro.core.spans.Span` nor a slice (the resulting
+        mappings are not deduplicated; projection callers do that).  The
         decode tables are filtered once per call, not per step.
         """
         cell_nodes = self.cell_nodes
@@ -173,32 +182,22 @@ class CompiledResultDag:
                 tuple(variable for variable in closed if variable in keep)
                 for closed in closes_by_set
             )
-        new_span = Span.__new__
+        tables = (opens_by_set, closes_by_set, self.document_length)
         new_mapping = Mapping.__new__
 
         for _state_id, start, end in self.final_entries:
-            stack = [(start, end, None)]
+            stack = [(start, end, ())]
             while stack:
                 cell, stop, path = stack.pop()
                 while cell != NIL:
                     node = cell_nodes[cell]
                     following = NIL if cell == stop else cell_nexts[cell]
                     if node == NIL:
-                        # ⊥ reached: `path` is a complete run, decode it.
-                        opens: dict[str, int] = {}
-                        assignment: dict[str, Span] = {}
-                        frame = path
-                        while frame is not None:
-                            set_id, position, frame = frame
-                            for variable in opens_by_set[set_id]:
-                                opens[variable] = position
-                            for variable in closes_by_set[set_id]:
-                                span = new_span(Span)
-                                span._begin = opens.pop(variable)
-                                span._end = position
-                                assignment[variable] = span
+                        # ⊥ reached: `path` is a complete run.
                         mapping = new_mapping(Mapping)
-                        mapping._assignment = assignment
+                        mapping._assignment = None
+                        mapping._path = path
+                        mapping._tables = tables
                         mapping._hash = None
                         yield mapping
                         cell = following

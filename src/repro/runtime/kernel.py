@@ -377,8 +377,10 @@ class SetTable:
         is not :data:`IDLE`: some member does not self-loop (the foreign
         class is always one), or some capture's target survives the
         letter.  ``pattern.search(buf, pos)`` skips, at C speed, a
-        stretch that moves no list and builds no node.  For a quiet set
-        it is the :meth:`sprint_pattern`.  Built on first use: it reads
+        stretch that moves no list and builds no node.  A quiet set has
+        no captures, so its stop pattern is every class on which some
+        member moves: the lone silent :func:`sprint` and the state loops'
+        quiet multi-member sets chase that.  Built on first use: it reads
         every class of the members and capture targets, one step past
         the live set, so the lazy form interns their successors.  Only
         meaningful for byte buffers (at most 256 class ids).
@@ -391,18 +393,6 @@ class SetTable:
                 stops.update([c for c in range(self.num_ids) if class_table[target][c] >= 0])
             pattern = record.pattern = _byte_class(stops)
         return pattern
-
-    def sprint_pattern(self, record: SetRecord):
-        """The byte class of every class id on which some member of
-        *record* does not self-loop.
-
-        For a quiet set this is its :meth:`stop_pattern`, which the lone
-        silent :func:`sprint` and :func:`_state_loop`'s quiet sets chase;
-        for any other set it is the members' half of the stop pattern.
-        """
-        if record.quiet:
-            return self.stop_pattern(record)
-        return _byte_class(self._moves(record.members))
 
     def run_end(self, symbol: int):
         """The pattern that finds the end of a run of class *symbol* in a
@@ -442,7 +432,7 @@ def sprint(table: SetTable, buf, pos: int, n: int, state: int, use_patterns: boo
     ``pos``).  Precondition: *state* is silent and ``pos < n``.
 
     With a ``bytes`` buffer, stretches where *state* self-loops are skipped
-    by its singleton set's :meth:`SetTable.sprint_pattern`, so the
+    by its singleton set's :meth:`SetTable.stop_pattern`, so the
     Python-level cost is one iteration per state *change*, not per
     character.
     """
@@ -610,7 +600,7 @@ def _state_loop(
                 active[0] = state
                 quiet = silent[state]
             elif use_patterns:
-                match = table.sprint_pattern(table.record(tuple(active))).search(buf, pos)
+                match = table.stop_pattern(table.record(tuple(active))).search(buf, pos)
                 pos = n if match is None else match.start()
         if pos >= n and not final:
             break
@@ -773,7 +763,7 @@ def _count_state_loop(compiled, buf, pos, n, record, counts, fast_path):
                 active[0] = state
                 quiet = silent[state]
             elif use_patterns:
-                match = table.sprint_pattern(table.record(tuple(active))).search(buf, pos)
+                match = table.stop_pattern(table.record(tuple(active))).search(buf, pos)
                 pos = n if match is None else match.start()
         if not quiet:
             alive = len(active)

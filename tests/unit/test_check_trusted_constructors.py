@@ -41,9 +41,13 @@ def test_real_tree_passes():
 
 
 def test_the_arena_walk_uses_the_trusted_form():
-    # The exemption is not vacuous: the walk is where the form lives.
-    text = (ROOT / "src" / "repro" / "runtime" / "dag.py").read_text(encoding="utf-8")
-    assert "Span.__new__" in text and "Mapping.__new__" in text
+    # The exemptions are not vacuous: the walk builds undecoded mappings
+    # with the trusted form, and the mapping decodes its path into spans
+    # with it.
+    walk = (ROOT / "src" / "repro" / "runtime" / "dag.py").read_text(encoding="utf-8")
+    decode = (ROOT / "src" / "repro" / "core" / "mappings.py").read_text(encoding="utf-8")
+    assert "Mapping.__new__" in walk
+    assert "Span.__new__" in decode
 
 
 @pytest.mark.parametrize("source", [TRUSTED_SPAN, TRUSTED_MAPPING], ids=["span", "mapping"])

@@ -1,7 +1,13 @@
 """Unit tests for the CompiledResultDag arena (repro.runtime.dag)."""
 
+import copy
+import functools
+import json
 import pickle
+import sys
+import threading
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -246,3 +252,233 @@ class TestTrustedDecode:
         assert mapping.contents(Document(text) if as_document else text) == {
             "x": text[span.begin : span.end]
         }
+
+
+#: The trusted-decode patterns plus the nested-output pattern, whose runs
+#: close an inner capture before the outer one.
+NESTED_PATTERN = ".*x1{.*x2{.*}.*}.*"
+LAZY_PATTERNS = TRUSTED_PATTERNS + (NESTED_PATTERN,)
+
+
+@functools.lru_cache(maxsize=None)
+def lazy_cases():
+    """``(text, arena)`` over the harness corpus, on both automaton forms.
+
+    Built once: every walk of an arena starts afresh, so tests share them.
+    """
+    cases = []
+    for pattern in LAZY_PATTERNS:
+        spanner = Spanner(pattern)
+        for engine in ("compiled", "compiled-otf"):
+            for text in adversarial_documents():
+                cases.append((text, spanner.preprocess(text, engine=engine)))
+    return tuple(cases)
+
+
+#: The reader tests take this many mappings of each walk; the full walks
+#: are compared once, in ``test_walk_equals_the_public_decode``.
+READ_LIMIT = 300
+
+
+def undecoded(arena, keep=None, limit=READ_LIMIT):
+    """A fresh walk's first *limit* mappings, checked to be still undecoded."""
+    mappings = list(islice(arena.mappings(keep=keep), limit))
+    assert all(mapping._assignment is None for mapping in mappings)
+    return mappings
+
+
+def decoded(arena, keep=None, limit=READ_LIMIT):
+    """The public decode's first *limit* mappings."""
+    return list(islice(public_decode(arena, keep), limit))
+
+
+class UnreadableDocument:
+    """A document whose text must never be read."""
+
+    @property
+    def text(self):
+        raise AssertionError("an empty mapping must not read its document")
+
+
+#: Readers that decode an undecoded mapping, each asked first.
+READERS = {
+    "items": lambda mapping: list(mapping.items()),
+    "hash": hash,
+    "repr": repr,
+    "paper_notation": lambda mapping: mapping.paper_notation(),
+    "len": len,
+    "iter": list,
+    "domain": lambda mapping: mapping.domain(),
+    "getitem": lambda mapping: [mapping[variable] for variable in sorted(mapping)],
+    "public_constructor": lambda mapping: list(Mapping(mapping).items()),
+    "copy": lambda mapping: list(copy.copy(mapping).items()),
+    "deepcopy": lambda mapping: list(copy.deepcopy(mapping).items()),
+    "pickle": lambda mapping: list(pickle.loads(pickle.dumps(mapping)).items()),
+    "restrict": lambda mapping: list(mapping.restrict({"x", "x2"}).items()),
+    "union": lambda mapping: list(mapping.union(Mapping.EMPTY).items()),
+}
+
+
+#: Threads decoding one shared list at once: more than a small host's cores.
+DECODE_THREADS = 4
+
+
+class TestLazyDecode:
+    def test_walk_equals_the_public_decode(self):
+        # TestTrustedDecode walks the other patterns in full.
+        produced = 0
+        spanner = Spanner(NESTED_PATTERN)
+        for engine in ("compiled", "compiled-otf"):
+            for text in adversarial_documents():
+                arena = spanner.preprocess(text, engine=engine)
+                mappings = undecoded(arena, limit=None)
+                assert_same_objects(mappings, list(public_decode(arena)))
+                produced += len(mappings)
+        assert produced > 0
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_each_reader_decodes_an_undecoded_mapping(self, reader):
+        read = READERS[reader]
+        for text, arena in lazy_cases():
+            expected = decoded(arena)
+            mappings = undecoded(arena)
+            assert [read(mapping) for mapping in mappings] == [read(m) for m in expected]
+            # Decoded once, stored, and the path dropped.
+            assert all(mapping._path is None for mapping in mappings)
+            assert_same_objects(mappings, expected)
+
+    @pytest.mark.parametrize("form", ["copy", "pickle", "public_constructor"])
+    def test_copies_of_an_undecoded_mapping_equal_the_eager_one(self, form):
+        make = {
+            "copy": copy.copy,
+            "pickle": lambda mapping: pickle.loads(pickle.dumps(mapping)),
+            "public_constructor": Mapping,
+        }[form]
+        for text, arena in lazy_cases():
+            for mapping, public in zip(undecoded(arena), decoded(arena)):
+                duplicate = make(mapping)
+                assert type(duplicate) is Mapping
+                assert duplicate._assignment is not None
+                assert duplicate == public and hash(duplicate) == hash(public)
+                assert list(duplicate.items()) == list(public.items())
+
+    def test_equality_between_undecoded_mappings(self):
+        for text, arena in lazy_cases():
+            first, second = undecoded(arena), undecoded(arena)
+            assert first == second
+            assert [hash(mapping) for mapping in first] == [hash(m) for m in second]
+
+    def test_contents_slices_the_path_without_decoding(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("contents must slice an undecoded mapping's path")
+
+        checked = 0
+        for text, arena in lazy_cases():
+            expected = [
+                {variable: span.content(text) for variable, span in public.items()}
+                for public in decoded(arena)
+            ]
+            mappings = undecoded(arena)
+            with monkeypatch.context() as patch:
+                patch.setattr(Mapping, "_decoded", forbidden)
+                extracted = [mapping.contents(text) for mapping in mappings]
+                extracted_from_document = [mapping.contents(Document(text)) for mapping in mappings]
+            assert [list(c.items()) for c in extracted] == [list(c.items()) for c in expected]
+            assert extracted_from_document == extracted
+            assert all(mapping._assignment is None for mapping in mappings)
+            checked += len(mappings)
+        assert checked > 0
+
+    def test_contents_of_a_shorter_text_raises_the_same_span_error(self):
+        raised = 0
+        for text, arena in lazy_cases():
+            for mapping, public in zip(undecoded(arena), decoded(arena)):
+                ends = [span.end for _, span in public.items()]
+                if not ends or max(ends) == 0:
+                    continue
+                short = text[: max(ends) - 1]
+                with pytest.raises(SpanError) as eager:
+                    public.contents(short)
+                with pytest.raises(SpanError) as lazy:
+                    mapping.contents(short)
+                assert str(lazy.value) == str(eager.value)
+                raised += 1
+        assert raised > 0
+
+    def test_contents_of_an_empty_mapping_reads_no_document(self):
+        empty = 0
+        for text, arena in lazy_cases():
+            for keep in (None, frozenset()):
+                for mapping in undecoded(arena, keep=keep):
+                    if keep is None and mapping._path:
+                        continue
+                    assert mapping.contents(UnreadableDocument()) == {}
+                    assert len(mapping) == 0
+                    empty += 1
+        for mapping in undecoded(Spanner("a*").preprocess("aa")):
+            assert mapping.contents(UnreadableDocument()) == {}
+            empty += 1
+        assert empty > 0
+
+    def test_keep_decodes_only_the_kept_variables(self):
+        for text, arena in lazy_cases():
+            variables = arena.automaton.variables()
+            for keep in (frozenset({"x"}), frozenset({"x2"}), frozenset(variables)):
+                expected = decoded(arena, keep)
+                contents = [mapping.contents(text) for mapping in undecoded(arena, keep)]
+                assert contents == [
+                    {variable: span.content(text) for variable, span in public.items()}
+                    for public in expected
+                ]
+                mappings = undecoded(arena, keep)
+                assert_same_objects(mappings, expected)
+                assert all(set(mapping) <= keep for mapping in mappings)
+
+    def test_threads_decoding_one_shared_mapping_agree(self):
+        # More threads than a small host has cores, switching as often as
+        # the interpreter allows, all decoding the same undecoded list.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for text, arena in lazy_cases():
+                expected = [list(public.items()) for public in decoded(arena)]
+                if not expected:
+                    continue
+                for _ in range(3):
+                    mappings = undecoded(arena)
+                    barrier = threading.Barrier(DECODE_THREADS, timeout=30)
+                    seen = [None] * DECODE_THREADS
+
+                    def decode(slot):
+                        barrier.wait()
+                        seen[slot] = [list(mapping.items()) for mapping in mappings]
+
+                    threads = [
+                        threading.Thread(target=decode, args=(slot,)) for slot in range(DECODE_THREADS)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                        assert not thread.is_alive()
+                    assert seen == [expected] * DECODE_THREADS
+                    assert [list(mapping.items()) for mapping in mappings] == expected
+        finally:
+            sys.setswitchinterval(previous)
+
+
+class TestServeParity:
+    def test_mapping_events_render_lazy_and_eager_mappings_identically(self):
+        from repro.server.protocol import mapping_event
+
+        rendered = 0
+        for text, arena in lazy_cases():
+            for mapping, public in zip(undecoded(arena), decoded(arena)):
+                eager = Mapping({variable: Span(span.begin, span.end) for variable, span in public.items()})
+                for settled in (False, True):
+                    for sort_keys in (False, True):
+                        lazy_line = json.dumps(mapping_event(mapping, settled=settled), sort_keys=sort_keys)
+                        eager_line = json.dumps(mapping_event(eager, settled=settled), sort_keys=sort_keys)
+                        assert lazy_line.encode("utf-8") == eager_line.encode("utf-8")
+                rendered += 1
+        assert rendered > 0

@@ -4,11 +4,15 @@
 The public constructors ``Span(begin, end)`` and ``Mapping(assignment)``
 validate their arguments.  The arena walk of Algorithm 2
 (``CompiledResultDag.mappings`` in :mod:`repro.runtime.dag`) skips those
-checks: it builds objects with ``Span.__new__`` / ``Mapping.__new__`` plus
-slot stores, because the arena already guarantees integer endpoints with
-``0 ≤ begin ≤ end ≤ |d|`` and string keys.  No other module has that
-guarantee, so this check fails CI the moment the trusted form appears
-anywhere else under ``src/repro/``.
+checks: it yields undecoded mappings built with ``Mapping.__new__`` plus
+slot stores, holding the walk's path.  A mapping decodes that path only
+when it is read, in :mod:`repro.core.mappings`: ``contents`` slices the
+text and builds no span, and every other reader builds its spans once
+with ``Span.__new__`` plus slot stores.  Both skip the checks because the
+arena already guarantees integer endpoints with ``0 ≤ begin ≤ end ≤ |d|``
+and string keys.  No other module has that guarantee, so this check
+fails CI the moment the trusted form appears anywhere else under
+``src/repro/``.
 
 A file is flagged when its text contains ``Span.__new__`` or
 ``Mapping.__new__``.  The ``core/`` package (which defines both classes
