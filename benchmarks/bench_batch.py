@@ -37,11 +37,12 @@ from statistics import median
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.automata.transforms import to_deterministic_sequential_eva  # noqa: E402
+from repro.automata.analysis import trim  # noqa: E402
+from repro.automata.transforms import va_to_eva  # noqa: E402
 from repro.core.documents import DocumentCollection  # noqa: E402
 from repro.counting.census import CensusInstance  # noqa: E402
 from repro.runtime.batch import run_batch  # noqa: E402
-from repro.runtime.compiled import compile_eva  # noqa: E402
+from repro.runtime.subset import CompiledSubsetEVA  # noqa: E402
 from repro.runtime.engine import evaluate_compiled_arena  # noqa: E402
 from repro.runtime.resilience import ResiliencePolicy  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
@@ -142,16 +143,15 @@ def paired_speedup(baseline, candidate, *, pairs: int) -> tuple[float, float, fl
 
 
 def census_collection(num_documents: int, num_states: int, length: int):
-    """The census workload: one det seVA, many copies of its document."""
+    """The census workload: one sequential eVA, many copies of its document."""
     instance = CensusInstance(
         random_census_nfa(num_states, "ab", density=0.35, seed=13), length
     )
     automaton, document = instance.to_spanner()
-    deterministic = to_deterministic_sequential_eva(automaton, assume_sequential=True)
     collection = DocumentCollection(name="census")
     for index in range(num_documents):
         collection.add(document, doc_id=f"census-{index}")
-    return compile_eva(deterministic, check_determinism=False), collection
+    return CompiledSubsetEVA(trim(va_to_eva(automaton))), collection
 
 
 def bench_workload(

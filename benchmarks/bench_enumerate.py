@@ -53,7 +53,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.core.documents import Document  # noqa: E402
 from repro.enumeration.enumerate import delay_profile  # noqa: E402
 from repro.enumeration.evaluate import evaluate as reference_evaluate  # noqa: E402
-from repro.runtime.compiled import compile_eva  # noqa: E402
 from repro.runtime.engine import evaluate_compiled_arena  # noqa: E402
 from repro.spanners.spanner import Spanner  # noqa: E402
 from repro.workloads.collections import NESTED_PATTERN  # noqa: E402
@@ -96,7 +95,7 @@ def bench_workload(name: str, pattern: str, text: str, *, limit: int, repeat: in
     """
     spanner = Spanner.from_regex(pattern)
     automaton = spanner.compiled(text)
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = spanner.runtime(text)
 
     reference_result = reference_evaluate(automaton, text, check_determinism=False)
     arena_result = evaluate_compiled_arena(compiled, text)
@@ -144,7 +143,7 @@ def bench_preprocessing(name: str, pattern: str, text: str, *, repeat: int) -> d
     """
     spanner = Spanner.from_regex(pattern)
     automaton = spanner.compiled(text)
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = spanner.runtime(text)
     document = Document(text)
 
     def best_seconds(run) -> float:

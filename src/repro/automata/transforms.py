@@ -8,8 +8,9 @@ an arbitrary VA or eVA into that form:
 * :func:`determinize` — Proposition 3.2 (subset construction),
 * :func:`sequentialize` — the variable-ledger product underlying
   Proposition 4.1 / 4.3,
-* :func:`to_deterministic_sequential_eva` — the full pipeline used by the
-  public :class:`~repro.spanners.Spanner` facade.
+* :func:`to_deterministic_sequential_eva` — the full pipeline, which the
+  reference routes run (requests through the
+  :class:`~repro.spanners.Spanner` facade determinize on the fly instead).
 
 All constructions are semantics preserving; the property-based tests check
 this on randomly generated automata and documents.
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.errors import CompilationError, ResourceLimitError
+from repro.core.errors import CompilationError
 from repro.automata.analysis import VariableLedger, is_sequential, trim
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import Marker, MarkerSet
 from repro.automata.va import VariableSetAutomaton
 
 __all__ = [
-    "SUBSET_BUDGET",
     "va_to_eva",
     "eva_to_va",
     "determinize",
@@ -150,28 +150,15 @@ def eva_to_va(automaton: ExtendedVA) -> VariableSetAutomaton:
 # ---------------------------------------------------------------------- #
 
 
-#: How many subsets a bounded :func:`determinize` builds before giving up.
-#: Measured (2-core Xeon, CPython 3.11) on ``.*a`` + k × ``.`` + ``x{b}.*``
-#: (2^(k+1)+5 subsets): a k=16 spanner plus one count of 20k ``ab`` chars
-#: takes 232 ms on the fly, 256 ms under ``auto`` (1.10x; 284 ms at 4,096).
-#: It bounds subsets, not work, which grows with the source: abandoned
-#: attempts took 23/67/224/389 ms at k=16/64/256/512 (23 to 519 states),
-#: 65-103 ms for ``.*[a-z0-9]`` + k × ``.`` + ``x{b}.*`` (k <= 256), and
-#: 0.2/0.5/1.8 s at k=16/64/256 with the alphabet widened to 37 letters.
-SUBSET_BUDGET = 2048
-
-
-def determinize(automaton: ExtendedVA, budget: int | None = None) -> ExtendedVA:
+def determinize(automaton: ExtendedVA) -> ExtendedVA:
     """Determinize an extended VA by the subset construction.
 
     Marker-set labels are treated as atomic alphabet symbols, exactly as in
     Proposition 3.2.  The resulting automaton's states are frozensets of the
     original states; apply :func:`relabel_states` to obtain small integer
     states.  Only subsets reachable from the initial subset are created.
-
-    With a *budget* (such as :data:`SUBSET_BUDGET`) it raises
-    :class:`~repro.core.errors.ResourceLimitError` on building subset
-    ``budget + 1``, so a blow-up stops after *budget* subsets.
+    The construction is unbounded; no request path calls it (requests run
+    the lazily determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`).
     """
     if not automaton.has_initial:
         raise CompilationError("cannot determinize an automaton without an initial state")
@@ -202,10 +189,6 @@ def determinize(automaton: ExtendedVA, budget: int | None = None) -> ExtendedVA:
                 result.add_letter_transition(subset, label, successor)
             if successor not in seen:
                 seen.add(successor)
-                if budget is not None and len(seen) > budget:
-                    raise ResourceLimitError(
-                        f"subset construction passed {budget} states"
-                    )
                 if successor & automaton.finals:
                     result.add_final(successor)
                 frontier.append(successor)

@@ -93,11 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(ENGINE_CHOICES),
             default="auto",
             help="evaluation engine: let the planner decide (auto, default), "
-            "the dense-table arena runtime (compiled), on-the-fly subset "
-            "construction with no up-front determinization (compiled-otf), "
-            "the optimizer's physical operator plan for algebra expressions "
-            "(hybrid; same as auto on a plain regex pattern), "
-            "or the legacy dict-based loop (reference)",
+            "the lazily determinized arena runtime (compiled; compiled-otf "
+            "is another name for it), the optimizer's physical operator "
+            "plan for algebra expressions (hybrid; same as auto on a plain "
+            "regex pattern), or the legacy dict-based loop (reference)",
         )
 
     extract = subparsers.add_parser("extract", help="enumerate the output mappings")

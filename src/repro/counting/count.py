@@ -10,8 +10,8 @@ contributes a (valid) output.
 
 The dict-based loop below is the paper-faithful reference; the compiled
 runtime provides the integer rewrite of the same algorithm
-(:func:`repro.runtime.engine.count_compiled`, on the dense tables or on
-the lazily determinized subset automaton) which the
+(:func:`repro.runtime.engine.count_compiled`, on the lazily determinized
+subset automaton) which the
 :class:`~repro.spanners.Spanner` facade selects through its execution
 plan.
 """

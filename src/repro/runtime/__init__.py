@@ -1,16 +1,16 @@
-"""The compiled runtime: dense integer tables, arenas and the batch engine.
+"""The compiled runtime: integer tables, arenas and the batch engine.
 
 This package is the performance layer on top of the paper-faithful
 reference implementation, organised around the
 :class:`~repro.runtime.plan.ExecutionPlan` abstraction:
 
-* :func:`compile_eva` interns a deterministic sequential eVA into a
-  :class:`CompiledEVA`;
-* :class:`CompiledSubsetEVA` implements on-the-fly subset construction:
-  it exposes the same tables, filled on first read, so non-deterministic
-  sequential eVAs evaluate without an up-front determinization;
-* :func:`evaluate_compiled_arena` runs Algorithm 1 on either automaton
-  form and builds the flat :class:`CompiledResultDag` node arena natively
+* :class:`CompiledSubsetEVA` interns a sequential eVA into integer
+  tables and determinizes it on the fly: subset rows are filled on first
+  read, so no request runs an up-front determinization, and a generation
+  past :data:`~repro.runtime.subset.SUBSET_CAP` subsets is replaced by a
+  fresh one at the next call;
+* :func:`evaluate_compiled_arena` runs Algorithm 1 on that automaton
+  and builds the flat :class:`CompiledResultDag` node arena natively
   (no ``DagNode`` objects), on which enumeration and counting are
   integer-only; :func:`count_compiled` is the integer rewrite of
   Algorithm 3.  Both run the one set of loops in
@@ -43,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "batch": ("freeze_result", "run_batch", "thaw_result"),
-        "compiled": ("CompiledEVA", "compile_eva"),
         "dag": ("CompiledResultDag",),
         "encoding": (
             "EncodedDocument",
@@ -66,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(
             "StreamedResult",
             "StreamingEvaluator",
             "evaluate_streaming",
-            "settled_sinks",
         ),
         "subset": ("CompiledSubsetEVA",),
     },
@@ -74,7 +72,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "ArenaProject",
-    "CompiledEVA",
     "CompiledResultDag",
     "CompiledSubsetEVA",
     "ENGINE_CHOICES",
@@ -89,13 +86,11 @@ __all__ = [
     "StreamingEvaluator",
     "SymbolClassing",
     "choose_plan",
-    "compile_eva",
     "count_compiled",
     "encoding_passes",
     "evaluate_compiled_arena",
     "evaluate_streaming",
     "freeze_result",
-    "settled_sinks",
     "render_physical",
     "reset_encoding_passes",
     "run_batch",

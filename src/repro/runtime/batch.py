@@ -34,16 +34,18 @@ a document through the arena engine in bounded slices instead of
 encoding it whole, cutting peak memory per document to one encoded chunk
 plus the live arena — the results are array-identical.
 
-Four engines are available in both modes: ``engine="compiled"`` (the
-arena-building integer runtime over a :class:`CompiledEVA`),
-``engine="compiled-otf"`` (the lazily determinized subset runtime over a
-:class:`~repro.runtime.subset.CompiledSubsetEVA` — pass that as the
-*compiled* argument; its discovered rows are shared across the whole
-batch), ``engine="hybrid"`` (a *prepared* physical operator tree from the
-expression optimizer — the portable physical plan pickles once per worker
-exactly like a compiled automaton, fused-leaf tables included) and
-``engine="reference"`` (the legacy dict-based Algorithm 1), which the
-property tests use to cross-check results.
+The engines, in both modes: ``engine="compiled"`` (also named
+``"compiled-otf"``: the arena-building integer runtime over a lazily
+determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`, whose
+discovered rows are shared across the batch and whose generation is
+renewed between documents past
+:data:`~repro.runtime.subset.SUBSET_CAP` subsets), ``engine="hybrid"``
+(a *prepared* physical operator tree from the expression optimizer — the
+portable physical plan pickles once per worker exactly like a compiled
+automaton, fused-leaf tables included) and ``engine="reference"`` (the
+dict-based on-the-fly Algorithm 1 of
+:mod:`repro.enumeration.onthefly` over the compiled automaton's source
+eVA), which the property tests use to cross-check results.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from typing import Iterable, Iterator
 
 from repro.core.documents import DocumentCollection
 from repro.core.errors import ResourceLimitError
-from repro.enumeration.evaluate import ResultDag, evaluate as reference_evaluate
-from repro.runtime.compiled import CompiledEVA
+from repro.enumeration.evaluate import ResultDag
+from repro.enumeration.onthefly import evaluate_on_the_fly
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
@@ -73,14 +75,6 @@ from repro.runtime.subset import CompiledSubsetEVA
 __all__ = ["run_batch", "freeze_result", "thaw_result"]
 
 ENGINES = ("compiled", "compiled-otf", "reference", "hybrid")
-#: What each engine evaluates: the reference engine reads the source
-#: automaton of a CompiledEVA, ``hybrid`` a prepared operator tree.
-_RUNTIME_TYPES = {
-    "compiled": CompiledEVA,
-    "compiled-otf": CompiledSubsetEVA,
-    "reference": CompiledEVA,
-    "hybrid": PhysicalOperator,
-}
 
 #: Tag discriminating an :class:`OperatorResult` portable form from the
 #: arena's (whose first element is the integer document length).
@@ -145,6 +139,12 @@ def _init_worker(
     faults.install_fault_plan(fault_plan)
 
 
+def _renewed(compiled):
+    """The generation of *compiled* the next document runs on (fused
+    leaves of a hybrid plan renew their own)."""
+    return compiled if isinstance(compiled, PhysicalOperator) else compiled.renewed()
+
+
 def _evaluate_one(
     compiled,
     document: object,
@@ -156,7 +156,7 @@ def _evaluate_one(
     if engine == "hybrid":
         return compiled.execute(document)
     if engine == "reference":
-        return reference_evaluate(compiled.source, document, check_determinism=False)
+        return evaluate_on_the_fly(compiled.source, document)
     if stream_chunk:
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.
@@ -165,6 +165,7 @@ def _evaluate_one(
 
 
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
+    global _worker
     assert _worker is not None, "worker pool used before initialization"
     compiled, engine, stream_chunk, budget = _worker
     if faults._ACTIVE_PLAN is not None:
@@ -173,10 +174,12 @@ def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tup
     for doc_id, document in chunk:
         if budget is not None:
             budget.check_document(document)
+        compiled = _renewed(compiled)
         result = _evaluate_one(compiled, document, engine, stream_chunk)
         if budget is not None:
             budget.check_result(result)
         out.append((doc_id, freeze_result(result, compiled)))
+    _worker = (compiled, engine, stream_chunk, budget)
     return out
 
 
@@ -207,7 +210,7 @@ def _chunked(pairs: Iterator[tuple[object, object]], size: int) -> Iterator[list
 
 
 def run_batch(
-    compiled: CompiledEVA | CompiledSubsetEVA | PhysicalOperator,
+    compiled: CompiledSubsetEVA | PhysicalOperator,
     documents: DocumentCollection | Iterable[object],
     *,
     mode: str = "serial",
@@ -224,9 +227,9 @@ def run_batch(
     Parameters
     ----------
     compiled:
-        The compiled evaluator: a :class:`CompiledEVA` for the
-        ``compiled`` / ``reference`` engines, a :class:`CompiledSubsetEVA`
-        for ``compiled-otf``, or a prepared
+        The compiled evaluator: a :class:`CompiledSubsetEVA` for the
+        ``compiled`` (``compiled-otf``) and ``reference`` engines, or a
+        prepared
         :class:`~repro.runtime.operators.PhysicalOperator` tree for
         ``hybrid``.
     documents:
@@ -282,7 +285,9 @@ def run_batch(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    runtime_type = _RUNTIME_TYPES[engine]
+    # Every engine but ``hybrid`` (a prepared operator tree) reads a
+    # CompiledSubsetEVA; the reference engine reads its source eVA.
+    runtime_type = PhysicalOperator if engine == "hybrid" else CompiledSubsetEVA
     if not isinstance(compiled, runtime_type):
         raise ValueError(
             f"engine={engine!r} needs a {runtime_type.__name__} "
@@ -331,6 +336,7 @@ def _serial_supervised(
             try:
                 if budget is not None:
                     budget.check_document(document)
+                compiled = _renewed(compiled)
                 result = _evaluate_one(compiled, document, engine, stream_chunk)
                 if budget is not None:
                     budget.check_result(result)
@@ -378,7 +384,7 @@ def _isolate_chunk(
 
 
 def _stream_batch(
-    compiled: CompiledEVA | CompiledSubsetEVA | PhysicalOperator,
+    compiled: CompiledSubsetEVA | PhysicalOperator,
     collection: DocumentCollection,
     mode: str,
     engine: str,
@@ -397,6 +403,7 @@ def _stream_batch(
             )
             return
         for doc_id, document in pairs:
+            compiled = _renewed(compiled)
             yield doc_id, _evaluate_one(compiled, document, engine, stream_chunk)
         return
 

@@ -70,7 +70,6 @@ class CompiledResultDag:
     objects.
 
     ``tables`` is the compiled automaton the arena was produced from (a
-    :class:`~repro.runtime.compiled.CompiledEVA` or a
     :class:`~repro.runtime.subset.CompiledSubsetEVA`); it provides the
     interned ``marker_sets`` for decoding and the ``state_objects`` /
     ``source`` needed to rebuild a legacy :class:`ResultDag`.
@@ -337,13 +336,14 @@ class CompiledResultDag:
         """Intern a legacy :class:`ResultDag` into an arena (lossless).
 
         ``tables`` must be the compiled automaton whose ``marker_set_index``
-        and ``state_index`` cover the DAG's labels and final states.
+        covers the DAG's labels and whose ``state_id`` maps its final
+        states (subsets of the automaton's source states) to ids.
         """
         from repro.enumeration.dag import BOTTOM, DagNode
         from repro.enumeration.lazylist import LazyList
 
         marker_index = tables.marker_set_index
-        state_index = tables.state_index
+        state_id = tables.state_id
         node_ids: dict[int, int] = {}
         node_markers: list[int] = []
         node_positions: list[int] = []
@@ -391,7 +391,7 @@ class CompiledResultDag:
                 if entry is not BOTTOM:
                     visit(entry)
             start, end = intern_list(lazy_list)
-            final_entries.append((state_index[state], start, end))
+            final_entries.append((state_id(state), start, end))
 
         return cls(
             tables,

@@ -1,18 +1,18 @@
 """C-speed document encoding shared by every compiled engine.
 
-The compiled runtimes spend most of their per-character budget *before*
-Algorithm 1 even runs: translating the document into integer symbol ids.
-The original :func:`~repro.runtime.compiled.encode_symbols` walked the
-string with a per-character dict ``.get`` — a Python-level loop paid again
-on **every** engine invocation, even when the same document was evaluated
+The compiled runtime would spend most of its per-character cost *before*
+Algorithm 1 even runs if it translated the document into integer symbol
+ids with a per-character dict ``.get`` — a Python-level loop paid again on
+**every** engine invocation, even when the same document is evaluated
 repeatedly (``enumerate`` then ``count``, every fused leaf of a hybrid
-plan, every benchmark repeat).  This module replaces it with:
+plan, every benchmark repeat).  This module translates instead with:
 
 * **Symbol equivalence classes** — a :class:`SymbolClassing` maps each
   alphabet symbol to the id of its *behavioural class*: two symbols whose
-  columns in the dense letter table are identical (every ``[a-z]``-style
-  wildcard edge) share one class, so the per-state rows consumed by the
-  engines shrink from ``|Σ|`` to the (often far smaller) class count.
+  columns in the base automaton's letter table are identical (every
+  ``[a-z]``-style wildcard edge) share one class, so the per-state rows
+  consumed by the engines shrink from ``|Σ|`` to the (often far smaller)
+  class count.
   Every character the automaton does not name reads as
   :data:`~repro.core.documents.OTHER` when the automaton has an ``OTHER``
   column (a wildcard or negated class), and as one extra *foreign* class,
@@ -40,8 +40,7 @@ loop finds the runs it takes by powers itself
 (:func:`repro.runtime.kernel.count_loop`).
 
 Engine authors: consume :meth:`SymbolClassing.encode` (or accept an
-:class:`EncodedDocument` directly) — do **not** call the legacy
-``encode_symbols``; see CONTRIBUTING.
+:class:`EncodedDocument` directly); see CONTRIBUTING.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The integer-only evaluation entry points over either compiled automaton.
+"""The integer-only evaluation entry points over the compiled automaton.
 
 This is Algorithm 1 again — the same capturing/reading alternation as the
 reference engine in :mod:`repro.enumeration.evaluate`, whose lazy-list
@@ -42,10 +42,8 @@ Each entry point here encodes the document, runs one loop and collects
 the result.  The arena engine runs the same resumable
 :func:`~repro.runtime.kernel.arena_loop` the chunk-fed evaluator runs
 once per chunk (here once, at offset 0, final capturing phase included),
-so the two arenas cannot drift apart.  Both entry points take either
-automaton form: a dense :class:`~repro.runtime.compiled.CompiledEVA`, or
-the lazily determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`
-of the ``compiled-otf`` engine.  The produced
+so the two arenas cannot drift apart.  Both entry points run the lazily
+determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`.  The produced
 :class:`~repro.runtime.dag.CompiledResultDag` enumerates, counts and
 converts back to the reference
 :class:`~repro.enumeration.evaluate.ResultDag`.
@@ -55,7 +53,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.kernel import arena_loop, count_loop, set_table
 
@@ -87,7 +84,7 @@ def _collect_arena(compiled, n, record, slots, arena) -> CompiledResultDag:
 
 
 def evaluate_compiled_arena(
-    compiled: CompiledEVA | CompiledSubsetEVA,
+    compiled: CompiledSubsetEVA,
     document: object,
     *,
     fast_path: bool = True,
@@ -131,7 +128,7 @@ def evaluate_compiled_arena(
 
 
 def count_compiled(
-    compiled: CompiledEVA | CompiledSubsetEVA,
+    compiled: CompiledSubsetEVA,
     document: object,
     *,
     fast_path: bool = True,

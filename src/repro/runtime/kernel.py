@@ -30,11 +30,10 @@ past it without a gather and, on a ``bytes`` buffer, jump with one
 search of the set's **stop pattern** (the byte class of its non-idle
 classes) to the end of the idle stretch.  Plans read the automaton only
 while they are built, through ``class_table[s][c]`` and
-``variable_table[s]``, so the loops run unchanged over the dense
-:class:`~repro.runtime.compiled.CompiledEVA` and the lazily determinized
-:class:`~repro.runtime.subset.CompiledSubsetEVA`, which fills those
-tables on first read — the paper's Section 4 remark that its
-translations "can be fed to Algorithm 1 on-the-fly".  The table lives
+``variable_table[s]``, which the lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA` fills on first read —
+the paper's Section 4 remark that its translations "can be fed to
+Algorithm 1 on-the-fly".  The table lives
 on the automaton: derived, never pickled, cleared at
 :data:`SET_TABLE_CAP` records.  Active sets are a subset construction,
 so some patterns meet a new set at nearly every position; a call that
@@ -80,11 +79,12 @@ loop appears anywhere else.
 from __future__ import annotations
 
 import re
+import weakref
 from operator import itemgetter
 
 from repro.core.errors import NotDeterministicError
-from repro.runtime.compiled import NO_TARGET
 from repro.runtime.dag import NIL
+from repro.runtime.subset import NO_TARGET
 
 __all__ = [
     "POWER_MIN",
@@ -242,7 +242,9 @@ class SetTable:
     __slots__ = ("compiled", "records", "num_ids", "run_ends")
 
     def __init__(self, compiled) -> None:
-        self.compiled = compiled
+        # A weak proxy: the table lives on the automaton, and a reference
+        # back would keep a dropped generation alive until a collection.
+        self.compiled = weakref.proxy(compiled)
         self.records: dict[tuple[int, ...], SetRecord] = {}
         self.num_ids = compiled.classing.num_ids
         self.run_ends: list = [None] * self.num_ids
@@ -379,8 +381,8 @@ class SetTable:
         letter.  ``pattern.search(buf, pos)`` skips, at C speed, a
         stretch that moves no list and builds no node.  A quiet set has
         no captures, so its stop pattern is every class on which some
-        member moves: the lone silent :func:`sprint` and the state loops'
-        quiet multi-member sets chase that.  Built on first use: it reads
+        member moves: the lone silent :func:`sprint` chases that.  Built
+        on first use: it reads
         every class of the members and capture targets, one step past
         the live set, so the lazy form interns their successors.  Only
         meaningful for byte buffers (at most 256 class ids).
@@ -563,7 +565,9 @@ def _state_loop(
     Each live state's list sits in per-call arrays indexed by state id
     (grown as the lazily determinized form interns subsets), one
     current and one pending pair swapped after each reading phase.
-    The same phases in the same order build the same arena.
+    The same phases in the same order build the same arena.  Only a lone
+    silent run skips ahead (by :func:`sprint`); every other position is
+    stepped, since these are the sets that are rarely met twice.
     """
     table = set_table(compiled)
     class_table = compiled.class_table
@@ -586,22 +590,18 @@ def _state_loop(
     size = len(cur_start)
 
     while True:
-        if quiet and fast_path and pos < n:
-            if len(active) == 1:
-                state = active[0]
-                start, end = cur_start[state], cur_end[state]
-                cur_start[state] = NIL
-                state, pos = sprint(table, buf, pos, n, state, use_patterns)
-                if state < 0:
-                    return None, ()
-                if state >= size:
-                    size = fit(state)
-                cur_start[state], cur_end[state] = start, end
-                active[0] = state
-                quiet = silent[state]
-            elif use_patterns:
-                match = table.stop_pattern(table.record(tuple(active))).search(buf, pos)
-                pos = n if match is None else match.start()
+        if quiet and fast_path and pos < n and len(active) == 1:
+            state = active[0]
+            start, end = cur_start[state], cur_end[state]
+            cur_start[state] = NIL
+            state, pos = sprint(table, buf, pos, n, state, use_patterns)
+            if state < 0:
+                return None, ()
+            if state >= size:
+                size = fit(state)
+            cur_start[state], cur_end[state] = start, end
+            active[0] = state
+            quiet = silent[state]
         if pos >= n and not final:
             break
         symbol = buf[pos] if pos < n else None
@@ -750,21 +750,17 @@ def _count_state_loop(compiled, buf, pos, n, record, counts, fast_path):
     size = len(current)
 
     while True:
-        if quiet and fast_path and pos < n:
-            if len(active) == 1:
-                state = active[0]
-                amount, current[state] = current[state], 0
-                state, pos = sprint(table, buf, pos, n, state, use_patterns)
-                if state < 0:
-                    return None, ()
-                if state >= size:
-                    size = fit(state)
-                current[state] = amount
-                active[0] = state
-                quiet = silent[state]
-            elif use_patterns:
-                match = table.stop_pattern(table.record(tuple(active))).search(buf, pos)
-                pos = n if match is None else match.start()
+        if quiet and fast_path and pos < n and len(active) == 1:
+            state = active[0]
+            amount, current[state] = current[state], 0
+            state, pos = sprint(table, buf, pos, n, state, use_patterns)
+            if state < 0:
+                return None, ()
+            if state >= size:
+                size = fit(state)
+            current[state] = amount
+            active[0] = state
+            quiet = silent[state]
         if not quiet:
             alive = len(active)
             for state, amount in [

@@ -9,9 +9,7 @@ combine their mapping sets.  This module is that runtime:
 
 * :class:`FusedLeaf` — a fused subexpression, compiled once for the
   spanner's alphabet through the regular :class:`~repro.spanners.pipeline.CompilationPipeline`
-  and evaluated by the engine its own inner
-  :class:`~repro.runtime.plan.ExecutionPlan` picks (``compiled`` or
-  ``compiled-otf``); its output is a
+  and evaluated on its own lazily determinized automaton; its output is a
   :class:`~repro.runtime.dag.CompiledResultDag` arena.
 * :class:`HashJoin` — hash join on the shared variables of the operand
   schemas (hash table built from the smaller side, probed with the larger).
@@ -21,8 +19,8 @@ combine their mapping sets.  This module is that runtime:
   markers, so dropped captures never materialize a span.
 
 A prepared operator tree is picklable (its leaves hold the same
-``CompiledEVA`` / ``CompiledSubsetEVA`` tables the batch engine already
-ships once per worker), which is what makes physical plans portable across
+``CompiledSubsetEVA`` tables the batch engine already ships once per
+worker), which is what makes physical plans portable across
 the process pool — see :func:`repro.runtime.batch.run_batch` with
 ``engine="hybrid"``.
 
@@ -43,7 +41,7 @@ from repro.core.mappings import Mapping
 from repro.core.spans import Span
 from repro.algebra.operators import hash_join_mappings
 from repro.runtime.dag import CompiledResultDag
-from repro.runtime.plan import ExecutionPlan
+from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
     "ArenaProject",
@@ -203,17 +201,17 @@ class FusedLeaf(PhysicalOperator):
     """A fused subexpression, compiled once for an alphabet and run as a unit.
 
     The leaf owns a private :class:`CompilationPipeline` over its (already
-    rewritten) expression fragment; :meth:`prepare` resolves the inner
-    :class:`ExecutionPlan` through the bounded subset construction
-    exactly like the facade does for monolithic sources, so a fragment
-    that determinizes within the budget gets dense tables while one that
-    blows up is determinized on the fly.
+    rewritten) expression fragment; :meth:`prepare` compiles it to a
+    sequential eVA and interns that into a lazily determinized
+    :class:`~repro.runtime.subset.CompiledSubsetEVA`, exactly like the
+    facade does for monolithic sources.  :meth:`execute` takes the
+    automaton's next generation once it passes
+    :data:`~repro.runtime.subset.SUBSET_CAP` subsets.
     """
 
     def __init__(self, expression, reason: str = "") -> None:
         super().__init__(reason)
         self.expression = expression
-        self.plan: ExecutionPlan | None = None
         self.runtime = None
         self._alphabet: frozenset[str] | None = None
 
@@ -223,16 +221,12 @@ class FusedLeaf(PhysicalOperator):
             return self
         # Imported here: the pipeline imports the algebra package, which
         # must be importable before this runtime module's class bodies run.
-        from repro.runtime.subset import CompiledSubsetEVA
         from repro.spanners.pipeline import CompilationPipeline
 
-        pipeline = CompilationPipeline(self.expression, alphabet)
-        sequential, report = pipeline.compile_sequential()
-        self.plan, compiled = pipeline.determinize_or_defer(sequential, report)
-        if compiled is None:
-            self.runtime = CompiledSubsetEVA(sequential)
-        else:
-            self.runtime = pipeline.intern(*compiled)
+        sequential, _report = CompilationPipeline(
+            self.expression, alphabet
+        ).compile_sequential()
+        self.runtime = CompiledSubsetEVA(sequential)
         self._alphabet = alphabet
         return self
 
@@ -241,15 +235,18 @@ class FusedLeaf(PhysicalOperator):
             raise EvaluationError("a FusedLeaf must be prepared before execution")
         from repro.runtime.engine import evaluate_compiled_arena
 
-        return evaluate_compiled_arena(self.runtime, document)
+        runtime = self.runtime = self.runtime.renewed()
+        return evaluate_compiled_arena(runtime, document)
 
     def label(self) -> str:
-        engine = self.plan.engine if self.plan is not None else "not compiled yet"
-        size = f", {self.runtime.num_states} states" if self.runtime is not None else ""
+        if self.runtime is None:
+            engine = "not compiled yet"
+        else:
+            engine = f"compiled, {self.runtime.num_states} states"
         text = repr(self.expression)
         if len(text) > 60:
             text = text[:57] + "..."
-        return f"fused[{engine}{size}] {text}"
+        return f"fused[{engine}] {text}"
 
     def leaves(self) -> Iterator["FusedLeaf"]:
         yield self
@@ -258,7 +255,6 @@ class FusedLeaf(PhysicalOperator):
         return {
             "expression": self.expression,
             "reason": self.reason,
-            "plan": self.plan,
             "runtime": self.runtime,
             "_alphabet": self._alphabet,
         }
@@ -266,7 +262,6 @@ class FusedLeaf(PhysicalOperator):
     def __setstate__(self, state: dict) -> None:
         self.expression = state["expression"]
         self.reason = state["reason"]
-        self.plan = state["plan"]
         self.runtime = state["runtime"]
         self._alphabet = state["_alphabet"]
 

@@ -6,19 +6,12 @@ funnels through an :class:`ExecutionPlan` that names the concrete engine to
 run:
 
 ``compiled``
-    Determinize up front, intern into a
-    :class:`~repro.runtime.compiled.CompiledEVA` and run the dense-table
-    arena engine.  ``auto`` picks it whenever the subset construction
-    finishes within its budget: the determinization is paid once and the
-    per-character cost is the lowest of all engines.
-
-``compiled-otf``
-    Skip determinization; evaluate through the lazily determinized
+    The lazily determinized
     :class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
-    closing remark).  ``auto`` picks it once the up-front subset
-    construction passes its budget: only subsets actually reached by some
-    document are ever built, at the price of a higher per-character
-    constant.
+    closing remark): no request determinizes up front, and only subsets
+    some document reaches are ever built.  ``auto`` resolves to it for
+    every source the optimizer does not cut; ``compiled-otf`` is another
+    name for it.
 
 ``reference``
     The original dict-and-object Algorithm 1 — kept as the paper-faithful
@@ -29,13 +22,13 @@ run:
     For spanner-algebra expressions only: the cost-based optimizer
     (:mod:`repro.algebra.optimizer`) cut the expression tree, and the plan
     carries a physical operator tree (:mod:`repro.runtime.operators`)
-    whose fused leaves each run their own compiled engine while join /
+    whose fused leaves each run their own compiled automaton while join /
     union / projection cut edges execute on the result arenas.
 
 Plans additionally carry a ``streaming`` flag: a streaming plan feeds
 documents chunk by chunk through
 :class:`~repro.runtime.streaming.StreamingEvaluator` instead of handing a
-whole document to an engine.  Streaming always runs ``compiled`` — see
+whole document to an engine.  Streaming runs ``compiled`` — see
 :func:`choose_plan`.
 
 A plan chooses no inner loop: every compiled engine counts with
@@ -51,11 +44,9 @@ per-document-alphabet automata in a small one.  Both report
 hit/miss/eviction counters through :meth:`PlanCache.stats`, which is what
 the server's ``/metrics`` endpoint exposes as the plan-cache hit ratio.
 
-The ``auto`` policy for a monolithic automaton is the subset construction
-itself (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`):
-within :data:`~repro.automata.transforms.SUBSET_BUDGET` subsets it plans
-``compiled``, past it ``compiled-otf``, so an abandoned attempt stops after
-that many subsets.  :func:`choose_plan` resolves forced engines and streaming.
+There is no ``auto`` decision for a monolithic automaton: it runs
+``compiled``.  :func:`choose_plan` resolves ``auto``, forced engines and
+streaming; only the expression optimizer can make a plan ``hybrid``.
 
 Whatever engine a plan names, the document reaches it as an *object*, not
 a pre-translated id list: every compiled engine (and every fused leaf of a
@@ -85,9 +76,10 @@ __all__ = [
 ]
 
 #: Engine names accepted by the facade and the CLI; ``auto`` resolves to a
-#: concrete engine through :func:`choose_plan`.  ``hybrid`` is only
-#: meaningful for spanner-algebra expression sources (elsewhere the facade
-#: treats it as ``auto``).
+#: concrete engine through :func:`choose_plan`.  ``compiled-otf`` runs the
+#: same automaton as ``compiled``.  ``hybrid`` is only meaningful for
+#: spanner-algebra expression sources (elsewhere the facade treats it as
+#: ``auto``).
 ENGINE_CHOICES = ("auto", "compiled", "compiled-otf", "reference", "hybrid")
 
 #: Batch execution modes (:func:`~repro.runtime.batch.run_batch`).  They
@@ -99,17 +91,14 @@ MODES = ("serial", "processes")
 class ExecutionPlan:
     """A resolved evaluation strategy.
 
-    ``engine`` is always concrete (never ``"auto"``);
-    ``determinize_upfront`` says whether the compilation pipeline runs
-    :func:`~repro.automata.transforms.determinize` before evaluation, and
-    ``reason`` records the planner's justification for logs and tests.
+    ``engine`` is always concrete (never ``"auto"``), and ``reason``
+    records the planner's justification for logs and tests.
     ``operators`` is the physical operator tree of a ``hybrid`` plan
     (a prepared :class:`~repro.runtime.operators.PhysicalOperator`), and
     ``None`` for the monolithic single-automaton engines.
     """
 
     engine: str
-    determinize_upfront: bool
     reason: str
     operators: object | None = None
     streaming: bool = False
@@ -131,7 +120,7 @@ class ExecutionPlan:
         if self.streaming and self.engine != "compiled":
             raise ValueError(
                 f"engine {self.engine!r} cannot evaluate chunk-fed documents; "
-                "streaming plans run the dense-table compiled engine"
+                "streaming plans run the compiled engine"
             )
 
 
@@ -140,43 +129,42 @@ def choose_plan(
     engine: str = "auto",
     streaming: bool = False,
 ) -> ExecutionPlan:
-    """Resolve a forced *engine*, or a streaming plan, into an :class:`ExecutionPlan`.
+    """Resolve *engine*, whole-document or streaming, into an :class:`ExecutionPlan`.
 
-    A concrete *engine* is honoured as-is.  Whole-document ``"auto"`` is
-    not resolved here: the bounded subset construction decides it
-    (:meth:`~repro.spanners.pipeline.CompilationPipeline.determinize_or_defer`).
-
-    With ``streaming=True`` the plan feeds chunks through
-    :class:`~repro.runtime.streaming.StreamingEvaluator`, which needs the
-    dense tables' settled-sink analysis up front: ``auto`` resolves to
-    ``compiled`` and any other engine is rejected.  A pattern whose
-    dense tables pass the subset budget raises
-    :class:`~repro.core.errors.ResourceLimitError` when the stream opens.
+    ``auto`` runs the lazily determinized automaton; a concrete *engine*
+    is honoured as-is.  ``hybrid`` is not resolved here: only the
+    expression optimizer (:func:`repro.algebra.optimizer.optimize`) can
+    cut an expression tree.  With ``streaming=True`` the plan feeds
+    chunks through :class:`~repro.runtime.streaming.StreamingEvaluator`,
+    which runs the compiled automaton: ``auto`` and ``compiled-otf``
+    resolve to ``compiled`` and any other engine is rejected.
     """
     if engine not in ENGINE_CHOICES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
         )
     if streaming:
-        if engine not in ("auto", "compiled"):
+        if engine not in ("auto", "compiled", "compiled-otf"):
             raise ValueError(
                 f"engine {engine!r} cannot evaluate chunk-fed documents; "
                 "streaming supports engine='compiled' (or 'auto')"
             )
         return ExecutionPlan(
             "compiled",
-            True,
-            "streaming: chunk-fed evaluation needs the dense tables "
-            "(and their settled-sink analysis) up front",
+            "streaming: chunk-fed evaluation of the lazily determinized automaton",
             streaming=True,
         )
-    if engine in ("auto", "hybrid"):
+    if engine == "hybrid":
         raise ValueError(
-            f"engine={engine!r} is decided per source, by the bounded subset "
-            "construction (CompilationPipeline.determinize_or_defer) or the "
-            "expression optimizer (repro.algebra.optimizer.optimize)"
+            "engine='hybrid' is decided per source, by the expression "
+            "optimizer (repro.algebra.optimizer.optimize)"
         )
-    return ExecutionPlan(engine, engine != "compiled-otf", "forced by caller")
+    if engine == "auto":
+        return ExecutionPlan(
+            "compiled",
+            "one lazily determinized automaton: subsets are built as documents reach them",
+        )
+    return ExecutionPlan(engine, "forced by caller")
 
 
 # ---------------------------------------------------------------------- #

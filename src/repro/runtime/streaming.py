@@ -37,8 +37,9 @@ Two output modes:
 ``emit="incremental"``
     :meth:`feed` returns the mappings that became *settled* during the
     chunk.  A mapping is settled when its run has reached a **settled
-    sink** — a final state with no variable transitions that self-loops
-    on every class a character can read as, ``OTHER``'s included.  Runs
+    sink** — a final subset with no variable transitions that self-loops
+    on every class a character can read as, ``OTHER``'s included
+    (:meth:`~repro.runtime.subset.CompiledSubsetEVA.settled`).  Runs
     parked there can never gain markers, never leave the state and never
     die, so their mappings are in the output of *every* continuation of
     the stream — emitting them early is exact, and the constant-delay
@@ -53,11 +54,10 @@ Two output modes:
     ``tailing-logs`` property test pins ``peak_arena_cells`` strictly
     below the whole-document arena).
 
-The evaluator works on the dense tables of a
-:class:`~repro.runtime.compiled.CompiledEVA` (the planner's streaming
-mode resolves every engine request to ``"compiled"``: a lazily
-determinized runtime could discover new rows mid-stream, which the
-settled-sink analysis done at construction time could not see).
+The evaluator runs the lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA` every compiled request
+runs.  A subset discovered mid-stream is one more state id, and whether
+it is a settled sink is asked of it when a run first holds it there.
 """
 
 from __future__ import annotations
@@ -66,17 +66,16 @@ import codecs
 
 from repro.core.errors import EvaluationError, StreamingError
 from repro.core.mappings import Mapping
-from repro.runtime.compiled import CompiledEVA
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.engine import _collect_arena
 from repro.runtime.kernel import arena_loop, set_table
+from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
     "EMIT_MODES",
     "StreamedResult",
     "StreamingEvaluator",
     "evaluate_streaming",
-    "settled_sinks",
 ]
 
 EMIT_MODES = ("on_finish", "incremental")
@@ -85,31 +84,6 @@ EMIT_MODES = ("on_finish", "incremental")
 #: streams never pay the rebuild and long streams amortize it to O(1)
 #: per retained cell.
 COMPACT_FLOOR_CELLS = 64
-
-
-def settled_sinks(compiled: CompiledEVA) -> frozenset[int]:
-    """The state ids whose runs are settled the moment they arrive.
-
-    A state qualifies when it is final, has no extended variable
-    transition (its list is never snapshotted into new DAG nodes) and
-    self-loops on every class a character can read as (no character can
-    move or kill the run).  Mappings parked in such a state are in the
-    output of every continuation of the stream — the exactness argument
-    behind ``emit="incremental"``.
-    """
-    classing = compiled.classing
-    sinks = []
-    for state in range(compiled.num_states):
-        if not (compiled.is_final[state] and compiled.silent[state]):
-            continue
-        row = compiled.class_table[state]
-        # The named classes, plus the class of every unnamed character:
-        # OTHER's, or else the all-dead foreign one, which no state
-        # survives.
-        reachable = row[: classing.num_classes] + (row[classing.other_class],)
-        if all(target == state for target in reachable):
-            sinks.append(state)
-    return frozenset(sinks)
 
 
 class StreamedResult:
@@ -173,17 +147,16 @@ class StreamingEvaluator:
 
     def __init__(
         self,
-        compiled: CompiledEVA,
+        compiled: CompiledSubsetEVA,
         *,
         emit: str = "on_finish",
         fast_path: bool = True,
         retain_settled: bool = True,
     ) -> None:
-        if not isinstance(compiled, CompiledEVA):
+        if not isinstance(compiled, CompiledSubsetEVA):
             raise StreamingError(
-                "streaming needs the dense tables of a CompiledEVA "
-                f"(got {type(compiled).__name__}); lazily determinized "
-                "runtimes may discover rows mid-stream"
+                "streaming runs a CompiledSubsetEVA "
+                f"(got {type(compiled).__name__})"
             )
         if emit not in EMIT_MODES:
             raise StreamingError(
@@ -213,7 +186,6 @@ class StreamingEvaluator:
         self._finished = False
         self._failed = False
 
-        self._sinks = settled_sinks(compiled) if emit == "incremental" else frozenset()
         # Settled mappings are always *returned* by feed(); whether they
         # are additionally kept for finish() to replay is the caller's
         # choice — an unbounded tail that consumes feed()'s return value
@@ -395,15 +367,15 @@ class StreamingEvaluator:
         reading phase re-activates it with a fresh list.
         """
         flushed: list[Mapping] = []
-        sinks = self._sinks
+        settled = self._compiled.settled
         members = self._record.members if self._record is not None else ()
-        if sinks.isdisjoint(members):
+        if not any([settled(state) for state in members]):
             return flushed
         slots = self._slots
         kept = []
         for index, state in enumerate(members):
             pair = slots[2 * index : 2 * index + 2]
-            if state not in sinks:
+            if not settled(state):
                 kept.append((state, pair))
                 continue
             view = CompiledResultDag(
@@ -493,7 +465,7 @@ class StreamingEvaluator:
 
 
 def evaluate_streaming(
-    compiled: CompiledEVA,
+    compiled: CompiledSubsetEVA,
     document: object,
     *,
     chunk_size: int = 65536,

@@ -1,63 +1,121 @@
-"""On-the-fly subset construction in the compiled runtime.
+"""The compiled runtime's one automaton: a lazily determinized sequential eVA.
 
 The paper's Section 4 closes by noting that its translations "can be fed to
 Algorithm 1 on-the-fly, thus rarely needing to materialize the entire
-deterministic seVA".  The reference implementation of that remark
-(:mod:`repro.enumeration.onthefly`) hashes ``frozenset`` subsets of
-original states on every phase of every document.  This module is its
-compiled counterpart:
+deterministic seVA".  Every compiled request runs that remark: the
+reference implementation (:mod:`repro.enumeration.onthefly`) hashes
+``frozenset`` subsets of original states on every phase of every document,
+and this module is its compiled counterpart:
 
 * the *possibly non-deterministic* sequential eVA is interned once into
-  dense integer tables (states, symbols and marker sets get contiguous
-  ids); alphabet symbols with identical letter behaviour across **all**
-  base states collapse into one equivalence class, and documents are
-  translated into cached class-id buffers exactly like the dense runtime
-  (:mod:`repro.runtime.encoding` — one C-level pass per document and
-  classing signature, shared with any other engine of the same signature);
+  integer tables (states, symbols and marker sets get contiguous ids);
+  alphabet symbols with identical letter behaviour across **all** base
+  states collapse into one equivalence class, and documents are
+  translated into cached class-id buffers (:mod:`repro.runtime.encoding`
+  — one C-level pass per document and classing signature);
 * reachable subset-states are interned to integers **on demand** — a
   subset is hashed exactly once, when first discovered, and from then on
   it is just an int;
-* a :class:`CompiledSubsetEVA` exposes the very tables the dense
-  Algorithm-1 loops read from a :class:`~repro.runtime.compiled.CompiledEVA`
-  — ``class_table[s][c]``, ``variable_table[s]``, ``silent[s]``,
-  ``is_final[s]`` and ``initial`` — but fills them on first read: each
-  letter row is a ``dict`` whose ``__missing__`` discovers the successor
-  of one (subset, class) pair, and the variable table a ``dict`` whose
-  ``__missing__`` discovers one subset's variable row.  Discovered
-  entries stay cached on the instance, so they are reused across
-  positions *and across every document* evaluated with it, without the
-  up-front (potentially exponential)
-  :func:`~repro.automata.transforms.determinize` call.
+* a :class:`CompiledSubsetEVA` exposes the tables the Algorithm-1 loops of
+  :mod:`repro.runtime.kernel` read — ``class_table[s][c]``,
+  ``variable_table[s]``, ``silent[s]``, ``is_final[s]`` and ``initial``
+  — and fills them on first read: each letter row is a ``dict`` whose
+  ``__missing__`` discovers the successor of one (subset, class) pair,
+  and the variable table a ``dict`` whose ``__missing__`` discovers one
+  subset's variable row.  Discovered entries stay cached on the
+  instance, so they are reused across positions *and across every
+  document* evaluated with it, and no request ever calls the up-front
+  (potentially exponential)
+  :func:`~repro.automata.transforms.determinize`.
 
-So :func:`~repro.runtime.engine.evaluate_compiled_arena` and
-:func:`~repro.runtime.engine.count_compiled` run the one set of loops in
-:mod:`repro.runtime.kernel` over this automaton unchanged: the loops'
-active-set plans read these tables only while a plan is built, so a
-subset discovered mid-document is just one more state id.  The quiescent
-sprint applies too: a subset whose members all lack variable transitions
-is *silent*, and a lone silent subset sprints through byte buffers via
-its set's compiled stop pattern.  The subset automaton is deterministic
-by construction, so the loops' lazy-list append discipline holds and
-every path of the resulting arena yields a distinct mapping.  Interning
-takes a lock, so threads may share one instance.
+The loops' active-set plans read these tables only while a plan is built,
+so a subset discovered mid-document is just one more state id.  The
+quiescent sprint applies too: a subset whose members all lack variable
+transitions is *silent*, and a lone silent subset sprints through byte
+buffers via its set's compiled stop pattern.  The subset automaton is
+deterministic by construction, so the loops' lazy-list append discipline
+holds and every path of the resulting arena yields a distinct mapping.
+Interning takes a lock, so threads may share one instance.
+
+What an instance keeps is bounded by **generations**: past
+:data:`SUBSET_CAP` interned subsets, :meth:`CompiledSubsetEVA.renewed`
+hands out a fresh automaton over the same sequential eVA.  Holders (the
+:class:`~repro.spanners.Spanner` facade, fused leaves, batch loops) ask
+for it at a call boundary, so arenas and streams already built keep the
+generation they were built on, and a dropped generation is freed once
+the last of them is.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 from repro.core.errors import CompilationError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet
-from repro.runtime.compiled import (
-    NO_TARGET,
-    classify_columns,
-    encode_symbols,
-    marker_decode_tables_for,
-)
 from repro.runtime.encoding import SymbolClassing
 
-__all__ = ["CompiledSubsetEVA"]
+__all__ = [
+    "NO_TARGET",
+    "SUBSET_CAP",
+    "CompiledSubsetEVA",
+    "classify_columns",
+    "generation_swaps",
+    "marker_decode_tables_for",
+]
+
+#: Sentinel target meaning "no transition" in a letter row.
+NO_TARGET = -1
+
+#: Subsets one generation may intern before :meth:`CompiledSubsetEVA.renewed`
+#: starts a fresh one.  Measured (2-core Xeon, CPython 3.11) by counting
+#: ``.*a`` + k dots + ``x{b}.*`` over 20k-character random ``ab`` texts: a
+#: subset costs about 1.2 KB (tracemalloc), so a generation holds about
+#: 20 MB at the cap, and a text on a fresh generation costs 1.4x (k=8, 517
+#: subsets) to 4.8x (k=12, 8,197 subsets) what it costs on a warm one.  At
+#: 2^14 the k <= 12 family stays warm across texts, the perfbench
+#: workloads intern 10 to 23 subsets, and six k=16 texts (about 18,600
+#: subsets each) leave max RSS at 41 MB, where one unbounded automaton
+#: grew to 138 MB.
+SUBSET_CAP = 1 << 14
+
+_swap_lock = threading.Lock()
+_swaps = 0
+
+
+def generation_swaps() -> int:
+    """How many generations this process has started past :data:`SUBSET_CAP`."""
+    return _swaps
+
+
+def marker_decode_tables_for(marker_sets) -> tuple[tuple, tuple]:
+    """Per-marker-set-id ``(opened, closed)`` variable-name tuples, so the
+    arena enumerator decodes each run step with two tuple iterations."""
+    opens = tuple(tuple(sorted(s.opened())) for s in marker_sets)
+    closes = tuple(tuple(sorted(s.closed())) for s in marker_sets)
+    return opens, closes
+
+
+def classify_columns(columns) -> tuple[list[int], list]:
+    """Group identical *columns* into equivalence classes.
+
+    Returns ``(class_of, representatives)``: the class id of each column in
+    input order, and one representative column per class id.  Collapses
+    alphabet symbols with identical transition behaviour into one
+    character class.
+    """
+    class_of: list[int] = []
+    index: dict = {}
+    representatives: list = []
+    for column in columns:
+        class_id = index.get(column)
+        if class_id is None:
+            class_id = len(representatives)
+            index[column] = class_id
+            representatives.append(column)
+        class_of.append(class_id)
+    return class_of, representatives
 
 
 class _LetterRow(dict):
@@ -124,7 +182,8 @@ class CompiledSubsetEVA:
     ids are stable across processes; subset ids are *not* (each process
     discovers subsets in its own order), which is why portable results key
     final states by the subset's member tuple (see
-    :meth:`portable_state_key`).
+    :meth:`portable_state_key`).  Its growth is bounded by generations
+    (:meth:`renewed`).
     """
 
     def __init__(self, automaton: ExtendedVA) -> None:
@@ -138,7 +197,7 @@ class CompiledSubsetEVA:
             (s for s in automaton.states if s != base_initial), key=repr
         ))
         self.base_state_objects: tuple = base_states
-        base_index = {state: i for i, state in enumerate(base_states)}
+        base_index = self._base_index = {state: i for i, state in enumerate(base_states)}
         self.symbols: tuple[str, ...] = tuple(sorted(automaton.alphabet()))
         self.symbol_index = {symbol: i for i, symbol in enumerate(self.symbols)}
 
@@ -190,16 +249,21 @@ class CompiledSubsetEVA:
         )
 
         # --- lazily grown subset tables, read by the kernel loops --- #
+        # The rows reach back through a weak proxy, so a dropped
+        # generation is freed by reference counting alone, at once.
+        self._proxy = weakref.proxy(self)
         #: member tuple (sorted base ids) per subset id
         self.subset_members: list[tuple[int, ...]] = []
         self._subset_index: dict[tuple[int, ...], int] = {}
         #: per-subset letter rows, filled per class on first read
         self.class_table: list[_LetterRow] = []
         #: per-subset (marker_set_id, target_subset_id) rows, on first read
-        self.variable_table = _VariableTable(self)
+        self.variable_table = _VariableTable(self._proxy)
         self.is_final: list[bool] = []
         #: per-subset "all members silent" flag (quiescent fast path)
         self.silent: list[bool] = []
+        #: per-subset settled-sink flag, ``None`` until asked (streaming)
+        self._settled: list[bool | None] = []
         #: frozensets of base state objects, for ResultDag conversion
         self._state_objects: list[frozenset] = []
         self._marker_decode: tuple[tuple, tuple] | None = None
@@ -207,6 +271,8 @@ class CompiledSubsetEVA:
         #: built on demand and never pickled
         self._set_table = None
         self._intern_lock = threading.Lock()
+        #: the next generation, built once by renewed()
+        self._successor: CompiledSubsetEVA | None = None
 
         self.initial = self.intern_subset((0,))
 
@@ -218,17 +284,19 @@ class CompiledSubsetEVA:
             "class_table": [dict(row) for row in self.class_table],
             "variable_table": dict(self.variable_table),
             "_set_table": None,
+            "_successor": None,
         }
-        del state["_intern_lock"]
+        del state["_intern_lock"], state["_proxy"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._proxy = weakref.proxy(self)
         self.class_table = [
-            _LetterRow(self, members, row)
+            _LetterRow(self._proxy, members, row)
             for members, row in zip(self.subset_members, state["class_table"])
         ]
-        self.variable_table = _VariableTable(self, state["variable_table"])
+        self.variable_table = _VariableTable(self._proxy, state["variable_table"])
         self._intern_lock = threading.Lock()
 
     def intern_subset(self, members: tuple[int, ...]) -> int:
@@ -242,9 +310,10 @@ class CompiledSubsetEVA:
                 # Every per-subset table gets its entry before the index
                 # does, so an id another thread can read has its rows.
                 subset_id = len(self.subset_members)
-                self.class_table.append(_LetterRow(self, members))
+                self.class_table.append(_LetterRow(self._proxy, members))
                 self.is_final.append(not self.base_finals.isdisjoint(members))
                 self.silent.append(self._base_loud.isdisjoint(members))
+                self._settled.append(None)
                 self._state_objects.append(
                     frozenset(self.base_state_objects[state] for state in members)
                 )
@@ -278,10 +347,10 @@ class CompiledSubsetEVA:
         """Subset-state objects (frozensets of base states), by subset id."""
         return self._state_objects
 
-    @property
-    def state_index(self) -> dict[frozenset, int]:
-        """Subset-object → id mapping (built on demand; conversion only)."""
-        return {subset: i for i, subset in enumerate(self._state_objects)}
+    def state_id(self, subset: frozenset) -> int:
+        """The id of the subset-state object *subset* (a frozenset of base
+        states), interned if no run has reached it yet (conversion only)."""
+        return self.intern_subset(tuple(sorted(self._base_index[state] for state in subset)))
 
     def marker_decode_tables(self) -> tuple[tuple, tuple]:
         """Per-marker-set-id ``(opened, closed)`` variable-name tuples."""
@@ -298,18 +367,52 @@ class CompiledSubsetEVA:
         """Re-intern a member tuple received from another process."""
         return self.intern_subset(tuple(key))
 
-    def encode_text(self, text: str) -> list[int]:
-        """Translate *text* into symbol ids (see :func:`encode_symbols`).
-
-        Introspection only — the engines consume :meth:`encode` (class-id
-        buffers, cached per document) instead.
-        """
-        return encode_symbols(self.symbol_index, text)
-
     def encode(self, document: object):
         """The cached class-id :class:`~repro.runtime.encoding.EncodedDocument`
         of *document* under this automaton's classing."""
         return self.classing.encode(document)
+
+    def settled(self, subset_id: int) -> bool:
+        """Whether runs reaching *subset_id* are settled the moment they arrive.
+
+        A settled sink is final, silent (its list is never snapshotted
+        into new DAG nodes) and self-loops on every class a character can
+        read as — the named classes and OTHER's, or else the foreign one,
+        which no subset survives — so no character can move or kill the
+        run.  Mappings parked there are in the output of every
+        continuation of a stream.  Computed on first ask and kept beside
+        the subset's rows.
+        """
+        flag = self._settled[subset_id]
+        if flag is None:
+            row = self.class_table[subset_id]
+            classing = self.classing
+            flag = self._settled[subset_id] = (
+                self.is_final[subset_id]
+                and self.silent[subset_id]
+                and all(
+                    row[symbol_class] == subset_id
+                    for symbol_class in (*range(classing.num_classes), classing.other_class)
+                )
+            )
+        return flag
+
+    def renewed(self) -> "CompiledSubsetEVA":
+        """This automaton, or its next generation once it holds more than
+        :data:`SUBSET_CAP` subsets.
+
+        The next generation is a fresh automaton over the same sequential
+        eVA, built once however many holders ask for it; callers ask at a
+        call boundary and keep what they get for the whole call.
+        """
+        if len(self.subset_members) <= SUBSET_CAP:
+            return self
+        global _swaps
+        with _swap_lock:
+            if self._successor is None:
+                self._successor = CompiledSubsetEVA(self.source)
+                _swaps += 1
+        return self._successor
 
     def __repr__(self) -> str:
         return (

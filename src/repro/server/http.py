@@ -14,9 +14,10 @@ Routes:
     one NDJSON event at a time, with an ``await``-point between chunks;
     the response streams back with chunked transfer encoding, one NDJSON
     line per mapping the moment it settles.  The pattern compiles on a
-    worker thread, so a slow compile stalls only its own session; one
-    whose dense tables pass the subset budget gets ``400`` with
-    ``"code": "resource_limit"``.  Admission control answers
+    worker thread, so a slow compile stalls only its own session; it
+    compiles to a sequential eVA and determinizes on the fly, so no
+    pattern is refused for the size of its subset construction.
+    Admission control answers
     ``429`` (with ``Retry-After``) past the session cap; a session idle
     longer than the configured timeout is closed with an in-band error
     event; per-session fed-bytes caps likewise surface as in-band

@@ -22,6 +22,7 @@ from typing import Iterable
 
 from repro.runtime.plan import PlanCache
 from repro.runtime.resilience import RESILIENCE_METRICS
+from repro.runtime.subset import generation_swaps
 
 __all__ = ["LatencyRing", "ServerMetrics"]
 
@@ -203,4 +204,7 @@ class ServerMetrics:
         # fallbacks, quarantined documents and resource-budget trips,
         # whichever executor recorded them.
         payload["resilience"] = RESILIENCE_METRICS.snapshot()
+        # Process-wide too: how often a lazily determinized automaton
+        # passed SUBSET_CAP subsets and was replaced by a fresh one.
+        payload["generation_swaps"] = generation_swaps()
         return payload

@@ -1,12 +1,17 @@
-"""The compilation pipeline from a spanner specification to a deterministic seVA.
+"""The compilation pipeline from a spanner specification to a sequential eVA.
 
 The pipeline mirrors Section 4 of the paper: regex formulas compile to VA,
 VA convert to extended VA, algebra expressions compile bottom-up with the
 operator constructions of Proposition 4.4, and the result is
-sequentialized (if needed) and determinized so that the constant-delay
-algorithm applies.  Each stage's size and wall-clock time are recorded in a
-:class:`CompilationReport`, which the benchmarks use to reproduce the
-paper's translation-cost statements (Propositions 4.1–4.6).
+sequentialized (if needed) so that the constant-delay algorithm applies.
+Every request runs that sequential eVA through the lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
+closing remark), so no request path determinizes up front.
+:meth:`CompilationPipeline.compile` continues with the unbounded
+:func:`~repro.automata.transforms.determinize` for the reference engine
+(the oracle) and for introspection.  Each stage's size and wall-clock time
+are recorded in a :class:`CompilationReport`, which the benchmarks use to
+reproduce the paper's translation-cost statements (Propositions 4.1–4.6).
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.documents import OTHER
-from repro.core.errors import CompilationError, ResourceLimitError
+from repro.core.errors import CompilationError
 from repro.automata.analysis import AutomatonStatistics, is_sequential, statistics, trim
 from repro.automata.eva import ExtendedVA
 from repro.automata.transforms import (
-    SUBSET_BUDGET,
     determinize,
     relabel_states,
     sequentialize,
@@ -31,7 +35,6 @@ from repro.algebra.expressions import SpannerExpression
 from repro.regex.ast import RegexNode
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
-from repro.runtime.plan import ExecutionPlan
 
 __all__ = ["CompilationPipeline", "CompilationReport", "StageReport"]
 
@@ -76,7 +79,7 @@ class CompilationReport:
 
     @property
     def final_stage(self) -> StageReport:
-        """The last stage (the deterministic sequential eVA)."""
+        """The last stage recorded."""
         if not self.stages:
             raise CompilationError("the pipeline has not produced any stage yet")
         return self.stages[-1]
@@ -93,7 +96,7 @@ class CompilationReport:
 
 
 class CompilationPipeline:
-    """Compile any supported spanner specification into a deterministic seVA."""
+    """Compile any supported spanner specification into a sequential eVA."""
 
     def __init__(
         self,
@@ -156,8 +159,8 @@ class CompilationPipeline:
         """Run the pipeline up to (and including) sequentialization.
 
         The result is a *sequential but possibly non-deterministic* eVA —
-        the input format of the on-the-fly subset runtime and of
-        :meth:`determinize_or_defer`.  :meth:`compile` continues from here.
+        the input format of the on-the-fly subset runtime.  :meth:`compile`
+        continues from here.
         """
         alphabet = self._base_alphabet | frozenset(extra_alphabet)
         report = CompilationReport()
@@ -175,10 +178,7 @@ class CompilationPipeline:
         return extended, report
 
     def determinize_stage(
-        self,
-        extended: ExtendedVA,
-        report: CompilationReport,
-        budget: int | None,
+        self, extended: ExtendedVA, report: CompilationReport
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Determinize (if needed) and relabel a sequential eVA.
 
@@ -187,13 +187,12 @@ class CompilationPipeline:
         (the :class:`~repro.spanners.Spanner` facade does, so it never runs
         the front of the pipeline twice) pass a *copy* of the sequential
         report to keep the two records independent.  The subset
-        construction stops with
-        :class:`~repro.core.errors.ResourceLimitError` past *budget*
-        subsets (``None``: unbounded, as :meth:`compile` runs it).
+        construction is unbounded: only the reference engine and
+        introspection call it.
         """
         start = time.perf_counter()
         if not extended.is_deterministic():
-            extended = determinize(extended, budget)
+            extended = determinize(extended)
             extended = relabel_states(extended)
             report.record("determinize", extended, time.perf_counter() - start)
         else:
@@ -201,49 +200,12 @@ class CompilationPipeline:
             report.record("relabel", extended, time.perf_counter() - start)
         return extended, report
 
-    def determinize_or_defer(
-        self, extended: ExtendedVA, report: CompilationReport
-    ) -> tuple[ExecutionPlan, tuple[ExtendedVA, CompilationReport] | None]:
-        """The ``auto`` plan of a sequential eVA, with its dense form if any.
-
-        The subset construction decides: within
-        :data:`~repro.automata.transforms.SUBSET_BUDGET` the plan is
-        ``compiled`` and carries the deterministic seVA; past it the plan
-        is ``compiled-otf`` (the paper's Section 4 closing remark).  The
-        facade and every fused leaf of a hybrid plan call this one method.
-        """
-        try:
-            compiled = self.determinize_stage(extended, report, SUBSET_BUDGET)
-        except ResourceLimitError as error:
-            return ExecutionPlan("compiled-otf", False, f"{error}: determinize on the fly"), None
-        stage = report.final_stage
-        reason = (
-            "already deterministic: dense tables at no extra cost"
-            if stage.name == "relabel"
-            else f"subset construction built {stage.num_states} states: dense tables"
-        )
-        return ExecutionPlan("compiled", True, reason), compiled
-
     def compile(
         self, extra_alphabet: Iterable[str] = ()
     ) -> tuple[ExtendedVA, CompilationReport]:
         """Run the full pipeline and return the deterministic seVA plus a report."""
         extended, report = self.compile_sequential(extra_alphabet)
-        return self.determinize_stage(extended, report, None)
-
-    def intern(self, extended: ExtendedVA, report: CompilationReport):
-        """Intern a pipeline-produced deterministic seVA into dense tables.
-
-        The single place where a :class:`CompiledEVA` is built and its cost
-        recorded as an ``"intern"`` stage — both :meth:`compile_runtime`
-        and the :class:`~repro.spanners.Spanner` facade funnel through it.
-        """
-        from repro.runtime.compiled import compile_eva
-
-        start = time.perf_counter()
-        compiled = compile_eva(extended, check_determinism=False)
-        report.record("intern", extended, time.perf_counter() - start)
-        return compiled
+        return self.determinize_stage(extended, report)
 
     def optimize_expression(self, extra_alphabet: Iterable[str] = (), **options):
         """Run the cost-based expression optimizer for this source.
@@ -265,17 +227,6 @@ class CompilationPipeline:
             source = Atom(source)
         alphabet = self._base_alphabet | frozenset(extra_alphabet)
         return optimize(source, alphabet, **options)
-
-    def compile_runtime(self, extra_alphabet: Iterable[str] = ()):
-        """Run the pipeline and intern the result into a :class:`CompiledEVA`.
-
-        This is the compile-once entry point of the batch engine: the dense
-        integer tables are built a single time here and then reused across
-        every document (and pickled once per worker in process mode).  The
-        interning cost is recorded as its own pipeline stage.
-        """
-        extended, report = self.compile(extra_alphabet)
-        return self.intern(extended, report), report
 
     def _to_extended(
         self, alphabet: frozenset[str], report: CompilationReport

@@ -10,15 +10,19 @@ evaluation operations of the paper:
 * :meth:`Spanner.count` — output counting in ``O(|A| × |d|)`` (Algorithm 3),
 * :meth:`Spanner.extract` — convenience extraction of the captured text.
 
-Compilation into a deterministic sequential eVA happens lazily, once per
-pattern: wildcards and negated classes expand over the letters the pattern
-names plus one :data:`~repro.core.documents.OTHER` symbol standing for
-every other character (the alphabet partition of symbolic automata), so
-no request hashes its document's alphabet and no document recompiles.
-The sequential eVA, the deterministic eVA, both compiled runtimes and the
-execution plan are each built once, on first use, and kept on the
-spanner.  Only ``engine="reference"``
-compiles over each document's own characters, in a small private memo, so
+Compilation into a sequential eVA happens lazily, once per pattern:
+wildcards and negated classes expand over the letters the pattern names
+plus one :data:`~repro.core.documents.OTHER` symbol standing for every
+other character (the alphabet partition of symbolic automata), so no
+request hashes its document's alphabet and no document recompiles.  Every
+compiled request runs that eVA through one lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
+closing remark): no request determinizes up front, and only the subsets
+documents reach are built.  Past
+:data:`~repro.runtime.subset.SUBSET_CAP` subsets the spanner hands out a
+fresh generation at the next call, so a long-lived spanner's memory stays
+bounded.  Only ``engine="reference"`` compiles over each document's own
+characters and determinizes without a bound, in a small private memo, so
 that it stays an oracle independent of ``OTHER``.
 
 Documents flow down to the engines as objects: every compiled engine
@@ -31,14 +35,11 @@ to itself and the compiled tables only grow interned active sets and
 their plans, so one spanner may serve many threads at once.
 
 Evaluation goes through the :class:`~repro.runtime.plan.ExecutionPlan`
-layer.  ``engine="auto"`` (the default) lets the planner pick between the
-dense-table arena engine (``"compiled"``), the lazily determinized subset
-engine (``"compiled-otf"``, the paper's Section 4 closing remark — no
-up-front :func:`~repro.automata.transforms.determinize` call at all) and is
-cross-checked against the dict-based reference loop (``"reference"``).  A
-concrete engine name forces that engine.  Multi-document workloads go
-through :meth:`Spanner.run_batch`, which compiles once and streams every
-document through the same tables.
+layer.  ``engine="auto"`` (the default) runs the compiled automaton
+(``"compiled"``, also named ``"compiled-otf"``), which is cross-checked
+against the dict-based reference loop (``"reference"``).  Multi-document
+workloads go through :meth:`Spanner.run_batch`, which compiles once and
+streams every document through the same tables.
 
 Spanner-algebra expression sources additionally go through the cost-based
 optimizer (:mod:`repro.algebra.optimizer`): under ``engine="auto"`` (or
@@ -52,11 +53,12 @@ renders the logical → physical plan.
 
 from __future__ import annotations
 
+import time
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.documents import DocumentCollection, as_text
-from repro.core.errors import CompilationError, ResourceLimitError
+from repro.core.errors import CompilationError
 from repro.core.mappings import Mapping
 from repro.automata.analysis import AutomatonStatistics, statistics
 from repro.automata.eva import ExtendedVA
@@ -64,7 +66,6 @@ from repro.automata.va import VariableSetAutomaton
 from repro.algebra.expressions import SpannerExpression
 from repro.regex.ast import RegexNode
 from repro.regex.parser import parse_regex
-from repro.runtime.compiled import CompiledEVA
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.plan import (
     ENGINE_CHOICES,
@@ -74,12 +75,12 @@ from repro.runtime.plan import (
     choose_plan,
 )
 from repro.runtime.runlength import resolve_kernel
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.pipeline import CompilationPipeline, CompilationReport
 
 if TYPE_CHECKING:
     from repro.runtime.resilience import FailureReport, ResiliencePolicy
     from repro.runtime.streaming import StreamingEvaluator
-    from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = ["Spanner"]
 
@@ -183,24 +184,35 @@ class Spanner:
     # and ignore it: every document is evaluated by the same compilation.
 
     def compiled(self, document: object = "") -> ExtendedVA:
-        """The deterministic sequential eVA every compiled engine runs."""
-        return self._compiled[0]
+        """The spanner's deterministic sequential eVA, for introspection.
+
+        Determinized up front and without a bound on first call; no
+        request runs it (they determinize on the fly, see :meth:`runtime`).
+        """
+        return self._deterministic[0]
 
     def compilation_report(self, document: object = "") -> CompilationReport:
-        """The per-stage report of the spanner's compilation."""
-        return self._compiled[1]
+        """The per-stage report of what every compiled request runs: the
+        stages up to the sequential eVA, then the lazily determinized
+        automaton's construction as ``"intern"``."""
+        return self._interned[1]
 
     def statistics(self, document: object = "") -> AutomatonStatistics:
-        """Size statistics of the compiled automaton."""
+        """Size statistics of the deterministic automaton (:meth:`compiled`)."""
         return statistics(self.compiled(), check_properties=True)
 
-    def runtime(self, document: object = "") -> CompiledEVA:
-        """The interned :class:`CompiledEVA` of the spanner."""
-        return self._runtime
+    def runtime(self, document: object = "") -> CompiledSubsetEVA:
+        """The lazily determinized automaton every compiled request runs.
 
-    def otf_runtime(self, document: object = "") -> CompiledSubsetEVA:
-        """The lazily determinized runtime used by ``engine="compiled-otf"``."""
-        return self._otf_runtime
+        Once it holds more than :data:`~repro.runtime.subset.SUBSET_CAP`
+        subsets, the next call gets a fresh generation; arenas and
+        streams built earlier keep the one they were built on.
+        """
+        runtime, report = self._interned
+        renewed = runtime.renewed()
+        if renewed is not runtime:
+            self._interned = (renewed, report)
+        return renewed
 
     def plan(
         self,
@@ -258,40 +270,20 @@ class Spanner:
         return self._pipeline.compile_sequential(self._alphabet)
 
     @cached_property
-    def _determinized(self) -> tuple[ExecutionPlan, tuple[ExtendedVA, CompilationReport] | None]:
-        """The ``auto`` plan and, within the subset budget, the deterministic eVA."""
+    def _interned(self) -> tuple[CompiledSubsetEVA, CompilationReport]:
+        """The current generation of the lazy automaton, and the report of
+        the stages that built the first one."""
         sequential, report = self._sequential
-        return self._pipeline.determinize_or_defer(sequential, report.copy())
+        report = report.copy()
+        start = time.perf_counter()
+        runtime = CompiledSubsetEVA(sequential)
+        report.record("intern", sequential, time.perf_counter() - start)
+        return runtime, report
 
     @cached_property
-    def _compiled(self) -> tuple[ExtendedVA, CompilationReport]:
-        plan, compiled = self._determinized
-        if compiled is None:
-            raise ResourceLimitError(
-                f"no dense tables within the subset budget ({plan.reason}); "
-                "streaming and engine='compiled' need them, whole documents "
-                "can use engine='auto' or 'compiled-otf'"
-            )
-        return compiled
-
-    @cached_property
-    def _runtime(self) -> CompiledEVA:
-        return self._pipeline.intern(*self._compiled)
-
-    @cached_property
-    def _otf_runtime(self) -> CompiledSubsetEVA:
-        # Only patterns whose subset construction passes the budget (or a
-        # forced "compiled-otf") run here, so the module loads on first use.
-        from repro.runtime.subset import CompiledSubsetEVA
-
-        return CompiledSubsetEVA(self._sequential[0])
-
-    def _engine_runtime(self, engine: str) -> CompiledEVA | CompiledSubsetEVA:
-        """The automaton a compiled engine runs on: the dense runtime, or
-        the lazily determinized one for ``compiled-otf``."""
-        if engine == "compiled-otf":
-            return self._otf_runtime
-        return self._runtime
+    def _deterministic(self) -> tuple[ExtendedVA, CompilationReport]:
+        sequential, report = self._sequential
+        return self._pipeline.determinize_stage(sequential, report.copy())
 
     @cached_property
     def _optimized(self):
@@ -311,9 +303,9 @@ class Spanner:
 
         Expression sources consult the cost-based optimizer: when it cuts
         the tree, the plan runs the physical operator tree, its leaves
-        compiled over the spanner's alphabet.  Otherwise the bounded
-        subset construction decides, and ``"hybrid"`` degrades to
-        ``"auto"`` over the monolithic compilation.
+        compiled over the spanner's alphabet.  Otherwise the plan runs the
+        compiled automaton, and ``"hybrid"`` degrades to ``"auto"`` over
+        the monolithic compilation.
         """
         if isinstance(self._pipeline.source, SpannerExpression):
             optimized = self._optimized
@@ -321,11 +313,10 @@ class Spanner:
                 rules = ", ".join(optimized.applied_rules) or "none"
                 return ExecutionPlan(
                     "hybrid",
-                    False,
                     f"optimizer cut the expression tree: rewrites=[{rules}]",
                     operators=optimized.physical.prepare(self._alphabet),
                 )
-        return self._determinized[0]
+        return choose_plan(engine="auto")
 
     def _reference_automaton(self, document: object) -> ExtendedVA:
         """The deterministic eVA ``engine="reference"`` runs on *document*.
@@ -404,7 +395,7 @@ class Spanner:
             return run_evaluate(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        return evaluate_compiled_arena(self._engine_runtime(plan.engine), document)
+        return evaluate_compiled_arena(self.runtime(), document)
 
     def enumerate(
         self,
@@ -444,10 +435,9 @@ class Spanner:
         the pattern does not name, so any character may arrive and the
         result equals whole-document evaluation.  *alphabet* is accepted
         and validated (an iterable of characters) but no longer needed.
-        The plan layer resolves the engine with ``streaming=True`` —
-        only ``"compiled"`` (or ``"auto"``) can stream, so a pattern whose
-        subset construction passes the budget raises
-        :class:`~repro.core.errors.ResourceLimitError` here.
+        The plan layer resolves the engine with ``streaming=True``: only
+        the compiled automaton (``"auto"``, ``"compiled"`` or
+        ``"compiled-otf"``) can stream.
         """
         plan = choose_plan(
             engine=self._engine if engine is None else engine, streaming=True
@@ -462,7 +452,7 @@ class Spanner:
         from repro.runtime.streaming import StreamingEvaluator
 
         return StreamingEvaluator(
-            self._runtime,
+            self.runtime(),
             emit=emit,
             fast_path=fast_path,
             retain_settled=retain_settled,
@@ -490,9 +480,11 @@ class Spanner:
         Results stream as ``(doc_id, result)`` pairs in collection order; ``mode="processes"`` fans
         chunks of documents out to a multiprocessing pool, pickling the
         compiled automaton once per worker.  The engine is resolved through
-        the planner exactly as for single documents; ``"compiled-otf"``
-        reuses one :class:`CompiledSubsetEVA` across the whole batch, so
-        subset rows discovered on one document are cache hits on the next.
+        the planner exactly as for single documents; the compiled engine
+        reuses one :class:`CompiledSubsetEVA` across the batch, so subset
+        rows discovered on one document are cache hits on the next (a
+        generation past :data:`~repro.runtime.subset.SUBSET_CAP` subsets
+        is renewed between documents).
 
         With ``streaming=True`` every document is fed to the compiled
         engine in ``stream_chunk_size``-character slices through the
@@ -518,10 +510,7 @@ class Spanner:
             self._reject_hybrid_streaming()
         else:
             plan = self._plan(engine, kernel)
-        if plan.engine == "hybrid":
-            compiled: object = plan.operators
-        else:
-            compiled = self._engine_runtime(plan.engine)
+        compiled = plan.operators if plan.engine == "hybrid" else self.runtime()
         from repro.runtime.batch import run_batch
 
         return run_batch(
@@ -546,9 +535,9 @@ class Spanner:
     ) -> int:
         """Count ``|⟦γ⟧(d)|`` with Algorithm 3 (no enumeration).
 
-        The compiled engines run the integer rewrite of Algorithm 3 on
-        their dense (or lazily discovered) tables; ``"reference"`` runs the
-        original dict-based loop.  Long runs of one character class cost
+        The compiled engine runs the integer rewrite of Algorithm 3 on the
+        lazily discovered tables; ``"reference"`` runs the original
+        dict-based loop.  Long runs of one character class cost
         ``O(log k)`` inside the compiled loop; *kernel* is checked and
         ignored.
         """
@@ -563,7 +552,7 @@ class Spanner:
             return count_mappings(
                 self._reference_automaton(document), document, check_determinism=False
             )
-        return count_compiled(self._engine_runtime(plan.engine), document)
+        return count_compiled(self.runtime(), document)
 
     def extract(
         self,

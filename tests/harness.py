@@ -12,9 +12,10 @@ of the library against each other on one ``(spanner, document)`` pair:
   *inside* multi-byte sequences;
 * the count loop's run powers: the document with every character
   stretched into a run of ``2 * POWER_MIN`` is counted with the fast
-  path, without it and by the reference engine, on both automaton
-  forms; and the arena with the fast path off must be **bit-identical**
-  (arrays, not just mapping sets) to the arena with it on.
+  path, without it and by the reference engine, on both
+  :data:`AUTOMATON_FORMS`; and the arena with the fast path off must be
+  **bit-identical** (arrays, not just mapping sets) to the arena with it
+  on.
 
 The streaming evaluator runs the same single compilation as the
 whole-document engines, opened with no declared alphabet and with one
@@ -30,7 +31,8 @@ characters, and uniform runs long enough for the count loop's powers.
 Every route above runs one of the plain loops of
 :mod:`repro.runtime.kernel`, so one harness call doubles as the
 equivalence gate over all of them: the arena loop against the count
-loop, dense tables against the on-the-fly subset tables, and one
+loop, the sequential eVA's subsets against the determinized eVA's
+singletons, and one
 ``arena_loop`` call over the whole document against one call per chunk,
 arena-for-arena where the contract is bit-identity.
 """
@@ -38,6 +40,7 @@ arena-for-arena where the contract is bit-identity.
 from __future__ import annotations
 
 import random
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -46,19 +49,45 @@ from repro.core.documents import as_text
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime import kernel
 from repro.runtime.kernel import POWER_MIN
+from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = [
+    "AUTOMATON_FORMS",
     "FACADE_ENGINES",
     "adversarial_chunkings",
     "adversarial_documents",
     "assert_all_engines_agree",
     "assert_arena_identical",
+    "automaton_form",
     "facade_results",
     "plans_forbidden",
 ]
 
 #: The monolithic engines reachable through the facade's ``engine=`` knob.
 FACADE_ENGINES = ("reference", "compiled", "compiled-otf")
+
+#: The compiled automaton over a spanner's two sources (see
+#: :func:`automaton_form`).
+AUTOMATON_FORMS = ("runtime", "otf_runtime")
+
+_DETERMINIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def automaton_form(spanner: Spanner, form: str) -> CompiledSubsetEVA:
+    """*spanner*'s compiled automaton in one of :data:`AUTOMATON_FORMS`.
+
+    ``"otf_runtime"`` is :meth:`Spanner.runtime`, the sequential eVA
+    determinized on the fly, which every request runs.  ``"runtime"`` is
+    the same automaton over the up-front determinized eVA
+    (:meth:`Spanner.compiled`): every subset a singleton, ids in another
+    order.  One instance per spanner, so its tables warm across calls.
+    """
+    if form == "otf_runtime":
+        return spanner.runtime()
+    runtime = _DETERMINIZED.get(spanner)
+    if runtime is None:
+        runtime = _DETERMINIZED[spanner] = CompiledSubsetEVA(spanner.compiled())
+    return runtime
 
 
 def adversarial_chunkings(text: str, seed: int = 0, random_splits: int = 2):
@@ -227,11 +256,13 @@ def assert_all_engines_agree(
     # count and the reference count must agree on both forms.
     stretched = "".join(char * (2 * POWER_MIN) for char in text[:8])
     reference_count = spanner.count(stretched, engine="reference")
-    for form in (runtime, spanner.otf_runtime(text)):
+    for form in AUTOMATON_FORMS:
         for fast_path in (True, False):
-            count = count_compiled(form, stretched, fast_path=fast_path)
+            count = count_compiled(
+                automaton_form(spanner, form), stretched, fast_path=fast_path
+            )
             assert count == reference_count, (
-                f"{type(form).__name__} count(fast_path={fast_path}) of the "
+                f"{form} count(fast_path={fast_path}) of the "
                 f"stretched text = {count}, reference = {reference_count}"
             )
 

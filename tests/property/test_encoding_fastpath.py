@@ -32,7 +32,7 @@ from repro.regex.ast import (
     Union,
 )
 from repro.runtime import encoding
-from repro.runtime.compiled import compile_eva
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.operators import FusedLeaf, HashJoin
 from repro.spanners.spanner import Spanner
@@ -70,7 +70,7 @@ documents = st.text(alphabet=ADVERSARIAL, min_size=0, max_size=8)
 def test_dense_engines_equal_reference_on_adversarial_documents(node, text):
     spanner = Spanner.from_regex(node)
     automaton = spanner.compiled(ALPHABET)
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = CompiledSubsetEVA(automaton)
     reference = reference_evaluate(automaton, text, check_determinism=False)
     expected = set(reference)
     expected_count = reference.count()
@@ -93,7 +93,7 @@ def test_subset_engines_equal_reference_on_adversarial_documents(node, text):
     reference = reference_evaluate(automaton, text, check_determinism=False)
     expected = set(reference)
     expected_count = reference.count()
-    subset_eva = spanner.otf_runtime(ALPHABET)
+    subset_eva = spanner.runtime(ALPHABET)
     for fast_path in (True, False):
         document = Document(text)
         dag = evaluate_compiled_arena(subset_eva, document, fast_path=fast_path)
@@ -124,7 +124,7 @@ def zero_silent_eva():
 @given(text=st.text(alphabet=ADVERSARIAL, min_size=0, max_size=10))
 def test_zero_silent_automaton(text):
     automaton = zero_silent_eva()
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = CompiledSubsetEVA(automaton)
     assert not any(compiled.silent)
     reference = reference_evaluate(automaton, text, check_determinism=False)
     expected = set(reference)
@@ -143,7 +143,7 @@ def test_single_class_alphabet(text):
     # class.
     spanner = Spanner.from_regex("a*x{a+}a*")
     automaton = spanner.compiled()
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = CompiledSubsetEVA(automaton)
     assert compiled.num_classes == 1
     reference = reference_evaluate(automaton, text, check_determinism=False)
     arena = evaluate_compiled_arena(compiled, Document(text))

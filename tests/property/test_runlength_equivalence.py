@@ -2,8 +2,9 @@
 
 Generated spanners over run-heavy documents (uniform runs from 1 to
 several times :data:`~repro.runtime.kernel.POWER_MIN` characters, empty
-documents, foreign characters planted mid-run), on the dense and on the
-lazily determinized automaton:
+documents, foreign characters planted mid-run), on the compiled automaton
+over the determinized and over the sequential eVA
+(:data:`harness.AUTOMATON_FORMS`):
 
 * **Counting** — the default count (repeats and powers through long
   runs) equals the ``fast_path=False`` count, which steps every
@@ -17,9 +18,11 @@ lazily determinized automaton:
 from hypothesis import given, settings, strategies as st
 
 from harness import (
+    AUTOMATON_FORMS,
     adversarial_documents,
     assert_all_engines_agree,
     assert_arena_identical,
+    automaton_form,
 )
 
 from repro import Spanner
@@ -55,14 +58,14 @@ run_documents = st.lists(
     max_size=5,
 ).map(lambda pairs: "".join(char * length for char, length in pairs))
 patterns = st.sampled_from(PATTERNS)
-forms = st.sampled_from(["runtime", "otf_runtime"])
+forms = st.sampled_from(AUTOMATON_FORMS)
 
 
 @settings(max_examples=80, deadline=None)
 @given(pattern=patterns, text=run_documents, form=forms)
 def test_count_equals_scalar_and_reference(pattern, text, form):
     spanner = Spanner.from_regex(pattern)
-    runtime = getattr(spanner, form)(text)
+    runtime = automaton_form(spanner, form)
     expected = count_compiled(runtime, text, fast_path=False)
     assert count_compiled(runtime, text) == expected
     assert spanner.count(text, engine="reference") == expected
@@ -83,8 +86,8 @@ def test_arena_is_bit_identical_both_fast_paths(pattern, text):
 @given(pattern=patterns, text=run_documents)
 def test_subset_count_matches_dense_count(pattern, text):
     spanner = Spanner.from_regex(pattern)
-    assert count_compiled(spanner.otf_runtime(text), text) == count_compiled(
-        spanner.runtime(text), text
+    assert count_compiled(spanner.runtime(text), text) == count_compiled(
+        automaton_form(spanner, "runtime"), text
     )
 
 

@@ -25,7 +25,7 @@ from repro.regex.ast import (
     Union,
 )
 from repro.runtime.batch import freeze_result, run_batch, thaw_result
-from repro.runtime.compiled import compile_eva
+from repro.runtime.subset import CompiledSubsetEVA
 
 ALPHABET = "ab"
 
@@ -67,10 +67,12 @@ def test_compiled_engine_equals_reference_engine(node, document):
 @given(node=regex_nodes(), document=documents)
 def test_portable_dag_roundtrip_preserves_results(node, document):
     spanner = Spanner.from_regex(node)
-    automaton = spanner.compiled(document)
-    compiled = compile_eva(automaton, check_determinism=False)
+    runtime = spanner.runtime(document)
     original = spanner.preprocess(document, engine="compiled")
-    rebuilt = thaw_result(freeze_result(original, compiled), compiled)
+    # A fresh automaton over the same source interns subsets in its own
+    # order, as a worker process does.
+    fresh = CompiledSubsetEVA(runtime.source)
+    rebuilt = thaw_result(freeze_result(original, runtime), fresh)
     assert {str(m) for m in rebuilt} == {str(m) for m in original}
     assert rebuilt.count() == original.count()
 
@@ -83,9 +85,7 @@ def test_portable_dag_roundtrip_preserves_results(node, document):
 def test_batch_engines_agree_document_by_document(node, texts):
     spanner = Spanner.from_regex(node)
     collection = DocumentCollection.from_texts(texts)
-    union_alphabet = "".join(sorted(collection.alphabet()))
-    automaton = spanner.compiled(union_alphabet)
-    compiled = compile_eva(automaton, check_determinism=False)
+    compiled = spanner.runtime()
     by_engine = {
         engine: {
             doc_id: (frozenset(str(m) for m in result), result.count())

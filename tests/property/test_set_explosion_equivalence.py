@@ -66,7 +66,7 @@ def test_exploding_sets_match_the_reference(k, text, cuts):
     for chunk in chunks_of(text, cuts):
         stream.feed(chunk)
     assert_arena_identical(stream.finish(), whole, context=f" (chunks at {cuts})")
-    otf = spanner.otf_runtime(text)
+    otf = spanner.runtime(text)
     assert {str(mapping) for mapping in evaluate_compiled_arena(otf, text)} == mappings
     assert count_compiled(otf, text) == count
 
@@ -78,7 +78,7 @@ def test_subset_budget_family_matches_the_reference(text):
     mappings, count = reference(spanner, text)
     assert {str(m) for m in spanner.evaluate(text, engine="compiled-otf")} == mappings
     assert spanner.count(text, engine="compiled-otf") == count
-    runtime = spanner.otf_runtime(text)
+    runtime = spanner.runtime(text)
     whole = evaluate_compiled_arena(runtime, text)
     with plans_forbidden(runtime, len(text)):
         assert_arena_identical(evaluate_compiled_arena(runtime, text), whole)

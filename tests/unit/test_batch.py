@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.documents import Document, DocumentCollection
 from repro.runtime.batch import run_batch
-from repro.runtime.compiled import compile_eva
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.spanner import Spanner
 from repro.workloads.collections import contact_collection, scenario, scenario_names
 from repro.workloads.spanners import contact_pattern
@@ -15,7 +15,7 @@ def contact_setup():
     collection = contact_collection(5, records_per_document=8, seed=3)
     spanner = Spanner.from_regex(contact_pattern())
     automaton = spanner.compiled("".join(doc.text for doc in collection))
-    return compile_eva(automaton, check_determinism=False), collection
+    return CompiledSubsetEVA(automaton), collection
 
 
 def counts_of(results):

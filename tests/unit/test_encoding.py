@@ -15,11 +15,10 @@ import pytest
 from repro.core.documents import OTHER, Document, DocumentCollection
 from repro.counting.census import CensusInstance
 from repro.runtime import encoding
-from repro.runtime.compiled import NO_TARGET, compile_eva
 from repro.runtime.encoding import EncodedDocument, SymbolClassing
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.kernel import set_table
-from repro.runtime.subset import CompiledSubsetEVA
+from repro.runtime.subset import NO_TARGET, CompiledSubsetEVA
 from repro.spanners.spanner import Spanner
 from repro.workloads.spanners import random_census_nfa
 
@@ -27,7 +26,7 @@ from repro.workloads.spanners import random_census_nfa
 def compiled_for(pattern: str, alphabet: str):
     spanner = Spanner.from_regex(pattern, alphabet)
     automaton = spanner.compiled()
-    return compile_eva(automaton, check_determinism=False)
+    return CompiledSubsetEVA(automaton)
 
 
 class TestSymbolClasses:
@@ -36,22 +35,24 @@ class TestSymbolClasses:
         # symbol except the two the automaton distinguishes behaves
         # identically.
         compiled = compiled_for(".*x{a+b}.*", "abcdefghijkl")
-        assert compiled.num_symbols == 13
-        assert compiled.num_classes < compiled.num_symbols
+        assert len(compiled.symbols) == 13
+        assert compiled.num_classes < len(compiled.symbols)
 
     def test_class_table_matches_letter_table(self):
         compiled = compiled_for(".*x{a+b}.*", "abcd")
         class_of = compiled.classing.class_of
-        for state in range(compiled.num_states):
-            for symbol_id in range(compiled.num_symbols):
-                assert (
-                    compiled.letter_table[state][symbol_id]
-                    == compiled.class_table[state][class_of[symbol_id]]
+        states = compiled.base_state_objects
+        for base, state in enumerate(states):
+            row = compiled.class_table[compiled.state_id(frozenset({state}))]
+            for symbol_id, targets in enumerate(compiled.base_letter[base]):
+                expected = (
+                    compiled.state_id(frozenset(states[t] for t in targets))
+                    if targets
+                    else NO_TARGET
                 )
+                assert row[class_of[symbol_id]] == expected
             # The trailing foreign column is all-dead.
-            assert compiled.class_table[state][compiled.classing.foreign_class] == (
-                NO_TARGET
-            )
+            assert row[compiled.classing.foreign_class] == NO_TARGET
 
     def test_single_class_alphabet(self):
         compiled = compiled_for(".*", "a")
@@ -66,7 +67,7 @@ class TestSymbolClasses:
 
     def test_subset_runtime_carries_classing(self):
         spanner = Spanner.from_regex(".*x{a+b}.*")
-        subset_eva = spanner.otf_runtime("abcd")
+        subset_eva = spanner.runtime("abcd")
         assert isinstance(subset_eva, CompiledSubsetEVA)
         assert subset_eva.num_classes <= len(subset_eva.symbols)
         encoded = subset_eva.encode("abcd✗")
@@ -234,7 +235,7 @@ class TestScratchReuse:
     def test_count_compiled_accepts_and_reuses_scratch(self):
         for compiled in (
             compiled_for(".*x{a+b}.*", "ab"),
-            Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab"),
+            Spanner.from_regex(".*x{a+b}.*").runtime("ab"),
         ):
             baseline = count_compiled(compiled, "abaab")
             table = set_table(compiled)
@@ -249,7 +250,7 @@ class TestScratchReuse:
     def test_one_scratch_serves_count_and_arena(self):
         for compiled in (
             compiled_for(".*x{a+b}.*", "ab"),
-            Spanner.from_regex(".*x{a+b}.*").otf_runtime("ab"),
+            Spanner.from_regex(".*x{a+b}.*").runtime("ab"),
         ):
             dag = evaluate_compiled_arena(compiled, "abaab")
             table = set_table(compiled)
@@ -269,13 +270,16 @@ class TestScratchReuse:
 class TestSprintPatterns:
     """The stop pattern of a quiet set: the classes some member moves on.
 
-    Quiet sets are the ones the sprints chase (the lone silent ``sprint``
-    and the state loops' multi-member search); the expected stops are
-    read straight off ``class_table``.
+    The lone silent ``sprint`` chases a singleton's, and a quiet set's
+    idle stretches end at its stop; the expected stops are read straight
+    off ``class_table``, over a deterministic source whose states are
+    all interned first.
     """
 
     @staticmethod
     def silent_states(compiled):
+        for state in compiled.base_state_objects:
+            compiled.state_id(frozenset({state}))
         return [state for state in range(compiled.num_states) if compiled.silent[state]]
 
     def test_stop_pattern_excludes_self_loops(self):
@@ -292,8 +296,8 @@ class TestSprintPatterns:
             stops = {match.start() for match in pattern.finditer(buffer)}
             expected = {
                 class_id
-                for class_id, target in enumerate(row)
-                if target != state
+                for class_id in range(compiled.classing.num_ids)
+                if row[class_id] != state
             }
             assert stops == expected
 
@@ -310,7 +314,7 @@ class TestSprintPatterns:
         expected = {
             class_id
             for state in states
-            for class_id, target in enumerate(compiled.class_table[state])
-            if target != state
+            for class_id in range(compiled.classing.num_ids)
+            if compiled.class_table[state][class_id] != state
         }
         assert stops == expected

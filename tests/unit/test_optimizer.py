@@ -136,9 +136,9 @@ class TestExplain:
 class TestPlanIntegration:
     def test_hybrid_plan_requires_operators(self):
         with pytest.raises(ValueError):
-            ExecutionPlan("hybrid", False, "no tree")
+            ExecutionPlan("hybrid", "no tree")
         with pytest.raises(ValueError):
-            ExecutionPlan("compiled", True, "tree on wrong engine", operators=object())
+            ExecutionPlan("compiled", "tree on wrong engine", operators=object())
 
     def test_facade_engines_agree_on_hybrid_expression(self):
         expression = join_heavy_expression((3, 5))

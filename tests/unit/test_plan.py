@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.algebra.expressions import Atom
 from repro.automata import transforms
-from repro.automata.eva import ExtendedVA
-from repro.automata.transforms import SUBSET_BUDGET, va_to_eva
+from repro.automata.transforms import va_to_eva
 from repro.core.documents import DocumentCollection
-from repro.core.errors import ResourceLimitError
 from repro.regex.compiler import compile_to_va
 from repro.regex.parser import parse_regex
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
@@ -15,7 +14,11 @@ from repro.runtime.plan import (
     ExecutionPlan,
     choose_plan,
 )
+from repro.runtime.operators import FusedLeaf
 from repro.runtime.subset import CompiledSubsetEVA
+from repro.server.protocol import OpenRequest
+from repro.server.service import SpannerService
+from repro.spanners import pipeline as pipeline_module
 from repro.spanners.spanner import Spanner
 from repro.workloads.spanners import figure3_eva
 
@@ -29,63 +32,43 @@ def blowup_pattern(k: int) -> str:
     return ".*a" + "." * k + "x{b}.*"
 
 
+#: The reason of the plan every non-hybrid source gets.
+COMPILED_REASON = choose_plan(engine="auto").reason
+
+
 class TestChoosePlan:
     def test_deterministic_input_compiles_upfront(self):
         plan = Spanner.from_eva(figure3_eva()).plan()
         assert plan.engine == "compiled"
-        assert plan.determinize_upfront
-        assert plan.reason.startswith("already deterministic")
+        assert plan.reason == COMPILED_REASON
 
     def test_small_nondeterministic_input_determinizes_upfront(self):
         plan = Spanner.from_eva(sequential_eva("x{a*}a*")).plan()
         assert plan.engine == "compiled"
 
     def test_within_budget_blowup_family_compiles(self):
-        # k=6: 133 subsets, far inside the budget.
+        # k=6: 133 subsets.
         plan = Spanner(blowup_pattern(6)).plan()
         assert plan.engine == "compiled"
-        assert plan.determinize_upfront
-        assert "built 133 states" in plan.reason
+        assert plan.reason == COMPILED_REASON
 
     def test_over_budget_blowup_family_goes_on_the_fly(self):
-        # k=16: 23 sequential states, which the old state-count proxy
-        # waved through, but 131,077 subsets.
-        plan = Spanner(blowup_pattern(16)).plan()
-        assert plan.engine == "compiled-otf"
-        assert not plan.determinize_upfront
-        assert f"subset construction passed {SUBSET_BUDGET} states" in plan.reason
-
-    def test_budgeted_determinize_stops_after_budget_plus_one_subsets(
-        self, monkeypatch
-    ):
-        built = set()
-
-        class CountingEVA(ExtendedVA):
-            # Every subset the construction builds is a transition
-            # endpoint of the result before the budget check sees it.
-            def add_letter_transition(self, source, symbol, target):
-                built.update((source, target))
-                super().add_letter_transition(source, symbol, target)
-
-            def add_variable_transition(self, source, markers, target):
-                built.update((source, target))
-                super().add_variable_transition(source, markers, target)
-
-        monkeypatch.setattr(transforms, "ExtendedVA", CountingEVA)
-        automaton = sequential_eva(blowup_pattern(8))  # 2^9+5 = 517 subsets
-        for budget in (1, 10, 100):
-            built.clear()
-            with pytest.raises(ResourceLimitError, match=f"passed {budget} states"):
-                transforms.determinize(automaton, budget)
-            assert len(built) <= budget + 1
-        built.clear()
-        assert transforms.determinize(automaton).num_states == len(built) == 517
+        # k=16: 23 sequential states but 131,077 subsets, none built up
+        # front: the plan is the same, and the automaton holds only the
+        # initial subset until a document reaches more.
+        spanner = Spanner(blowup_pattern(16))
+        assert spanner.plan() == Spanner(blowup_pattern(6)).plan()
+        runtime = spanner.runtime()
+        assert isinstance(runtime, CompiledSubsetEVA)
+        assert runtime.num_subset_states == 1
+        assert runtime.num_base_states == 23
 
     def test_reference_path_determinizes_past_the_budget(self):
+        # The reference engine is the oracle: its subset construction is
+        # unbounded (k=11: 2^12 + 5 subsets).
         spanner = Spanner(blowup_pattern(11))
         text = "ab" * 20 + "b"
-        assert spanner.plan().engine == "compiled-otf"
-        assert spanner._reference_automaton(text).num_states > SUBSET_BUDGET
+        assert spanner._reference_automaton(text).num_states == 2**12 + 5
         assert spanner.count(text, engine="reference") == spanner.count(text)
 
     def test_forced_engines_skip_statistics(self):
@@ -94,9 +77,11 @@ class TestChoosePlan:
             assert plan.engine == engine
             assert plan.reason == "forced by caller"
 
-    def test_choose_plan_leaves_auto_to_the_subset_construction(self):
-        with pytest.raises(ValueError, match="subset construction"):
-            choose_plan(engine="auto")
+    def test_choose_plan_resolves_auto_to_the_compiled_plan(self):
+        plan = choose_plan(engine="auto")
+        assert plan.engine == "compiled" and not plan.streaming
+        with pytest.raises(ValueError, match="expression optimizer"):
+            choose_plan(engine="hybrid")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +89,7 @@ class TestChoosePlan:
 
     def test_plan_must_be_concrete(self):
         with pytest.raises(ValueError):
-            ExecutionPlan("auto", True, "nope")
+            ExecutionPlan("auto", "nope")
 
 
 class TestKernelAxis:
@@ -144,19 +129,41 @@ class TestKernelAxis:
 
 class TestSubsetRuntime:
     def test_nondeterministic_eva_without_upfront_determinize(self, monkeypatch):
-        automaton = sequential_eva("(aa|a)*x{b}")
+        pattern = "(aa|a)*x{b}"
+        automaton = sequential_eva(pattern)
         assert not automaton.is_deterministic()
+        expected = {str(m) for m in automaton.evaluate("aab")}
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("compiled-otf must not determinize up front")
+            raise AssertionError("no request path may determinize up front")
 
-        monkeypatch.setattr(transforms, "determinize", forbidden)
+        for module in (transforms, pipeline_module):
+            monkeypatch.setattr(module, "determinize", forbidden)
         subset = CompiledSubsetEVA(automaton)
         result = evaluate_compiled_arena(subset, "aab")
-        assert {str(m) for m in result} == {
-            str(m) for m in automaton.evaluate("aab")
-        }
+        assert {str(m) for m in result} == expected
         assert count_compiled(subset, "aab") == result.count()
+
+        # Every request path of the default engine.
+        spanner = Spanner(pattern)
+        assert {str(m) for m in spanner.enumerate("aab")} == expected
+        assert spanner.count("aab") == len(expected)
+        assert len(spanner.extract("aab")) == len(expected)
+        for emit in ("on_finish", "incremental"):
+            stream = spanner.stream(emit=emit)
+            fed = stream.feed("aa") + stream.feed("b")
+            finished = {str(m) for m in stream.finish()}
+            assert {str(m) for m in fed} <= finished == expected
+        collection = DocumentCollection.from_texts(["aab", "b", "aaab"])
+        for streaming in (False, True):
+            batch = spanner.run_batch(collection, streaming=streaming)
+            assert [result.count() for _, result in batch] == [1, 1, 1]
+        leaf = FusedLeaf(Atom(parse_regex(pattern))).prepare(frozenset("ab"))
+        assert {str(m) for m in leaf.execute("aab")} == expected
+        entry = SpannerService()._build_entry(
+            OpenRequest(pattern=pattern, alphabet=None, emit="incremental")
+        )
+        assert entry.variables == ("x",)
 
     def test_rows_cached_across_documents(self):
         subset = CompiledSubsetEVA(sequential_eva("(aa|a)*x{b}"))
@@ -203,7 +210,7 @@ class TestSpannerPlanIntegration:
     def test_plan_exposed(self):
         spanner = Spanner.from_regex("x{a}b")
         plan = spanner.plan("ab")
-        assert plan.engine in ("compiled", "compiled-otf")
+        assert plan.engine == "compiled"
         forced = spanner.plan("ab", engine="reference")
         assert forced.engine == "reference"
 
@@ -255,12 +262,11 @@ class TestSpannerPlanIntegration:
         from repro.runtime.batch import run_batch
 
         spanner = Spanner.from_regex("(aa|a)*x{b}")
-        otf = spanner.otf_runtime("ab")
-        with pytest.raises(ValueError, match="CompiledEVA"):
-            next(run_batch(otf, ["ab"], engine="compiled"))
-        runtime = spanner.runtime("ab")
+        leaf = FusedLeaf(Atom(parse_regex("(aa|a)*x{b}"))).prepare(frozenset("ab"))
         with pytest.raises(ValueError, match="CompiledSubsetEVA"):
-            next(run_batch(runtime, ["ab"], engine="compiled-otf"))
+            next(run_batch(leaf, ["ab"], engine="compiled"))
+        with pytest.raises(ValueError, match="PhysicalOperator"):
+            next(run_batch(spanner.runtime("ab"), ["ab"], engine="hybrid"))
 
 
 class TestBoundedCache:

@@ -18,7 +18,7 @@ from repro.core.spans import Span
 from repro.enumeration import dag as dag_module
 from repro.enumeration.enumerate import delay_profile
 from repro.enumeration.evaluate import evaluate
-from repro.runtime.compiled import compile_eva
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.engine import (
     count_compiled,
@@ -35,7 +35,7 @@ def mappings_of(result):
 
 @pytest.fixture
 def fig3_compiled(fig3_det):
-    return compile_eva(fig3_det, check_determinism=False)
+    return CompiledSubsetEVA(fig3_det)
 
 
 class TestArenaEngine:
@@ -60,7 +60,7 @@ class TestArenaEngine:
     def test_no_dag_nodes_materialized(self, monkeypatch):
         spanner = Spanner.from_regex("x{a*}a*")
         document = "a" * 8
-        compiled = compile_eva(spanner.compiled(document), check_determinism=False)
+        compiled = CompiledSubsetEVA(spanner.compiled(document))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the arena path must not build DagNode objects")
@@ -88,7 +88,7 @@ class TestIntegerCounting:
     def test_count_with_node_sharing(self):
         spanner = Spanner.from_regex("x{a*}a*")
         document = "a" * 10
-        compiled = compile_eva(spanner.compiled(document), check_determinism=False)
+        compiled = CompiledSubsetEVA(spanner.compiled(document))
         assert count_compiled(compiled, document) == 11
         assert evaluate_compiled_arena(compiled, document).count() == 11
 
@@ -110,7 +110,7 @@ class TestConversions:
     def test_roundtrip_preserves_sharing(self):
         spanner = Spanner.from_regex("x{a*}a*")
         document = "a" * 8
-        compiled = compile_eva(spanner.compiled(document), check_determinism=False)
+        compiled = CompiledSubsetEVA(spanner.compiled(document))
         arena = evaluate_compiled_arena(compiled, document)
         back = CompiledResultDag.from_result_dag(arena.to_result_dag(), compiled)
         assert back.count() == arena.count()

@@ -4,16 +4,15 @@ import pickle
 
 import pytest
 
-from repro.core.documents import OTHER
-from repro.core.errors import CompilationError, NotDeterministicError
+from repro.core.errors import CompilationError
 from repro.automata.eva import ExtendedVA
 from repro.automata.markers import MarkerSet, open_
 from repro.automata.transforms import to_deterministic_sequential_eva
 from repro.enumeration.evaluate import evaluate
 from repro.runtime.batch import freeze_result, thaw_result
-from repro.runtime.compiled import NO_TARGET, CompiledEVA, compile_eva
 from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.kernel import set_table
+from repro.runtime.subset import CompiledSubsetEVA
 from repro.spanners.spanner import Spanner
 
 
@@ -23,33 +22,43 @@ def mappings_of(result):
 
 @pytest.fixture
 def fig3_compiled(fig3_det):
-    return compile_eva(fig3_det, check_determinism=False)
+    return CompiledSubsetEVA(fig3_det)
+
+
+def singleton_id(compiled, state):
+    """The subset id of one state of a deterministic source."""
+    return compiled.state_id(frozenset({state}))
 
 
 class TestCompileEVA:
-    def test_states_are_interned_contiguously(self, fig3_det, fig3_compiled):
-        assert fig3_compiled.num_states == fig3_det.num_states
-        assert set(fig3_compiled.state_index.values()) == set(
-            range(fig3_compiled.num_states)
-        )
+    """Interning an eVA into the runtime's integer tables.
+
+    Over a deterministic source every subset the lazy automaton builds
+    is a singleton, so its tables are the source's transitions.
+    """
+
+    def test_states_are_interned_contiguously(self, fig3_compiled, figure1_doc):
+        evaluate_compiled_arena(fig3_compiled, figure1_doc)
+        ids = [fig3_compiled.state_id(subset) for subset in fig3_compiled.state_objects]
+        assert ids == list(range(fig3_compiled.num_states))
 
     def test_initial_state_is_id_zero(self, fig3_det, fig3_compiled):
         assert fig3_compiled.initial == 0
-        assert fig3_compiled.state_objects[0] == fig3_det.initial
+        assert fig3_compiled.state_objects[0] == frozenset({fig3_det.initial})
 
     def test_letter_table_matches_source(self, fig3_det, fig3_compiled):
+        class_of = fig3_compiled.classing.class_of
         for state in fig3_det.states:
-            state_id = fig3_compiled.state_index[state]
-            row = fig3_compiled.letter_table[state_id]
+            row = fig3_compiled.class_table[singleton_id(fig3_compiled, state)]
             for symbol, target in fig3_det.letter_transitions_from(state):
-                symbol_id = fig3_compiled.symbol_index[symbol]
-                assert row[symbol_id] == fig3_compiled.state_index[target]
+                symbol_class = class_of[fig3_compiled.symbol_index[symbol]]
+                assert row[symbol_class] == singleton_id(fig3_compiled, target)
 
     def test_variable_table_matches_source(self, fig3_det, fig3_compiled):
         for state in fig3_det.states:
-            state_id = fig3_compiled.state_index[state]
+            state_id = singleton_id(fig3_compiled, state)
             expected = {
-                (marker_set, fig3_compiled.state_index[target])
+                (marker_set, singleton_id(fig3_compiled, target))
                 for marker_set, target in fig3_det.variable_transitions_from(state)
             }
             actual = {
@@ -59,42 +68,47 @@ class TestCompileEVA:
             assert actual == expected
 
     def test_final_ids_match(self, fig3_det, fig3_compiled):
-        finals = {fig3_compiled.state_objects[i] for i in fig3_compiled.final_ids}
-        assert finals == set(fig3_det.finals)
-        assert all(fig3_compiled.is_final[i] for i in fig3_compiled.final_ids)
+        for state in fig3_det.states:
+            singleton_id(fig3_compiled, state)
+        finals = {
+            subset
+            for subset, final in zip(fig3_compiled.state_objects, fig3_compiled.is_final)
+            if final
+        }
+        assert finals == {frozenset({state}) for state in fig3_det.finals}
 
     def test_encode_text_marks_foreign_characters(self, fig3_compiled):
-        encoded = fig3_compiled.encode_text("a✗")
-        assert encoded[1] == NO_TARGET
-        assert encoded[0] == fig3_compiled.symbol_index["a"]
+        # fig3 reads no OTHER: an unnamed character gets the foreign class.
+        classing = fig3_compiled.classing
+        encoded = fig3_compiled.encode("a✗").buffer
+        assert encoded[1] == classing.foreign_class
+        assert encoded[0] == classing.class_of[fig3_compiled.symbol_index["a"]]
 
     def test_encode_text_reads_unnamed_characters_as_other(self):
-        spanner = Spanner("x{[^é]}.*")
-        for runtime in (spanner.runtime(), spanner.otf_runtime()):
-            index = runtime.symbol_index
-            assert runtime.encode_text("aé✗") == [index[OTHER], index["é"], index[OTHER]]
+        runtime = Spanner("x{[^é]}.*").runtime()
+        classing = runtime.classing
+        named = classing.class_of[runtime.symbol_index["é"]]
+        assert list(runtime.encode("aé✗").buffer) == [
+            classing.other_class,
+            named,
+            classing.other_class,
+        ]
 
     def test_rejects_missing_initial(self):
         automaton = ExtendedVA()
         automaton.add_state("q")
         with pytest.raises(CompilationError):
-            compile_eva(automaton)
+            CompiledSubsetEVA(automaton)
 
-    def test_rejects_non_deterministic(self):
-        automaton = ExtendedVA()
-        automaton.set_initial("q0")
-        automaton.add_final("q1")
-        automaton.add_letter_transition("q0", "a", "q1")
-        automaton.add_letter_transition("q0", "a", "q0")
-        with pytest.raises(NotDeterministicError):
-            compile_eva(automaton)
-
-    def test_pickle_roundtrip(self, fig3_compiled):
+    def test_pickle_roundtrip(self, fig3_compiled, figure1_doc):
+        evaluate_compiled_arena(fig3_compiled, figure1_doc)
         clone = pickle.loads(pickle.dumps(fig3_compiled))
-        assert isinstance(clone, CompiledEVA)
-        assert clone.letter_table == fig3_compiled.letter_table
-        assert clone.variable_table == fig3_compiled.variable_table
-        assert clone.state_index == fig3_compiled.state_index
+        assert isinstance(clone, CompiledSubsetEVA)
+        assert clone.subset_members == fig3_compiled.subset_members
+        assert [dict(row) for row in clone.class_table] == [
+            dict(row) for row in fig3_compiled.class_table
+        ]
+        assert dict(clone.variable_table) == dict(fig3_compiled.variable_table)
 
 
 class TestEvaluateCompiled:
@@ -126,7 +140,8 @@ class TestEvaluateCompiled:
 
     def test_result_keyed_by_source_states(self, fig3_compiled, figure1_doc):
         result = evaluate_compiled_arena(fig3_compiled, figure1_doc).to_result_dag()
-        assert set(result.final_lists) <= set(fig3_compiled.source.finals)
+        finals = fig3_compiled.source.finals
+        assert all(subset & finals for subset in result.final_lists)
 
 
 class TestFreezeThaw:
@@ -149,7 +164,7 @@ class TestFreezeThaw:
         # rebuilt DAG must preserve sharing or the path count would change.
         spanner = Spanner.from_regex("x{a*}a*")
         document = "a" * 8
-        compiled = compile_eva(spanner.compiled(document), check_determinism=False)
+        compiled = CompiledSubsetEVA(spanner.compiled(document))
         original = evaluate_compiled_arena(compiled, document)
         rebuilt = thaw_result(freeze_result(original, compiled), compiled)
         assert rebuilt.count() == original.count()
@@ -180,17 +195,15 @@ class TestEvaCaches:
 
 def test_deterministic_pipeline_output_compiles(contact_regex, figure1_doc):
     automaton = Spanner.from_regex(contact_regex).compiled(figure1_doc)
-    compiled = compile_eva(automaton)
-    assert compiled.num_states == automaton.num_states
+    compiled = CompiledSubsetEVA(automaton)
+    assert compiled.num_base_states == automaton.num_states
     determinized = to_deterministic_sequential_eva(automaton, assume_sequential=True)
     assert determinized.num_states >= 1
 
 
-def test_pipeline_compile_runtime_records_intern_stage(contact_regex):
-    from repro.spanners.pipeline import CompilationPipeline
-
-    pipeline = CompilationPipeline(contact_regex, alphabet="John <j@g.be>")
-    compiled, report = pipeline.compile_runtime()
-    assert isinstance(compiled, CompiledEVA)
-    assert report.stages[-1].name == "intern"
-    assert compiled.num_states == report.stages[-1].num_states
+def test_compilation_report_records_intern_stage(contact_regex):
+    spanner = Spanner.from_regex(contact_regex)
+    report = spanner.compilation_report()
+    assert [stage.name for stage in report.stages][-2:] == ["trim", "intern"]
+    assert report.stages[-1].num_states == spanner.runtime().num_base_states
+    assert "determinize" not in {stage.name for stage in report.stages}

@@ -6,7 +6,7 @@ from repro import Spanner, StreamingError
 from repro.core.documents import Document
 from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.plan import ExecutionPlan, choose_plan
-from repro.runtime.streaming import StreamingEvaluator, settled_sinks
+from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA
 from repro.workloads.collections import chunked_document, scenario
 
@@ -109,11 +109,14 @@ class TestProtocol:
         with pytest.raises(StreamingError):
             evaluator.finish()
 
-    def test_rejects_subset_runtime(self):
+    def test_rejects_what_is_not_a_compiled_automaton(self):
         spanner = Spanner.from_regex("x{a+}b")
-        subset = CompiledSubsetEVA(spanner.compiled("ab"))
         with pytest.raises(StreamingError):
-            StreamingEvaluator(subset)
+            StreamingEvaluator(spanner.compiled("ab"))
+        assert isinstance(
+            StreamingEvaluator(CompiledSubsetEVA(spanner.compiled("ab"))),
+            StreamingEvaluator,
+        )
 
     def test_rejects_unknown_emit_mode(self):
         runtime, _document = tail_runtime(scale=20)
@@ -136,8 +139,10 @@ class TestProtocol:
 
 class TestIncrementalEmission:
     def test_settled_sinks_exist_for_tailing_pattern(self):
-        runtime, _document = tail_runtime(scale=30)
-        sinks = settled_sinks(runtime)
+        runtime, document = tail_runtime(scale=60)
+        # Subsets are discovered as text reaches them: this text matches.
+        assert evaluate_compiled_arena(runtime, document).count()
+        sinks = [state for state in range(runtime.num_states) if runtime.settled(state)]
         assert sinks, "the tailing pattern must have a settled sink"
         for state in sinks:
             assert runtime.is_final[state]
@@ -254,20 +259,24 @@ class TestPlanLayer:
         assert plan.engine == "compiled" and plan.streaming
 
     def test_choose_plan_streaming_rejects_other_engines(self):
-        for engine in ("reference", "compiled-otf", "hybrid"):
+        assert choose_plan(engine="compiled-otf", streaming=True) == choose_plan(
+            engine="compiled", streaming=True
+        )
+        for engine in ("reference", "hybrid"):
             with pytest.raises(ValueError):
                 choose_plan(engine=engine, streaming=True)
 
     def test_execution_plan_streaming_requires_compiled(self):
         with pytest.raises(ValueError):
-            ExecutionPlan("reference", True, "bad", streaming=True)
+            ExecutionPlan("reference", "bad", streaming=True)
 
     def test_spanner_stream_respects_engine_override(self):
         spanner = Spanner.from_regex("x{a}")
         with pytest.raises(ValueError):
-            spanner.stream(engine="compiled-otf")
-        evaluator = spanner.stream(engine="compiled")
-        assert isinstance(evaluator, StreamingEvaluator)
+            spanner.stream(engine="reference")
+        for engine in ("compiled", "compiled-otf"):
+            evaluator = spanner.stream(engine=engine)
+            assert isinstance(evaluator, StreamingEvaluator)
 
     def test_streaming_rejects_hybrid_expression_plans(self):
         # A join over a non-provably-functional union operand must run

@@ -1,10 +1,12 @@
 """Unit tests for the lazily determinized runtime (:mod:`repro.runtime.subset`).
 
-A :class:`CompiledSubsetEVA` runs through the same kernel loops as a
-dense automaton.  Its tables are filled on first read, so they grow
-*while* a loop runs, and the loops' set plans name subsets discovered
-mid-call.  These tests pin that growth across arena and count calls on
-one instance, fast path on and off, and across a pickle round trip.
+A :class:`CompiledSubsetEVA` is the one automaton the kernel loops run.
+Its tables are filled on first read, so they grow *while* a loop runs,
+and the loops' set plans name subsets discovered mid-call.  These tests
+pin that growth across arena and count calls on one instance, fast path
+on and off, and across a pickle round trip; and the generations that
+bound it: past :data:`SUBSET_CAP` subsets every holder takes a fresh
+automaton at its next call, while what is in flight keeps the old one.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ import random
 
 import pytest
 
+from harness import adversarial_documents, assert_all_engines_agree
+
+from repro.core.documents import DocumentCollection
+from repro.runtime import subset
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.kernel import set_table
+from repro.server import ServerMetrics
 from repro.spanners.spanner import Spanner
 
 #: Non-deterministic: the subset construction tracks where the ``a``s of
@@ -45,7 +52,7 @@ def assert_plans_known(runtime) -> None:
 
 @pytest.mark.parametrize("fast_path", [True, False])
 def test_slots_grow_mid_call_across_calls_and_a_pickle(fast_path):
-    runtime = Spanner(PATTERN, engine="compiled-otf").otf_runtime(DOCUMENT)
+    runtime = Spanner(PATTERN, engine="compiled-otf").runtime(DOCUMENT)
     assert runtime.num_states == 1  # cold: only the initial subset
     expected = reference(DOCUMENT)
 
@@ -84,3 +91,66 @@ def test_slots_grow_mid_call_across_calls_and_a_pickle(fast_path):
     assert clone.num_states > grown
     assert count_compiled(clone, fresh, fast_path=fast_path) == reference(fresh)[1]
     assert_plans_known(clone)
+
+
+class TestGenerations:
+    """:meth:`CompiledSubsetEVA.renewed` past :data:`SUBSET_CAP` subsets."""
+
+    def test_renewed_is_self_until_the_cap_then_one_successor(self, monkeypatch):
+        runtime = Spanner(PATTERN).runtime()
+        evaluate_compiled_arena(runtime, DOCUMENT)
+        assert runtime.renewed() is runtime
+        monkeypatch.setattr(subset, "SUBSET_CAP", runtime.num_states - 1)
+        successor = runtime.renewed()
+        assert successor is not runtime and runtime.renewed() is successor
+        assert successor.source is runtime.source
+        assert successor.num_states == 1
+        assert successor.renewed() is successor
+
+    def test_a_forced_swap_increments_the_counter(self, monkeypatch):
+        spanner = Spanner(PATTERN)
+        spanner.count(DOCUMENT)
+        before = subset.generation_swaps()
+        metrics_before = ServerMetrics().snapshot()["generation_swaps"]
+        assert metrics_before == before
+        monkeypatch.setattr(subset, "SUBSET_CAP", 1)
+        renewed = spanner.runtime()  # takes the next generation
+        assert subset.generation_swaps() == before + 1
+        assert ServerMetrics().snapshot()["generation_swaps"] == before + 1
+        assert spanner.runtime() is renewed  # one subset: within the cap
+        assert spanner.count(DOCUMENT) == reference(DOCUMENT)[1]
+        assert subset.generation_swaps() == before + 1
+
+    def test_harness_agrees_with_swaps_mid_batch(self, monkeypatch):
+        # A cap of 2 renews the automaton at nearly every call and
+        # between the documents of a batch.
+        monkeypatch.setattr(subset, "SUBSET_CAP", 2)
+        before = subset.generation_swaps()
+        texts = [text for text in adversarial_documents(seed=5) if text]
+        for pattern in (PATTERN, ".*x{a+b}.*", ".*x{a}.*y{b}.*"):
+            spanner = Spanner(pattern)
+            for seed, text in enumerate(texts):
+                assert_all_engines_agree(None, text, seed=seed, spanner=spanner)
+            collection = DocumentCollection.from_texts(texts + [DOCUMENT])
+            expected = [
+                (doc_id, result.count())
+                for doc_id, result in spanner.run_batch(collection, engine="reference")
+            ]
+            for streaming in (False, True):
+                batch = spanner.run_batch(collection, streaming=streaming)
+                assert [(doc_id, result.count()) for doc_id, result in batch] == expected
+        assert subset.generation_swaps() > before + len(texts)
+
+    def test_a_stream_keeps_its_generation_across_a_swap(self, monkeypatch):
+        spanner = Spanner(PATTERN)
+        expected = reference(DOCUMENT)
+        stream = spanner.stream()
+        half = len(DOCUMENT) // 2
+        stream.feed(DOCUMENT[:half])
+        monkeypatch.setattr(subset, "SUBSET_CAP", 1)
+        assert spanner.count(DOCUMENT) == expected[1]  # on a new generation
+        assert spanner.runtime() is not stream._compiled
+        stream.feed(DOCUMENT[half:])
+        result = stream.finish()
+        assert result.tables is stream._compiled
+        assert ({str(mapping) for mapping in result}, result.count()) == expected

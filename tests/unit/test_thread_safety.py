@@ -3,11 +3,12 @@
 An evaluation keeps its loop state to itself; what threads share is the
 compiled automaton, its lazily filled tables and its set plans, which
 only ever grow by complete entries.  Four threads alternate ``count``
-and ``evaluate`` on one contacts spanner while the plans (and, for
-``compiled-otf``, the subsets) are still being built, and every result
-must equal the serial one: arenas array for array where state ids are
-fixed, counts and mapping multisets everywhere.  Four more count
-long-run documents, which share the count loop's run powers.
+and ``evaluate`` on one contacts spanner while the subsets and plans are
+still being built, and every result must equal the serial one: arenas
+array for array once the subset ids are fixed, counts and mapping
+multisets everywhere.  Four more count long-run documents, which share
+the count loop's run powers.  One thread's call renews the automaton
+past its subset cap while another's is held mid-call on the old one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import threading
 
 from repro import Document, Spanner
+from repro.runtime import engine, subset
 from repro.runtime.kernel import set_table
 from repro.workloads.collections import scenario
 
@@ -98,9 +100,9 @@ def serial_outcomes(
 
 def test_compiled_threads_match_serial_calls():
     pattern, texts = contacts_texts()
-    expected = serial_outcomes(Spanner(pattern, engine="compiled"), texts, arenas=True)
-    # A fresh spanner: the set plans are built while the threads run.
-    assert run_threads(Spanner(pattern, engine="compiled"), texts, arenas=True) == expected
+    expected = serial_outcomes(Spanner(pattern, engine="compiled"), texts, arenas=False)
+    # A fresh spanner: subsets and set plans are built while the threads run.
+    assert run_threads(Spanner(pattern, engine="compiled"), texts, arenas=False) == expected
 
 
 def test_otf_threads_match_serial_calls():
@@ -111,7 +113,7 @@ def test_otf_threads_match_serial_calls():
     cold = Spanner(pattern, engine="compiled-otf")
     assert run_threads(cold, texts, arenas=False) == expected
     # Warm subsets, cold plans: with the ids fixed, arenas are identical.
-    runtime = cold.otf_runtime()
+    runtime = cold.runtime()
     serial = serial_outcomes(cold, texts, arenas=True)
     runtime._set_table = None
     assert run_threads(cold, texts, arenas=True) == serial
@@ -122,7 +124,7 @@ def test_concurrent_discovery_interns_each_subset_once():
     pattern, texts = contacts_texts()
     spanner = Spanner(pattern, engine="compiled-otf")
     run_threads(spanner, texts, arenas=False)
-    runtime = spanner.otf_runtime()
+    runtime = spanner.runtime()
     members = runtime.subset_members
     # One id per subset, and every per-subset table has its entry.
     assert len(set(members)) == len(members) == runtime.num_states
@@ -140,3 +142,44 @@ def test_counts_over_long_runs_match_serial_calls():
         )
         cold = Spanner(pattern, engine=engine)
         assert run_threads(cold, texts, arenas=False, count_only=True) == expected
+
+
+def test_a_swap_leaves_a_call_in_flight_on_its_generation(monkeypatch):
+    pattern, texts = contacts_texts()
+    spanner = Spanner(pattern)
+    expected = [sorted(str(m) for m in spanner.evaluate(text)) for text in texts]
+    old = spanner.runtime()
+    entered, release = threading.Event(), threading.Event()
+    arena_loop = engine.arena_loop
+
+    def held(*args, **kwargs):
+        if threading.current_thread().name == "held":
+            entered.set()
+            assert release.wait(60)
+        return arena_loop(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "arena_loop", held)
+    results: dict[str, object] = {}
+
+    def call(name: str, text: str) -> None:
+        dag = spanner.preprocess(text)
+        results[name] = (dag.tables, sorted(str(m) for m in dag))
+
+    holder = threading.Thread(target=call, args=("held", texts[0]), name="held")
+    holder.start()
+    try:
+        assert entered.wait(10)
+        swaps = subset.generation_swaps()
+        monkeypatch.setattr(subset, "SUBSET_CAP", old.num_states - 1)
+        swapper = threading.Thread(target=call, args=("swapper", texts[1]), name="swapper")
+        swapper.start()
+        swapper.join(timeout=60)
+        assert not swapper.is_alive()
+        assert subset.generation_swaps() == swaps + 1
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    assert results["held"] == (old, expected[0])
+    renewed, mappings = results["swapper"]
+    assert renewed is old._successor and mappings == expected[1]
