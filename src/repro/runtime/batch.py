@@ -43,21 +43,24 @@ renewed between documents past
 (a *prepared* physical operator tree from the expression optimizer — the
 portable physical plan pickles once per worker exactly like a compiled
 automaton, fused-leaf tables included) and ``engine="reference"`` (the
-dict-based on-the-fly Algorithm 1 of
-:mod:`repro.enumeration.onthefly` over the compiled automaton's source
-eVA), which the property tests use to cross-check results.
+dict-based Algorithm 1 of :mod:`repro.enumeration.evaluate` over its own
+up-front determinization of the compiled automaton's source eVA, built
+once per source and process), which the property tests use to
+cross-check results.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from collections import deque
 from typing import Iterable, Iterator
 
 from repro.core.documents import DocumentCollection
 from repro.core.errors import ResourceLimitError
-from repro.enumeration.evaluate import ResultDag
-from repro.enumeration.onthefly import evaluate_on_the_fly
+from repro.automata.eva import ExtendedVA
+from repro.automata.transforms import determinize
+from repro.enumeration.evaluate import ResultDag, evaluate as reference_evaluate
 from repro.runtime.dag import CompiledResultDag
 from repro.runtime.engine import evaluate_compiled_arena
 from repro.runtime.operators import OperatorResult, PhysicalOperator
@@ -145,6 +148,24 @@ def _renewed(compiled):
     return compiled if isinstance(compiled, PhysicalOperator) else compiled.renewed()
 
 
+#: The reference engine's determinization of each source eVA it has run.
+_REFERENCE_AUTOMATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _reference_automaton(source: ExtendedVA) -> ExtendedVA:
+    """*source* determinized up front, once per source eVA and process.
+
+    The oracle reads none of the tables the compiled engine discovers,
+    and its construction is unbounded, as an oracle's must be.  Its
+    states stay frozensets of *source*'s, so a process-mode result
+    interns into the compiled automaton's arena by them.
+    """
+    automaton = _REFERENCE_AUTOMATA.get(source)
+    if automaton is None:
+        automaton = _REFERENCE_AUTOMATA[source] = determinize(source)
+    return automaton
+
+
 def _evaluate_one(
     compiled,
     document: object,
@@ -156,7 +177,9 @@ def _evaluate_one(
     if engine == "hybrid":
         return compiled.execute(document)
     if engine == "reference":
-        return evaluate_on_the_fly(compiled.source, document)
+        return reference_evaluate(
+            _reference_automaton(compiled.source), document, check_determinism=False
+        )
     if stream_chunk:
         # Chunk-fed evaluation: same arena, array for array, but peak
         # memory is one encoded chunk instead of a whole-document buffer.

@@ -58,6 +58,11 @@ The evaluator runs the lazily determinized
 :class:`~repro.runtime.subset.CompiledSubsetEVA` every compiled request
 runs.  A subset discovered mid-stream is one more state id, and whether
 it is a settled sink is asked of it when a run first holds it there.
+A stream reads at most :data:`~repro.runtime.subset.SUBSET_CAP`
+characters per loop call, and between two calls it moves its live set
+onto the automaton's next generation once its own holds more than
+``SUBSET_CAP`` subsets, so what a stream keeps stays bounded however
+long it runs and however large its chunks.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from repro.core.errors import EvaluationError, StreamingError
 from repro.core.mappings import Mapping
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.engine import _collect_arena
+from repro.runtime import subset
 from repro.runtime.kernel import arena_loop, set_table
 from repro.runtime.subset import CompiledSubsetEVA
 
@@ -262,10 +268,13 @@ class StreamingEvaluator:
             )
         if not text:
             return []
-        encoded = self._classing.encode_fresh(text)
-        if self._record is not None:
-            self._advance(encoded.buffer, encoded.length)
-        self._offset += encoded.length
+        step = subset.SUBSET_CAP
+        for begin in range(0, len(text), step):
+            encoded = self._classing.encode_fresh(text[begin : begin + step])
+            if self._record is not None:
+                self._advance(encoded.buffer, encoded.length)
+                self._renew()
+            self._offset += encoded.length
         if self._emit != "incremental":
             return []
         flushed = self._flush_settled()
@@ -356,6 +365,31 @@ class StreamingEvaluator:
             self._fast_path,
             final,
         )
+
+    def _renew(self) -> None:
+        """Move the stream onto its automaton's next generation, once the
+        one it runs holds more than ``SUBSET_CAP`` subsets.
+
+        The arena names marker sets, whose ids every generation shares,
+        and no state, so only the live set moves: each member is
+        re-interned by its member tuple, and its list goes with it, in
+        the order of the new ids.
+        """
+        old = self._compiled
+        new = old.renewed()
+        if new is old:
+            return
+        self._compiled = new
+        self._classing = new.classing
+        if self._record is None:
+            return
+        slots = self._slots
+        moved = sorted(
+            (new.intern_subset(old.subset_members[state]), *slots[2 * index : 2 * index + 2])
+            for index, state in enumerate(self._record.members)
+        )
+        self._record = set_table(new).record(tuple(state for state, _, _ in moved))
+        self._slots = tuple(cell for _, start, end in moved for cell in (start, end))
 
     def _flush_settled(self) -> list[Mapping]:
         """Move settled-sink mappings out of the arena (incremental mode).

@@ -41,9 +41,11 @@ What an instance keeps is bounded by **generations**: past
 :data:`SUBSET_CAP` interned subsets, :meth:`CompiledSubsetEVA.renewed`
 hands out a fresh automaton over the same sequential eVA.  Holders (the
 :class:`~repro.spanners.Spanner` facade, fused leaves, batch loops) ask
-for it at a call boundary, so arenas and streams already built keep the
-generation they were built on, and a dropped generation is freed once
-the last of them is.
+for it at a call boundary, so arenas already built keep the generation
+they were built on; a stream moves its live set onto the next generation
+between two reads (:mod:`repro.runtime.streaming`).  A generation refers
+to its successor only weakly, so a dropped one is freed once the last of
+its holders is, whatever older generation is still held.
 """
 
 from __future__ import annotations
@@ -271,8 +273,10 @@ class CompiledSubsetEVA:
         #: built on demand and never pickled
         self._set_table = None
         self._intern_lock = threading.Lock()
-        #: the next generation, built once by renewed()
-        self._successor: CompiledSubsetEVA | None = None
+        #: a weak reference to the next generation renewed() built, so
+        #: holders of this one share it while any of them keeps it, and a
+        #: generation never keeps its successors alive
+        self._successor: weakref.ref | None = None
 
         self.initial = self.intern_subset((0,))
 
@@ -398,21 +402,24 @@ class CompiledSubsetEVA:
         return flag
 
     def renewed(self) -> "CompiledSubsetEVA":
-        """This automaton, or its next generation once it holds more than
-        :data:`SUBSET_CAP` subsets.
+        """This automaton, or its newest generation once it holds more
+        than :data:`SUBSET_CAP` subsets.
 
         The next generation is a fresh automaton over the same sequential
-        eVA, built once however many holders ask for it; callers ask at a
+        eVA, shared by every holder that asks while one of them keeps it,
+        and renewed in turn if it is past the cap too; callers ask at a
         call boundary and keep what they get for the whole call.
         """
         if len(self.subset_members) <= SUBSET_CAP:
             return self
         global _swaps
         with _swap_lock:
-            if self._successor is None:
-                self._successor = CompiledSubsetEVA(self.source)
+            successor = self._successor() if self._successor is not None else None
+            if successor is None:
+                successor = CompiledSubsetEVA(self.source)
+                self._successor = weakref.ref(successor)
                 _swaps += 1
-        return self._successor
+        return successor.renewed()
 
     def __repr__(self) -> str:
         return (

@@ -205,8 +205,9 @@ class Spanner:
         """The lazily determinized automaton every compiled request runs.
 
         Once it holds more than :data:`~repro.runtime.subset.SUBSET_CAP`
-        subsets, the next call gets a fresh generation; arenas and
-        streams built earlier keep the one they were built on.
+        subsets, the next call gets a fresh generation; arenas built
+        earlier keep the one they were built on, and streams move to the
+        new one between reads.
         """
         runtime, report = self._interned
         renewed = runtime.renewed()

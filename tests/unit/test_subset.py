@@ -11,8 +11,10 @@ automaton at its next call, while what is in flight keeps the old one.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -141,16 +143,66 @@ class TestGenerations:
                 assert [(doc_id, result.count()) for doc_id, result in batch] == expected
         assert subset.generation_swaps() > before + len(texts)
 
-    def test_a_stream_keeps_its_generation_across_a_swap(self, monkeypatch):
+    def test_a_stream_moves_its_live_set_onto_the_next_generation(self, monkeypatch):
         spanner = Spanner(PATTERN)
         expected = reference(DOCUMENT)
         stream = spanner.stream()
         half = len(DOCUMENT) // 2
         stream.feed(DOCUMENT[:half])
+        first = stream._compiled
         monkeypatch.setattr(subset, "SUBSET_CAP", 1)
         assert spanner.count(DOCUMENT) == expected[1]  # on a new generation
-        assert spanner.runtime() is not stream._compiled
         stream.feed(DOCUMENT[half:])
+        assert stream._compiled is not first
         result = stream.finish()
         assert result.tables is stream._compiled
         assert ({str(mapping) for mapping in result}, result.count()) == expected
+
+    @pytest.mark.parametrize("emit", ["on_finish", "incremental"])
+    def test_a_blowup_stream_holds_a_bounded_generation(self, monkeypatch, emit):
+        # Nearly every character of random ab text meets a new subset
+        # (131,077 at k=16 alone), and one 4,000-character chunk holds
+        # many caps' worth: the stream renews between the loop calls of
+        # one chunk too.
+        pattern = ".*a" + "." * 64 + "x{b}.*"
+        rng = random.Random(11)
+        text = "".join(rng.choice("ab") for _ in range(6000))
+        spanner = Spanner(pattern)
+        expected = {str(mapping) for mapping in spanner.evaluate(text)}
+        cap = 256
+        monkeypatch.setattr(subset, "SUBSET_CAP", cap)
+        before = subset.generation_swaps()
+        stream = spanner.stream(emit=emit)
+        held = []
+        fed = []
+        for begin in (0, 1000, 2000):
+            end = begin + (4000 if begin == 2000 else 1000)
+            fed.extend(stream.feed(text[begin:end]))
+            assert stream._compiled.num_states <= cap
+            held.append(weakref.ref(stream._compiled))
+        assert subset.generation_swaps() >= before + 6000 // (2 * cap)
+        result = stream.finish()
+        got = {str(mapping) for mapping in result}
+        assert (got, result.count()) == (expected, len(expected))
+        assert {str(mapping) for mapping in fed} <= expected
+        # Only the generation the result is on is still alive.
+        gc.collect()
+        tables = getattr(result, "residual", result).tables
+        assert [ref() for ref in held if ref() is not None] == [tables]
+
+    def test_a_held_arena_keeps_no_later_generation_alive(self, monkeypatch):
+        spanner = Spanner(PATTERN)
+        expected = reference(DOCUMENT)
+        held = spanner.preprocess(DOCUMENT)
+        first = held.tables
+        monkeypatch.setattr(subset, "SUBSET_CAP", 1)
+        later = []
+        for _ in range(4):
+            runtime = spanner.runtime()  # the next generation
+            assert runtime is not first and arena(runtime, DOCUMENT, True) == expected
+            later.append(weakref.ref(runtime))
+            del runtime
+        gc.collect()
+        assert [ref() is None for ref in later] == [True, True, True, False]
+        assert held.tables is first
+        assert ({str(mapping) for mapping in held}, held.count()) == expected

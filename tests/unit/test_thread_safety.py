@@ -182,4 +182,4 @@ def test_a_swap_leaves_a_call_in_flight_on_its_generation(monkeypatch):
     assert not holder.is_alive()
     assert results["held"] == (old, expected[0])
     renewed, mappings = results["swapper"]
-    assert renewed is old._successor and mappings == expected[1]
+    assert renewed is old._successor() and mappings == expected[1]
