@@ -47,6 +47,7 @@ import json
 import os
 import sys
 import time
+from statistics import median
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -210,6 +211,12 @@ def bench_cold_preprocessing(name: str, pattern: str, text: str, *, repeat: int)
     engine builds per automaton while it runs (its per-set plans) but
     not for compiling.  The reference engine builds nothing per
     automaton, so its timing is warm by construction.
+
+    The two sides' samples are interleaved, so slow machine drift hits
+    both alike, and the speedup is the median of ``2 * repeat + 1``
+    per-pair ``reference / arena`` ratios, so one disturbed pair cannot
+    move it (as ``bench_batch.paired_speedup`` does); the seconds are
+    per-side medians.
     """
     automaton = Spanner(pattern).compiled(text)
 
@@ -221,9 +228,6 @@ def bench_cold_preprocessing(name: str, pattern: str, text: str, *, repeat: int)
         result = spanner.preprocess(document)
         return time.perf_counter() - start, result
 
-    def best_seconds(run) -> float:
-        return min(run()[0] for _ in range(repeat))
-
     def reference_run():
         start = time.perf_counter()
         result = reference_evaluate(automaton, text, check_determinism=False)
@@ -232,14 +236,17 @@ def bench_cold_preprocessing(name: str, pattern: str, text: str, *, repeat: int)
     counts = {"reference": reference_run()[1].count(), "arena": arena_run()[1].count()}
     if len(set(counts.values())) != 1:
         raise AssertionError(f"{name}: paths disagree — {counts}")
+    reference_samples, arena_samples = [], []
+    for _ in range(2 * repeat + 1):
+        reference_samples.append(reference_run()[0])
+        arena_samples.append(arena_run()[0])
     rows = {
-        "reference": {"seconds": best_seconds(reference_run)},
-        "arena": {"seconds": best_seconds(arena_run)},
+        "reference": {"seconds": median(reference_samples)},
+        "arena": {"seconds": median(arena_samples)},
+        "speedup_arena_vs_reference": median(
+            before / after for before, after in zip(reference_samples, arena_samples)
+        ),
     }
-    arena_seconds = rows["arena"]["seconds"]
-    rows["speedup_arena_vs_reference"] = (
-        rows["reference"]["seconds"] / arena_seconds if arena_seconds else float("inf")
-    )
     return {
         "workload": name,
         "documents": 1,

@@ -11,7 +11,8 @@ Seven subcommands expose the library's main operations on files (or stdin):
 
 ``inspect``
     Compile a spanner and print the pipeline report and the size statistics
-    of the resulting deterministic sequential eVA.
+    of the sequential eVA every request runs (determinized lazily, so
+    nothing is determinized here).
 
 ``explain``
     Print the logical → physical query plan of a spanner.  One pattern
@@ -93,10 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=list(ENGINE_CHOICES),
             default="auto",
             help="evaluation engine: let the planner decide (auto, default), "
-            "the lazily determinized arena runtime (compiled; compiled-otf "
-            "is another name for it), the optimizer's physical operator "
-            "plan for algebra expressions (hybrid; same as auto on a plain "
-            "regex pattern), or the legacy dict-based loop (reference)",
+            "the lazily determinized arena runtime (compiled), the "
+            "optimizer's physical operator plan for algebra expressions "
+            "(hybrid; same as auto on a plain regex pattern), or the legacy "
+            "dict-based loop (reference)",
         )
 
     extract = subparsers.add_parser("extract", help="enumerate the output mappings")
@@ -361,7 +362,7 @@ def _run_inspect(args: argparse.Namespace, document: Document, out) -> int:
     print(report.summary(), file=out)
     print(file=out)
     print(
-        f"deterministic sequential eVA: {statistics.num_states} states, "
+        f"sequential eVA: {statistics.num_states} states, "
         f"{statistics.num_transitions} transitions, "
         f"{statistics.num_variables} variables, "
         f"alphabet size {statistics.alphabet_size}",

@@ -20,7 +20,7 @@ reference implementation, organised around the
   (:class:`SymbolClassing` / :class:`EncodedDocument`) consumed by every
   engine above — together with the quiescent-run fast path, the layer that
   drives the per-character constant toward C speed;
-* :func:`choose_plan` resolves forced engines and streaming plans, and
+* :func:`choose_plan` resolves ``auto`` and forced engines, and
   :func:`run_batch` streams many documents through one compiled automaton,
   serially or across processes;
 * :class:`StreamingEvaluator` (:mod:`repro.runtime.streaming`) feeds the
@@ -61,11 +61,7 @@ __getattr__, __dir__ = lazy_exports(
             "render_physical",
         ),
         "plan": ("ENGINE_CHOICES", "ExecutionPlan", "choose_plan"),
-        "streaming": (
-            "StreamedResult",
-            "StreamingEvaluator",
-            "evaluate_streaming",
-        ),
+        "streaming": ("StreamedResult", "StreamingEvaluator"),
         "subset": ("CompiledSubsetEVA",),
     },
 )
@@ -89,7 +85,6 @@ __all__ = [
     "count_compiled",
     "encoding_passes",
     "evaluate_compiled_arena",
-    "evaluate_streaming",
     "freeze_result",
     "render_physical",
     "reset_encoding_passes",

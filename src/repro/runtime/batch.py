@@ -28,18 +28,12 @@ several times in a collection, or is evaluated again by another engine
 with the same alphabet classing (a document's encoding cache is dropped at
 the pickling boundary — each worker encodes against its own tables).
 
-``streaming=True`` additionally switches the ``compiled`` engine to
-chunk-fed evaluation (:mod:`repro.runtime.streaming`): each worker feeds
-a document through the arena engine in bounded slices instead of
-encoding it whole, cutting peak memory per document to one encoded chunk
-plus the live arena — the results are array-identical.
-
-The engines, in both modes: ``engine="compiled"`` (also named
-``"compiled-otf"``: the arena-building integer runtime over a lazily
-determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`, whose
-discovered rows are shared across the batch and whose generation is
-renewed between documents past
-:data:`~repro.runtime.subset.SUBSET_CAP` subsets), ``engine="hybrid"``
+The engines, in both modes: ``engine="compiled"`` (the arena-building
+integer runtime over a lazily determinized
+:class:`~repro.runtime.subset.CompiledSubsetEVA`, whose discovered rows
+are shared across the batch and whose generation is renewed between
+documents past :data:`~repro.runtime.subset.SUBSET_CAP` subsets),
+``engine="hybrid"``
 (a *prepared* physical operator tree from the expression optimizer — the
 portable physical plan pickles once per worker exactly like a compiled
 automaton, fused-leaf tables included) and ``engine="reference"`` (the
@@ -72,12 +66,11 @@ from repro.runtime.resilience import (
     ResourceBudget,
     SupervisedPool,
 )
-from repro.runtime.streaming import evaluate_streaming
 from repro.runtime.subset import CompiledSubsetEVA
 
 __all__ = ["run_batch", "freeze_result", "thaw_result"]
 
-ENGINES = ("compiled", "compiled-otf", "reference", "hybrid")
+ENGINES = ("compiled", "reference", "hybrid")
 
 #: Tag discriminating an :class:`OperatorResult` portable form from the
 #: arena's (whose first element is the integer document length).
@@ -125,20 +118,18 @@ def thaw_result(portable: tuple, compiled) -> CompiledResultDag | OperatorResult
 # ---------------------------------------------------------------------- #
 
 #: What this process evaluates, set by :func:`_init_worker`: the
-#: ``(compiled, engine, stream_chunk, budget)`` of the run, where a zero
-#: ``stream_chunk`` evaluates documents whole.
+#: ``(compiled, engine, budget)`` of the run.
 _worker: tuple | None = None
 
 
 def _init_worker(
     compiled,
     engine: str,
-    stream_chunk: int = 0,
     budget: ResourceBudget | None = None,
     fault_plan: resilience.FaultPlan | None = None,
 ) -> None:
     global _worker
-    _worker = (compiled, engine, stream_chunk, budget)
+    _worker = (compiled, engine, budget)
     faults.install_fault_plan(fault_plan)
 
 
@@ -166,12 +157,7 @@ def _reference_automaton(source: ExtendedVA) -> ExtendedVA:
     return automaton
 
 
-def _evaluate_one(
-    compiled,
-    document: object,
-    engine: str,
-    stream_chunk: int = 0,
-):
+def _evaluate_one(compiled, document: object, engine: str):
     if faults._ACTIVE_PLAN is not None:
         faults.maybe_fault("evaluate")
     if engine == "hybrid":
@@ -180,17 +166,13 @@ def _evaluate_one(
         return reference_evaluate(
             _reference_automaton(compiled.source), document, check_determinism=False
         )
-    if stream_chunk:
-        # Chunk-fed evaluation: same arena, array for array, but peak
-        # memory is one encoded chunk instead of a whole-document buffer.
-        return evaluate_streaming(compiled, document, chunk_size=stream_chunk)
     return evaluate_compiled_arena(compiled, document)
 
 
 def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tuple]]:
     global _worker
     assert _worker is not None, "worker pool used before initialization"
-    compiled, engine, stream_chunk, budget = _worker
+    compiled, engine, budget = _worker
     if faults._ACTIVE_PLAN is not None:
         faults.maybe_fault("task")
     out = []
@@ -198,11 +180,11 @@ def _process_chunk(chunk: list[tuple[object, object]]) -> list[tuple[object, tup
         if budget is not None:
             budget.check_document(document)
         compiled = _renewed(compiled)
-        result = _evaluate_one(compiled, document, engine, stream_chunk)
+        result = _evaluate_one(compiled, document, engine)
         if budget is not None:
             budget.check_result(result)
         out.append((doc_id, freeze_result(result, compiled)))
-    _worker = (compiled, engine, stream_chunk, budget)
+    _worker = (compiled, engine, budget)
     return out
 
 
@@ -240,8 +222,6 @@ def run_batch(
     engine: str = "compiled",
     chunk_size: int = 16,
     max_workers: int | None = None,
-    streaming: bool = False,
-    stream_chunk_size: int = 65536,
     policy: ResiliencePolicy | None = None,
     report: FailureReport | None = None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -251,8 +231,7 @@ def run_batch(
     ----------
     compiled:
         The compiled evaluator: a :class:`CompiledSubsetEVA` for the
-        ``compiled`` (``compiled-otf``) and ``reference`` engines, or a
-        prepared
+        ``compiled`` and ``reference`` engines, or a prepared
         :class:`~repro.runtime.operators.PhysicalOperator` tree for
         ``hybrid``.
     documents:
@@ -261,20 +240,11 @@ def run_batch(
     mode:
         ``"serial"`` (default) or ``"processes"``.
     engine:
-        ``"compiled"`` (default), ``"compiled-otf"``, ``"hybrid"`` or
-        ``"reference"``.
+        ``"compiled"`` (default), ``"hybrid"`` or ``"reference"``.
     chunk_size:
         Documents per worker task in process mode (ignored when serial).
     max_workers:
         Pool size in process mode; defaults to ``os.cpu_count()``.
-    streaming:
-        Feed each document to the engine in ``stream_chunk_size``-character
-        slices through :func:`~repro.runtime.streaming.evaluate_streaming`
-        instead of evaluating it whole.  Only ``engine="compiled"``
-        streams; results are array-identical to whole-document arenas,
-        but no whole-document class-id buffer is materialized.
-    stream_chunk_size:
-        Characters per streaming slice (ignored unless *streaming*).
     policy:
         The fault-tolerance policy (:mod:`repro.runtime.resilience`).
         Process mode is *always* supervised — with ``policy=None`` it
@@ -316,19 +286,9 @@ def run_batch(
             f"engine={engine!r} needs a {runtime_type.__name__} "
             f"(got {type(compiled).__name__})"
         )
-    if streaming and engine != "compiled":
-        raise ValueError(
-            f"engine={engine!r} cannot evaluate chunk-fed documents; "
-            "streaming batches run the compiled engine"
-        )
-    if streaming and stream_chunk_size < 1:
-        raise ValueError(
-            f"stream_chunk_size must be positive, got {stream_chunk_size}"
-        )
     if policy is not None and policy.quarantine and report is None:
         report = FailureReport()
     collection = DocumentCollection.coerce(documents)
-    stream_chunk = stream_chunk_size if streaming else 0
     return _stream_batch(
         compiled,
         collection,
@@ -336,7 +296,6 @@ def run_batch(
         engine,
         chunk_size,
         max_workers,
-        stream_chunk,
         policy,
         report,
     )
@@ -346,7 +305,6 @@ def _serial_supervised(
     compiled,
     pairs: Iterator[tuple[object, object]],
     engine: str,
-    stream_chunk: int,
     policy: ResiliencePolicy,
     report: FailureReport | None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -360,7 +318,7 @@ def _serial_supervised(
                 if budget is not None:
                     budget.check_document(document)
                 compiled = _renewed(compiled)
-                result = _evaluate_one(compiled, document, engine, stream_chunk)
+                result = _evaluate_one(compiled, document, engine)
                 if budget is not None:
                     budget.check_result(result)
             except Exception as error:
@@ -413,7 +371,6 @@ def _stream_batch(
     engine: str,
     chunk_size: int,
     max_workers: int | None,
-    stream_chunk: int,
     policy: ResiliencePolicy | None = None,
     report: FailureReport | None = None,
 ) -> Iterator[tuple[object, ResultDag | CompiledResultDag | OperatorResult]]:
@@ -421,13 +378,11 @@ def _stream_batch(
 
     if mode == "serial":
         if policy is not None:
-            yield from _serial_supervised(
-                compiled, pairs, engine, stream_chunk, policy, report
-            )
+            yield from _serial_supervised(compiled, pairs, engine, policy, report)
             return
         for doc_id, document in pairs:
             compiled = _renewed(compiled)
-            yield doc_id, _evaluate_one(compiled, document, engine, stream_chunk)
+            yield doc_id, _evaluate_one(compiled, document, engine)
         return
 
     # Process mode is always supervised: with no explicit policy the
@@ -442,7 +397,7 @@ def _stream_batch(
         saved = _worker
         # Same initializer the workers run, minus the fault plan: the
         # inline path is the exactness backstop and must never fault.
-        _init_worker(compiled, engine, stream_chunk, policy.budget, None)
+        _init_worker(compiled, engine, policy.budget, None)
 
         def teardown():
             global _worker
@@ -453,7 +408,7 @@ def _stream_batch(
     supervised = SupervisedPool(
         workers,
         initializer=_init_worker,
-        initargs=(compiled, engine, stream_chunk, policy.budget, policy.faults),
+        initargs=(compiled, engine, policy.budget, policy.faults),
         inline_setup=inline_setup,
         policy=policy,
         report=report,

@@ -40,8 +40,10 @@ small count transfer, applied in ``O(log k)`` products per run of ``k``.
 
 Each entry point here encodes the document, runs one loop and collects
 the result.  The arena engine runs the same resumable
-:func:`~repro.runtime.kernel.arena_loop` the chunk-fed evaluator runs
-once per chunk (here once, at offset 0, final capturing phase included),
+:func:`~repro.runtime.kernel.arena_loop` the chunk-fed evaluator
+(:meth:`~repro.spanners.Spanner.stream`, ``repro stream`` and ``repro
+serve``) runs once per chunk (here once, at offset 0, final capturing
+phase included),
 so the two arenas cannot drift apart.  Both entry points run the lazily
 determinized :class:`~repro.runtime.subset.CompiledSubsetEVA`.  The produced
 :class:`~repro.runtime.dag.CompiledResultDag` enumerates, counts and

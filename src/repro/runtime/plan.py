@@ -10,8 +10,7 @@ run:
     :class:`~repro.runtime.subset.CompiledSubsetEVA` (the paper's Section 4
     closing remark): no request determinizes up front, and only subsets
     some document reaches are ever built.  ``auto`` resolves to it for
-    every source the optimizer does not cut; ``compiled-otf`` is another
-    name for it.
+    every source the optimizer does not cut.
 
 ``reference``
     The original dict-and-object Algorithm 1 — kept as the paper-faithful
@@ -24,12 +23,6 @@ run:
     carries a physical operator tree (:mod:`repro.runtime.operators`)
     whose fused leaves each run their own compiled automaton while join /
     union / projection cut edges execute on the result arenas.
-
-Plans additionally carry a ``streaming`` flag: a streaming plan feeds
-documents chunk by chunk through
-:class:`~repro.runtime.streaming.StreamingEvaluator` instead of handing a
-whole document to an engine.  Streaming runs ``compiled`` — see
-:func:`choose_plan`.
 
 A plan chooses no inner loop: every compiled engine counts with
 :func:`~repro.runtime.kernel.count_loop`, which picks run powers per run
@@ -45,8 +38,8 @@ hit/miss/eviction counters through :meth:`PlanCache.stats`, which is what
 the server's ``/metrics`` endpoint exposes as the plan-cache hit ratio.
 
 There is no ``auto`` decision for a monolithic automaton: it runs
-``compiled``.  :func:`choose_plan` resolves ``auto``, forced engines and
-streaming; only the expression optimizer can make a plan ``hybrid``.
+``compiled``.  :func:`choose_plan` resolves ``auto`` and forced engines;
+only the expression optimizer can make a plan ``hybrid``.
 
 Whatever engine a plan names, the document reaches it as an *object*, not
 a pre-translated id list: every compiled engine (and every fused leaf of a
@@ -76,11 +69,10 @@ __all__ = [
 ]
 
 #: Engine names accepted by the facade and the CLI; ``auto`` resolves to a
-#: concrete engine through :func:`choose_plan`.  ``compiled-otf`` runs the
-#: same automaton as ``compiled``.  ``hybrid`` is only meaningful for
-#: spanner-algebra expression sources (elsewhere the facade treats it as
-#: ``auto``).
-ENGINE_CHOICES = ("auto", "compiled", "compiled-otf", "reference", "hybrid")
+#: concrete engine through :func:`choose_plan`.  ``hybrid`` is only
+#: meaningful for spanner-algebra expression sources (elsewhere the facade
+#: treats it as ``auto``).
+ENGINE_CHOICES = ("auto", "compiled", "reference", "hybrid")
 
 #: Batch execution modes (:func:`~repro.runtime.batch.run_batch`).  They
 #: live here, beside the engine names, so the CLI can offer both as
@@ -101,7 +93,6 @@ class ExecutionPlan:
     engine: str
     reason: str
     operators: object | None = None
-    streaming: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_CHOICES or self.engine == "auto":
@@ -117,42 +108,19 @@ class ExecutionPlan:
             raise ValueError(
                 f"engine {self.engine!r} does not execute a physical operator tree"
             )
-        if self.streaming and self.engine != "compiled":
-            raise ValueError(
-                f"engine {self.engine!r} cannot evaluate chunk-fed documents; "
-                "streaming plans run the compiled engine"
-            )
 
 
-def choose_plan(
-    *,
-    engine: str = "auto",
-    streaming: bool = False,
-) -> ExecutionPlan:
-    """Resolve *engine*, whole-document or streaming, into an :class:`ExecutionPlan`.
+def choose_plan(*, engine: str = "auto") -> ExecutionPlan:
+    """Resolve *engine* into an :class:`ExecutionPlan`.
 
     ``auto`` runs the lazily determinized automaton; a concrete *engine*
     is honoured as-is.  ``hybrid`` is not resolved here: only the
     expression optimizer (:func:`repro.algebra.optimizer.optimize`) can
-    cut an expression tree.  With ``streaming=True`` the plan feeds
-    chunks through :class:`~repro.runtime.streaming.StreamingEvaluator`,
-    which runs the compiled automaton: ``auto`` and ``compiled-otf``
-    resolve to ``compiled`` and any other engine is rejected.
+    cut an expression tree.
     """
     if engine not in ENGINE_CHOICES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    if streaming:
-        if engine not in ("auto", "compiled", "compiled-otf"):
-            raise ValueError(
-                f"engine {engine!r} cannot evaluate chunk-fed documents; "
-                "streaming supports engine='compiled' (or 'auto')"
-            )
-        return ExecutionPlan(
-            "compiled",
-            "streaming: chunk-fed evaluation of the lazily determinized automaton",
-            streaming=True,
         )
     if engine == "hybrid":
         raise ValueError(

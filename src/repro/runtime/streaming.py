@@ -54,7 +54,9 @@ Two output modes:
     ``tailing-logs`` property test pins ``peak_arena_cells`` strictly
     below the whole-document arena).
 
-The evaluator runs the lazily determinized
+:meth:`repro.spanners.Spanner.stream` opens an evaluator, and ``repro
+stream`` and ``repro serve`` run one per stream; a batch evaluates whole
+documents.  The evaluator runs the lazily determinized
 :class:`~repro.runtime.subset.CompiledSubsetEVA` every compiled request
 runs.  A subset discovered mid-stream is one more state id, and whether
 it is a settled sink is asked of it when a run first holds it there.
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import codecs
 
-from repro.core.errors import EvaluationError, StreamingError
+from repro.core.errors import StreamingError
 from repro.core.mappings import Mapping
 from repro.runtime.dag import NIL, CompiledResultDag
 from repro.runtime.engine import _collect_arena
@@ -81,7 +83,6 @@ __all__ = [
     "EMIT_MODES",
     "StreamedResult",
     "StreamingEvaluator",
-    "evaluate_streaming",
 ]
 
 EMIT_MODES = ("on_finish", "incremental")
@@ -496,34 +497,3 @@ class StreamingEvaluator:
             f"StreamingEvaluator(emit={self._emit!r}, {status}, "
             f"cells={len(self._cell_nodes)})"
         )
-
-
-def evaluate_streaming(
-    compiled: CompiledSubsetEVA,
-    document: object,
-    *,
-    chunk_size: int = 65536,
-    emit: str = "on_finish",
-    fast_path: bool = True,
-) -> CompiledResultDag | StreamedResult:
-    """Evaluate *document* by feeding it through a :class:`StreamingEvaluator`.
-
-    The convenience driver used by ``run_batch(streaming=True)``: the
-    document is consumed in *chunk_size*-character slices, so no
-    whole-document class-id buffer is ever materialized (peak memory is
-    one encoded chunk plus the live arena instead of ``O(|d|)``).
-    """
-    if chunk_size < 1:
-        raise EvaluationError(f"chunk_size must be positive, got {chunk_size}")
-    evaluator = StreamingEvaluator(compiled, emit=emit, fast_path=fast_path)
-    chunks = getattr(document, "iter_chunks", None)
-    if chunks is not None:
-        for chunk in chunks(chunk_size):
-            evaluator.feed(chunk)
-    else:
-        from repro.core.documents import as_text
-
-        text = as_text(document)
-        for begin in range(0, len(text), chunk_size):
-            evaluator.feed(text[begin : begin + chunk_size])
-    return evaluator.finish()

@@ -36,8 +36,8 @@ their plans, so one spanner may serve many threads at once.
 
 Evaluation goes through the :class:`~repro.runtime.plan.ExecutionPlan`
 layer.  ``engine="auto"`` (the default) runs the compiled automaton
-(``"compiled"``, also named ``"compiled-otf"``), which is cross-checked
-against the dict-based reference loop (``"reference"``).  Multi-document
+(``"compiled"``), which is cross-checked against the dict-based
+reference loop (``"reference"``).  Multi-document
 workloads go through :meth:`Spanner.run_batch`, which compiles once and
 streams every document through the same tables.
 
@@ -186,8 +186,10 @@ class Spanner:
     def compiled(self, document: object = "") -> ExtendedVA:
         """The spanner's deterministic sequential eVA, for introspection.
 
-        Determinized up front and without a bound on first call; no
-        request runs it (they determinize on the fly, see :meth:`runtime`).
+        Determinized up front and without a bound on first call.  No
+        request path calls it: requests determinize on the fly (see
+        :meth:`runtime`), and :meth:`statistics` describes the sequential
+        eVA they intern.  Tests use it as an oracle's input.
         """
         return self._deterministic[0]
 
@@ -198,8 +200,9 @@ class Spanner:
         return self._interned[1]
 
     def statistics(self, document: object = "") -> AutomatonStatistics:
-        """Size statistics of the deterministic automaton (:meth:`compiled`)."""
-        return statistics(self.compiled(), check_properties=True)
+        """Size statistics of the sequential eVA every compiled request
+        interns; nothing is determinized to compute them."""
+        return statistics(self._sequential[0], check_properties=True)
 
     def runtime(self, document: object = "") -> CompiledSubsetEVA:
         """The lazily determinized automaton every compiled request runs.
@@ -424,7 +427,6 @@ class Spanner:
         alphabet: Iterable[str] = (),
         emit: str = "on_finish",
         engine: str | None = None,
-        fast_path: bool = True,
         retain_settled: bool = True,
     ) -> StreamingEvaluator:
         """Open a chunk-fed evaluation of one document.
@@ -436,14 +438,15 @@ class Spanner:
         the pattern does not name, so any character may arrive and the
         result equals whole-document evaluation.  *alphabet* is accepted
         and validated (an iterable of characters) but no longer needed.
-        The plan layer resolves the engine with ``streaming=True``: only
-        the compiled automaton (``"auto"``, ``"compiled"`` or
-        ``"compiled-otf"``) can stream.
+        Only the compiled automaton (``"auto"`` or ``"compiled"``) can
+        stream.
         """
-        plan = choose_plan(
-            engine=self._engine if engine is None else engine, streaming=True
-        )
-        assert plan.streaming and plan.engine == "compiled"
+        engine = self._engine if engine is None else engine
+        if engine not in ("auto", "compiled"):
+            raise ValueError(
+                f"engine {engine!r} cannot evaluate chunk-fed documents; "
+                "streaming supports engine='compiled' (or 'auto')"
+            )
         if any(not isinstance(char, str) or len(char) != 1 for char in alphabet):
             raise CompilationError("alphabet members must be single characters")
         self._reject_hybrid_streaming()
@@ -455,7 +458,6 @@ class Spanner:
         return StreamingEvaluator(
             self.runtime(),
             emit=emit,
-            fast_path=fast_path,
             retain_settled=retain_settled,
         )
 
@@ -468,8 +470,6 @@ class Spanner:
         kernel: str | None = None,
         chunk_size: int = 16,
         max_workers: int | None = None,
-        streaming: bool = False,
-        stream_chunk_size: int = 65536,
         policy: ResiliencePolicy | None = None,
         report: FailureReport | None = None,
     ) -> Iterator[tuple[object, object]]:
@@ -487,14 +487,6 @@ class Spanner:
         generation past :data:`~repro.runtime.subset.SUBSET_CAP` subsets
         is renewed between documents).
 
-        With ``streaming=True`` every document is fed to the compiled
-        engine in ``stream_chunk_size``-character slices through the
-        chunk-fed evaluator instead of being evaluated whole: results
-        are identical (the streaming ``on_finish`` arena is array-equal
-        to the whole-document one), but no whole-document class-id
-        buffer is ever materialized, cutting each worker's peak memory
-        to one encoded chunk plus the live arena.
-
         *policy* overrides the spanner's fault-tolerance policy for this
         batch (``None`` falls back to the spanner's ``resilience``
         option, then the module default); with ``policy.quarantine`` a
@@ -502,15 +494,7 @@ class Spanner:
         retry/rebuild/fallback counters for the run.
         """
         documents = DocumentCollection.coerce(documents)
-        if streaming:
-            if kernel is not None:
-                resolve_kernel(kernel)
-            plan = choose_plan(
-                engine=self._engine if engine is None else engine, streaming=True
-            )
-            self._reject_hybrid_streaming()
-        else:
-            plan = self._plan(engine, kernel)
+        plan = self._plan(engine, kernel)
         compiled = plan.operators if plan.engine == "hybrid" else self.runtime()
         from repro.runtime.batch import run_batch
 
@@ -521,8 +505,6 @@ class Spanner:
             engine=plan.engine,
             chunk_size=chunk_size,
             max_workers=max_workers,
-            streaming=plan.streaming,
-            stream_chunk_size=stream_chunk_size,
             policy=self._resilience if policy is None else policy,
             report=report,
         )

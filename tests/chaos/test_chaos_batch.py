@@ -294,16 +294,11 @@ class TestQuarantine:
 
 
 class TestEncodeSite:
-    @pytest.mark.parametrize(
-        "engine, streaming",
-        [("compiled", False), ("compiled", True), ("compiled-otf", False)],
-        ids=["compiled", "compiled-streaming", "compiled-otf"],
-    )
-    def test_encode_fault_fires_on_every_run(self, spanner, engine, streaming):
+    def test_encode_fault_fires_on_every_run(self, spanner):
         # The "encode" site sits in the one pass every encoding runs, so
-        # a persistent raise there quarantines every document whichever
-        # engine (or chunk-fed evaluation) encodes it.  Fresh documents:
-        # a cached encoding would never reach the site.
+        # a persistent raise there quarantines every document the
+        # compiled engine encodes.  Fresh documents: a cached encoding
+        # would never reach the site.
         documents = DocumentCollection(
             {f"doc{index}": "aa bb aaa cc " * (index + 1) for index in range(4)}
         )
@@ -317,8 +312,7 @@ class TestEncodeSite:
             ResiliencePolicy(quarantine=True, faults=plan),
             report,
             mode="serial",
-            engine=engine,
-            streaming=streaming,
+            engine="compiled",
         )
         assert results == {}
         assert [record.doc_id for record in report.quarantined] == list(

@@ -3,7 +3,7 @@
 One call — :func:`assert_all_engines_agree` — pins every evaluation route
 of the library against each other on one ``(spanner, document)`` pair:
 
-* the facade engines (``reference``, ``compiled``, ``compiled-otf``) plus
+* the facade engines (``reference``, ``compiled``) plus
   the ``auto`` plan, for both enumeration and counting;
 * the chunk-fed :class:`~repro.runtime.streaming.StreamingEvaluator`, in
   **both** emit modes, over a seeded adversarial set of chunkings of the
@@ -64,11 +64,11 @@ __all__ = [
 ]
 
 #: The monolithic engines reachable through the facade's ``engine=`` knob.
-FACADE_ENGINES = ("reference", "compiled", "compiled-otf")
+FACADE_ENGINES = ("reference", "compiled")
 
-#: The compiled automaton over a spanner's two sources (see
-#: :func:`automaton_form`).
-AUTOMATON_FORMS = ("runtime", "otf_runtime")
+#: The compiled automaton over a spanner's two sources, named after them
+#: (see :func:`automaton_form`).
+AUTOMATON_FORMS = ("determinized", "sequential")
 
 _DETERMINIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -76,13 +76,13 @@ _DETERMINIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def automaton_form(spanner: Spanner, form: str) -> CompiledSubsetEVA:
     """*spanner*'s compiled automaton in one of :data:`AUTOMATON_FORMS`.
 
-    ``"otf_runtime"`` is :meth:`Spanner.runtime`, the sequential eVA
-    determinized on the fly, which every request runs.  ``"runtime"`` is
-    the same automaton over the up-front determinized eVA
+    ``"sequential"`` is :meth:`Spanner.runtime`, the sequential eVA
+    determinized on the fly, which every request runs.  ``"determinized"``
+    is the same automaton over the up-front determinized eVA
     (:meth:`Spanner.compiled`): every subset a singleton, ids in another
     order.  One instance per spanner, so its tables warm across calls.
     """
-    if form == "otf_runtime":
+    if form == "sequential":
         return spanner.runtime()
     runtime = _DETERMINIZED.get(spanner)
     if runtime is None:

@@ -147,7 +147,7 @@ class TestExecutionPlanAcceptance:
 
         monkeypatch.setattr(dag_module.DagNode, "__init__", forbidden)
         plan = spanner.plan(document)
-        assert plan.engine in ("compiled", "compiled-otf")
+        assert plan.engine == "compiled"
         assert spanner.count(document) == expected
         assert len(list(spanner.enumerate(document))) == expected
 
@@ -161,12 +161,12 @@ class TestExecutionPlanAcceptance:
         assert extended.is_sequential()
         expected = {str(m) for m in extended.evaluate("aabb")}
 
-        spanner = Spanner.from_eva(extended, engine="compiled-otf")
+        spanner = Spanner.from_eva(extended)
         for module in (transforms, pipeline_module):
             monkeypatch.setattr(
                 module,
                 "determinize",
-                lambda *a, **k: pytest.fail("compiled-otf must not determinize"),
+                lambda *a, **k: pytest.fail("a request must not determinize"),
             )
         assert {str(m) for m in spanner.enumerate("aabb")} == expected
         assert spanner.count("aabb") == len(expected)

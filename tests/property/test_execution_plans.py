@@ -6,9 +6,8 @@ On random documents, the following must produce identical mapping sets and
 identical counts:
 
 * the reference on-the-fly evaluator (:func:`evaluate_on_the_fly`),
-* the compiled engine (``engine="compiled"`` and its other name
-  ``"compiled-otf"``: the lazily determinized automaton plus the arena
-  engine),
+* the compiled engine (``engine="compiled"``: the lazily determinized
+  automaton plus the arena engine),
 * one :class:`CompiledSubsetEVA` instance reused across all of an
   automaton's documents, to also exercise the cross-document row cache.
 
@@ -88,10 +87,6 @@ def test_all_plans_agree_on_random_sequential_evas(node, texts):
         assert compiled_set == reference_set
         assert spanner.count(text, engine="compiled") == reference.count()
 
-        otf_set = {str(m) for m in spanner.evaluate(text, engine="compiled-otf")}
-        assert otf_set == reference_set
-        assert spanner.count(text, engine="compiled-otf") == reference.count()
-
         shared = evaluate_compiled_arena(subset, text)
         assert {str(m) for m in shared} == reference_set
         assert count_compiled(subset, text) == reference.count()
@@ -138,9 +133,8 @@ def test_over_budget_family_agrees_without_dense_tables():
     for text in blowup_texts():
         expected = {str(m) for m in spanner.evaluate(text, engine="reference")}
         assert expected or len(text) < 14
-        for engine in (None, "compiled-otf"):
-            assert {str(m) for m in spanner.evaluate(text, engine=engine)} == expected
-        for engine in (None, "compiled-otf", "reference"):
+        assert {str(m) for m in spanner.evaluate(text)} == expected
+        for engine in (None, "reference"):
             assert spanner.count(text, engine=engine) == len(expected)
 
 

@@ -87,7 +87,7 @@ def test_arena_is_bit_identical_both_fast_paths(pattern, text):
 def test_subset_count_matches_dense_count(pattern, text):
     spanner = Spanner.from_regex(pattern)
     assert count_compiled(spanner.runtime(text), text) == count_compiled(
-        automaton_form(spanner, "runtime"), text
+        automaton_form(spanner, "determinized"), text
     )
 
 

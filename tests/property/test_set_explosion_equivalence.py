@@ -8,8 +8,8 @@ may never meet again and, past their plan allowance, finish in the
 state-indexed loop.  Whichever route a position takes, the arena must be
 the same array for array — whole document, with plans forbidden, and fed
 in random chunks — and mappings and counts must equal the reference
-engine.  The ``.*a.{12}x{b}.*`` family passes the subset budget, so it
-runs lazily determinized (``compiled-otf``).
+engine.  The ``.*a.{12}x{b}.*`` family (8,197 subsets) checks the same
+where only the subsets a text reaches are built.
 
 The contact pattern and ``.*n{[a-z]+} <.*`` open and close captures
 that the next letter mostly kills.  Both loop forms leave those
@@ -76,8 +76,8 @@ def test_exploding_sets_match_the_reference(k, text, cuts):
 def test_subset_budget_family_matches_the_reference(text):
     spanner = spanner_for(".*a" + "." * 12 + "x{b}.*")
     mappings, count = reference(spanner, text)
-    assert {str(m) for m in spanner.evaluate(text, engine="compiled-otf")} == mappings
-    assert spanner.count(text, engine="compiled-otf") == count
+    assert {str(m) for m in spanner.evaluate(text)} == mappings
+    assert spanner.count(text) == count
     runtime = spanner.runtime(text)
     whole = evaluate_compiled_arena(runtime, text)
     with plans_forbidden(runtime, len(text)):

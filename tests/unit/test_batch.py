@@ -171,8 +171,6 @@ class TestValidation:
         spanner = Spanner.from_regex(contact_pattern())
         with pytest.raises(ValueError, match="kernel"):
             next(spanner.run_batch(collection, kernel="warp"))
-        with pytest.raises(ValueError, match="kernel"):
-            next(spanner.run_batch(collection, streaming=True, kernel="warp"))
 
 
 class TestKernelAxis:
@@ -203,9 +201,9 @@ class TestKernelAxis:
         )
 
     def test_otf_batch_accepts_the_runlength_kernel(self):
-        # Every kernel name is accepted on a compiled-otf batch and
-        # changes nothing.
-        spanner = Spanner(".*x{a+}.*", engine="compiled-otf")
+        # Every kernel name is accepted on a batch of the lazily
+        # determinized automaton and changes nothing.
+        spanner = Spanner(".*x{a+}.*")
 
         def results(kernel):
             return {

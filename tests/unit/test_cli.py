@@ -70,8 +70,24 @@ class TestCountAndInspect:
     def test_inspect(self, document_path):
         code, output = run_cli(["inspect", contact_pattern(), document_path])
         assert code == 0
-        assert "deterministic sequential eVA" in output
+        assert "sequential eVA:" in output
         assert "stage" in output
+
+    def test_inspect_never_determinizes(self, document_path, monkeypatch):
+        # 131,077 subsets up front; the statistics describe the 23-state
+        # sequential eVA that requests determinize lazily.
+        import repro.spanners.pipeline as pipeline_module
+        from repro.automata import transforms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inspect must not determinize")
+
+        for module in (transforms, pipeline_module):
+            monkeypatch.setattr(module, "determinize", forbidden)
+        pattern = ".*a" + "." * 16 + "x{b}.*"
+        code, output = run_cli(["inspect", pattern, document_path])
+        assert code == 0
+        assert "sequential eVA: 23 states" in output
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

@@ -162,7 +162,7 @@ class TestSetTable:
             assert len(set_table(runtime).records) <= 8
             assert {str(m) for m in arena} == {str(m) for m in expected}
             assert count_compiled(runtime, text) == expected.count()
-            if form == "otf_runtime":  # the same source as ``whole``'s
+            if form == "sequential":  # the same source as ``whole``'s
                 assert_arena_identical(arena, whole)
 
 
@@ -298,8 +298,8 @@ class TestLookahead:
     #: nested-output digest is the order of the lazily determinized
     #: automaton, whose subset ids (and so enumeration order) differ from
     #: those of an up-front determinization on this nondeterministic
-    #: pattern; it was computed with ``engine="compiled-otf"`` before that
-    #: automaton became the only one.
+    #: pattern; it was computed on that automaton before it became the
+    #: only one.
     WORKLOADS = {
         "logs-sparse": (
             "sparse-logs", 250, (62, 125, 250, 500, 1000), (" ERROR worker-", 0.005),

@@ -145,7 +145,7 @@ class TestPlanIntegration:
         spanner = Spanner.from_expression(expression)
         document = "ab" * 20
         expected = evaluate_expression_setwise(expression, document)
-        for engine in ("auto", "hybrid", "compiled", "compiled-otf"):
+        for engine in ("auto", "hybrid", "compiled"):
             assert set(spanner.evaluate(document, engine=engine)) == expected
             assert spanner.count(document, engine=engine) == len(expected)
 

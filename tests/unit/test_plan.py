@@ -72,14 +72,14 @@ class TestChoosePlan:
         assert spanner.count(text, engine="reference") == spanner.count(text)
 
     def test_forced_engines_skip_statistics(self):
-        for engine in ("compiled", "compiled-otf", "reference"):
+        for engine in ("compiled", "reference"):
             plan = choose_plan(engine=engine)
             assert plan.engine == engine
             assert plan.reason == "forced by caller"
 
     def test_choose_plan_resolves_auto_to_the_compiled_plan(self):
         plan = choose_plan(engine="auto")
-        assert plan.engine == "compiled" and not plan.streaming
+        assert plan.engine == "compiled"
         with pytest.raises(ValueError, match="expression optimizer"):
             choose_plan(engine="hybrid")
 
@@ -155,9 +155,8 @@ class TestSubsetRuntime:
             finished = {str(m) for m in stream.finish()}
             assert {str(m) for m in fed} <= finished == expected
         collection = DocumentCollection.from_texts(["aab", "b", "aaab"])
-        for streaming in (False, True):
-            batch = spanner.run_batch(collection, streaming=streaming)
-            assert [result.count() for _, result in batch] == [1, 1, 1]
+        batch = spanner.run_batch(collection)
+        assert [result.count() for _, result in batch] == [1, 1, 1]
         leaf = FusedLeaf(Atom(parse_regex(pattern))).prepare(frozenset("ab"))
         assert {str(m) for m in leaf.execute("aab")} == expected
         entry = SpannerService()._build_entry(
@@ -217,29 +216,16 @@ class TestSpannerPlanIntegration:
     def test_otf_engine_through_facade_never_determinizes(self, monkeypatch):
         import repro.spanners.pipeline as pipeline_module
 
-        spanner = Spanner.from_regex("(aa|a)*x{b}", engine="compiled-otf")
+        spanner = Spanner.from_regex("(aa|a)*x{b}")
         for module in (transforms, pipeline_module):
             monkeypatch.setattr(
                 module,
                 "determinize",
-                lambda *a, **k: pytest.fail("compiled-otf must not determinize"),
+                lambda *a, **k: pytest.fail("a request must not determinize"),
             )
         expected = {str(m) for m in sequential_eva("(aa|a)*x{b}").evaluate("aab")}
         assert {str(m) for m in spanner.enumerate("aab")} == expected
         assert spanner.count("aab") == len(expected)
-
-    def test_run_batch_with_otf_engine(self):
-        spanner = Spanner.from_regex("(aa|a)*x{b}")
-        collection = DocumentCollection.from_texts(["aab", "b", "aaab"])
-        otf = {
-            doc_id: result.count()
-            for doc_id, result in spanner.run_batch(collection, engine="compiled-otf")
-        }
-        compiled = {
-            doc_id: result.count()
-            for doc_id, result in spanner.run_batch(collection, engine="compiled")
-        }
-        assert otf == compiled
 
     def test_run_batch_with_otf_engine_across_processes(self):
         # Subset ids are interned per process; the portable member-tuple
@@ -248,12 +234,12 @@ class TestSpannerPlanIntegration:
         collection = DocumentCollection.from_texts(["aab", "b", "aaab"])
         serial = {
             doc_id: (result.count(), {str(m) for m in result})
-            for doc_id, result in spanner.run_batch(collection, engine="compiled-otf")
+            for doc_id, result in spanner.run_batch(collection)
         }
         parallel = {
             doc_id: (result.count(), {str(m) for m in result})
             for doc_id, result in spanner.run_batch(
-                collection, engine="compiled-otf", mode="processes", max_workers=2
+                collection, mode="processes", max_workers=2
             )
         }
         assert parallel == serial

@@ -187,22 +187,21 @@ def assert_same_objects(actual, expected):
 def trusted_cases():
     for pattern in TRUSTED_PATTERNS:
         spanner = Spanner(pattern)
-        for engine in ("compiled", "compiled-otf"):
-            for text in adversarial_documents():
-                yield pattern, engine, text, spanner.preprocess(text, engine=engine)
+        for text in adversarial_documents():
+            yield spanner.preprocess(text)
 
 
 class TestTrustedDecode:
     def test_equals_the_public_decode_in_order(self):
         produced = 0
-        for pattern, engine, text, arena in trusted_cases():
+        for arena in trusted_cases():
             mappings = list(arena.mappings())
             assert_same_objects(mappings, list(public_decode(arena)))
             produced += len(mappings)
         assert produced > 0
 
     def test_keep_subsets_equal_the_public_decode(self):
-        for pattern, engine, text, arena in trusted_cases():
+        for arena in trusted_cases():
             variables = arena.automaton.variables()
             for keep in (frozenset({"x"}), frozenset(), frozenset(variables)):
                 assert_same_objects(
@@ -262,16 +261,15 @@ LAZY_PATTERNS = TRUSTED_PATTERNS + (NESTED_PATTERN,)
 
 @functools.lru_cache(maxsize=None)
 def lazy_cases():
-    """``(text, arena)`` over the harness corpus, on both automaton forms.
+    """``(text, arena)`` over the harness corpus.
 
     Built once: every walk of an arena starts afresh, so tests share them.
     """
     cases = []
     for pattern in LAZY_PATTERNS:
         spanner = Spanner(pattern)
-        for engine in ("compiled", "compiled-otf"):
-            for text in adversarial_documents():
-                cases.append((text, spanner.preprocess(text, engine=engine)))
+        for text in adversarial_documents():
+            cases.append((text, spanner.preprocess(text)))
     return tuple(cases)
 
 
@@ -328,12 +326,11 @@ class TestLazyDecode:
         # TestTrustedDecode walks the other patterns in full.
         produced = 0
         spanner = Spanner(NESTED_PATTERN)
-        for engine in ("compiled", "compiled-otf"):
-            for text in adversarial_documents():
-                arena = spanner.preprocess(text, engine=engine)
-                mappings = undecoded(arena, limit=None)
-                assert_same_objects(mappings, list(public_decode(arena)))
-                produced += len(mappings)
+        for text in adversarial_documents():
+            arena = spanner.preprocess(text)
+            mappings = undecoded(arena, limit=None)
+            assert_same_objects(mappings, list(public_decode(arena)))
+            produced += len(mappings)
         assert produced > 0
 
     @pytest.mark.parametrize("reader", sorted(READERS))

@@ -32,8 +32,8 @@ class TestCounting:
                 assert spanner.count(document, kernel=kernel) == expected
 
     def test_default_count_does_not_import_numpy(self):
-        # Nothing in repro imports numpy: no count on either automaton
-        # form loads it.
+        # Nothing in repro imports numpy: neither the default count nor
+        # a forced kernel name loads it.
         script = (
             "import sys\n"
             "import repro\n"
@@ -41,11 +41,8 @@ class TestCounting:
             "spanner = repro.Spanner('.*x{a+}.*')\n"
             "count = spanner.count('bbaab' * 400)\n"
             "assert count > 0, count\n"
-            "for engine in ('compiled', 'compiled-otf'):\n"
-            "    forced = spanner.count(\n"
-            "        'bbaab' * 400, engine=engine, kernel='runlength'\n"
-            "    )\n"
-            "    assert forced == count, (engine, forced, count)\n"
+            "forced = spanner.count('bbaab' * 400, engine='compiled', kernel='runlength')\n"
+            "assert forced == count, (forced, count)\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
@@ -65,7 +62,7 @@ class TestCounting:
         spanner = Spanner(PATTERN)
         expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
         for kernel in KERNEL_NAMES:
-            assert spanner.count(DOCUMENT, engine="compiled-otf", kernel=kernel) == expected
+            assert spanner.count(DOCUMENT, engine="compiled", kernel=kernel) == expected
 
 
 class TestArena:

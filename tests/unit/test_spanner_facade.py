@@ -127,6 +127,19 @@ class TestCompilationAndCaching:
         assert stats.sequential
         assert stats.num_variables == 1
 
+    def test_statistics_never_determinize(self, monkeypatch):
+        import repro.spanners.pipeline as pipeline_module
+        from repro.automata import transforms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("statistics must not determinize")
+
+        for module in (transforms, pipeline_module):
+            monkeypatch.setattr(module, "determinize", forbidden)
+        stats = Spanner.from_regex(".*a" + "." * 16 + "x{b}.*").statistics()
+        assert stats.num_states == 23
+        assert not stats.deterministic and stats.sequential
+
     def test_compilation_report(self):
         report = Spanner.from_regex("x{a}b").compilation_report("ab")
         assert report.total_seconds >= 0
@@ -244,7 +257,7 @@ class TestCompileOnce:
                 expected = {
                     str(m) for m in evaluate_expression_setwise(expression, text)
                 }
-                for engine in ("auto", "compiled", "compiled-otf", "reference"):
+                for engine in ("auto", "compiled", "reference"):
                     got = {str(m) for m in spanner.evaluate(text, engine=engine)}
                     assert got == expected, (expression, text, engine)
         assert Spanner("x{[^é]}").evaluate("é") == []

@@ -5,7 +5,6 @@ import pytest
 from repro import Spanner, StreamingError
 from repro.core.documents import Document
 from repro.runtime.engine import evaluate_compiled_arena
-from repro.runtime.plan import ExecutionPlan, choose_plan
 from repro.runtime.streaming import StreamingEvaluator
 from repro.runtime.subset import CompiledSubsetEVA
 from repro.workloads.collections import chunked_document, scenario
@@ -254,27 +253,12 @@ class TestIncrementalEmission:
 
 
 class TestPlanLayer:
-    def test_choose_plan_streaming_resolves_auto_to_compiled(self):
-        plan = choose_plan(engine="auto", streaming=True)
-        assert plan.engine == "compiled" and plan.streaming
-
-    def test_choose_plan_streaming_rejects_other_engines(self):
-        assert choose_plan(engine="compiled-otf", streaming=True) == choose_plan(
-            engine="compiled", streaming=True
-        )
-        for engine in ("reference", "hybrid"):
-            with pytest.raises(ValueError):
-                choose_plan(engine=engine, streaming=True)
-
-    def test_execution_plan_streaming_requires_compiled(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan("reference", "bad", streaming=True)
-
     def test_spanner_stream_respects_engine_override(self):
         spanner = Spanner.from_regex("x{a}")
-        with pytest.raises(ValueError):
-            spanner.stream(engine="reference")
-        for engine in ("compiled", "compiled-otf"):
+        for engine in ("reference", "hybrid", "warp"):
+            with pytest.raises(ValueError, match="chunk-fed"):
+                spanner.stream(engine=engine)
+        for engine in ("auto", "compiled"):
             evaluator = spanner.stream(engine=engine)
             assert isinstance(evaluator, StreamingEvaluator)
 
@@ -290,8 +274,6 @@ class TestPlanLayer:
         assert len(spanner.evaluate("ab")) == 2  # hybrid, the sound route
         with pytest.raises(ValueError, match="hybrid"):
             spanner.stream(alphabet="ab")
-        with pytest.raises(ValueError, match="hybrid"):
-            spanner.run_batch(["ab"], streaming=True)
 
     def test_fully_fused_expression_still_streams(self):
         # When the optimizer fuses everything, the monolithic automaton
@@ -309,38 +291,6 @@ class TestPlanLayer:
 
 
 class TestBatchStreaming:
-    def test_serial_and_process_streaming_match_whole_document_batch(self):
-        workload = scenario("tailing-logs", num_documents=3, scale=200, seed=4)
-        spanner = Spanner.from_regex(workload.pattern)
-        base = {
-            str(doc_id): {str(m) for m in result}
-            for doc_id, result in spanner.run_batch(workload.collection)
-        }
-        streamed = {
-            str(doc_id): {str(m) for m in result}
-            for doc_id, result in spanner.run_batch(
-                workload.collection, streaming=True, stream_chunk_size=128
-            )
-        }
-        assert streamed == base
-        processes = {
-            str(doc_id): {str(m) for m in result}
-            for doc_id, result in spanner.run_batch(
-                workload.collection,
-                streaming=True,
-                mode="processes",
-                max_workers=2,
-                stream_chunk_size=128,
-            )
-        }
-        assert processes == base
-
-    def test_streaming_rejects_non_compiled_engines(self):
-        workload = scenario("tailing-logs", num_documents=1, scale=50)
-        spanner = Spanner.from_regex(workload.pattern)
-        with pytest.raises(ValueError):
-            list(spanner.run_batch(workload.collection, streaming=True, engine="reference"))
-
     def test_document_iter_chunks(self):
         document = Document("abcdefg")
         assert list(document.iter_chunks(3)) == ["abc", "def", "g"]

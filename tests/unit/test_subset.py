@@ -54,7 +54,7 @@ def assert_plans_known(runtime) -> None:
 
 @pytest.mark.parametrize("fast_path", [True, False])
 def test_slots_grow_mid_call_across_calls_and_a_pickle(fast_path):
-    runtime = Spanner(PATTERN, engine="compiled-otf").runtime(DOCUMENT)
+    runtime = Spanner(PATTERN).runtime(DOCUMENT)
     assert runtime.num_states == 1  # cold: only the initial subset
     expected = reference(DOCUMENT)
 
@@ -138,9 +138,8 @@ class TestGenerations:
                 (doc_id, result.count())
                 for doc_id, result in spanner.run_batch(collection, engine="reference")
             ]
-            for streaming in (False, True):
-                batch = spanner.run_batch(collection, streaming=streaming)
-                assert [(doc_id, result.count()) for doc_id, result in batch] == expected
+            batch = spanner.run_batch(collection)
+            assert [(doc_id, result.count()) for doc_id, result in batch] == expected
         assert subset.generation_swaps() > before + len(texts)
 
     def test_a_stream_moves_its_live_set_onto_the_next_generation(self, monkeypatch):

@@ -107,10 +107,10 @@ def test_compiled_threads_match_serial_calls():
 
 def test_otf_threads_match_serial_calls():
     pattern, texts = contacts_texts()
-    expected = serial_outcomes(Spanner(pattern, engine="compiled-otf"), texts, arenas=False)
+    expected = serial_outcomes(Spanner(pattern), texts, arenas=False)
     # Cold: subsets are discovered concurrently, so their ids (and with
     # them the arena layout) follow the interleaving; the outputs do not.
-    cold = Spanner(pattern, engine="compiled-otf")
+    cold = Spanner(pattern)
     assert run_threads(cold, texts, arenas=False) == expected
     # Warm subsets, cold plans: with the ids fixed, arenas are identical.
     runtime = cold.runtime()
@@ -122,7 +122,7 @@ def test_otf_threads_match_serial_calls():
 
 def test_concurrent_discovery_interns_each_subset_once():
     pattern, texts = contacts_texts()
-    spanner = Spanner(pattern, engine="compiled-otf")
+    spanner = Spanner(pattern)
     run_threads(spanner, texts, arenas=False)
     runtime = spanner.runtime()
     members = runtime.subset_members
@@ -136,12 +136,9 @@ def test_counts_over_long_runs_match_serial_calls():
     # record's squares concurrently, and every count stays exact.
     pattern = ".*x{a+}.*y{a+}.*z{a+}.*"
     texts = [("a" * (400 * (index + 1)) + "b") * 3 + "a" * 77 for index in range(THREADS)]
-    for engine in ("compiled", "compiled-otf"):
-        expected = serial_outcomes(
-            Spanner(pattern, engine=engine), texts, arenas=False, count_only=True
-        )
-        cold = Spanner(pattern, engine=engine)
-        assert run_threads(cold, texts, arenas=False, count_only=True) == expected
+    expected = serial_outcomes(Spanner(pattern), texts, arenas=False, count_only=True)
+    cold = Spanner(pattern)
+    assert run_threads(cold, texts, arenas=False, count_only=True) == expected
 
 
 def test_a_swap_leaves_a_call_in_flight_on_its_generation(monkeypatch):

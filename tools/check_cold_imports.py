@@ -13,7 +13,7 @@ the moment one does.
 
 It starts a fresh interpreter with ``src`` on ``PYTHONPATH``, runs
 ``import repro`` plus a default ``count``, ``enumerate`` and ``extract``
-(the default engine, ``"compiled"`` and ``"compiled-otf"``), and flags
+(the default engine and ``"compiled"``), and flags
 every module of :data:`COLD` found in ``sys.modules``.  A second fresh
 interpreter checks that ``import repro.cli`` loads none of
 :data:`CLI_COLD`: one-shot ``repro count``/``extract`` never start a pool.
@@ -55,7 +55,7 @@ import repro
 from repro import Spanner
 
 text = "Mail Ada at a@b.be or Bob at b@c.de"
-for options in ({}, {"engine": "compiled"}, {"engine": "compiled-otf"}):
+for options in ({}, {"engine": "compiled"}):
     spanner = Spanner(".*name{[A-Z][a-z]+} .*", **options)
     spanner.count(text)
     list(spanner.enumerate(text))
