@@ -7,8 +7,8 @@ that are copied eagerly at every Capturing/Reading step.  It produces the
 same outputs (the tests check this) but its preprocessing degrades towards
 ``O(|A| × |d| × |output-related factors|)`` because list copies grow with the
 number of partial runs — which is exactly the behaviour the paper's data
-structure is designed to avoid.  The ablation benchmark
-``benchmarks/bench_ablation.py`` measures the gap.
+structure is designed to avoid.  The lazy-list row of
+``tools/check_paper_claims.py`` measures the gap.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ search every valid accepting run of the automaton (exponentially many in
 the worst case), collect the mappings into a set to remove duplicates, and
 only then start producing output.  Both its total running time and its
 time-to-first-output grow with the number of runs, which is exactly the
-behaviour the constant-delay algorithm avoids; the benchmark
-``benchmarks/bench_baselines.py`` measures the gap.
+behaviour the constant-delay algorithm avoids.  The tier-1 tests use it
+as an oracle.
 """
 
 from __future__ import annotations

@@ -97,9 +97,9 @@ def delay_profile(
     manageable for spanners with huge outputs.
 
     The paper's claim (Section 3.2.2) is that these delays are bounded by a
-    function of the number of variables only; the benchmarks
-    ``benchmarks/bench_delay.py`` and ``benchmarks/bench_enumerate.py``
-    verify that their maximum does not grow with the document.
+    function of the number of variables only; ``benchmarks/bench_enumerate.py``
+    profiles them, and ``tools/check_paper_claims.py`` gates that they do
+    not grow with the document.
     """
     delays: list[float] = []
     previous = clock()

@@ -255,7 +255,8 @@ def run_batch(
         is passed, keeping the default serial path overhead-free.  With
         ``policy.quarantine`` set, documents that fail deterministically
         are recorded in *report* and omitted from the yielded stream
-        instead of aborting the batch.
+        instead of aborting the batch.  A serial batch rejects a fault
+        plan with a ``kill`` action or a ``task`` site (``ValueError``).
     report:
         A :class:`~repro.runtime.resilience.FailureReport` collecting
         quarantined documents and recovery counters for this run.
@@ -286,6 +287,15 @@ def run_batch(
             f"engine={engine!r} needs a {runtime_type.__name__} "
             f"(got {type(compiled).__name__})"
         )
+    if mode == "serial" and policy is not None and policy.faults is not None:
+        for spec in policy.faults.specs:
+            # A kill would end the caller's own process; a task site is
+            # reached only inside pool workers, so it would never fire.
+            if spec.action == "kill" or spec.site == "task":
+                raise ValueError(
+                    f"fault {spec.site}/{spec.action} cannot fire in a serial "
+                    "batch; use mode='processes'"
+                )
     if policy is not None and policy.quarantine and report is None:
         report = FailureReport()
     collection = DocumentCollection.coerce(documents)

@@ -29,6 +29,21 @@ class TestContactExtraction:
             assert len(rows) == records
             assert spanner.count(document) == records
 
+    def test_reference_routes_count_every_record(self):
+        # Algorithm 1 over the up-front determinized eVA, Algorithm 3, and
+        # Algorithm 1 determinized on the fly each find one mapping per
+        # record on a longer document.
+        from repro.automata.transforms import va_to_eva
+        from repro.enumeration.onthefly import evaluate_on_the_fly
+
+        records = 50
+        document = contact_document(records, seed=7)
+        spanner = Spanner.from_regex(contact_pattern())
+        assert sum(1 for _ in spanner.preprocess(document, engine="reference")) == records
+        assert spanner.count(document, engine="reference") == records
+        extended = va_to_eva(compile_to_va(contact_pattern(), document.text))
+        assert sum(1 for _ in evaluate_on_the_fly(extended, document)) == records
+
     def test_every_row_is_well_formed(self):
         spanner = Spanner.from_regex(contact_pattern())
         document = contact_document(10, seed=3)
@@ -114,6 +129,7 @@ class TestQuadraticOutputWorkload:
         # x1 ranges over all spans of the document.
         expected = (len(document) + 1) * (len(document) + 2) // 2
         assert spanner.count(document) == expected
+        assert spanner.count(document, engine="reference") == expected
 
     def test_delays_do_not_depend_on_position(self):
         spanner = Spanner.from_regex(nested_capture_regex(1))
@@ -151,7 +167,7 @@ class TestExecutionPlanAcceptance:
         assert spanner.count(document) == expected
         assert len(list(spanner.enumerate(document))) == expected
 
-    def test_nondeterministic_eva_runs_compiled_otf_without_determinize(self, monkeypatch):
+    def test_nondeterministic_eva_runs_lazily(self, monkeypatch):
         import repro.spanners.pipeline as pipeline_module
         from repro.automata import transforms
         from repro.automata.transforms import va_to_eva

@@ -163,6 +163,18 @@ class TestValidation:
         with pytest.raises(TypeError):
             next(run_batch(compiled, "not a collection"))
 
+    @pytest.mark.parametrize(
+        "site, action", [("evaluate", "kill"), ("task", "raise")]
+    )
+    def test_serial_fault_that_cannot_fire_rejected(self, contact_setup, site, action):
+        from repro.runtime.resilience import FaultPlan, FaultSpec, ResiliencePolicy
+
+        compiled, collection = contact_setup
+        policy = ResiliencePolicy(faults=FaultPlan([FaultSpec(site=site, action=action)]))
+        # Raised at the call, before a document is evaluated.
+        with pytest.raises(ValueError, match="serial"):
+            run_batch(compiled, collection, policy=policy)
+
     # Spanner.run_batch checks kernel= (and ignores it); the plan-free
     # run_batch has no kernel at all.
 
@@ -200,7 +212,7 @@ class TestKernelAxis:
             == expected
         )
 
-    def test_otf_batch_accepts_the_runlength_kernel(self):
+    def test_batch_accepts_the_runlength_kernel(self):
         # Every kernel name is accepted on a batch of the lazily
         # determinized automaton and changes nothing.
         spanner = Spanner(".*x{a+}.*")

@@ -224,6 +224,8 @@ class TestBatchResilience:
             ["--task-deadline", "0"],
             ["--max-document-chars", "0"],
             ["--max-arena-cells", "-3"],
+            ["--inject-faults", '[{"site": "evaluate", "action": "kill"}]'],
+            ["--inject-faults", '[{"site": "task", "action": "raise"}]'],
         ],
     )
     def test_bad_resilience_flags_exit_two_one_line(self, batch_paths, flags, capsys):

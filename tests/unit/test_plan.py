@@ -213,7 +213,7 @@ class TestSpannerPlanIntegration:
         forced = spanner.plan("ab", engine="reference")
         assert forced.engine == "reference"
 
-    def test_otf_engine_through_facade_never_determinizes(self, monkeypatch):
+    def test_facade_request_never_determinizes(self, monkeypatch):
         import repro.spanners.pipeline as pipeline_module
 
         spanner = Spanner.from_regex("(aa|a)*x{b}")
@@ -227,7 +227,7 @@ class TestSpannerPlanIntegration:
         assert {str(m) for m in spanner.enumerate("aab")} == expected
         assert spanner.count("aab") == len(expected)
 
-    def test_run_batch_with_otf_engine_across_processes(self):
+    def test_run_batch_across_processes_matches_serial(self):
         # Subset ids are interned per process; the portable member-tuple
         # keys must still land results on the parent's runtime.
         spanner = Spanner.from_regex("(aa|a)*x{b}")

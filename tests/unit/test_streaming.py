@@ -290,7 +290,7 @@ class TestPlanLayer:
         assert {str(m) for m in evaluator.finish()} == expected
 
 
-class TestBatchStreaming:
+class TestDocumentChunks:
     def test_document_iter_chunks(self):
         document = Document("abcdefg")
         assert list(document.iter_chunks(3)) == ["abc", "def", "g"]
