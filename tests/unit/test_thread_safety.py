@@ -98,7 +98,14 @@ def serial_outcomes(
     ]
 
 
-def test_threads_match_serial_calls():
+def test_compiled_threads_match_serial_calls():
+    pattern, texts = contacts_texts()
+    expected = serial_outcomes(Spanner(pattern, engine="compiled"), texts, arenas=False)
+    # A fresh spanner: subsets and set plans are built while the threads run.
+    assert run_threads(Spanner(pattern, engine="compiled"), texts, arenas=False) == expected
+
+
+def test_otf_threads_match_serial_calls():
     pattern, texts = contacts_texts()
     expected = serial_outcomes(Spanner(pattern), texts, arenas=False)
     # Cold: subsets are discovered concurrently, so their ids (and with
